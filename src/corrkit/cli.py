@@ -31,7 +31,7 @@ from .errors import (
     InstanceFormatError,
     PreconditionError,
 )
-from .hilbmod import internal_tensor, tensor_pre_gram, validate_module
+from .hilbmod import internal_tensor, pull_gram, tensor_pre_gram, validate_module
 from .instance import Instance, PROFILES, RunConfig, emit_instance, generate_instance, parse_instance
 from .prodsys import build_powers, check_unit
 from .report import FAIL, NOT_APPLICABLE, PASS, UNKNOWN, VerificationReport
@@ -89,7 +89,7 @@ def _cmd_tensor(inst: Instance, config: RunConfig, left: str = "", right: str = 
     rep = VerificationReport(f"internal tensor {left} . {right}")
     rep.add_flag("factor-surjective", np.linalg.matrix_rank(fm.matrix) == tensor.dim)
     pre = tensor_pre_gram(e, f)
-    pulled = np.einsum("ui,vj,uvab->ijab", fm.matrix.conj(), fm.matrix, tensor.gram)
+    pulled = pull_gram(fm.matrix, tensor.gram)
     dev = float(np.abs(pulled - pre).max()) if pre.size else 0.0
     rep.add("inner-product-rule", dev, config.tol)
     rep.extend(validate_module(tensor, config.tol), prefix="tensor-")

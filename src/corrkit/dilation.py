@@ -47,6 +47,7 @@ from .hilbmod import (
     map_adjoint,
     matrix_rank_tol,
     null_space,
+    pull_gram,
     rank_one,
     right_unitor,
     tensor_lift,
@@ -124,8 +125,7 @@ def right_limit(ps: ProductSystem, xi1: np.ndarray, tol: float | None = None) ->
         dom, cod = ps.power(n), ps.power(n + 1)
         adj = map_adjoint(j, dom, cod)
         rep.add(f"right-embedding-isometry[{n}]", _dev(adj @ j, np.eye(dom.dim)), tol)
-        pulled = np.einsum("ui,vj,uvab->ijab", j.conj(), j, cod.gram)
-        rep.add(f"right-embedding-gram[{n}]", _dev(pulled, dom.gram), tol)
+        rep.add(f"right-embedding-gram[{n}]", _dev(pull_gram(j, cod.gram), dom.gram), tol)
         rep.add(f"right-vector-coherence[{n}]", _dev(j @ unit.levels[n], unit.levels[n + 1]), tol)
     for n in range(n_levels):
         for t in range(1, n_levels - n):
@@ -212,8 +212,7 @@ def left_limit(ps: ProductSystem, omega1: np.ndarray, tol: float | None = None) 
         dom, cod = ps.power(n), ps.power(n + 1)
         adj = map_adjoint(k, dom, cod)
         rep.add(f"left-embedding-isometry[{n}]", _dev(adj @ k, np.eye(dom.dim)), tol)
-        pulled = np.einsum("ui,vj,uvab->ijab", k.conj(), k, cod.gram)
-        rep.add(f"left-embedding-gram[{n}]", _dev(pulled, dom.gram), tol)
+        rep.add(f"left-embedding-gram[{n}]", _dev(pull_gram(k, cod.gram), dom.gram), tol)
         bil = max(
             _dev(k @ dom.left_action[c], cod.left_action[c] @ k) for c in range(alg.dim)
         )
@@ -288,8 +287,7 @@ def build_action_stages(
         rep.add(f"action-unitary[{t}]", max(
             _dev(adj @ u_t, np.eye(dom.dim)), _dev(u_t @ adj, np.eye(eplus.dim))
         ), tol)
-        pulled = np.einsum("ui,vj,uvab->ijab", u_t.conj(), u_t, eplus.gram)
-        rep.add(f"action-isometric[{t}]", _dev(pulled, dom.gram), tol)
+        rep.add(f"action-isometric[{t}]", _dev(pull_gram(u_t, eplus.gram), dom.gram), tol)
         rec = max(
             _dev(u_t @ amplify(op.matrix, stages[t].factor, side="left") @ adj,
                  endo.apply(op.matrix, t))
@@ -862,13 +860,6 @@ def compare_unit_limits(
 
     e1 = ps.generator
     m = e1.dim
-    stacked = np.concatenate(
-        [e1.left_action[c] for c in range(alg.dim)] + [e1.right_action[c] for c in range(alg.dim)],
-        axis=0,
-    )
-    eye_stack = np.concatenate(
-        [np.eye(m) for _ in range(2 * alg.dim)], axis=0
-    )
     system = np.concatenate(
         [
             np.kron(np.eye(m), e1.left_action[c].T) - np.kron(e1.left_action[c], np.eye(m))
@@ -880,8 +871,9 @@ def compare_unit_limits(
         ],
         axis=0,
     )
-    del stacked, eye_stack
-    kernel = null_space(system)
+    size = max(float(np.abs(e1.left_action).max(initial=0.0)),
+               float(np.abs(e1.right_action).max(initial=0.0)))
+    kernel = null_space(system, scale=size)
     k = kernel.shape[1]
     if k == 0:
         rep.detail = "no nonzero bilinear maps on the generator"

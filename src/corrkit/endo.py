@@ -30,7 +30,10 @@ from .hilbmod import (
     Correspondence,
     FactorMap,
     ModulePresentation,
+    _balanced_gram,
     _dev,
+    _kron_stack,
+    _lift,
     _quotient,
     adjointable_basis,
     algebra_correspondence,
@@ -40,6 +43,7 @@ from .hilbmod import (
     internal_tensor,
     map_adjoint,
     null_space,
+    pull_gram,
     rank_one_stack,
 )
 from .report import VerificationReport
@@ -158,7 +162,7 @@ def validate_endomorphism(endo: Endomorphism, tol: float = DEFAULT_TOL) -> Verif
     rep.add("endomorphism-star", star, tol)
     rep.add("endomorphism-unital", _dev(endo.apply(np.eye(eplus.dim)), np.eye(eplus.dim)), tol)
 
-    strict = compacts_span_check(eplus)
+    strict = compacts_span_check(eplus, ops=endo.ops)
     rep.add_flag("strictness-compacts-span", strict)
     if strict:
         rep.detail = (
@@ -216,14 +220,9 @@ def associated_correspondence(
     if resid > tol * max(1.0, float(np.abs(eplus.gram).max())):
         raise ConstructionError("rank-one operators leave the operator basis", residual=resid)
 
-    gram = np.einsum("ikpl,jpab->ijklab", images, eplus.gram).reshape(
-        m * m, m * m, alg.size, alg.size
-    )
-    right = np.stack([np.kron(np.eye(m), eplus.right_action[c]) for c in range(alg.dim)])
-    star = alg.star_index
-    left = np.stack(
-        [np.kron(eplus.right_action[star[c]].conj(), np.eye(m)) for c in range(alg.dim)]
-    )
+    gram = _balanced_gram(images, eplus.gram)
+    right = _kron_stack(np.eye(m), eplus.right_action)
+    left = _kron_stack(eplus.right_action[alg.star_index].conj(), np.eye(m))
     pre = Correspondence(alg, right, gram, left)
     reduced, proj = _quotient(pre, tol)
     return AssociatedCorrespondence(
@@ -265,8 +264,7 @@ def power_coherence(
     )
     rep = VerificationReport(f"power coherence [{s},{t}]")
     cod = est.corr
-    transported = np.einsum("ui,vj,uvab->ijab", u.conj(), u, cod.gram)
-    rep.add(f"product-rule-isometric[{s},{t}]", _dev(transported, tensor.gram), tol)
+    rep.add(f"product-rule-isometric[{s},{t}]", _dev(pull_gram(u, cod.gram), tensor.gram), tol)
     if tensor.dim != cod.dim:
         rep.add_flag(f"product-rule-dimensions[{s},{t}]", False)
         return u, rep
@@ -323,11 +321,10 @@ def u_unitary(
     tensor, fm = internal_tensor(eplus, et.corr, tol)
     images, _ = _theta_rank_ones(endo, t)
     bridge = images.transpose(2, 0, 1, 3).reshape(m, m * m * m)  # [u,(i,k,l)]
-    u = bridge @ np.kron(np.eye(m), et.factor.section) @ fm.section
+    u = bridge @ _lift(et.factor.section, fm.section, fm.source_dims, "right")
 
     rep = VerificationReport(f"action unitary [t={t}]")
-    transported = np.einsum("ui,vj,uvab->ijab", u.conj(), u, eplus.gram)
-    iso_dev = _dev(transported, tensor.gram)
+    iso_dev = _dev(pull_gram(u, eplus.gram), tensor.gram)
     rep.add(f"action-isometric[{t}]", iso_dev, tol)
     if iso_dev > tol:
         raise ConstructionError(
@@ -392,7 +389,8 @@ def find_intertwining_isometry(
         rows = [(images[i] @ stack[w] - stack[w] @ stack[i]).reshape(-1) for i in range(q)]
         cols.append(np.concatenate(rows))
     system = np.stack(cols, axis=1)
-    kernel = null_space(system)
+    size = max(float(np.abs(stack).max(initial=0.0)), float(np.abs(images).max(initial=0.0)))
+    kernel = null_space(system, scale=size * size)
     k = kernel.shape[1]
     if k == 0:
         return IntertwinerSearch("none-exists", None, "intertwiner-space-trivial", {})

@@ -27,6 +27,7 @@ from .hilbmod import (
     ModulePresentation,
     adjointable_basis,
     algebra_correspondence,
+    pull_gram,
 )
 
 
@@ -103,10 +104,10 @@ def standard_module(
 def conjugated(pres: ModulePresentation, u: np.ndarray):
     """Unitary change of carrier basis; preserves every axiom exactly."""
     uh = u.conj().T
-    right = np.einsum("au,cuv,vb->cab", uh, pres.right_action, u)
-    gram = np.einsum("ua,vb,uvxy->abxy", u.conj(), u, pres.gram)
+    right = uh @ pres.right_action @ u
+    gram = pull_gram(u, pres.gram)
     if pres.is_correspondence:
-        left = np.einsum("au,cuv,vb->cab", uh, pres.left_action, u)
+        left = uh @ pres.left_action @ u
         return Correspondence(pres.algebra, right, gram, left)
     return ModulePresentation(pres.algebra, right, gram)
 

@@ -50,15 +50,48 @@ def matrix_rank_tol(m: np.ndarray, rtol: float = RANK_RTOL) -> int:
     return int(np.sum(s > rtol * s[0]))
 
 
-def null_space(m: np.ndarray, rtol: float = RANK_RTOL) -> np.ndarray:
-    """Orthonormal basis of the kernel, as columns."""
+def null_space(m: np.ndarray, rtol: float = RANK_RTOL, *, scale: float = 0.0) -> np.ndarray:
+    """Orthonormal basis of the kernel, as columns.
+
+    Rank counts the singular values above ``rtol`` times the larger of the
+    top singular value and ``scale``, the size of the operands the system
+    was built from.  A system that cancels to rounding noise then has a full
+    kernel instead of a noise-sized rank.
+    """
     m = np.atleast_2d(np.asarray(m, dtype=complex))
-    _, s, vh = np.linalg.svd(m, full_matrices=True)
-    if s.size == 0 or s[0] == 0.0:
-        rank = 0
-    else:
-        rank = int(np.sum(s > rtol * s[0]))
+    # a tall system's thin vh is already square; a wide one needs the full vh
+    _, s, vh = np.linalg.svd(m, full_matrices=m.shape[0] < m.shape[1])
+    top = max(float(s[0]) if s.size else 0.0, scale)
+    rank = int(np.sum(s > rtol * top)) if top > 0.0 else 0
     return vh[rank:].conj().T
+
+
+def pull_gram(v: np.ndarray, gram: np.ndarray) -> np.ndarray:
+    """Gram transported along a carrier map: ``out[i, j] = <v e_i, v e_j>``.
+
+    ``gram`` is the (m, m, n, n) Gram of the codomain and ``v`` an (m, r)
+    matrix; the result is the (r, r, n, n) Gram of the domain.
+    """
+    pulled = v.conj().T @ gram.transpose(2, 3, 0, 1) @ v
+    return np.ascontiguousarray(pulled.transpose(2, 3, 0, 1))
+
+
+def _kron_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``kron(a[c], b[c])`` for every leading index, broadcast as in numpy."""
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return out.reshape(out.shape[:-4] + (a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1]))
+
+
+def _lift(a: np.ndarray, s: np.ndarray, dims: tuple[int, int], side: str) -> np.ndarray:
+    """``kron(a, I) @ s`` (or ``kron(I, a) @ s``) without forming the kron.
+
+    The rows of ``s`` are indexed by pairs of a ``dims`` tensor carrier; ``a``
+    acts on the first (``side="left"``) or second factor of each pair.
+    """
+    first, second = dims
+    if side == "left":
+        return (a @ s.reshape(first, -1)).reshape(-1, s.shape[1])
+    return (a @ s.reshape(first, second, -1)).reshape(-1, s.shape[1])
 
 
 def _canonical_phase(vectors: np.ndarray) -> np.ndarray:
@@ -333,10 +366,10 @@ def _quotient(pres: ModulePresentation, tol: float) -> tuple[ModulePresentation,
     kept = kept[:, order]
     proj = kept.conj().T  # (r, m)
 
-    new_gram = np.einsum("ua,vb,uvxy->abxy", kept.conj(), kept, pres.gram)
-    new_r = np.einsum("au,cuv,bv->cab", proj, pres.right_action, proj.conj())
+    new_gram = pull_gram(kept, pres.gram)
+    new_r = proj @ pres.right_action @ kept
     if pres.is_correspondence:
-        new_l = np.einsum("au,cuv,bv->cab", proj, pres.left_action, proj.conj())
+        new_l = proj @ pres.left_action @ kept
         reduced = Correspondence(pres.algebra, new_r, new_gram, new_l)
     else:
         reduced = ModulePresentation(pres.algebra, new_r, new_gram)
@@ -372,10 +405,15 @@ def _require_same_algebra(e: ModulePresentation, f: ModulePresentation) -> None:
 
 def tensor_pre_gram(e: ModulePresentation, f: Correspondence) -> np.ndarray:
     """Balanced pre-inner product on the algebraic tensor carrier."""
-    lg = np.einsum("ikc,cpq->ikpq", e.gram_coords, f.left_action)
-    pre = np.einsum("ikql,jqab->ijklab", lg, f.gram)
-    me, mf = e.dim, f.dim
-    n = e.algebra.size
+    lg = np.tensordot(e.gram_coords, f.left_action, axes=([2], [0]))  # [i, k, q, l]
+    return _balanced_gram(lg, f.gram)
+
+
+def _balanced_gram(lg: np.ndarray, gram: np.ndarray) -> np.ndarray:
+    """``pre[(i, j), (k, l)] = sum_q gram[j, q] lg[i, k, q, l]`` as an (M, M, n, n) Gram."""
+    me, mf = lg.shape[0], gram.shape[0]
+    n = gram.shape[2]
+    pre = np.tensordot(lg, gram, axes=([2], [1])).transpose(0, 3, 1, 2, 4, 5)
     return pre.reshape(me * mf, me * mf, n, n)
 
 
@@ -392,9 +430,9 @@ def internal_tensor(
         raise IncompatibleOperandsError("right tensor factor must be a correspondence")
     me, mf = e.dim, f.dim
     gram = tensor_pre_gram(e, f)
-    right = np.stack([np.kron(np.eye(me), f.right_action[c]) for c in range(e.algebra.dim)])
+    right = _kron_stack(np.eye(me), f.right_action)
     if e.is_correspondence:
-        left = np.stack([np.kron(e.left_action[c], np.eye(mf)) for c in range(e.algebra.dim)])
+        left = _kron_stack(e.left_action, np.eye(mf))
         pre = Correspondence(e.algebra, right, gram, left)
     else:
         pre = ModulePresentation(e.algebra, right, gram)
@@ -423,7 +461,7 @@ def adjointable_basis(
     eye = np.eye(m)
     rows = [np.kron(eye, rc.T) - np.kron(rc, eye) for rc in e.right_action]
     system = np.concatenate(rows, axis=0) if rows else np.zeros((0, m * m))
-    kernel = null_space(system)
+    kernel = null_space(system, scale=float(np.abs(e.right_action).max(initial=0.0)))
     kernel = _canonical_phase(kernel)
     cols = sorted(range(kernel.shape[1]), key=lambda j: _lex_key(kernel[:, j]))
     out = []
@@ -459,11 +497,20 @@ def rank_one_stack(e: ModulePresentation) -> np.ndarray:
     return np.einsum("jvc,cui->ijuv", e.gram_coords, e.right_action)
 
 
-def compacts_span_check(e: ModulePresentation, rtol: float = RANK_RTOL) -> bool:
-    """Whether the rank-one operators span all adjointable operators."""
+def compacts_span_check(
+    e: ModulePresentation,
+    rtol: float = RANK_RTOL,
+    ops: list[AdjointableOperator] | None = None,
+) -> bool:
+    """Whether the rank-one operators span all adjointable operators.
+
+    ``ops`` is a basis of the adjointable operators already at hand; it is
+    computed when not supplied.
+    """
     m = e.dim
     r1 = rank_one_stack(e).reshape(m * m, m * m)
-    ops = adjointable_basis(e)
+    if ops is None:
+        ops = adjointable_basis(e)
     if not ops:
         return m == 0
     stack = np.stack([op.matrix.reshape(-1) for op in ops])
@@ -492,29 +539,17 @@ def left_faithful_check(f: Correspondence, rtol: float = RANK_RTOL) -> bool:
 
 def amplify(a: np.ndarray, fm: FactorMap, *, side: str = "left") -> np.ndarray:
     """Descend ``a (x) id`` (or ``id (x) a``) through a factor map."""
-    me, mf = fm.source_dims
-    if side == "left":
-        k = np.kron(a, np.eye(mf))
-    else:
-        k = np.kron(np.eye(me), a)
-    return fm.matrix @ k @ fm.section
+    return fm.matrix @ _lift(a, fm.section, fm.source_dims, side)
 
 
 def tensor_lift(
     v: np.ndarray, fm_dom: FactorMap, fm_cod: FactorMap, *, side: str = "left"
 ) -> np.ndarray:
     """Descend ``v (x) id`` (or ``id (x) v``) between two realized tensors."""
-    if side == "left":
-        other = fm_dom.source_dims[1]
-        if fm_cod.source_dims[1] != other:
-            raise IncompatibleOperandsError("lifted map does not match the shared factor")
-        k = np.kron(v, np.eye(other))
-    else:
-        other = fm_dom.source_dims[0]
-        if fm_cod.source_dims[0] != other:
-            raise IncompatibleOperandsError("lifted map does not match the shared factor")
-        k = np.kron(np.eye(other), v)
-    return fm_cod.matrix @ k @ fm_dom.section
+    shared = 1 if side == "left" else 0
+    if fm_cod.source_dims[shared] != fm_dom.source_dims[shared]:
+        raise IncompatibleOperandsError("lifted map does not match the shared factor")
+    return fm_cod.matrix @ _lift(v, fm_dom.section, fm_dom.source_dims, side)
 
 
 def left_unitor(f: Correspondence, fm: FactorMap) -> np.ndarray:
@@ -577,13 +612,13 @@ def associator(
             f"bracketings realize different dimensions {left_mod.dim} vs {right_mod.dim}",
             residual=abs(left_mod.dim - right_mod.dim),
         )
-    a_left = p2.matrix @ np.kron(ef[1].matrix, np.eye(g.dim))
-    a_right = p4.matrix @ np.kron(np.eye(e.dim), fg[1].matrix)
-    alpha = a_right @ a_left.conj().T
+    # both chains from the triple carrier: p2 (ef . id) and p4 (id . fg)
+    a_left_adj = _lift(ef[1].section, p2.section, p2.source_dims, "left")
+    a_right = _lift(fg[1].section, p4.section, p4.source_dims, "right").conj().T
+    alpha = a_right @ a_left_adj
 
     rep = VerificationReport("associator")
-    transported = np.einsum("ui,vj,uvab->ijab", alpha.conj(), alpha, right_mod.gram)
-    rep.add("associator-gram", _dev(transported, left_mod.gram), tol)
+    rep.add("associator-gram", _dev(pull_gram(alpha, right_mod.gram), left_mod.gram), tol)
     adj = map_adjoint(alpha, left_mod, right_mod)
     rep.add("associator-unitary", max(
         _dev(adj @ alpha, np.eye(left_mod.dim)),

@@ -34,6 +34,7 @@ from .hilbmod import (
     left_unitor,
     map_adjoint,
     null_space,
+    pull_gram,
     right_unitor,
     tensor_lift,
     validate_module,
@@ -149,8 +150,7 @@ class ProductSystem:
                 dom, _ = self.tensor(s, t)
                 cod = self.power(s + t)
                 name = f"identification[{s},{t}]"
-                transported = np.einsum("ui,vj,uvab->ijab", u.conj(), u, cod.gram)
-                rep.add(f"{name}-gram", _dev(transported, dom.gram), tol)
+                rep.add(f"{name}-gram", _dev(pull_gram(u, cod.gram), dom.gram), tol)
                 adj = map_adjoint(u, dom, cod)
                 rep.add(f"{name}-unitary", max(
                     _dev(adj @ u, np.eye(dom.dim)), _dev(u @ adj, np.eye(cod.dim))
@@ -289,14 +289,16 @@ def find_central_unital_unit(
     stacked = np.concatenate(
         [e1.left_action[c] - e1.right_action[c] for c in range(alg.dim)], axis=0
     )
-    basis = null_space(stacked)
+    size = max(float(np.abs(e1.left_action).max(initial=0.0)),
+               float(np.abs(e1.right_action).max(initial=0.0)))
+    basis = null_space(stacked, scale=size)
     p = basis.shape[1]
     if p == 0:
         return CentralUnitSearch("none-exists", None, "central-subspace-trivial", {})
 
     # blockwise Gram matrices of the central basis; central vectors have
     # center-valued inner products, i.e. scalar blocks
-    grams = np.einsum("ua,vb,uvxy->abxy", basis.conj(), basis, e1.gram)
+    grams = pull_gram(basis, e1.gram)
     blockwise = []
     scalar_defect = 0.0
     for sl, n in zip(alg.block_slices, alg.blocks):

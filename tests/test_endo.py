@@ -43,6 +43,19 @@ def test_validate_identity_endomorphism():
     assert any(c.name == "strictness-compacts-span" and c.passed for c in rep.checks)
 
 
+def test_validate_uses_the_endomorphism_basis(monkeypatch):
+    import corrkit.hilbmod as hilbmod
+
+    inst = identity_mixed_instance()
+    expected = validate_endomorphism(inst.endo).to_machine()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("operator basis recomputed")
+
+    monkeypatch.setattr(hilbmod, "adjointable_basis", refuse)
+    assert validate_endomorphism(inst.endo).to_machine() == expected
+
+
 def test_validate_transpose_fails_multiplicativity():
     alg = make_algebra([1])
     e = standard_module(alg, [2])

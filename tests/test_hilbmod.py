@@ -3,12 +3,21 @@ import pytest
 
 from corrkit.algebra import make_algebra
 from corrkit.errors import IncompatibleOperandsError, InvalidPresentationError
-from corrkit.gallery import block_swap_correspondence, plane_correspondence, standard_module
+from corrkit.gallery import (
+    block_swap_correspondence,
+    conjugated,
+    plane_correspondence,
+    random_unitary,
+    standard_module,
+)
 from corrkit.hilbmod import (
+    RANK_RTOL,
     Correspondence,
     ModulePresentation,
+    _quotient,
     adjointable_basis,
     algebra_correspondence,
+    amplify,
     associator,
     compacts_span_check,
     fullness_check,
@@ -16,10 +25,13 @@ from corrkit.hilbmod import (
     left_faithful_check,
     left_unitor,
     map_adjoint,
+    null_space,
+    pull_gram,
     rank_one,
     reduce_presentation,
     right_unitor,
     tensor_lift,
+    tensor_pre_gram,
     validate_module,
 )
 
@@ -320,3 +332,183 @@ def test_associator_seeded_triples(seed):
     res = associator(e, f, g)
     assert res.report.passed
     assert res.report.max_deviation < TOL
+
+
+# ---------------------------------------------------------------------------
+# matmul/tensordot kernels against the einsum and kron formulas
+# ---------------------------------------------------------------------------
+
+KERNEL_ATOL = 1e-12
+
+
+def ref_pull_gram(v, gram):
+    return np.einsum("ua,vb,uvxy->abxy", v.conj(), v, gram)
+
+
+def ref_pre_gram(e, f):
+    lg = np.einsum("ikc,cpq->ikpq", e.gram_coords, f.left_action)
+    pre = np.einsum("ikql,jqab->ijklab", lg, f.gram)
+    n = e.algebra.size
+    return pre.reshape(e.dim * f.dim, e.dim * f.dim, n, n)
+
+
+def ref_pre_tensor(e, f):
+    """The algebraic tensor presentation, with kron-built actions."""
+    d = e.algebra.dim
+    right = np.stack([np.kron(np.eye(e.dim), f.right_action[c]) for c in range(d)])
+    if e.is_correspondence:
+        left = np.stack([np.kron(e.left_action[c], np.eye(f.dim)) for c in range(d)])
+        return Correspondence(e.algebra, right, ref_pre_gram(e, f), left)
+    return ModulePresentation(e.algebra, right, ref_pre_gram(e, f))
+
+
+def tensor_pairs():
+    """Random operand pairs over one-block and multi-block algebras; the
+    first two have degenerate algebraic tensors."""
+    pairs = [
+        (algebra_correspondence(make_algebra([1, 1])), block_swap_correspondence()),
+        (seeded_correspondence(3), seeded_correspondence(3)),
+    ]
+    pairs += [(seeded_module(s), seeded_correspondence(s)) for s in range(6)]
+    return pairs
+
+
+def _rand(rng, *shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+@pytest.mark.parametrize("shape", [(5, 3, 1), (4, 4, 2), (3, 6, 3), (4, 0, 2)])
+def test_pull_gram_matches_einsum(shape):
+    m, r, n = shape
+    rng = np.random.default_rng(sum(shape))
+    v, gram = _rand(rng, m, r), _rand(rng, m, m, n, n)
+    assert max_dev(pull_gram(v, gram), ref_pull_gram(v, gram)) < KERNEL_ATOL
+    # a rank-deficient map pulls back a degenerate Gram
+    if r >= 2:
+        v[:, -1] = v[:, 0]
+        assert max_dev(pull_gram(v, gram), ref_pull_gram(v, gram)) < KERNEL_ATOL
+
+
+@pytest.mark.parametrize("k", range(8))
+def test_pre_gram_and_quotient_match_einsum(k):
+    e, f = tensor_pairs()[k]
+    pre = ref_pre_tensor(e, f)
+    assert max_dev(tensor_pre_gram(e, f), pre.gram) < KERNEL_ATOL
+    reduced, proj = _quotient(pre, TOL)
+    kept = proj.conj().T
+    assert max_dev(reduced.gram, ref_pull_gram(kept, pre.gram)) < KERNEL_ATOL
+    ref_r = np.einsum("au,cuv,bv->cab", proj, pre.right_action, proj.conj())
+    assert max_dev(reduced.right_action, ref_r) < KERNEL_ATOL
+    if e.is_correspondence:
+        ref_l = np.einsum("au,cuv,bv->cab", proj, pre.left_action, proj.conj())
+        assert max_dev(reduced.left_action, ref_l) < KERNEL_ATOL
+    # internal_tensor builds the same pre-tensor without kron; rounding may
+    # pick other eigenvectors inside a degenerate eigenspace, so compare
+    # against the formulas on its own projection
+    tensor, fm = internal_tensor(e, f)
+    p = fm.matrix
+    assert max_dev(tensor.gram, ref_pull_gram(p.conj().T, pre.gram)) < KERNEL_ATOL
+    ref_r = np.einsum("au,cuv,bv->cab", p, pre.right_action, p.conj())
+    assert max_dev(tensor.right_action, ref_r) < KERNEL_ATOL
+    if e.is_correspondence:
+        ref_l = np.einsum("au,cuv,bv->cab", p, pre.left_action, p.conj())
+        assert max_dev(tensor.left_action, ref_l) < KERNEL_ATOL
+
+
+def test_quotient_degenerate_pairs_really_reduce():
+    for e, f in tensor_pairs()[:2]:
+        tensor, _ = internal_tensor(e, f)
+        assert tensor.dim < e.dim * f.dim
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_amplify_matches_kron(seed):
+    rng = np.random.default_rng(500 + seed)
+    e, f = seeded_module(seed), seeded_correspondence(seed)
+    _, fm = internal_tensor(e, f)
+    a, b = _rand(rng, e.dim, e.dim), _rand(rng, f.dim, f.dim)
+    ref_left = fm.matrix @ np.kron(a, np.eye(f.dim)) @ fm.section
+    ref_right = fm.matrix @ np.kron(np.eye(e.dim), b) @ fm.section
+    assert max_dev(amplify(a, fm, side="left"), ref_left) < KERNEL_ATOL
+    assert max_dev(amplify(b, fm, side="right"), ref_right) < KERNEL_ATOL
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_tensor_lift_matches_kron(seed):
+    rng = np.random.default_rng(600 + seed)
+    # seeds s and s + 4 share the algebra
+    e1, e2 = seeded_module(seed), seeded_module(seed + 4)
+    f1, f2 = seeded_correspondence(seed), seeded_correspondence(seed + 4)
+    _, fm_11 = internal_tensor(e1, f1)
+    _, fm_21 = internal_tensor(e2, f1)
+    _, fm_12 = internal_tensor(e1, f2)
+    v = _rand(rng, e2.dim, e1.dim)
+    ref = fm_21.matrix @ np.kron(v, np.eye(f1.dim)) @ fm_11.section
+    assert max_dev(tensor_lift(v, fm_11, fm_21, side="left"), ref) < KERNEL_ATOL
+    w = _rand(rng, f2.dim, f1.dim)
+    ref = fm_12.matrix @ np.kron(np.eye(e1.dim), w) @ fm_11.section
+    assert max_dev(tensor_lift(w, fm_11, fm_12, side="right"), ref) < KERNEL_ATOL
+
+
+# ---------------------------------------------------------------------------
+# kernel solve
+# ---------------------------------------------------------------------------
+
+def ref_null_space(m, scale=0.0):
+    """The kernel from the full SVD, with the same rank rule."""
+    _, s, vh = np.linalg.svd(m, full_matrices=True)
+    top = max(float(s[0]) if s.size else 0.0, scale)
+    rank = int(np.sum(s > RANK_RTOL * top)) if top > 0.0 else 0
+    return vh[rank:].conj().T
+
+
+def _same_kernel(a, b):
+    return a.shape == b.shape and max_dev(a @ a.conj().T, b @ b.conj().T) < KERNEL_ATOL
+
+
+def test_null_space_thin_svd_on_tall_commutant_system():
+    e = seeded_module(5)  # over M2, carrier of dimension >= 2
+    m = e.dim
+    system = np.concatenate(
+        [np.kron(np.eye(m), r.T) - np.kron(r, np.eye(m)) for r in e.right_action]
+    )
+    assert system.shape[0] > system.shape[1]
+    kernel = null_space(system)
+    assert kernel.shape[1] == oracle_commutant_dimension(e)
+    assert _same_kernel(kernel, ref_null_space(system))
+
+
+def test_null_space_full_svd_on_wide_matrix():
+    rng = np.random.default_rng(41)
+    wide = _rand(rng, 3, 7)
+    kernel = null_space(wide)
+    assert kernel.shape == (7, 4)
+    assert _same_kernel(kernel, ref_null_space(wide))
+    assert max_dev(wide @ kernel) < KERNEL_ATOL
+
+
+def test_null_space_rank_is_relative_to_operand_scale():
+    noise = np.diag([7e-16, 7e-16, 4e-32, 1e-33]).astype(complex)
+    assert null_space(noise).shape[1] == 2
+    assert null_space(noise, scale=1.0).shape[1] == 4
+    assert null_space(np.zeros((3, 2))).shape[1] == 2
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_rotated_plane_has_all_operators_adjointable(seed):
+    e = conjugated(plane_correspondence(), random_unitary(np.random.default_rng(seed), 2))
+    assert len(adjointable_basis(e)) == 4
+
+
+def test_compacts_span_reuses_supplied_basis(monkeypatch):
+    import corrkit.hilbmod as hilbmod
+
+    e = seeded_module(1)
+    ops = adjointable_basis(e)
+    expected = compacts_span_check(e)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("operator basis recomputed")
+
+    monkeypatch.setattr(hilbmod, "adjointable_basis", refuse)
+    assert compacts_span_check(e, ops=ops) == expected
