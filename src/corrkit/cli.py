@@ -2,8 +2,7 @@
 
 Exit codes: 0 all checks pass, 1 a check failed, 2 invalid input,
 3 degenerate verdict (not applicable or unknown).  Reports are emitted as
-human-readable text or as a byte-stable machine format.  The environment
-variable ``CORRKIT_THREADS`` bounds the parallelism of the stage sweeps.
+human-readable text or as a byte-stable machine format.
 """
 from __future__ import annotations
 
@@ -15,7 +14,6 @@ import numpy as np
 
 from .dilation import (
     DilationPipeline,
-    _threads_from_env,
     compare_unit_limits,
     primary_check,
     primary_span_ranks,
@@ -59,7 +57,6 @@ def run(command: str, inst: Instance, config: RunConfig, **kwargs) -> tuple[int,
         "verify-main": _cmd_verify_main,
         "verify-supplement": _cmd_verify_supplement,
         "compare-units": _cmd_compare_units,
-        "basis": _cmd_basis,
     }
     if command not in handlers:
         raise InstanceFormatError(f"unknown command {command!r}")
@@ -120,8 +117,7 @@ def _cmd_spatial(inst: Instance, config: RunConfig) -> VerificationReport:
         eplus, endo = inst.make_endo()
         status, rep = spatiality_report(
             eplus, endo, config.levels, config.tol,
-            pipeline=DilationPipeline(eplus, endo, config.levels, config.tol,
-                                      config.budget, _threads_from_env()),
+            pipeline=DilationPipeline(eplus, endo, config.levels, config.tol, config.budget),
         )
         return rep
     from .prodsys import find_central_unital_unit
@@ -155,9 +151,7 @@ def _cmd_dilate(inst: Instance, config: RunConfig, vector: str = "xi") -> Verifi
 
 def _cmd_verify_main(inst: Instance, config: RunConfig) -> VerificationReport:
     eplus, endo = inst.make_endo()
-    return verify_main(
-        eplus, endo, config.levels, config.tol, config.budget, _threads_from_env()
-    )
+    return verify_main(eplus, endo, config.levels, config.tol, config.budget)
 
 
 def _cmd_verify_supplement(inst: Instance, config: RunConfig, vector: str = "xi") -> VerificationReport:
@@ -167,30 +161,7 @@ def _cmd_verify_supplement(inst: Instance, config: RunConfig, vector: str = "xi"
         raise InstanceFormatError(
             f"verify-supplement: vector {vector!r} does not live on the endomorphism module"
         )
-    return verify_supplement(
-        eplus, endo, vec, config.levels, config.tol, config.budget, _threads_from_env()
-    )
-
-
-def _cmd_basis(inst: Instance, config: RunConfig, module: str = "") -> VerificationReport:
-    from .hilbmod import adjointable_basis
-
-    if not module:
-        raise InstanceFormatError("basis: --module name is required")
-    mod = inst.module(module)
-    ops = adjointable_basis(mod, config.tol)
-    rep = VerificationReport(f"operator basis of {module}")
-    worst = 0.0
-    for op in ops:
-        lhs = np.einsum("li,ljab->ijab", op.matrix.conj(), mod.gram)
-        rhs = np.einsum("lj,ilab->ijab", op.adjoint, mod.gram)
-        worst = max(worst, float(np.abs(lhs - rhs).max()))
-    rep.add("operator-basis-adjoint-relation", worst, config.tol)
-    rep.detail = (
-        f"{len(ops)} operators, ordered by phase-normalized lexicographic "
-        "coordinates; emit matrices with the basis subcommand"
-    )
-    return rep
+    return verify_supplement(eplus, endo, vec, config.levels, config.tol, config.budget)
 
 
 def _cmd_compare_units(
@@ -315,6 +286,9 @@ def main(argv=None) -> int:
         return code
     except (InstanceFormatError, PreconditionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INVALID
+    except np.linalg.LinAlgError as exc:
+        print(f"error: numerical failure on this input: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except ConstructionError as exc:
         print(f"construction failed: {exc} (residual {exc.residual:.3e})", file=sys.stderr)

@@ -19,8 +19,6 @@ verdicts (non-spatial, unknown) are first-class outcomes.
 """
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,6 +34,7 @@ from .endo import (
 )
 from .errors import PreconditionError
 from .hilbmod import (
+    AssociatorResult,
     FactorMap,
     ModulePresentation,
     _dev,
@@ -68,24 +67,9 @@ from .report import NOT_APPLICABLE, UNKNOWN, VerificationReport
 NOT_APPLICABLE_DETAIL = "not applicable (non-spatial)"
 
 
-def _threads_from_env() -> int:
-    raw = os.environ.get("CORRKIT_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _sweep(tasks, fn, threads: int | None):
-    """Run independent named tasks, deterministically merged by name."""
-    threads = threads or 1
-    if threads > 1 and len(tasks) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda item: fn(*item), tasks))
-    else:
-        results = [fn(*item) for item in tasks]
-    flat = [pair for chunk in results for pair in chunk]
-    return sorted(flat, key=lambda pair: pair[0])
+def _sweep(tasks, fn):
+    """Run independent named tasks, merged in name order."""
+    return sorted((pair for item in tasks for pair in fn(*item)), key=lambda pair: pair[0])
 
 
 # ---------------------------------------------------------------------------
@@ -253,20 +237,47 @@ class ActionStage:
     u: np.ndarray
 
 
+def _stage_assoc(
+    eplus: ModulePresentation,
+    ps: ProductSystem,
+    stages: list[ActionStage],
+    t: int,
+    m: int,
+    tol: float,
+    cache: dict[tuple[int, int], AssociatorResult],
+) -> AssociatorResult:
+    """The rebracketing ``(E+ . E_t) . E_m -> E+ . (E_t . E_m)``, built once
+    per ``(t, m)`` into ``cache``."""
+    if (t, m) not in cache:
+        fg = ps.tensor(t, m)
+        t4 = None
+        if fg[0] is ps.power(t + m) and t + m < len(stages):
+            # E_t . E_m is the power E_{t+m}, so E+ . (E_t . E_m) is a stage
+            t4 = (stages[t + m].tensor, stages[t + m].factor)
+        cache[(t, m)] = associator(
+            eplus, ps.power(t), ps.power(m), tol,
+            ef=(stages[t].tensor, stages[t].factor), fg=fg, t4=t4,
+        )
+    return cache[(t, m)]
+
+
 def build_action_stages(
     eplus: ModulePresentation,
     endo: Endomorphism,
     ps: ProductSystem,
     e1: AssociatedCorrespondence,
     tol: float = DEFAULT_TOL,
+    assocs: dict[tuple[int, int], AssociatorResult] | None = None,
 ) -> tuple[list[ActionStage], VerificationReport]:
     """Iterate the action unitary along the realized powers.
 
     Stage 0 is the canonical identification with the algebra factor; stage 1
     is built from the defining formula; higher stages rebracket one
     generator factor at a time.  The recovery identity
-    ``theta^t(a) = u_t (a . id) u_t*`` is verified at every stage.
+    ``theta^t(a) = u_t (a . id) u_t*`` is verified at every stage.  The
+    rebracketings ``(t - 1, 1)`` are stored in ``assocs`` when given.
     """
+    assocs = {} if assocs is None else assocs
     rep = VerificationReport("module action of the product system")
     t0, f0 = internal_tensor(eplus, ps.power(0), tol)
     stages = [ActionStage(0, t0, f0, right_unitor(eplus, f0))]
@@ -274,11 +285,7 @@ def build_action_stages(
     rep.extend(base.report)
     stages.append(ActionStage(1, base.tensor, base.factor, base.matrix))
     for t in range(2, ps.levels + 1):
-        a = associator(
-            eplus, ps.power(t - 1), ps.generator, tol,
-            ef=(stages[t - 1].tensor, stages[t - 1].factor),
-            fg=ps.tensor(t - 1, 1),
-        )
+        a = _stage_assoc(eplus, ps, stages, t - 1, 1, tol, assocs)
         lifted = tensor_lift(stages[t - 1].u, a.left_factor, stages[1].factor, side="left")
         u_t = stages[1].u @ lifted @ map_adjoint(a.matrix, a.left_module, a.right_module)
         stages.append(ActionStage(t, a.right_module, a.right_factor, u_t))
@@ -312,6 +319,7 @@ def build_w(
     left: TruncatedLimit,
     stages: list[ActionStage],
     tol: float = DEFAULT_TOL,
+    assocs: dict[tuple[int, int], AssociatorResult] | None = None,
 ) -> tuple[dict[int, StagedUnitary], VerificationReport]:
     """Assemble and verify the staged unitaries of the dilation.
 
@@ -319,18 +327,16 @@ def build_w(
     side, the rebracketing, and the lifted action unitary.  Verified:
     unitarity, ``W_0 = id``, commutation with the bilinear embeddings on
     both sides, and the semigroup law on all stage-compatible domains.
+    The rebracketings are read from and stored in ``assocs`` when given.
     """
+    assocs = {} if assocs is None else assocs
     n_levels = ps.levels
     rep = VerificationReport("staged unitaries", provenance={"levels": n_levels})
     w: dict[int, StagedUnitary] = {}
     for t in range(n_levels + 1):
         blocks = {}
         for m in range(n_levels + 1 - t):
-            a2 = associator(
-                eplus, ps.power(t), ps.power(m), tol,
-                ef=(stages[t].tensor, stages[t].factor),
-                fg=ps.tensor(t, m),
-            )
+            a2 = _stage_assoc(eplus, ps, stages, t, m, tol, assocs)
             ltm = tensor_lift(ps.u(t, m), a2.right_factor, stages[t + m].factor, side="right")
             lout = tensor_lift(stages[t].u, a2.left_factor, stages[m].factor, side="left")
             wtm = (
@@ -383,8 +389,8 @@ class DilationPipeline:
     levels: int = 4
     tol: float = DEFAULT_TOL
     budget: int = 4096
-    threads: int | None = None
     _cache: dict = field(default_factory=dict)
+    _assocs: dict = field(default_factory=dict)
 
     def _get(self, key, builder):
         if key not in self._cache:
@@ -414,15 +420,25 @@ class DilationPipeline:
     def stages(self) -> tuple[list[ActionStage], VerificationReport]:
         return self._get(
             "stages",
-            lambda: build_action_stages(self.eplus, self.endo, self.ps(), self.e1(), self.tol),
+            lambda: build_action_stages(
+                self.eplus, self.endo, self.ps(), self.e1(), self.tol, self._assocs
+            ),
         )
 
     def w(self) -> tuple[dict[int, StagedUnitary], VerificationReport]:
         return self._get(
             "w",
             lambda: build_w(
-                self.eplus, self.endo, self.ps(), self.left(), self.stages()[0], self.tol
+                self.eplus, self.endo, self.ps(), self.left(), self.stages()[0], self.tol,
+                self._assocs,
             ),
+        )
+
+    def assoc(self, t: int, m: int) -> AssociatorResult:
+        """The rebracketing ``(E+ . E_t) . E_m -> E+ . (E_t . E_m)``, built
+        once per pipeline and shared by the stages, ``W`` and the sweeps."""
+        return _stage_assoc(
+            self.eplus, self.ps(), self.stages()[0], t, m, self.tol, self._assocs
         )
 
     def alpha(self, t: int, m: int, lifted_op: np.ndarray) -> np.ndarray:
@@ -439,7 +455,6 @@ def verify_main(
     levels: int = 4,
     tol: float = DEFAULT_TOL,
     budget: int = 4096,
-    threads: int | None = None,
     pipeline: DilationPipeline | None = None,
 ) -> VerificationReport:
     """Full verification that the endomorphism semigroup extends to a
@@ -452,7 +467,7 @@ def verify_main(
     identity, and stage-wise injectivity of ``a -> a . id``.  A certified
     non-spatial instance yields the ``not-applicable`` verdict.
     """
-    pipe = pipeline or DilationPipeline(eplus, endo, levels, tol, budget, threads)
+    pipe = pipeline or DilationPipeline(eplus, endo, levels, tol, budget)
     rep = VerificationReport(
         "main verification",
         provenance={"levels": levels, "budget": budget, "tol": tol},
@@ -498,7 +513,7 @@ def verify_main(
         ]
 
     tasks = [(t, m) for t in range(1, levels + 1) for m in range(levels + 1 - t)]
-    for name, dev in _sweep(tasks, restriction, pipe.threads):
+    for name, dev in _sweep(tasks, restriction):
         rep.add(name, dev, tol)
 
     for m in range(levels + 1):
@@ -510,12 +525,7 @@ def verify_main(
 def _restriction_chain_dev(pipe: DilationPipeline, t: int, m: int) -> float:
     """Independently compose ``(u_t . id)(a . id . id)(u_t . id)*``."""
     stages = pipe.stages()[0]
-    ps = pipe.ps()
-    a2 = associator(
-        pipe.eplus, ps.power(t), ps.power(m), pipe.tol,
-        ef=(stages[t].tensor, stages[t].factor),
-        fg=ps.tensor(t, m),
-    )
+    a2 = pipe.assoc(t, m)
     lout = tensor_lift(stages[t].u, a2.left_factor, stages[m].factor, side="left")
     lout_adj = map_adjoint(lout, a2.left_module, stages[m].tensor)
     dev = 0.0
@@ -656,7 +666,6 @@ def verify_supplement(
     levels: int = 4,
     tol: float = DEFAULT_TOL,
     budget: int = 4096,
-    threads: int | None = None,
     pipeline: DilationPipeline | None = None,
 ) -> VerificationReport:
     """Verify the vector-expectation form of the dilation.
@@ -668,7 +677,7 @@ def verify_supplement(
     "extended projection increasing iff the unit pairings are the identity"
     are checked as well.
     """
-    pipe = pipeline or DilationPipeline(eplus, endo, levels, tol, budget, threads)
+    pipe = pipeline or DilationPipeline(eplus, endo, levels, tol, budget)
     wd = weak_dilation_check(eplus, endo, xi_plus, levels, tol, pipeline=pipe)
     if not wd.ok:
         failed = ", ".join(c.name for c in wd.report.failed_checks())
@@ -688,7 +697,7 @@ def verify_supplement(
         rep.set_status(UNKNOWN, "spatiality search exhausted without a verdict")
         return rep
 
-    rep.extend(verify_main(eplus, endo, levels, tol, budget, threads, pipeline=pipe))
+    rep.extend(verify_main(eplus, endo, levels, tol, budget, pipeline=pipe))
     stages = pipe.stages()[0]
     left = pipe.left()
     omega = left.unit
@@ -723,7 +732,7 @@ def verify_supplement(
         ]
 
     tasks = [(t, m) for t in range(1, levels + 1) for m in range(levels + 1 - t)]
-    for name, dev in _sweep(tasks, expectation, pipe.threads):
+    for name, dev in _sweep(tasks, expectation):
         rep.add(name, dev, tol)
 
     rep.extend(

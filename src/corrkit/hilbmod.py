@@ -108,9 +108,17 @@ def _canonical_phase(vectors: np.ndarray) -> np.ndarray:
     return out
 
 
-def _lex_key(vec: np.ndarray) -> tuple:
-    r = np.round(vec, 9) + 0.0
-    return tuple(float(x) for pair in zip(r.real, r.imag) for x in pair)
+def _lex_order(vectors: np.ndarray, lead: np.ndarray | None = None) -> np.ndarray:
+    """Stable column order: by ``lead`` first, then by the coordinates rounded
+    to 9 digits, compared as interleaved (re, im) pairs."""
+    r = np.round(vectors, 9)
+    keys = np.empty((2 * r.shape[0], r.shape[1]))
+    keys[0::2] = r.real
+    keys[1::2] = r.imag
+    if lead is not None:
+        keys = np.vstack([lead, keys])
+    # lexsort takes its primary key last
+    return np.lexsort(keys[::-1]) if len(keys) else np.arange(r.shape[1])
 
 
 @dataclass
@@ -359,11 +367,7 @@ def _quotient(pres: ModulePresentation, tol: float) -> tuple[ModulePresentation,
     kept = _canonical_phase(vecs[:, keep])
     # order kept eigenvectors by descending eigenvalue; break ties on the
     # rounded coordinate vectors so the realization is reproducible
-    order = sorted(
-        range(kept.shape[1]),
-        key=lambda j: (-np.round(vals[keep[j]], 9), _lex_key(kept[:, j])),
-    )
-    kept = kept[:, order]
+    kept = kept[:, _lex_order(kept, -np.round(vals[keep], 9))]
     proj = kept.conj().T  # (r, m)
 
     new_gram = pull_gram(kept, pres.gram)
@@ -463,10 +467,9 @@ def adjointable_basis(
     system = np.concatenate(rows, axis=0) if rows else np.zeros((0, m * m))
     kernel = null_space(system, scale=float(np.abs(e.right_action).max(initial=0.0)))
     kernel = _canonical_phase(kernel)
-    cols = sorted(range(kernel.shape[1]), key=lambda j: _lex_key(kernel[:, j]))
     out = []
     scale = max(1.0, float(np.abs(e.gram).max(initial=0.0)))
-    for j in cols:
+    for j in _lex_order(kernel):
         a = kernel[:, j].reshape(m, m)
         adj = e.module_adjoint(a)
         lhs = np.einsum("li,ljab->ijab", a.conj(), e.gram)

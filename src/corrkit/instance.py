@@ -10,6 +10,7 @@ files, and generation is a pure function of the seed and profile.
 """
 from __future__ import annotations
 
+import cmath
 import json
 from dataclasses import dataclass, field
 
@@ -52,6 +53,8 @@ class Instance:
     endomorphism: tuple[str, np.ndarray] | None = None
     product_system: dict | None = None
     config: RunConfig = field(default_factory=RunConfig)
+    # (endomorphism, module, tol, result) of the last make_endo
+    _endo: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def module(self, name: str) -> ModulePresentation:
         if name not in self.modules:
@@ -73,17 +76,25 @@ class Instance:
         return self.module(mod_name), entries
 
     def make_endo(self) -> tuple[ModulePresentation, Endomorphism]:
+        """The endomorphism's module and map; the operator basis is computed
+        again only when the endomorphism, its module or the tolerance changed."""
         if self.endomorphism is None:
             raise InstanceFormatError("instance has no endomorphism")
         name, matrix = self.endomorphism
         eplus = self.module(name)
-        ops = adjointable_basis(eplus, self.config.tol)
+        tol = self.config.tol
+        cached = self._endo
+        if cached and cached[0] is self.endomorphism and cached[1] is eplus and cached[2] == tol:
+            return eplus, cached[3]
+        ops = adjointable_basis(eplus, tol)
         if matrix.shape != (len(ops), len(ops)):
             raise InstanceFormatError(
                 f"endomorphism matrix of shape {matrix.shape}; the operator basis "
                 f"of {name!r} has dimension {len(ops)}"
             )
-        return eplus, make_endomorphism(eplus, matrix, ops, self.config.tol)
+        endo = make_endomorphism(eplus, matrix, ops, tol)
+        self._endo = (self.endomorphism, eplus, tol, endo)
+        return eplus, endo
 
 
 # ---------------------------------------------------------------------------
@@ -108,7 +119,15 @@ def _decode_scalar(value, where: str) -> complex:
         or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in value)
     ):
         raise InstanceFormatError(f"{where}: complex entries are [re, im] pairs")
-    return complex(value[0], value[1])
+    try:
+        z = complex(value[0], value[1])
+        finite = cmath.isfinite(z)
+    except OverflowError:  # an integer beyond the float range
+        finite = False
+    # json reads NaN and Infinity; no check can decide on them
+    if not finite:
+        raise InstanceFormatError(f"{where}: entries must be finite numbers")
+    return z
 
 
 def _decode_matrix(value, where: str, shape: tuple[int, int] | None = None) -> np.ndarray:
@@ -241,7 +260,7 @@ def decode_instance(doc: dict) -> Instance:
         mod = inst.module(doc[where]["on"])
         matrix = _decode_matrix(doc[where]["matrix"], f"{where}.matrix")
         inst.endomorphism = (doc[where]["on"], matrix)
-        inst.make_endo()  # shape check against the operator basis
+        inst.make_endo()  # shape check against the operator basis, kept for the commands
 
     if "product_system" in doc:
         where = "product_system"

@@ -108,9 +108,16 @@ class ProductSystem:
         if key not in self._assoc:
             fg = self.tensor(s, t)
             t4 = self.tensor(r, s + t) if fg[0] is self.powers[s + t] else None
+            ef = self.tensor(r, s)
+            # when E_r . E_s is a power, (E_r . E_s) . E_t is a cached tensor;
+            # taken only within budget, so that no new budget error is raised
+            t2 = None
+            if r + s <= self.levels and ef[0] is self.powers[r + s]:
+                if self.powers[r + s].dim * self.power(t).dim <= self.budget:
+                    t2 = self.tensor(r + s, t)
             self._assoc[key] = associator(
                 self.power(r), self.power(s), self.power(t), self.tol,
-                ef=self.tensor(r, s), fg=fg, t4=t4,
+                ef=ef, fg=fg, t2=t2, t4=t4,
             )
         return self._assoc[key]
 

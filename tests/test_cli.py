@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +18,8 @@ from corrkit.gallery import (
     identity_mixed_instance,
 )
 from corrkit.instance import Instance, emit_instance, generate_instance
+
+SHIPPED = Path(__file__).resolve().parent.parent / "instances"
 
 
 def instance_from_endomorphism(inst_obj, include_vector=True) -> Instance:
@@ -149,10 +152,22 @@ def test_missing_file_is_invalid():
     assert main(["validate", "/nonexistent/path.json"]) == EXIT_INVALID
 
 
-def test_threads_env_sweeps_match(spatial_file, tmp_path, monkeypatch):
-    a, b = tmp_path / "a.json", tmp_path / "b.json"
-    monkeypatch.setenv("CORRKIT_THREADS", "1")
-    assert main(["verify-main", spatial_file, "--report", "machine", "--out", str(a)]) == EXIT_PASS
-    monkeypatch.setenv("CORRKIT_THREADS", "4")
-    assert main(["verify-main", spatial_file, "--report", "machine", "--out", str(b)]) == EXIT_PASS
-    assert a.read_bytes() == b.read_bytes()
+@pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["NaN", "Infinity"])
+def test_non_finite_entry_exits_invalid(tmp_path, capsys, value):
+    doc = json.loads((SHIPPED / "module-seed1.json").read_text())
+    doc["modules"]["E"]["right_action"][0][0][0][0] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))  # json writes NaN and Infinity literals
+    assert main(["validate", str(bad)]) == EXIT_INVALID
+    assert "finite" in capsys.readouterr().err
+
+
+def test_linalg_failure_exits_invalid(spatial_file, monkeypatch, capsys):
+    import corrkit.cli as cli
+
+    def diverge(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(cli, "run", diverge)
+    assert main(["validate", spatial_file]) == EXIT_INVALID
+    assert "SVD did not converge" in capsys.readouterr().err

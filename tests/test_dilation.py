@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -34,6 +36,8 @@ from corrkit.hilbmod import adjointable_basis, algebra_correspondence
 from corrkit.prodsys import build_powers, find_central_unital_unit
 
 from conftest import TOL, max_dev
+
+SHIPPED = Path(__file__).resolve().parent.parent / "instances"
 
 
 # ---------------------------------------------------------------------------
@@ -231,6 +235,45 @@ def test_verify_supplement_gallery(pair):
     assert "expectation-identity[1,0]" in names
     assert "dilation-diagram[1,1]" in names
     assert "filtration-projection[2,1]" in names
+
+
+def test_each_tensor_and_associator_realized_once_per_run(monkeypatch):
+    """Within one verification no tensor or rebracketing is built twice from
+    the same operands: the pipeline and the product system share them."""
+    import sys
+
+    import corrkit.hilbmod as hilbmod
+    from corrkit.instance import parse_instance
+
+    inst = parse_instance(str(SHIPPED / "weak-dilation-seed0.json"))
+    eplus, endo = inst.make_endo()
+    _, xi = inst.vector("xi")
+    seen, held, repeats = set(), [], []
+
+    def tracked(fn, arity):
+        def wrapper(*args, **kwargs):
+            held.append(args)  # keeps the operand ids unique during a run
+            key = (fn.__name__,) + tuple(id(a) for a in args[:arity])
+            if key in seen:
+                repeats.append((fn.__name__, [getattr(a, "dim", a) for a in args[:arity]]))
+            seen.add(key)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for fn, arity in ((hilbmod.internal_tensor, 2), (hilbmod.associator, 3)):
+        wrapper = tracked(fn, arity)
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("corrkit") and mod is not None and vars(mod).get(fn.__name__) is fn:
+                monkeypatch.setattr(mod, fn.__name__, wrapper)
+    for run in (
+        lambda: verify_main(eplus, endo, levels=4),
+        lambda: verify_supplement(eplus, endo, xi, levels=4),
+    ):
+        seen.clear()
+        held.clear()
+        assert run().status == "pass"
+        assert len(seen) > 20
+    assert repeats == []
 
 
 def test_weak_dilation_fails_when_projection_moves():

@@ -14,6 +14,8 @@ from corrkit.hilbmod import (
     RANK_RTOL,
     Correspondence,
     ModulePresentation,
+    _canonical_phase,
+    _lex_order,
     _quotient,
     adjointable_basis,
     algebra_correspondence,
@@ -448,6 +450,70 @@ def test_tensor_lift_matches_kron(seed):
     w = _rand(rng, f2.dim, f1.dim)
     ref = fm_12.matrix @ np.kron(np.eye(e1.dim), w) @ fm_11.section
     assert max_dev(tensor_lift(w, fm_11, fm_12, side="right"), ref) < KERNEL_ATOL
+
+
+# ---------------------------------------------------------------------------
+# column order: one lexsort against a stable sort on a Python key
+# ---------------------------------------------------------------------------
+
+def ref_lex_key(vec):
+    r = np.round(vec, 9) + 0.0
+    return tuple(float(x) for pair in zip(r.real, r.imag) for x in pair)
+
+
+def ref_order(vectors, vals=None):
+    """Columns by descending rounded eigenvalue (when given), then by the
+    rounded coordinates as interleaved (re, im) pairs."""
+    def key(j):
+        lead = () if vals is None else (-np.round(vals[j], 9),)
+        return lead + ref_lex_key(vectors[:, j])
+
+    return sorted(range(vectors.shape[1]), key=key)
+
+
+def tie_columns():
+    """Columns and eigenvalues with exact ties: duplicates, values that agree
+    only after rounding to 9 digits, signed zeros, equal real parts."""
+    rng = np.random.default_rng(21)
+    a, b, c = (np.round(_rand(rng, 3), 3) for _ in range(3))
+    zero = np.array([0.0, 1.0, 1e-12j])
+    cols = [a, b, a, a + 2e-11, b + 1e-11j, c, c.conj(), zero, -zero, zero - 1e-12, b]
+    vals = [2.0, 1.0, 2.0, 2.0 + 1e-12, 1.0, 0.5, 1.0, 2.0, 2.0, 2.0 - 1e-11, 0.5]
+    return np.stack(cols, axis=1), np.array(vals)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_lexsort_order_matches_key_sort(seed):
+    cols, vals = tie_columns()
+    perm = np.random.default_rng(seed).permutation(cols.shape[1])
+    cols, vals = cols[:, perm], vals[perm]
+    assert list(_lex_order(cols, -np.round(vals, 9))) == ref_order(cols, vals)
+    assert list(_lex_order(cols)) == ref_order(cols)
+
+
+def test_lexsort_order_of_no_columns():
+    assert list(_lex_order(np.zeros((0, 0), dtype=complex))) == []
+    assert list(_lex_order(np.zeros((3, 0), dtype=complex), np.zeros(0))) == []
+
+
+@pytest.mark.parametrize("k", range(2))
+def test_quotient_order_matches_key_sort(k):
+    pre = ref_pre_tensor(*tensor_pairs()[k])
+    s = (pre.scalar_gram + pre.scalar_gram.conj().T) / 2.0
+    vals, vecs = np.linalg.eigh(s)
+    keep = np.nonzero(vals > TOL * vals.max())[0]
+    kept = _canonical_phase(vecs[:, keep])
+    # the degenerate pairs have repeated eigenvalues, so the tie-break runs
+    assert len(set(np.round(vals[keep], 9))) < len(keep)
+    _, proj = _quotient(pre, TOL)
+    assert np.array_equal(proj, kept[:, ref_order(kept, vals[keep])].conj().T)
+
+
+@pytest.mark.parametrize("e", [seeded_module(1), seeded_module(3),
+                               algebra_correspondence(make_algebra([1, 2]))])
+def test_adjointable_basis_in_key_order(e):
+    keys = [ref_lex_key(op.matrix.reshape(-1)) for op in adjointable_basis(e)]
+    assert len(keys) > 1 and keys == sorted(keys)
 
 
 # ---------------------------------------------------------------------------

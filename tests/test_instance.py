@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -12,7 +13,7 @@ from corrkit.instance import (
     instances_equal,
     parse_instance,
 )
-from corrkit.hilbmod import validate_module
+from corrkit.hilbmod import adjointable_basis, validate_module
 
 from conftest import TOL
 
@@ -65,6 +66,15 @@ def test_norm_bound_enforced():
         decode_instance(doc)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), 10**400],
+                         ids=["nan", "inf", "-inf", "huge-int"])
+def test_non_finite_scalars_rejected(value):
+    doc = minimal_doc()
+    doc["modules"]["E"]["right_action"] = [[[[1.0, value]]]]
+    with pytest.raises(InstanceFormatError, match="finite"):
+        decode_instance(doc)
+
+
 def test_invalid_gram_named():
     doc = minimal_doc()
     doc["modules"]["E"]["gram"][0][0][0][0][0] = [-1.0, 0.0]
@@ -100,6 +110,27 @@ def test_endomorphism_shape_checked():
                                                  [[0.0, 0.0], [1.0, 0.0]]]}
     with pytest.raises(InstanceFormatError, match="operator basis"):
         decode_instance(doc)
+
+
+def test_endomorphism_basis_built_once_per_tolerance(monkeypatch):
+    import corrkit.instance as instance
+
+    calls = []
+
+    def counting(e, tol):
+        calls.append(tol)
+        return adjointable_basis(e, tol)
+
+    monkeypatch.setattr(instance, "adjointable_basis", counting)
+    text = emit_instance(generate_instance(0, "spatial-endomorphism"))
+    inst = decode_instance(json.loads(text))
+    assert calls == [TOL]  # the parse-time shape check
+    eplus, endo = inst.make_endo()
+    assert inst.make_endo()[1] is endo
+    assert calls == [TOL]
+    inst.config = dataclasses.replace(inst.config, tol=2 * TOL)
+    assert inst.make_endo()[1] is not endo
+    assert calls == [TOL, 2 * TOL]
 
 
 @pytest.mark.parametrize("profile", PROFILES)

@@ -6,6 +6,7 @@ from corrkit.errors import PreconditionError, ResourceBudgetError
 from corrkit.gallery import block_swap_correspondence, plane_correspondence
 from corrkit.hilbmod import Correspondence, algebra_correspondence, null_space
 from corrkit.prodsys import (
+    ProductSystem,
     build_powers,
     check_unit,
     cp_of_unit,
@@ -53,6 +54,20 @@ def test_budget_exceeded():
     with pytest.raises(ResourceBudgetError) as err:
         build_powers(plane_correspondence(), 4, budget=8)
     assert err.value.required == 16
+
+
+def test_assoc_reuses_collapsed_bracketing_within_budget():
+    ps = ProductSystem(plane_correspondence(), 4)
+    # (E_1 . E_1) . E_2 is E_2 . E_2, realized once for both
+    assert ps.assoc(1, 1, 2).left_module is ps.tensor(2, 2)[0]
+    # past the budget the bracketing is realized inside the associator, as
+    # before, and no budget error is raised
+    ps = ProductSystem(plane_correspondence(), 4)
+    ps.budget = 8
+    assert ps.assoc(1, 1, 2).report.passed
+    assert (2, 2) not in ps._tensors
+    with pytest.raises(ResourceBudgetError):
+        ps.tensor(2, 2)
 
 
 @pytest.mark.parametrize("seed", range(6))
