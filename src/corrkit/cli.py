@@ -7,6 +7,7 @@ human-readable text or as a byte-stable machine format.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -29,7 +30,7 @@ from .errors import (
     InstanceFormatError,
     PreconditionError,
 )
-from .hilbmod import internal_tensor, pull_gram, tensor_pre_gram, validate_module
+from .hilbmod import adjointable_basis, internal_tensor, pull_gram, tensor_pre_gram, validate_module
 from .instance import Instance, PROFILES, RunConfig, emit_instance, generate_instance, parse_instance
 from .prodsys import build_powers, check_unit
 from .report import FAIL, NOT_APPLICABLE, PASS, UNKNOWN, VerificationReport
@@ -187,7 +188,9 @@ def _cmd_compare_units(
 # entry point
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by later calls."""
     parser = argparse.ArgumentParser(
         prog="corrkit",
         description="verify Hilbert-module dilation identities on desk-scale instances",
@@ -261,9 +264,11 @@ def main(argv=None) -> int:
         inst.config = config
 
         if args.command == "basis":
-            from .hilbmod import adjointable_basis
-
-            ops = adjointable_basis(inst.module(args.module), config.tol)
+            # the endomorphism's module already has its basis from parsing
+            if inst.endomorphism is not None and inst.endomorphism[0] == args.module:
+                ops = inst.make_endo()[1].ops
+            else:
+                ops = adjointable_basis(inst.module(args.module), config.tol)
             doc = {
                 "module": args.module,
                 "operators": [

@@ -296,9 +296,8 @@ def build_action_stages(
         ), tol)
         rep.add(f"action-isometric[{t}]", _dev(pull_gram(u_t, eplus.gram), dom.gram), tol)
         rec = max(
-            _dev(u_t @ amplify(op.matrix, stages[t].factor, side="left") @ adj,
-                 endo.apply(op.matrix, t))
-            for op in endo.ops
+            _dev(u_t @ amplify(op.matrix, stages[t].factor, side="left") @ adj, image)
+            for op, image in zip(endo.ops, endo.image_ops(t))
         )
         rep.add(f"recovery-identity[{t}]", rec, tol)
     return stages, rep
@@ -502,9 +501,9 @@ def verify_main(
         fm_dom = stages[t + m].factor
         fm_cod = stages[m].factor
         dev = 0.0
-        for op in ops:
+        for op, image in zip(ops, endo.image_ops(t)):
             got = pipe.alpha(t, m, amplify(op.matrix, fm_dom, side="left"))
-            want = amplify(endo.apply(op.matrix, t), fm_cod, side="left")
+            want = amplify(image, fm_cod, side="left")
             dev = max(dev, _dev(got, want))
         chain_dev = _restriction_chain_dev(pipe, t, m)
         return [
@@ -529,11 +528,11 @@ def _restriction_chain_dev(pipe: DilationPipeline, t: int, m: int) -> float:
     lout = tensor_lift(stages[t].u, a2.left_factor, stages[m].factor, side="left")
     lout_adj = map_adjoint(lout, a2.left_module, stages[m].tensor)
     dev = 0.0
-    for op in pipe.endo.ops:
+    for op, image in zip(pipe.endo.ops, pipe.endo.image_ops(t)):
         inner_lift = amplify(op.matrix, stages[t].factor, side="left")
         mid = amplify(inner_lift, a2.left_factor, side="left")
         chain = lout @ mid @ lout_adj
-        want = amplify(pipe.endo.apply(op.matrix, t), stages[m].factor, side="left")
+        want = amplify(image, stages[m].factor, side="left")
         dev = max(dev, _dev(chain, want))
     return dev
 
@@ -708,8 +707,7 @@ def verify_supplement(
         stage = stages[m]
         v = stage.factor.matrix @ np.kron(xi_plus, omega.levels[m])
         dev_ops = 0.0
-        for op in endo.ops:
-            moved = endo.apply(op.matrix, t)
+        for moved in endo.image_ops(t):
             lifted = amplify(moved, stage.factor, side="left")
             lhs = stage.tensor.inner(v, lifted @ v)
             rhs = eplus.inner(xi_plus, moved @ xi_plus)

@@ -341,8 +341,8 @@ def u_unitary(
         _dev(adj @ u, np.eye(tensor.dim)), _dev(u @ adj, np.eye(m))
     ), tol)
     rec = max(
-        _dev(u @ amplify(op.matrix, fm, side="left") @ adj, endo.apply(op.matrix, t))
-        for op in endo.ops
+        _dev(u @ amplify(op.matrix, fm, side="left") @ adj, image)
+        for op, image in zip(endo.ops, endo.image_ops(t))
     )
     rep.add(f"recovery-identity[{t}]", rec, tol)
     return ActionUnitary(t, u, tensor, fm, et.corr, rep)

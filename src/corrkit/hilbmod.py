@@ -16,6 +16,14 @@ pre-inner product ``<x (x) y, x' (x) y'> = <y, L(<x, x'>) y'>`` and then
 quotienting out length-zero vectors; the quotient map is returned as a
 :class:`FactorMap` with orthonormal rows, so its conjugate transpose is a
 section.
+
+A finitely generated module over a finite-dimensional C*-algebra embeds
+isometrically in a finite sum ``B^P``: factoring its Gram as
+``<e_i, e_k> = sum_p u[p, i]* u[p, k]`` (:attr:`ModulePresentation.gram_rows`)
+maps ``x_i (x) y_j`` to ``(L(u[p, i]) y_j)_p`` in ``F^P``.  When ``P`` is
+below the left carrier dimension the tensor is degenerate, and
+:func:`internal_tensor` finds the kept range from that embedding, whose
+matrix has ``P m_F`` rows, instead of from the ``m_E m_F``-square pre-Gram.
 """
 from __future__ import annotations
 
@@ -154,6 +162,31 @@ class ModulePresentation:
     def gram_coords(self) -> np.ndarray:
         """Gram entries in algebra coordinates, shape (m, m, d)."""
         return self.algebra.coords(self.gram)
+
+    @cached_property
+    def gram_rows(self) -> np.ndarray:
+        """Gram factor ``u`` of shape (P, m, n, n): ``<e_i, e_k> = sum_p u[p, i]* u[p, k]``.
+
+        One eigendecomposition per algebra block of the (m n_b)-square Gram
+        ``G[(i, a), (k, b)] = <e_i, e_k>[a, b]``; each kept eigenpair gives one
+        row ``p``, whose elements ``u[p, i]`` live in row 0 of that block.
+        Eigenvalues up to ``RANK_RTOL`` times the largest of all blocks are
+        dropped, so ``P`` is the numerical rank of the Gram.
+        """
+        alg, m = self.algebra, self.dim
+        spectra = []
+        for sl, nb in zip(alg.block_slices, alg.blocks):
+            g = self.gram[:, :, sl, sl].transpose(0, 2, 1, 3).reshape(m * nb, m * nb)
+            spectra.append(np.linalg.eigh((g + g.conj().T) / 2.0))
+        top = max((float(vals.max(initial=0.0)) for vals, _ in spectra), default=0.0)
+        rows = []
+        for (vals, vecs), sl, nb in zip(spectra, alg.block_slices, alg.blocks):
+            keep = vals > RANK_RTOL * top
+            w = (vecs[:, keep] * np.sqrt(vals[keep])).conj().T  # G = w^H w
+            u = np.zeros((len(w), m, alg.size, alg.size), dtype=complex)
+            u[:, :, sl.start, sl] = w.reshape(len(w), m, nb)
+            rows.append(u)
+        return np.concatenate(rows)
 
     @cached_property
     def scalar_gram(self) -> np.ndarray:
@@ -348,6 +381,14 @@ def is_nondegenerate(pres: ModulePresentation, tol: float = DEFAULT_TOL) -> bool
 # quotient by length-zero vectors
 # ---------------------------------------------------------------------------
 
+def _ordered_range(vecs: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """Kept eigenvectors as factor-map columns: phase-normalized, ordered by
+    descending eigenvalue, with ties broken on the rounded coordinate vectors
+    so the realization is reproducible."""
+    kept = _canonical_phase(vecs)
+    return kept[:, _lex_order(kept, -np.round(vals, 9))]
+
+
 def _quotient(pres: ModulePresentation, tol: float) -> tuple[ModulePresentation, np.ndarray]:
     """Realize the quotient by the kernel of the scalarized Gram.
 
@@ -364,10 +405,7 @@ def _quotient(pres: ModulePresentation, tol: float) -> tuple[ModulePresentation,
         return pres, np.eye(m, dtype=complex)
 
     keep = np.nonzero(vals > thresh)[0]
-    kept = _canonical_phase(vecs[:, keep])
-    # order kept eigenvectors by descending eigenvalue; break ties on the
-    # rounded coordinate vectors so the realization is reproducible
-    kept = kept[:, _lex_order(kept, -np.round(vals[keep], 9))]
+    kept = _ordered_range(vecs[:, keep], vals[keep])
     proj = kept.conj().T  # (r, m)
 
     new_gram = pull_gram(kept, pres.gram)
@@ -421,6 +459,43 @@ def _balanced_gram(lg: np.ndarray, gram: np.ndarray) -> np.ndarray:
     return pre.reshape(me * mf, me * mf, n, n)
 
 
+def _factored_tensor(
+    e: ModulePresentation, f: Correspondence, tol: float
+) -> tuple[ModulePresentation, np.ndarray]:
+    """``_quotient`` of the pre-tensor, computed through the Gram factor of ``e``.
+
+    The kept range is the top right singular space of ``K``, with eigenvalues
+    ``s**2`` and the cutoff of ``_quotient``.  The realized Gram is the exact
+    balanced product on that range; no (m_E m_F)-square matrix is formed.
+    """
+    alg = e.algebra
+    d, me, mf = alg.dim, e.dim, f.dim
+    # K[(p, g), (i, j)] = (S_F^{1/2} L(u[p, i]))[g, j]
+    sqrt_left = f.scalar_sqrt @ f.left_action
+    k = np.tensordot(alg.coords(e.gram_rows), sqrt_left, axes=([2], [0]))  # [p, i, g, j]
+    k = k.transpose(0, 2, 1, 3).reshape(len(k) * mf, me * mf)
+    _, s, vh = np.linalg.svd(k, full_matrices=False)
+    vals = s ** 2
+    thresh = tol * (float(vals[0]) if vals.size else 0.0)
+    keep = np.nonzero(vals > thresh)[0]
+    kept = _ordered_range(vh[keep].conj().T, vals[keep])
+    proj = kept.conj().T
+    r = kept.shape[1]
+
+    k3 = kept.reshape(me, mf, r)
+    # gram[a, b] = sum conj(k3[i, j, a]) <e_i, e_k>_c f.gram[j, q] L_c[q, l] k3[k, l, b]
+    lk = np.tensordot(f.left_action, k3, axes=([2], [1]))            # [c, q, k, b]
+    glk = np.tensordot(e.gram_coords, lk, axes=([2, 1], [0, 2]))     # [i, q, b]
+    half = np.tensordot(k3.conj(), glk, axes=([0], [0]))             # [j, a, q, b]
+    gram = np.tensordot(half, f.gram, axes=([0, 2], [0, 1]))         # [a, b, x, y]
+
+    right = proj @ (f.right_action[:, None] @ k3).reshape(d, me * mf, r)
+    if e.is_correspondence:
+        left = proj @ (e.left_action @ kept.reshape(me, mf * r)).reshape(d, me * mf, r)
+        return Correspondence(alg, right, gram, left), proj
+    return ModulePresentation(alg, right, gram), proj
+
+
 def internal_tensor(
     e: ModulePresentation, f: ModulePresentation, tol: float = DEFAULT_TOL
 ) -> tuple[ModulePresentation, FactorMap]:
@@ -428,11 +503,22 @@ def internal_tensor(
 
     The result is a correspondence exactly when the left factor is one; the
     returned factor map records the quotient from the algebraic tensor.
+
+    With ``u = e.gram_rows`` the map ``x_i (x) y_j -> (L(u[p, i]) y_j)_p`` is an
+    isometry of the algebraic tensor into ``F^P``; call its matrix ``Z``.  The
+    scalarized pre-Gram is then ``K^H K`` for ``K = (I_P (x) S_F^{1/2}) Z``,
+    which has ``P m_F`` rows.  When ``P < m_E`` the tensor is degenerate, its
+    kept range comes from a thin SVD of ``K``, and the realized Gram and
+    actions are computed on that range alone.  Otherwise (every
+    nondegenerate tensor among them) the pre-tensor is formed and quotiented.
     """
     _require_same_algebra(e, f)
     if not f.is_correspondence:
         raise IncompatibleOperandsError("right tensor factor must be a correspondence")
     me, mf = e.dim, f.dim
+    if len(e.gram_rows) < me:
+        reduced, proj = _factored_tensor(e, f, tol)
+        return reduced, FactorMap(proj, (me, mf), reduced)
     gram = tensor_pre_gram(e, f)
     right = _kron_stack(np.eye(me), f.right_action)
     if e.is_correspondence:

@@ -105,6 +105,8 @@ class ProductSystem:
     def assoc(self, r: int, s: int, t: int) -> AssociatorResult:
         """Rebracketing unitary realize((E_r.E_s).E_t) -> realize(E_r.(E_s.E_t))."""
         key = (r, s, t)
+        if not all(0 <= n <= self.levels for n in (r, s, t, s + t)):
+            raise PreconditionError(f"assoc({r},{s},{t}) outside truncation 0..{self.levels}")
         if key not in self._assoc:
             fg = self.tensor(s, t)
             t4 = self.tensor(r, s + t) if fg[0] is self.powers[s + t] else None

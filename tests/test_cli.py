@@ -91,6 +91,42 @@ def test_basis_emits_operators(spatial_file, capsys):
     assert len(doc["operators"]) == 5
 
 
+def test_basis_of_endomorphism_module_is_built_once(spatial_file, tmp_path, monkeypatch):
+    import corrkit.cli as cli
+    import corrkit.instance as instance
+    from corrkit.hilbmod import adjointable_basis
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return adjointable_basis(*args, **kwargs)
+
+    for mod in (cli, instance):
+        monkeypatch.setattr(mod, "adjointable_basis", counted)
+    out = tmp_path / "basis.json"
+    assert main(["basis", spatial_file, "--module", "E", "--out", str(out)]) == EXIT_PASS
+    assert len(calls) == 1  # the parse-time build of the endomorphism's basis
+    ops = adjointable_basis(calls[0])
+    pair = lambda m: [[[float(x.real), float(x.imag)] for x in row] for row in m]
+    doc = {"module": "E", "operators": [
+        {"matrix": pair(op.matrix), "adjoint": pair(op.adjoint)} for op in ops
+    ]}
+    assert out.read_text() == json.dumps(doc, sort_keys=True, indent=1) + "\n"
+
+
+def test_parser_is_built_once_per_process(spatial_file, capsys):
+    from corrkit.cli import _build_parser
+
+    assert _build_parser() is _build_parser()
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(["basis", spatial_file])
+        assert exc.value.code == 2
+    errors = capsys.readouterr().err.split("usage: ")
+    assert errors[1] == errors[2] and "--module" in errors[1]
+
+
 def test_tensor_requires_correspondence(tmp_path):
     inst = generate_instance(0, "module")
     path = write(tmp_path, "mod.json", inst)

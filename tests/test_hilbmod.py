@@ -423,6 +423,97 @@ def test_quotient_degenerate_pairs_really_reduce():
         assert tensor.dim < e.dim * f.dim
 
 
+# ---------------------------------------------------------------------------
+# Gram factor of the left module and the factored tensor
+# ---------------------------------------------------------------------------
+
+def _rank_deficient_module():
+    """``E + E`` over [1, 2] with the Gram pulled back along ``(x, y) -> x + a y``
+    for a random adjointable ``a``: a valid module of half rank."""
+    e = seeded_module(3)
+    m = e.dim
+    ops = adjointable_basis(e)
+    coeffs = _rand(np.random.default_rng(7), len(ops))
+    a = sum(c * op.matrix for c, op in zip(coeffs, ops))
+    right = np.zeros((e.algebra.dim, 2 * m, 2 * m), dtype=complex)
+    right[:, :m, :m] = right[:, m:, m:] = e.right_action
+    v = np.hstack([np.eye(m), a])
+    return ModulePresentation(e.algebra, right, ref_pull_gram(v, e.gram))
+
+
+@pytest.mark.parametrize("e", [
+    seeded_module(1),                               # one block, M_2
+    seeded_module(3),                               # blocks [1, 2]
+    algebra_correspondence(make_algebra([1, 2])),
+    ref_pre_tensor(*tensor_pairs()[1]),             # degenerate, blocks [1, 2]
+    _rank_deficient_module(),
+])
+def test_gram_rows_factor_the_gram(e):
+    u = e.gram_rows
+    assert u.shape[1:] == (e.dim, e.algebra.size, e.algebra.size)
+    assert max_dev(np.einsum("piba,pkbc->ikac", u.conj(), u), e.gram) < KERNEL_ATOL
+    big = e.gram.transpose(0, 2, 1, 3).reshape(e.dim * e.algebra.size, -1)
+    assert len(u) == oracle_rank(big, rtol=RANK_RTOL)
+
+
+def test_rank_deficient_module_has_fewer_rows():
+    e = _rank_deficient_module()
+    assert len(e.gram_rows) < e.dim
+
+
+def _assert_eigh_range(e, f, monkeypatch):
+    """internal_tensor takes the factored branch and keeps the eigh range of
+    the reference pre-tensor, rows ordered by descending eigenvalue."""
+    import corrkit.hilbmod as hilbmod
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("pre-tensor formed")
+
+    with monkeypatch.context() as patch:
+        for name in ("_quotient", "tensor_pre_gram", "_kron_stack"):
+            patch.setattr(hilbmod, name, refuse)
+        tensor, fm = internal_tensor(e, f)
+    s = ref_pre_tensor(e, f).scalar_gram
+    vals, vecs = np.linalg.eigh((s + s.conj().T) / 2.0)
+    keep = vals > TOL * vals.max()
+    kept = vecs[:, keep]
+    p = fm.matrix
+    assert max_dev(p @ p.conj().T, np.eye(len(p))) < 1e-10
+    assert max_dev(p.conj().T @ p, kept @ kept.conj().T) < 1e-10
+    assert max_dev(p @ s @ p.conj().T, np.diag(vals[keep][::-1])) < 1e-10
+    return tensor
+
+
+def test_factored_tensor_keeps_the_eigh_range(monkeypatch):
+    pairs = tensor_pairs()
+    factored = [(e, f) for e, f in pairs if len(e.gram_rows) < e.dim]
+    # the pairs exercise both the factored and the pre-tensor branch
+    assert 0 < len(factored) < len(pairs)
+    for e, f in factored:
+        _assert_eigh_range(e, f, monkeypatch)
+
+
+def test_algebra_tensor_inner_map_correspondence_realizes_dimension_nine(monkeypatch):
+    from corrkit.endo import associated_correspondence, endomorphism_from_conjugation
+
+    e = algebra_correspondence(make_algebra([3]))
+    v = np.kron(random_unitary(np.random.default_rng(1), 3), np.eye(3))
+    endo = endomorphism_from_conjugation(e, v)
+    assert len(e.gram_rows) == 3 < e.dim
+    skew = np.eye(9) + 0.3 * _rand(np.random.default_rng(2), 9, 9)
+    inv = np.linalg.inv(skew)
+    for t in (1, 2):
+        et = associated_correspondence(e, endo, t).corr
+        # the same correspondence in a skew basis, whose scalar Gram is not scalar
+        et_skew = Correspondence(e.algebra, inv @ et.right_action @ skew,
+                                 ref_pull_gram(skew, et.gram), inv @ et.left_action @ skew)
+        assert validate_module(et_skew).passed
+        for f in (et, et_skew):
+            tensor = _assert_eigh_range(e, f, monkeypatch)
+            assert tensor.dim == 9
+            assert validate_module(tensor).passed
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_amplify_matches_kron(seed):
     rng = np.random.default_rng(500 + seed)

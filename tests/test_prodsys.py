@@ -70,6 +70,14 @@ def test_assoc_reuses_collapsed_bracketing_within_budget():
         ps.tensor(2, 2)
 
 
+@pytest.mark.parametrize("rst", [(1, 1, 2), (3, 1, 0), (0, 3, 0), (-1, 1, 1), (1, 0, -1)])
+def test_assoc_outside_truncation_is_a_precondition_error(rst):
+    ps = ProductSystem(plane_correspondence(), 2)
+    with pytest.raises(PreconditionError):
+        ps.assoc(*rst)
+    assert ps.assoc(1, 1, 1).report.passed
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_coherence_on_seeded_generators(seed):
     ps = build_powers(small_generator(seed), 3)
