@@ -38,6 +38,7 @@ from .hilbmod import (
     FactorMap,
     ModulePresentation,
     _dev,
+    _unitary_dev,
     amplify,
     associator,
     fullness_check,
@@ -48,6 +49,7 @@ from .hilbmod import (
     null_space,
     pull_gram,
     rank_one,
+    rank_one_stack,
     right_unitor,
     tensor_lift,
     validate_module,
@@ -62,7 +64,7 @@ from .prodsys import (
     find_central_unital_unit,
     unit_cp_matrix_level,
 )
-from .report import NOT_APPLICABLE, UNKNOWN, VerificationReport
+from .report import NOT_APPLICABLE, UNKNOWN, VerificationReport, _worst
 
 NOT_APPLICABLE_DETAIL = "not applicable (non-spatial)"
 
@@ -141,8 +143,9 @@ def right_limit(ps: ProductSystem, xi1: np.ndarray, tol: float | None = None) ->
 
 
 def stage_shift(ps: ProductSystem, a: np.ndarray, n: int, t: int = 1) -> np.ndarray:
-    """The staged endomorphism ``a -> a . id``: move an operator on the n-th
-    power to one on the (n+t)-th power through the identification."""
+    """The staged endomorphism ``a -> a . id``: move an operator (or a stack
+    of them) on the n-th power to the (n+t)-th power through the
+    identification."""
     u = ps.u(n, t)
     adj = map_adjoint(u, ps.tensor(n, t)[0], ps.power(n + t))
     return u @ amplify(a, ps.tensor(n, t)[1], side="left") @ adj
@@ -151,24 +154,12 @@ def stage_shift(ps: ProductSystem, a: np.ndarray, n: int, t: int = 1) -> np.ndar
 def _stage_endomorphism_checks(ps: ProductSystem, rep: VerificationReport, tol: float) -> None:
     """Two single steps of ``a -> a . id`` agree with one double step."""
 
-    def step(a, n):
-        return stage_shift(ps, a, n, 1)
-
     for n in range(ps.levels - 1):
         en = ps.power(n)
-        dev = 0.0
-        for i in range(en.dim):
-            for j in range(en.dim):
-                a = rank_one(en, _unit_vec(en.dim, i), _unit_vec(en.dim, j)).matrix
-                stepwise = step(step(a, n), n + 1)
-                dev = max(dev, _dev(stepwise, stage_shift(ps, a, n, 2)))
-        rep.add(f"stage-endomorphism-coherence[{n}]", dev, tol)
-
-
-def _unit_vec(n: int, i: int) -> np.ndarray:
-    v = np.zeros(n, dtype=complex)
-    v[i] = 1.0
-    return v
+        # every basis rank-one operator e_i e_j*
+        a = rank_one_stack(en).reshape(-1, en.dim, en.dim)
+        stepwise = stage_shift(ps, stage_shift(ps, a, n), n + 1)
+        rep.add(f"stage-endomorphism-coherence[{n}]", _dev(stepwise, stage_shift(ps, a, n, 2)), tol)
 
 
 def left_limit(ps: ProductSystem, omega1: np.ndarray, tol: float | None = None) -> TruncatedLimit:
@@ -197,18 +188,14 @@ def left_limit(ps: ProductSystem, omega1: np.ndarray, tol: float | None = None) 
         adj = map_adjoint(k, dom, cod)
         rep.add(f"left-embedding-isometry[{n}]", _dev(adj @ k, np.eye(dom.dim)), tol)
         rep.add(f"left-embedding-gram[{n}]", _dev(pull_gram(k, cod.gram), dom.gram), tol)
-        bil = max(
-            _dev(k @ dom.left_action[c], cod.left_action[c] @ k) for c in range(alg.dim)
-        )
-        rep.add(f"left-embedding-bilinear[{n}]", bil, tol)
+        rep.add(f"left-embedding-bilinear[{n}]",
+                _dev(k @ dom.left_action, cod.left_action @ k), tol)
         rep.add(f"left-vector-coherence[{n}]", _dev(k @ unit.levels[n], unit.levels[n + 1]), tol)
     for n in range(n_levels + 1):
         en = ps.power(n)
         v = unit.levels[n]
-        dev = max(
-            _dev(en.inner(v, en.left_action[c] @ v), alg.basis[c]) for c in range(alg.dim)
-        )
-        rep.add(f"central-vector-expectation[{n}]", dev, tol)
+        rep.add(f"central-vector-expectation[{n}]",
+                _dev(en.inner(v, en.left_action @ v), alg.basis), tol)
         rep.add_flag(f"left-faithful[{n}]", left_faithful_check(en))
     for t in range(1, n_levels):
         for m in range(n_levels - t):
@@ -291,15 +278,10 @@ def build_action_stages(
         stages.append(ActionStage(t, a.right_module, a.right_factor, u_t))
         dom = stages[t].tensor
         adj = map_adjoint(u_t, dom, eplus)
-        rep.add(f"action-unitary[{t}]", max(
-            _dev(adj @ u_t, np.eye(dom.dim)), _dev(u_t @ adj, np.eye(eplus.dim))
-        ), tol)
+        rep.add(f"action-unitary[{t}]", _unitary_dev(u_t, adj), tol)
         rep.add(f"action-isometric[{t}]", _dev(pull_gram(u_t, eplus.gram), dom.gram), tol)
-        rec = max(
-            _dev(u_t @ amplify(op.matrix, stages[t].factor, side="left") @ adj, image)
-            for op, image in zip(endo.ops, endo.image_ops(t))
-        )
-        rep.add(f"recovery-identity[{t}]", rec, tol)
+        lifted = amplify(endo.op_stack, stages[t].factor, side="left")
+        rep.add(f"recovery-identity[{t}]", _dev(u_t @ lifted @ adj, endo.image_ops(t)), tol)
     return stages, rep
 
 
@@ -345,10 +327,7 @@ def build_w(
             )
             blocks[m] = wtm
             dom, cod = stages[t + m].tensor, stages[m].tensor
-            adj = map_adjoint(wtm, dom, cod)
-            rep.add(f"w-unitary[{t},{m}]", max(
-                _dev(adj @ wtm, np.eye(dom.dim)), _dev(wtm @ adj, np.eye(cod.dim))
-            ), tol)
+            rep.add(f"w-unitary[{t},{m}]", _unitary_dev(wtm, map_adjoint(wtm, dom, cod)), tol)
             if t == 0:
                 rep.add(f"w-identity[{m}]", _dev(wtm, np.eye(dom.dim)), tol)
         w[t] = StagedUnitary(t, blocks)
@@ -441,10 +420,14 @@ class DilationPipeline:
         )
 
     def alpha(self, t: int, m: int, lifted_op: np.ndarray) -> np.ndarray:
-        """Conjugate a stage-(t+m) operator down to stage m."""
+        """Conjugate a stage-(t+m) operator (or a stack of them) down to
+        stage m; the adjoint of ``W_t`` there is computed once."""
         stages = self.stages()[0]
         wtm = self.w()[0][t].blocks[m]
-        adj = map_adjoint(wtm, stages[t + m].tensor, stages[m].tensor)
+        adj = self._get(
+            ("w-adjoint", t, m),
+            lambda: map_adjoint(wtm, stages[t + m].tensor, stages[m].tensor),
+        )
         return wtm @ lifted_op @ adj
 
 
@@ -494,17 +477,11 @@ def verify_main(
     w, w_rep = pipe.w()
     rep.extend(w_rep)
 
-    ops = endo.ops
-    q = len(ops)
+    ops = endo.op_stack
 
     def restriction(t, m):
-        fm_dom = stages[t + m].factor
-        fm_cod = stages[m].factor
-        dev = 0.0
-        for op, image in zip(ops, endo.image_ops(t)):
-            got = pipe.alpha(t, m, amplify(op.matrix, fm_dom, side="left"))
-            want = amplify(image, fm_cod, side="left")
-            dev = max(dev, _dev(got, want))
+        got = pipe.alpha(t, m, amplify(ops, stages[t + m].factor, side="left"))
+        dev = _dev(got, amplify(endo.image_ops(t), stages[m].factor, side="left"))
         chain_dev = _restriction_chain_dev(pipe, t, m)
         return [
             (f"restriction-identity[{t},{m}]", dev),
@@ -516,8 +493,8 @@ def verify_main(
         rep.add(name, dev, tol)
 
     for m in range(levels + 1):
-        vecs = np.stack([amplify(op.matrix, stages[m].factor, side="left").reshape(-1) for op in ops])
-        rep.add_flag(f"amplification-injective[{m}]", matrix_rank_tol(vecs) == q)
+        vecs = amplify(ops, stages[m].factor, side="left").reshape(len(ops), -1)
+        rep.add_flag(f"amplification-injective[{m}]", matrix_rank_tol(vecs) == len(ops))
     return rep
 
 
@@ -527,14 +504,9 @@ def _restriction_chain_dev(pipe: DilationPipeline, t: int, m: int) -> float:
     a2 = pipe.assoc(t, m)
     lout = tensor_lift(stages[t].u, a2.left_factor, stages[m].factor, side="left")
     lout_adj = map_adjoint(lout, a2.left_module, stages[m].tensor)
-    dev = 0.0
-    for op, image in zip(pipe.endo.ops, pipe.endo.image_ops(t)):
-        inner_lift = amplify(op.matrix, stages[t].factor, side="left")
-        mid = amplify(inner_lift, a2.left_factor, side="left")
-        chain = lout @ mid @ lout_adj
-        want = amplify(image, stages[m].factor, side="left")
-        dev = max(dev, _dev(chain, want))
-    return dev
+    inner_lift = amplify(pipe.endo.op_stack, stages[t].factor, side="left")
+    chain = lout @ amplify(inner_lift, a2.left_factor, side="left") @ lout_adj
+    return _dev(chain, amplify(pipe.endo.image_ops(t), stages[m].factor, side="left"))
 
 
 # ---------------------------------------------------------------------------
@@ -596,14 +568,10 @@ def weak_dilation_check(
         choi = choi_matrix(alg, tm)
         eigs = np.linalg.eigvalsh((choi + choi.conj().T) / 2.0)
         scale = max(1.0, float(eigs.max(initial=0.0)))
-        rep.add(f"choi-positive[{t}]", max(
-            _dev(choi, choi.conj().T), max(0.0, -float(eigs.min()))
-        ), tol * scale)
-        star_dev = max(
-            _dev(alg.from_coords(tm[:, star[c]]), alg.from_coords(tm[:, c]).conj().T)
-            for c in range(alg.dim)
-        )
-        rep.add(f"cp-star[{t}]", star_dev, tol)
+        rep.add(f"choi-positive[{t}]",
+                _worst((_dev(choi, choi.conj().T), -eigs.min())), tol * scale)
+        images = alg.from_coords(tm.T)  # images[c] is T_t(basis[c])
+        rep.add(f"cp-star[{t}]", _dev(images[star], images.conj().transpose(0, 2, 1)), tol)
     for s in range(1, levels + 1):
         for t in range(1, levels + 1 - s):
             rep.add(
@@ -703,21 +671,20 @@ def verify_supplement(
     alg = eplus.algebra
     xi_plus = np.asarray(xi_plus, dtype=complex)
 
+    # the corner embedding b -> xi b xi* of every basis element b
+    corners = np.stack([
+        rank_one(eplus, eplus.right_action[c] @ xi_plus, xi_plus).matrix for c in range(alg.dim)
+    ])
+
     def expectation(t, m):
         stage = stages[m]
         v = stage.factor.matrix @ np.kron(xi_plus, omega.levels[m])
-        dev_ops = 0.0
-        for moved in endo.image_ops(t):
-            lifted = amplify(moved, stage.factor, side="left")
-            lhs = stage.tensor.inner(v, lifted @ v)
-            rhs = eplus.inner(xi_plus, moved @ xi_plus)
-            dev_ops = max(dev_ops, _dev(lhs, rhs))
-        dev_corner = 0.0
-        for c in range(alg.dim):
-            corner = rank_one(eplus, eplus.right_action[c] @ xi_plus, xi_plus).matrix
-            lifted = pipe.alpha(t, m, amplify(corner, stages[t + m].factor, side="left"))
-            lhs = stage.tensor.inner(v, lifted @ v)
-            dev_corner = max(dev_corner, _dev(alg.coords(lhs), wd.cp_matrices[t - 1][:, c]))
+        moved = endo.image_ops(t)
+        lifted = amplify(moved, stage.factor, side="left")
+        dev_ops = _dev(stage.tensor.inner(v, lifted @ v), eplus.inner(xi_plus, moved @ xi_plus))
+        lifted = pipe.alpha(t, m, amplify(corners, stages[t + m].factor, side="left"))
+        lhs = alg.coords(stage.tensor.inner(v, lifted @ v))
+        dev_corner = _dev(lhs, wd.cp_matrices[t - 1].T)
         p0 = rank_one(eplus, xi_plus, xi_plus).matrix
         filt = _dev(
             pipe.alpha(t, m, amplify(p0, stages[t + m].factor, side="left")),
@@ -748,7 +715,7 @@ def verify_supplement(
         p_xi = rank_one(et, wd.unit.levels[t], wd.unit.levels[t]).matrix
         p_om = rank_one(et, omega.levels[t], omega.levels[t]).matrix
         projections_match = _dev(p_xi, p_om) <= tol
-        worst = 0.0
+        defects = []
         for m in range(levels + 1 - t):
             stage = stages[m]
             v_m = stage.factor.matrix @ np.kron(xi_plus, omega.levels[m])
@@ -756,7 +723,8 @@ def verify_supplement(
             v_tm = stages[t + m].factor.matrix @ np.kron(xi_plus, omega.levels[t + m])
             p_tm = rank_one(stages[t + m].tensor, v_tm, v_tm).matrix
             moved = pipe.alpha(t, m, p_tm)
-            worst = max(worst, stage.tensor.positivity_defect(moved - p_m))
+            defects.append(stage.tensor.positivity_defect(moved - p_m))
+        worst = _worst(defects)
         rep.add_flag(
             f"alpha-increasing-iff-projection-match[{t}]",
             projections_match == (worst <= tol),
@@ -796,7 +764,7 @@ def unit_pairing_check(
     for t in range(1, ps.levels + 1):
         et = ps.power(t)
         pair_devs.append(_dev(et.inner(omega.levels[t], xi.levels[t]), alg.unit))
-    if max(pair_devs) <= tol:
+    if _worst(pair_devs) <= tol:
         for t in range(1, ps.levels + 1):
             rep.add(f"pairing-unit[{t}]", pair_devs[t - 1], tol)
             et = ps.power(t)
@@ -809,7 +777,7 @@ def unit_pairing_check(
     else:
         rep.add_flag("pairing-vacuous", True)
         rep.detail = (
-            f"pairings differ from the unit (max deviation {max(pair_devs):.3e}); "
+            f"pairings differ from the unit (max deviation {_worst(pair_devs):.3e}); "
             "the implication is vacuous and the extended vector projection is "
             "not increasing on this instance"
         )
@@ -851,11 +819,11 @@ def compare_unit_limits(
     alg = ps.algebra
     rep = VerificationReport("unit comparison", provenance={"levels": ps.levels})
 
-    cp_dev = 0.0
+    cp_devs = []
     for t in range(1, ps.levels + 1):
-        dev = _dev(unit_cp_matrix_level(ps, u1, t), unit_cp_matrix_level(ps, u2, t))
-        cp_dev = max(cp_dev, dev)
-        rep.add(f"cp-semigroups-coincide[{t}]", dev, tol)
+        cp_devs.append(_dev(unit_cp_matrix_level(ps, u1, t), unit_cp_matrix_level(ps, u2, t)))
+        rep.add(f"cp-semigroups-coincide[{t}]", cp_devs[-1], tol)
+    cp_dev = _worst(cp_devs)
     dims = [ps.power(n).dim for n in range(ps.levels + 1)]
     if cp_dev > tol:
         rep.detail = (
@@ -901,14 +869,12 @@ def compare_unit_limits(
         return np.einsum("k,kuv->uv", c, basis)
 
     def defect(v):
-        bil = max(
-            max(_dev(v @ e1.left_action[c], e1.left_action[c] @ v),
-                _dev(v @ e1.right_action[c], e1.right_action[c] @ v))
-            for c in range(alg.dim)
-        )
-        adj = e1.module_adjoint(v)
-        uni = max(_dev(adj @ v, np.eye(m)), _dev(v @ adj, np.eye(m)))
-        return max(bil, uni, _dev(v @ u1.vector, u2.vector))
+        return _worst((
+            _dev(v @ e1.left_action, e1.left_action @ v),
+            _dev(v @ e1.right_action, e1.right_action @ v),
+            _unitary_dev(v, e1.module_adjoint(v)),
+            _dev(v @ u1.vector, u2.vector),
+        ))
 
     rng = np.random.default_rng(13)
     found = None
@@ -940,10 +906,7 @@ def compare_unit_limits(
         fm = ps.tensor(n, 1)[1]
         v_next = fm.matrix @ np.kron(v_stage, found) @ fm.section
         en1 = ps.power(n + 1)
-        adj = map_adjoint(v_next, en1, en1)
-        rep.add(f"transport-unitary[{n + 1}]", max(
-            _dev(adj @ v_next, np.eye(en1.dim)), _dev(v_next @ adj, np.eye(en1.dim))
-        ), tol)
+        rep.add(f"transport-unitary[{n + 1}]", _unitary_dev(v_next, map_adjoint(v_next, en1, en1)), tol)
         rep.add(f"transport-unit[{n + 1}]", _dev(v_next @ u1.levels[n + 1], u2.levels[n + 1]), tol)
         rep.add(f"transport-embedding[{n}]", _dev(v_next @ j1[n], j2[n] @ v_stage), tol)
         v_stage = v_next

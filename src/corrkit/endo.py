@@ -35,6 +35,7 @@ from .hilbmod import (
     _kron_stack,
     _lift,
     _quotient,
+    _unitary_dev,
     adjointable_basis,
     algebra_correspondence,
     amplify,
@@ -46,7 +47,7 @@ from .hilbmod import (
     pull_gram,
     rank_one_stack,
 )
-from .report import VerificationReport
+from .report import VerificationReport, _worst
 
 
 @dataclass
@@ -144,22 +145,16 @@ def validate_endomorphism(endo: Endomorphism, tol: float = DEFAULT_TOL) -> Verif
     stack = endo.op_stack
     images = endo.image_ops(1)
 
-    closure = 0.0
-    mult = 0.0
-    for i in range(q):
-        for j in range(q):
-            prod = stack[i] @ stack[j]
-            coeffs, resid = endo.expand(prod)
-            closure = max(closure, resid)
-            mult = max(mult, _dev(endo.apply(prod), images[i] @ images[j]))
-    rep.add("operator-basis-closure", closure, tol)
-    rep.add("endomorphism-multiplicative", mult, tol)
+    # every product of two basis operators, expanded in the basis at once
+    prods = (stack[:, None] @ stack[None]).reshape(q * q, -1)
+    coeffs = prods @ endo._pinv.T
+    rep.add("operator-basis-closure", _dev(coeffs @ endo._flat, prods), tol)
+    moved = (coeffs @ endo.power(1).T @ endo._flat).reshape(q, q, *stack.shape[1:])
+    rep.add("endomorphism-multiplicative", _dev(moved, images[:, None] @ images[None]), tol)
 
-    star = max(
-        _dev(endo.apply(op.adjoint), eplus.module_adjoint(images[i]))
-        for i, op in enumerate(endo.ops)
-    )
-    rep.add("endomorphism-star", star, tol)
+    adjoints = np.stack([op.adjoint for op in endo.ops]).reshape(q, -1)
+    moved = (adjoints @ endo._pinv.T @ endo.power(1).T @ endo._flat).reshape(stack.shape)
+    rep.add("endomorphism-star", _dev(moved, eplus.module_adjoint(images)), tol)
     rep.add("endomorphism-unital", _dev(endo.apply(np.eye(eplus.dim)), np.eye(eplus.dim)), tol)
 
     strict = compacts_span_check(eplus, ops=endo.ops)
@@ -268,18 +263,11 @@ def power_coherence(
     if tensor.dim != cod.dim:
         rep.add_flag(f"product-rule-dimensions[{s},{t}]", False)
         return u, rep
-    adj = map_adjoint(u, tensor, cod)
-    rep.add(f"product-rule-unitary[{s},{t}]", max(
-        _dev(adj @ u, np.eye(tensor.dim)), _dev(u @ adj, np.eye(cod.dim))
-    ), tol)
-    dev_bil = max(
-        max(
-            _dev(u @ tensor.right_action[c], cod.right_action[c] @ u),
-            _dev(u @ tensor.left_action[c], cod.left_action[c] @ u),
-        )
-        for c in range(eplus.algebra.dim)
-    )
-    rep.add(f"product-rule-bilinear[{s},{t}]", dev_bil, tol)
+    rep.add(f"product-rule-unitary[{s},{t}]", _unitary_dev(u, map_adjoint(u, tensor, cod)), tol)
+    rep.add(f"product-rule-bilinear[{s},{t}]", _worst((
+        _dev(u @ tensor.right_action, cod.right_action @ u),
+        _dev(u @ tensor.left_action, cod.left_action @ u),
+    )), tol)
     return u, rep
 
 
@@ -337,13 +325,8 @@ def u_unitary(
             residual=float(abs(tensor.dim - m)),
         )
     adj = map_adjoint(u, tensor, eplus)
-    rep.add(f"action-unitary[{t}]", max(
-        _dev(adj @ u, np.eye(tensor.dim)), _dev(u @ adj, np.eye(m))
-    ), tol)
-    rec = max(
-        _dev(u @ amplify(op.matrix, fm, side="left") @ adj, image)
-        for op, image in zip(endo.ops, endo.image_ops(t))
-    )
+    rep.add(f"action-unitary[{t}]", _unitary_dev(u, adj), tol)
+    rec = _dev(u @ amplify(endo.op_stack, fm, side="left") @ adj, endo.image_ops(t))
     rep.add(f"recovery-identity[{t}]", rec, tol)
     return ActionUnitary(t, u, tensor, fm, et.corr, rep)
 
@@ -361,9 +344,8 @@ class IntertwinerSearch:
 
 
 def _isometry_defect(eplus: ModulePresentation, endo: Endomorphism, v: np.ndarray) -> float:
-    images = endo.image_ops(1)
-    inter = max(_dev(images[i] @ v, v @ op.matrix) for i, op in enumerate(endo.ops))
-    return max(inter, _dev(eplus.module_adjoint(v) @ v, np.eye(eplus.dim)))
+    inter = _dev(endo.image_ops(1) @ v, v @ endo.op_stack)
+    return _worst((inter, _dev(eplus.module_adjoint(v) @ v, np.eye(eplus.dim))))
 
 
 def find_intertwining_isometry(
@@ -478,10 +460,7 @@ def isometry_from_unit(
     """
     omega_t = np.asarray(omega_t, dtype=complex)
     unit_dev = _dev(et.inner(omega_t, omega_t), eplus.algebra.unit)
-    cent_dev = max(
-        _dev(et.left_action[c] @ omega_t, et.right_action[c] @ omega_t)
-        for c in range(eplus.algebra.dim)
-    )
+    cent_dev = _dev(et.left_action @ omega_t, et.right_action @ omega_t)
     if unit_dev > tol or cent_dev > tol:
         raise PreconditionError(
             f"vector is not central unital (unitality {unit_dev:.3e}, "
@@ -491,9 +470,5 @@ def isometry_from_unit(
     v = u_matrix @ tensor_factor.matrix @ np.kron(np.eye(m), omega_t.reshape(-1, 1))
     rep = VerificationReport(f"intertwining isometry from unit [t={t}]")
     rep.add(f"isometry[{t}]", _dev(eplus.module_adjoint(v) @ v, np.eye(m)), tol)
-    images = endo.image_ops(t)
-    inter = max(
-        _dev(images[i] @ v, v @ op.matrix) for i, op in enumerate(endo.ops)
-    )
-    rep.add(f"intertwining[{t}]", inter, tol)
+    rep.add(f"intertwining[{t}]", _dev(endo.image_ops(t) @ v, v @ endo.op_stack), tol)
     return AdjointableOperator(v, eplus.module_adjoint(v)), rep

@@ -20,10 +20,12 @@ section.
 A finitely generated module over a finite-dimensional C*-algebra embeds
 isometrically in a finite sum ``B^P``: factoring its Gram as
 ``<e_i, e_k> = sum_p u[p, i]* u[p, k]`` (:attr:`ModulePresentation.gram_rows`)
-maps ``x_i (x) y_j`` to ``(L(u[p, i]) y_j)_p`` in ``F^P``.  When ``P`` is
-below the left carrier dimension the tensor is degenerate, and
-:func:`internal_tensor` finds the kept range from that embedding, whose
-matrix has ``P m_F`` rows, instead of from the ``m_E m_F``-square pre-Gram.
+maps ``x_i (x) y_j`` to ``(L(u[p, i]) y_j)_p`` in ``F^P``.  Each ``u[p, i]``
+lies in row 0 of one algebra block ``b``, so the image lies in the corner
+sum ``(+)_p L(e^b_00) F``, whose summands have dimension ``rank L(e^b_00)``.
+When ``P`` is below the left carrier dimension the tensor is degenerate, and
+:func:`internal_tensor` finds the kept range from that corner embedding
+instead of from the ``m_E m_F``-square pre-Gram.
 """
 from __future__ import annotations
 
@@ -38,7 +40,7 @@ from .errors import (
     IncompatibleOperandsError,
     InvalidPresentationError,
 )
-from .report import VerificationReport
+from .report import VerificationReport, _worst
 
 RANK_RTOL = 1e-10
 
@@ -46,6 +48,12 @@ RANK_RTOL = 1e-10
 def _dev(a, b=None) -> float:
     arr = np.abs(np.asarray(a) - (0 if b is None else np.asarray(b)))
     return float(arr.max()) if arr.size else 0.0
+
+
+def _unitary_dev(v: np.ndarray, adj: np.ndarray) -> float:
+    """How far ``v`` is from a unitary with inverse ``adj``: both products
+    against the identity, NaN when either is NaN."""
+    return _worst((_dev(adj @ v, np.eye(v.shape[1])), _dev(v @ adj, np.eye(v.shape[0]))))
 
 
 def matrix_rank_tol(m: np.ndarray, rtol: float = RANK_RTOL) -> int:
@@ -94,39 +102,49 @@ def _lift(a: np.ndarray, s: np.ndarray, dims: tuple[int, int], side: str) -> np.
     """``kron(a, I) @ s`` (or ``kron(I, a) @ s``) without forming the kron.
 
     The rows of ``s`` are indexed by pairs of a ``dims`` tensor carrier; ``a``
-    acts on the first (``side="left"``) or second factor of each pair.
+    acts on the first (``side="left"``) or second factor of each pair.  A
+    stack ``a`` of shape (q, k, k) gives the stack of the q lifts.
     """
     first, second = dims
     if side == "left":
-        return (a @ s.reshape(first, -1)).reshape(-1, s.shape[1])
-    return (a @ s.reshape(first, second, -1)).reshape(-1, s.shape[1])
+        out = a @ s.reshape(first, -1)
+    else:
+        out = a[..., None, :, :] @ s.reshape(first, second, -1)
+    return out.reshape(a.shape[:-2] + (-1, s.shape[1]))
 
 
 def _canonical_phase(vectors: np.ndarray) -> np.ndarray:
-    """Rotate each column so its largest entry is real positive."""
-    out = vectors.copy()
-    for j in range(out.shape[1]):
-        col = out[:, j]
-        mags = np.abs(col)
-        top = mags.max()
-        if top == 0.0:
-            continue
-        k = int(np.nonzero(mags >= top * (1 - 1e-7))[0][0])
-        out[:, j] = col * (np.conj(col[k]) / np.abs(col[k]))
+    """Rotate each column so its largest entry is real positive.
+
+    The phase comes from the first entry within 1e-7 of the column's largest
+    magnitude; zero columns are left as they are.
+    """
+    mags = np.abs(vectors)
+    top = mags.max(axis=0, initial=0.0)
+    dead = top == 0.0
+    if len(vectors):
+        pivot = vectors[np.argmax(mags >= top * (1 - 1e-7), axis=0), np.arange(len(top))]
+    else:
+        pivot = top
+    size = np.abs(pivot)
+    size[dead] = 1.0
+    out = vectors * (np.conj(pivot) / size)
+    if dead.any():
+        out[:, dead] = vectors[:, dead]
     return out
 
 
 def _lex_order(vectors: np.ndarray, lead: np.ndarray | None = None) -> np.ndarray:
     """Stable column order: by ``lead`` first, then by the coordinates rounded
     to 9 digits, compared as interleaved (re, im) pairs."""
-    r = np.round(vectors, 9)
-    keys = np.empty((2 * r.shape[0], r.shape[1]))
-    keys[0::2] = r.real
-    keys[1::2] = r.imag
+    r = np.round(vectors, 9).T
+    keys = np.empty((r.shape[0], 2 * r.shape[1]))
+    keys[:, 0::2] = r.real
+    keys[:, 1::2] = r.imag
     if lead is not None:
-        keys = np.vstack([lead, keys])
-    # lexsort takes its primary key last
-    return np.lexsort(keys[::-1]) if len(keys) else np.arange(r.shape[1])
+        keys = np.column_stack([lead, keys])
+    rows = keys.tolist()
+    return np.array(sorted(range(len(rows)), key=rows.__getitem__), dtype=np.intp)
 
 
 @dataclass
@@ -164,6 +182,24 @@ class ModulePresentation:
         return self.algebra.coords(self.gram)
 
     @cached_property
+    def _gram_factor(self) -> tuple[np.ndarray, ...]:
+        """Per algebra block ``b``, the rows of :attr:`gram_rows` that live in
+        that block, as coefficients ``w[p, i, c]`` with
+        ``u[p, i] = sum_c w[p, i, c] e^b_{0c}``; shape (P_b, m, n_b)."""
+        alg, m = self.algebra, self.dim
+        spectra = []
+        for sl, nb in zip(alg.block_slices, alg.blocks):
+            g = self.gram[:, :, sl, sl].transpose(0, 2, 1, 3).reshape(m * nb, m * nb)
+            spectra.append(np.linalg.eigh((g + g.conj().T) / 2.0))
+        top = max((float(vals.max(initial=0.0)) for vals, _ in spectra), default=0.0)
+        out = []
+        for (vals, vecs), nb in zip(spectra, alg.blocks):
+            keep = vals > RANK_RTOL * top
+            w = (vecs[:, keep] * np.sqrt(vals[keep])).conj().T  # G = w^H w
+            out.append(w.reshape(len(w), m, nb))
+        return tuple(out)
+
+    @cached_property
     def gram_rows(self) -> np.ndarray:
         """Gram factor ``u`` of shape (P, m, n, n): ``<e_i, e_k> = sum_p u[p, i]* u[p, k]``.
 
@@ -174,17 +210,10 @@ class ModulePresentation:
         dropped, so ``P`` is the numerical rank of the Gram.
         """
         alg, m = self.algebra, self.dim
-        spectra = []
-        for sl, nb in zip(alg.block_slices, alg.blocks):
-            g = self.gram[:, :, sl, sl].transpose(0, 2, 1, 3).reshape(m * nb, m * nb)
-            spectra.append(np.linalg.eigh((g + g.conj().T) / 2.0))
-        top = max((float(vals.max(initial=0.0)) for vals, _ in spectra), default=0.0)
         rows = []
-        for (vals, vecs), sl, nb in zip(spectra, alg.block_slices, alg.blocks):
-            keep = vals > RANK_RTOL * top
-            w = (vecs[:, keep] * np.sqrt(vals[keep])).conj().T  # G = w^H w
+        for w, sl in zip(self._gram_factor, alg.block_slices):
             u = np.zeros((len(w), m, alg.size, alg.size), dtype=complex)
-            u[:, :, sl.start, sl] = w.reshape(len(w), m, nb)
+            u[:, :, sl.start, sl] = w
             rows.append(u)
         return np.concatenate(rows)
 
@@ -218,19 +247,21 @@ class ModulePresentation:
         return np.einsum("c,cuv->uv", self.algebra.coords(b), self.right_action)
 
     def inner(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Algebra-valued inner product ``<x, y>``."""
-        return np.einsum("i,j,ijab->ab", np.conj(x), y, self.gram)
+        """Algebra-valued inner product ``<x, y>``; a stack of vectors ``y``
+        gives the stack of inner products."""
+        return np.einsum("i,...j,ijab->...ab", np.conj(x), y, self.gram)
 
     def module_adjoint(self, a: np.ndarray) -> np.ndarray:
-        """Adjoint with respect to the scalarized Gram."""
-        return np.linalg.solve(self.scalar_gram, a.conj().T @ self.scalar_gram)
+        """Adjoint with respect to the scalarized Gram; a stack of operators
+        gives the stack of adjoints."""
+        return np.linalg.solve(self.scalar_gram, np.swapaxes(a.conj(), -1, -2) @ self.scalar_gram)
 
     def positivity_defect(self, a: np.ndarray) -> float:
         """How far the operator ``a`` is from being positive in B^a(E)."""
         w = self.scalar_sqrt @ a @ self.scalar_isqrt
         herm = _dev(w, w.conj().T)
         eigs = np.linalg.eigvalsh((w + w.conj().T) / 2.0)
-        return max(herm, float(max(0.0, -eigs.min(initial=0.0))))
+        return _worst((herm, -eigs.min(initial=0.0)))
 
 
 @dataclass
@@ -249,6 +280,27 @@ class Correspondence(ModulePresentation):
                 f"left action of shape {self.left_action.shape}, "
                 f"expected {self.right_action.shape}"
             )
+
+    @cached_property
+    def corner_maps(self) -> tuple[np.ndarray, ...]:
+        """Per algebra block ``b``, the stack ``C_b[c] = Y_b^H S^{1/2} L(e^b_{0c})``
+        of shape (n_b, r_b, m), with ``S`` the scalar Gram.
+
+        ``Y_b`` is an orthonormal basis of the range of ``S^{1/2} L(e^b_00)``,
+        from a thin SVD with the ``RANK_RTOL`` cutoff.  Since
+        ``L(e^b_{0c}) = L(e^b_00) L(e^b_{0c})``, that range holds every
+        ``S^{1/2} L(e^b_{0c})``, so ``C_b`` loses nothing of it; ``r_b`` is the
+        rank of ``L(e^b_00)``.
+        """
+        out = []
+        start = 0
+        for nb in self.algebra.blocks:
+            row0 = self.scalar_sqrt @ self.left_action[start:start + nb]  # e^b_{0c}
+            y, s, _ = np.linalg.svd(row0[0])
+            rank = int(np.sum(s > RANK_RTOL * s[0])) if s.size and s[0] > 0.0 else 0
+            out.append(y[:, :rank].conj().T @ row0)
+            start += nb * nb
+        return tuple(out)
 
     def left_of(self, b: np.ndarray) -> np.ndarray:
         return np.einsum("c,cuv->uv", self.algebra.coords(b), self.left_action)
@@ -330,7 +382,7 @@ def validate_module(
     if big.size:
         eigs = np.linalg.eigvalsh((big + big.conj().T) / 2.0)
         scale = max(1.0, float(eigs.max(initial=0.0)))
-        rep.add("gram-positive", max(0.0, -float(eigs.min())), tol * scale)
+        rep.add("gram-positive", _worst((-eigs.min(),)), tol * scale)
     else:
         rep.add("gram-positive", 0.0, tol)
 
@@ -338,7 +390,7 @@ def validate_module(
         s = pres.scalar_gram
         vals = np.linalg.eigvalsh((s + s.conj().T) / 2.0) if s.size else np.array([1.0])
         thresh = tol * max(float(vals.max(initial=0.0)), 0.0)
-        rep.add("scalar-gram-nondegenerate", max(0.0, thresh - float(vals.min())), 0.0)
+        rep.add("scalar-gram-nondegenerate", _worst((thresh - vals.min(),)), 0.0)
 
     if pres.is_correspondence:
         _validate_left_action(pres, rep, tol)
@@ -459,6 +511,22 @@ def _balanced_gram(lg: np.ndarray, gram: np.ndarray) -> np.ndarray:
     return pre.reshape(me * mf, me * mf, n, n)
 
 
+def _corner_factor(e: ModulePresentation, f: Correspondence) -> np.ndarray:
+    """``K`` with ``K^H K`` the scalarized pre-Gram of ``e (x) f``.
+
+    Row block ``p`` is ``Y_b^H S_F^{1/2} L(u[p, i])`` over the columns
+    ``(i, j)``, for the gram row ``u[p]`` of ``e`` in block ``b``: it has
+    ``r_b = rank L(e^b_00)`` rows (see :attr:`Correspondence.corner_maps`).
+    """
+    me, mf = e.dim, f.dim
+    parts = []
+    for w, corner in zip(e._gram_factor, f.corner_maps):
+        p, nb, r = len(w), w.shape[2], corner.shape[1]
+        k = (w.reshape(p * me, nb) @ corner.reshape(nb, r * mf)).reshape(p, me, r, mf)
+        parts.append(k.transpose(0, 2, 1, 3).reshape(p * r, me * mf))
+    return np.concatenate(parts)
+
+
 def _factored_tensor(
     e: ModulePresentation, f: Correspondence, tol: float
 ) -> tuple[ModulePresentation, np.ndarray]:
@@ -469,12 +537,8 @@ def _factored_tensor(
     balanced product on that range; no (m_E m_F)-square matrix is formed.
     """
     alg = e.algebra
-    d, me, mf = alg.dim, e.dim, f.dim
-    # K[(p, g), (i, j)] = (S_F^{1/2} L(u[p, i]))[g, j]
-    sqrt_left = f.scalar_sqrt @ f.left_action
-    k = np.tensordot(alg.coords(e.gram_rows), sqrt_left, axes=([2], [0]))  # [p, i, g, j]
-    k = k.transpose(0, 2, 1, 3).reshape(len(k) * mf, me * mf)
-    _, s, vh = np.linalg.svd(k, full_matrices=False)
+    d, n, me, mf = alg.dim, alg.size, e.dim, f.dim
+    _, s, vh = np.linalg.svd(_corner_factor(e, f), full_matrices=False)
     vals = s ** 2
     thresh = tol * (float(vals[0]) if vals.size else 0.0)
     keep = np.nonzero(vals > thresh)[0]
@@ -483,15 +547,22 @@ def _factored_tensor(
     r = kept.shape[1]
 
     k3 = kept.reshape(me, mf, r)
+    flat = k3.reshape(me, mf * r)
     # gram[a, b] = sum conj(k3[i, j, a]) <e_i, e_k>_c f.gram[j, q] L_c[q, l] k3[k, l, b]
-    lk = np.tensordot(f.left_action, k3, axes=([2], [1]))            # [c, q, k, b]
-    glk = np.tensordot(e.gram_coords, lk, axes=([2, 1], [0, 2]))     # [i, q, b]
-    half = np.tensordot(k3.conj(), glk, axes=([0], [0]))             # [j, a, q, b]
-    gram = np.tensordot(half, f.gram, axes=([0, 2], [0, 1]))         # [a, b, x, y]
+    lk = f.left_action.reshape(d * mf, mf) @ k3.transpose(1, 0, 2).reshape(mf, me * r)
+    lk = lk.reshape(d, mf, me, r).transpose(0, 2, 1, 3).reshape(d * me, mf * r)
+    glk = e.gram_coords.transpose(0, 2, 1).reshape(me, d * me) @ lk            # [i, (q, b)]
+    half = (flat.conj().T @ glk).reshape(mf, r, mf, r).transpose(1, 3, 0, 2)  # [a, b, j, q]
+    gram = (half.reshape(r * r, mf * mf) @ f.gram.reshape(mf * mf, n * n)).reshape(r, r, n, n)
 
-    right = proj @ (f.right_action[:, None] @ k3).reshape(d, me * mf, r)
+    # right[c][a, b] = sum R_c[j, l] sum_i conj(k3[i, j, a]) k3[i, l, b]
+    pairs = (flat.conj().T @ flat).reshape(mf, r, mf, r).transpose(0, 2, 1, 3)
+    right = (f.right_action.reshape(d, mf * mf) @ pairs.reshape(mf * mf, r * r)).reshape(d, r, r)
     if e.is_correspondence:
-        left = proj @ (e.left_action @ kept.reshape(me, mf * r)).reshape(d, me * mf, r)
+        # left[c][a, b] = sum L_c[i, k] sum_j conj(k3[i, j, a]) k3[k, j, b]
+        rows = k3.transpose(0, 2, 1).reshape(me * r, mf)
+        pairs = (rows.conj() @ rows.T).reshape(me, r, me, r).transpose(0, 2, 1, 3)
+        left = (e.left_action.reshape(d, me * me) @ pairs.reshape(me * me, r * r)).reshape(d, r, r)
         return Correspondence(alg, right, gram, left), proj
     return ModulePresentation(alg, right, gram), proj
 
@@ -505,12 +576,15 @@ def internal_tensor(
     returned factor map records the quotient from the algebraic tensor.
 
     With ``u = e.gram_rows`` the map ``x_i (x) y_j -> (L(u[p, i]) y_j)_p`` is an
-    isometry of the algebraic tensor into ``F^P``; call its matrix ``Z``.  The
-    scalarized pre-Gram is then ``K^H K`` for ``K = (I_P (x) S_F^{1/2}) Z``,
-    which has ``P m_F`` rows.  When ``P < m_E`` the tensor is degenerate, its
-    kept range comes from a thin SVD of ``K``, and the realized Gram and
-    actions are computed on that range alone.  Otherwise (every
-    nondegenerate tensor among them) the pre-tensor is formed and quotiented.
+    isometry of the algebraic tensor into the corner sum
+    ``(+)_p L(e^{b(p)}_00) F``, where ``b(p)`` is the block of row ``p``.
+    Written in an orthonormal basis of each ``S_F^{1/2} L(e^b_00) F`` (see
+    :attr:`Correspondence.corner_maps`) its matrix ``K`` has
+    ``sum_p rank L(e^{b(p)}_00)`` rows, and the scalarized pre-Gram is
+    ``K^H K``.  When ``P < m_E`` the tensor is degenerate, its kept range comes
+    from a thin SVD of ``K``, and the realized Gram and actions are computed
+    on that range alone.  Otherwise (every nondegenerate tensor among them)
+    the pre-tensor is formed and quotiented.
     """
     _require_same_algebra(e, f)
     if not f.is_correspondence:
@@ -627,7 +701,8 @@ def left_faithful_check(f: Correspondence, rtol: float = RANK_RTOL) -> bool:
 # ---------------------------------------------------------------------------
 
 def amplify(a: np.ndarray, fm: FactorMap, *, side: str = "left") -> np.ndarray:
-    """Descend ``a (x) id`` (or ``id (x) a``) through a factor map."""
+    """Descend ``a (x) id`` (or ``id (x) a``) through a factor map; a stack
+    of operators gives the stack of their amplifications."""
     return fm.matrix @ _lift(a, fm.section, fm.source_dims, side)
 
 
@@ -709,19 +784,12 @@ def associator(
     rep = VerificationReport("associator")
     rep.add("associator-gram", _dev(pull_gram(alpha, right_mod.gram), left_mod.gram), tol)
     adj = map_adjoint(alpha, left_mod, right_mod)
-    rep.add("associator-unitary", max(
-        _dev(adj @ alpha, np.eye(left_mod.dim)),
-        _dev(alpha @ adj, np.eye(right_mod.dim)),
-    ), tol)
-    rep.add("associator-right-linear", max(
-        _dev(alpha @ left_mod.right_action[c], right_mod.right_action[c] @ alpha)
-        for c in range(e.algebra.dim)
-    ), tol)
+    rep.add("associator-unitary", _unitary_dev(alpha, adj), tol)
+    rep.add("associator-right-linear",
+            _dev(alpha @ left_mod.right_action, right_mod.right_action @ alpha), tol)
     if left_mod.is_correspondence and right_mod.is_correspondence:
-        rep.add("associator-left-linear", max(
-            _dev(alpha @ left_mod.left_action[c], right_mod.left_action[c] @ alpha)
-            for c in range(e.algebra.dim)
-        ), tol)
+        rep.add("associator-left-linear",
+                _dev(alpha @ left_mod.left_action, right_mod.left_action @ alpha), tol)
     return AssociatorResult(alpha, left_mod, p2, right_mod, p4, ef, fg, rep)
 
 

@@ -130,7 +130,8 @@ def _decode_scalar(value, where: str) -> complex:
     return z
 
 
-def _decode_matrix(value, where: str, shape: tuple[int, int] | None = None) -> np.ndarray:
+def _read_matrix(value, where: str, shape: tuple[int, int] | None = None) -> np.ndarray:
+    """A matrix of [re, im] pairs, with its shape checked but not its norm."""
     if not isinstance(value, list) or not value or not all(isinstance(r, list) for r in value):
         raise InstanceFormatError(f"{where}: expected a list of rows")
     ncols = len(value[0])
@@ -141,7 +142,12 @@ def _decode_matrix(value, where: str, shape: tuple[int, int] | None = None) -> n
     )
     if shape is not None and out.shape != shape:
         raise InstanceFormatError(f"{where}: shape {out.shape}, expected {shape}")
-    _check_norm(out, where)
+    return out
+
+
+def _decode_matrix(value, where: str, shape: tuple[int, int] | None = None) -> np.ndarray:
+    out = _read_matrix(value, where, shape)
+    _check_norms(_operator_norms(out[None]), lambda _: where)
     return out
 
 
@@ -151,30 +157,45 @@ def _decode_vector(value, where: str, dim: int | None = None) -> np.ndarray:
     out = np.array([_decode_scalar(x, where) for x in value], dtype=complex)
     if dim is not None and out.shape != (dim,):
         raise InstanceFormatError(f"{where}: length {out.shape[0]}, expected {dim}")
-    _check_norm(out.reshape(1, -1), where)
+    _check_norms(_operator_norms(out.reshape(1, 1, -1)), lambda _: where)
     return out
 
 
-def _check_norm(matrix: np.ndarray, where: str) -> None:
-    if matrix.size == 0:
-        return
-    norm = float(np.linalg.svd(matrix, compute_uv=False)[0])
-    if norm > NORM_BOUND:
+def _operator_norms(stack: np.ndarray) -> np.ndarray:
+    """Operator norms of a stack of matrices, one batched SVD."""
+    if 0 in stack.shape[-2:]:
+        return np.zeros(stack.shape[:-2])
+    return np.linalg.svd(stack, compute_uv=False)[..., 0]
+
+
+def _check_norms(norms: np.ndarray, where_of) -> None:
+    """Reject the first matrix, in row-major order of ``norms``, whose operator
+    norm exceeds the bound; ``where_of`` names it from its index."""
+    bad = np.argwhere(norms > NORM_BOUND)
+    if len(bad):
+        index = tuple(int(k) for k in bad[0])
         raise InstanceFormatError(
-            f"{where}: operator norm {norm:.3f} exceeds the bound {NORM_BOUND}"
+            f"{where_of(*index)}: operator norm {norms[index]:.3f} exceeds the bound {NORM_BOUND}"
         )
 
 
-def _decode_element(value, alg: Algebra, where: str) -> np.ndarray:
+def _read_element(value, alg: Algebra, where: str) -> list[np.ndarray]:
+    """The block matrices of an algebra element, norms unchecked."""
     if not isinstance(value, list) or len(value) != len(alg.blocks):
         raise InstanceFormatError(
             f"{where}: algebra elements are lists of {len(alg.blocks)} block matrices"
         )
-    blocks = [
-        _decode_matrix(b, f"{where}[block {i}]", (n, n))
+    return [
+        _read_matrix(b, f"{where}[block {i}]", (n, n))
         for i, (b, n) in enumerate(zip(value, alg.blocks))
     ]
-    return alg.embed(blocks)
+
+
+def _read_actions(value, where: str, m: int) -> np.ndarray:
+    """A stack of action matrices, with one batched norm check."""
+    out = np.stack([_read_matrix(mat, f"{where}[{c}]", (m, m)) for c, mat in enumerate(value)])
+    _check_norms(_operator_norms(out), lambda c: f"{where}[{c}]")
+    return out
 
 
 def _decode_module(value, alg: Algebra, name: str, tol: float) -> ModulePresentation:
@@ -188,23 +209,24 @@ def _decode_module(value, alg: Algebra, name: str, tol: float) -> ModulePresenta
     ra = value["right_action"]
     if not isinstance(ra, list) or len(ra) != alg.dim:
         raise InstanceFormatError(f"{where}.right_action: expected {alg.dim} matrices")
-    right = np.stack(
-        [_decode_matrix(mat, f"{where}.right_action[{c}]", (m, m)) for c, mat in enumerate(ra)]
-    )
+    right = _read_actions(ra, f"{where}.right_action", m)
     gr = value["gram"]
     if not isinstance(gr, list) or len(gr) != m or any(len(row) != m for row in gr):
         raise InstanceFormatError(f"{where}.gram: expected an {m} x {m} grid of algebra elements")
+    cells = [[_read_element(gr[i][j], alg, f"{where}.gram[{i}][{j}]") for j in range(m)]
+             for i in range(m)]
     gram = np.zeros((m, m, alg.size, alg.size), dtype=complex)
-    for i in range(m):
-        for j in range(m):
-            gram[i, j] = _decode_element(gr[i][j], alg, f"{where}.gram[{i}][{j}]")
+    norms = np.empty((m, m, len(alg.blocks)))
+    for b, (sl, n) in enumerate(zip(alg.block_slices, alg.blocks)):
+        blocks = np.array([[cell[b] for cell in row] for row in cells])
+        gram[:, :, sl, sl] = blocks
+        norms[:, :, b] = _operator_norms(blocks)
+    _check_norms(norms, lambda i, j, b: f"{where}.gram[{i}][{j}][block {b}]")
     if "left_action" in value:
         la = value["left_action"]
         if not isinstance(la, list) or len(la) != alg.dim:
             raise InstanceFormatError(f"{where}.left_action: expected {alg.dim} matrices")
-        left = np.stack(
-            [_decode_matrix(mat, f"{where}.left_action[{c}]", (m, m)) for c, mat in enumerate(la)]
-        )
+        left = _read_actions(la, f"{where}.left_action", m)
         pres = Correspondence(alg, right, gram, left)
     else:
         pres = ModulePresentation(alg, right, gram)

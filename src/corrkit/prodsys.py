@@ -28,6 +28,7 @@ from .hilbmod import (
     FactorMap,
     ModulePresentation,
     _dev,
+    _unitary_dev,
     algebra_correspondence,
     associator,
     internal_tensor,
@@ -39,7 +40,7 @@ from .hilbmod import (
     tensor_lift,
     validate_module,
 )
-from .report import VerificationReport
+from .report import VerificationReport, _worst
 
 DEFAULT_BUDGET = 4096
 
@@ -160,19 +161,11 @@ class ProductSystem:
                 cod = self.power(s + t)
                 name = f"identification[{s},{t}]"
                 rep.add(f"{name}-gram", _dev(pull_gram(u, cod.gram), dom.gram), tol)
-                adj = map_adjoint(u, dom, cod)
-                rep.add(f"{name}-unitary", max(
-                    _dev(adj @ u, np.eye(dom.dim)), _dev(u @ adj, np.eye(cod.dim))
-                ), tol)
-                dev_r = max(
-                    _dev(u @ dom.right_action[c], cod.right_action[c] @ u)
-                    for c in range(self.algebra.dim)
-                )
-                dev_l = max(
-                    _dev(u @ dom.left_action[c], cod.left_action[c] @ u)
-                    for c in range(self.algebra.dim)
-                )
-                rep.add(f"{name}-bilinear", max(dev_r, dev_l), tol)
+                rep.add(f"{name}-unitary", _unitary_dev(u, map_adjoint(u, dom, cod)), tol)
+                rep.add(f"{name}-bilinear", _worst((
+                    _dev(u @ dom.right_action, cod.right_action @ u),
+                    _dev(u @ dom.left_action, cod.left_action @ u),
+                )), tol)
         for r in range(1, self.levels - 1):
             for s in range(1, self.levels - r):
                 for t in range(1, self.levels + 1 - r - s):
@@ -233,10 +226,7 @@ def derive_unit(ps: ProductSystem, xi1: np.ndarray, tol: float | None = None) ->
         fm = ps._tensors[(n - 1, 1)][1]
         levels.append(fm.matrix @ np.kron(levels[n - 1], xi1))
     unit_dev = _dev(e1.inner(xi1, xi1), ps.algebra.unit)
-    cent_dev = max(
-        _dev(e1.left_action[c] @ xi1, e1.right_action[c] @ xi1)
-        for c in range(ps.algebra.dim)
-    )
+    cent_dev = _dev(e1.left_action @ xi1, e1.right_action @ xi1)
     return Unit(xi1, levels, unit_dev <= tol, cent_dev <= tol, unit_dev, cent_dev)
 
 
@@ -258,11 +248,7 @@ def check_unit(ps: ProductSystem, xi1: np.ndarray, tol: float | None = None) -> 
         for n in range(ps.levels + 1):
             en = ps.power(n)
             v = unit.levels[n]
-            dev = max(
-                _dev(en.left_action[c] @ v, en.right_action[c] @ v)
-                for c in range(ps.algebra.dim)
-            )
-            rep.add(f"centrality-level-{n}", dev, tol)
+            rep.add(f"centrality-level-{n}", _dev(en.left_action @ v, en.right_action @ v), tol)
     else:
         rep.detail = f"not central (level-1 deviation {unit.centrality_deviation:.3e})"
     return rep
@@ -295,9 +281,7 @@ def find_central_unital_unit(
     block (then no central vector has invertible length).
     """
     alg = e1.algebra
-    stacked = np.concatenate(
-        [e1.left_action[c] - e1.right_action[c] for c in range(alg.dim)], axis=0
-    )
+    stacked = (e1.left_action - e1.right_action).reshape(-1, e1.dim)
     size = max(float(np.abs(e1.left_action).max(initial=0.0)),
                float(np.abs(e1.right_action).max(initial=0.0)))
     basis = null_space(stacked, scale=size)
@@ -309,15 +293,13 @@ def find_central_unital_unit(
     # center-valued inner products, i.e. scalar blocks
     grams = pull_gram(basis, e1.gram)
     blockwise = []
-    scalar_defect = 0.0
+    scalar_defects = []
     for sl, n in zip(alg.block_slices, alg.blocks):
         blk = grams[:, :, sl, sl]
         mu = np.trace(blk, axis1=2, axis2=3) / n
-        scalar_defect = max(
-            scalar_defect,
-            _dev(blk, mu[:, :, None, None] * np.eye(n)),
-        )
+        scalar_defects.append(_dev(blk, mu[:, :, None, None] * np.eye(n)))
         blockwise.append((mu + mu.conj().T) / 2.0)
+    scalar_defect = _worst(scalar_defects)
     scale = max(float(np.abs(m).max()) for m in blockwise)
     if scale <= tol:
         return CentralUnitSearch(
@@ -347,10 +329,7 @@ def find_central_unital_unit(
         rescale = sum(c / np.sqrt(mu) for mu, c in zip(mus, centers))
         omega = e1.right_of(rescale) @ v
         unit_dev = _dev(e1.inner(omega, omega), alg.unit)
-        cent_dev = max(
-            _dev(e1.left_action[c] @ omega, e1.right_action[c] @ omega)
-            for c in range(alg.dim)
-        )
+        cent_dev = _dev(e1.left_action @ omega, e1.right_action @ omega)
         if unit_dev <= tol and cent_dev <= tol:
             return CentralUnitSearch(
                 "found",
@@ -435,13 +414,9 @@ def cp_of_unit(
         rep.add(f"choi-hermitian[{t}]", _dev(choi, choi.conj().T), tol)
         eigs = np.linalg.eigvalsh((choi + choi.conj().T) / 2.0)
         scale = max(1.0, float(eigs.max(initial=0.0)))
-        rep.add(f"choi-positive[{t}]", max(0.0, -float(eigs.min())), tol * scale)
-        star_dev = max(
-            _dev(alg.from_coords(tm[:, star[c]]),
-                 alg.from_coords(tm[:, c]).conj().T)
-            for c in range(alg.dim)
-        )
-        rep.add(f"cp-star[{t}]", star_dev, tol)
+        rep.add(f"choi-positive[{t}]", _worst((-eigs.min(),)), tol * scale)
+        images = alg.from_coords(tm.T)  # images[c] is T_t(basis[c])
+        rep.add(f"cp-star[{t}]", _dev(images[star], images.conj().transpose(0, 2, 1)), tol)
         if unit.unital:
             rep.add(f"cp-unital[{t}]", _dev(tm @ unit_coords, unit_coords), tol)
         direct = unit_cp_matrix_level(ps, unit, t)

@@ -9,12 +9,28 @@ not failures.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 PASS = "pass"
 FAIL = "fail"
 NOT_APPLICABLE = "not-applicable"
 UNKNOWN = "unknown"
+
+
+def _worst(devs) -> float:
+    """Largest of the deviations, NaN when any of them is NaN.
+
+    Python's ``max`` keeps its running value when compared against a NaN,
+    so a NaN deviation that is not first would pass unnoticed.
+    """
+    out = 0.0
+    for dev in devs:
+        dev = float(dev)
+        if math.isnan(dev):
+            return dev
+        out = max(out, dev)
+    return out
 
 
 @dataclass(frozen=True)
@@ -69,7 +85,7 @@ class VerificationReport:
 
     @property
     def max_deviation(self) -> float:
-        return max((c.deviation for c in self.checks), default=0.0)
+        return _worst(c.deviation for c in self.checks)
 
     def failed_checks(self) -> list[Check]:
         return [c for c in self.checks if not c.passed]

@@ -248,11 +248,12 @@ def test_each_tensor_and_associator_realized_once_per_run(monkeypatch):
     inst = parse_instance(str(SHIPPED / "weak-dilation-seed0.json"))
     eplus, endo = inst.make_endo()
     _, xi = inst.vector("xi")
-    seen, held, repeats = set(), [], []
+    seen, held, repeats, calls = set(), [], [], {}
 
     def tracked(fn, arity):
         def wrapper(*args, **kwargs):
             held.append(args)  # keeps the operand ids unique during a run
+            calls[fn.__name__] = calls.get(fn.__name__, 0) + 1
             key = (fn.__name__,) + tuple(id(a) for a in args[:arity])
             if key in seen:
                 repeats.append((fn.__name__, [getattr(a, "dim", a) for a in args[:arity]]))
@@ -271,9 +272,38 @@ def test_each_tensor_and_associator_realized_once_per_run(monkeypatch):
     ):
         seen.clear()
         held.clear()
+        calls.clear()
         assert run().status == "pass"
         assert len(seen) > 20
+        # and none is skipped: 49 tensors and 19 rebracketings per run
+        assert calls == {"internal_tensor": 49, "associator": 19}
     assert repeats == []
+
+
+def test_alpha_takes_one_adjoint_per_stage_pair(monkeypatch):
+    import corrkit.dilation as dilation
+
+    inst = inner_rotation_instance()
+    pipe = DilationPipeline(inst.eplus, inst.endo, levels=3)
+    stages, _ = pipe.stages()
+    pipe.w()
+    calls = []
+    real = dilation.map_adjoint
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(dilation, "map_adjoint", counted)
+    rng = np.random.default_rng(9)
+    pairs = [(t, m) for t in range(1, 4) for m in range(4 - t)]
+    for t, m in pairs:
+        dim = stages[t + m].tensor.dim
+        stack = rng.standard_normal((3, dim, dim)) + 1j * rng.standard_normal((3, dim, dim))
+        moved = pipe.alpha(t, m, stack)
+        for a, one in zip(stack, moved):
+            assert max_dev(pipe.alpha(t, m, a), one) < 1e-12
+    assert len(calls) == len(pairs)
 
 
 def test_weak_dilation_fails_when_projection_moves():

@@ -6,6 +6,7 @@ from corrkit.errors import IncompatibleOperandsError, InvalidPresentationError
 from corrkit.gallery import (
     block_swap_correspondence,
     conjugated,
+    doubled_swap_correspondence,
     plane_correspondence,
     random_unitary,
     standard_module,
@@ -15,8 +16,11 @@ from corrkit.hilbmod import (
     Correspondence,
     ModulePresentation,
     _canonical_phase,
+    _corner_factor,
     _lex_order,
+    _lift,
     _quotient,
+    _unitary_dev,
     adjointable_basis,
     algebra_correspondence,
     amplify,
@@ -36,6 +40,7 @@ from corrkit.hilbmod import (
     tensor_pre_gram,
     validate_module,
 )
+from corrkit.report import VerificationReport, _worst
 
 from conftest import (
     TOL,
@@ -669,3 +674,189 @@ def test_compacts_span_reuses_supplied_basis(monkeypatch):
 
     monkeypatch.setattr(hilbmod, "adjointable_basis", refuse)
     assert compacts_span_check(e, ops=ops) == expected
+
+
+# ---------------------------------------------------------------------------
+# the corner-compressed Gram factor
+# ---------------------------------------------------------------------------
+
+def ref_factor_rows(e, f):
+    """The uncompressed factor: ``K[(p, g), (i, j)] = (S_F^{1/2} L(u[p, i]))[g, j]``,
+    with ``P m_F`` rows."""
+    sqrt_left = f.scalar_sqrt @ f.left_action
+    k = np.tensordot(e.algebra.coords(e.gram_rows), sqrt_left, axes=([2], [0]))
+    return k.transpose(0, 2, 1, 3).reshape(len(k) * f.dim, e.dim * f.dim)
+
+
+def _assert_factor_of_pre_gram(e, f):
+    """``K^H K`` is the scalarized pre-Gram, for the compressed and the
+    uncompressed factor alike; the compressed one has no more rows."""
+    s = oracle_scalarized(e.algebra, tensor_pre_gram(e, f))
+    k, ref = _corner_factor(e, f), ref_factor_rows(e, f)
+    assert k.shape[1] == e.dim * f.dim
+    assert max_dev(k.conj().T @ k, s) < 1e-10
+    assert max_dev(ref.conj().T @ ref, s) < 1e-10
+    assert len(k) <= len(ref)
+    return k
+
+
+def test_corner_factor_on_factored_pairs():
+    factored = [(e, f) for e, f in tensor_pairs() if len(e.gram_rows) < e.dim]
+    assert factored
+    for e, f in factored:
+        _assert_factor_of_pre_gram(e, f)
+
+
+def test_corner_factor_on_doubled_swap():
+    """A commutative pair whose block units act with rank 2 on a 4-dimensional
+    carrier, so each corner is a proper subspace."""
+    f = doubled_swap_correspondence()
+    assert [c.shape[1] for c in f.corner_maps] == [2, 2]
+    for e in (f, conjugated(f, random_unitary(np.random.default_rng(3), 4))):
+        k = _assert_factor_of_pre_gram(e, f)
+        assert len(k) < len(ref_factor_rows(e, f))
+
+
+def test_corner_factor_with_a_killed_block():
+    """The left action kills the second block: its corner has no rows, and the
+    factor rows of ``e`` in that block contribute nothing."""
+    alg = make_algebra([1, 1])
+    f = standard_module(alg, [1, 1], multiplicities=[[1, 0], [1, 0]])
+    assert validate_module(f).passed
+    assert [c.shape[1] for c in f.corner_maps] == [2, 0]
+    e = conjugated(standard_module(alg, [2, 1]), random_unitary(np.random.default_rng(4), 3))
+    assert len(e._gram_factor[1]) > 0
+    k = _assert_factor_of_pre_gram(e, f)
+    assert len(k) == 2 * len(e._gram_factor[0])
+
+
+def test_corner_factor_after_a_larger_block():
+    """Blocks [2, 1]: the second block's row-0 units sit after the four units
+    of the first block in the algebra basis."""
+    alg = make_algebra([2, 1])
+    rng = np.random.default_rng(6)
+    f = standard_module(alg, [3, 1], multiplicities=[[1, 1], [0, 1]])
+    f = conjugated(f, random_unitary(rng, f.dim))
+    assert validate_module(f).passed
+    # L(e^0_00) keeps row 0 of the one block-0 copy (2 dims); L(e^1_00) is the
+    # identity on the two block-1 copies (2 + 1 dims)
+    assert [c.shape for c in f.corner_maps] == [(2, 2, 7), (1, 3, 7)]
+    e = conjugated(standard_module(alg, [2, 1]), random_unitary(rng, 5))
+    _assert_factor_of_pre_gram(e, f)
+
+
+def test_corner_factor_of_the_m9_ladder_has_nine_rows():
+    from corrkit.endo import associated_correspondence, endomorphism_from_conjugation
+
+    e = algebra_correspondence(make_algebra([3]))
+    v = np.kron(random_unitary(np.random.default_rng(1), 3), np.eye(3))
+    f = associated_correspondence(e, endomorphism_from_conjugation(e, v), 1).corr
+    k = _assert_factor_of_pre_gram(e, f)
+    assert (len(k), len(ref_factor_rows(e, f))) == (9, 27)
+
+
+def ref_canonical_phase(vectors):
+    """The column loop the vectorized phase replaced."""
+    out = vectors.copy()
+    for j in range(out.shape[1]):
+        col = out[:, j]
+        mags = np.abs(col)
+        top = mags.max()
+        if top == 0.0:
+            continue
+        k = int(np.nonzero(mags >= top * (1 - 1e-7))[0][0])
+        out[:, j] = col * (np.conj(col[k]) / np.abs(col[k]))
+    return out
+
+
+def phase_cases():
+    rng = np.random.default_rng(31)
+    cols = _rand(rng, 6, 5)
+    cols[:, 1] = 0.0                                          # a zero column
+    cols[:, 2] = [0.5, 1 - 5e-8, 1.0, 0.2, 1 - 2e-7, 0.1]     # a near-tie decides
+    cols[:, 3] *= np.exp(1j * np.array([0.3, 1.1, 2.0, -0.7, 3.0, -2.5]))
+    cols[:, 3] /= np.abs(cols[:, 3])                          # all entries tie
+    return [cols, np.zeros((0, 0), dtype=complex), np.zeros((4, 0), dtype=complex),
+            np.zeros((3, 2), dtype=complex), _rand(rng, 81, 9)]
+
+
+@pytest.mark.parametrize("k", range(5))
+def test_canonical_phase_bytes_match_the_loop(k):
+    vectors = phase_cases()[k]
+    out = _canonical_phase(vectors)
+    assert out.shape == vectors.shape
+    assert out.tobytes() == ref_canonical_phase(vectors).tobytes()
+
+
+def ref_lexsort_order(vectors, lead=None):
+    """The 2m+1-pass lexsort the list sort replaced."""
+    r = np.round(vectors, 9)
+    keys = np.empty((2 * r.shape[0], r.shape[1]))
+    keys[0::2] = r.real
+    keys[1::2] = r.imag
+    if lead is not None:
+        keys = np.vstack([lead, keys])
+    return np.lexsort(keys[::-1]) if len(keys) else np.arange(r.shape[1])
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_lex_order_matches_the_lexsort(seed):
+    cols, vals = tie_columns()
+    perm = np.random.default_rng(seed).permutation(cols.shape[1])
+    cols, lead = cols[:, perm], -np.round(vals[perm], 9)
+    for args in ((cols,), (cols, lead), (_rand(np.random.default_rng(seed), 81, 9),)):
+        assert np.array_equal(_lex_order(*args), ref_lexsort_order(*args))
+
+
+# ---------------------------------------------------------------------------
+# stacks of operators through the lifts
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("seed", range(4))
+def test_stacked_lifts_match_one_operator_at_a_time(seed):
+    rng = np.random.default_rng(700 + seed)
+    e, f = seeded_module(seed), seeded_correspondence(seed)
+    _, fm = internal_tensor(e, f)
+    for side, dim in (("left", e.dim), ("right", f.dim)):
+        stack = _rand(rng, 5, dim, dim)
+        lifted = _lift(stack, fm.section, fm.source_dims, side)
+        assert lifted.shape == (5,) + fm.section.shape
+        for a, one in zip(stack, lifted):
+            assert max_dev(one, _lift(a, fm.section, fm.source_dims, side)) < KERNEL_ATOL
+        amplified = amplify(stack, fm, side=side)
+        assert amplified.shape == (5, fm.target.dim, fm.target.dim)
+        for a, one in zip(stack, amplified):
+            assert max_dev(one, amplify(a, fm, side=side)) < KERNEL_ATOL
+
+
+# ---------------------------------------------------------------------------
+# NaN deviations fail
+# ---------------------------------------------------------------------------
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("devs", [(NAN, 0.0), (0.0, NAN), (1e-12, NAN, 0.5)])
+def test_nan_in_any_operand_fails_the_check(devs):
+    assert max(0.0, NAN) == 0.0  # Python's max drops a NaN that is not first
+    assert np.isnan(_worst(devs))
+    rep = VerificationReport("nan")
+    assert not rep.add("reduced", _worst(devs), 1.0)
+    assert np.isnan(rep.max_deviation)
+
+
+@pytest.mark.parametrize("which", [0, 1])
+def test_unitary_check_fails_on_nan_in_either_product(which, monkeypatch):
+    import corrkit.hilbmod as hilbmod
+
+    real_dev, calls = hilbmod._dev, []
+
+    def dev(a, b=None):
+        calls.append(1)
+        return NAN if len(calls) - 1 == which else real_dev(a, b)
+
+    monkeypatch.setattr(hilbmod, "_dev", dev)
+    u = random_unitary(np.random.default_rng(5), 3)
+    assert np.isnan(_unitary_dev(u, u.conj().T)) and len(calls) == 2
+    monkeypatch.setattr(hilbmod, "_dev", real_dev)
+    assert _unitary_dev(u, u.conj().T) < 1e-14

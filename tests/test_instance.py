@@ -66,6 +66,50 @@ def test_norm_bound_enforced():
         decode_instance(doc)
 
 
+def _module_doc():
+    """A generated module over [1, 2] with a 6 x 6 grid of Gram elements."""
+    doc = json.loads(emit_instance(generate_instance(3, "module")))
+    assert doc["algebra"]["blocks"] == [1, 2] and doc["modules"]["E"]["dim"] == 6
+    return doc
+
+
+def test_norm_error_names_the_first_oversize_gram_block():
+    doc = _module_doc()
+    gram = doc["modules"]["E"]["gram"]
+    gram[2][1][1][0][0] = [40.0, 0.0]
+    gram[1][0][1][1][0] = [20.0, 0.0]
+    with pytest.raises(InstanceFormatError) as err:
+        decode_instance(doc)
+    assert str(err.value).startswith("modules.E.gram[1][0][block 1]: operator norm 20.")
+    gram[1][0][0][0][0] = [-30.0, 0.0]
+    with pytest.raises(InstanceFormatError, match=r"^modules\.E\.gram\[1\]\[0\]\[block 0\]: operator norm 30\.000"):
+        decode_instance(doc)
+
+
+def test_norm_error_names_the_oversize_action():
+    doc = _module_doc()
+    doc["modules"]["E"]["right_action"][3][2][1] = [0.0, 17.0]
+    with pytest.raises(InstanceFormatError, match=r"^modules\.E\.right_action\[3\]: operator norm"):
+        decode_instance(doc)
+
+
+def test_norms_checked_with_one_svd_per_stack(monkeypatch):
+    import numpy as np
+
+    doc = _module_doc()
+    calls = []
+    real = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(np.shape(args[0]))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    decode_instance(doc)
+    # the right-action stack, then the Gram grid once per algebra block
+    assert calls == [(5, 6, 6), (6, 6, 1, 1), (6, 6, 2, 2)]
+
+
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), 10**400],
                          ids=["nan", "inf", "-inf", "huge-int"])
 def test_non_finite_scalars_rejected(value):
