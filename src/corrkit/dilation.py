@@ -38,6 +38,7 @@ from .hilbmod import (
     FactorMap,
     ModulePresentation,
     _dev,
+    _range_basis,
     _unitary_dev,
     amplify,
     associator,
@@ -46,7 +47,6 @@ from .hilbmod import (
     left_faithful_check,
     map_adjoint,
     matrix_rank_tol,
-    null_space,
     pull_gram,
     rank_one,
     rank_one_stack,
@@ -64,7 +64,7 @@ from .prodsys import (
     find_central_unital_unit,
     unit_cp_matrix_level,
 )
-from .report import NOT_APPLICABLE, UNKNOWN, VerificationReport, _worst
+from .report import NOT_APPLICABLE, VerificationReport, _worst
 
 NOT_APPLICABLE_DETAIL = "not applicable (non-spatial)"
 
@@ -103,11 +103,8 @@ def right_limit(ps: ProductSystem, xi1: np.ndarray, tol: float | None = None) ->
         )
     n_levels = ps.levels
     rep = VerificationReport("right limit", provenance={"levels": n_levels})
-    embeddings = []
-    for n in range(n_levels):
-        fm = ps.tensor(1, n)[1]
-        j = ps.u(1, n) @ fm.matrix @ np.kron(xi1.reshape(-1, 1), np.eye(ps.power(n).dim))
-        embeddings.append(j)
+    embeddings = _right_embeddings(ps, unit)
+    for n, j in enumerate(embeddings):
         dom, cod = ps.power(n), ps.power(n + 1)
         adj = map_adjoint(j, dom, cod)
         rep.add(f"right-embedding-isometry[{n}]", _dev(adj @ j, np.eye(dom.dim)), tol)
@@ -390,7 +387,7 @@ class DilationPipeline:
         search = self.spatial()
         if search.status != "found":
             raise PreconditionError(
-                f"instance is non-spatial or undecided (central unit search: "
+                f"instance is non-spatial (central unit search: "
                 f"{search.status}, {search.certificate})"
             )
         return self._get("left", lambda: left_limit(self.ps(), search.vector, self.tol))
@@ -442,7 +439,7 @@ def verify_main(
     """Full verification that the endomorphism semigroup extends to a
     semigroup of unitaries on the doubled module.
 
-    Pipeline: associated correspondence, spatiality search, left limit,
+    Pipeline: associated correspondence, spatiality decision, left limit,
     staged unitaries; then the restriction identity
     ``W_t (a . id) W_t* = theta^t(a) . id`` for every basis operator at
     every stage, an independently composed rebracketing chain for the same
@@ -463,9 +460,6 @@ def verify_main(
     if search.status == "none-exists":
         rep.add_flag("spatiality-certified-none", True)
         rep.set_status(NOT_APPLICABLE, NOT_APPLICABLE_DETAIL + f"; {search.certificate}")
-        return rep
-    if search.status == "unknown":
-        rep.set_status(UNKNOWN, "spatiality search exhausted without a verdict")
         return rep
 
     ps = pipe.ps()
@@ -660,9 +654,6 @@ def verify_supplement(
         rep.add_flag("spatiality-certified-none", True)
         rep.set_status(NOT_APPLICABLE, NOT_APPLICABLE_DETAIL + f"; {search.certificate}")
         return rep
-    if search.status == "unknown":
-        rep.set_status(UNKNOWN, "spatiality search exhausted without a verdict")
-        return rep
 
     rep.extend(verify_main(eplus, endo, levels, tol, budget, pipeline=pipe))
     stages = pipe.stages()[0]
@@ -800,23 +791,26 @@ def compare_unit_limits(
     xi1: np.ndarray,
     xi2: np.ndarray,
     tol: float | None = None,
-    starts: int = 64,
 ) -> UnitComparison:
-    """Probe whether some product-system automorphism carries one unit to the other.
+    """Decide whether a bilinear unitary of the generator carries one unit to
+    the other, and transport it through the limits.
 
-    The compressions generated by the two units must coincide for an
-    automorphism to exist; when they do, a seeded alternating projection
-    searches for a bilinear unitary on the generator with ``v xi1 = xi2``,
-    and a successful candidate is transported through all stages and the
-    right-limit embeddings.  This is an experimental probe: ``unknown`` is
-    an acceptable verdict.
+    The compressions generated by the two units must coincide.  When they
+    do, the unitary is constructed from the bimodule decomposition of the
+    whitened generator ``S^{1/2} E_1 S^{-1/2} = (+)_ij C^{n_i} (x) C^{L_ij}
+    (x) C^{n_j}``, on which bilinear unitaries are ``(+) I (x) U_ij (x) I``:
+    each unit reads as an ``L_ij x n_i n_j`` matrix ``X`` per block pair,
+    the level-1 compressions agree exactly when ``X1^H X1 = X2^H X2``, and
+    then the polar factor of ``X2 X1^H`` is a ``U_ij`` with ``U_ij X1 = X2``.
+    The unitary is transported through all stages and the right-limit
+    embeddings; ``unknown`` remains only for a constructed unitary that
+    fails those checks.
     """
     tol = ps.tol if tol is None else tol
     u1 = derive_unit(ps, xi1, tol)
     u2 = derive_unit(ps, xi2, tol)
     if not (u1.unital and u2.unital):
         raise PreconditionError("both vectors must be unital units")
-    alg = ps.algebra
     rep = VerificationReport("unit comparison", provenance={"levels": ps.levels})
 
     cp_devs = []
@@ -835,70 +829,33 @@ def compare_unit_limits(
 
     e1 = ps.generator
     m = e1.dim
-    system = np.concatenate(
-        [
-            np.kron(np.eye(m), e1.left_action[c].T) - np.kron(e1.left_action[c], np.eye(m))
-            for c in range(alg.dim)
-        ]
-        + [
-            np.kron(np.eye(m), e1.right_action[c].T) - np.kron(e1.right_action[c], np.eye(m))
-            for c in range(alg.dim)
-        ],
-        axis=0,
-    )
-    size = max(float(np.abs(e1.left_action).max(initial=0.0)),
-               float(np.abs(e1.right_action).max(initial=0.0)))
-    kernel = null_space(system, scale=size)
-    k = kernel.shape[1]
-    if k == 0:
-        rep.detail = "no nonzero bilinear maps on the generator"
-        return UnitComparison("unknown", rep, None)
-    basis = kernel.T.reshape(k, m, m)
-    bcols = basis.reshape(k, -1).T
-    bpinv = np.linalg.pinv(bcols)
-    affine = np.stack([basis[w] @ u1.vector for w in range(k)], axis=1)  # (m, k)
-    apinv = np.linalg.pinv(affine)
-    feas = affine @ (apinv @ u2.vector)
-    if _dev(feas, u2.vector) > tol:
-        rep.detail = "no bilinear map sends the first unit to the second"
-        return UnitComparison("unknown", rep, None)
-
     sq, isq = e1.scalar_sqrt, e1.scalar_isqrt
+    blocks = e1.algebra.blocks
+    offsets = np.cumsum([0] + [n * n for n in blocks])
+    # whitened, both actions are *-representations on the standard inner product
+    left, right = (sq @ action @ isq for action in (e1.left_action, e1.right_action))
+    whitened = np.zeros((m, m), dtype=complex)
+    for i, ni in enumerate(blocks):
+        li = left[offsets[i]:offsets[i + 1]].reshape(ni, ni, m, m)  # li[a, c] = L(e^i_ac)
+        for j, nj in enumerate(blocks):
+            rj = right[offsets[j]:offsets[j + 1]].reshape(nj, nj, m, m)
+            y = _range_basis(li[0, 0] @ rj[0, 0])
+            if y.shape[1] == 0:
+                continue
+            # the copy (a, c) of C^{L_ij} is spanned by B_ac Y, B_ac = L(e^i_a0) R(e^j_0c)
+            copies = (li[:, 0, None] @ rj[None, 0] @ y).reshape(ni * nj, m, -1)
+            adj = copies.conj().transpose(0, 2, 1)
+            x1, x2 = ((adj @ sq @ u.vector).T for u in (u1, u2))
+            uu, _, vh = np.linalg.svd(x2 @ x1.conj().T)
+            whitened += (copies @ (uu @ vh) @ adj).sum(axis=0)
+    found = isq @ whitened @ sq
 
-    def assemble(c):
-        return np.einsum("k,kuv->uv", c, basis)
-
-    def defect(v):
-        return _worst((
-            _dev(v @ e1.left_action, e1.left_action @ v),
-            _dev(v @ e1.right_action, e1.right_action @ v),
-            _unitary_dev(v, e1.module_adjoint(v)),
-            _dev(v @ u1.vector, u2.vector),
-        ))
-
-    rng = np.random.default_rng(13)
-    found = None
-    for trial in range(starts):
-        c = rng.standard_normal(k) + 1j * rng.standard_normal(k)
-        c = c - apinv @ (affine @ c - u2.vector)
-        v = assemble(c)
-        for _ in range(400):
-            w = sq @ v @ isq
-            uu, _, vh = np.linalg.svd(w)
-            v = isq @ (uu @ vh) @ sq
-            c = bpinv @ v.reshape(-1)
-            c = c - apinv @ (affine @ c - u2.vector)
-            v = assemble(c)
-            if defect(v) <= tol:
-                found = v
-                break
-        if found is not None:
-            break
-    if found is None:
-        rep.detail = "alternating projection exhausted without a bilinear unitary"
-        return UnitComparison("unknown", rep, None)
-
-    rep.add("transport-defect[1]", defect(found), tol)
+    rep.add("transport-defect[1]", _worst((
+        _dev(found @ e1.left_action, e1.left_action @ found),
+        _dev(found @ e1.right_action, e1.right_action @ found),
+        _unitary_dev(found, e1.module_adjoint(found)),
+        _dev(found @ u1.vector, u2.vector),
+    )), tol)
     v_stage = found
     j1 = _right_embeddings(ps, u1)
     j2 = _right_embeddings(ps, u2)
@@ -915,6 +872,7 @@ def compare_unit_limits(
 
 
 def _right_embeddings(ps: ProductSystem, unit: Unit) -> list[np.ndarray]:
+    """The embeddings ``x -> xi . x`` of stage n into stage n + 1."""
     out = []
     for n in range(ps.levels):
         fm = ps.tensor(1, n)[1]
@@ -935,20 +893,22 @@ def spatiality_report(
     tol: float = DEFAULT_TOL,
     pipeline: DilationPipeline | None = None,
 ) -> tuple[str, VerificationReport]:
-    """Search for a central unital unit and an intertwining isometry.
+    """Decide whether a central unital unit and an intertwining isometry exist.
 
-    The two searches certify each other: a central unital unit always
-    yields an intertwining isometry, so the verdicts may never contradict.
-    Fullness of the module is a necessary condition and is recorded.
+    Both are decided by construction from the block structure of the
+    algebra's center.  The two decisions certify each other: a central
+    unital unit always yields an intertwining isometry, so the verdicts may
+    never contradict.  Fullness of the module is a necessary condition and
+    is recorded.
     """
     from .endo import find_intertwining_isometry
 
     pipe = pipeline or DilationPipeline(eplus, endo, levels, tol)
     rep = VerificationReport("spatiality", provenance={"levels": levels})
     search = pipe.spatial()
-    rep.add_flag("central-unit-search-decided", search.status != "unknown")
+    rep.add_flag("central-unit-search-decided", search.status in ("found", "none-exists"))
     iso = find_intertwining_isometry(eplus, endo, tol)
-    rep.add_flag("isometry-search-decided", iso.status != "unknown")
+    rep.add_flag("isometry-search-decided", iso.status in ("found", "none-exists"))
     rep.add_flag(
         "spatiality-cross-consistent",
         not (search.status == "found" and iso.status == "none-exists")
@@ -971,8 +931,8 @@ def spatiality_report(
         for s in range(1, levels):
             for t in range(1, levels + 1 - s):
                 rep.add(f"isometry-semigroup[{s},{t}]", _dev(vs[s] @ vs[t], vs[s + t]), tol)
-    detail = f"central unit: {search.status} ({search.certificate}); isometry: {iso.status} ({iso.certificate})"
-    rep.detail = detail
-    if search.status == "unknown" and iso.status == "unknown":
-        rep.set_status(UNKNOWN, detail)
+    rep.detail = (
+        f"central unit: {search.status} ({search.certificate}); "
+        f"isometry: {iso.status} ({iso.certificate})"
+    )
     return search.status, rep

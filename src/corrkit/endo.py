@@ -35,6 +35,7 @@ from .hilbmod import (
     _kron_stack,
     _lift,
     _quotient,
+    _unit_from_blocks,
     _unitary_dev,
     adjointable_basis,
     algebra_correspondence,
@@ -337,7 +338,7 @@ def u_unitary(
 
 @dataclass
 class IntertwinerSearch:
-    status: str                        # "found" | "none-exists" | "unknown"
+    status: str                        # "found" | "none-exists"
     operator: AdjointableOperator | None
     certificate: str
     residuals: dict
@@ -352,95 +353,48 @@ def find_intertwining_isometry(
     eplus: ModulePresentation,
     endo: Endomorphism,
     tol: float = DEFAULT_TOL,
-    starts: int = 32,
 ) -> IntertwinerSearch:
-    """Search for an isometry ``v`` with ``theta(a) v = v a``.
+    """Decide whether an isometry ``v`` with ``theta(a) v = v a`` exists, and
+    construct one.
 
-    The linear intertwiner space is computed exactly; one-dimensional spaces
-    are settled in closed form, two-dimensional ones carry a determinant
-    sampling certificate when every intertwiner is singular, and otherwise a
-    seeded alternating projection between the intertwiner space and the
-    isometries is attempted.
+    The intertwiner space ``I`` is computed exactly.  For ``v, w`` in ``I``
+    the product ``w* v`` commutes with every adjointable operator, so it is
+    ``sum_j M_j[w, v] q_j`` with ``q_j = R(p_j)`` the central projections
+    that do not vanish on the module.  An isometry exists exactly when every
+    ``M_j`` is nonzero; then ``sum_j q_j (basis @ z_j) / sqrt(lam_j)``, with
+    ``(lam_j, z_j)`` the top eigenpair of ``M_j``, is one.
     """
-    m = eplus.dim
     q = len(endo.ops)
     stack = endo.op_stack
     images = endo.image_ops(1)
-    cols = []
-    for w in range(q):
-        rows = [(images[i] @ stack[w] - stack[w] @ stack[i]).reshape(-1) for i in range(q)]
-        cols.append(np.concatenate(rows))
-    system = np.stack(cols, axis=1)
+    # row (i, u, v), column w: (theta(a_i) a_w - a_w a_i)[u, v]
+    system = images[:, None] @ stack[None] - stack[None] @ stack[:, None]
+    system = system.transpose(0, 2, 3, 1).reshape(-1, q)
     size = max(float(np.abs(stack).max(initial=0.0)), float(np.abs(images).max(initial=0.0)))
     kernel = null_space(system, scale=size * size)
-    k = kernel.shape[1]
-    if k == 0:
+    if kernel.shape[1] == 0:
         return IntertwinerSearch("none-exists", None, "intertwiner-space-trivial", {})
 
-    basis = np.einsum("wk,wuv->kuv", kernel, stack)  # (k, m, m)
-
-    def assemble(c):
-        return np.einsum("k,kuv->uv", c, basis)
-
-    if k == 1:
-        v0 = basis[0]
-        g = eplus.module_adjoint(v0) @ v0
-        lam = float(np.real(np.trace(g)) / m)
-        if lam > tol and _dev(g, lam * np.eye(m)) <= tol * max(1.0, lam):
-            v = v0 / np.sqrt(lam)
-            defect = _isometry_defect(eplus, endo, v)
-            if defect <= tol:
-                return IntertwinerSearch(
-                    "found", AdjointableOperator(v, eplus.module_adjoint(v)),
-                    "one-dimensional-rescaling", {"defect": defect},
-                )
+    ops = np.einsum("wk,wuv->kuv", kernel, stack)
+    products = eplus.module_adjoint(ops)[:, None] @ ops  # [a, b] = ops[a]* ops[b]
+    blocks, grams, projections = [], [], []
+    for j, c in enumerate(eplus.algebra.center_basis()):
+        proj = eplus.right_of(c)
+        rank = float(np.real(np.trace(proj)))
+        if rank > 0.5:  # a block the module does not reach asks for nothing
+            blocks.append(j)
+            grams.append(np.einsum("abuv,vu->ab", products, proj) / rank)
+            projections.append(proj)
+    v, block = _unit_from_blocks(ops.transpose(1, 2, 0), grams, projections, tol)
+    if v is None:
         return IntertwinerSearch(
-            "none-exists", None, "one-dimensional-space-not-scalable-to-isometry",
-            {"length-defect": _dev(g, lam * np.eye(m))},
+            "none-exists", None, f"block-{blocks[block]}-gram-vanishes-on-intertwiner-space",
+            {"space-dimension": len(ops)},
         )
-
-    if k == 2:
-        # determinant of c1 B1 + c2 B2 is a polynomial of degree <= m;
-        # vanishing at m+2 generic samples means every intertwiner is singular
-        samples = [np.array([1.0, 0.0])] + [
-            np.array([np.exp(2j * np.pi * j / (m + 1)), 1.0]) for j in range(m + 1)
-        ]
-        scale = max(float(np.abs(b).max()) for b in basis)
-        if all(
-            np.linalg.svd(assemble(c), compute_uv=False)[-1] <= 1e-8 * max(1.0, scale)
-            for c in samples
-        ):
-            return IntertwinerSearch(
-                "none-exists", None, "every-intertwiner-singular", {"space-dimension": k}
-            )
-
-    sq, isq = eplus.scalar_sqrt, eplus.scalar_isqrt
-    bcols = basis.reshape(k, -1).T  # columns spanning the intertwiner space
-    proj = bcols @ np.linalg.pinv(bcols)
-
-    def polar_iso(v):
-        w = sq @ v @ isq
-        uu, _, vh = np.linalg.svd(w)
-        return isq @ (uu @ vh) @ sq
-
-    rng = np.random.default_rng(11)
-    for trial in range(starts):
-        c = rng.standard_normal(k) + 1j * rng.standard_normal(k)
-        v = assemble(c / np.linalg.norm(c))
-        best = np.inf
-        for _ in range(400):
-            v = polar_iso(v)
-            v = (proj @ v.reshape(-1)).reshape(m, m)
-            defect = _isometry_defect(eplus, endo, v)
-            if defect <= tol:
-                return IntertwinerSearch(
-                    "found", AdjointableOperator(v, eplus.module_adjoint(v)),
-                    "alternating-projection", {"defect": defect, "trial": trial},
-                )
-            if defect > best - 1e-15:
-                break
-            best = defect
-    return IntertwinerSearch("unknown", None, "search-exhausted", {"space-dimension": k})
+    return IntertwinerSearch(
+        "found", AdjointableOperator(v, eplus.module_adjoint(v)), "constructed",
+        {"defect": _isometry_defect(eplus, endo, v)},
+    )
 
 
 def isometry_from_unit(

@@ -92,6 +92,39 @@ def pull_gram(v: np.ndarray, gram: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(pulled.transpose(2, 3, 0, 1))
 
 
+def _range_basis(a: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the range of ``a``, as columns: an SVD with the
+    ``RANK_RTOL`` cutoff."""
+    y, s, _ = np.linalg.svd(a)
+    rank = int(np.sum(s > RANK_RTOL * s[0])) if s.size and s[0] > 0.0 else 0
+    return y[:, :rank]
+
+
+def _unit_from_blocks(
+    basis: np.ndarray, grams: list[np.ndarray], projections: list[np.ndarray], tol: float
+) -> tuple[np.ndarray | None, int | None]:
+    """An element of length one built blockwise, or the block that rules it out.
+
+    ``basis`` spans a space (its last axis runs over the spanning elements)
+    whose inner product takes values in a center; the central projections
+    ``projections[j]`` split it into orthogonal blocks, on which the inner
+    product is the scalar Gram ``grams[j]`` of the basis times the block
+    unit.  With ``(lam_j, z_j)`` the top eigenpair of ``grams[j]``, the
+    element ``sum_j q_j (basis @ z_j) / sqrt(lam_j)`` has length one on every
+    block.  When some ``grams[j]`` vanishes, every element of the space has
+    length zero on block ``j``, so none has length one: then ``(None, j)``
+    is returned for the first such ``j``.
+    """
+    spectra = [np.linalg.eigh((g + g.conj().T) / 2.0) for g in grams]
+    scale = max((float(vals[-1]) for vals, _ in spectra), default=0.0)
+    out = 0.0
+    for j, ((vals, vecs), q) in enumerate(zip(spectra, projections)):
+        if vals[-1] <= tol * max(1.0, scale):
+            return None, j
+        out = out + q @ (basis @ vecs[:, -1]) / np.sqrt(vals[-1])
+    return out, None
+
+
 def _kron_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``kron(a[c], b[c])`` for every leading index, broadcast as in numpy."""
     out = a[..., :, None, :, None] * b[..., None, :, None, :]
@@ -296,9 +329,7 @@ class Correspondence(ModulePresentation):
         start = 0
         for nb in self.algebra.blocks:
             row0 = self.scalar_sqrt @ self.left_action[start:start + nb]  # e^b_{0c}
-            y, s, _ = np.linalg.svd(row0[0])
-            rank = int(np.sum(s > RANK_RTOL * s[0])) if s.size and s[0] > 0.0 else 0
-            out.append(y[:, :rank].conj().T @ row0)
+            out.append(_range_basis(row0[0]).conj().T @ row0)
             start += nb * nb
         return tuple(out)
 

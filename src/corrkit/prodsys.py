@@ -28,6 +28,7 @@ from .hilbmod import (
     FactorMap,
     ModulePresentation,
     _dev,
+    _unit_from_blocks,
     _unitary_dev,
     algebra_correspondence,
     associator,
@@ -260,89 +261,46 @@ def check_unit(ps: ProductSystem, xi1: np.ndarray, tol: float | None = None) -> 
 
 @dataclass
 class CentralUnitSearch:
-    status: str                 # "found" | "none-exists" | "unknown"
+    status: str                 # "found" | "none-exists"
     vector: np.ndarray | None
     certificate: str
     residuals: dict
 
 
-def find_central_unital_unit(
-    e1: Correspondence,
-    tol: float = DEFAULT_TOL,
-    starts: int = 32,
-) -> CentralUnitSearch:
-    """Search the central subspace for a vector of inner product one.
+def find_central_unital_unit(e1: Correspondence, tol: float = DEFAULT_TOL) -> CentralUnitSearch:
+    """Decide whether a central unital vector exists, and construct one.
 
     The central subspace ``C = {v : L(b) v = R(b) v}`` carries center-valued
-    inner products, so the search reduces to finding ``v`` in ``C`` whose
-    blockwise Gram values are all strictly positive; such a ``v`` rescales
-    blockwise to a central unital vector.  Nonexistence is certified when
-    ``C`` is trivial or when the Gram of ``C`` vanishes identically on some
-    block (then no central vector has invertible length).
+    inner products, which the central projections ``q_j = R(p_j)`` split
+    into one scalar Gram ``M_j`` per algebra block.  A central unital vector
+    exists exactly when every ``M_j`` is nonzero; then
+    ``omega = sum_j q_j (basis @ z_j) / sqrt(lam_j)``, with ``(lam_j, z_j)``
+    the top eigenpair of ``M_j``, has ``<omega, omega> = 1``.  Nonexistence
+    is certified when ``C`` is trivial or when some ``M_j`` vanishes (then
+    no central vector has invertible length).
     """
     alg = e1.algebra
     stacked = (e1.left_action - e1.right_action).reshape(-1, e1.dim)
     size = max(float(np.abs(e1.left_action).max(initial=0.0)),
                float(np.abs(e1.right_action).max(initial=0.0)))
     basis = null_space(stacked, scale=size)
-    p = basis.shape[1]
-    if p == 0:
+    if basis.shape[1] == 0:
         return CentralUnitSearch("none-exists", None, "central-subspace-trivial", {})
-
-    # blockwise Gram matrices of the central basis; central vectors have
-    # center-valued inner products, i.e. scalar blocks
     grams = pull_gram(basis, e1.gram)
-    blockwise = []
-    scalar_defects = []
-    for sl, n in zip(alg.block_slices, alg.blocks):
-        blk = grams[:, :, sl, sl]
-        mu = np.trace(blk, axis1=2, axis2=3) / n
-        scalar_defects.append(_dev(blk, mu[:, :, None, None] * np.eye(n)))
-        blockwise.append((mu + mu.conj().T) / 2.0)
-    scalar_defect = _worst(scalar_defects)
-    scale = max(float(np.abs(m).max()) for m in blockwise)
-    if scale <= tol:
+    blockwise = [np.trace(grams[:, :, sl, sl], axis1=2, axis2=3) / n
+                 for sl, n in zip(alg.block_slices, alg.blocks)]
+    projections = [e1.right_of(c) for c in alg.center_basis()]
+    omega, block = _unit_from_blocks(basis, blockwise, projections, tol)
+    if omega is None:
         return CentralUnitSearch(
-            "none-exists", None, "central-subspace-has-zero-length", {}
+            "none-exists", None, f"block-{block}-gram-vanishes-on-central-subspace",
+            {"central-dimension": basis.shape[1]},
         )
-    for i, m in enumerate(blockwise):
-        if float(np.abs(m).max()) <= tol * max(1.0, scale):
-            return CentralUnitSearch(
-                "none-exists",
-                None,
-                f"block-{i}-gram-vanishes-on-central-subspace",
-                {"central-dimension": p},
-            )
-
-    rng = np.random.default_rng(7)
-    mean = sum(blockwise) / len(blockwise)
-    candidates = [np.linalg.eigh(mean)[1][:, -1]]
-    for _ in range(starts):
-        z = rng.standard_normal(p) + 1j * rng.standard_normal(p)
-        candidates.append(z / np.linalg.norm(z))
-    centers = alg.center_basis()
-    for z in candidates:
-        mus = np.array([np.real(z.conj() @ m @ z) for m in blockwise])
-        if mus.min() <= tol * max(1.0, scale):
-            continue
-        v = basis @ z
-        rescale = sum(c / np.sqrt(mu) for mu, c in zip(mus, centers))
-        omega = e1.right_of(rescale) @ v
-        unit_dev = _dev(e1.inner(omega, omega), alg.unit)
-        cent_dev = _dev(e1.left_action @ omega, e1.right_action @ omega)
-        if unit_dev <= tol and cent_dev <= tol:
-            return CentralUnitSearch(
-                "found",
-                omega,
-                "constructed",
-                {
-                    "unitality": unit_dev,
-                    "centrality": cent_dev,
-                    "center-scalar-defect": scalar_defect,
-                    "central-dimension": p,
-                },
-            )
-    return CentralUnitSearch("unknown", None, "search-exhausted", {"central-dimension": p})
+    residuals = {
+        "unitality": _dev(e1.inner(omega, omega), alg.unit),
+        "centrality": _dev(e1.left_action @ omega, e1.right_action @ omega),
+    }
+    return CentralUnitSearch("found", omega, "constructed", residuals)
 
 
 # ---------------------------------------------------------------------------
@@ -362,15 +320,6 @@ class CPMap:
 class CPFamily:
     maps: list[CPMap]
     report: VerificationReport
-
-
-def unit_cp_matrix(e1: Correspondence, xi1: np.ndarray) -> np.ndarray:
-    """Matrix of ``b -> <xi, L(b) xi>`` in the matrix-unit basis."""
-    alg = e1.algebra
-    cols = []
-    for c in range(alg.dim):
-        cols.append(alg.coords(e1.inner(xi1, e1.left_action[c] @ xi1)))
-    return np.stack(cols, axis=1)
 
 
 def choi_matrix(alg: Algebra, tmat: np.ndarray) -> np.ndarray:
@@ -403,7 +352,7 @@ def cp_of_unit(
     if ps is None:
         ps = ProductSystem(e1, levels, tol)
     unit = derive_unit(ps, xi1, tol)
-    t1 = unit_cp_matrix(e1, xi1)
+    t1 = unit_cp_matrix_level(ps, unit, 1)
     rep = VerificationReport("cp maps of unit", provenance={"levels": levels})
     star = alg.star_index
     maps = []
@@ -429,8 +378,4 @@ def unit_cp_matrix_level(ps: ProductSystem, unit: Unit, t: int) -> np.ndarray:
     """Matrix of ``b -> <xi_t, L(b) xi_t>`` computed in the realized power."""
     et = ps.power(t)
     v = unit.levels[t]
-    cols = [
-        ps.algebra.coords(et.inner(v, et.left_action[c] @ v))
-        for c in range(ps.algebra.dim)
-    ]
-    return np.stack(cols, axis=1)
+    return ps.algebra.coords(et.inner(v, et.left_action @ v)).T

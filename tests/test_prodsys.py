@@ -12,7 +12,7 @@ from corrkit.prodsys import (
     cp_of_unit,
     derive_unit,
     find_central_unital_unit,
-    unit_cp_matrix,
+    unit_cp_matrix_level,
 )
 
 from conftest import TOL, max_dev, oracle_rank, oracle_pre_gram, oracle_scalarized, small_generator
@@ -180,7 +180,8 @@ def test_cp_seeded_choi_and_semigroup(seed):
     fam = cp_of_unit(e1, xi / 4.0, 3)
     assert fam.report.passed
     # independent composition oracle
-    t1 = unit_cp_matrix(e1, xi / 4.0)
+    ps = ProductSystem(e1, 1)
+    t1 = unit_cp_matrix_level(ps, derive_unit(ps, xi / 4.0), 1)
     assert max_dev(fam.maps[2].matrix, t1 @ t1 @ t1) < TOL
     for cp in fam.maps:
         eigs = np.linalg.eigvalsh((cp.choi + cp.choi.conj().T) / 2.0)
