@@ -16,7 +16,6 @@ import numpy as np
 from .dilation import (
     DilationPipeline,
     compare_unit_limits,
-    primary_check,
     primary_span_ranks,
     spatiality_report,
     verify_main,
@@ -105,7 +104,7 @@ def _require_ps(inst: Instance, config: RunConfig):
 
 def _cmd_derive_ps(inst: Instance, config: RunConfig) -> VerificationReport:
     ps = _require_ps(inst, config)
-    rep = VerificationReport("product system derivation")
+    rep = VerificationReport("product system derivation", provenance={"levels": ps.levels})
     rep.extend(ps.verification)
     for name, vec in sorted(inst.product_system["units"].items()):
         rep.extend(check_unit(ps, vec, config.tol), prefix=f"{name}.")
@@ -125,7 +124,7 @@ def _cmd_spatial(inst: Instance, config: RunConfig) -> VerificationReport:
 
     ps = _require_ps(inst, config)
     search = find_central_unital_unit(ps.generator, config.tol)
-    rep = VerificationReport("spatiality")
+    rep = VerificationReport("spatiality", provenance={"levels": ps.levels})
     rep.add_flag("central-unit-search-decided", search.status in ("found", "none-exists"))
     if search.status == "found":
         rep.extend(check_unit(ps, search.vector, config.tol))
@@ -143,7 +142,7 @@ def _cmd_dilate(inst: Instance, config: RunConfig, vector: str = "xi") -> Verifi
     wd = weak_dilation_check(eplus, endo, vec, config.levels, config.tol)
     rep = wd.report
     ranks = primary_span_ranks(eplus, endo, vec, config.levels)
-    rep.add_flag("primary-dilation", primary_check(eplus, endo, vec, config.levels))
+    rep.add_flag("primary-dilation", ranks[-1] == eplus.dim)
     rep.detail = f"moved-projection span ranks {ranks} on a module of dimension {eplus.dim}"
     return rep
 

@@ -11,6 +11,7 @@ and that the two ways of collapsing a triple product agree.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,7 +48,13 @@ DEFAULT_BUDGET = 4096
 
 
 class ProductSystem:
-    """Truncated family of tensor powers with coherent identifications."""
+    """Truncated family of tensor powers with coherent identifications.
+
+    Powers are realized on construction; every other tensor, associator and
+    identification is realized on first use.  Coherence is verified on the
+    first read of ``verification``, so users that only need some ``u(s,t)``
+    do not pay for the O(levels^3) sweep.
+    """
 
     def __init__(
         self,
@@ -148,6 +155,11 @@ class ProductSystem:
 
     # -- verification --------------------------------------------------------
 
+    @functools.cached_property
+    def verification(self) -> VerificationReport:
+        """The coherence report, computed on first read and kept."""
+        return self.coherence_report()
+
     def coherence_report(self) -> VerificationReport:
         """Verify every identification and the triple-product coherence."""
         rep = VerificationReport(
@@ -187,14 +199,15 @@ def build_powers(
     tol: float = DEFAULT_TOL,
     budget: int = DEFAULT_BUDGET,
 ) -> ProductSystem:
-    """Validate the generator, realize all powers, and verify coherence."""
+    """Validate the generator and realize all powers.
+
+    Coherence is verified on the first read of ``ps.verification``.
+    """
     rep = validate_module(generator, tol)
     if not rep.passed:
         names = ", ".join(c.name for c in rep.failed_checks())
         raise InvalidPresentationError(f"generator fails module axioms: {names}")
-    ps = ProductSystem(generator, levels, tol, budget)
-    ps.verification = ps.coherence_report()
-    return ps
+    return ProductSystem(generator, levels, tol, budget)
 
 
 # ---------------------------------------------------------------------------

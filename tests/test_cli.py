@@ -16,6 +16,8 @@ from corrkit.gallery import (
     block_collapse_instance,
     doubled_swap_correspondence,
     identity_mixed_instance,
+    identity_scalar_instance,
+    plane_correspondence,
 )
 from corrkit.instance import Instance, emit_instance, generate_instance
 
@@ -76,6 +78,19 @@ def test_verify_supplement_exit(spatial_file):
 
 def test_dilate_exit(spatial_file):
     assert main(["dilate", spatial_file, "--vector", "xi"]) == EXIT_PASS
+
+
+@pytest.mark.parametrize("build", [identity_mixed_instance, identity_scalar_instance])
+def test_dilate_primary_flag_matches_primary_check(tmp_path, build):
+    from corrkit.dilation import primary_check, primary_span_ranks
+
+    obj = build()
+    path = write(tmp_path, "inst.json", instance_from_endomorphism(obj))
+    report = machine_report(["dilate", path], tmp_path)
+    flag = next(c for c in report["checks"] if c["name"] == "primary-dilation")
+    xi = next(iter(obj.unit_vectors.values()))
+    assert flag["passed"] == primary_check(obj.eplus, obj.endo, xi, levels=4)
+    assert str(primary_span_ranks(obj.eplus, obj.endo, xi, 4)) in report["detail"]
 
 
 def test_spatial_exit(spatial_file, collapse_file):
@@ -160,6 +175,88 @@ def test_compare_units_exits(tmp_path):
     path = write(tmp_path, "units.json", inst)
     assert main(["compare-units", path, "--first", "one", "--second", "one-again"]) == EXIT_PASS
     assert main(["compare-units", path, "--first", "one", "--second", "two"]) == EXIT_FAIL
+
+
+def plane_file(tmp_path, levels: int) -> str:
+    """C^2 over C as a product-system generator, with two unital units; the
+    run config keeps its default levels, which differ from ``levels``."""
+    gen = plane_correspondence()
+    inst = Instance(gen.algebra, {"F": gen})
+    inst.product_system = {
+        "generator": "F",
+        "levels": levels,
+        "units": {
+            "e1": np.array([1.0, 0.0], dtype=complex),
+            "e2": np.array([0.0, np.exp(0.3j)], dtype=complex),
+        },
+    }
+    return write(tmp_path, f"plane-{levels}.json", inst)
+
+
+def machine_report(argv, tmp_path) -> dict:
+    out = tmp_path / "report.json"
+    main(argv + ["--report", "machine", "--out", str(out)])
+    return json.loads(out.read_text())
+
+
+@pytest.mark.parametrize("command", ["derive-ps", "spatial"])
+def test_product_system_reports_record_built_levels(tmp_path, command):
+    files = [SHIPPED / f"{name}.json" for name in
+             ("correspondence-seed0", "correspondence-seed1", "gallery-two-units")]
+    files.append(Path(plane_file(tmp_path, 6)))
+    for path in files:
+        doc = json.loads(path.read_text())
+        built = doc["product_system"]["levels"]
+        assert built != doc["config"]["levels"]  # else the check shows nothing
+        report = machine_report([command, str(path)], tmp_path)
+        assert report["provenance"]["levels"] == built, path.name
+
+
+def test_coherence_sweep_runs_only_where_reported(tmp_path, spatial_file, monkeypatch):
+    from corrkit.prodsys import ProductSystem
+
+    sweep = ProductSystem.coherence_report
+    calls = []
+
+    def counted(self):
+        calls.append(self.levels)
+        return sweep(self)
+
+    monkeypatch.setattr(ProductSystem, "coherence_report", counted)
+    plane = plane_file(tmp_path, 4)
+    corr = write(tmp_path, "corr.json", generate_instance(0, "correspondence"))
+    expected = [
+        (["derive-ps", plane], 1),
+        (["verify-main", spatial_file], 1),
+        (["verify-supplement", spatial_file], 1),
+        (["compare-units", plane, "--first", "e1", "--second", "e2"], 0),
+        (["spatial", plane], 0),
+        (["spatial", spatial_file], 0),
+        (["dilate", spatial_file], 0),
+        (["validate", plane], 0),
+        (["tensor", corr, "--left", "F", "--right", "F"], 0),
+    ]
+    for argv, count in expected:
+        calls.clear()
+        assert main(argv + ["--out", str(tmp_path / "out.txt")]) == EXIT_PASS, argv
+        assert len(calls) == count, argv
+
+
+@pytest.mark.parametrize("levels", [3, 4])
+def test_derive_ps_lists_every_coherence_check(tmp_path, levels):
+    names = {c["name"] for c in machine_report(["derive-ps", plane_file(tmp_path, levels)], tmp_path)["checks"]}
+    identifications = {
+        f"identification[{s},{t}]-{kind}"
+        for s in range(levels + 1) for t in range(levels + 1 - s)
+        for kind in ("gram", "unitary", "bilinear")
+    }
+    triples = {
+        f"coherence[{r},{s},{t}]"
+        for r in range(1, levels + 1) for s in range(1, levels + 1) for t in range(1, levels + 1)
+        if r + s + t <= levels
+    }
+    assert {n for n in names if n.startswith("identification[")} == identifications
+    assert {n for n in names if n.startswith("coherence[")} == triples
 
 
 def test_generate_and_validate_chain(tmp_path):

@@ -3,7 +3,14 @@ import pytest
 
 from corrkit.algebra import make_algebra
 from corrkit.errors import PreconditionError, ResourceBudgetError
-from corrkit.gallery import block_swap_correspondence, plane_correspondence
+from corrkit.dilation import compare_unit_limits
+from corrkit.gallery import (
+    block_swap_correspondence,
+    conjugated,
+    doubled_swap_correspondence,
+    plane_correspondence,
+    random_unitary,
+)
 from corrkit.hilbmod import Correspondence, algebra_correspondence, null_space
 from corrkit.prodsys import (
     ProductSystem,
@@ -83,6 +90,38 @@ def test_coherence_on_seeded_generators(seed):
     ps = build_powers(small_generator(seed), 3)
     assert ps.verification.passed
     assert ps.verification.max_deviation < TOL
+
+
+def _plane_units():
+    return plane_correspondence(), 6, [np.array([1.0, 0.0]), np.array([0.0, np.exp(0.3j)])]
+
+
+def _conjugated_swap_units():
+    basis = random_unitary(np.random.default_rng(8), 4)
+    units = [basis.conj().T @ np.array(v, dtype=complex) for v in ([1, 1, 0, 0], [0, 0, 1, 1])]
+    return conjugated(doubled_swap_correspondence(), basis), 4, units
+
+
+@pytest.mark.parametrize("case", [_plane_units, _conjugated_swap_units], ids=["plane", "swap"])
+def test_unit_reports_do_not_depend_on_reading_verification(case):
+    gen, levels, (xi1, xi2) = case()
+
+    def reports(ps):
+        return [
+            compare_unit_limits(ps, xi1, xi2).report.to_machine(),
+            compare_unit_limits(ps, xi1, xi1).report.to_machine(),
+            check_unit(ps, xi1).to_machine(),
+            check_unit(ps, xi2).to_machine(),
+        ]
+
+    swept = build_powers(gen, levels)
+    assert "verification" not in vars(swept)
+    first = swept.verification
+    assert first.passed
+    lazy = build_powers(gen, levels)
+    assert reports(swept) == reports(lazy)
+    assert "verification" not in vars(lazy)
+    assert swept.verification is first
 
 
 def test_check_unit_identity():
