@@ -259,6 +259,8 @@ def main(argv=None) -> int:
         inst = parse_instance(args.instance)
         config = _apply_overrides(inst.config, args)
         inst.config = config
+        if args.levels is not None and inst.product_system is not None:
+            inst.product_system["levels"] = args.levels
 
         if args.command == "basis":
             # the endomorphism's module already has its basis from parsing

@@ -124,10 +124,7 @@ def right_limit(ps: ProductSystem, xi1: np.ndarray, tol: float | None = None) ->
         for t in range(1, n_levels + 1 - s):
             es = ps.power(s)
             proj_s = rank_one(es, unit.levels[s], unit.levels[s]).matrix
-            u = ps.u(s, t)
-            lifted = u @ amplify(proj_s, ps.tensor(s, t)[1], side="left") @ map_adjoint(
-                u, ps.tensor(s, t)[0], ps.power(s + t)
-            )
+            lifted = stage_shift(ps, proj_s, s, t)
             est = ps.power(s + t)
             proj_st = rank_one(est, unit.levels[s + t], unit.levels[s + t]).matrix
             rep.add(

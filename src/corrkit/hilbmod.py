@@ -11,21 +11,18 @@ A module presentation is a finite carrier ``C^m`` together with
 A correspondence adds a unital *-homomorphic left action ``L`` commuting
 with ``R``.  All maps between presentations are plain matrices on carrier
 coordinates.  The internal tensor product of a module with a correspondence
-is realized by forming the algebraic tensor carrier with the balanced
-pre-inner product ``<x (x) y, x' (x) y'> = <y, L(<x, x'>) y'>`` and then
-quotienting out length-zero vectors; the quotient map is returned as a
-:class:`FactorMap` with orthonormal rows, so its conjugate transpose is a
-section.
+is the algebraic tensor carrier with the balanced pre-inner product
+``<x (x) y, x' (x) y'> = <y, L(<x, x'>) y'>``, quotiented by its length-zero
+vectors; the quotient map is a :class:`FactorMap` with orthonormal rows, so
+its conjugate transpose is a section.
 
-A finitely generated module over a finite-dimensional C*-algebra embeds
-isometrically in a finite sum ``B^P``: factoring its Gram as
-``<e_i, e_k> = sum_p u[p, i]* u[p, k]`` (:attr:`ModulePresentation.gram_rows`)
-maps ``x_i (x) y_j`` to ``(L(u[p, i]) y_j)_p`` in ``F^P``.  Each ``u[p, i]``
-lies in row 0 of one algebra block ``b``, so the image lies in the corner
-sum ``(+)_p L(e^b_00) F``, whose summands have dimension ``rank L(e^b_00)``.
-When ``P`` is below the left carrier dimension the tensor is degenerate, and
-:func:`internal_tensor` finds the kept range from that corner embedding
-instead of from the ``m_E m_F``-square pre-Gram.
+Factoring the Gram of the left module as ``<e_i, e_k> = sum_p u[p, i]* u[p, k]``
+(:attr:`ModulePresentation.gram_rows`) embeds the algebraic tensor isometrically
+in ``F^P`` by ``x_i (x) y_j -> (L(u[p, i]) y_j)_p``.  Each ``u[p, i]`` lies in
+row 0 of one algebra block ``b``, so the image lies in the corner sum
+``(+)_p L(e^b_00) F`` of dimension ``sum_p rank L(e^b_00)``.
+:func:`internal_tensor` takes the kept range of every tensor from a thin SVD
+of that embedding and never forms the ``m_E m_F``-square pre-Gram.
 """
 from __future__ import annotations
 
@@ -139,11 +136,13 @@ def _lift(a: np.ndarray, s: np.ndarray, dims: tuple[int, int], side: str) -> np.
     stack ``a`` of shape (q, k, k) gives the stack of the q lifts.
     """
     first, second = dims
+    # explicit sizes: a -1 is ambiguous when a factor has dimension zero
     if side == "left":
-        out = a @ s.reshape(first, -1)
+        out = a @ s.reshape(first, second * s.shape[1])
+        out = out.reshape(out.shape[:-1] + (second, s.shape[1]))
     else:
-        out = a[..., None, :, :] @ s.reshape(first, second, -1)
-    return out.reshape(a.shape[:-2] + (-1, s.shape[1]))
+        out = a[..., None, :, :] @ s.reshape(first, second, s.shape[1])
+    return out.reshape(out.shape[:-3] + (out.shape[-3] * out.shape[-2], s.shape[1]))
 
 
 def _canonical_phase(vectors: np.ndarray) -> np.ndarray:
@@ -558,80 +557,42 @@ def _corner_factor(e: ModulePresentation, f: Correspondence) -> np.ndarray:
     return np.concatenate(parts)
 
 
-def _factored_tensor(
-    e: ModulePresentation, f: Correspondence, tol: float
-) -> tuple[ModulePresentation, np.ndarray]:
-    """``_quotient`` of the pre-tensor, computed through the Gram factor of ``e``.
-
-    The kept range is the top right singular space of ``K``, with eigenvalues
-    ``s**2`` and the cutoff of ``_quotient``.  The realized Gram is the exact
-    balanced product on that range; no (m_E m_F)-square matrix is formed.
-    """
-    alg = e.algebra
-    d, n, me, mf = alg.dim, alg.size, e.dim, f.dim
-    _, s, vh = np.linalg.svd(_corner_factor(e, f), full_matrices=False)
-    vals = s ** 2
-    thresh = tol * (float(vals[0]) if vals.size else 0.0)
-    keep = np.nonzero(vals > thresh)[0]
-    kept = _ordered_range(vh[keep].conj().T, vals[keep])
-    proj = kept.conj().T
-    r = kept.shape[1]
-
-    k3 = kept.reshape(me, mf, r)
-    flat = k3.reshape(me, mf * r)
-    # gram[a, b] = sum conj(k3[i, j, a]) <e_i, e_k>_c f.gram[j, q] L_c[q, l] k3[k, l, b]
-    lk = f.left_action.reshape(d * mf, mf) @ k3.transpose(1, 0, 2).reshape(mf, me * r)
-    lk = lk.reshape(d, mf, me, r).transpose(0, 2, 1, 3).reshape(d * me, mf * r)
-    glk = e.gram_coords.transpose(0, 2, 1).reshape(me, d * me) @ lk            # [i, (q, b)]
-    half = (flat.conj().T @ glk).reshape(mf, r, mf, r).transpose(1, 3, 0, 2)  # [a, b, j, q]
-    gram = (half.reshape(r * r, mf * mf) @ f.gram.reshape(mf * mf, n * n)).reshape(r, r, n, n)
-
-    # right[c][a, b] = sum R_c[j, l] sum_i conj(k3[i, j, a]) k3[i, l, b]
-    pairs = (flat.conj().T @ flat).reshape(mf, r, mf, r).transpose(0, 2, 1, 3)
-    right = (f.right_action.reshape(d, mf * mf) @ pairs.reshape(mf * mf, r * r)).reshape(d, r, r)
-    if e.is_correspondence:
-        # left[c][a, b] = sum L_c[i, k] sum_j conj(k3[i, j, a]) k3[k, j, b]
-        rows = k3.transpose(0, 2, 1).reshape(me * r, mf)
-        pairs = (rows.conj() @ rows.T).reshape(me, r, me, r).transpose(0, 2, 1, 3)
-        left = (e.left_action.reshape(d, me * me) @ pairs.reshape(me * me, r * r)).reshape(d, r, r)
-        return Correspondence(alg, right, gram, left), proj
-    return ModulePresentation(alg, right, gram), proj
-
-
 def internal_tensor(
     e: ModulePresentation, f: ModulePresentation, tol: float = DEFAULT_TOL
 ) -> tuple[ModulePresentation, FactorMap]:
     """Internal tensor product of a module with a correspondence.
 
-    The result is a correspondence exactly when the left factor is one; the
-    returned factor map records the quotient from the algebraic tensor.
-
-    With ``u = e.gram_rows`` the map ``x_i (x) y_j -> (L(u[p, i]) y_j)_p`` is an
-    isometry of the algebraic tensor into the corner sum
-    ``(+)_p L(e^{b(p)}_00) F``, where ``b(p)`` is the block of row ``p``.
-    Written in an orthonormal basis of each ``S_F^{1/2} L(e^b_00) F`` (see
-    :attr:`Correspondence.corner_maps`) its matrix ``K`` has
-    ``sum_p rank L(e^{b(p)}_00)`` rows, and the scalarized pre-Gram is
-    ``K^H K``.  When ``P < m_E`` the tensor is degenerate, its kept range comes
-    from a thin SVD of ``K``, and the realized Gram and actions are computed
-    on that range alone.  Otherwise (every nondegenerate tensor among them)
-    the pre-tensor is formed and quotiented.
+    The result is a correspondence exactly when the left factor is one.  The
+    factor map from the algebraic tensor is the identity when every singular
+    value ``s`` of the corner factor ``K`` (``K^H K`` is the scalarized
+    pre-Gram) has ``s**2`` above ``tol`` times the largest; otherwise its rows
+    are the right singular vectors that do, by descending ``s``.
     """
     _require_same_algebra(e, f)
     if not f.is_correspondence:
         raise IncompatibleOperandsError("right tensor factor must be a correspondence")
-    me, mf = e.dim, f.dim
-    if len(e.gram_rows) < me:
-        reduced, proj = _factored_tensor(e, f, tol)
-        return reduced, FactorMap(proj, (me, mf), reduced)
-    gram = tensor_pre_gram(e, f)
-    right = _kron_stack(np.eye(me), f.right_action)
-    if e.is_correspondence:
-        left = _kron_stack(e.left_action, np.eye(mf))
-        pre = Correspondence(e.algebra, right, gram, left)
+    d, n, me, mf = e.algebra.dim, e.algebra.size, e.dim, f.dim
+    _, s, vh = np.linalg.svd(_corner_factor(e, f), full_matrices=False)
+    vals = s ** 2
+    keep = np.nonzero(vals > tol * (float(vals[0]) if vals.size else 0.0))[0]
+    if len(keep) == me * mf:
+        kept = np.eye(me * mf, dtype=complex)
     else:
-        pre = ModulePresentation(e.algebra, right, gram)
-    reduced, proj = _quotient(pre, tol)
+        kept = _ordered_range(vh[keep].conj().T, vals[keep])
+    proj = kept.conj().T
+    r = kept.shape[1]
+    # glk[i, (q, b)] = sum <e_i, e_k>_c L_c[q, l] kept[(k, l), b]; f.gram then contracts q
+    lk = _lift(f.left_action, kept, (me, mf), "right").reshape(d * me, mf * r)
+    glk = e.gram_coords.transpose(0, 2, 1).reshape(me, d * me) @ lk
+    fglk = f.gram.transpose(0, 2, 3, 1).reshape(mf * n * n, mf) @ glk.reshape(me, mf, r)
+    gram = (proj @ fglk.reshape(me * mf, n * n * r)).reshape(r, n, n, r)
+    gram = np.ascontiguousarray(gram.transpose(0, 3, 1, 2))
+    right = proj @ _lift(f.right_action, kept, (me, mf), "right")
+    if e.is_correspondence:
+        left = proj @ _lift(e.left_action, kept, (me, mf), "left")
+        reduced = Correspondence(e.algebra, right, gram, left)
+    else:
+        reduced = ModulePresentation(e.algebra, right, gram)
     return reduced, FactorMap(proj, (me, mf), reduced)
 
 

@@ -5,6 +5,10 @@ independently of the vectorized library paths they check.
 """
 from __future__ import annotations
 
+import importlib.util
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -19,6 +23,12 @@ from corrkit.hilbmod import Correspondence, ModulePresentation, algebra_correspo
 
 ALGEBRA_SIGNATURES = ([1], [2], [1, 1], [1, 2])
 TOL = 1e-9
+ROOT = Path(__file__).resolve().parent.parent
+
+# the benchmark's plain-numpy oracles, imported by path rather than copied
+_spec = importlib.util.spec_from_file_location("perfbench_oracles", ROOT / "perfbench" / "oracles.py")
+oracles = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(oracles)
 
 
 @pytest.fixture(scope="session")
@@ -70,6 +80,12 @@ def small_generator(seed: int) -> Correspondence:
         alg = make_algebra([1, 1])
         base = standard_module(alg, [2, 1], multiplicities=[[1, 1], [0, 1]])
     return conjugated(base, random_unitary(rng, base.dim))
+
+
+def triple_copy() -> Correspondence:
+    """Three direct copies of the algebra over itself over [1, 2]: dimension
+    15, multiplicity matrix 3I, so E_n has dimension 5 * 3^n."""
+    return standard_module(make_algebra([1, 2]), [3, 6], multiplicities=[[3, 0], [0, 3]])
 
 
 # ---------------------------------------------------------------------------
@@ -125,6 +141,18 @@ def oracle_commutant_dimension(pres: ModulePresentation) -> int:
         rows.append(np.kron(r.T, np.eye(m)) - np.kron(np.eye(m), r))
     system = np.concatenate(rows, axis=0)
     return m * m - oracle_rank(system, rtol=1e-11)
+
+
+def traced_peak(fn, *args):
+    """``fn(*args)`` together with the peak bytes it held beyond what was
+    allocated before the call, as ``tracemalloc`` sees them."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
 
 
 def max_dev(a, b=None) -> float:

@@ -212,6 +212,16 @@ def test_product_system_reports_record_built_levels(tmp_path, command):
         assert report["provenance"]["levels"] == built, path.name
 
 
+@pytest.mark.parametrize("command", ["derive-ps", "spatial"])
+def test_levels_flag_overrides_product_system_levels(tmp_path, command):
+    path = str(SHIPPED / "correspondence-seed0.json")
+    report = machine_report([command, path, "--levels", "3"], tmp_path)
+    assert report["provenance"]["levels"] == 3
+    if command == "derive-ps":
+        dims = json.loads(report["detail"].removeprefix("stage dimensions "))
+        assert len(dims) == 4
+
+
 def test_coherence_sweep_runs_only_where_reported(tmp_path, spatial_file, monkeypatch):
     from corrkit.prodsys import ProductSystem
 

@@ -5,9 +5,6 @@ multiplicity oracle of the benchmark (imported by path, not copied), unit
 comparison is run on unit pairs that a bilinear unitary is known to relate,
 and the decision modules are kept free of random draws.
 """
-import importlib.util
-from pathlib import Path
-
 import numpy as np
 import pytest
 
@@ -30,12 +27,9 @@ from corrkit.hilbmod import Correspondence, algebra_correspondence, pull_gram
 from corrkit.instance import parse_instance
 from corrkit.prodsys import build_powers, find_central_unital_unit
 
-ROOT = Path(__file__).resolve().parent.parent
-EXACT = 1e-12
+from conftest import ROOT, oracles
 
-_spec = importlib.util.spec_from_file_location("perfbench_oracles", ROOT / "perfbench" / "oracles.py")
-oracles = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(oracles)
+EXACT = 1e-12
 
 
 def oracle_has_central_unit(f: Correspondence) -> bool:

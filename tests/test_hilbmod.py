@@ -40,6 +40,7 @@ from corrkit.hilbmod import (
     tensor_pre_gram,
     validate_module,
 )
+from corrkit.prodsys import build_powers
 from corrkit.report import VerificationReport, _worst
 
 from conftest import (
@@ -51,6 +52,8 @@ from conftest import (
     oracle_scalarized,
     seeded_correspondence,
     seeded_module,
+    traced_peak,
+    triple_copy,
 )
 
 
@@ -145,6 +148,15 @@ def test_tensor_of_scalar_spaces():
     assert tensor.dim == 6
     tensor2, _ = internal_tensor(e, f)
     assert tensor2.dim == 4
+
+
+def test_tensor_with_a_zero_dimensional_factor():
+    alg = make_algebra([1, 2])
+    f = algebra_correspondence(alg)
+    zero = standard_module(alg, [0, 0], multiplicities=[[0, 0], [0, 0]])
+    for e, g in ((zero, f), (f, zero)):
+        tensor, fm = internal_tensor(e, g)
+        assert tensor.dim == 0 and fm.matrix.shape == (0, 0)
 
 
 def test_tensor_with_algebra_is_canonical():
@@ -467,8 +479,9 @@ def test_rank_deficient_module_has_fewer_rows():
 
 
 def _assert_eigh_range(e, f, monkeypatch):
-    """internal_tensor takes the factored branch and keeps the eigh range of
-    the reference pre-tensor, rows ordered by descending eigenvalue."""
+    """internal_tensor forms no pre-tensor and keeps the eigh range of the
+    reference pre-tensor: the identity when nothing is dropped, otherwise
+    rows ordered by descending eigenvalue."""
     import corrkit.hilbmod as hilbmod
 
     def refuse(*args, **kwargs):
@@ -481,8 +494,11 @@ def _assert_eigh_range(e, f, monkeypatch):
     s = ref_pre_tensor(e, f).scalar_gram
     vals, vecs = np.linalg.eigh((s + s.conj().T) / 2.0)
     keep = vals > TOL * vals.max()
-    kept = vecs[:, keep]
     p = fm.matrix
+    if keep.all():
+        assert np.array_equal(p, np.eye(len(s)))
+        return tensor
+    kept = vecs[:, keep]
     assert max_dev(p @ p.conj().T, np.eye(len(p))) < 1e-10
     assert max_dev(p.conj().T @ p, kept @ kept.conj().T) < 1e-10
     assert max_dev(p @ s @ p.conj().T, np.diag(vals[keep][::-1])) < 1e-10
@@ -490,12 +506,26 @@ def _assert_eigh_range(e, f, monkeypatch):
 
 
 def test_factored_tensor_keeps_the_eigh_range(monkeypatch):
-    pairs = tensor_pairs()
-    factored = [(e, f) for e, f in pairs if len(e.gram_rows) < e.dim]
-    # the pairs exercise both the factored and the pre-tensor branch
-    assert 0 < len(factored) < len(pairs)
-    for e, f in factored:
+    """Every tensor takes the one corner-factor path: the random pairs, the
+    plane's nondegenerate powers and the doubled swap's degenerate ones."""
+    pairs = list(tensor_pairs())
+    for gen in (plane_correspondence(), doubled_swap_correspondence()):
+        ps = build_powers(gen, 2)
+        pairs += [(ps.power(s), ps.power(t)) for s in range(3) for t in (1, 2)]
+    for e, f in pairs:
         _assert_eigh_range(e, f, monkeypatch)
+
+
+def test_tensor_of_the_triple_copy_stays_small():
+    """``E_0 . E_2`` (5 x 45 -> 45) holds no (m_E m_F)-square or
+    (m_F r)-square intermediate; those took 190 MiB here, and 4.95 GiB for
+    ``E_0 . E_3``."""
+    ps = build_powers(triple_copy(), 2)
+    e, f = ps.power(0), ps.power(2)
+    internal_tensor(e, f)  # warm the cached Gram factor and corner maps
+    (tensor, _), peak = traced_peak(internal_tensor, e, f)
+    assert tensor.dim == 45
+    assert peak < 32 * 2**20
 
 
 def test_algebra_tensor_inner_map_correspondence_realizes_dimension_nine(monkeypatch):
@@ -701,9 +731,7 @@ def _assert_factor_of_pre_gram(e, f):
 
 
 def test_corner_factor_on_factored_pairs():
-    factored = [(e, f) for e, f in tensor_pairs() if len(e.gram_rows) < e.dim]
-    assert factored
-    for e, f in factored:
+    for e, f in tensor_pairs():
         _assert_factor_of_pre_gram(e, f)
 
 

@@ -10,6 +10,7 @@ from corrkit.gallery import (
     doubled_swap_correspondence,
     plane_correspondence,
     random_unitary,
+    standard_module,
 )
 from corrkit.hilbmod import Correspondence, algebra_correspondence, null_space
 from corrkit.prodsys import (
@@ -22,7 +23,44 @@ from corrkit.prodsys import (
     unit_cp_matrix_level,
 )
 
-from conftest import TOL, max_dev, oracle_rank, oracle_pre_gram, oracle_scalarized, small_generator
+from conftest import (
+    TOL,
+    max_dev,
+    oracle_pre_gram,
+    oracle_rank,
+    oracle_scalarized,
+    oracles,
+    small_generator,
+    traced_peak,
+    triple_copy,
+)
+
+
+@pytest.mark.parametrize("gen, levels", [
+    (plane_correspondence(), 6),
+    (doubled_swap_correspondence(), 4),
+    (block_swap_correspondence(), 3),
+    (triple_copy(), 3),
+    (standard_module(make_algebra([1, 2]), [2, 1], multiplicities=[[0, 1], [1, 0]]), 3),
+], ids=["plane", "doubled-swap", "block-swap", "triple-copy", "unconjugated-swap"])
+def test_tensor_dimensions_match_the_multiplicity_oracle(gen, levels):
+    """Every ``E_s . E_t`` with ``s + t <= levels`` has the oracle's dimension
+    ``n^T Lambda^(s+t) n``.
+
+    Tensors are realized by increasing ``s + t``, each with a peak under
+    64 MiB (the largest here, ``E_0 . E_3`` of the triple copy, takes about
+    40 MiB), so a realization whose intermediates grow with the square of
+    the carrier fails on a small tensor before it reaches a large one.
+    """
+    blocks = list(gen.algebra.blocks)
+    mod = oracles.Module.from_arrays(blocks, gen.right_action, gen.left_action, gen.gram)
+    want = oracles.stage_dimensions(blocks, oracles.multiplicity_matrix(mod), levels)
+    ps = build_powers(gen, levels)
+    for total in range(levels + 1):
+        for s in range(total + 1):
+            (tensor, _), peak = traced_peak(ps.tensor, s, total - s)
+            assert peak < 64 * 2**20, (s, total - s)
+            assert tensor.dim == want[total], (s, total - s)
 
 
 def test_powers_of_scalar_plane():
