@@ -29,9 +29,17 @@ from .errors import (
     InstanceFormatError,
     PreconditionError,
 )
-from .hilbmod import adjointable_basis, internal_tensor, pull_gram, tensor_pre_gram, validate_module
+from .hilbmod import (
+    _dev,
+    adjointable_basis,
+    internal_tensor,
+    matrix_rank_tol,
+    pull_gram,
+    tensor_pre_gram,
+    validate_module,
+)
 from .instance import Instance, PROFILES, RunConfig, emit_instance, generate_instance, parse_instance
-from .prodsys import build_powers, check_unit
+from .prodsys import build_powers, check_unit, find_central_unital_unit
 from .report import FAIL, NOT_APPLICABLE, PASS, UNKNOWN, VerificationReport
 
 EXIT_PASS = 0
@@ -84,11 +92,9 @@ def _cmd_tensor(inst: Instance, config: RunConfig, left: str = "", right: str = 
     f = inst.correspondence(right, "tensor")
     tensor, fm = internal_tensor(e, f, config.tol)
     rep = VerificationReport(f"internal tensor {left} . {right}")
-    rep.add_flag("factor-surjective", np.linalg.matrix_rank(fm.matrix) == tensor.dim)
-    pre = tensor_pre_gram(e, f)
+    rep.add_flag("factor-surjective", matrix_rank_tol(fm.matrix) == tensor.dim)
     pulled = pull_gram(fm.matrix, tensor.gram)
-    dev = float(np.abs(pulled - pre).max()) if pre.size else 0.0
-    rep.add("inner-product-rule", dev, config.tol)
+    rep.add("inner-product-rule", _dev(pulled, tensor_pre_gram(e, f)), config.tol)
     rep.extend(validate_module(tensor, config.tol), prefix="tensor-")
     rep.detail = f"realized dimension {tensor.dim} from {e.dim} x {f.dim}"
     return rep
@@ -107,59 +113,56 @@ def _cmd_derive_ps(inst: Instance, config: RunConfig) -> VerificationReport:
     rep = VerificationReport("product system derivation", provenance={"levels": ps.levels})
     rep.extend(ps.verification)
     for name, vec in sorted(inst.product_system["units"].items()):
-        rep.extend(check_unit(ps, vec, config.tol), prefix=f"{name}.")
+        rep.extend(check_unit(ps, vec), prefix=f"{name}.")
     rep.detail = f"stage dimensions {[ps.power(n).dim for n in range(ps.levels + 1)]}"
     return rep
 
 
+def _pipeline(inst: Instance, config: RunConfig) -> DilationPipeline:
+    """The one pipeline of a dilation command, built from the run config."""
+    eplus, endo = inst.make_endo()
+    return DilationPipeline(eplus, endo, config.levels, config.tol, config.budget)
+
+
 def _cmd_spatial(inst: Instance, config: RunConfig) -> VerificationReport:
     if inst.endomorphism is not None:
-        eplus, endo = inst.make_endo()
-        status, rep = spatiality_report(
-            eplus, endo, config.levels, config.tol,
-            pipeline=DilationPipeline(eplus, endo, config.levels, config.tol, config.budget),
-        )
-        return rep
-    from .prodsys import find_central_unital_unit
-
+        return spatiality_report(_pipeline(inst, config))[1]
     ps = _require_ps(inst, config)
     search = find_central_unital_unit(ps.generator, config.tol)
     rep = VerificationReport("spatiality", provenance={"levels": ps.levels})
     rep.add_flag("central-unit-search-decided", search.status in ("found", "none-exists"))
     if search.status == "found":
-        rep.extend(check_unit(ps, search.vector, config.tol))
+        rep.extend(check_unit(ps, search.vector))
     rep.detail = f"central unit: {search.status} ({search.certificate})"
     return rep
 
 
-def _cmd_dilate(inst: Instance, config: RunConfig, vector: str = "xi") -> VerificationReport:
-    eplus, endo = inst.make_endo()
+def _endo_vector(inst: Instance, pipe: DilationPipeline, command: str, vector: str) -> np.ndarray:
     mod, vec = inst.vector(vector)
-    if mod is not eplus:
+    if mod is not pipe.eplus:
         raise InstanceFormatError(
-            f"dilate: vector {vector!r} does not live on the endomorphism module"
+            f"{command}: vector {vector!r} does not live on the endomorphism module"
         )
-    wd = weak_dilation_check(eplus, endo, vec, config.levels, config.tol)
-    rep = wd.report
-    ranks = primary_span_ranks(eplus, endo, vec, config.levels)
-    rep.add_flag("primary-dilation", ranks[-1] == eplus.dim)
-    rep.detail = f"moved-projection span ranks {ranks} on a module of dimension {eplus.dim}"
+    return vec
+
+
+def _cmd_dilate(inst: Instance, config: RunConfig, vector: str = "xi") -> VerificationReport:
+    pipe = _pipeline(inst, config)
+    vec = _endo_vector(inst, pipe, "dilate", vector)
+    rep = weak_dilation_check(pipe, vec).report
+    ranks = primary_span_ranks(pipe.eplus, pipe.endo, vec, config.levels)
+    rep.add_flag("primary-dilation", ranks[-1] == pipe.eplus.dim)
+    rep.detail = f"moved-projection span ranks {ranks} on a module of dimension {pipe.eplus.dim}"
     return rep
 
 
 def _cmd_verify_main(inst: Instance, config: RunConfig) -> VerificationReport:
-    eplus, endo = inst.make_endo()
-    return verify_main(eplus, endo, config.levels, config.tol, config.budget)
+    return verify_main(_pipeline(inst, config))
 
 
 def _cmd_verify_supplement(inst: Instance, config: RunConfig, vector: str = "xi") -> VerificationReport:
-    eplus, endo = inst.make_endo()
-    mod, vec = inst.vector(vector)
-    if mod is not eplus:
-        raise InstanceFormatError(
-            f"verify-supplement: vector {vector!r} does not live on the endomorphism module"
-        )
-    return verify_supplement(eplus, endo, vec, config.levels, config.tol, config.budget)
+    pipe = _pipeline(inst, config)
+    return verify_supplement(pipe, _endo_vector(inst, pipe, "verify-supplement", vector))
 
 
 def _cmd_compare_units(
@@ -172,7 +175,7 @@ def _cmd_compare_units(
             raise InstanceFormatError(
                 f"compare-units: unit {name!r} not found in product_system.units"
             )
-    result = compare_unit_limits(ps, units[first], units[second], config.tol)
+    result = compare_unit_limits(ps, units[first], units[second])
     rep = result.report
     rep.provenance["verdict"] = result.verdict
     if result.verdict == "unknown":

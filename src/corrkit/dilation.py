@@ -28,6 +28,7 @@ from .endo import (
     AssociatedCorrespondence,
     Endomorphism,
     associated_correspondence,
+    find_intertwining_isometry,
     isometry_from_unit,
     u_unitary,
     validate_endomorphism,
@@ -55,6 +56,7 @@ from .hilbmod import (
     validate_module,
 )
 from .prodsys import (
+    DEFAULT_BUDGET,
     CentralUnitSearch,
     ProductSystem,
     Unit,
@@ -67,11 +69,6 @@ from .prodsys import (
 from .report import NOT_APPLICABLE, VerificationReport, _worst
 
 NOT_APPLICABLE_DETAIL = "not applicable (non-spatial)"
-
-
-def _sweep(tasks, fn):
-    """Run independent named tasks, merged in name order."""
-    return sorted((pair for item in tasks for pair in fn(*item)), key=lambda pair: pair[0])
 
 
 # ---------------------------------------------------------------------------
@@ -87,7 +84,7 @@ class TruncatedLimit:
     report: VerificationReport
 
 
-def right_limit(ps: ProductSystem, xi1: np.ndarray, tol: float | None = None) -> TruncatedLimit:
+def right_limit(ps: ProductSystem, xi1: np.ndarray) -> TruncatedLimit:
     """Stage the limit along a unital unit with embeddings ``x -> xi . x``.
 
     Verifies that every embedding is an isometry preserving the
@@ -95,8 +92,8 @@ def right_limit(ps: ProductSystem, xi1: np.ndarray, tol: float | None = None) ->
     that the identifications commute with the embeddings, and that the
     lifted projections ``xi_s xi_s* . id`` dominate ``xi_{s+t} xi_{s+t}*``.
     """
-    tol = ps.tol if tol is None else tol
-    unit = derive_unit(ps, xi1, tol)
+    tol = ps.tol
+    unit = derive_unit(ps, xi1)
     if not unit.unital:
         raise PreconditionError(
             f"unit is not unital (deviation {unit.unitality_deviation:.3e})"
@@ -132,7 +129,7 @@ def right_limit(ps: ProductSystem, xi1: np.ndarray, tol: float | None = None) ->
                 est.positivity_defect(lifted - proj_st),
                 tol,
             )
-    _stage_endomorphism_checks(ps, rep, tol)
+    _stage_endomorphism_checks(ps, rep)
     return TruncatedLimit("right", ps, unit, embeddings, rep)
 
 
@@ -145,26 +142,27 @@ def stage_shift(ps: ProductSystem, a: np.ndarray, n: int, t: int = 1) -> np.ndar
     return u @ amplify(a, ps.tensor(n, t)[1], side="left") @ adj
 
 
-def _stage_endomorphism_checks(ps: ProductSystem, rep: VerificationReport, tol: float) -> None:
+def _stage_endomorphism_checks(ps: ProductSystem, rep: VerificationReport) -> None:
     """Two single steps of ``a -> a . id`` agree with one double step."""
-
     for n in range(ps.levels - 1):
         en = ps.power(n)
         # every basis rank-one operator e_i e_j*
         a = rank_one_stack(en).reshape(-1, en.dim, en.dim)
         stepwise = stage_shift(ps, stage_shift(ps, a, n), n + 1)
-        rep.add(f"stage-endomorphism-coherence[{n}]", _dev(stepwise, stage_shift(ps, a, n, 2)), tol)
+        rep.add(
+            f"stage-endomorphism-coherence[{n}]", _dev(stepwise, stage_shift(ps, a, n, 2)), ps.tol
+        )
 
 
-def left_limit(ps: ProductSystem, omega1: np.ndarray, tol: float | None = None) -> TruncatedLimit:
+def left_limit(ps: ProductSystem, omega1: np.ndarray) -> TruncatedLimit:
     """Stage the limit along a central unital unit, ``x -> x . omega``.
 
     Centrality makes every embedding bilinear, so the staged limit is a
     correspondence; the report also verifies ``<omega_n, b omega_n> = b``
     and left faithfulness at every stage.
     """
-    tol = ps.tol if tol is None else tol
-    unit = derive_unit(ps, omega1, tol)
+    tol = ps.tol
+    unit = derive_unit(ps, omega1)
     if not (unit.unital and unit.central):
         raise PreconditionError(
             f"vector is not a central unital unit (unitality "
@@ -219,56 +217,45 @@ class ActionStage:
 
 
 def _stage_assoc(
-    eplus: ModulePresentation,
-    ps: ProductSystem,
-    stages: list[ActionStage],
-    t: int,
-    m: int,
-    tol: float,
-    cache: dict[tuple[int, int], AssociatorResult],
+    pipe: DilationPipeline, stages: list[ActionStage], t: int, m: int
 ) -> AssociatorResult:
     """The rebracketing ``(E+ . E_t) . E_m -> E+ . (E_t . E_m)``, built once
-    per ``(t, m)`` into ``cache``."""
-    if (t, m) not in cache:
+    per ``(t, m)`` into the pipeline's cache."""
+    key = ("assoc", t, m)
+    if key not in pipe._cache:
+        ps = pipe.ps()
         fg = ps.tensor(t, m)
         t4 = None
         if fg[0] is ps.power(t + m) and t + m < len(stages):
             # E_t . E_m is the power E_{t+m}, so E+ . (E_t . E_m) is a stage
             t4 = (stages[t + m].tensor, stages[t + m].factor)
-        cache[(t, m)] = associator(
-            eplus, ps.power(t), ps.power(m), tol,
+        pipe._cache[key] = associator(
+            pipe.eplus, ps.power(t), ps.power(m), pipe.tol,
             ef=(stages[t].tensor, stages[t].factor), fg=fg, t4=t4,
         )
-    return cache[(t, m)]
+    return pipe._cache[key]
 
 
-def build_action_stages(
-    eplus: ModulePresentation,
-    endo: Endomorphism,
-    ps: ProductSystem,
-    e1: AssociatedCorrespondence,
-    tol: float = DEFAULT_TOL,
-    assocs: dict[tuple[int, int], AssociatorResult] | None = None,
-) -> tuple[list[ActionStage], VerificationReport]:
+def build_action_stages(pipe: DilationPipeline) -> tuple[list[ActionStage], VerificationReport]:
     """Iterate the action unitary along the realized powers.
 
     Stage 0 is the canonical identification with the algebra factor; stage 1
     is built from the defining formula; higher stages rebracket one
     generator factor at a time.  The recovery identity
-    ``theta^t(a) = u_t (a . id) u_t*`` is verified at every stage.  The
-    rebracketings ``(t - 1, 1)`` are stored in ``assocs`` when given.
+    ``theta^t(a) = u_t (a . id) u_t*`` is verified at every stage.
     """
-    assocs = {} if assocs is None else assocs
+    eplus, endo, tol = pipe.eplus, pipe.endo, pipe.tol
+    ps = pipe.ps()
     rep = VerificationReport("module action of the product system")
     t0, f0 = internal_tensor(eplus, ps.power(0), tol)
     stages = [ActionStage(0, t0, f0, right_unitor(eplus, f0))]
-    base = u_unitary(eplus, endo, 1, e1, tol)
+    base = u_unitary(eplus, endo, 1, pipe.e1(), tol)
     rep.extend(base.report)
     stages.append(ActionStage(1, base.tensor, base.factor, base.matrix))
     for t in range(2, ps.levels + 1):
-        a = _stage_assoc(eplus, ps, stages, t - 1, 1, tol, assocs)
+        a = _stage_assoc(pipe, stages, t - 1, 1)
         lifted = tensor_lift(stages[t - 1].u, a.left_factor, stages[1].factor, side="left")
-        u_t = stages[1].u @ lifted @ map_adjoint(a.matrix, a.left_module, a.right_module)
+        u_t = stages[1].u @ lifted @ a.adjoint
         stages.append(ActionStage(t, a.right_module, a.right_factor, u_t))
         dom = stages[t].tensor
         adj = map_adjoint(u_t, dom, eplus)
@@ -287,38 +274,25 @@ class StagedUnitary:
     blocks: dict[int, np.ndarray]
 
 
-def build_w(
-    eplus: ModulePresentation,
-    endo: Endomorphism,
-    ps: ProductSystem,
-    left: TruncatedLimit,
-    stages: list[ActionStage],
-    tol: float = DEFAULT_TOL,
-    assocs: dict[tuple[int, int], AssociatorResult] | None = None,
-) -> tuple[dict[int, StagedUnitary], VerificationReport]:
+def build_w(pipe: DilationPipeline) -> tuple[dict[int, StagedUnitary], VerificationReport]:
     """Assemble and verify the staged unitaries of the dilation.
 
     ``W_t`` composes the inverse staged identification on the left-limit
     side, the rebracketing, and the lifted action unitary.  Verified:
     unitarity, ``W_0 = id``, commutation with the bilinear embeddings on
     both sides, and the semigroup law on all stage-compatible domains.
-    The rebracketings are read from and stored in ``assocs`` when given.
     """
-    assocs = {} if assocs is None else assocs
-    n_levels = ps.levels
+    ps, left, stages = pipe.ps(), pipe.left(), pipe.stages()[0]
+    n_levels, tol = ps.levels, pipe.tol
     rep = VerificationReport("staged unitaries", provenance={"levels": n_levels})
     w: dict[int, StagedUnitary] = {}
     for t in range(n_levels + 1):
         blocks = {}
         for m in range(n_levels + 1 - t):
-            a2 = _stage_assoc(eplus, ps, stages, t, m, tol, assocs)
+            a2 = _stage_assoc(pipe, stages, t, m)
             ltm = tensor_lift(ps.u(t, m), a2.right_factor, stages[t + m].factor, side="right")
             lout = tensor_lift(stages[t].u, a2.left_factor, stages[m].factor, side="left")
-            wtm = (
-                lout
-                @ map_adjoint(a2.matrix, a2.left_module, a2.right_module)
-                @ map_adjoint(ltm, a2.right_module, stages[t + m].tensor)
-            )
+            wtm = lout @ a2.adjoint @ map_adjoint(ltm, a2.right_module, stages[t + m].tensor)
             blocks[m] = wtm
             dom, cod = stages[t + m].tensor, stages[m].tensor
             rep.add(f"w-unitary[{t},{m}]", _unitary_dev(wtm, map_adjoint(wtm, dom, cod)), tol)
@@ -354,15 +328,20 @@ def build_w(
 
 @dataclass
 class DilationPipeline:
-    """Lazy orchestration of the full construction for one instance."""
+    """The full construction for one instance, built lazily.
+
+    The pipeline is the one holder of a run's parameters (``levels``,
+    ``tol``, ``budget``) and of its caches: every stage, limit, associator
+    and ``W_t`` is built from these fields once, and every dilation entry
+    point reads them from here.
+    """
 
     eplus: ModulePresentation
     endo: Endomorphism
     levels: int = 4
     tol: float = DEFAULT_TOL
-    budget: int = 4096
+    budget: int = DEFAULT_BUDGET
     _cache: dict = field(default_factory=dict)
-    _assocs: dict = field(default_factory=dict)
 
     def _get(self, key, builder):
         if key not in self._cache:
@@ -387,31 +366,18 @@ class DilationPipeline:
                 f"instance is non-spatial (central unit search: "
                 f"{search.status}, {search.certificate})"
             )
-        return self._get("left", lambda: left_limit(self.ps(), search.vector, self.tol))
+        return self._get("left", lambda: left_limit(self.ps(), search.vector))
 
     def stages(self) -> tuple[list[ActionStage], VerificationReport]:
-        return self._get(
-            "stages",
-            lambda: build_action_stages(
-                self.eplus, self.endo, self.ps(), self.e1(), self.tol, self._assocs
-            ),
-        )
+        return self._get("stages", lambda: build_action_stages(self))
 
     def w(self) -> tuple[dict[int, StagedUnitary], VerificationReport]:
-        return self._get(
-            "w",
-            lambda: build_w(
-                self.eplus, self.endo, self.ps(), self.left(), self.stages()[0], self.tol,
-                self._assocs,
-            ),
-        )
+        return self._get("w", lambda: build_w(self))
 
     def assoc(self, t: int, m: int) -> AssociatorResult:
         """The rebracketing ``(E+ . E_t) . E_m -> E+ . (E_t . E_m)``, built
         once per pipeline and shared by the stages, ``W`` and the sweeps."""
-        return _stage_assoc(
-            self.eplus, self.ps(), self.stages()[0], t, m, self.tol, self._assocs
-        )
+        return _stage_assoc(self, self.stages()[0], t, m)
 
     def alpha(self, t: int, m: int, lifted_op: np.ndarray) -> np.ndarray:
         """Conjugate a stage-(t+m) operator (or a stack of them) down to
@@ -425,14 +391,7 @@ class DilationPipeline:
         return wtm @ lifted_op @ adj
 
 
-def verify_main(
-    eplus: ModulePresentation,
-    endo: Endomorphism,
-    levels: int = 4,
-    tol: float = DEFAULT_TOL,
-    budget: int = 4096,
-    pipeline: DilationPipeline | None = None,
-) -> VerificationReport:
+def verify_main(pipe: DilationPipeline) -> VerificationReport:
     """Full verification that the endomorphism semigroup extends to a
     semigroup of unitaries on the doubled module.
 
@@ -443,15 +402,14 @@ def verify_main(
     identity, and stage-wise injectivity of ``a -> a . id``.  A certified
     non-spatial instance yields the ``not-applicable`` verdict.
     """
-    pipe = pipeline or DilationPipeline(eplus, endo, levels, tol, budget)
+    eplus, endo, levels, tol = pipe.eplus, pipe.endo, pipe.levels, pipe.tol
     rep = VerificationReport(
         "main verification",
-        provenance={"levels": levels, "budget": budget, "tol": tol},
+        provenance={"levels": levels, "budget": pipe.budget, "tol": tol},
     )
     rep.extend(validate_endomorphism(endo, tol))
     rep.add_flag("module-full", fullness_check(eplus))
-    e1 = pipe.e1()
-    rep.extend(validate_module(e1.corr, tol), prefix="associated-")
+    rep.extend(validate_module(pipe.e1().corr, tol), prefix="associated-")
 
     search = pipe.spatial()
     if search.status == "none-exists":
@@ -461,27 +419,19 @@ def verify_main(
 
     ps = pipe.ps()
     rep.extend(ps.coherence_report())
-    rep.extend(check_unit(ps, search.vector, tol))
+    rep.extend(check_unit(ps, search.vector))
     rep.extend(pipe.left().report)
     stages, stage_rep = pipe.stages()
     rep.extend(stage_rep)
-    w, w_rep = pipe.w()
-    rep.extend(w_rep)
+    rep.extend(pipe.w()[1])
 
     ops = endo.op_stack
-
-    def restriction(t, m):
-        got = pipe.alpha(t, m, amplify(ops, stages[t + m].factor, side="left"))
-        dev = _dev(got, amplify(endo.image_ops(t), stages[m].factor, side="left"))
-        chain_dev = _restriction_chain_dev(pipe, t, m)
-        return [
-            (f"restriction-identity[{t},{m}]", dev),
-            (f"restriction-chain-agree[{t},{m}]", chain_dev),
-        ]
-
-    tasks = [(t, m) for t in range(1, levels + 1) for m in range(levels + 1 - t)]
-    for name, dev in _sweep(tasks, restriction):
-        rep.add(name, dev, tol)
+    for t in range(1, levels + 1):
+        for m in range(levels + 1 - t):
+            got = pipe.alpha(t, m, amplify(ops, stages[t + m].factor, side="left"))
+            want = amplify(endo.image_ops(t), stages[m].factor, side="left")
+            rep.add(f"restriction-identity[{t},{m}]", _dev(got, want), tol)
+            rep.add(f"restriction-chain-agree[{t},{m}]", _restriction_chain_dev(pipe, t, m), tol)
 
     for m in range(levels + 1):
         vecs = amplify(ops, stages[m].factor, side="left").reshape(len(ops), -1)
@@ -513,14 +463,7 @@ class WeakDilation:
     unit: Unit | None                   # its powers in the product system
 
 
-def weak_dilation_check(
-    eplus: ModulePresentation,
-    endo: Endomorphism,
-    xi_plus: np.ndarray,
-    levels: int = 4,
-    tol: float = DEFAULT_TOL,
-    pipeline: DilationPipeline | None = None,
-) -> WeakDilation:
+def weak_dilation_check(pipe: DilationPipeline, xi_plus: np.ndarray) -> WeakDilation:
     """Check the weak-dilation structure carried by a unit vector.
 
     Verifies that the vector projection is increasing, that the compressed
@@ -528,12 +471,12 @@ def weak_dilation_check(
     the class of ``xi* (x) xi`` is a unital unit of the product system
     reproducing the compressions.
     """
+    eplus, endo, levels, tol = pipe.eplus, pipe.endo, pipe.levels, pipe.tol
     xi_plus = np.asarray(xi_plus, dtype=complex)
     alg = eplus.algebra
     norm_dev = _dev(eplus.inner(xi_plus, xi_plus), alg.unit)
     if norm_dev > tol:
         raise PreconditionError(f"vector is not a unit vector (deviation {norm_dev:.3e})")
-    pipe = pipeline or DilationPipeline(eplus, endo, levels, tol)
     rep = VerificationReport("weak dilation", provenance={"levels": levels})
     p0 = rank_one(eplus, xi_plus, xi_plus).matrix
     for t in range(1, levels + 1):
@@ -575,8 +518,8 @@ def weak_dilation_check(
     xi1 = e1.factor.matrix @ np.kron(xi_plus.conj(), xi_plus)
     rep.add("candidate-unit-norm", _dev(e1.corr.inner(xi1, xi1), alg.unit), tol)
     ps = pipe.ps()
-    rep.extend(check_unit(ps, xi1, tol))
-    unit = derive_unit(ps, xi1, tol)
+    rep.extend(check_unit(ps, xi1))
+    unit = derive_unit(ps, xi1)
     for t in range(1, levels + 1):
         rep.add(
             f"cp-compression-crosscheck[{t}]",
@@ -617,15 +560,7 @@ def primary_check(
 # vector expectation identities on the doubled module
 # ---------------------------------------------------------------------------
 
-def verify_supplement(
-    eplus: ModulePresentation,
-    endo: Endomorphism,
-    xi_plus: np.ndarray,
-    levels: int = 4,
-    tol: float = DEFAULT_TOL,
-    budget: int = 4096,
-    pipeline: DilationPipeline | None = None,
-) -> VerificationReport:
+def verify_supplement(pipe: DilationPipeline, xi_plus: np.ndarray) -> VerificationReport:
     """Verify the vector-expectation form of the dilation.
 
     On every stage the expectation at ``xi+ . omega_m`` of the extended
@@ -635,14 +570,14 @@ def verify_supplement(
     "extended projection increasing iff the unit pairings are the identity"
     are checked as well.
     """
-    pipe = pipeline or DilationPipeline(eplus, endo, levels, tol, budget)
-    wd = weak_dilation_check(eplus, endo, xi_plus, levels, tol, pipeline=pipe)
+    eplus, endo, levels, tol = pipe.eplus, pipe.endo, pipe.levels, pipe.tol
+    wd = weak_dilation_check(pipe, xi_plus)
     if not wd.ok:
         failed = ", ".join(c.name for c in wd.report.failed_checks())
         raise PreconditionError(f"not a weak dilation: {failed}")
     rep = VerificationReport(
         "vector expectation verification",
-        provenance={"levels": levels, "budget": budget, "tol": tol},
+        provenance={"levels": levels, "budget": pipe.budget, "tol": tol},
     )
     rep.extend(wd.report)
 
@@ -652,7 +587,7 @@ def verify_supplement(
         rep.set_status(NOT_APPLICABLE, NOT_APPLICABLE_DETAIL + f"; {search.certificate}")
         return rep
 
-    rep.extend(verify_main(eplus, endo, levels, tol, budget, pipeline=pipe))
+    rep.extend(verify_main(pipe))
     stages = pipe.stages()[0]
     left = pipe.left()
     omega = left.unit
@@ -664,32 +599,29 @@ def verify_supplement(
         rank_one(eplus, eplus.right_action[c] @ xi_plus, xi_plus).matrix for c in range(alg.dim)
     ])
 
-    def expectation(t, m):
-        stage = stages[m]
-        v = stage.factor.matrix @ np.kron(xi_plus, omega.levels[m])
+    p0 = rank_one(eplus, xi_plus, xi_plus).matrix
+    for t in range(1, levels + 1):
         moved = endo.image_ops(t)
-        lifted = amplify(moved, stage.factor, side="left")
-        dev_ops = _dev(stage.tensor.inner(v, lifted @ v), eplus.inner(xi_plus, moved @ xi_plus))
-        lifted = pipe.alpha(t, m, amplify(corners, stages[t + m].factor, side="left"))
-        lhs = alg.coords(stage.tensor.inner(v, lifted @ v))
-        dev_corner = _dev(lhs, wd.cp_matrices[t - 1].T)
-        p0 = rank_one(eplus, xi_plus, xi_plus).matrix
-        filt = _dev(
-            pipe.alpha(t, m, amplify(p0, stages[t + m].factor, side="left")),
-            amplify(endo.apply(p0, t), stage.factor, side="left"),
-        )
-        return [
-            (f"expectation-identity[{t},{m}]", dev_ops),
-            (f"dilation-diagram[{t},{m}]", dev_corner),
-            (f"filtration-projection[{t},{m}]", filt),
-        ]
-
-    tasks = [(t, m) for t in range(1, levels + 1) for m in range(levels + 1 - t)]
-    for name, dev in _sweep(tasks, expectation):
-        rep.add(name, dev, tol)
+        for m in range(levels + 1 - t):
+            stage = stages[m]
+            v = stage.factor.matrix @ np.kron(xi_plus, omega.levels[m])
+            lifted = amplify(moved, stage.factor, side="left")
+            rep.add(
+                f"expectation-identity[{t},{m}]",
+                _dev(stage.tensor.inner(v, lifted @ v), eplus.inner(xi_plus, moved @ xi_plus)),
+                tol,
+            )
+            lifted = pipe.alpha(t, m, amplify(corners, stages[t + m].factor, side="left"))
+            lhs = alg.coords(stage.tensor.inner(v, lifted @ v))
+            rep.add(f"dilation-diagram[{t},{m}]", _dev(lhs, wd.cp_matrices[t - 1].T), tol)
+            filt = _dev(
+                pipe.alpha(t, m, amplify(p0, stages[t + m].factor, side="left")),
+                amplify(endo.apply(p0, t), stage.factor, side="left"),
+            )
+            rep.add(f"filtration-projection[{t},{m}]", filt, tol)
 
     rep.extend(
-        unit_pairing_check(pipe.ps(), wd.candidate_unit, pipe.spatial().vector, tol),
+        unit_pairing_check(pipe.ps(), wd.candidate_unit, pipe.spatial().vector),
         prefix="pairing.",
     )
 
@@ -726,12 +658,7 @@ def verify_supplement(
 # pairing forces unit equality
 # ---------------------------------------------------------------------------
 
-def unit_pairing_check(
-    ps: ProductSystem,
-    xi1: np.ndarray,
-    omega1: np.ndarray,
-    tol: float | None = None,
-) -> VerificationReport:
+def unit_pairing_check(ps: ProductSystem, xi1: np.ndarray, omega1: np.ndarray) -> VerificationReport:
     """If every pairing ``<omega_t, xi_t>`` is the unit, the units coincide.
 
     When the pairings are all the identity the report asserts the mutual
@@ -739,9 +666,9 @@ def unit_pairing_check(
     entrywise equality of the units; otherwise the implication is vacuous
     and the report records that the extended projection fails to increase.
     """
-    tol = ps.tol if tol is None else tol
-    xi = derive_unit(ps, xi1, tol)
-    omega = derive_unit(ps, omega1, tol)
+    tol = ps.tol
+    xi = derive_unit(ps, xi1)
+    omega = derive_unit(ps, omega1)
     if not xi.unital:
         raise PreconditionError("first vector is not a unital unit")
     if not (omega.unital and omega.central):
@@ -783,12 +710,7 @@ class UnitComparison:
     unitary: np.ndarray | None
 
 
-def compare_unit_limits(
-    ps: ProductSystem,
-    xi1: np.ndarray,
-    xi2: np.ndarray,
-    tol: float | None = None,
-) -> UnitComparison:
+def compare_unit_limits(ps: ProductSystem, xi1: np.ndarray, xi2: np.ndarray) -> UnitComparison:
     """Decide whether a bilinear unitary of the generator carries one unit to
     the other, and transport it through the limits.
 
@@ -803,9 +725,9 @@ def compare_unit_limits(
     embeddings; ``unknown`` remains only for a constructed unitary that
     fails those checks.
     """
-    tol = ps.tol if tol is None else tol
-    u1 = derive_unit(ps, xi1, tol)
-    u2 = derive_unit(ps, xi2, tol)
+    tol = ps.tol
+    u1 = derive_unit(ps, xi1)
+    u2 = derive_unit(ps, xi2)
     if not (u1.unital and u2.unital):
         raise PreconditionError("both vectors must be unital units")
     rep = VerificationReport("unit comparison", provenance={"levels": ps.levels})
@@ -883,13 +805,7 @@ def _right_embeddings(ps: ProductSystem, unit: Unit) -> list[np.ndarray]:
 # spatiality probes combining both routes
 # ---------------------------------------------------------------------------
 
-def spatiality_report(
-    eplus: ModulePresentation,
-    endo: Endomorphism,
-    levels: int = 4,
-    tol: float = DEFAULT_TOL,
-    pipeline: DilationPipeline | None = None,
-) -> tuple[str, VerificationReport]:
+def spatiality_report(pipe: DilationPipeline) -> tuple[str, VerificationReport]:
     """Decide whether a central unital unit and an intertwining isometry exist.
 
     Both are decided by construction from the block structure of the
@@ -898,9 +814,7 @@ def spatiality_report(
     never contradict.  Fullness of the module is a necessary condition and
     is recorded.
     """
-    from .endo import find_intertwining_isometry
-
-    pipe = pipeline or DilationPipeline(eplus, endo, levels, tol)
+    eplus, endo, levels, tol = pipe.eplus, pipe.endo, pipe.levels, pipe.tol
     rep = VerificationReport("spatiality", provenance={"levels": levels})
     search = pipe.spatial()
     rep.add_flag("central-unit-search-decided", search.status in ("found", "none-exists"))
@@ -916,7 +830,7 @@ def spatiality_report(
         rep.add("central-unit-unitality", search.residuals.get("unitality", 0.0), tol)
         rep.add("central-unit-centrality", search.residuals.get("centrality", 0.0), tol)
         stages, stage_rep = pipe.stages()
-        omega = derive_unit(pipe.ps(), search.vector, tol)
+        omega = derive_unit(pipe.ps(), search.vector)
         vs = {}
         for t in range(1, levels + 1):
             op, iso_rep = isometry_from_unit(

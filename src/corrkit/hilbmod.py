@@ -401,7 +401,7 @@ def validate_module(
     )
 
     off = np.where(alg.support_mask, 0.0, pres.gram).astype(complex)
-    rep.add("gram-block-support", float(np.abs(off).max()) if off.size else 0.0, tol)
+    rep.add("gram-block-support", _dev(off), tol)
 
     # <e_i, e_j . b> = <e_i, e_j> b for every basis element b.
     lhs = np.einsum("clj,ilab->cijab", r, pres.gram)
@@ -448,7 +448,7 @@ def _validate_left_action(corr: Correspondence, rep: VerificationReport, tol: fl
     comm = np.einsum("cuw,ewv->ceuv", left, corr.right_action) - np.einsum(
         "euw,cwv->ceuv", corr.right_action, left
     )
-    rep.add("left-right-commute", float(np.abs(comm).max()) if comm.size else 0.0, tol)
+    rep.add("left-right-commute", _dev(comm), tol)
 
 
 def is_nondegenerate(pres: ModulePresentation, tol: float = DEFAULT_TOL) -> bool:
@@ -729,6 +729,7 @@ class AssociatorResult:
     """Rebracketing unitary realize((E.F).G) -> realize(E.(F.G))."""
 
     matrix: np.ndarray
+    adjoint: np.ndarray
     left_module: ModulePresentation
     left_factor: FactorMap      # over (E.F)-realized (x) G
     right_module: ModulePresentation
@@ -782,7 +783,7 @@ def associator(
     if left_mod.is_correspondence and right_mod.is_correspondence:
         rep.add("associator-left-linear",
                 _dev(alpha @ left_mod.left_action, right_mod.left_action @ alpha), tol)
-    return AssociatorResult(alpha, left_mod, p2, right_mod, p4, ef, fg, rep)
+    return AssociatorResult(alpha, adj, left_mod, p2, right_mod, p4, ef, fg, rep)
 
 
 # ---------------------------------------------------------------------------

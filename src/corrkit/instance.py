@@ -21,6 +21,7 @@ from .endo import Endomorphism, endomorphism_from_conjugation, make_endomorphism
 from .errors import InstanceFormatError
 from .gallery import conjugated, random_unitary, standard_module, unit_vector_of_identity
 from .hilbmod import Correspondence, ModulePresentation, adjointable_basis, validate_module
+from .prodsys import DEFAULT_BUDGET
 
 PROFILES = ("module", "correspondence", "spatial-endomorphism", "weak-dilation")
 _ALGEBRA_CYCLE = ([1], [2], [1, 1], [1, 2])
@@ -30,7 +31,7 @@ _ALGEBRA_CYCLE = ([1], [2], [1, 1], [1, 2])
 class RunConfig:
     levels: int = 4
     tol: float = 1e-9
-    budget: int = 4096
+    budget: int = DEFAULT_BUDGET
     seed: int = 0
     report: str = "text"
 

@@ -149,7 +149,7 @@ class ProductSystem:
             lifted = tensor_lift(
                 self.u(s, t - 1), a.left_factor, self._tensors[(s + t - 1, 1)][1], side="left"
             )
-            out = lifted @ map_adjoint(a.matrix, a.left_module, a.right_module)
+            out = lifted @ a.adjoint
         self._u[key] = out
         return out
 
@@ -226,9 +226,8 @@ class Unit:
     centrality_deviation: float
 
 
-def derive_unit(ps: ProductSystem, xi1: np.ndarray, tol: float | None = None) -> Unit:
+def derive_unit(ps: ProductSystem, xi1: np.ndarray) -> Unit:
     """Propagate a generator vector through the realized powers."""
-    tol = ps.tol if tol is None else tol
     xi1 = np.asarray(xi1, dtype=complex)
     e1 = ps.generator
     if xi1.shape != (e1.dim,):
@@ -241,13 +240,13 @@ def derive_unit(ps: ProductSystem, xi1: np.ndarray, tol: float | None = None) ->
         levels.append(fm.matrix @ np.kron(levels[n - 1], xi1))
     unit_dev = _dev(e1.inner(xi1, xi1), ps.algebra.unit)
     cent_dev = _dev(e1.left_action @ xi1, e1.right_action @ xi1)
-    return Unit(xi1, levels, unit_dev <= tol, cent_dev <= tol, unit_dev, cent_dev)
+    return Unit(xi1, levels, unit_dev <= ps.tol, cent_dev <= ps.tol, unit_dev, cent_dev)
 
 
-def check_unit(ps: ProductSystem, xi1: np.ndarray, tol: float | None = None) -> VerificationReport:
+def check_unit(ps: ProductSystem, xi1: np.ndarray) -> VerificationReport:
     """Verify the unit property, unitality, and (when claimed) centrality."""
-    tol = ps.tol if tol is None else tol
-    unit = derive_unit(ps, xi1, tol)
+    tol = ps.tol
+    unit = derive_unit(ps, xi1)
     rep = VerificationReport("unit checks", provenance={"levels": ps.levels})
     for s in range(ps.levels + 1):
         for t in range(ps.levels + 1 - s):
@@ -347,13 +346,7 @@ def choi_matrix(alg: Algebra, tmat: np.ndarray) -> np.ndarray:
     return choi
 
 
-def cp_of_unit(
-    e1: Correspondence,
-    xi1: np.ndarray,
-    levels: int,
-    tol: float = DEFAULT_TOL,
-    ps: ProductSystem | None = None,
-) -> CPFamily:
+def cp_of_unit(ps: ProductSystem, xi1: np.ndarray) -> CPFamily:
     """The CP semigroup generated by a unit, verified level by level.
 
     ``T_t`` is the t-th power of ``b -> <xi, L(b) xi>``; each level is
@@ -361,10 +354,8 @@ def cp_of_unit(
     Choi positivity is verified, and unitality is asserted when the unit is
     unital.
     """
-    alg = e1.algebra
-    if ps is None:
-        ps = ProductSystem(e1, levels, tol)
-    unit = derive_unit(ps, xi1, tol)
+    alg, levels, tol = ps.algebra, ps.levels, ps.tol
+    unit = derive_unit(ps, xi1)
     t1 = unit_cp_matrix_level(ps, unit, 1)
     rep = VerificationReport("cp maps of unit", provenance={"levels": levels})
     star = alg.star_index

@@ -13,6 +13,7 @@ import pytest
 
 from corrkit.cli import EXIT_DEGENERATE, run
 from corrkit.dilation import (
+    DilationPipeline,
     primary_check,
     spatiality_report,
     unit_pairing_check,
@@ -113,7 +114,7 @@ def test_criterion_4_main_restriction_identity():
     spatial_count = 0
     worst = 0.0
     for inst in gallery:
-        rep = verify_main(inst.eplus, inst.endo, LEVELS, TOL)
+        rep = verify_main(DilationPipeline(inst.eplus, inst.endo, LEVELS, TOL))
         if inst.spatial:
             spatial_count += 1
             assert rep.status == "pass", (inst.name, [c.name for c in rep.failed_checks()])
@@ -137,7 +138,7 @@ def test_criterion_5_vector_expectation():
     worst = 0.0
     count = 0
     for inst, xi in weak_dilation_gallery():
-        rep = verify_supplement(inst.eplus, inst.endo, xi, LEVELS, TOL)
+        rep = verify_supplement(DilationPipeline(inst.eplus, inst.endo, LEVELS, TOL), xi)
         assert rep.status == "pass", (inst.name, [c.name for c in rep.failed_checks()])
         names = {c.name for c in rep.checks}
         assert f"expectation-identity[{LEVELS},0]" in names
@@ -158,7 +159,7 @@ def test_criterion_6_remark_cross_checks():
     primary-dilation rank argument; fullness on every spatial instance."""
     worst = 0.0
     for inst in endomorphism_gallery():
-        status, rep = spatiality_report(inst.eplus, inst.endo, LEVELS, TOL)
+        status, rep = spatiality_report(DilationPipeline(inst.eplus, inst.endo, LEVELS, TOL))
         assert rep.passed, (inst.name, [c.name for c in rep.failed_checks()])
         if inst.spatial:
             assert status == "found"
@@ -172,13 +173,13 @@ def test_criterion_6_remark_cross_checks():
     alg_corr = algebra_correspondence(identity_mixed_instance().eplus.algebra)
     ps = build_powers(alg_corr, LEVELS, TOL)
     omega = find_central_unital_unit(alg_corr, TOL).vector
-    rep = unit_pairing_check(ps, omega, omega, TOL)
+    rep = unit_pairing_check(ps, omega, omega)
     assert rep.passed and any(c.name == f"unit-coincide[{LEVELS}]" for c in rep.checks)
     worst = max(worst, rep.max_deviation)
     plane_ps = build_powers(plane_correspondence(), LEVELS, TOL)
     with pytest.raises(PreconditionError):
-        unit_pairing_check(plane_ps, np.array([1.0, 0.5]), np.array([1.0, 0.0]), TOL)
-    vac = unit_pairing_check(plane_ps, np.array([0.0, 1.0]), np.array([1.0, 0.0]), TOL)
+        unit_pairing_check(plane_ps, np.array([1.0, 0.5]), np.array([1.0, 0.0]))
+    vac = unit_pairing_check(plane_ps, np.array([0.0, 1.0]), np.array([1.0, 0.0]))
     assert vac.passed and any(c.name == "pairing-vacuous" for c in vac.checks)
 
     # primary dilations decided by the hand rank argument

@@ -252,6 +252,13 @@ def test_coherence_sweep_runs_only_where_reported(tmp_path, spatial_file, monkey
         assert len(calls) == count, argv
 
 
+@pytest.mark.parametrize("command", ["dilate", "verify-main", "verify-supplement", "spatial"])
+def test_budget_flag_is_honoured_by_every_dilation_command(command, capsys):
+    path = str(SHIPPED / "weak-dilation-seed1.json")
+    assert main([command, path, "--budget", "3"]) == EXIT_INVALID
+    assert "generator dimension 4 exceeds budget 3" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("levels", [3, 4])
 def test_derive_ps_lists_every_coherence_check(tmp_path, levels):
     names = {c["name"] for c in machine_report(["derive-ps", plane_file(tmp_path, levels)], tmp_path)["checks"]}

@@ -145,7 +145,7 @@ def test_w_requires_spatial_instance():
 
 @pytest.mark.parametrize("inst", endomorphism_gallery(), ids=lambda i: i.name)
 def test_verify_main_over_gallery(inst):
-    rep = verify_main(inst.eplus, inst.endo, levels=4)
+    rep = verify_main(DilationPipeline(inst.eplus, inst.endo, levels=4))
     if inst.spatial:
         assert rep.status == "pass", [c.name for c in rep.failed_checks()]
         assert rep.max_deviation < TOL
@@ -156,7 +156,7 @@ def test_verify_main_over_gallery(inst):
 
 def test_verify_main_independent_of_basis_order():
     inst = identity_mixed_instance()
-    rep1 = verify_main(inst.eplus, inst.endo, levels=3)
+    rep1 = verify_main(DilationPipeline(inst.eplus, inst.endo, levels=3))
     ops = adjointable_basis(inst.eplus)
     perm = list(reversed(range(len(ops))))
     permuted_ops = [ops[i] for i in perm]
@@ -165,14 +165,14 @@ def test_verify_main_independent_of_basis_order():
         p[new, old] = 1.0
     matrix = p @ inst.endo.matrix @ p.T
     endo = make_endomorphism(inst.eplus, matrix, permuted_ops)
-    rep2 = verify_main(inst.eplus, endo, levels=3)
+    rep2 = verify_main(DilationPipeline(inst.eplus, endo, levels=3))
     assert rep1.status == rep2.status == "pass"
     assert rep2.max_deviation < TOL
 
 
 def test_restriction_chain_checked_independently():
     inst = inner_rotation_instance()
-    rep = verify_main(inst.eplus, inst.endo, levels=3)
+    rep = verify_main(DilationPipeline(inst.eplus, inst.endo, levels=3))
     names = {c.name for c in rep.checks}
     assert "restriction-identity[1,1]" in names
     assert "restriction-chain-agree[1,2]" in names
@@ -185,7 +185,7 @@ def test_restriction_chain_checked_independently():
 
 def test_weak_dilation_identity():
     inst = identity_mixed_instance()
-    wd = weak_dilation_check(inst.eplus, inst.endo, inst.unit_vectors["xi"], levels=4)
+    wd = weak_dilation_check(DilationPipeline(inst.eplus, inst.endo, levels=4), inst.unit_vectors["xi"])
     assert wd.ok
     alg = inst.eplus.algebra
     for t in wd.cp_matrices:
@@ -194,7 +194,7 @@ def test_weak_dilation_identity():
 
 def test_weak_dilation_rotation_nontrivial():
     inst = inner_rotation_instance()
-    wd = weak_dilation_check(inst.eplus, inst.endo, inst.unit_vectors["xi"], levels=4)
+    wd = weak_dilation_check(DilationPipeline(inst.eplus, inst.endo, levels=4), inst.unit_vectors["xi"])
     assert wd.ok
     assert max_dev(wd.cp_matrices[0], np.eye(inst.eplus.algebra.dim)) > 1e-3
 
@@ -209,7 +209,7 @@ def test_weak_dilation_rotation_closed_form():
     g = np.array(
         [[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]], dtype=complex
     )
-    wd = weak_dilation_check(inst.eplus, inst.endo, inst.unit_vectors["xi"], levels=4)
+    wd = weak_dilation_check(DilationPipeline(inst.eplus, inst.endo, levels=4), inst.unit_vectors["xi"])
     for t, tmat in enumerate(wd.cp_matrices, start=1):
         gt = np.linalg.matrix_power(g, t)
         cols = []
@@ -222,13 +222,13 @@ def test_weak_dilation_rotation_closed_form():
 def test_weak_dilation_needs_unit_vector():
     inst = identity_mixed_instance()
     with pytest.raises(PreconditionError):
-        weak_dilation_check(inst.eplus, inst.endo, 2.0 * inst.unit_vectors["xi"])
+        weak_dilation_check(DilationPipeline(inst.eplus, inst.endo), 2.0 * inst.unit_vectors["xi"])
 
 
 @pytest.mark.parametrize("pair", weak_dilation_gallery(), ids=lambda p: p[0].name)
 def test_verify_supplement_gallery(pair):
     inst, xi = pair
-    rep = verify_supplement(inst.eplus, inst.endo, xi, levels=4)
+    rep = verify_supplement(DilationPipeline(inst.eplus, inst.endo, levels=4), xi)
     assert rep.status == "pass", [c.name for c in rep.failed_checks()]
     assert rep.max_deviation < TOL
     names = {c.name for c in rep.checks}
@@ -267,8 +267,8 @@ def test_each_tensor_and_associator_realized_once_per_run(monkeypatch):
             if name.startswith("corrkit") and mod is not None and vars(mod).get(fn.__name__) is fn:
                 monkeypatch.setattr(mod, fn.__name__, wrapper)
     for run in (
-        lambda: verify_main(eplus, endo, levels=4),
-        lambda: verify_supplement(eplus, endo, xi, levels=4),
+        lambda: verify_main(DilationPipeline(eplus, endo, levels=4)),
+        lambda: verify_supplement(DilationPipeline(eplus, endo, levels=4), xi),
     ):
         seen.clear()
         held.clear()
@@ -310,13 +310,13 @@ def test_weak_dilation_fails_when_projection_moves():
     # the collapse sends this vector projection to an incomparable one
     inst = block_collapse_instance()
     xi = np.array([1.0, 0.0, 0.0, 1.0])
-    wd = weak_dilation_check(inst.eplus, inst.endo, xi, levels=3)
+    wd = weak_dilation_check(DilationPipeline(inst.eplus, inst.endo, levels=3), xi)
     assert not wd.ok
     failed = {c.name for c in wd.report.failed_checks()}
     assert any(name.startswith("projection-increasing") for name in failed)
     # the expectation verifier treats this as a precondition failure
     with pytest.raises(PreconditionError, match="not a weak dilation"):
-        verify_supplement(inst.eplus, inst.endo, xi, levels=3)
+        verify_supplement(DilationPipeline(inst.eplus, inst.endo, levels=3), xi)
 
 
 def test_collapse_carries_idempotent_compression():
@@ -325,12 +325,12 @@ def test_collapse_carries_idempotent_compression():
     still not applicable because the instance is non-spatial."""
     inst = block_collapse_instance()
     xi = np.array([1.0, 0.0, 1.0, 0.0])
-    wd = weak_dilation_check(inst.eplus, inst.endo, xi, levels=3)
+    wd = weak_dilation_check(DilationPipeline(inst.eplus, inst.endo, levels=3), xi)
     assert wd.ok
     t1 = wd.cp_matrices[0]
     assert max_dev(t1 @ t1, t1) < TOL
     assert max_dev(t1, np.eye(2)) > 0.5
-    rep = verify_supplement(inst.eplus, inst.endo, xi, levels=3)
+    rep = verify_supplement(DilationPipeline(inst.eplus, inst.endo, levels=3), xi)
     assert rep.status == "not-applicable"
 
 
@@ -440,7 +440,7 @@ def test_compare_units_distinct_compressions():
 
 @pytest.mark.parametrize("inst", endomorphism_gallery(), ids=lambda i: i.name)
 def test_spatiality_report_gallery(inst):
-    status, rep = spatiality_report(inst.eplus, inst.endo, levels=3)
+    status, rep = spatiality_report(DilationPipeline(inst.eplus, inst.endo, levels=3))
     assert status == ("found" if inst.spatial else "none-exists")
     assert rep.passed, [c.name for c in rep.failed_checks()]
     if inst.spatial:
@@ -448,3 +448,49 @@ def test_spatiality_report_gallery(inst):
         assert "isometry[3]" in names
         assert "isometry-semigroup[1,2]" in names
         assert "fullness-necessary-condition" in names
+
+
+# ---------------------------------------------------------------------------
+# one source for every run parameter
+# ---------------------------------------------------------------------------
+
+def test_verify_main_reads_levels_and_budget_from_the_pipeline():
+    inst = inner_rotation_instance()
+    rep = verify_main(DilationPipeline(inst.eplus, inst.endo, levels=3, budget=500))
+    assert rep.status == "pass", [c.name for c in rep.failed_checks()]
+    assert rep.provenance["levels"] == 3 and rep.provenance["budget"] == 500
+    semigroup = {c.name for c in rep.checks if c.name.startswith("w-semigroup[")}
+    assert "w-semigroup[3,0,0]" in semigroup
+    assert semigroup == {
+        f"w-semigroup[{s},{t},{m}]"
+        for s in range(4) for t in range(4 - s) for m in range(4 - s - t)
+    }
+
+
+def test_no_entry_point_takes_a_second_source_of_run_parameters():
+    import inspect
+
+    import corrkit.dilation as dilation
+    import corrkit.prodsys as prodsys
+
+    holders = (DilationPipeline, prodsys.ProductSystem)
+    banned = {"levels", "tol", "budget", "pipeline", "ps", "assocs"}
+    functions = [
+        fn for mod in (dilation, prodsys) for name, fn in vars(mod).items()
+        if inspect.isfunction(fn) and fn.__module__ == mod.__name__ and not name.startswith("_")
+    ]
+    methods = [
+        fn for cls in holders for name, fn in vars(cls).items()
+        if inspect.isfunction(fn) and not name.startswith("_")
+    ]
+    checked = set()
+    for fn in functions + methods:
+        params = list(inspect.signature(fn, eval_str=True).parameters.values())
+        if fn in methods or params and params[0].annotation in holders:
+            checked.add(fn.__name__)
+            assert not banned & {p.name for p in params[1:]}, fn.__qualname__
+    assert {
+        "verify_main", "verify_supplement", "weak_dilation_check", "spatiality_report",
+        "build_action_stages", "build_w", "derive_unit", "check_unit", "right_limit",
+        "left_limit", "unit_pairing_check", "compare_unit_limits", "cp_of_unit",
+    } <= checked

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from corrkit.dilation import weak_dilation_check
+from corrkit.dilation import DilationPipeline, weak_dilation_check
 from corrkit.errors import InstanceFormatError
 from corrkit.instance import (
     PROFILES,
@@ -209,7 +209,7 @@ def test_weak_dilation_profile_passes_checker(seed):
     inst = generate_instance(seed, "weak-dilation")
     eplus, endo = inst.make_endo()
     _, vec = inst.vector("xi")
-    wd = weak_dilation_check(eplus, endo, vec, levels=3)
+    wd = weak_dilation_check(DilationPipeline(eplus, endo, levels=3), vec)
     assert wd.ok
 
 

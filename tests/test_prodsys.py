@@ -233,7 +233,7 @@ def test_cp_of_central_unit_is_identity():
     alg = make_algebra([1, 2])
     e1 = algebra_correspondence(alg)
     search = find_central_unital_unit(e1)
-    fam = cp_of_unit(e1, search.vector, 3)
+    fam = cp_of_unit(ProductSystem(e1, 3), search.vector)
     assert fam.report.passed
     for cp in fam.maps:
         assert max_dev(cp.matrix, np.eye(alg.dim)) < TOL
@@ -242,7 +242,7 @@ def test_cp_of_central_unit_is_identity():
 def test_cp_scalar_scaling():
     e1 = plane_correspondence()
     xi = np.array([0.6, 0.8j])
-    fam = cp_of_unit(e1, xi, 3)
+    fam = cp_of_unit(ProductSystem(e1, 3), xi)
     norm = 0.6**2 + 0.8**2
     for cp in fam.maps:
         assert abs(cp.matrix[0, 0] - norm**cp.level) < 1e-12
@@ -254,7 +254,7 @@ def test_cp_seeded_choi_and_semigroup(seed):
     alg = make_algebra([1, 2])
     e1 = algebra_correspondence(alg)
     xi = rng.standard_normal(e1.dim) + 1j * rng.standard_normal(e1.dim)
-    fam = cp_of_unit(e1, xi / 4.0, 3)
+    fam = cp_of_unit(ProductSystem(e1, 3), xi / 4.0)
     assert fam.report.passed
     # independent composition oracle
     ps = ProductSystem(e1, 1)

@@ -1,0 +1,164 @@
+"""Run every benchmark command of a source tree, or compare two such runs.
+
+Usage, from the root of a source checkout:
+
+    python3 tools/compare_reports.py run <tree> <out-dir> --seed 0
+    python3 tools/compare_reports.py diff <out-dir-a> <out-dir-b>
+
+``run`` imports ``corrkit`` from ``<tree>/src`` and the workload definitions
+from this checkout's ``perfbench/workloads.py``, builds the three benchmark
+workloads for the seed under ``<out-dir>/work``, runs each workload's
+warm-up commands and then every benchmark command once, with one BLAS
+thread, and copies each command's machine report to
+``<out-dir>/<workload>/<index>.json``.  ``<out-dir>/commands.json`` records
+each command's exit code, the benchmark's verdict on it and whether a
+failure is the workload's known fault.
+
+``diff`` lists every command whose exit code, benchmark verdict, known-fault
+flag, report status, check names or pass flags differ between two runs, and
+counts the outputs that are byte-identical.  Deviation digits are not
+compared.  The exit status is 1 when any command differs, else 0.
+"""
+from __future__ import annotations
+
+import argparse
+import importlib.util
+import json
+import os
+import shutil
+import sys
+from pathlib import Path
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+NAMES = ("dilation-m9", "powers", "shipped-sweep")
+
+
+def _workloads(tree: Path):
+    """``perfbench/workloads.py`` by path, with ``corrkit`` from ``tree``."""
+    sys.path[:0] = [str(tree / "src"), str(PERFBENCH)]
+    import corrkit
+
+    if Path(corrkit.__file__).resolve().parent != (tree / "src" / "corrkit").resolve():
+        raise SystemExit(f"imported corrkit from {corrkit.__file__}, not from {tree}")
+    spec = importlib.util.spec_from_file_location("workloads", PERFBENCH / "workloads.py")
+    module = sys.modules["workloads"] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def run(tree: Path, out: Path, seed: int) -> int:
+    workloads = _workloads(tree)
+    import corrkit.cli
+
+    def invoke(argv, path) -> int | str:
+        try:
+            return corrkit.cli.main(list(argv) + ["--report", "machine", "--out", str(path)])
+        except (Exception, SystemExit) as exc:  # noqa: BLE001 - recorded as the outcome
+            return f"raised {exc!r}"
+
+    out.mkdir(parents=True, exist_ok=True)
+    records = {}
+    for name in NAMES:
+        work = out / "work" / name
+        work.mkdir(parents=True, exist_ok=True)
+        (out / name).mkdir(exist_ok=True)
+        workload = workloads.build(name, tree, work, seed)
+        for argv, path in workload.warmup:
+            invoke(argv, path)
+        for i, cmd in enumerate(workload.commands):
+            code = invoke(cmd.argv, cmd.out)
+            verdict = known = None
+            if isinstance(code, int):
+                try:
+                    verdict = cmd.check(code, cmd.out)
+                    known = bool(cmd.known_fault and cmd.known_fault(code, cmd.out))
+                except (OSError, ValueError, KeyError, TypeError, IndexError) as exc:
+                    verdict = f"output unreadable: {exc!r}"
+                if cmd.out.is_file():
+                    shutil.copyfile(cmd.out, out / name / f"{i:02d}.json")
+            key = f"{name}/{i:02d}"
+            records[key] = {"command": cmd.argv[0], "exit": code, "check": verdict,
+                            "known_fault": known}
+    with open(out / "commands.json", "w", encoding="utf-8") as fh:
+        json.dump(records, fh, indent=1, sort_keys=True)
+    failed = sum(r["check"] is not None for r in records.values())
+    print(f"{len(records)} commands run, {failed} with a failed benchmark check")
+    return 0
+
+
+def _report(path: Path):
+    """(bytes, parsed report or None) of one output; (None, None) if missing."""
+    if not path.is_file():
+        return None, None
+    data = path.read_bytes()
+    try:
+        doc = json.loads(data)
+    except ValueError:
+        return data, None
+    return data, doc if isinstance(doc, dict) and "checks" in doc else None
+
+
+def _outline(doc) -> tuple:
+    return doc["status"], [(c["name"], c["passed"]) for c in doc["checks"]]
+
+
+def diff(first: Path, second: Path) -> int:
+    runs = []
+    for root in (first, second):
+        with open(root / "commands.json", "r", encoding="utf-8") as fh:
+            runs.append(json.load(fh))
+    keys = sorted(set(runs[0]) | set(runs[1]))
+    identical, differing = 0, []
+    for key in keys:
+        a, b = runs[0].get(key), runs[1].get(key)
+        if a is None or b is None:
+            differing.append(f"{key}: run only in {first if b is None else second}")
+            continue
+        reasons = [f"{field} {a[field]!r} -> {b[field]!r}"
+                   for field in ("command", "exit", "check", "known_fault") if a[field] != b[field]]
+        (bytes_a, doc_a), (bytes_b, doc_b) = (_report(root / f"{key}.json") for root in (first, second))
+        if bytes_a is not None and bytes_a == bytes_b:
+            identical += 1
+        elif doc_a is not None and doc_b is not None:
+            (status_a, checks_a), (status_b, checks_b) = _outline(doc_a), _outline(doc_b)
+            if status_a != status_b:
+                reasons.append(f"status {status_a} -> {status_b}")
+            if [n for n, _ in checks_a] != [n for n, _ in checks_b]:
+                names_a, names_b = {n for n, _ in checks_a}, {n for n, _ in checks_b}
+                reasons.append(f"check names differ (-{sorted(names_a - names_b)[:5]} "
+                               f"+{sorted(names_b - names_a)[:5]})")
+            elif checks_a != checks_b:
+                flips = [n for (n, p), (_, q) in zip(checks_a, checks_b) if p != q]
+                reasons.append(f"pass flags differ on {flips[:5]}")
+        elif bytes_a != bytes_b:
+            reasons.append("output differs" if bytes_a and bytes_b else "output missing")
+        if reasons:
+            differing.append(f"{key} ({a['command']}): " + "; ".join(reasons))
+    for line in differing:
+        print(line)
+    print(f"{len(keys)} commands: {len(differing)} differ in exit code, verdict, status, "
+          f"check names or pass flags; {identical} outputs byte-identical")
+    return 1 if differing else 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    sub = parser.add_subparsers(dest="action", required=True)
+    p = sub.add_parser("run", help="run every benchmark command of a source tree")
+    p.add_argument("tree", type=Path, help="root of a source checkout")
+    p.add_argument("out", type=Path, help="directory for the reports")
+    p.add_argument("--seed", type=int, default=0)
+    p = sub.add_parser("diff", help="compare two run directories")
+    p.add_argument("first", type=Path)
+    p.add_argument("second", type=Path)
+    args = parser.parse_args(argv)
+    if args.action == "run":
+        return run(args.tree.resolve(), args.out.resolve(), args.seed)
+    return diff(args.first, args.second)
+
+
+if __name__ == "__main__":
+    sys.exit(main())
