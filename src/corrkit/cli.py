@@ -150,7 +150,7 @@ def _cmd_dilate(inst: Instance, config: RunConfig, vector: str = "xi") -> Verifi
     pipe = _pipeline(inst, config)
     vec = _endo_vector(inst, pipe, "dilate", vector)
     rep = weak_dilation_check(pipe, vec).report
-    ranks = primary_span_ranks(pipe.eplus, pipe.endo, vec, config.levels)
+    ranks = primary_span_ranks(pipe, vec)
     rep.add_flag("primary-dilation", ranks[-1] == pipe.eplus.dim)
     rep.detail = f"moved-projection span ranks {ranks} on a module of dimension {pipe.eplus.dim}"
     return rep

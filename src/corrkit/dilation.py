@@ -529,31 +529,23 @@ def weak_dilation_check(pipe: DilationPipeline, xi_plus: np.ndarray) -> WeakDila
     return WeakDilation(rep.passed, rep, tmats, xi1, unit)
 
 
-def primary_span_ranks(
-    eplus: ModulePresentation,
-    endo: Endomorphism,
-    xi_plus: np.ndarray,
-    levels: int = 4,
-) -> list[int]:
-    """Ranks of the growing span of the moved projection ranges."""
+def primary_span_ranks(pipe: DilationPipeline, xi_plus: np.ndarray) -> list[int]:
+    """Ranks of the growing span of the moved projection ranges, at times
+    ``0..pipe.levels``."""
+    eplus, endo = pipe.eplus, pipe.endo
     p0 = rank_one(eplus, np.asarray(xi_plus, dtype=complex), np.asarray(xi_plus, dtype=complex)).matrix
     cols = []
     ranks = []
-    for t in range(levels + 1):
+    for t in range(pipe.levels + 1):
         cols.append(endo.apply(p0, t) if t else p0)
         stacked = np.concatenate(cols, axis=1)
         ranks.append(matrix_rank_tol(stacked))
     return ranks
 
 
-def primary_check(
-    eplus: ModulePresentation,
-    endo: Endomorphism,
-    xi_plus: np.ndarray,
-    levels: int = 4,
-) -> bool:
+def primary_check(pipe: DilationPipeline, xi_plus: np.ndarray) -> bool:
     """Whether the moved projection ranges exhaust the whole module."""
-    return primary_span_ranks(eplus, endo, xi_plus, levels)[-1] == eplus.dim
+    return primary_span_ranks(pipe, xi_plus)[-1] == pipe.eplus.dim
 
 
 # ---------------------------------------------------------------------------

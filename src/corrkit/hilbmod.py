@@ -22,10 +22,13 @@ in ``F^P`` by ``x_i (x) y_j -> (L(u[p, i]) y_j)_p``.  Each ``u[p, i]`` lies in
 row 0 of one algebra block ``b``, so the image lies in the corner sum
 ``(+)_p L(e^b_00) F`` of dimension ``sum_p rank L(e^b_00)``.
 :func:`internal_tensor` takes the kept range of every tensor from a thin SVD
-of that embedding and never forms the ``m_E m_F``-square pre-Gram.
+of that embedding and never forms the ``m_E m_F``-square pre-Gram: the factor
+rows are the kept right singular vectors, in the SVD's descending order and
+with its phases.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -136,13 +139,13 @@ def _lift(a: np.ndarray, s: np.ndarray, dims: tuple[int, int], side: str) -> np.
     stack ``a`` of shape (q, k, k) gives the stack of the q lifts.
     """
     first, second = dims
+    cols = s.shape[1]
     # explicit sizes: a -1 is ambiguous when a factor has dimension zero
     if side == "left":
-        out = a @ s.reshape(first, second * s.shape[1])
-        out = out.reshape(out.shape[:-1] + (second, s.shape[1]))
-    else:
-        out = a[..., None, :, :] @ s.reshape(first, second, s.shape[1])
-    return out.reshape(out.shape[:-3] + (out.shape[-3] * out.shape[-2], s.shape[1]))
+        out = a.reshape(math.prod(a.shape[:-1]), first) @ s.reshape(first, second * cols)
+        return out.reshape(a.shape[:-2] + (a.shape[-2] * second, cols))
+    out = a[..., None, :, :] @ s.reshape(first, second, cols)
+    return out.reshape(out.shape[:-3] + (out.shape[-3] * out.shape[-2], cols))
 
 
 def _canonical_phase(vectors: np.ndarray) -> np.ndarray:
@@ -332,6 +335,12 @@ class Correspondence(ModulePresentation):
             start += nb * nb
         return tuple(out)
 
+    @cached_property
+    def _action_rows(self) -> np.ndarray:
+        """The left then the right action stacked as one (2 d m, m) matrix."""
+        both = np.concatenate([self.left_action, self.right_action])
+        return both.reshape(2 * self.algebra.dim * self.dim, self.dim)
+
     def left_of(self, b: np.ndarray) -> np.ndarray:
         return np.einsum("c,cuv->uv", self.algebra.coords(b), self.left_action)
 
@@ -464,9 +473,10 @@ def is_nondegenerate(pres: ModulePresentation, tol: float = DEFAULT_TOL) -> bool
 # ---------------------------------------------------------------------------
 
 def _ordered_range(vecs: np.ndarray, vals: np.ndarray) -> np.ndarray:
-    """Kept eigenvectors as factor-map columns: phase-normalized, ordered by
+    """Kept eigenvectors as quotient columns: phase-normalized, ordered by
     descending eigenvalue, with ties broken on the rounded coordinate vectors
-    so the realization is reproducible."""
+    so the realization is reproducible.  Only :func:`_quotient` uses it
+    (tensors take their SVD rows as they come)."""
     kept = _canonical_phase(vecs)
     return kept[:, _lex_order(kept, -np.round(vals, 9))]
 
@@ -566,7 +576,8 @@ def internal_tensor(
     factor map from the algebraic tensor is the identity when every singular
     value ``s`` of the corner factor ``K`` (``K^H K`` is the scalarized
     pre-Gram) has ``s**2`` above ``tol`` times the largest; otherwise its rows
-    are the right singular vectors that do, by descending ``s``.
+    are the right singular vectors of ``K`` that do, as the SVD returns them,
+    by descending ``s``.  The realized scalar Gram is then ``diag(s**2)``.
     """
     _require_same_algebra(e, f)
     if not f.is_correspondence:
@@ -574,20 +585,21 @@ def internal_tensor(
     d, n, me, mf = e.algebra.dim, e.algebra.size, e.dim, f.dim
     _, s, vh = np.linalg.svd(_corner_factor(e, f), full_matrices=False)
     vals = s ** 2
-    keep = np.nonzero(vals > tol * (float(vals[0]) if vals.size else 0.0))[0]
-    if len(keep) == me * mf:
-        kept = np.eye(me * mf, dtype=complex)
-    else:
-        kept = _ordered_range(vh[keep].conj().T, vals[keep])
-    proj = kept.conj().T
-    r = kept.shape[1]
-    # glk[i, (q, b)] = sum <e_i, e_k>_c L_c[q, l] kept[(k, l), b]; f.gram then contracts q
-    lk = _lift(f.left_action, kept, (me, mf), "right").reshape(d * me, mf * r)
+    r = int(np.count_nonzero(vals > tol * (float(vals[0]) if vals.size else 0.0)))
+    proj = np.eye(me * mf, dtype=complex) if r == me * mf else vh[:r]
+    kept = proj.conj().T
+    # both actions of f in one product: act[c, q, k, b] = sum_l A_c[q, l] kept[(k, l), b]
+    cols = kept.reshape(me, mf, r).transpose(1, 0, 2).reshape(mf, me * r)
+    act = (f._action_rows @ cols).reshape(2 * d, mf, me, r)
+    # glk[i, (q, b)] = sum <e_i, e_k>_c act[c, q, k, b] over the left half; f.gram then contracts q
+    lk = act[:d].transpose(0, 2, 1, 3).reshape(d * me, mf * r)
     glk = e.gram_coords.transpose(0, 2, 1).reshape(me, d * me) @ lk
     fglk = f.gram.transpose(0, 2, 3, 1).reshape(mf * n * n, mf) @ glk.reshape(me, mf, r)
     gram = (proj @ fglk.reshape(me * mf, n * n * r)).reshape(r, n, n, r)
     gram = np.ascontiguousarray(gram.transpose(0, 3, 1, 2))
-    right = proj @ _lift(f.right_action, kept, (me, mf), "right")
+    # right[c] = proj (I (x) R_c) kept, with the columns of proj in (q, k) order
+    proj_qk = proj.reshape(r, me, mf).transpose(0, 2, 1).reshape(r, mf * me)
+    right = proj_qk @ act[d:].reshape(d, mf * me, r)
     if e.is_correspondence:
         left = proj @ _lift(e.left_action, kept, (me, mf), "left")
         reduced = Correspondence(e.algebra, right, gram, left)
@@ -726,7 +738,11 @@ def right_unitor(e: ModulePresentation, fm: FactorMap) -> np.ndarray:
 
 @dataclass
 class AssociatorResult:
-    """Rebracketing unitary realize((E.F).G) -> realize(E.(F.G))."""
+    """Rebracketing unitary realize((E.F).G) -> realize(E.(F.G)).
+
+    Its own checks, in :attr:`report`, run on first read: the callers that
+    only compose rebracketings never pay for them.
+    """
 
     matrix: np.ndarray
     adjoint: np.ndarray
@@ -736,7 +752,21 @@ class AssociatorResult:
     right_factor: FactorMap     # over E (x) (F.G)-realized
     ef: tuple[ModulePresentation, FactorMap]
     fg: tuple[ModulePresentation, FactorMap]
-    report: VerificationReport
+    tol: float
+
+    @cached_property
+    def report(self) -> VerificationReport:
+        """The unitary is Gram-preserving, unitary, and bilinear."""
+        alpha, left_mod, right_mod, tol = self.matrix, self.left_module, self.right_module, self.tol
+        rep = VerificationReport("associator")
+        rep.add("associator-gram", _dev(pull_gram(alpha, right_mod.gram), left_mod.gram), tol)
+        rep.add("associator-unitary", _unitary_dev(alpha, self.adjoint), tol)
+        rep.add("associator-right-linear",
+                _dev(alpha @ left_mod.right_action, right_mod.right_action @ alpha), tol)
+        if left_mod.is_correspondence and right_mod.is_correspondence:
+            rep.add("associator-left-linear",
+                    _dev(alpha @ left_mod.left_action, right_mod.left_action @ alpha), tol)
+        return rep
 
 
 def associator(
@@ -750,11 +780,12 @@ def associator(
     t2: tuple[ModulePresentation, FactorMap] | None = None,
     t4: tuple[ModulePresentation, FactorMap] | None = None,
 ) -> AssociatorResult:
-    """Compute and verify the canonical rebracketing unitary.
+    """Compute the canonical rebracketing unitary and its adjoint.
 
     Both iterated tensors are realized (reusing precomputed pieces when
     supplied) and the unitary is induced from the identity on the triple
-    algebraic tensor through the two realization chains.
+    algebraic tensor through the two realization chains.  Its checks are in
+    the result's lazily built ``report``.
     """
     _require_same_algebra(e, f)
     _require_same_algebra(f, g)
@@ -773,17 +804,8 @@ def associator(
     a_left_adj = _lift(ef[1].section, p2.section, p2.source_dims, "left")
     a_right = _lift(fg[1].section, p4.section, p4.source_dims, "right").conj().T
     alpha = a_right @ a_left_adj
-
-    rep = VerificationReport("associator")
-    rep.add("associator-gram", _dev(pull_gram(alpha, right_mod.gram), left_mod.gram), tol)
     adj = map_adjoint(alpha, left_mod, right_mod)
-    rep.add("associator-unitary", _unitary_dev(alpha, adj), tol)
-    rep.add("associator-right-linear",
-            _dev(alpha @ left_mod.right_action, right_mod.right_action @ alpha), tol)
-    if left_mod.is_correspondence and right_mod.is_correspondence:
-        rep.add("associator-left-linear",
-                _dev(alpha @ left_mod.left_action, right_mod.left_action @ alpha), tol)
-    return AssociatorResult(alpha, adj, left_mod, p2, right_mod, p4, ef, fg, rep)
+    return AssociatorResult(alpha, adj, left_mod, p2, right_mod, p4, ef, fg, tol)
 
 
 # ---------------------------------------------------------------------------

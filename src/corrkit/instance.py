@@ -131,6 +131,28 @@ def _decode_scalar(value, where: str) -> complex:
     return z
 
 
+def _read_pairs(value, ndim: int) -> np.ndarray | None:
+    """``value`` as an ``ndim``-dimensional complex array in one conversion.
+
+    Returns None unless ``value`` nests finite ``[re, im]`` pairs of numbers
+    (no bools) into a rectangular array; the caller then decodes it element by
+    element, which names the first bad element.  The entries are bitwise those
+    of ``complex(re, im)``.
+    """
+    try:
+        obj = np.array(value, dtype=object)
+        if obj.ndim != ndim + 1 or obj.shape[-1] != 2:
+            return None
+        if not set(map(type, obj.flat)) <= {int, float}:  # a bool is an int to numpy
+            return None
+        pairs = obj.astype(float)
+    except (ValueError, OverflowError):  # ragged nesting, an integer beyond the float range
+        return None
+    if not np.isfinite(pairs).all():
+        return None
+    return pairs.view(complex)[..., 0]
+
+
 def _read_matrix(value, where: str, shape: tuple[int, int] | None = None) -> np.ndarray:
     """A matrix of [re, im] pairs, with its shape checked but not its norm."""
     if not isinstance(value, list) or not value or not all(isinstance(r, list) for r in value):
@@ -138,9 +160,9 @@ def _read_matrix(value, where: str, shape: tuple[int, int] | None = None) -> np.
     ncols = len(value[0])
     if any(len(r) != ncols for r in value):
         raise InstanceFormatError(f"{where}: ragged rows")
-    out = np.array(
-        [[_decode_scalar(x, where) for x in row] for row in value], dtype=complex
-    )
+    out = _read_pairs(value, 2)
+    if out is None:
+        out = np.array([[_decode_scalar(x, where) for x in row] for row in value], dtype=complex)
     if shape is not None and out.shape != shape:
         raise InstanceFormatError(f"{where}: shape {out.shape}, expected {shape}")
     return out
@@ -155,7 +177,9 @@ def _decode_matrix(value, where: str, shape: tuple[int, int] | None = None) -> n
 def _decode_vector(value, where: str, dim: int | None = None) -> np.ndarray:
     if not isinstance(value, list):
         raise InstanceFormatError(f"{where}: expected a list of [re, im] pairs")
-    out = np.array([_decode_scalar(x, where) for x in value], dtype=complex)
+    out = _read_pairs(value, 1)
+    if out is None:
+        out = np.array([_decode_scalar(x, where) for x in value], dtype=complex)
     if dim is not None and out.shape != (dim,):
         raise InstanceFormatError(f"{where}: length {out.shape[0]}, expected {dim}")
     _check_norms(_operator_norms(out.reshape(1, 1, -1)), lambda _: where)
@@ -192,9 +216,27 @@ def _read_element(value, alg: Algebra, where: str) -> list[np.ndarray]:
     ]
 
 
+def _read_gram_blocks(gr: list, alg: Algebra, m: int) -> list[np.ndarray] | None:
+    """Per algebra block, the (m, m, n, n) grid of Gram blocks, each in one
+    conversion; None when any cell or entry is malformed."""
+    if not all(isinstance(cell, list) and len(cell) == len(alg.blocks)
+               for row in gr for cell in row):
+        return None
+    grids = []
+    for b, n in enumerate(alg.blocks):
+        grid = _read_pairs([[cell[b] for cell in row] for row in gr], 4)
+        if grid is None or grid.shape != (m, m, n, n):
+            return None
+        grids.append(grid)
+    return grids
+
+
 def _read_actions(value, where: str, m: int) -> np.ndarray:
     """A stack of action matrices, with one batched norm check."""
-    out = np.stack([_read_matrix(mat, f"{where}[{c}]", (m, m)) for c, mat in enumerate(value)])
+    out = _read_pairs(value, 3)
+    if out is None or out.shape != (len(value), m, m):
+        out = np.stack([_read_matrix(mat, f"{where}[{c}]", (m, m))
+                        for c, mat in enumerate(value)])
     _check_norms(_operator_norms(out), lambda c: f"{where}[{c}]")
     return out
 
@@ -214,12 +256,15 @@ def _decode_module(value, alg: Algebra, name: str, tol: float) -> ModulePresenta
     gr = value["gram"]
     if not isinstance(gr, list) or len(gr) != m or any(len(row) != m for row in gr):
         raise InstanceFormatError(f"{where}.gram: expected an {m} x {m} grid of algebra elements")
-    cells = [[_read_element(gr[i][j], alg, f"{where}.gram[{i}][{j}]") for j in range(m)]
-             for i in range(m)]
+    grids = _read_gram_blocks(gr, alg, m)
+    if grids is None:
+        cells = [[_read_element(gr[i][j], alg, f"{where}.gram[{i}][{j}]") for j in range(m)]
+                 for i in range(m)]
+        grids = [np.array([[cell[b] for cell in row] for row in cells])
+                 for b in range(len(alg.blocks))]
     gram = np.zeros((m, m, alg.size, alg.size), dtype=complex)
     norms = np.empty((m, m, len(alg.blocks)))
-    for b, (sl, n) in enumerate(zip(alg.block_slices, alg.blocks)):
-        blocks = np.array([[cell[b] for cell in row] for row in cells])
+    for b, (sl, blocks) in enumerate(zip(alg.block_slices, grids)):
         gram[:, :, sl, sl] = blocks
         norms[:, :, b] = _operator_norms(blocks)
     _check_norms(norms, lambda i, j, b: f"{where}.gram[{i}][{j}][block {b}]")

@@ -184,9 +184,11 @@ def test_criterion_6_remark_cross_checks():
 
     # primary dilations decided by the hand rank argument
     full = identity_mixed_instance()
-    assert primary_check(full.eplus, full.endo, full.unit_vectors["xi"], LEVELS)
+    assert primary_check(DilationPipeline(full.eplus, full.endo, levels=LEVELS), full.unit_vectors["xi"])
     partial = identity_scalar_instance()
-    assert not primary_check(partial.eplus, partial.endo, partial.unit_vectors["xi"], LEVELS)
+    assert not primary_check(
+        DilationPipeline(partial.eplus, partial.endo, levels=LEVELS), partial.unit_vectors["xi"]
+    )
 
     verdict("criterion-6 remark-cross-checks", worst <= TOL, f"max deviation {worst:.2e}")
 

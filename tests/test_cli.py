@@ -82,15 +82,16 @@ def test_dilate_exit(spatial_file):
 
 @pytest.mark.parametrize("build", [identity_mixed_instance, identity_scalar_instance])
 def test_dilate_primary_flag_matches_primary_check(tmp_path, build):
-    from corrkit.dilation import primary_check, primary_span_ranks
+    from corrkit.dilation import DilationPipeline, primary_check, primary_span_ranks
 
     obj = build()
     path = write(tmp_path, "inst.json", instance_from_endomorphism(obj))
     report = machine_report(["dilate", path], tmp_path)
     flag = next(c for c in report["checks"] if c["name"] == "primary-dilation")
     xi = next(iter(obj.unit_vectors.values()))
-    assert flag["passed"] == primary_check(obj.eplus, obj.endo, xi, levels=4)
-    assert str(primary_span_ranks(obj.eplus, obj.endo, xi, 4)) in report["detail"]
+    pipe = DilationPipeline(obj.eplus, obj.endo, levels=4)
+    assert flag["passed"] == primary_check(pipe, xi)
+    assert str(primary_span_ranks(pipe, xi)) in report["detail"]
 
 
 def test_spatial_exit(spatial_file, collapse_file):

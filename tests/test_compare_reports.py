@@ -1,0 +1,58 @@
+"""``tools/compare_reports.py diff`` on two hand-made run directories."""
+import importlib.util
+import json
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+_spec = importlib.util.spec_from_file_location("compare_reports", ROOT / "tools" / "compare_reports.py")
+compare_reports = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(compare_reports)
+
+
+def _check(name, deviation, tolerance, passed=True):
+    return {"name": name, "deviation": f"{deviation:.17e}", "tolerance": f"{tolerance:.17e}",
+            "passed": passed}
+
+
+def _run_dir(root: Path, reports: dict) -> Path:
+    records = {}
+    for key, checks in reports.items():
+        path = root / f"{key}.json"
+        path.parent.mkdir(parents=True, exist_ok=True)
+        doc = {"title": "t", "status": "pass", "detail": "", "provenance": {}, "checks": checks}
+        path.write_text(json.dumps(doc, sort_keys=True, indent=1))
+        records[key] = {"command": "verify-main", "exit": 0, "check": None, "known_fault": False}
+    (root / "commands.json").write_text(json.dumps(records))
+    return root
+
+
+def test_digits_only_outputs_show_their_headroom(tmp_path, capsys):
+    same = [_check("a", 1e-12, 1e-9)]
+    first = _run_dir(tmp_path / "a", {
+        "w/00": same,
+        "w/01": [_check("a", 2e-13, 1e-9), _check("b", 5e-10, 1e-9),
+                 _check("c", 3e-9, 1e-9, passed=False), _check("d", -1.0, 0.0)],
+    })
+    second = _run_dir(tmp_path / "b", {
+        "w/00": same,
+        "w/01": [_check("a", 7e-10, 1e-9), _check("b", 1e-10, 1e-9),
+                 _check("c", 5e-9, 1e-9, passed=False), _check("d", -2.0, 0.0)],
+    })
+    assert compare_reports.diff(first, second) == 0
+    out = capsys.readouterr().out.splitlines()
+    # the failing check and the zero tolerance do not count
+    assert out[0] == ("w/01 (verify-main): deviation digits only; largest passing "
+                      "deviation/tolerance 5.0e-01 -> 7.0e-01")
+    assert out[1].endswith("0 differ in exit code, verdict, status, check names or pass flags; "
+                           "1 outputs byte-identical")
+    assert out[2] == ("1 outputs differ only in digits; largest passing deviation/tolerance "
+                      "over them 5.0e-01 -> 7.0e-01")
+
+
+def test_flipped_flag_is_a_difference_without_headroom(tmp_path, capsys):
+    first = _run_dir(tmp_path / "a", {"w/00": [_check("a", 1e-12, 1e-9)]})
+    second = _run_dir(tmp_path / "b", {"w/00": [_check("a", 2e-9, 1e-9, passed=False)]})
+    assert compare_reports.diff(first, second) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "w/00 (verify-main): pass flags differ on ['a']"
+    assert len(out) == 2

@@ -340,22 +340,24 @@ def test_collapse_carries_idempotent_compression():
 
 def test_primary_for_algebra_module():
     inst = identity_mixed_instance()
-    assert primary_check(inst.eplus, inst.endo, inst.unit_vectors["xi"], levels=4)
+    assert primary_check(DilationPipeline(inst.eplus, inst.endo, levels=4), inst.unit_vectors["xi"])
 
 
 def test_not_primary_on_larger_module():
     inst = identity_scalar_instance()
-    assert not primary_check(inst.eplus, inst.endo, inst.unit_vectors["xi"], levels=4)
-    assert primary_span_ranks(inst.eplus, inst.endo, inst.unit_vectors["xi"], 4) == [1] * 5
+    pipe = DilationPipeline(inst.eplus, inst.endo, levels=4)
+    assert not primary_check(pipe, inst.unit_vectors["xi"])
+    assert primary_span_ranks(pipe, inst.unit_vectors["xi"]) == [1] * 5
 
 
 def test_primary_ranks_on_collapse_by_oracle():
     inst = block_collapse_instance()
     xi = np.array([1.0, 0.0, 1.0, 0.0])
-    ranks = primary_span_ranks(inst.eplus, inst.endo, xi, levels=3)
+    pipe = DilationPipeline(inst.eplus, inst.endo, levels=3)
+    ranks = primary_span_ranks(pipe, xi)
     # by hand: the moved projections keep their ranges inside two coordinates
     assert ranks == [2, 2, 2, 2]
-    assert not primary_check(inst.eplus, inst.endo, xi, levels=3)
+    assert not primary_check(pipe, xi)
 
 
 # ---------------------------------------------------------------------------
@@ -493,4 +495,5 @@ def test_no_entry_point_takes_a_second_source_of_run_parameters():
         "verify_main", "verify_supplement", "weak_dilation_check", "spatiality_report",
         "build_action_stages", "build_w", "derive_unit", "check_unit", "right_limit",
         "left_limit", "unit_pairing_check", "compare_unit_limits", "cp_of_unit",
+        "primary_span_ranks", "primary_check",
     } <= checked

@@ -353,6 +353,36 @@ def test_associator_seeded_triples(seed):
     assert res.report.max_deviation < TOL
 
 
+ASSOCIATOR_CHECKS = ["associator-gram", "associator-unitary", "associator-right-linear",
+                     "associator-left-linear"]
+
+
+def associator_cases():
+    """The operands of the associator tests above."""
+    plane = plane_correspondence()
+    cases = [(plane, plane, plane)]
+    for seed in (0, 3):
+        b = algebra_correspondence(seeded_module(seed).algebra)
+        cases.append((seeded_module(seed), b, b))
+    cases += [(seeded_module(s), seeded_correspondence(s), seeded_correspondence(s))
+              for s in (2, 3, 7)]
+    return cases
+
+
+@pytest.mark.parametrize("k", range(6))
+def test_associator_checks_run_on_first_read(k):
+    e, f, g = associator_cases()[k]
+    res = associator(e, f, g)
+    assert "report" not in vars(res)
+    rep = res.report
+    assert "report" in vars(res) and res.report is rep
+    # the left-linearity check needs a left action on both bracketings
+    expected = ASSOCIATOR_CHECKS if e.is_correspondence else ASSOCIATOR_CHECKS[:3]
+    assert [c.name for c in rep.checks] == expected
+    assert rep.passed
+    assert max_dev(res.adjoint, map_adjoint(res.matrix, res.left_module, res.right_module)) == 0.0
+
+
 # ---------------------------------------------------------------------------
 # matmul/tensordot kernels against the einsum and kron formulas
 # ---------------------------------------------------------------------------
@@ -440,6 +470,24 @@ def test_quotient_degenerate_pairs_really_reduce():
         assert tensor.dim < e.dim * f.dim
 
 
+@pytest.mark.parametrize("k", range(8))
+def test_factor_rows_are_the_corner_svd_rows(k):
+    """A degenerate tensor's factor rows are the leading right singular vectors
+    of the corner factor, as the SVD orders them, so its scalar Gram is
+    ``diag(s[:r]**2)``; a nondegenerate one keeps the identity factor."""
+    e, f = tensor_pairs()[k]
+    tensor, fm = internal_tensor(e, f)
+    r = tensor.dim
+    if r == e.dim * f.dim:
+        assert k >= 2  # the first two pairs are degenerate
+        assert np.array_equal(fm.matrix, np.eye(r))
+        return
+    _, s, vh = np.linalg.svd(_corner_factor(e, f), full_matrices=False)
+    assert np.array_equal(fm.matrix, vh[:r])
+    vals = s[:r] ** 2
+    assert max_dev(tensor.scalar_gram, np.diag(vals)) < 1e-12 * vals[0]
+
+
 # ---------------------------------------------------------------------------
 # Gram factor of the left module and the factored tensor
 # ---------------------------------------------------------------------------
@@ -479,16 +527,16 @@ def test_rank_deficient_module_has_fewer_rows():
 
 
 def _assert_eigh_range(e, f, monkeypatch):
-    """internal_tensor forms no pre-tensor and keeps the eigh range of the
-    reference pre-tensor: the identity when nothing is dropped, otherwise
-    rows ordered by descending eigenvalue."""
+    """internal_tensor forms no pre-tensor, imposes no tie-break order, and
+    keeps the eigh range of the reference pre-tensor: the identity when
+    nothing is dropped, otherwise rows ordered by descending eigenvalue."""
     import corrkit.hilbmod as hilbmod
 
     def refuse(*args, **kwargs):
-        raise AssertionError("pre-tensor formed")
+        raise AssertionError("pre-tensor formed or columns reordered")
 
     with monkeypatch.context() as patch:
-        for name in ("_quotient", "tensor_pre_gram", "_kron_stack"):
+        for name in ("_quotient", "tensor_pre_gram", "_kron_stack", "_ordered_range"):
             patch.setattr(hilbmod, name, refuse)
         tensor, fm = internal_tensor(e, f)
     s = ref_pre_tensor(e, f).scalar_gram

@@ -216,3 +216,108 @@ def test_weak_dilation_profile_passes_checker(seed):
 def test_unknown_profile():
     with pytest.raises(InstanceFormatError, match="profile"):
         generate_instance(0, "mystery")
+
+
+# ---------------------------------------------------------------------------
+# one conversion per stack, with the per-element decoder naming bad entries
+# ---------------------------------------------------------------------------
+
+def _corrupt_docs():
+    """A correspondence over [1, 2] (3 x 3 actions, 3 x 3 Gram grid) and an
+    endomorphism instance with a vector of length 5."""
+    corr = json.loads(emit_instance(generate_instance(3, "correspondence")))
+    dil = json.loads(emit_instance(generate_instance(3, "weak-dilation")))
+    assert corr["algebra"]["blocks"] == [1, 2] and corr["modules"]["F"]["dim"] == 3
+    assert len(dil["vectors"]["xi"]["entries"]) == 5
+    return corr, dil
+
+
+def _stack_targets(doc, key):
+    """(row, column index, where) of the first, a middle and the last entry of
+    an action stack."""
+    stack = doc["modules"]["F"][key]
+    d, m = len(stack), len(stack[0])
+    return [(stack[c][i], j, f"modules.F.{key}[{c}]")
+            for c, i, j in ((0, 0, 0), (d // 2, m // 2, m // 2), (d - 1, m - 1, m - 1))]
+
+
+def _gram_targets(doc):
+    """The same positions inside block 1 (2 x 2) of the Gram grid."""
+    gram = doc["modules"]["F"]["gram"]
+    m = len(gram)
+    return [(gram[i][j][1][a], b, f"modules.F.gram[{i}][{j}][block 1]")
+            for i, j, a, b in ((0, 0, 0, 0), (m // 2, m // 2, 1, 0), (m - 1, m - 1, 1, 1))]
+
+
+BAD_ENTRIES = {
+    "bool": ([True, 0.0], "complex entries are [re, im] pairs"),
+    "non-pair": ([0.5, 0.0, 0.0], "complex entries are [re, im] pairs"),
+    "nan": ([float("nan"), 0.0], "entries must be finite numbers"),
+    "inf": ([0.0, -float("inf")], "entries must be finite numbers"),
+    "huge-int": ([10**400, 0], "entries must be finite numbers"),
+    "ragged": (None, "ragged rows"),
+}
+
+
+@pytest.mark.parametrize("kind,place", [
+    (kind, place) for kind in BAD_ENTRIES
+    for place in ("right_action", "left_action", "gram", "vector")
+    if (kind, place) != ("ragged", "vector")  # a vector has no rows
+])
+@pytest.mark.parametrize("pos", range(3), ids=["first", "middle", "last"])
+def test_bad_entry_named_as_by_the_element_decoder(kind, place, pos, monkeypatch):
+    import corrkit.instance as instance
+
+    bad, message = BAD_ENTRIES[kind]
+    corr, dil = _corrupt_docs()
+    if place == "vector":
+        entries = dil["vectors"]["xi"]["entries"]
+        doc, (row, j, where) = dil, (entries, (0, 2, len(entries) - 1)[pos], "vectors.xi")
+    else:
+        targets = _gram_targets(corr) if place == "gram" else _stack_targets(corr, place)
+        doc, (row, j, where) = corr, targets[pos]
+    if kind == "ragged":
+        del row[j]
+    else:
+        row[j] = bad
+    expected = f"{where}: {message}"
+    with pytest.raises(InstanceFormatError) as err:
+        decode_instance(doc)
+    assert str(err.value) == expected
+    # the same message with the one-step conversion switched off
+    monkeypatch.setattr(instance, "_read_pairs", lambda value, ndim: None)
+    with pytest.raises(InstanceFormatError) as err:
+        decode_instance(doc)
+    assert str(err.value) == expected
+
+
+def test_one_step_decoding_matches_the_element_decoder(monkeypatch):
+    """Bitwise the same arrays, and no per-element decoding on valid input."""
+    import numpy as np
+
+    import corrkit.instance as instance
+
+    docs = list(_corrupt_docs()) + [json.loads(emit_instance(generate_instance(s, p)))
+                                    for s in (0, 5) for p in PROFILES]
+    docs[1]["vectors"]["xi"]["entries"][:2] = [[-0.0, 1], [3, -0.0]]  # signed zeros, ints
+
+    def arrays(inst):
+        out = []
+        for mod in inst.modules.values():
+            out += [mod.right_action, mod.gram] + ([mod.left_action] if mod.is_correspondence else [])
+        out += [vec for _, vec in inst.vectors.values()]
+        if inst.endomorphism:
+            out.append(inst.endomorphism[1])
+        return [(a.shape, a.tobytes()) for a in out]
+
+    def refuse(value, where):
+        raise AssertionError(f"{where} decoded element by element")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(instance, "_decode_scalar", refuse)
+        fast = [arrays(decode_instance(doc)) for doc in docs]
+    monkeypatch.setattr(instance, "_read_pairs", lambda value, ndim: None)
+    slow = [arrays(decode_instance(doc)) for doc in docs]
+    assert fast == slow
+    xi = decode_instance(docs[1]).vectors["xi"][1]
+    assert np.signbit([xi[0].real, xi[1].imag]).all() and xi[1].real == 3.0

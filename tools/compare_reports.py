@@ -17,7 +17,10 @@ failure is the workload's known fault.
 ``diff`` lists every command whose exit code, benchmark verdict, known-fault
 flag, report status, check names or pass flags differ between two runs, and
 counts the outputs that are byte-identical.  Deviation digits are not
-compared.  The exit status is 1 when any command differs, else 0.
+compared; for each output that differs only there (or in its detail and
+provenance), it prints each run's largest deviation/tolerance ratio over the
+passing checks, so the headroom of a "digits only" change shows.  The exit
+status is 1 when any command differs, else 0.
 """
 from __future__ import annotations
 
@@ -28,9 +31,6 @@ import os
 import shutil
 import sys
 from pathlib import Path
-
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 NAMES = ("dilation-m9", "powers", "shipped-sweep")
@@ -105,13 +105,26 @@ def _outline(doc) -> tuple:
     return doc["status"], [(c["name"], c["passed"]) for c in doc["checks"]]
 
 
+def _headroom(doc) -> float:
+    """Largest deviation/tolerance ratio over the passing checks with a
+    positive tolerance; 0 when there are none."""
+    return max((float(c["deviation"]) / float(c["tolerance"]) for c in doc["checks"]
+                if c["passed"] and float(c["tolerance"]) > 0.0), default=0.0)
+
+
+def _without_digits(doc) -> dict:
+    return {**doc, "checks": [{k: v for k, v in c.items() if k not in ("deviation", "tolerance")}
+                              for c in doc["checks"]]}
+
+
 def diff(first: Path, second: Path) -> int:
     runs = []
     for root in (first, second):
         with open(root / "commands.json", "r", encoding="utf-8") as fh:
             runs.append(json.load(fh))
     keys = sorted(set(runs[0]) | set(runs[1]))
-    identical, differing = 0, []
+    identical, differing, digits = 0, [], []
+    worst = [0.0, 0.0]
     for key in keys:
         a, b = runs[0].get(key), runs[1].get(key)
         if a is None or b is None:
@@ -133,14 +146,24 @@ def diff(first: Path, second: Path) -> int:
             elif checks_a != checks_b:
                 flips = [n for (n, p), (_, q) in zip(checks_a, checks_b) if p != q]
                 reasons.append(f"pass flags differ on {flips[:5]}")
+            if not reasons:
+                ratios = _headroom(doc_a), _headroom(doc_b)
+                worst = [max(w, r) for w, r in zip(worst, ratios)]
+                what = ("deviation digits" if _without_digits(doc_a) == _without_digits(doc_b)
+                        else "deviation digits, detail or provenance")
+                digits.append(f"{key} ({a['command']}): {what} only; largest passing "
+                              f"deviation/tolerance {ratios[0]:.1e} -> {ratios[1]:.1e}")
         elif bytes_a != bytes_b:
             reasons.append("output differs" if bytes_a and bytes_b else "output missing")
         if reasons:
             differing.append(f"{key} ({a['command']}): " + "; ".join(reasons))
-    for line in differing:
+    for line in differing + digits:
         print(line)
     print(f"{len(keys)} commands: {len(differing)} differ in exit code, verdict, status, "
           f"check names or pass flags; {identical} outputs byte-identical")
+    if digits:
+        print(f"{len(digits)} outputs differ only in digits; largest passing deviation/tolerance "
+              f"over them {worst[0]:.1e} -> {worst[1]:.1e}")
     return 1 if differing else 0
 
 
@@ -156,6 +179,9 @@ def main(argv=None) -> int:
     p.add_argument("second", type=Path)
     args = parser.parse_args(argv)
     if args.action == "run":
+        # before numpy is first imported, which happens in run
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            os.environ[var] = "1"
         return run(args.tree.resolve(), args.out.resolve(), args.seed)
     return diff(args.first, args.second)
 
