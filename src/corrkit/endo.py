@@ -6,8 +6,10 @@ package builds, for each time ``t >= 1``, the associated correspondence:
 the conjugate carrier tensored with the carrier, reduced under the inner
 product ``<x* (x) y, x'* (x) y'> = <y, theta^t(x x'*) y'>``, with left
 action ``b . (x* (x) y) = (x b*)* (x) y`` and right action on the second
-slot.  The identification unitaries between these realizations use the
-type-checked product rule ``(x* . x') (x) (y* . y') -> x* . theta^t(x' y*) y'``,
+slot.  Like every realized module it is whitened: its factor map has a
+section with ``proj @ section = I``, and its scalar Gram is ``I``.  The
+identification unitaries between these realizations use the type-checked
+product rule ``(x* . x') (x) (y* . y') -> x* . theta^t(x' y*) y'``,
 and the action unitary ``u_t : E+ . E_t -> E+`` sends
 ``x (x) (y* . z)`` to ``theta^t(x y*) z`` and recovers the endomorphism as
 ``theta^t(a) = u_t (a . id) u_t*``.
@@ -30,11 +32,9 @@ from .hilbmod import (
     Correspondence,
     FactorMap,
     ModulePresentation,
-    _balanced_gram,
     _dev,
-    _kron_stack,
     _lift,
-    _quotient,
+    _realize,
     _unit_from_blocks,
     _unitary_dev,
     adjointable_basis,
@@ -192,6 +192,26 @@ def _theta_rank_ones(endo: Endomorphism, t: int) -> tuple[np.ndarray, float]:
     return applied.reshape(m, m, m, m), resid
 
 
+def _frame(eplus: ModulePresentation, tol: float) -> np.ndarray:
+    """Frame ``xi`` of shape (P, m): ``sum_p <xi_p, xi_p>`` is the unit of every
+    block the module reaches (a largest ``c`` above ``tol`` times the largest
+    of all).  With ``(i, a)`` the pair of largest ``c = <e_i, e_i>^j_aa`` on
+    block ``j``, ``xi_{j,b} = R(e^j_ab) e_i / sqrt(c)`` has inner square ``e^j_bb``.
+    """
+    alg = eplus.algebra
+    diag = np.real(np.einsum("iiaa->ia", eplus.gram))  # (m, n)
+    top = float(diag.max(initial=0.0))
+    out, start = [], 0
+    for sl, nb in zip(alg.block_slices, alg.blocks):
+        c = diag[:, sl]
+        if c.max() > tol * top:
+            i, a = np.unravel_index(np.argmax(c), c.shape)
+            rows = eplus.right_action[start + a * nb:start + (a + 1) * nb, :, i]  # R(e^j_ab) e_i
+            out.append(rows / np.sqrt(c[i, a]))
+        start += nb * nb
+    return np.concatenate(out)
+
+
 def associated_correspondence(
     eplus: ModulePresentation,
     endo: Endomorphism,
@@ -202,7 +222,10 @@ def associated_correspondence(
 
     At ``t = 0`` the algebra itself is returned.  For ``t >= 1`` the
     conjugate-tensor carrier is reduced under the inner product
-    ``<x* (x) y, x'* (x) y'> = <y, theta^t(x x'*) y'>``.
+    ``<x* (x) y, x'* (x) y'> = <y, theta^t(x x'*) y'>``.  For the frame ``xi``
+    of :func:`_frame`, ``theta^t(x x'*) = sum_p theta^t(xi_p x*)^* theta^t(xi_p x'*)``,
+    so that inner product is pulled back from ``E+^P`` along the map
+    ``x* (x) y -> (theta^t(xi_p x*) y)_p``, realized through ``_realize``.
     """
     alg = eplus.algebra
     if t == 0:
@@ -216,14 +239,15 @@ def associated_correspondence(
     if resid > tol * max(1.0, float(np.abs(eplus.gram).max())):
         raise ConstructionError("rank-one operators leave the operator basis", residual=resid)
 
-    gram = _balanced_gram(images, eplus.gram)
-    right = _kron_stack(np.eye(m), eplus.right_action)
-    left = _kron_stack(eplus.right_action[alg.star_index].conj(), np.eye(m))
-    pre = Correspondence(alg, right, gram, left)
-    reduced, proj = _quotient(pre, tol)
-    return AssociatedCorrespondence(
-        t, reduced, FactorMap(proj, (m, m), reduced), warnings
-    )
+    # frame[p, u, (i, j)] = theta^t(xi_p e_i*)[u, j], the p-th map on e_i* (x) e_j
+    frame = np.tensordot(_frame(eplus, tol), images, axes=([1], [0]))
+    frame = frame.transpose(0, 2, 1, 3).reshape(len(frame), m, m * m)
+    proj, section = _realize((eplus.scalar_sqrt @ frame).reshape(-1, m * m), tol)
+    gram = sum(pull_gram(v, eplus.gram) for v in frame @ section)
+    right = proj @ _lift(eplus.right_action, section, (m, m), "right")
+    left = proj @ _lift(eplus.right_action[alg.star_index].conj(), section, (m, m), "left")
+    reduced = Correspondence(alg, right, gram, left)
+    return AssociatedCorrespondence(t, reduced, FactorMap(proj, section, (m, m), reduced), warnings)
 
 
 def power_coherence(
@@ -247,17 +271,12 @@ def power_coherence(
     tensor, fm = internal_tensor(es.corr, et.corr, tol)
     images, _ = _theta_rank_ones(endo, t)
 
-    block = np.zeros((m, m, m, m, m, m), dtype=complex)
-    for i in range(m):
-        block[i, :, i] = images.transpose(2, 0, 1, 3)  # [a, j, k, l] = theta^t(e_j e_k*)[a, l]
-    bridge = block.reshape(m * m, m * m * m * m)
-
-    u = (
-        est.factor.matrix
-        @ bridge
-        @ np.kron(es.factor.section, et.factor.section)
-        @ fm.section
-    )
+    # bridge[u, (j, k, l)] = theta^t(e_j e_k*)[u, l], as in u_unitary
+    bridge = images.transpose(2, 0, 1, 3).reshape(m, m ** 3)
+    # representatives (i, j, k, l) of e_i* . e_j (x) e_k* . e_l for the realized tensor
+    inner = _lift(et.factor.section, fm.section, fm.source_dims, "right")
+    sec = _lift(es.factor.section, inner, (es.corr.dim, m * m), "left")
+    u = est.factor.matrix @ _lift(bridge, sec, (m, m ** 3), "right")
     rep = VerificationReport(f"power coherence [{s},{t}]")
     cod = est.corr
     rep.add(f"product-rule-isometric[{s},{t}]", _dev(pull_gram(u, cod.gram), tensor.gram), tol)

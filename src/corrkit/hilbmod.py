@@ -13,8 +13,14 @@ with ``R``.  All maps between presentations are plain matrices on carrier
 coordinates.  The internal tensor product of a module with a correspondence
 is the algebraic tensor carrier with the balanced pre-inner product
 ``<x (x) y, x' (x) y'> = <y, L(<x, x'>) y'>``, quotiented by its length-zero
-vectors; the quotient map is a :class:`FactorMap` with orthonormal rows, so
-its conjugate transpose is a section.
+vectors.
+
+Every realized module (an internal tensor, an associated correspondence
+``E_t``, a reduced presentation) comes from one primitive, :func:`_realize`,
+applied to a factor ``k`` of the carrier's scalarized Gram ``k^H k``.  It
+returns the projection onto the realization and a section with
+``proj @ section = I``, and the realized scalar Gram is ``I``: realizations
+are whitened, so their scale does not compound with depth.
 
 Factoring the Gram of the left module as ``<e_i, e_k> = sum_p u[p, i]* u[p, k]``
 (:attr:`ModulePresentation.gram_rows`) embeds the algebraic tensor isometrically
@@ -22,9 +28,7 @@ in ``F^P`` by ``x_i (x) y_j -> (L(u[p, i]) y_j)_p``.  Each ``u[p, i]`` lies in
 row 0 of one algebra block ``b``, so the image lies in the corner sum
 ``(+)_p L(e^b_00) F`` of dimension ``sum_p rank L(e^b_00)``.
 :func:`internal_tensor` takes the kept range of every tensor from a thin SVD
-of that embedding and never forms the ``m_E m_F``-square pre-Gram: the factor
-rows are the kept right singular vectors, in the SVD's descending order and
-with its phases.
+of that embedding and never forms the ``m_E m_F``-square pre-Gram.
 """
 from __future__ import annotations
 
@@ -123,12 +127,6 @@ def _unit_from_blocks(
             return None, j
         out = out + q @ (basis @ vecs[:, -1]) / np.sqrt(vals[-1])
     return out, None
-
-
-def _kron_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``kron(a[c], b[c])`` for every leading index, broadcast as in numpy."""
-    out = a[..., :, None, :, None] * b[..., None, :, None, :]
-    return out.reshape(out.shape[:-4] + (a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1]))
 
 
 def _lift(a: np.ndarray, s: np.ndarray, dims: tuple[int, int], side: str) -> np.ndarray:
@@ -357,17 +355,14 @@ class AdjointableOperator:
 class FactorMap:
     """Surjection from an algebraic tensor carrier onto its realization.
 
-    The matrix has orthonormal rows, so ``section`` (the conjugate
-    transpose) picks distinguished representatives.
+    ``section`` picks representatives: ``matrix @ section = I``, and the
+    realized scalar Gram, the pre-Gram pulled back along ``section``, is ``I``.
     """
 
     matrix: np.ndarray
+    section: np.ndarray
     source_dims: tuple[int, int]
     target: ModulePresentation
-
-    @property
-    def section(self) -> np.ndarray:
-        return self.matrix.conj().T
 
 
 def map_adjoint(v: np.ndarray, dom: ModulePresentation, cod: ModulePresentation) -> np.ndarray:
@@ -469,45 +464,24 @@ def is_nondegenerate(pres: ModulePresentation, tol: float = DEFAULT_TOL) -> bool
 
 
 # ---------------------------------------------------------------------------
-# quotient by length-zero vectors
+# whitened realization
 # ---------------------------------------------------------------------------
 
-def _ordered_range(vecs: np.ndarray, vals: np.ndarray) -> np.ndarray:
-    """Kept eigenvectors as quotient columns: phase-normalized, ordered by
-    descending eigenvalue, with ties broken on the rounded coordinate vectors
-    so the realization is reproducible.  Only :func:`_quotient` uses it
-    (tensors take their SVD rows as they come)."""
-    kept = _canonical_phase(vecs)
-    return kept[:, _lex_order(kept, -np.round(vals, 9))]
+def _realize(k: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """``(proj, section)`` realizing a carrier whose scalarized Gram is ``k^H k``.
 
-
-def _quotient(pres: ModulePresentation, tol: float) -> tuple[ModulePresentation, np.ndarray]:
-    """Realize the quotient by the kernel of the scalarized Gram.
-
-    Returns the reduced presentation and the coordinate projection, a matrix
-    with orthonormal rows preserving the algebra-valued inner product.
-    Nondegenerate input is returned unchanged with the identity projection.
+    With ``k = U diag(s) V^H``, singular values with ``s**2 <= tol * s_0**2``
+    are dropped.  A degenerate carrier gets ``diag(s) V^H`` and
+    ``V diag(1/s)`` on the kept range; a nondegenerate one the symmetric roots
+    ``V diag(s^{+-1}) V^H``, the identity where ``k^H k = I``.  Either way
+    ``proj @ section = I`` and ``section^H k^H k section = I``.
     """
-    m = pres.dim
-    s = (pres.scalar_gram + pres.scalar_gram.conj().T) / 2.0
-    vals, vecs = np.linalg.eigh(s)
-    lam_max = float(vals.max(initial=0.0))
-    thresh = tol * max(lam_max, 0.0)
-    if m and float(vals.min()) > thresh:
-        return pres, np.eye(m, dtype=complex)
-
-    keep = np.nonzero(vals > thresh)[0]
-    kept = _ordered_range(vecs[:, keep], vals[keep])
-    proj = kept.conj().T  # (r, m)
-
-    new_gram = pull_gram(kept, pres.gram)
-    new_r = proj @ pres.right_action @ kept
-    if pres.is_correspondence:
-        new_l = proj @ pres.left_action @ kept
-        reduced = Correspondence(pres.algebra, new_r, new_gram, new_l)
-    else:
-        reduced = ModulePresentation(pres.algebra, new_r, new_gram)
-    return reduced, proj
+    _, s, vh = np.linalg.svd(k, full_matrices=False)
+    r = int(np.count_nonzero(s ** 2 > tol * (float(s[0]) ** 2 if s.size else 0.0)))
+    if r == k.shape[1]:
+        v = vh.conj().T
+        return (v * s) @ vh, (v / s) @ vh
+    return s[:r, None] * vh[:r], vh[:r].conj().T / s[:r]
 
 
 def reduce_presentation(
@@ -516,13 +490,27 @@ def reduce_presentation(
     """Quotient a possibly degenerate presentation by its length-zero vectors.
 
     Every axiom except nondegeneracy must hold; otherwise the presentation
-    is rejected.
+    is rejected.  Nondegenerate input comes back unchanged with the identity
+    projection; otherwise the reduction is :func:`_realize` of the Gram
+    factor rows over ``sqrt(n)``: ``proj @ section = I`` for a section, and
+    the reduced scalar Gram is ``I``.
     """
     rep = validate_module(pres, tol, check_nondegenerate=False)
     if not rep.passed:
         names = ", ".join(c.name for c in rep.failed_checks())
         raise InvalidPresentationError(f"axiom violations besides degeneracy: {names}")
-    return _quotient(pres, tol)
+    m = pres.dim
+    # row (p, c) of block b is w[p, :, c]: the scalarized Gram is sum |w|^2 / n
+    rows = [w.transpose(0, 2, 1).reshape(len(w) * w.shape[2], m) for w in pres._gram_factor]
+    proj, section = _realize(np.concatenate(rows) / np.sqrt(pres.algebra.size), tol)
+    if len(proj) == m:
+        return pres, np.eye(m, dtype=complex)
+    right = proj @ pres.right_action @ section
+    gram = pull_gram(section, pres.gram)
+    if pres.is_correspondence:
+        left = proj @ pres.left_action @ section
+        return Correspondence(pres.algebra, right, gram, left), proj
+    return ModulePresentation(pres.algebra, right, gram), proj
 
 
 # ---------------------------------------------------------------------------
@@ -538,16 +526,11 @@ def _require_same_algebra(e: ModulePresentation, f: ModulePresentation) -> None:
 
 
 def tensor_pre_gram(e: ModulePresentation, f: Correspondence) -> np.ndarray:
-    """Balanced pre-inner product on the algebraic tensor carrier."""
+    """Balanced pre-inner product on the algebraic tensor carrier:
+    ``pre[(i, j), (k, l)] = sum_q gram_F[j, q] L(<e_i, e_k>)[q, l]``."""
+    me, mf, n = e.dim, f.dim, e.algebra.size
     lg = np.tensordot(e.gram_coords, f.left_action, axes=([2], [0]))  # [i, k, q, l]
-    return _balanced_gram(lg, f.gram)
-
-
-def _balanced_gram(lg: np.ndarray, gram: np.ndarray) -> np.ndarray:
-    """``pre[(i, j), (k, l)] = sum_q gram[j, q] lg[i, k, q, l]`` as an (M, M, n, n) Gram."""
-    me, mf = lg.shape[0], gram.shape[0]
-    n = gram.shape[2]
-    pre = np.tensordot(lg, gram, axes=([2], [1])).transpose(0, 3, 1, 2, 4, 5)
+    pre = np.tensordot(lg, f.gram, axes=([2], [1])).transpose(0, 3, 1, 2, 4, 5)
     return pre.reshape(me * mf, me * mf, n, n)
 
 
@@ -573,39 +556,34 @@ def internal_tensor(
     """Internal tensor product of a module with a correspondence.
 
     The result is a correspondence exactly when the left factor is one.  The
-    factor map from the algebraic tensor is the identity when every singular
-    value ``s`` of the corner factor ``K`` (``K^H K`` is the scalarized
-    pre-Gram) has ``s**2`` above ``tol`` times the largest; otherwise its rows
-    are the right singular vectors of ``K`` that do, as the SVD returns them,
-    by descending ``s``.  The realized scalar Gram is then ``diag(s**2)``.
+    tensor is realized by :func:`_realize` of the corner factor ``K``
+    (``K^H K`` is the scalarized pre-Gram): the factor map has a section with
+    ``matrix @ section = I``, and the realized scalar Gram is ``I``.
     """
     _require_same_algebra(e, f)
     if not f.is_correspondence:
         raise IncompatibleOperandsError("right tensor factor must be a correspondence")
     d, n, me, mf = e.algebra.dim, e.algebra.size, e.dim, f.dim
-    _, s, vh = np.linalg.svd(_corner_factor(e, f), full_matrices=False)
-    vals = s ** 2
-    r = int(np.count_nonzero(vals > tol * (float(vals[0]) if vals.size else 0.0)))
-    proj = np.eye(me * mf, dtype=complex) if r == me * mf else vh[:r]
-    kept = proj.conj().T
-    # both actions of f in one product: act[c, q, k, b] = sum_l A_c[q, l] kept[(k, l), b]
-    cols = kept.reshape(me, mf, r).transpose(1, 0, 2).reshape(mf, me * r)
+    proj, section = _realize(_corner_factor(e, f), tol)
+    r = len(proj)
+    # both actions of f in one product: act[c, q, k, b] = sum_l A_c[q, l] section[(k, l), b]
+    cols = section.reshape(me, mf, r).transpose(1, 0, 2).reshape(mf, me * r)
     act = (f._action_rows @ cols).reshape(2 * d, mf, me, r)
     # glk[i, (q, b)] = sum <e_i, e_k>_c act[c, q, k, b] over the left half; f.gram then contracts q
     lk = act[:d].transpose(0, 2, 1, 3).reshape(d * me, mf * r)
     glk = e.gram_coords.transpose(0, 2, 1).reshape(me, d * me) @ lk
     fglk = f.gram.transpose(0, 2, 3, 1).reshape(mf * n * n, mf) @ glk.reshape(me, mf, r)
-    gram = (proj @ fglk.reshape(me * mf, n * n * r)).reshape(r, n, n, r)
+    gram = (section.conj().T @ fglk.reshape(me * mf, n * n * r)).reshape(r, n, n, r)
     gram = np.ascontiguousarray(gram.transpose(0, 3, 1, 2))
-    # right[c] = proj (I (x) R_c) kept, with the columns of proj in (q, k) order
+    # right[c] = proj (I (x) R_c) section, with the columns of proj in (q, k) order
     proj_qk = proj.reshape(r, me, mf).transpose(0, 2, 1).reshape(r, mf * me)
     right = proj_qk @ act[d:].reshape(d, mf * me, r)
     if e.is_correspondence:
-        left = proj @ _lift(e.left_action, kept, (me, mf), "left")
+        left = proj @ _lift(e.left_action, section, (me, mf), "left")
         reduced = Correspondence(e.algebra, right, gram, left)
     else:
         reduced = ModulePresentation(e.algebra, right, gram)
-    return reduced, FactorMap(proj, (me, mf), reduced)
+    return reduced, FactorMap(proj, section, (me, mf), reduced)
 
 
 # ---------------------------------------------------------------------------
@@ -800,10 +778,9 @@ def associator(
             f"bracketings realize different dimensions {left_mod.dim} vs {right_mod.dim}",
             residual=abs(left_mod.dim - right_mod.dim),
         )
-    # both chains from the triple carrier: p2 (ef . id) and p4 (id . fg)
+    # into the triple carrier through p2 (ef . id), out of it through p4 (id . fg)
     a_left_adj = _lift(ef[1].section, p2.section, p2.source_dims, "left")
-    a_right = _lift(fg[1].section, p4.section, p4.source_dims, "right").conj().T
-    alpha = a_right @ a_left_adj
+    alpha = p4.matrix @ _lift(fg[1].matrix, a_left_adj, (e.dim, f.dim * g.dim), "right")
     adj = map_adjoint(alpha, left_mod, right_mod)
     return AssociatorResult(alpha, adj, left_mod, p2, right_mod, p4, ef, fg, tol)
 

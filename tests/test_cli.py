@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from corrkit.algebra import make_algebra
 from corrkit.cli import (
     EXIT_DEGENERATE,
     EXIT_FAIL,
@@ -282,6 +283,40 @@ def test_generate_and_validate_chain(tmp_path):
     assert main(["generate", "--profile", "weak-dilation", "--seed", "7", "--out", str(out)]) == EXIT_PASS
     assert main(["validate", str(out)]) == EXIT_PASS
     assert main(["verify-supplement", str(out), "--vector", "xi"]) == EXIT_PASS
+
+
+def ladder_file(tmp_path, blocks) -> str:
+    """The benchmark's ladder instance: the algebra over itself with the
+    inner map ``a -> v a v*``, where ``v`` has blocks ``kron(U_n, I_n)`` drawn
+    from ``default_rng(1)``; xi is the identity."""
+    from corrkit.endo import endomorphism_from_conjugation
+    from corrkit.gallery import random_unitary, standard_module, unit_vector_of_identity
+
+    rng = np.random.default_rng(1)
+    alg = make_algebra(blocks)
+    eplus = standard_module(alg, blocks)
+    v = np.zeros((eplus.dim, eplus.dim), dtype=complex)
+    at = 0
+    for n in blocks:
+        v[at:at + n * n, at:at + n * n] = np.kron(random_unitary(rng, n), np.eye(n))
+        at += n * n
+    inst = Instance(alg, {"E": eplus})
+    inst.endomorphism = ("E", endomorphism_from_conjugation(eplus, v).matrix)
+    inst.vectors["xi"] = ("E", unit_vector_of_identity(alg, blocks))
+    return write(tmp_path, f"ladder-{len(blocks)}.json", inst)
+
+
+@pytest.mark.parametrize("blocks,levels", [([3], 8), ([2, 3], 6)])
+def test_ladder_identities_hold_at_depth(tmp_path, blocks, levels):
+    """Realized modules are whitened, so the Gram scale does not compound with
+    depth: every identity of the deep ladders holds far inside its absolute
+    tolerance (unwhitened, [3] at levels 8 failed 19 checks, the worst at 1.9e-7)."""
+    out = tmp_path / "report.json"
+    argv = ["verify-main", ladder_file(tmp_path, blocks), "--levels", str(levels)]
+    assert main(argv + ["--report", "machine", "--out", str(out)]) == EXIT_PASS
+    checks = json.loads(out.read_text())["checks"]
+    assert f"restriction-identity[1,{levels - 1}]" in {c["name"] for c in checks}
+    assert max(float(c["deviation"]) for c in checks) < 1e-12
 
 
 def test_machine_reports_are_byte_identical(spatial_file, tmp_path):

@@ -19,14 +19,18 @@ from corrkit.gallery import (
     identity_mixed_instance,
     inner_rotation_instance,
     outer_swap_instance,
+    random_unitary,
     standard_module,
 )
 from corrkit.hilbmod import (
+    ModulePresentation,
     adjointable_basis,
     algebra_correspondence,
     fullness_check,
     internal_tensor,
     map_adjoint,
+    pull_gram,
+    rank_one,
     right_unitor,
     tensor_lift,
     validate_module,
@@ -135,6 +139,70 @@ def test_associated_warns_on_non_full_module():
     endo = make_endomorphism(eplus, np.eye(len(ops)), ops)
     res = associated_correspondence(eplus, endo, 1)
     assert res.warnings
+
+
+# ---------------------------------------------------------------------------
+# property draws: the frame realization of E_t against the balanced pre-Gram
+# ---------------------------------------------------------------------------
+
+INNER_DRAWS = [([1, 2], None), ([2, 2], None), ([3], None), ([1, 1], [1, 0])]
+
+
+def _random_inner(blocks, counts, seed):
+    """A seeded inner endomorphism ``a -> v a v^{-1}`` of a standard module in a
+    skew carrier basis, whose scalar Gram is not scalar.  On the standard
+    module, ``v`` is ``kron(U_k, I_n)`` on each block's ``k`` rows of length
+    ``n``, so it commutes with the right action; row counts are drawn from
+    {1, 2} unless given."""
+    rng = np.random.default_rng(seed)
+    alg = make_algebra(blocks)
+    if counts is None:
+        counts = [int(c) for c in rng.integers(1, 3, size=len(blocks))]
+    e = standard_module(alg, counts)
+    v = np.zeros((e.dim, e.dim), dtype=complex)
+    at = 0
+    for k, n in zip(counts, blocks):
+        v[at:at + k * n, at:at + k * n] = np.kron(random_unitary(rng, k), np.eye(n))
+        at += k * n
+    skew = np.eye(e.dim) + 0.3 * (rng.standard_normal((e.dim,) * 2)
+                                  + 1j * rng.standard_normal((e.dim,) * 2))
+    inv = np.linalg.inv(skew)
+    eplus = ModulePresentation(alg, inv @ e.right_action @ skew, pull_gram(skew, e.gram))
+    assert validate_module(eplus).passed
+    return eplus, inv @ v @ skew
+
+
+def _oracle_balanced_gram(eplus, v, t):
+    """``<e_i* (x) e_j, e_k* (x) e_l> = <e_j, theta^t(e_i e_k*) e_l>`` by loops,
+    with ``theta^t(a) = v^t a v^{-t}`` applied to the rank-ones directly."""
+    m, n = eplus.dim, eplus.algebra.size
+    vt = np.linalg.matrix_power(v, t)
+    vt_inv = np.linalg.inv(vt)
+    out = np.zeros((m, m, m, m, n, n), dtype=complex)
+    for i in range(m):
+        for k in range(m):
+            image = vt @ rank_one(eplus, _basis(m, i), _basis(m, k)).matrix @ vt_inv
+            for j in range(m):
+                for l in range(m):
+                    out[i, j, k, l] = sum(eplus.gram[j, q] * image[q, l] for q in range(m))
+    return out.reshape(m * m, m * m, n, n)
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("t", [1, 2])
+@pytest.mark.parametrize("draw", range(len(INNER_DRAWS)))
+def test_frame_realization_matches_the_balanced_pre_gram(draw, t, seed):
+    """E_t has the oracle's rank, its Gram pulled back along the factor map is
+    the balanced pre-Gram, and its scalar Gram is the identity."""
+    eplus, v = _random_inner(*INNER_DRAWS[draw], seed)
+    endo = endomorphism_from_conjugation(eplus, v)
+    res = associated_correspondence(eplus, endo, t)
+    pre = _oracle_balanced_gram(eplus, v, t)
+    assert res.corr.dim == oracle_rank(oracle_scalarized(eplus.algebra, pre))
+    assert max_dev(pull_gram(res.factor.matrix, res.corr.gram), pre) < 1e-12
+    assert max_dev(res.corr.scalar_gram, np.eye(res.corr.dim)) < 1e-12
+    assert max_dev(res.factor.matrix @ res.factor.section, np.eye(res.corr.dim)) < 1e-12
+    assert validate_module(res.corr).passed
 
 
 @pytest.mark.parametrize("name", ["identity-mixed", "block-collapse", "inner-rotation"])

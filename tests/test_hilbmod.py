@@ -19,7 +19,6 @@ from corrkit.hilbmod import (
     _corner_factor,
     _lex_order,
     _lift,
-    _quotient,
     _unitary_dev,
     adjointable_basis,
     algebra_correspondence,
@@ -438,30 +437,53 @@ def test_pull_gram_matches_einsum(shape):
         assert max_dev(pull_gram(v, gram), ref_pull_gram(v, gram)) < KERNEL_ATOL
 
 
+def _assert_formulas_on_section(reduced, proj, section, pre):
+    """The realized Gram is the pre-Gram pulled back along the section, and
+    each action is ``proj A section``."""
+    assert max_dev(reduced.gram, ref_pull_gram(section, pre.gram)) < KERNEL_ATOL
+    ref_r = np.einsum("au,cuv,vb->cab", proj, pre.right_action, section)
+    assert max_dev(reduced.right_action, ref_r) < KERNEL_ATOL
+    if pre.is_correspondence:
+        ref_l = np.einsum("au,cuv,vb->cab", proj, pre.left_action, section)
+        assert max_dev(reduced.left_action, ref_l) < KERNEL_ATOL
+
+
+def _assert_whitened(proj, section, pre):
+    """The realization contract against the eigh reference of the pre-tensor:
+    ``proj @ section = I``, ``section^H S section = I``, and ``section @ proj``
+    is the orthogonal projection onto the eigh range kept at ``TOL``."""
+    s = pre.scalar_gram
+    vals, vecs = np.linalg.eigh((s + s.conj().T) / 2.0)
+    kept = vecs[:, vals > TOL * vals.max()]
+    r = kept.shape[1]
+    assert proj.shape == (r, len(s)) and section.shape == (len(s), r)
+    assert max_dev(proj @ section, np.eye(r)) < 1e-10
+    assert max_dev(section.conj().T @ s @ section, np.eye(r)) < 1e-10
+    assert max_dev(section @ proj, kept @ kept.conj().T) < 1e-10
+
+
 @pytest.mark.parametrize("k", range(8))
 def test_pre_gram_and_quotient_match_einsum(k):
+    """The kron-free pre-Gram against the einsum formula; the reduction of the
+    reference pre-tensor and the realized tensor against the formulas on
+    their sections."""
     e, f = tensor_pairs()[k]
     pre = ref_pre_tensor(e, f)
     assert max_dev(tensor_pre_gram(e, f), pre.gram) < KERNEL_ATOL
-    reduced, proj = _quotient(pre, TOL)
-    kept = proj.conj().T
-    assert max_dev(reduced.gram, ref_pull_gram(kept, pre.gram)) < KERNEL_ATOL
-    ref_r = np.einsum("au,cuv,bv->cab", proj, pre.right_action, proj.conj())
-    assert max_dev(reduced.right_action, ref_r) < KERNEL_ATOL
-    if e.is_correspondence:
-        ref_l = np.einsum("au,cuv,bv->cab", proj, pre.left_action, proj.conj())
-        assert max_dev(reduced.left_action, ref_l) < KERNEL_ATOL
-    # internal_tensor builds the same pre-tensor without kron; rounding may
-    # pick other eigenvectors inside a degenerate eigenspace, so compare
-    # against the formulas on its own projection
+    reduced, proj = reduce_presentation(pre)
+    if reduced is pre:
+        assert k >= 2  # the first two pairs are degenerate
+        assert np.array_equal(proj, np.eye(pre.dim))
+        assert oracle_rank(pre.scalar_gram) == pre.dim
+    else:
+        # the section of the whitened projection diag(s) V^H is V diag(1/s)
+        section = np.linalg.pinv(proj)
+        _assert_whitened(proj, section, pre)
+        _assert_formulas_on_section(reduced, proj, section, pre)
+    # internal_tensor builds the same pre-tensor without kron
     tensor, fm = internal_tensor(e, f)
-    p = fm.matrix
-    assert max_dev(tensor.gram, ref_pull_gram(p.conj().T, pre.gram)) < KERNEL_ATOL
-    ref_r = np.einsum("au,cuv,bv->cab", p, pre.right_action, p.conj())
-    assert max_dev(tensor.right_action, ref_r) < KERNEL_ATOL
-    if e.is_correspondence:
-        ref_l = np.einsum("au,cuv,bv->cab", p, pre.left_action, p.conj())
-        assert max_dev(tensor.left_action, ref_l) < KERNEL_ATOL
+    _assert_whitened(fm.matrix, fm.section, pre)
+    _assert_formulas_on_section(tensor, fm.matrix, fm.section, pre)
 
 
 def test_quotient_degenerate_pairs_really_reduce():
@@ -473,19 +495,22 @@ def test_quotient_degenerate_pairs_really_reduce():
 @pytest.mark.parametrize("k", range(8))
 def test_factor_rows_are_the_corner_svd_rows(k):
     """A degenerate tensor's factor rows are the leading right singular vectors
-    of the corner factor, as the SVD orders them, so its scalar Gram is
-    ``diag(s[:r]**2)``; a nondegenerate one keeps the identity factor."""
+    of the corner factor ``K = U diag(s) V^H`` scaled by ``s``, with section
+    ``V diag(1/s)``; a nondegenerate one has the symmetric roots
+    ``V diag(s^{+-1}) V^H``.  Either way the realized scalar Gram is ``I``."""
     e, f = tensor_pairs()[k]
     tensor, fm = internal_tensor(e, f)
     r = tensor.dim
+    _, s, vh = np.linalg.svd(_corner_factor(e, f), full_matrices=False)
     if r == e.dim * f.dim:
         assert k >= 2  # the first two pairs are degenerate
-        assert np.array_equal(fm.matrix, np.eye(r))
-        return
-    _, s, vh = np.linalg.svd(_corner_factor(e, f), full_matrices=False)
-    assert np.array_equal(fm.matrix, vh[:r])
-    vals = s[:r] ** 2
-    assert max_dev(tensor.scalar_gram, np.diag(vals)) < 1e-12 * vals[0]
+        v = vh.conj().T
+        assert max_dev(fm.matrix, (v * s) @ vh) < KERNEL_ATOL
+        assert max_dev(fm.section, (v / s) @ vh) < KERNEL_ATOL
+    else:
+        assert max_dev(fm.matrix, s[:r, None] * vh[:r]) < KERNEL_ATOL
+        assert max_dev(fm.section, vh[:r].conj().T / s[:r]) < KERNEL_ATOL
+    assert max_dev(tensor.scalar_gram, np.eye(r)) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -528,28 +553,17 @@ def test_rank_deficient_module_has_fewer_rows():
 
 def _assert_eigh_range(e, f, monkeypatch):
     """internal_tensor forms no pre-tensor, imposes no tie-break order, and
-    keeps the eigh range of the reference pre-tensor: the identity when
-    nothing is dropped, otherwise rows ordered by descending eigenvalue."""
+    keeps the eigh range of the reference pre-tensor, whitened."""
     import corrkit.hilbmod as hilbmod
 
     def refuse(*args, **kwargs):
         raise AssertionError("pre-tensor formed or columns reordered")
 
     with monkeypatch.context() as patch:
-        for name in ("_quotient", "tensor_pre_gram", "_kron_stack", "_ordered_range"):
+        for name in ("tensor_pre_gram", "reduce_presentation", "_canonical_phase", "_lex_order"):
             patch.setattr(hilbmod, name, refuse)
         tensor, fm = internal_tensor(e, f)
-    s = ref_pre_tensor(e, f).scalar_gram
-    vals, vecs = np.linalg.eigh((s + s.conj().T) / 2.0)
-    keep = vals > TOL * vals.max()
-    p = fm.matrix
-    if keep.all():
-        assert np.array_equal(p, np.eye(len(s)))
-        return tensor
-    kept = vecs[:, keep]
-    assert max_dev(p @ p.conj().T, np.eye(len(p))) < 1e-10
-    assert max_dev(p.conj().T @ p, kept @ kept.conj().T) < 1e-10
-    assert max_dev(p @ s @ p.conj().T, np.diag(vals[keep][::-1])) < 1e-10
+    _assert_whitened(fm.matrix, fm.section, ref_pre_tensor(e, f))
     return tensor
 
 
@@ -562,6 +576,21 @@ def test_factored_tensor_keeps_the_eigh_range(monkeypatch):
         pairs += [(ps.power(s), ps.power(t)) for s in range(3) for t in (1, 2)]
     for e, f in pairs:
         _assert_eigh_range(e, f, monkeypatch)
+
+
+@pytest.mark.parametrize("pre", [
+    ref_pre_tensor(*tensor_pairs()[0]),
+    ref_pre_tensor(*tensor_pairs()[1]),
+    _rank_deficient_module(),
+])
+def test_reduced_degenerate_presentation_is_whitened(pre):
+    """The reduction has the oracle's rank, pulls its Gram back to the input
+    Gram along the projection, and has the identity scalar Gram."""
+    reduced, proj = reduce_presentation(pre)
+    assert reduced.dim == oracle_rank(oracle_scalarized(pre.algebra, pre.gram)) < pre.dim
+    assert max_dev(pull_gram(proj, reduced.gram), pre.gram) < 1e-12
+    assert max_dev(reduced.scalar_gram, np.eye(reduced.dim)) < 1e-12
+    assert validate_module(reduced).passed
 
 
 def test_tensor_of_the_triple_copy_stays_small():
@@ -668,19 +697,6 @@ def test_lexsort_order_matches_key_sort(seed):
 def test_lexsort_order_of_no_columns():
     assert list(_lex_order(np.zeros((0, 0), dtype=complex))) == []
     assert list(_lex_order(np.zeros((3, 0), dtype=complex), np.zeros(0))) == []
-
-
-@pytest.mark.parametrize("k", range(2))
-def test_quotient_order_matches_key_sort(k):
-    pre = ref_pre_tensor(*tensor_pairs()[k])
-    s = (pre.scalar_gram + pre.scalar_gram.conj().T) / 2.0
-    vals, vecs = np.linalg.eigh(s)
-    keep = np.nonzero(vals > TOL * vals.max())[0]
-    kept = _canonical_phase(vecs[:, keep])
-    # the degenerate pairs have repeated eigenvalues, so the tie-break runs
-    assert len(set(np.round(vals[keep], 9))) < len(keep)
-    _, proj = _quotient(pre, TOL)
-    assert np.array_equal(proj, kept[:, ref_order(kept, vals[keep])].conj().T)
 
 
 @pytest.mark.parametrize("e", [seeded_module(1), seeded_module(3),
