@@ -223,7 +223,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--first", required=True, help="first unit name")
     p.add_argument("--second", required=True, help="second unit name")
-    p = sub.add_parser("basis", help="emit the deterministic operator basis of a module")
+    p = sub.add_parser("basis", help="emit the canonical operator basis of a module")
     common(p)
     p.add_argument("--module", required=True, help="module name")
     p = sub.add_parser("generate", help="emit a deterministic seeded instance")

@@ -1,9 +1,12 @@
 """Unital *-endomorphisms of the adjointable operators of a Hilbert module.
 
-An endomorphism is given as a square matrix in the deterministic operator
-basis computed by :func:`corrkit.hilbmod.adjointable_basis`.  From it the
-package builds, for each time ``t >= 1``, the associated correspondence:
-the conjugate carrier tensored with the carrier, reduced under the inner
+An endomorphism is given as a square matrix in the canonical operator basis
+of :func:`corrkit.hilbmod.adjointable_basis`: Gram-Schmidt, in lex order of
+``(u, v)``, on the images of the carrier matrix units ``E_uv`` under the
+conditional expectation ``E`` onto the commutant of the right action ``R``,
+so the basis depends on ``R`` alone.  From the matrix the package builds,
+for each time ``t >= 1``, the associated correspondence: the conjugate
+carrier tensored with the carrier, reduced under the inner
 product ``<x* (x) y, x'* (x) y'> = <y, theta^t(x x'*) y'>``, with left
 action ``b . (x* (x) y) = (x b*)* (x) y`` and right action on the second
 slot.  Like every realized module it is whitened: its factor map has a
@@ -67,6 +70,7 @@ class Endomorphism:
                 f"endomorphism matrix of shape {self.matrix.shape}, expected {(q, q)}"
             )
         self._powers: dict[int, np.ndarray] = {}
+        self._rank_one_images: dict[int, np.ndarray] = {}
 
     @cached_property
     def op_stack(self) -> np.ndarray:
@@ -85,6 +89,23 @@ class Endomorphism:
         if t not in self._powers:
             self._powers[t] = np.linalg.matrix_power(self.matrix, t)
         return self._powers[t]
+
+    @cached_property
+    def rank_one_coords(self) -> tuple[np.ndarray, float]:
+        """Basis coordinates of all basis rank-ones ``e_i e_j*``, shape
+        (m^2, q), with the residual of that expansion."""
+        m = self.module.dim
+        flat = rank_one_stack(self.module).reshape(m * m, m * m)
+        coeffs = flat @ self._pinv.T
+        return coeffs, _dev(coeffs @ self._flat, flat)
+
+    def rank_one_images(self, t: int) -> np.ndarray:
+        """Images ``theta^t(e_i e_j*)`` of all basis rank-ones, stacked (m,m,m,m)."""
+        if t not in self._rank_one_images:
+            m = self.module.dim
+            applied = self.rank_one_coords[0] @ self.power(t).T @ self._flat
+            self._rank_one_images[t] = applied.reshape(m, m, m, m)
+        return self._rank_one_images[t]
 
     def expand(self, a: np.ndarray) -> tuple[np.ndarray, float]:
         """Coordinates of a carrier operator in the basis, with residual."""
@@ -182,16 +203,6 @@ class AssociatedCorrespondence:
     warnings: list[str] = field(default_factory=list)
 
 
-def _theta_rank_ones(endo: Endomorphism, t: int) -> tuple[np.ndarray, float]:
-    """Images ``theta^t(e_i e_j*)`` of all basis rank-ones, stacked (m,m,m,m)."""
-    m = endo.module.dim
-    flat = rank_one_stack(endo.module).reshape(m * m, m * m)
-    coeffs = flat @ endo._pinv.T
-    resid = _dev(coeffs @ endo._flat, flat)
-    applied = coeffs @ endo.power(t).T @ endo._flat
-    return applied.reshape(m, m, m, m), resid
-
-
 def _frame(eplus: ModulePresentation, tol: float) -> np.ndarray:
     """Frame ``xi`` of shape (P, m): ``sum_p <xi_p, xi_p>`` is the unit of every
     block the module reaches (a largest ``c`` above ``tol`` times the largest
@@ -235,12 +246,12 @@ def associated_correspondence(
         warnings.append("module is not full; the dual span may be degenerate")
 
     m = eplus.dim
-    images, resid = _theta_rank_ones(endo, t)
+    resid = endo.rank_one_coords[1]
     if resid > tol * max(1.0, float(np.abs(eplus.gram).max())):
         raise ConstructionError("rank-one operators leave the operator basis", residual=resid)
 
     # frame[p, u, (i, j)] = theta^t(xi_p e_i*)[u, j], the p-th map on e_i* (x) e_j
-    frame = np.tensordot(_frame(eplus, tol), images, axes=([1], [0]))
+    frame = np.tensordot(_frame(eplus, tol), endo.rank_one_images(t), axes=([1], [0]))
     frame = frame.transpose(0, 2, 1, 3).reshape(len(frame), m, m * m)
     proj, section = _realize((eplus.scalar_sqrt @ frame).reshape(-1, m * m), tol)
     gram = sum(pull_gram(v, eplus.gram) for v in frame @ section)
@@ -269,10 +280,9 @@ def power_coherence(
     if est.level != s + t or min(s, t) < 1:
         raise PreconditionError("power coherence needs levels s, t >= 1 with their sum realized")
     tensor, fm = internal_tensor(es.corr, et.corr, tol)
-    images, _ = _theta_rank_ones(endo, t)
 
     # bridge[u, (j, k, l)] = theta^t(e_j e_k*)[u, l], as in u_unitary
-    bridge = images.transpose(2, 0, 1, 3).reshape(m, m ** 3)
+    bridge = endo.rank_one_images(t).transpose(2, 0, 1, 3).reshape(m, m ** 3)
     # representatives (i, j, k, l) of e_i* . e_j (x) e_k* . e_l for the realized tensor
     inner = _lift(et.factor.section, fm.section, fm.source_dims, "right")
     sec = _lift(es.factor.section, inner, (es.corr.dim, m * m), "left")
@@ -327,8 +337,7 @@ def u_unitary(
         et = associated_correspondence(eplus, endo, t, tol)
     m = eplus.dim
     tensor, fm = internal_tensor(eplus, et.corr, tol)
-    images, _ = _theta_rank_ones(endo, t)
-    bridge = images.transpose(2, 0, 1, 3).reshape(m, m * m * m)  # [u,(i,k,l)]
+    bridge = endo.rank_one_images(t).transpose(2, 0, 1, 3).reshape(m, m * m * m)  # [u,(i,k,l)]
     u = bridge @ _lift(et.factor.section, fm.section, fm.source_dims, "right")
 
     rep = VerificationReport(f"action unitary [t={t}]")

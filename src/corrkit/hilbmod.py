@@ -146,40 +146,6 @@ def _lift(a: np.ndarray, s: np.ndarray, dims: tuple[int, int], side: str) -> np.
     return out.reshape(out.shape[:-3] + (out.shape[-3] * out.shape[-2], cols))
 
 
-def _canonical_phase(vectors: np.ndarray) -> np.ndarray:
-    """Rotate each column so its largest entry is real positive.
-
-    The phase comes from the first entry within 1e-7 of the column's largest
-    magnitude; zero columns are left as they are.
-    """
-    mags = np.abs(vectors)
-    top = mags.max(axis=0, initial=0.0)
-    dead = top == 0.0
-    if len(vectors):
-        pivot = vectors[np.argmax(mags >= top * (1 - 1e-7), axis=0), np.arange(len(top))]
-    else:
-        pivot = top
-    size = np.abs(pivot)
-    size[dead] = 1.0
-    out = vectors * (np.conj(pivot) / size)
-    if dead.any():
-        out[:, dead] = vectors[:, dead]
-    return out
-
-
-def _lex_order(vectors: np.ndarray, lead: np.ndarray | None = None) -> np.ndarray:
-    """Stable column order: by ``lead`` first, then by the coordinates rounded
-    to 9 digits, compared as interleaved (re, im) pairs."""
-    r = np.round(vectors, 9).T
-    keys = np.empty((r.shape[0], 2 * r.shape[1]))
-    keys[:, 0::2] = r.real
-    keys[:, 1::2] = r.imag
-    if lead is not None:
-        keys = np.column_stack([lead, keys])
-    rows = keys.tolist()
-    return np.array(sorted(range(len(rows)), key=rows.__getitem__), dtype=np.intp)
-
-
 @dataclass
 class ModulePresentation:
     """Right Hilbert module over ``algebra`` on the carrier ``C^m``."""
@@ -593,32 +559,46 @@ def internal_tensor(
 def adjointable_basis(
     e: ModulePresentation, tol: float = DEFAULT_TOL
 ) -> list[AdjointableOperator]:
-    """Deterministic basis of the adjointable operators on ``e``.
+    """Canonical basis of the adjointable operators on ``e``: a function of the
+    right action alone, so callers can address operators by index.
 
-    Solves the commutant of the right action, computes each candidate's
-    adjoint through the scalarized Gram, and keeps the candidates whose
-    algebra-valued adjoint relation verifies.  The basis order is fixed by
-    phase normalization and lexicographic sorting, so callers can address
-    operators by index.
+    The commutant of ``R`` is the range of the conditional expectation
+    ``E(X) = sum_j (1/n_j) sum_{a,b} R(e^j_ab) X R(e^j_ba)``, an idempotent
+    (``R`` is a unital anti-homomorphism) whose trace is its rank.  Walking the
+    images ``E(E_uv)`` of the carrier matrix units in lex order of ``(u, v)``,
+    Gram-Schmidt keeps each image whose residual against those kept is above
+    ``RANK_RTOL`` times the largest image norm, until that rank is reached.
+    Each candidate's adjoint comes from the scalarized Gram, and the
+    candidates whose algebra-valued adjoint relation verifies are kept.
     """
     if not is_nondegenerate(e, tol):
         raise InvalidPresentationError("adjointable operators need a reduced presentation")
-    m = e.dim
-    eye = np.eye(m)
-    rows = [np.kron(eye, rc.T) - np.kron(rc, eye) for rc in e.right_action]
-    system = np.concatenate(rows, axis=0) if rows else np.zeros((0, m * m))
-    kernel = null_space(system, scale=float(np.abs(e.right_action).max(initial=0.0)))
-    kernel = _canonical_phase(kernel)
-    out = []
+    alg, m, r = e.algebra, e.dim, e.right_action
+    weights = np.repeat([1.0 / n for n in alg.blocks], [n * n for n in alg.blocks])
+    # with vec(A X B) = kron(A, B^T) vec(X) on row-major vec, row (u, v) is vec E(E_uv)
+    images = np.einsum("c,cij,ckl->jkil", weights, r, r[alg.star_index], optimize=True)
+    images = images.reshape(m * m, m * m)
+    rank = int(round(float(np.trace(images).real)))
+    top = float(np.linalg.norm(images, axis=1).max(initial=0.0))
+    kept = np.zeros((rank, m * m), dtype=complex)
+    k = 0
+    for v in images:
+        for _ in range(2):  # orthogonalized twice, the kept rows are orthonormal to rounding
+            v = v - (kept[:k].conj() @ v) @ kept[:k]
+        size = float(np.linalg.norm(v))
+        if size > RANK_RTOL * top:
+            kept[k] = v / size
+            k += 1
+            if k == rank:
+                break
+    ops = kept[:k].reshape(k, m, m)
+    adj = e.module_adjoint(ops)
+    # <a e_i, e_j> = <e_i, a* e_j>, one (n, n) block pair per candidate
+    g = e.gram.transpose(2, 3, 0, 1)[None]
+    defect = np.abs(np.swapaxes(ops.conj(), 1, 2)[:, None, None] @ g - g @ adj[:, None, None])
     scale = max(1.0, float(np.abs(e.gram).max(initial=0.0)))
-    for j in _lex_order(kernel):
-        a = kernel[:, j].reshape(m, m)
-        adj = e.module_adjoint(a)
-        lhs = np.einsum("li,ljab->ijab", a.conj(), e.gram)
-        rhs = np.einsum("lj,ilab->ijab", adj, e.gram)
-        if _dev(lhs, rhs) <= tol * scale:
-            out.append(AdjointableOperator(a, adj))
-    return out
+    keep = defect.reshape(k, -1).max(axis=1, initial=0.0) <= tol * scale
+    return [AdjointableOperator(a, b) for a, b, ok in zip(ops, adj, keep) if ok]
 
 
 def rank_one(e: ModulePresentation, x: np.ndarray, y: np.ndarray) -> AdjointableOperator:

@@ -25,6 +25,7 @@ from .prodsys import DEFAULT_BUDGET
 
 PROFILES = ("module", "correspondence", "spatial-endomorphism", "weak-dilation")
 _ALGEBRA_CYCLE = ([1], [2], [1, 1], [1, 2])
+OPERATOR_BASIS = "expectation"  # the basis of adjointable_basis, named in every endomorphism
 
 
 @dataclass
@@ -324,7 +325,12 @@ def decode_instance(doc: dict) -> Instance:
 
     if "endomorphism" in doc:
         where = "endomorphism"
-        _expect_keys(doc[where], {"on", "matrix"}, {"on", "matrix"}, where)
+        _expect_keys(doc[where], {"on", "matrix", "basis"}, {"on", "matrix"}, where)
+        if doc[where].get("basis") != OPERATOR_BASIS:
+            raise InstanceFormatError(
+                f"{where}.matrix is written in the retired operator basis; this version "
+                f'reads only "basis": "{OPERATOR_BASIS}", the basis from the commutant expectation'
+            )
         mod = inst.module(doc[where]["on"])
         matrix = _decode_matrix(doc[where]["matrix"], f"{where}.matrix")
         inst.endomorphism = (doc[where]["on"], matrix)
@@ -415,6 +421,7 @@ def encode_instance(inst: Instance) -> dict:
         doc["endomorphism"] = {
             "on": inst.endomorphism[0],
             "matrix": _encode_matrix(inst.endomorphism[1]),
+            "basis": OPERATOR_BASIS,
         }
     if inst.product_system is not None:
         doc["product_system"] = {

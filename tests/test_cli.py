@@ -357,3 +357,18 @@ def test_linalg_failure_exits_invalid(spatial_file, monkeypatch, capsys):
     monkeypatch.setattr(cli, "run", diverge)
     assert main(["validate", spatial_file]) == EXIT_INVALID
     assert "SVD did not converge" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("basis", [None, "kernel", ""])
+def test_endomorphism_in_the_retired_basis_exits_invalid(tmp_path, capsys, basis):
+    doc = json.loads((SHIPPED / "spatial-endomorphism-seed1.json").read_text())
+    assert doc["endomorphism"]["basis"] == "expectation"
+    if basis is None:
+        del doc["endomorphism"]["basis"]
+    else:
+        doc["endomorphism"]["basis"] = basis
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps(doc))
+    for command in ("validate", "verify-main"):
+        assert main([command, str(old)]) == EXIT_INVALID
+        assert "retired operator basis" in capsys.readouterr().err

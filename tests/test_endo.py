@@ -31,6 +31,7 @@ from corrkit.hilbmod import (
     map_adjoint,
     pull_gram,
     rank_one,
+    rank_one_stack,
     right_unitor,
     tensor_lift,
     validate_module,
@@ -215,6 +216,32 @@ def test_power_coherence_certifies_product_rule(name, s, t):
     _, rep = power_coherence(inst.endo, es, et, est)
     assert rep.passed, [c.name for c in rep.failed_checks()]
     assert rep.max_deviation < TOL
+
+
+def test_rank_one_images_are_built_once_per_time(monkeypatch):
+    """E_t, u_t and the product rule share one product chain per time ``t``,
+    and one expansion of the rank-ones."""
+    import corrkit.endo as endo_mod
+
+    calls = []
+
+    def counted(e):
+        calls.append(e)
+        return rank_one_stack(e)
+
+    monkeypatch.setattr(endo_mod, "rank_one_stack", counted)
+    inst = inner_rotation_instance()
+    endo = make_endomorphism(inst.eplus, inst.endo.matrix, inst.endo.ops)
+    e1 = associated_correspondence(inst.eplus, endo, 1)
+    images = endo.rank_one_images(1)
+    u_unitary(inst.eplus, endo, 1, e1)
+    power_coherence(endo, e1, e1, associated_correspondence(inst.eplus, endo, 2))
+    assert endo.rank_one_images(1) is images
+    assert sorted(endo._rank_one_images) == [1, 2]
+    assert len(calls) == 1
+    m = inst.eplus.dim
+    ref = np.stack([inst.endo.apply(op) for op in rank_one_stack(inst.eplus).reshape(-1, m, m)])
+    assert max_dev(images, ref.reshape(m, m, m, m)) < TOL
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -15,9 +17,7 @@ from corrkit.hilbmod import (
     RANK_RTOL,
     Correspondence,
     ModulePresentation,
-    _canonical_phase,
     _corner_factor,
-    _lex_order,
     _lift,
     _unitary_dev,
     adjointable_basis,
@@ -552,15 +552,15 @@ def test_rank_deficient_module_has_fewer_rows():
 
 
 def _assert_eigh_range(e, f, monkeypatch):
-    """internal_tensor forms no pre-tensor, imposes no tie-break order, and
-    keeps the eigh range of the reference pre-tensor, whitened."""
+    """internal_tensor forms no pre-tensor and keeps the eigh range of the
+    reference pre-tensor, whitened."""
     import corrkit.hilbmod as hilbmod
 
     def refuse(*args, **kwargs):
-        raise AssertionError("pre-tensor formed or columns reordered")
+        raise AssertionError("pre-tensor formed")
 
     with monkeypatch.context() as patch:
-        for name in ("tensor_pre_gram", "reduce_presentation", "_canonical_phase", "_lex_order"):
+        for name in ("tensor_pre_gram", "reduce_presentation"):
             patch.setattr(hilbmod, name, refuse)
         tensor, fm = internal_tensor(e, f)
     _assert_whitened(fm.matrix, fm.section, ref_pre_tensor(e, f))
@@ -656,54 +656,102 @@ def test_tensor_lift_matches_kron(seed):
 
 
 # ---------------------------------------------------------------------------
-# column order: one lexsort against a stable sort on a Python key
+# the operator basis from the commutant expectation
 # ---------------------------------------------------------------------------
 
-def ref_lex_key(vec):
-    r = np.round(vec, 9) + 0.0
-    return tuple(float(x) for pair in zip(r.real, r.imag) for x in pair)
+SHIPPED = Path(__file__).resolve().parent.parent / "instances"
 
 
-def ref_order(vectors, vals=None):
-    """Columns by descending rounded eigenvalue (when given), then by the
-    rounded coordinates as interleaved (re, im) pairs."""
-    def key(j):
-        lead = () if vals is None else (-np.round(vals[j], 9),)
-        return lead + ref_lex_key(vectors[:, j])
+def shipped_modules():
+    from corrkit.instance import parse_instance
 
-    return sorted(range(vectors.shape[1]), key=key)
+    return [mod for path in sorted(SHIPPED.glob("*.json"))
+            for _, mod in sorted(parse_instance(str(path)).modules.items())]
 
 
-def tie_columns():
-    """Columns and eigenvalues with exact ties: duplicates, values that agree
-    only after rounding to 9 digits, signed zeros, equal real parts."""
-    rng = np.random.default_rng(21)
-    a, b, c = (np.round(_rand(rng, 3), 3) for _ in range(3))
-    zero = np.array([0.0, 1.0, 1e-12j])
-    cols = [a, b, a, a + 2e-11, b + 1e-11j, c, c.conj(), zero, -zero, zero - 1e-12, b]
-    vals = [2.0, 1.0, 2.0, 2.0 + 1e-12, 1.0, 0.5, 1.0, 2.0, 2.0, 2.0 - 1e-11, 0.5]
-    return np.stack(cols, axis=1), np.array(vals)
+def drawn_modules():
+    """Modules over [1, 2], [2, 2] and [3] with random multiplicities, in the
+    standard carrier basis and rotated by ``gallery.conjugated``."""
+    out = []
+    for k, blocks in enumerate(([1, 2], [2, 2], [3])):
+        rng = np.random.default_rng(70 + k)
+        alg = make_algebra(blocks)
+        for _ in range(2):
+            e = standard_module(alg, [int(rng.integers(1, 3)) * n for n in blocks])
+            out += [e, conjugated(e, random_unitary(rng, e.dim))]
+    return out
 
 
-@pytest.mark.parametrize("seed", range(6))
-def test_lexsort_order_matches_key_sort(seed):
-    cols, vals = tie_columns()
-    perm = np.random.default_rng(seed).permutation(cols.shape[1])
-    cols, vals = cols[:, perm], vals[perm]
-    assert list(_lex_order(cols, -np.round(vals, 9))) == ref_order(cols, vals)
-    assert list(_lex_order(cols)) == ref_order(cols)
+def ref_expectation(e):
+    """``E(X) = sum_j (1/n_j) sum_{a,b} R(e^j_ab) X R(e^j_ba)`` applied to each
+    carrier matrix unit by a loop; column ``(u, v)`` is ``vec E(E_uv)``."""
+    alg, m = e.algebra, e.dim
+    out = np.zeros((m * m, m * m), dtype=complex)
+    for u in range(m):
+        for v in range(m):
+            x = np.zeros((m, m), dtype=complex)
+            x[u, v] = 1.0
+            image = np.zeros((m, m), dtype=complex)
+            start = 0
+            for n in alg.blocks:
+                for a in range(n):
+                    for b in range(n):
+                        ab, ba = start + a * n + b, start + b * n + a
+                        image += e.right_action[ab] @ x @ e.right_action[ba] / n
+                start += n * n
+            out[:, u * m + v] = image.reshape(-1)
+    return out
 
 
-def test_lexsort_order_of_no_columns():
-    assert list(_lex_order(np.zeros((0, 0), dtype=complex))) == []
-    assert list(_lex_order(np.zeros((3, 0), dtype=complex), np.zeros(0))) == []
+def ref_gram_schmidt(cols, rtol=1e-9):
+    """Classical Gram-Schmidt, once, keeping each column whose residual is above
+    ``rtol`` times the largest column norm."""
+    top = max(np.linalg.norm(c) for c in cols.T)
+    kept = []
+    for c in cols.T:
+        v = c - sum(np.vdot(w, c) * w for w in kept)
+        if np.linalg.norm(v) > rtol * top:
+            kept.append(v / np.linalg.norm(v))
+    return np.stack(kept, axis=1)
 
 
-@pytest.mark.parametrize("e", [seeded_module(1), seeded_module(3),
-                               algebra_correspondence(make_algebra([1, 2]))])
-def test_adjointable_basis_in_key_order(e):
-    keys = [ref_lex_key(op.matrix.reshape(-1)) for op in adjointable_basis(e)]
-    assert len(keys) > 1 and keys == sorted(keys)
+def commutant_kernel(e):
+    m = e.dim
+    system = np.concatenate(
+        [np.kron(np.eye(m), r.T) - np.kron(r, np.eye(m)) for r in e.right_action]
+    )
+    return null_space(system, scale=float(np.abs(e.right_action).max()))
+
+
+@pytest.mark.parametrize("e", shipped_modules() + drawn_modules())
+def test_adjointable_basis_matches_the_loop_oracle(e):
+    """The basis is Gram-Schmidt on the expectation's images of the matrix units,
+    in lex order; it spans the kernel of the commutant system."""
+    ref = ref_expectation(e)
+    assert max_dev(ref @ ref, ref) < 1e-12
+    basis = np.stack([op.matrix.reshape(-1) for op in adjointable_basis(e)], axis=1)
+    assert max_dev(basis, ref_gram_schmidt(ref)) < 1e-12
+    kernel = commutant_kernel(e)
+    assert basis.shape[1] == kernel.shape[1]
+    assert max_dev(basis @ basis.conj().T, kernel @ kernel.conj().T) < 1e-12
+
+
+def test_adjointable_basis_ignores_the_kernel_solver(monkeypatch):
+    """Rotating every kernel ``null_space`` returns changes no basis entry: the
+    basis is a function of the right action, not of the solver's choices."""
+    import corrkit.hilbmod as hilbmod
+
+    modules = shipped_modules()
+    before = [np.stack([op.matrix for op in adjointable_basis(e)]) for e in modules]
+    rng = np.random.default_rng(17)
+
+    def rotated(*args, **kwargs):
+        kernel = null_space(*args, **kwargs)
+        return kernel @ random_unitary(rng, kernel.shape[1])
+
+    monkeypatch.setattr(hilbmod, "null_space", rotated)
+    for e, ops in zip(modules, before):
+        assert max_dev(np.stack([op.matrix for op in adjointable_basis(e)]), ops) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -845,59 +893,6 @@ def test_corner_factor_of_the_m9_ladder_has_nine_rows():
     f = associated_correspondence(e, endomorphism_from_conjugation(e, v), 1).corr
     k = _assert_factor_of_pre_gram(e, f)
     assert (len(k), len(ref_factor_rows(e, f))) == (9, 27)
-
-
-def ref_canonical_phase(vectors):
-    """The column loop the vectorized phase replaced."""
-    out = vectors.copy()
-    for j in range(out.shape[1]):
-        col = out[:, j]
-        mags = np.abs(col)
-        top = mags.max()
-        if top == 0.0:
-            continue
-        k = int(np.nonzero(mags >= top * (1 - 1e-7))[0][0])
-        out[:, j] = col * (np.conj(col[k]) / np.abs(col[k]))
-    return out
-
-
-def phase_cases():
-    rng = np.random.default_rng(31)
-    cols = _rand(rng, 6, 5)
-    cols[:, 1] = 0.0                                          # a zero column
-    cols[:, 2] = [0.5, 1 - 5e-8, 1.0, 0.2, 1 - 2e-7, 0.1]     # a near-tie decides
-    cols[:, 3] *= np.exp(1j * np.array([0.3, 1.1, 2.0, -0.7, 3.0, -2.5]))
-    cols[:, 3] /= np.abs(cols[:, 3])                          # all entries tie
-    return [cols, np.zeros((0, 0), dtype=complex), np.zeros((4, 0), dtype=complex),
-            np.zeros((3, 2), dtype=complex), _rand(rng, 81, 9)]
-
-
-@pytest.mark.parametrize("k", range(5))
-def test_canonical_phase_bytes_match_the_loop(k):
-    vectors = phase_cases()[k]
-    out = _canonical_phase(vectors)
-    assert out.shape == vectors.shape
-    assert out.tobytes() == ref_canonical_phase(vectors).tobytes()
-
-
-def ref_lexsort_order(vectors, lead=None):
-    """The 2m+1-pass lexsort the list sort replaced."""
-    r = np.round(vectors, 9)
-    keys = np.empty((2 * r.shape[0], r.shape[1]))
-    keys[0::2] = r.real
-    keys[1::2] = r.imag
-    if lead is not None:
-        keys = np.vstack([lead, keys])
-    return np.lexsort(keys[::-1]) if len(keys) else np.arange(r.shape[1])
-
-
-@pytest.mark.parametrize("seed", range(3))
-def test_lex_order_matches_the_lexsort(seed):
-    cols, vals = tie_columns()
-    perm = np.random.default_rng(seed).permutation(cols.shape[1])
-    cols, lead = cols[:, perm], -np.round(vals[perm], 9)
-    for args in ((cols,), (cols, lead), (_rand(np.random.default_rng(seed), 81, 9),)):
-        assert np.array_equal(_lex_order(*args), ref_lexsort_order(*args))
 
 
 # ---------------------------------------------------------------------------
