@@ -584,7 +584,7 @@ def adjointable_basis(
     k = 0
     for v in images:
         for _ in range(2):  # orthogonalized twice, the kept rows are orthonormal to rounding
-            v = v - (kept[:k].conj() @ v) @ kept[:k]
+            v = v - (kept[:k] @ v.conj()).conj() @ kept[:k]
         size = float(np.linalg.norm(v))
         if size > RANK_RTOL * top:
             kept[k] = v / size

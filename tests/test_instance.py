@@ -150,9 +150,10 @@ def test_vector_dimension_checked():
 
 def test_endomorphism_shape_checked():
     doc = minimal_doc()
-    doc["endomorphism"] = {"on": "E", "matrix": [[[1.0, 0.0], [0.0, 0.0]],
-                                                 [[0.0, 0.0], [1.0, 0.0]]]}
-    with pytest.raises(InstanceFormatError, match="operator basis"):
+    doc["endomorphism"] = {"on": "E", "basis": "expectation",
+                           "matrix": [[[1.0, 0.0], [0.0, 0.0]],
+                                      [[0.0, 0.0], [1.0, 0.0]]]}
+    with pytest.raises(InstanceFormatError, match="has dimension"):
         decode_instance(doc)
 
 
