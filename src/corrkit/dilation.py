@@ -43,12 +43,12 @@ from .hilbmod import (
     _unitary_dev,
     amplify,
     associator,
+    check_map,
     fullness_check,
     internal_tensor,
     left_faithful_check,
     map_adjoint,
     matrix_rank_tol,
-    pull_gram,
     rank_one,
     rank_one_stack,
     right_unitor,
@@ -102,10 +102,8 @@ def right_limit(ps: ProductSystem, xi1: np.ndarray) -> TruncatedLimit:
     rep = VerificationReport("right limit", provenance={"levels": n_levels})
     embeddings = _right_embeddings(ps, unit)
     for n, j in enumerate(embeddings):
-        dom, cod = ps.power(n), ps.power(n + 1)
-        adj = map_adjoint(j, dom, cod)
-        rep.add(f"right-embedding-isometry[{n}]", _dev(adj @ j, np.eye(dom.dim)), tol)
-        rep.add(f"right-embedding-gram[{n}]", _dev(pull_gram(j, cod.gram), dom.gram), tol)
+        check_map(rep, j, ps.power(n), ps.power(n + 1), tol, {
+            "isometry": f"right-embedding-isometry[{n}]", "gram": f"right-embedding-gram[{n}]"})
         rep.add(f"right-vector-coherence[{n}]", _dev(j @ unit.levels[n], unit.levels[n + 1]), tol)
     for n in range(n_levels):
         for t in range(1, n_levels - n):
@@ -176,12 +174,9 @@ def left_limit(ps: ProductSystem, omega1: np.ndarray) -> TruncatedLimit:
         fm = ps.tensor(n, 1)[1]
         k = ps.u(n, 1) @ fm.matrix @ np.kron(np.eye(ps.power(n).dim), omega1.reshape(-1, 1))
         embeddings.append(k)
-        dom, cod = ps.power(n), ps.power(n + 1)
-        adj = map_adjoint(k, dom, cod)
-        rep.add(f"left-embedding-isometry[{n}]", _dev(adj @ k, np.eye(dom.dim)), tol)
-        rep.add(f"left-embedding-gram[{n}]", _dev(pull_gram(k, cod.gram), dom.gram), tol)
-        rep.add(f"left-embedding-bilinear[{n}]",
-                _dev(k @ dom.left_action, cod.left_action @ k), tol)
+        check_map(rep, k, ps.power(n), ps.power(n + 1), tol, {
+            "isometry": f"left-embedding-isometry[{n}]", "gram": f"left-embedding-gram[{n}]",
+            "left-linear": f"left-embedding-bilinear[{n}]"})
         rep.add(f"left-vector-coherence[{n}]", _dev(k @ unit.levels[n], unit.levels[n + 1]), tol)
     for n in range(n_levels + 1):
         en = ps.power(n)
@@ -257,10 +252,8 @@ def build_action_stages(pipe: DilationPipeline) -> tuple[list[ActionStage], Veri
         lifted = tensor_lift(stages[t - 1].u, a.left_factor, stages[1].factor, side="left")
         u_t = stages[1].u @ lifted @ a.adjoint
         stages.append(ActionStage(t, a.right_module, a.right_factor, u_t))
-        dom = stages[t].tensor
-        adj = map_adjoint(u_t, dom, eplus)
-        rep.add(f"action-unitary[{t}]", _unitary_dev(u_t, adj), tol)
-        rep.add(f"action-isometric[{t}]", _dev(pull_gram(u_t, eplus.gram), dom.gram), tol)
+        adj = check_map(rep, u_t, stages[t].tensor, eplus, tol, {
+            "unitary": f"action-unitary[{t}]", "gram": f"action-isometric[{t}]"})
         lifted = amplify(endo.op_stack, stages[t].factor, side="left")
         rep.add(f"recovery-identity[{t}]", _dev(u_t @ lifted @ adj, endo.image_ops(t)), tol)
     return stages, rep
@@ -294,8 +287,8 @@ def build_w(pipe: DilationPipeline) -> tuple[dict[int, StagedUnitary], Verificat
             lout = tensor_lift(stages[t].u, a2.left_factor, stages[m].factor, side="left")
             wtm = lout @ a2.adjoint @ map_adjoint(ltm, a2.right_module, stages[t + m].tensor)
             blocks[m] = wtm
-            dom, cod = stages[t + m].tensor, stages[m].tensor
-            rep.add(f"w-unitary[{t},{m}]", _unitary_dev(wtm, map_adjoint(wtm, dom, cod)), tol)
+            dom = stages[t + m].tensor
+            check_map(rep, wtm, dom, stages[m].tensor, tol, {"unitary": f"w-unitary[{t},{m}]"})
             if t == 0:
                 rep.add(f"w-identity[{m}]", _dev(wtm, np.eye(dom.dim)), tol)
         w[t] = StagedUnitary(t, blocks)
@@ -374,11 +367,6 @@ class DilationPipeline:
     def w(self) -> tuple[dict[int, StagedUnitary], VerificationReport]:
         return self._get("w", lambda: build_w(self))
 
-    def assoc(self, t: int, m: int) -> AssociatorResult:
-        """The rebracketing ``(E+ . E_t) . E_m -> E+ . (E_t . E_m)``, built
-        once per pipeline and shared by the stages, ``W`` and the sweeps."""
-        return _stage_assoc(self, self.stages()[0], t, m)
-
     def alpha(self, t: int, m: int, lifted_op: np.ndarray) -> np.ndarray:
         """Conjugate a stage-(t+m) operator (or a stack of them) down to
         stage m; the adjoint of ``W_t`` there is computed once."""
@@ -442,7 +430,7 @@ def verify_main(pipe: DilationPipeline) -> VerificationReport:
 def _restriction_chain_dev(pipe: DilationPipeline, t: int, m: int) -> float:
     """Independently compose ``(u_t . id)(a . id . id)(u_t . id)*``."""
     stages = pipe.stages()[0]
-    a2 = pipe.assoc(t, m)
+    a2 = _stage_assoc(pipe, stages, t, m)
     lout = tensor_lift(stages[t].u, a2.left_factor, stages[m].factor, side="left")
     lout_adj = map_adjoint(lout, a2.left_module, stages[m].tensor)
     inner_lift = amplify(pipe.endo.op_stack, stages[t].factor, side="left")
@@ -764,7 +752,7 @@ def compare_unit_limits(ps: ProductSystem, xi1: np.ndarray, xi2: np.ndarray) -> 
     rep.add("transport-defect[1]", _worst((
         _dev(found @ e1.left_action, e1.left_action @ found),
         _dev(found @ e1.right_action, e1.right_action @ found),
-        _unitary_dev(found, e1.module_adjoint(found)),
+        _unitary_dev(found, map_adjoint(found, e1, e1)),
         _dev(found @ u1.vector, u2.vector),
     )), tol)
     v_stage = found
@@ -774,7 +762,7 @@ def compare_unit_limits(ps: ProductSystem, xi1: np.ndarray, xi2: np.ndarray) -> 
         fm = ps.tensor(n, 1)[1]
         v_next = fm.matrix @ np.kron(v_stage, found) @ fm.section
         en1 = ps.power(n + 1)
-        rep.add(f"transport-unitary[{n + 1}]", _unitary_dev(v_next, map_adjoint(v_next, en1, en1)), tol)
+        check_map(rep, v_next, en1, en1, tol, {"unitary": f"transport-unitary[{n + 1}]"})
         rep.add(f"transport-unit[{n + 1}]", _dev(v_next @ u1.levels[n + 1], u2.levels[n + 1]), tol)
         rep.add(f"transport-embedding[{n}]", _dev(v_next @ j1[n], j2[n] @ v_stage), tol)
         v_stage = v_next

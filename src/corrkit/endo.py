@@ -39,10 +39,10 @@ from .hilbmod import (
     _lift,
     _realize,
     _unit_from_blocks,
-    _unitary_dev,
     adjointable_basis,
     algebra_correspondence,
     amplify,
+    check_map,
     compacts_span_check,
     fullness_check,
     internal_tensor,
@@ -176,7 +176,7 @@ def validate_endomorphism(endo: Endomorphism, tol: float = DEFAULT_TOL) -> Verif
 
     adjoints = np.stack([op.adjoint for op in endo.ops]).reshape(q, -1)
     moved = (adjoints @ endo._pinv.T @ endo.power(1).T @ endo._flat).reshape(stack.shape)
-    rep.add("endomorphism-star", _dev(moved, eplus.module_adjoint(images)), tol)
+    rep.add("endomorphism-star", _dev(moved, map_adjoint(images, eplus, eplus)), tol)
     rep.add("endomorphism-unital", _dev(endo.apply(np.eye(eplus.dim)), np.eye(eplus.dim)), tol)
 
     strict = compacts_span_check(eplus, ops=endo.ops)
@@ -289,15 +289,12 @@ def power_coherence(
     u = est.factor.matrix @ _lift(bridge, sec, (m, m ** 3), "right")
     rep = VerificationReport(f"power coherence [{s},{t}]")
     cod = est.corr
-    rep.add(f"product-rule-isometric[{s},{t}]", _dev(pull_gram(u, cod.gram), tensor.gram), tol)
+    check_map(rep, u, tensor, cod, tol, {"gram": f"product-rule-isometric[{s},{t}]"})
     if tensor.dim != cod.dim:
         rep.add_flag(f"product-rule-dimensions[{s},{t}]", False)
-        return u, rep
-    rep.add(f"product-rule-unitary[{s},{t}]", _unitary_dev(u, map_adjoint(u, tensor, cod)), tol)
-    rep.add(f"product-rule-bilinear[{s},{t}]", _worst((
-        _dev(u @ tensor.right_action, cod.right_action @ u),
-        _dev(u @ tensor.left_action, cod.left_action @ u),
-    )), tol)
+    else:
+        check_map(rep, u, tensor, cod, tol, {"unitary": f"product-rule-unitary[{s},{t}]",
+                                             "bilinear": f"product-rule-bilinear[{s},{t}]"})
     return u, rep
 
 
@@ -353,8 +350,7 @@ def u_unitary(
             f"{tensor.dim} != {m}",
             residual=float(abs(tensor.dim - m)),
         )
-    adj = map_adjoint(u, tensor, eplus)
-    rep.add(f"action-unitary[{t}]", _unitary_dev(u, adj), tol)
+    adj = check_map(rep, u, tensor, eplus, tol, {"unitary": f"action-unitary[{t}]"})
     rec = _dev(u @ amplify(endo.op_stack, fm, side="left") @ adj, endo.image_ops(t))
     rep.add(f"recovery-identity[{t}]", rec, tol)
     return ActionUnitary(t, u, tensor, fm, et.corr, rep)
@@ -374,7 +370,7 @@ class IntertwinerSearch:
 
 def _isometry_defect(eplus: ModulePresentation, endo: Endomorphism, v: np.ndarray) -> float:
     inter = _dev(endo.image_ops(1) @ v, v @ endo.op_stack)
-    return _worst((inter, _dev(eplus.module_adjoint(v) @ v, np.eye(eplus.dim))))
+    return _worst((inter, _dev(map_adjoint(v, eplus, eplus) @ v, np.eye(eplus.dim))))
 
 
 def find_intertwining_isometry(
@@ -404,7 +400,7 @@ def find_intertwining_isometry(
         return IntertwinerSearch("none-exists", None, "intertwiner-space-trivial", {})
 
     ops = np.einsum("wk,wuv->kuv", kernel, stack)
-    products = eplus.module_adjoint(ops)[:, None] @ ops  # [a, b] = ops[a]* ops[b]
+    products = map_adjoint(ops, eplus, eplus)[:, None] @ ops  # [a, b] = ops[a]* ops[b]
     blocks, grams, projections = [], [], []
     for j, c in enumerate(eplus.algebra.center_basis()):
         proj = eplus.right_of(c)
@@ -420,7 +416,7 @@ def find_intertwining_isometry(
             {"space-dimension": len(ops)},
         )
     return IntertwinerSearch(
-        "found", AdjointableOperator(v, eplus.module_adjoint(v)), "constructed",
+        "found", AdjointableOperator(v, map_adjoint(v, eplus, eplus)), "constructed",
         {"defect": _isometry_defect(eplus, endo, v)},
     )
 
@@ -451,6 +447,6 @@ def isometry_from_unit(
     m = eplus.dim
     v = u_matrix @ tensor_factor.matrix @ np.kron(np.eye(m), omega_t.reshape(-1, 1))
     rep = VerificationReport(f"intertwining isometry from unit [t={t}]")
-    rep.add(f"isometry[{t}]", _dev(eplus.module_adjoint(v) @ v, np.eye(m)), tol)
+    adj = check_map(rep, v, eplus, eplus, tol, {"isometry": f"isometry[{t}]"})
     rep.add(f"intertwining[{t}]", _dev(endo.image_ops(t) @ v, v @ endo.op_stack), tol)
-    return AdjointableOperator(v, eplus.module_adjoint(v)), rep
+    return AdjointableOperator(v, adj), rep

@@ -250,11 +250,6 @@ class ModulePresentation:
         gives the stack of inner products."""
         return np.einsum("i,...j,ijab->...ab", np.conj(x), y, self.gram)
 
-    def module_adjoint(self, a: np.ndarray) -> np.ndarray:
-        """Adjoint with respect to the scalarized Gram; a stack of operators
-        gives the stack of adjoints."""
-        return np.linalg.solve(self.scalar_gram, np.swapaxes(a.conj(), -1, -2) @ self.scalar_gram)
-
     def positivity_defect(self, a: np.ndarray) -> float:
         """How far the operator ``a`` is from being positive in B^a(E)."""
         w = self.scalar_sqrt @ a @ self.scalar_isqrt
@@ -332,8 +327,34 @@ class FactorMap:
 
 
 def map_adjoint(v: np.ndarray, dom: ModulePresentation, cod: ModulePresentation) -> np.ndarray:
-    """Adjoint of a map between presentations, via the scalarized Grams."""
-    return np.linalg.solve(dom.scalar_gram, v.conj().T @ cod.scalar_gram)
+    """Adjoint of a map between presentations, via the scalarized Grams; a
+    stack of maps gives the stack of adjoints."""
+    return np.linalg.solve(dom.scalar_gram, np.swapaxes(v.conj(), -1, -2) @ cod.scalar_gram)
+
+
+def check_map(
+    rep: VerificationReport, v: np.ndarray, dom: ModulePresentation, cod: ModulePresentation,
+    tol: float, names: dict[str, str], adj: np.ndarray | None = None,
+) -> np.ndarray | None:
+    """Add to ``rep``, in the order of ``names``, the checks of the map
+    ``v: dom -> cod`` that ``names`` maps to check names: ``gram``, ``isometry``,
+    ``unitary``, ``right-linear``, ``left-linear`` or ``bilinear`` (both).  Only
+    those are computed, and the adjoint (returned, else ``None``) only for an
+    isometry or a unitary."""
+    if adj is None and not names.keys().isdisjoint(("isometry", "unitary")):
+        adj = map_adjoint(v, dom, cod)
+    right = lambda: _dev(v @ dom.right_action, cod.right_action @ v)
+    left = lambda: _dev(v @ dom.left_action, cod.left_action @ v)
+    devs = {
+        "gram": lambda: _dev(pull_gram(v, cod.gram), dom.gram),
+        "isometry": lambda: _dev(adj @ v, np.eye(dom.dim)),
+        "unitary": lambda: _unitary_dev(v, adj),
+        "right-linear": right, "left-linear": left,
+        "bilinear": lambda: _worst((right(), left())),
+    }
+    for prop, name in names.items():
+        rep.add(name, devs[prop](), tol)
+    return adj
 
 
 # ---------------------------------------------------------------------------
@@ -387,10 +408,7 @@ def validate_module(
         rep.add("gram-positive", 0.0, tol)
 
     if check_nondegenerate:
-        s = pres.scalar_gram
-        vals = np.linalg.eigvalsh((s + s.conj().T) / 2.0) if s.size else np.array([1.0])
-        thresh = tol * max(float(vals.max(initial=0.0)), 0.0)
-        rep.add("scalar-gram-nondegenerate", _worst((thresh - vals.min(),)), 0.0)
+        rep.add("scalar-gram-nondegenerate", _degeneracy(pres, tol), 0.0)
 
     if pres.is_correspondence:
         _validate_left_action(pres, rep, tol)
@@ -421,12 +439,19 @@ def _validate_left_action(corr: Correspondence, rep: VerificationReport, tol: fl
     rep.add("left-right-commute", _dev(comm), tol)
 
 
-def is_nondegenerate(pres: ModulePresentation, tol: float = DEFAULT_TOL) -> bool:
+def _degeneracy(pres: ModulePresentation, tol: float) -> float:
+    """``tol`` times the top eigenvalue of the scalar Gram (1 when none is
+    positive, so an all-zero Gram fails) less the least one, clamped at 0:
+    positive or NaN exactly when the presentation is degenerate."""
     s = pres.scalar_gram
     if s.size == 0:
-        return True
+        return 0.0
     vals = np.linalg.eigvalsh((s + s.conj().T) / 2.0)
-    return bool(vals.min() > tol * max(float(vals.max()), 0.0))
+    return _worst((tol * (vals[-1] if vals[-1] > 0.0 else 1.0) - vals[0],))
+
+
+def is_nondegenerate(pres: ModulePresentation, tol: float = DEFAULT_TOL) -> bool:
+    return _degeneracy(pres, tol) <= 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -592,7 +617,7 @@ def adjointable_basis(
             if k == rank:
                 break
     ops = kept[:k].reshape(k, m, m)
-    adj = e.module_adjoint(ops)
+    adj = map_adjoint(ops, e, e)
     # <a e_i, e_j> = <e_i, a* e_j>, one (n, n) block pair per candidate
     g = e.gram.transpose(2, 3, 0, 1)[None]
     defect = np.abs(np.swapaxes(ops.conj(), 1, 2)[:, None, None] @ g - g @ adj[:, None, None])
@@ -715,15 +740,12 @@ class AssociatorResult:
     @cached_property
     def report(self) -> VerificationReport:
         """The unitary is Gram-preserving, unitary, and bilinear."""
-        alpha, left_mod, right_mod, tol = self.matrix, self.left_module, self.right_module, self.tol
+        props = ["gram", "unitary", "right-linear"]
+        if self.left_module.is_correspondence and self.right_module.is_correspondence:
+            props.append("left-linear")
         rep = VerificationReport("associator")
-        rep.add("associator-gram", _dev(pull_gram(alpha, right_mod.gram), left_mod.gram), tol)
-        rep.add("associator-unitary", _unitary_dev(alpha, self.adjoint), tol)
-        rep.add("associator-right-linear",
-                _dev(alpha @ left_mod.right_action, right_mod.right_action @ alpha), tol)
-        if left_mod.is_correspondence and right_mod.is_correspondence:
-            rep.add("associator-left-linear",
-                    _dev(alpha @ left_mod.left_action, right_mod.left_action @ alpha), tol)
+        check_map(rep, self.matrix, self.left_module, self.right_module, self.tol,
+                  {p: f"associator-{p}" for p in props}, self.adjoint)
         return rep
 
 

@@ -30,12 +30,11 @@ from .hilbmod import (
     ModulePresentation,
     _dev,
     _unit_from_blocks,
-    _unitary_dev,
     algebra_correspondence,
     associator,
+    check_map,
     internal_tensor,
     left_unitor,
-    map_adjoint,
     null_space,
     pull_gram,
     right_unitor,
@@ -169,16 +168,8 @@ class ProductSystem:
         tol = self.tol
         for s in range(self.levels + 1):
             for t in range(self.levels + 1 - s):
-                u = self.u(s, t)
-                dom, _ = self.tensor(s, t)
-                cod = self.power(s + t)
-                name = f"identification[{s},{t}]"
-                rep.add(f"{name}-gram", _dev(pull_gram(u, cod.gram), dom.gram), tol)
-                rep.add(f"{name}-unitary", _unitary_dev(u, map_adjoint(u, dom, cod)), tol)
-                rep.add(f"{name}-bilinear", _worst((
-                    _dev(u @ dom.right_action, cod.right_action @ u),
-                    _dev(u @ dom.left_action, cod.left_action @ u),
-                )), tol)
+                check_map(rep, self.u(s, t), self.tensor(s, t)[0], self.power(s + t), tol, {
+                    p: f"identification[{s},{t}]-{p}" for p in ("gram", "unitary", "bilinear")})
         for r in range(1, self.levels - 1):
             for s in range(1, self.levels - r):
                 for t in range(1, self.levels + 1 - r - s):

@@ -372,3 +372,22 @@ def test_endomorphism_in_the_retired_basis_exits_invalid(tmp_path, capsys, basis
     for command in ("validate", "verify-main"):
         assert main([command, str(old)]) == EXIT_INVALID
         assert "retired operator basis" in capsys.readouterr().err
+
+
+def _zeroed(value):
+    return [_zeroed(x) for x in value] if isinstance(value, list) else 0.0
+
+
+@pytest.mark.parametrize("name,module,command", [
+    ("module-seed0", "E", "validate"),
+    ("correspondence-seed0", "F", "derive-ps"),
+])
+def test_zero_gram_exits_invalid(tmp_path, capsys, name, module, command):
+    """An all-zero Gram is degenerate: parsing rejects it instead of passing
+    it on to a verification that cannot realize it."""
+    doc = json.loads((SHIPPED / f"{name}.json").read_text())
+    doc["modules"][module]["gram"] = _zeroed(doc["modules"][module]["gram"])
+    bad = tmp_path / "zero.json"
+    bad.write_text(json.dumps(doc))
+    assert main([command, str(bad)]) == EXIT_INVALID
+    assert "fails invariants: scalar-gram-nondegenerate" in capsys.readouterr().err

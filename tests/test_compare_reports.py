@@ -56,3 +56,13 @@ def test_flipped_flag_is_a_difference_without_headroom(tmp_path, capsys):
     out = capsys.readouterr().out.splitlines()
     assert out[0] == "w/00 (verify-main): pass flags differ on ['a']"
     assert len(out) == 2
+
+
+def test_reordered_checks_name_the_first_that_moved(tmp_path, capsys):
+    a, b, c = (_check(n, 1e-12, 1e-9) for n in "abc")
+    first = _run_dir(tmp_path / "a", {"w/00": [a, b, c], "w/01": [a, b]})
+    second = _run_dir(tmp_path / "b", {"w/00": [a, c, b], "w/01": [a, b, b]})
+    assert compare_reports.diff(first, second) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "w/00 (verify-main): check names differ in order or count, first at 'b'"
+    assert out[1] == "w/01 (verify-main): check names differ in order or count, first at 'b'"

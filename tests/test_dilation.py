@@ -57,6 +57,13 @@ def test_right_limit_plane_doubling():
     lim = right_limit(ps, np.array([1.0, 0.0]))
     assert lim.report.passed
     assert [e.shape for e in lim.embeddings] == [(2, 1), (4, 2), (8, 4), (16, 8)]
+    # no command emits the right-embedding family, so its names and order are pinned here
+    names = [c.name for c in lim.report.checks]
+    assert names[:12] == [
+        f"{family}[{n}]" for n in range(4)
+        for family in ("right-embedding-isometry", "right-embedding-gram", "right-vector-coherence")
+    ]
+    assert not any(name.startswith("right-embedding") for name in names[12:])
 
 
 def test_right_limit_increasing_with_eigen_oracle():

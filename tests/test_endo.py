@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -17,8 +19,10 @@ from corrkit.gallery import (
     block_collapse_instance,
     endomorphism_gallery,
     identity_mixed_instance,
+    identity_scalar_instance,
     inner_rotation_instance,
     outer_swap_instance,
+    plane_correspondence,
     random_unitary,
     standard_module,
 )
@@ -216,6 +220,25 @@ def test_power_coherence_certifies_product_rule(name, s, t):
     _, rep = power_coherence(inst.endo, es, et, est)
     assert rep.passed, [c.name for c in rep.failed_checks()]
     assert rep.max_deviation < TOL
+    # no command emits this family, so its names and order are pinned here
+    assert [c.name for c in rep.checks] == [
+        f"product-rule-{p}[{s},{t}]" for p in ("isometric", "unitary", "bilinear")
+    ]
+
+
+def test_power_coherence_stops_at_a_dimension_mismatch():
+    """A stand-in for E_2 of another dimension gets the isometry check and
+    then the failed dimension flag, nothing else."""
+    inst = identity_scalar_instance()
+    e1, e2 = (associated_correspondence(inst.eplus, inst.endo, t) for t in (1, 2))
+    plane, m = plane_correspondence(), inst.eplus.dim
+    assert plane.dim != e2.corr.dim
+    other = replace(e2, corr=plane, factor=replace(e2.factor, matrix=np.zeros((2, m * m))))
+    _, rep = power_coherence(inst.endo, e1, e1, other)
+    assert [c.name for c in rep.checks] == [
+        "product-rule-isometric[1,1]", "product-rule-dimensions[1,1]",
+    ]
+    assert not rep.checks[1].passed
 
 
 def test_rank_one_images_are_built_once_per_time(monkeypatch):

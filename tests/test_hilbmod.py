@@ -24,9 +24,11 @@ from corrkit.hilbmod import (
     algebra_correspondence,
     amplify,
     associator,
+    check_map,
     compacts_span_check,
     fullness_check,
     internal_tensor,
+    is_nondegenerate,
     left_faithful_check,
     left_unitor,
     map_adjoint,
@@ -79,6 +81,20 @@ def test_validate_seeded_instances(seed):
     rep = validate_module(seeded_correspondence(seed))
     assert rep.passed
     assert rep.max_deviation < 1e-12
+
+
+@pytest.mark.parametrize("diag,ok", [
+    ((1.0, 2.0), True), ((1.0, 0.0), False), ((0.0, 0.0), False), ((float("nan"), 1.0), False),
+])
+def test_nondegeneracy_has_one_definition(diag, ok):
+    """``validate_module`` reports the value ``is_nondegenerate`` decides on:
+    0.0 when nondegenerate, a failure for a null direction, an all-zero Gram
+    or a NaN."""
+    plane = plane_correspondence()
+    pres = ModulePresentation(plane.algebra, plane.right_action, np.diag(diag).reshape(2, 2, 1, 1))
+    check = next(c for c in validate_module(pres).checks if c.name == "scalar-gram-nondegenerate")
+    assert check.passed == is_nondegenerate(pres) == ok
+    assert (check.deviation == 0.0) == ok
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +258,7 @@ def test_adjointable_invariants(seed):
         lhs = np.einsum("li,ljab->ijab", op.matrix.conj(), e.gram)
         rhs = np.einsum("lj,ilab->ijab", op.adjoint, e.gram)
         assert max_dev(lhs, rhs) < TOL
-        assert max_dev(e.module_adjoint(op.adjoint), op.matrix) < TOL
+        assert max_dev(map_adjoint(op.adjoint, e, e), op.matrix) < TOL
 
 
 def test_rank_one_projection():
@@ -947,3 +963,94 @@ def test_unitary_check_fails_on_nan_in_either_product(which, monkeypatch):
     assert np.isnan(_unitary_dev(u, u.conj().T)) and len(calls) == 2
     monkeypatch.setattr(hilbmod, "_dev", real_dev)
     assert _unitary_dev(u, u.conj().T) < 1e-14
+
+
+# ---------------------------------------------------------------------------
+# check_map: a witnessed failure per property
+# ---------------------------------------------------------------------------
+
+MAP_PROPERTIES = ("gram", "isometry", "unitary", "right-linear", "left-linear", "bilinear")
+
+
+def _map_failures(v, dom, cod):
+    """The properties of ``v: dom -> cod`` that fail, with the largest deviation."""
+    rep = VerificationReport("map")
+    check_map(rep, v, dom, cod, TOL, {p: p for p in MAP_PROPERTIES})
+    assert [c.name for c in rep.checks] == list(MAP_PROPERTIES)
+    failed = rep.failed_checks()
+    return {c.name for c in failed}, _worst(c.deviation for c in failed)
+
+
+def _central_unitary(rng, f):
+    """``R(z)`` for a central unitary ``z`` of the commutative algebra of ``f``:
+    a bilinear unitary of ``f`` that is not the identity."""
+    return f.right_of(np.diag(np.exp(1j * rng.uniform(0.5, 2.5, f.algebra.size))))
+
+
+def test_check_map_fails_a_scaled_unitary_on_gram_isometry_and_unitary():
+    rng = np.random.default_rng(41)
+    f = doubled_swap_correspondence()
+    u = _central_unitary(rng, f)
+    assert _map_failures(u, f, f)[0] == set()
+    failed, worst = _map_failures((1 + 1e-6) * u, f, f)
+    assert failed == {"gram", "isometry", "unitary"} and worst < 1e-5
+
+
+def test_check_map_fails_a_non_surjective_isometry_on_unitary_only():
+    rng = np.random.default_rng(42)
+    f = doubled_swap_correspondence()
+    e0 = algebra_correspondence(f.algebra)
+    # e0 is the first summand of f: this embedding keeps both actions and the Gram
+    v = np.eye(4, 2) @ _central_unitary(rng, e0)
+    assert _map_failures(v, e0, f)[0] == {"unitary"}
+
+
+def test_check_map_fails_a_left_multiplication_on_left_linearity():
+    rng = np.random.default_rng(43)
+    b = algebra_correspondence(make_algebra([2]))
+    # left multiplication by a noncentral unitary 1e-6 away from the identity
+    w = random_unitary(rng, 2)
+    v = b.left_of(w @ np.diag(np.exp([0.0, 1e-6j])) @ w.conj().T)
+    failed, worst = _map_failures(v, b, b)
+    assert failed == {"left-linear", "bilinear"} and worst < 1e-5
+
+
+def test_check_map_fails_every_property_on_a_nan_entry():
+    rng = np.random.default_rng(44)
+    f = doubled_swap_correspondence()
+    v = _central_unitary(rng, f)
+    v[1, 2] = np.nan
+    failed, worst = _map_failures(v, f, f)
+    assert failed == set(MAP_PROPERTIES) and np.isnan(worst)
+
+
+def test_check_map_computes_only_what_it_is_asked(monkeypatch):
+    import corrkit.hilbmod as hilbmod
+
+    def refuse(*args):
+        raise AssertionError("computed for a property not asked for")
+
+    f = doubled_swap_correspondence()
+    monkeypatch.setattr(hilbmod, "map_adjoint", refuse)
+    monkeypatch.setattr(hilbmod, "pull_gram", refuse)
+    rep = VerificationReport("map")
+    assert check_map(rep, np.eye(4), f, f, TOL, {"bilinear": "b", "right-linear": "r"}) is None
+    assert [c.name for c in rep.checks] == ["b", "r"] and rep.passed
+
+
+def test_check_map_frees_the_map_on_return():
+    """No reference cycle holds the checked map: on a sweep of large maps a
+    cycle would keep each one alive until the cyclic collector runs."""
+    import gc
+    import weakref
+
+    f = doubled_swap_correspondence()
+    v = np.eye(4, dtype=complex)
+    ref = weakref.ref(v)
+    gc.disable()
+    try:
+        check_map(VerificationReport("map"), v, f, f, TOL, {p: p for p in MAP_PROPERTIES})
+        del v
+        assert ref() is None
+    finally:
+        gc.enable()

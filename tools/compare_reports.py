@@ -30,6 +30,7 @@ import json
 import os
 import shutil
 import sys
+from itertools import zip_longest
 from pathlib import Path
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -139,10 +140,14 @@ def diff(first: Path, second: Path) -> int:
             (status_a, checks_a), (status_b, checks_b) = _outline(doc_a), _outline(doc_b)
             if status_a != status_b:
                 reasons.append(f"status {status_a} -> {status_b}")
-            if [n for n, _ in checks_a] != [n for n, _ in checks_b]:
-                names_a, names_b = {n for n, _ in checks_a}, {n for n, _ in checks_b}
-                reasons.append(f"check names differ (-{sorted(names_a - names_b)[:5]} "
-                               f"+{sorted(names_b - names_a)[:5]})")
+            names_a, names_b = [n for n, _ in checks_a], [n for n, _ in checks_b]
+            if names_a != names_b:
+                gone, new = sorted(set(names_a) - set(names_b)), sorted(set(names_b) - set(names_a))
+                if gone or new:
+                    reasons.append(f"check names differ (-{gone[:5]} +{new[:5]})")
+                else:
+                    moved = next(a or b for a, b in zip_longest(names_a, names_b) if a != b)
+                    reasons.append(f"check names differ in order or count, first at {moved!r}")
             elif checks_a != checks_b:
                 flips = [n for (n, p), (_, q) in zip(checks_a, checks_b) if p != q]
                 reasons.append(f"pass flags differ on {flips[:5]}")
