@@ -10,9 +10,9 @@ from .endo import (
     Endomorphism,
     associated_correspondence,
     endomorphism_from_conjugation,
+    endomorphism_from_map,
     find_intertwining_isometry,
     isometry_from_unit,
-    make_endomorphism,
     power_coherence,
     u_unitary,
     validate_endomorphism,

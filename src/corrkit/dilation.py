@@ -261,10 +261,11 @@ def build_action_stages(pipe: DilationPipeline) -> tuple[list[ActionStage], Veri
 
 @dataclass
 class StagedUnitary:
-    """Family ``W_t^{(m)} : E+ . E_{t+m} -> E+ . E_m`` for one time step."""
+    """Family ``W_t^{(m)} : E+ . E_{t+m} -> E+ . E_m`` for one time step, with adjoints."""
 
     t: int
     blocks: dict[int, np.ndarray]
+    adjoints: dict[int, np.ndarray]
 
 
 def build_w(pipe: DilationPipeline) -> tuple[dict[int, StagedUnitary], VerificationReport]:
@@ -280,7 +281,7 @@ def build_w(pipe: DilationPipeline) -> tuple[dict[int, StagedUnitary], Verificat
     rep = VerificationReport("staged unitaries", provenance={"levels": n_levels})
     w: dict[int, StagedUnitary] = {}
     for t in range(n_levels + 1):
-        blocks = {}
+        blocks, adjoints = {}, {}
         for m in range(n_levels + 1 - t):
             a2 = _stage_assoc(pipe, stages, t, m)
             ltm = tensor_lift(ps.u(t, m), a2.right_factor, stages[t + m].factor, side="right")
@@ -288,10 +289,11 @@ def build_w(pipe: DilationPipeline) -> tuple[dict[int, StagedUnitary], Verificat
             wtm = lout @ a2.adjoint @ map_adjoint(ltm, a2.right_module, stages[t + m].tensor)
             blocks[m] = wtm
             dom = stages[t + m].tensor
-            check_map(rep, wtm, dom, stages[m].tensor, tol, {"unitary": f"w-unitary[{t},{m}]"})
+            adjoints[m] = check_map(rep, wtm, dom, stages[m].tensor, tol,
+                                    {"unitary": f"w-unitary[{t},{m}]"})
             if t == 0:
                 rep.add(f"w-identity[{m}]", _dev(wtm, np.eye(dom.dim)), tol)
-        w[t] = StagedUnitary(t, blocks)
+        w[t] = StagedUnitary(t, blocks, adjoints)
 
     embeds = {
         m: tensor_lift(left.embeddings[m], stages[m].factor, stages[m + 1].factor, side="right")
@@ -369,14 +371,9 @@ class DilationPipeline:
 
     def alpha(self, t: int, m: int, lifted_op: np.ndarray) -> np.ndarray:
         """Conjugate a stage-(t+m) operator (or a stack of them) down to
-        stage m; the adjoint of ``W_t`` there is computed once."""
-        stages = self.stages()[0]
-        wtm = self.w()[0][t].blocks[m]
-        adj = self._get(
-            ("w-adjoint", t, m),
-            lambda: map_adjoint(wtm, stages[t + m].tensor, stages[m].tensor),
-        )
-        return wtm @ lifted_op @ adj
+        stage m, with the adjoint of ``W_t`` that its unitarity check formed."""
+        w = self.w()[0][t]
+        return w.blocks[m] @ lifted_op @ w.adjoints[m]
 
 
 def verify_main(pipe: DilationPipeline) -> VerificationReport:
@@ -442,6 +439,12 @@ def _restriction_chain_dev(pipe: DilationPipeline, t: int, m: int) -> float:
 # weak dilations
 # ---------------------------------------------------------------------------
 
+def _corners(eplus: ModulePresentation, xi: np.ndarray) -> np.ndarray:
+    """The corner embedding ``b -> xi b xi*`` of every algebra basis element,
+    stacked (d, m, m)."""
+    return np.stack([rank_one(eplus, r @ xi, xi).matrix for r in eplus.right_action])
+
+
 @dataclass
 class WeakDilation:
     ok: bool
@@ -467,21 +470,14 @@ def weak_dilation_check(pipe: DilationPipeline, xi_plus: np.ndarray) -> WeakDila
         raise PreconditionError(f"vector is not a unit vector (deviation {norm_dev:.3e})")
     rep = VerificationReport("weak dilation", provenance={"levels": levels})
     p0 = rank_one(eplus, xi_plus, xi_plus).matrix
-    for t in range(1, levels + 1):
-        rep.add(
-            f"projection-increasing[{t}]",
-            eplus.positivity_defect(endo.apply(p0, t) - p0),
-            tol,
-        )
-
+    # theta^t once per level, on p0 and the corners xi b xi* together
+    probes = np.concatenate([p0[None], _corners(eplus, xi_plus)])
     tmats = []
     for t in range(1, levels + 1):
-        cols = []
-        for c in range(alg.dim):
-            embedded = rank_one(eplus, eplus.right_action[c] @ xi_plus, xi_plus).matrix
-            moved = endo.apply(embedded, t) @ xi_plus
-            cols.append(alg.coords(eplus.inner(xi_plus, moved)))
-        tmats.append(np.stack(cols, axis=1))
+        moved = endo.apply(probes, t)
+        rep.add(f"projection-increasing[{t}]", eplus.positivity_defect(moved[0] - p0), tol)
+        # column c holds the coordinates of T_t(b_c) = <xi, theta^t(xi b_c xi*) xi>
+        tmats.append(alg.coords(eplus.inner(xi_plus, moved[1:] @ xi_plus)).T)
     unit_coords = alg.coords(alg.unit)
     star = alg.star_index
     for t in range(1, levels + 1):
@@ -569,22 +565,20 @@ def verify_supplement(pipe: DilationPipeline, xi_plus: np.ndarray) -> Verificati
 
     rep.extend(verify_main(pipe))
     stages = pipe.stages()[0]
-    left = pipe.left()
-    omega = left.unit
+    omega = pipe.left().unit
     alg = eplus.algebra
     xi_plus = np.asarray(xi_plus, dtype=complex)
 
-    # the corner embedding b -> xi b xi* of every basis element b
-    corners = np.stack([
-        rank_one(eplus, eplus.right_action[c] @ xi_plus, xi_plus).matrix for c in range(alg.dim)
-    ])
-
+    corners = _corners(eplus, xi_plus)
     p0 = rank_one(eplus, xi_plus, xi_plus).matrix
+    # the vector xi+ . omega_m on every stage, and its projection
+    vs = [stages[m].factor.matrix @ np.kron(xi_plus, omega.levels[m]) for m in range(levels + 1)]
+    projs = [rank_one(stages[m].tensor, v, v).matrix for m, v in enumerate(vs)]
     for t in range(1, levels + 1):
         moved = endo.image_ops(t)
+        moved_p0 = endo.apply(p0, t)
         for m in range(levels + 1 - t):
-            stage = stages[m]
-            v = stage.factor.matrix @ np.kron(xi_plus, omega.levels[m])
+            stage, v = stages[m], vs[m]
             lifted = amplify(moved, stage.factor, side="left")
             rep.add(
                 f"expectation-identity[{t},{m}]",
@@ -596,7 +590,7 @@ def verify_supplement(pipe: DilationPipeline, xi_plus: np.ndarray) -> Verificati
             rep.add(f"dilation-diagram[{t},{m}]", _dev(lhs, wd.cp_matrices[t - 1].T), tol)
             filt = _dev(
                 pipe.alpha(t, m, amplify(p0, stages[t + m].factor, side="left")),
-                amplify(endo.apply(p0, t), stage.factor, side="left"),
+                amplify(moved_p0, stage.factor, side="left"),
             )
             rep.add(f"filtration-projection[{t},{m}]", filt, tol)
 
@@ -615,16 +609,8 @@ def verify_supplement(pipe: DilationPipeline, xi_plus: np.ndarray) -> Verificati
         p_xi = rank_one(et, wd.unit.levels[t], wd.unit.levels[t]).matrix
         p_om = rank_one(et, omega.levels[t], omega.levels[t]).matrix
         projections_match = _dev(p_xi, p_om) <= tol
-        defects = []
-        for m in range(levels + 1 - t):
-            stage = stages[m]
-            v_m = stage.factor.matrix @ np.kron(xi_plus, omega.levels[m])
-            p_m = rank_one(stage.tensor, v_m, v_m).matrix
-            v_tm = stages[t + m].factor.matrix @ np.kron(xi_plus, omega.levels[t + m])
-            p_tm = rank_one(stages[t + m].tensor, v_tm, v_tm).matrix
-            moved = pipe.alpha(t, m, p_tm)
-            defects.append(stage.tensor.positivity_defect(moved - p_m))
-        worst = _worst(defects)
+        worst = _worst([stages[m].tensor.positivity_defect(pipe.alpha(t, m, p_tm) - projs[m])
+                        for m, p_tm in enumerate(projs[t:])])
         rep.add_flag(
             f"alpha-increasing-iff-projection-match[{t}]",
             projections_match == (worst <= tol),

@@ -3,8 +3,9 @@
 An endomorphism is given as a square matrix in the canonical operator basis
 of :func:`corrkit.hilbmod.adjointable_basis`: Gram-Schmidt, in lex order of
 ``(u, v)``, on the images of the carrier matrix units ``E_uv`` under the
-conditional expectation ``E`` onto the commutant of the right action ``R``,
-so the basis depends on ``R`` alone.  From the matrix the package builds,
+conditional expectation onto the commutant of the right action ``R``.  It
+depends on ``R`` alone and is orthonormal in ``tr(A* B)``, so coordinates
+are inner products with it.  From the matrix the package builds,
 for each time ``t >= 1``, the associated correspondence: the conjugate
 carrier tensored with the carrier, reduced under the inner
 product ``<x* (x) y, x'* (x) y'> = <y, theta^t(x x'*) y'>``, with left
@@ -42,125 +43,113 @@ from .hilbmod import (
     adjointable_basis,
     algebra_correspondence,
     amplify,
+    basis_coords,
     check_map,
-    compacts_span_check,
     fullness_check,
     internal_tensor,
     map_adjoint,
     null_space,
+    operator_rows,
     pull_gram,
     rank_one_stack,
+    rank_ones_span,
 )
 from .report import VerificationReport, _worst
 
 
 @dataclass
 class Endomorphism:
-    """Linear map on the adjointable operators, in a fixed operator basis."""
+    """Linear map on the adjointable operators, in a fixed operator basis.
+
+    The basis must be orthonormal in ``tr(A* B)`` within 1e-9 (any other is
+    refused), so coordinates are inner products with it; :meth:`expand` and
+    :meth:`apply` take one (m, m) operator or a stack of them.
+    """
 
     module: ModulePresentation
     ops: list[AdjointableOperator]
     matrix: np.ndarray  # (q, q); column i holds the coordinates of the image of ops[i]
 
     def __post_init__(self):
-        q = len(self.ops)
+        q, m = len(self.ops), self.module.dim
         self.matrix = np.asarray(self.matrix, dtype=complex)
         if self.matrix.shape != (q, q):
             raise InvalidPresentationError(
                 f"endomorphism matrix of shape {self.matrix.shape}, expected {(q, q)}"
             )
+        self._flat = operator_rows(self.ops, m)
+        defect = _dev(self._flat.conj() @ self._flat.T, np.eye(q))
+        if not defect <= 1e-9:
+            raise InvalidPresentationError(f"operator basis not orthonormal ({defect:.3e})")
+        self.op_stack = self._flat.reshape(q, m, m)
         self._powers: dict[int, np.ndarray] = {}
         self._rank_one_images: dict[int, np.ndarray] = {}
-
-    @cached_property
-    def op_stack(self) -> np.ndarray:
-        return np.stack([op.matrix for op in self.ops])
-
-    @cached_property
-    def _flat(self) -> np.ndarray:
-        q = len(self.ops)
-        return self.op_stack.reshape(q, -1)
-
-    @cached_property
-    def _pinv(self) -> np.ndarray:
-        return np.linalg.pinv(self._flat.T)
 
     def power(self, t: int) -> np.ndarray:
         if t not in self._powers:
             self._powers[t] = np.linalg.matrix_power(self.matrix, t)
         return self._powers[t]
 
+    def _moved(self, coeffs: np.ndarray, t: int) -> np.ndarray:
+        """Flat images under the t-th iterate of the operators with coordinates ``coeffs``."""
+        return coeffs @ self.power(t).T @ self._flat
+
     @cached_property
     def rank_one_coords(self) -> tuple[np.ndarray, float]:
         """Basis coordinates of all basis rank-ones ``e_i e_j*``, shape
         (m^2, q), with the residual of that expansion."""
         m = self.module.dim
-        flat = rank_one_stack(self.module).reshape(m * m, m * m)
-        coeffs = flat @ self._pinv.T
-        return coeffs, _dev(coeffs @ self._flat, flat)
+        return self.expand(rank_one_stack(self.module).reshape(m * m, m, m))
 
     def rank_one_images(self, t: int) -> np.ndarray:
         """Images ``theta^t(e_i e_j*)`` of all basis rank-ones, stacked (m,m,m,m)."""
         if t not in self._rank_one_images:
             m = self.module.dim
-            applied = self.rank_one_coords[0] @ self.power(t).T @ self._flat
-            self._rank_one_images[t] = applied.reshape(m, m, m, m)
+            self._rank_one_images[t] = self._moved(self.rank_one_coords[0], t).reshape(m, m, m, m)
         return self._rank_one_images[t]
 
     def expand(self, a: np.ndarray) -> tuple[np.ndarray, float]:
-        """Coordinates of a carrier operator in the basis, with residual."""
-        coeffs = self._pinv @ a.reshape(-1)
-        recon = (coeffs @ self._flat).reshape(a.shape)
-        return coeffs, _dev(recon, a)
+        """Coordinates of a carrier operator, or of a stack of them, with residual."""
+        coeffs, resid = basis_coords(self._flat, a.reshape(-1, self._flat.shape[1]))
+        return coeffs.reshape(a.shape[:-2] + (len(self.ops),)), resid
 
     def apply(self, a: np.ndarray, t: int = 1) -> np.ndarray:
-        """Image of a carrier operator under the t-th iterate."""
-        coeffs, _ = self.expand(a)
-        out = self.power(t) @ coeffs
-        return (out @ self._flat).reshape(a.shape)
+        """Image of a carrier operator, or of a stack of them, under the t-th iterate."""
+        return self._moved(self.expand(a)[0], t).reshape(a.shape)
 
     def image_ops(self, t: int) -> np.ndarray:
         """Images of the basis operators under the t-th iterate, stacked."""
-        out = self.power(t).T @ self._flat
-        return out.reshape(self.op_stack.shape)
+        return (self.power(t).T @ self._flat).reshape(self.op_stack.shape)
 
 
-def make_endomorphism(
-    eplus: ModulePresentation,
-    matrix: np.ndarray,
-    ops: list[AdjointableOperator] | None = None,
-    tol: float = DEFAULT_TOL,
+def endomorphism_from_map(
+    eplus: ModulePresentation, mapping,
+    ops: list[AdjointableOperator] | None = None, tol: float = DEFAULT_TOL,
 ) -> Endomorphism:
-    """Attach an endomorphism matrix to the operator basis of a module."""
-    if ops is None:
-        ops = adjointable_basis(eplus, tol)
-    return Endomorphism(eplus, ops, matrix)
+    """A map of carrier operators, applied once to the (q, m, m) basis stack,
+    in the operator basis; ``ConstructionError`` when an image leaves the
+    span by more than ``tol`` times the larger of 1 and the largest entry."""
+    ops = adjointable_basis(eplus, tol) if ops is None else ops
+    rows = operator_rows(ops, eplus.dim)
+    images = mapping(rows.reshape(len(ops), eplus.dim, eplus.dim)).reshape(rows.shape)
+    coeffs, resid = basis_coords(rows, images)
+    if not resid <= tol * max(1.0, float(np.abs(images).max(initial=0.0))):
+        raise ConstructionError("the map leaves the adjointable operators", residual=resid)
+    return Endomorphism(eplus, ops, coeffs.T)
 
 
 def endomorphism_from_conjugation(
-    eplus: ModulePresentation,
-    v: np.ndarray,
-    ops: list[AdjointableOperator] | None = None,
-    tol: float = DEFAULT_TOL,
+    eplus: ModulePresentation, v: np.ndarray,
+    ops: list[AdjointableOperator] | None = None, tol: float = DEFAULT_TOL,
 ) -> Endomorphism:
     """The inner map ``a -> v a v^{-1}`` expressed in the operator basis."""
-    if ops is None:
-        ops = adjointable_basis(eplus, tol)
     vinv = np.linalg.inv(v)
-    probe = Endomorphism(eplus, ops, np.eye(len(ops)))
-    cols = []
-    for op in ops:
-        coeffs, resid = probe.expand(v @ op.matrix @ vinv)
-        if resid > tol * max(1.0, float(np.abs(v).max()) ** 2):
-            raise ConstructionError(
-                "conjugation leaves the adjointable operators", residual=resid
-            )
-        cols.append(coeffs)
-    return Endomorphism(eplus, ops, np.stack(cols, axis=1))
+    return endomorphism_from_map(eplus, lambda a: v @ a @ vinv, ops, tol)
 
 
 def validate_endomorphism(endo: Endomorphism, tol: float = DEFAULT_TOL) -> VerificationReport:
-    """Multiplicativity, *-preservation, unitality, and the strictness certificate."""
+    """Multiplicativity, *-preservation, unitality, and the strictness
+    certificate, read off :attr:`Endomorphism.rank_one_coords`."""
     eplus = endo.module
     q = len(endo.ops)
     rep = VerificationReport(f"endomorphism checks (operator dimension {q})")
@@ -168,18 +157,17 @@ def validate_endomorphism(endo: Endomorphism, tol: float = DEFAULT_TOL) -> Verif
     images = endo.image_ops(1)
 
     # every product of two basis operators, expanded in the basis at once
-    prods = (stack[:, None] @ stack[None]).reshape(q * q, -1)
-    coeffs = prods @ endo._pinv.T
-    rep.add("operator-basis-closure", _dev(coeffs @ endo._flat, prods), tol)
-    moved = (coeffs @ endo.power(1).T @ endo._flat).reshape(q, q, *stack.shape[1:])
+    prods = stack[:, None] @ stack[None]
+    coeffs, closure = endo.expand(prods)
+    rep.add("operator-basis-closure", closure, tol)
+    moved = endo._moved(coeffs, 1).reshape(prods.shape)
     rep.add("endomorphism-multiplicative", _dev(moved, images[:, None] @ images[None]), tol)
 
-    adjoints = np.stack([op.adjoint for op in endo.ops]).reshape(q, -1)
-    moved = (adjoints @ endo._pinv.T @ endo.power(1).T @ endo._flat).reshape(stack.shape)
-    rep.add("endomorphism-star", _dev(moved, map_adjoint(images, eplus, eplus)), tol)
+    adjoints = np.stack([op.adjoint for op in endo.ops])
+    rep.add("endomorphism-star", _dev(endo.apply(adjoints), map_adjoint(images, eplus, eplus)), tol)
     rep.add("endomorphism-unital", _dev(endo.apply(np.eye(eplus.dim)), np.eye(eplus.dim)), tol)
 
-    strict = compacts_span_check(eplus, ops=endo.ops)
+    strict = rank_ones_span(eplus, *endo.rank_one_coords, tol)
     rep.add_flag("strictness-compacts-span", strict)
     if strict:
         rep.detail = (

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import Algebra, make_algebra
-from .endo import Endomorphism, endomorphism_from_conjugation, make_endomorphism
+from .endo import Endomorphism, endomorphism_from_conjugation, endomorphism_from_map
 from .errors import InvalidPresentationError
 from .hilbmod import (
     Correspondence,
@@ -180,25 +180,11 @@ class EndomorphismInstance:
     unit_vectors: dict[str, np.ndarray] = field(default_factory=dict)
 
 
-def _endo_from_carrier_map(eplus, mapping, ops=None) -> Endomorphism:
-    """Express an abstract operator map through the computed basis."""
-    if ops is None:
-        ops = adjointable_basis(eplus)
-    probe = make_endomorphism(eplus, np.eye(len(ops)), ops)
-    cols = []
-    for op in ops:
-        coeffs, resid = probe.expand(mapping(op.matrix))
-        if resid > 1e-9:
-            raise InvalidPresentationError("map leaves the adjointable operators")
-        cols.append(coeffs)
-    return Endomorphism(eplus, ops, np.stack(cols, axis=1))
-
-
 def identity_scalar_instance() -> EndomorphismInstance:
     alg = make_algebra([1])
     eplus = standard_module(alg, [2])
     ops = adjointable_basis(eplus)
-    endo = make_endomorphism(eplus, np.eye(len(ops)), ops)
+    endo = Endomorphism(eplus, ops, np.eye(len(ops)))
     xi = np.zeros(2, dtype=complex)
     xi[0] = 1.0
     return EndomorphismInstance("identity-scalar", eplus, endo, True, {"xi": xi})
@@ -208,7 +194,7 @@ def identity_mixed_instance() -> EndomorphismInstance:
     alg = make_algebra([1, 2])
     eplus = standard_module(alg, list(alg.blocks))
     ops = adjointable_basis(eplus)
-    endo = make_endomorphism(eplus, np.eye(len(ops)), ops)
+    endo = Endomorphism(eplus, ops, np.eye(len(ops)))
     one = unit_vector_of_identity(alg, list(alg.blocks))
     return EndomorphismInstance("identity-mixed", eplus, endo, True, {"xi": one})
 
@@ -253,11 +239,11 @@ def block_collapse_instance() -> EndomorphismInstance:
 
     def collapse(a):
         out = np.zeros_like(a)
-        out[:2, :2] = a[2:, 2:]
-        out[2:, 2:] = a[2:, 2:]
+        out[..., :2, :2] = a[..., 2:, 2:]
+        out[..., 2:, 2:] = a[..., 2:, 2:]
         return out
 
-    endo = _endo_from_carrier_map(eplus, collapse)
+    endo = endomorphism_from_map(eplus, collapse)
     return EndomorphismInstance("block-collapse", eplus, endo, False, {})
 
 
@@ -271,11 +257,11 @@ def outer_swap_instance() -> EndomorphismInstance:
 
     def swap(a):
         out = np.zeros_like(a)
-        out[0, 0] = a[1, 1]
-        out[1, 1] = a[0, 0]
+        out[..., 0, 0] = a[..., 1, 1]
+        out[..., 1, 1] = a[..., 0, 0]
         return out
 
-    endo = _endo_from_carrier_map(eplus, swap)
+    endo = endomorphism_from_map(eplus, swap)
     return EndomorphismInstance("outer-swap", eplus, endo, False, {})
 
 

@@ -60,20 +60,20 @@ def _unitary_dev(v: np.ndarray, adj: np.ndarray) -> float:
     return _worst((_dev(adj @ v, np.eye(v.shape[1])), _dev(v @ adj, np.eye(v.shape[0]))))
 
 
-def matrix_rank_tol(m: np.ndarray, rtol: float = RANK_RTOL) -> int:
+def matrix_rank_tol(m: np.ndarray) -> int:
     m = np.atleast_2d(np.asarray(m))
     if m.size == 0:
         return 0
     s = np.linalg.svd(m, compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
         return 0
-    return int(np.sum(s > rtol * s[0]))
+    return int(np.sum(s > RANK_RTOL * s[0]))
 
 
-def null_space(m: np.ndarray, rtol: float = RANK_RTOL, *, scale: float = 0.0) -> np.ndarray:
+def null_space(m: np.ndarray, *, scale: float = 0.0) -> np.ndarray:
     """Orthonormal basis of the kernel, as columns.
 
-    Rank counts the singular values above ``rtol`` times the larger of the
+    Rank counts the singular values above ``RANK_RTOL`` times the larger of the
     top singular value and ``scale``, the size of the operands the system
     was built from.  A system that cancels to rounding noise then has a full
     kernel instead of a noise-sized rank.
@@ -82,7 +82,7 @@ def null_space(m: np.ndarray, rtol: float = RANK_RTOL, *, scale: float = 0.0) ->
     # a tall system's thin vh is already square; a wide one needs the full vh
     _, s, vh = np.linalg.svd(m, full_matrices=m.shape[0] < m.shape[1])
     top = max(float(s[0]) if s.size else 0.0, scale)
-    rank = int(np.sum(s > rtol * top)) if top > 0.0 else 0
+    rank = int(np.sum(s > RANK_RTOL * top)) if top > 0.0 else 0
     return vh[rank:].conj().T
 
 
@@ -647,40 +647,50 @@ def rank_one_stack(e: ModulePresentation) -> np.ndarray:
     return np.einsum("jvc,cui->ijuv", e.gram_coords, e.right_action)
 
 
+def operator_rows(ops: list[AdjointableOperator], m: int) -> np.ndarray:
+    """The matrices of ``ops`` as the rows of a (q, m^2) array."""
+    return np.array([op.matrix.reshape(-1) for op in ops], dtype=complex).reshape(len(ops), m * m)
+
+
+def basis_coords(rows: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, float]:
+    """Coordinates of the rows of ``a`` in the rows of ``rows``, orthonormal in
+    ``tr(A* B)``: the inner products ``a @ rows^H``, with the residual."""
+    coeffs = a @ rows.conj().T
+    return coeffs, _dev(coeffs @ rows, a)
+
+
+def rank_ones_span(e: ModulePresentation, coords: np.ndarray, resid: float, tol: float) -> bool:
+    """Strictness from the (m^2, q) rank-one coordinates in an orthonormal
+    operator basis and their residual: the rank-ones lie in its span (residual
+    at most ``tol`` times the larger of 1 and the top Gram entry) and span it."""
+    scale = max(1.0, float(np.abs(e.gram).max(initial=0.0)))
+    return resid <= tol * scale and matrix_rank_tol(coords) == coords.shape[1]
+
+
 def compacts_span_check(
-    e: ModulePresentation,
-    rtol: float = RANK_RTOL,
-    ops: list[AdjointableOperator] | None = None,
+    e: ModulePresentation, ops: list[AdjointableOperator] | None = None
 ) -> bool:
-    """Whether the rank-one operators span all adjointable operators.
-
-    ``ops`` is a basis of the adjointable operators already at hand; it is
-    computed when not supplied.
-    """
+    """Whether the rank-one operators span all adjointable operators, decided by
+    :func:`rank_ones_span` at the default tolerance; ``ops`` is the orthonormal
+    basis of :func:`adjointable_basis`, computed when not supplied."""
     m = e.dim
-    r1 = rank_one_stack(e).reshape(m * m, m * m)
-    if ops is None:
-        ops = adjointable_basis(e)
-    if not ops:
-        return m == 0
-    stack = np.stack([op.matrix.reshape(-1) for op in ops])
-    both = np.concatenate([r1, stack], axis=0)
-    ranks = {matrix_rank_tol(r1, rtol), matrix_rank_tol(stack, rtol), matrix_rank_tol(both, rtol)}
-    return len(ranks) == 1
+    ops = adjointable_basis(e) if ops is None else ops
+    coords, resid = basis_coords(operator_rows(ops, m), rank_one_stack(e).reshape(m * m, m * m))
+    return rank_ones_span(e, coords, resid, DEFAULT_TOL)
 
 
-def fullness_check(e: ModulePresentation, rtol: float = RANK_RTOL) -> bool:
+def fullness_check(e: ModulePresentation) -> bool:
     """Whether the inner products span the whole algebra."""
     m = e.dim
     coords = e.gram_coords.reshape(m * m, e.algebra.dim)
-    return matrix_rank_tol(coords, rtol) == e.algebra.dim
+    return matrix_rank_tol(coords) == e.algebra.dim
 
 
-def left_faithful_check(f: Correspondence, rtol: float = RANK_RTOL) -> bool:
+def left_faithful_check(f: Correspondence) -> bool:
     """Whether the left action annihilates only the zero element."""
     d = f.algebra.dim
     flat = f.left_action.reshape(d, -1)
-    return matrix_rank_tol(flat, rtol) == d
+    return matrix_rank_tol(flat) == d
 
 
 # ---------------------------------------------------------------------------

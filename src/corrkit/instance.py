@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import NORM_BOUND, Algebra, make_algebra
-from .endo import Endomorphism, endomorphism_from_conjugation, make_endomorphism
+from .endo import Endomorphism, endomorphism_from_conjugation
 from .errors import InstanceFormatError
 from .gallery import conjugated, random_unitary, standard_module, unit_vector_of_identity
 from .hilbmod import Correspondence, ModulePresentation, adjointable_basis, validate_module
@@ -94,7 +94,7 @@ class Instance:
                 f"endomorphism matrix of shape {matrix.shape}; the operator basis "
                 f"of {name!r} has dimension {len(ops)}"
             )
-        endo = make_endomorphism(eplus, matrix, ops, tol)
+        endo = Endomorphism(eplus, ops, matrix)
         self._endo = (self.endomorphism, eplus, tol, endo)
         return eplus, endo
 

@@ -66,3 +66,24 @@ def test_reordered_checks_name_the_first_that_moved(tmp_path, capsys):
     out = capsys.readouterr().out.splitlines()
     assert out[0] == "w/00 (verify-main): check names differ in order or count, first at 'b'"
     assert out[1] == "w/01 (verify-main): check names differ in order or count, first at 'b'"
+
+
+def test_outputs_that_are_not_reports_show_a_numbers_only_change(tmp_path, capsys):
+    """A ``generate`` output whose structure and strings agree differs in numbers
+    only; one whose structure differs is only "output differs"."""
+    docs = {
+        "a": {"w/00": {"m": [[1.0, 0.25]], "name": "E"}, "w/01": {"m": [1.0]}},
+        "b": {"w/00": {"m": [[1.0, 0.251]], "name": "E"}, "w/01": {"m": [1.0, 2.0]}},
+    }
+    for side, outputs in docs.items():
+        records = {}
+        for key, doc in outputs.items():
+            path = tmp_path / side / f"{key}.json"
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(json.dumps(doc))
+            records[key] = {"command": "generate", "exit": 0, "check": None, "known_fault": False}
+        (tmp_path / side / "commands.json").write_text(json.dumps(records))
+    assert compare_reports.diff(tmp_path / "a", tmp_path / "b") == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "w/00 (generate): numbers only, largest |difference| 1.0e-03"
+    assert out[1] == "w/01 (generate): output differs"

@@ -19,7 +19,7 @@ from corrkit.dilation import (
     verify_supplement,
     weak_dilation_check,
 )
-from corrkit.endo import make_endomorphism
+from corrkit.endo import Endomorphism
 from corrkit.errors import PreconditionError
 from corrkit.gallery import (
     block_collapse_instance,
@@ -171,7 +171,7 @@ def test_verify_main_independent_of_basis_order():
     for new, old in enumerate(perm):
         p[new, old] = 1.0
     matrix = p @ inst.endo.matrix @ p.T
-    endo = make_endomorphism(inst.eplus, matrix, permuted_ops)
+    endo = Endomorphism(inst.eplus, permuted_ops, matrix)
     rep2 = verify_main(DilationPipeline(inst.eplus, endo, levels=3))
     assert rep1.status == rep2.status == "pass"
     assert rep2.max_deviation < TOL
@@ -189,6 +189,22 @@ def test_restriction_chain_checked_independently():
 # ---------------------------------------------------------------------------
 # weak dilations and the vector expectation
 # ---------------------------------------------------------------------------
+
+def test_weak_dilation_applies_theta_once_per_level(monkeypatch):
+    inst = inner_rotation_instance()
+    calls = []
+    real = inst.endo.apply
+
+    def counted(a, t=1):
+        calls.append(t)
+        return real(a, t)
+
+    monkeypatch.setattr(inst.endo, "apply", counted)
+    pipe = DilationPipeline(inst.eplus, inst.endo, levels=3)
+    wd = weak_dilation_check(pipe, inst.unit_vectors["xi"])
+    assert wd.ok
+    assert calls == [1, 2, 3]
+
 
 def test_weak_dilation_identity():
     inst = identity_mixed_instance()
@@ -288,6 +304,8 @@ def test_each_tensor_and_associator_realized_once_per_run(monkeypatch):
 
 
 def test_alpha_takes_one_adjoint_per_stage_pair(monkeypatch):
+    """``alpha`` reuses the adjoint that the ``w-unitary`` check formed in
+    ``build_w``: no adjoint is solved for after ``pipe.w()``."""
     import corrkit.dilation as dilation
 
     inst = inner_rotation_instance()
@@ -310,7 +328,7 @@ def test_alpha_takes_one_adjoint_per_stage_pair(monkeypatch):
         moved = pipe.alpha(t, m, stack)
         for a, one in zip(stack, moved):
             assert max_dev(pipe.alpha(t, m, a), one) < 1e-12
-    assert len(calls) == len(pairs)
+    assert calls == []
 
 
 def test_weak_dilation_fails_when_projection_moves():

@@ -5,16 +5,17 @@ import pytest
 
 from corrkit.algebra import make_algebra
 from corrkit.endo import (
+    Endomorphism,
     associated_correspondence,
     endomorphism_from_conjugation,
+    endomorphism_from_map,
     find_intertwining_isometry,
     isometry_from_unit,
-    make_endomorphism,
     power_coherence,
     u_unitary,
     validate_endomorphism,
 )
-from corrkit.errors import PreconditionError
+from corrkit.errors import ConstructionError, InvalidPresentationError, PreconditionError
 from corrkit.gallery import (
     block_collapse_instance,
     endomorphism_gallery,
@@ -27,6 +28,7 @@ from corrkit.gallery import (
     standard_module,
 )
 from corrkit.hilbmod import (
+    AdjointableOperator,
     ModulePresentation,
     adjointable_basis,
     algebra_correspondence,
@@ -68,10 +70,7 @@ def test_validate_uses_the_endomorphism_basis(monkeypatch):
 def test_validate_transpose_fails_multiplicativity():
     alg = make_algebra([1])
     e = standard_module(alg, [2])
-    ops = adjointable_basis(e)
-    probe = make_endomorphism(e, np.eye(4), ops)
-    cols = [probe.expand(op.matrix.T)[0] for op in ops]
-    transpose = make_endomorphism(e, np.stack(cols, axis=1), ops)
+    transpose = endomorphism_from_map(e, lambda a: np.swapaxes(a, -1, -2))
     rep = validate_endomorphism(transpose)
     failed = {c.name for c in rep.failed_checks()}
     assert failed == {"endomorphism-multiplicative"}
@@ -81,6 +80,56 @@ def test_validate_block_collapse():
     inst = block_collapse_instance()
     rep = validate_endomorphism(inst.endo)
     assert rep.passed
+
+
+def test_validate_over_a_truncated_basis_fails_strictness():
+    inst = identity_mixed_instance()
+    ops = inst.endo.ops[:-1]
+    rep = validate_endomorphism(Endomorphism(inst.eplus, ops, np.eye(len(ops))))
+    flags = {c.name: c.passed for c in rep.checks}
+    assert flags["strictness-compacts-span"] is False
+
+
+def test_endomorphism_refuses_a_basis_that_is_not_orthonormal():
+    inst = identity_mixed_instance()
+    ops = list(inst.endo.ops)
+    ops[1] = AdjointableOperator(ops[1].matrix * (1 + 1e-6), ops[1].adjoint * (1 + 1e-6))
+    with pytest.raises(InvalidPresentationError):
+        Endomorphism(inst.eplus, ops, np.eye(len(ops)))
+
+
+def test_endomorphism_from_map_applies_the_map_once_and_refuses_leaving():
+    """The map sees the whole basis stack once; on a module whose commutant
+    is the scalars, adding ``E_01`` leaves it."""
+    e = standard_module(make_algebra([2]), [1])
+    assert len(adjointable_basis(e)) == 1
+    shapes = []
+    endomorphism_from_map(e, lambda a: shapes.append(a.shape) or a)
+    assert shapes == [(1, 2, 2)]
+    e01 = np.array([[0.0, 1.0], [0.0, 0.0]])
+    with pytest.raises(ConstructionError):
+        endomorphism_from_map(e, lambda a: a + e01)
+
+
+def _pinv_images(endo, stack, t):
+    """theta^t of each operator in ``stack`` through the pseudo-inverse of the
+    flattened basis, which needs no orthonormality."""
+    flat = np.stack([op.matrix.reshape(-1) for op in endo.ops])
+    coords = np.linalg.pinv(flat.T) @ stack.reshape(len(stack), -1).T  # (q, N)
+    moved = np.linalg.matrix_power(endo.matrix, t) @ coords
+    return (moved.T @ flat).reshape(stack.shape)
+
+
+@pytest.mark.parametrize("inst", endomorphism_gallery(), ids=lambda i: i.name)
+def test_batched_apply_matches_single_and_pinv_reference(inst):
+    """Rank-ones and random combinations of the basis, all at once."""
+    m, q = inst.eplus.dim, len(inst.endo.ops)
+    mix = np.random.default_rng(4).standard_normal((3, q)) @ inst.endo.op_stack.reshape(q, -1)
+    stack = np.concatenate([rank_one_stack(inst.eplus).reshape(-1, m, m), mix.reshape(3, m, m)])
+    for t in (1, 2):
+        batched = inst.endo.apply(stack, t)
+        assert max_dev(batched, np.stack([inst.endo.apply(a, t) for a in stack])) < 1e-12
+        assert max_dev(batched, _pinv_images(inst.endo, stack, t)) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +190,7 @@ def test_associated_warns_on_non_full_module():
     alg = make_algebra([1, 1])
     eplus = standard_module(alg, [1, 0])
     ops = adjointable_basis(eplus)
-    endo = make_endomorphism(eplus, np.eye(len(ops)), ops)
+    endo = Endomorphism(eplus, ops, np.eye(len(ops)))
     res = associated_correspondence(eplus, endo, 1)
     assert res.warnings
 
@@ -254,11 +303,12 @@ def test_rank_one_images_are_built_once_per_time(monkeypatch):
 
     monkeypatch.setattr(endo_mod, "rank_one_stack", counted)
     inst = inner_rotation_instance()
-    endo = make_endomorphism(inst.eplus, inst.endo.matrix, inst.endo.ops)
+    endo = Endomorphism(inst.eplus, inst.endo.ops, inst.endo.matrix)
     e1 = associated_correspondence(inst.eplus, endo, 1)
     images = endo.rank_one_images(1)
     u_unitary(inst.eplus, endo, 1, e1)
     power_coherence(endo, e1, e1, associated_correspondence(inst.eplus, endo, 2))
+    assert validate_endomorphism(endo).passed
     assert endo.rank_one_images(1) is images
     assert sorted(endo._rank_one_images) == [1, 2]
     assert len(calls) == 1
@@ -303,7 +353,7 @@ def test_action_unitary_requires_full_module():
     alg = make_algebra([1, 1])
     eplus = standard_module(alg, [1, 0])
     ops = adjointable_basis(eplus)
-    endo = make_endomorphism(eplus, np.eye(len(ops)), ops)
+    endo = Endomorphism(eplus, ops, np.eye(len(ops)))
     with pytest.raises(PreconditionError):
         u_unitary(eplus, endo, 1)
 

@@ -834,6 +834,19 @@ def test_compacts_span_reuses_supplied_basis(monkeypatch):
     assert compacts_span_check(e, ops=ops) == expected
 
 
+def test_compacts_span_fails_on_a_truncated_basis():
+    """The rank-ones span every shipped module's operators, so dropping one
+    basis operator leaves some rank-one outside the span."""
+    truncated = 0
+    for e in shipped_modules():
+        ops = adjointable_basis(e)
+        assert compacts_span_check(e, ops)
+        if len(ops) >= 2:
+            assert not compacts_span_check(e, ops[:-1])
+            truncated += 1
+    assert truncated
+
+
 # ---------------------------------------------------------------------------
 # the corner-compressed Gram factor
 # ---------------------------------------------------------------------------

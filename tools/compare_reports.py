@@ -19,8 +19,11 @@ flag, report status, check names or pass flags differ between two runs, and
 counts the outputs that are byte-identical.  Deviation digits are not
 compared; for each output that differs only there (or in its detail and
 provenance), it prints each run's largest deviation/tolerance ratio over the
-passing checks, so the headroom of a "digits only" change shows.  The exit
-status is 1 when any command differs, else 0.
+passing checks, so the headroom of a "digits only" change shows.  An output
+that is not a report (``generate``, ``basis``) and differs still counts as a
+difference; when its JSON structure and its non-numeric values agree, the
+line says "numbers only" with the largest absolute difference of a number.
+The exit status is 1 when any command differs, else 0.
 """
 from __future__ import annotations
 
@@ -113,6 +116,36 @@ def _headroom(doc) -> float:
                 if c["passed"] and float(c["tolerance"]) > 0.0), default=0.0)
 
 
+def _largest_gap(a, b) -> float | None:
+    """Largest |difference| between the numbers of two JSON values, or
+    ``None`` when their structure or any non-numeric value differs."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        if a.keys() != b.keys():
+            return None
+        pairs = [(a[k], b[k]) for k in a]
+    elif isinstance(a, list) and isinstance(b, list):
+        if len(a) != len(b):
+            return None
+        pairs = list(zip(a, b))
+    elif all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in (a, b)):
+        return abs(a - b)
+    else:
+        return 0.0 if a == b else None
+    gaps = [_largest_gap(x, y) for x, y in pairs]
+    return None if None in gaps else max(gaps, default=0.0)
+
+
+def _output_diff(bytes_a: bytes, bytes_b: bytes) -> str:
+    """Why two differing outputs that are not both reports differ."""
+    if not (bytes_a and bytes_b):
+        return "output missing"
+    try:
+        gap = _largest_gap(json.loads(bytes_a), json.loads(bytes_b))
+    except ValueError:
+        gap = None
+    return "output differs" if gap is None else f"numbers only, largest |difference| {gap:.1e}"
+
+
 def _without_digits(doc) -> dict:
     return {**doc, "checks": [{k: v for k, v in c.items() if k not in ("deviation", "tolerance")}
                               for c in doc["checks"]]}
@@ -159,7 +192,7 @@ def diff(first: Path, second: Path) -> int:
                 digits.append(f"{key} ({a['command']}): {what} only; largest passing "
                               f"deviation/tolerance {ratios[0]:.1e} -> {ratios[1]:.1e}")
         elif bytes_a != bytes_b:
-            reasons.append("output differs" if bytes_a and bytes_b else "output missing")
+            reasons.append(_output_diff(bytes_a, bytes_b))
         if reasons:
             differing.append(f"{key} ({a['command']}): " + "; ".join(reasons))
     for line in differing + digits:
