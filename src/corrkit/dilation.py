@@ -35,14 +35,13 @@ from .endo import (
 )
 from .errors import PreconditionError
 from .hilbmod import (
-    AssociatorResult,
     FactorMap,
     ModulePresentation,
     _dev,
     _range_basis,
+    _rebracket,
     _unitary_dev,
     amplify,
-    associator,
     check_map,
     fullness_check,
     internal_tensor,
@@ -135,9 +134,7 @@ def stage_shift(ps: ProductSystem, a: np.ndarray, n: int, t: int = 1) -> np.ndar
     """The staged endomorphism ``a -> a . id``: move an operator (or a stack
     of them) on the n-th power to the (n+t)-th power through the
     identification."""
-    u = ps.u(n, t)
-    adj = map_adjoint(u, ps.tensor(n, t)[0], ps.power(n + t))
-    return u @ amplify(a, ps.tensor(n, t)[1], side="left") @ adj
+    return ps.u(n, t) @ amplify(a, ps.tensor(n, t)[1], side="left") @ ps.uinv(n, t)
 
 
 def _stage_endomorphism_checks(ps: ProductSystem, rep: VerificationReport) -> None:
@@ -211,33 +208,23 @@ class ActionStage:
     u: np.ndarray
 
 
-def _stage_assoc(
-    pipe: DilationPipeline, stages: list[ActionStage], t: int, m: int
-) -> AssociatorResult:
-    """The rebracketing ``(E+ . E_t) . E_m -> E+ . (E_t . E_m)``, built once
-    per ``(t, m)`` into the pipeline's cache."""
-    key = ("assoc", t, m)
-    if key not in pipe._cache:
-        ps = pipe.ps()
-        fg = ps.tensor(t, m)
-        t4 = None
-        if fg[0] is ps.power(t + m) and t + m < len(stages):
-            # E_t . E_m is the power E_{t+m}, so E+ . (E_t . E_m) is a stage
-            t4 = (stages[t + m].tensor, stages[t + m].factor)
-        pipe._cache[key] = associator(
-            pipe.eplus, ps.power(t), ps.power(m), pipe.tol,
-            ef=(stages[t].tensor, stages[t].factor), fg=fg, t4=t4,
-        )
-    return pipe._cache[key]
+def stage_map(ps: ProductSystem, stages: list[ActionStage], t: int, m: int) -> np.ndarray:
+    """The map ``E+ . E_{t+m} -> E+ . E_m`` given by ``(u_t . id)(id . u(t,m)^-1)``,
+    composed on the triple carrier between the stages ``t + m`` and ``m``."""
+    return _rebracket(
+        stages[t + m].factor, ps.tensor(t, m)[1].section @ ps.uinv(t, m),
+        stages[t].u @ stages[t].factor.matrix, stages[m].factor, "right",
+    )
 
 
 def build_action_stages(pipe: DilationPipeline) -> tuple[list[ActionStage], VerificationReport]:
     """Iterate the action unitary along the realized powers.
 
     Stage 0 is the canonical identification with the algebra factor; stage 1
-    is built from the defining formula; higher stages rebracket one
-    generator factor at a time.  The recovery identity
-    ``theta^t(a) = u_t (a . id) u_t*`` is verified at every stage.
+    is built from the defining formula; stage ``t`` realizes ``E+ . E_t`` and
+    peels one generator factor, ``u_t = u_1 stage_map(t - 1, 1)``.  The
+    recovery identity ``theta^t(a) = u_t (a . id) u_t*`` is verified at every
+    stage.
     """
     eplus, endo, tol = pipe.eplus, pipe.endo, pipe.tol
     ps = pipe.ps()
@@ -248,10 +235,8 @@ def build_action_stages(pipe: DilationPipeline) -> tuple[list[ActionStage], Veri
     rep.extend(base.report)
     stages.append(ActionStage(1, base.tensor, base.factor, base.matrix))
     for t in range(2, ps.levels + 1):
-        a = _stage_assoc(pipe, stages, t - 1, 1)
-        lifted = tensor_lift(stages[t - 1].u, a.left_factor, stages[1].factor, side="left")
-        u_t = stages[1].u @ lifted @ a.adjoint
-        stages.append(ActionStage(t, a.right_module, a.right_factor, u_t))
+        stages.append(ActionStage(t, *internal_tensor(eplus, ps.power(t), tol), None))
+        u_t = stages[t].u = stages[1].u @ stage_map(ps, stages, t - 1, 1)
         adj = check_map(rep, u_t, stages[t].tensor, eplus, tol, {
             "unitary": f"action-unitary[{t}]", "gram": f"action-isometric[{t}]"})
         lifted = amplify(endo.op_stack, stages[t].factor, side="left")
@@ -271,10 +256,10 @@ class StagedUnitary:
 def build_w(pipe: DilationPipeline) -> tuple[dict[int, StagedUnitary], VerificationReport]:
     """Assemble and verify the staged unitaries of the dilation.
 
-    ``W_t`` composes the inverse staged identification on the left-limit
-    side, the rebracketing, and the lifted action unitary.  Verified:
-    unitarity, ``W_0 = id``, commutation with the bilinear embeddings on
-    both sides, and the semigroup law on all stage-compatible domains.
+    ``W_t^(m)`` is :func:`stage_map`: the inverse identification on the
+    left-limit side, then the lifted action unitary.  Verified: unitarity,
+    ``W_0 = id``, commutation with the bilinear embeddings on both sides, and
+    the semigroup law on all stage-compatible domains.
     """
     ps, left, stages = pipe.ps(), pipe.left(), pipe.stages()[0]
     n_levels, tol = ps.levels, pipe.tol
@@ -283,11 +268,7 @@ def build_w(pipe: DilationPipeline) -> tuple[dict[int, StagedUnitary], Verificat
     for t in range(n_levels + 1):
         blocks, adjoints = {}, {}
         for m in range(n_levels + 1 - t):
-            a2 = _stage_assoc(pipe, stages, t, m)
-            ltm = tensor_lift(ps.u(t, m), a2.right_factor, stages[t + m].factor, side="right")
-            lout = tensor_lift(stages[t].u, a2.left_factor, stages[m].factor, side="left")
-            wtm = lout @ a2.adjoint @ map_adjoint(ltm, a2.right_module, stages[t + m].tensor)
-            blocks[m] = wtm
+            wtm = blocks[m] = stage_map(ps, stages, t, m)
             dom = stages[t + m].tensor
             adjoints[m] = check_map(rep, wtm, dom, stages[m].tensor, tol,
                                     {"unitary": f"w-unitary[{t},{m}]"})
@@ -326,8 +307,8 @@ class DilationPipeline:
     """The full construction for one instance, built lazily.
 
     The pipeline is the one holder of a run's parameters (``levels``,
-    ``tol``, ``budget``) and of its caches: every stage, limit, associator
-    and ``W_t`` is built from these fields once, and every dilation entry
+    ``tol``, ``budget``) and of its caches: every stage, limit and ``W_t``
+    is built from these fields once, and every dilation entry
     point reads them from here.
     """
 
@@ -425,13 +406,15 @@ def verify_main(pipe: DilationPipeline) -> VerificationReport:
 
 
 def _restriction_chain_dev(pipe: DilationPipeline, t: int, m: int) -> float:
-    """Independently compose ``(u_t . id)(a . id . id)(u_t . id)*``."""
+    """Independently compose ``(u_t . id)(a . id . id)(u_t . id)*`` on its own
+    realization of ``(E+ . E_t) . E_m``: no ``W`` and no stage map enters, and
+    it is the one three-fold bracketing a run realizes."""
     stages = pipe.stages()[0]
-    a2 = _stage_assoc(pipe, stages, t, m)
-    lout = tensor_lift(stages[t].u, a2.left_factor, stages[m].factor, side="left")
-    lout_adj = map_adjoint(lout, a2.left_module, stages[m].tensor)
+    left_mod, left_factor = internal_tensor(stages[t].tensor, pipe.ps().power(m), pipe.tol)
+    lout = tensor_lift(stages[t].u, left_factor, stages[m].factor, side="left")
+    lout_adj = map_adjoint(lout, left_mod, stages[m].tensor)
     inner_lift = amplify(pipe.endo.op_stack, stages[t].factor, side="left")
-    chain = lout @ amplify(inner_lift, a2.left_factor, side="left") @ lout_adj
+    chain = lout @ amplify(inner_lift, left_factor, side="left") @ lout_adj
     return _dev(chain, amplify(pipe.endo.image_ops(t), stages[m].factor, side="left"))
 
 

@@ -373,7 +373,7 @@ def validate_module(
     when the presentation is a correspondence.
     """
     alg = pres.algebra
-    d, m = alg.dim, pres.dim
+    d, m, n = alg.dim, pres.dim, alg.size
     rep = VerificationReport(f"module axioms (dim {m} over {list(alg.blocks)})")
     r = pres.right_action
 
@@ -381,9 +381,8 @@ def validate_module(
 
     # R(b b') = R(b') R(b) on all basis pairs.
     prod = alg.basis_products  # (d, d, d) coordinates of basis[i] @ basis[j]
-    lhs = np.einsum("ijc,cuv->ijuv", prod, r)
-    rhs = np.einsum("juw,iwv->ijuv", r, r)
-    rep.add("right-action-composition", _dev(lhs, rhs), tol)
+    lhs = (prod.reshape(d * d, d) @ r.reshape(d, m * m)).reshape(d, d, m, m)
+    rep.add("right-action-composition", _dev(lhs, _products(r, r).transpose(2, 0, 1, 3)), tol)
 
     rep.add(
         "gram-hermitian",
@@ -394,12 +393,13 @@ def validate_module(
     off = np.where(alg.support_mask, 0.0, pres.gram).astype(complex)
     rep.add("gram-block-support", _dev(off), tol)
 
-    # <e_i, e_j . b> = <e_i, e_j> b for every basis element b.
-    lhs = np.einsum("clj,ilab->cijab", r, pres.gram)
-    rhs = np.einsum("ijab,cbq->cijaq", pres.gram, alg.basis)
-    rep.add("gram-right-linearity", _dev(lhs, rhs), tol)
+    # <e_i, e_j . b> = <e_i, e_j> b for every basis element b, as [c, j, i, a, q]
+    by_second = pres.gram.transpose(1, 0, 2, 3).reshape(m, m * n * n)  # [l, (i, a, b)]
+    lhs = (r.transpose(0, 2, 1).reshape(d * m, m) @ by_second).reshape(d, m, m, n, n)
+    rhs = _products(pres.gram.reshape(m * m, n, n), alg.basis).reshape(m, m, n, d, n)
+    rep.add("gram-right-linearity", _dev(lhs, rhs.transpose(3, 1, 0, 2, 4)), tol)
 
-    big = pres.gram.transpose(0, 2, 1, 3).reshape(m * alg.size, m * alg.size)
+    big = pres.gram.transpose(0, 2, 1, 3).reshape(m * n, m * n)
     if big.size:
         eigs = np.linalg.eigvalsh((big + big.conj().T) / 2.0)
         scale = max(1.0, float(eigs.max(initial=0.0)))
@@ -417,26 +417,35 @@ def validate_module(
 
 def _validate_left_action(corr: Correspondence, rep: VerificationReport, tol: float) -> None:
     alg = corr.algebra
-    m = corr.dim
-    left = corr.left_action
+    d, m, n = alg.dim, corr.dim, alg.size
+    left, right = corr.left_action, corr.right_action
 
     rep.add("left-action-unital", _dev(corr.left_of(alg.unit), np.eye(m)), tol)
 
-    prod = alg.basis_products
-    lhs = np.einsum("ijc,cuv->ijuv", prod, left)
-    rhs = np.einsum("iuw,jwv->ijuv", left, left)
+    # L(b b') = L(b) L(b') on all basis pairs.
+    lhs = (alg.basis_products.reshape(d * d, d) @ left.reshape(d, m * m)).reshape(d, d, m, m)
+    rhs = _products(left, left).transpose(0, 2, 1, 3)
     rep.add("left-action-multiplicative", _dev(lhs, rhs), tol)
 
-    # <L(b) e_i, e_j> = <e_i, L(b*) e_j>
-    star = left[alg.star_index]
-    lhs = np.einsum("cli,ljab->cijab", left.conj(), corr.gram)
-    rhs = np.einsum("clj,ilab->cijab", star, corr.gram)
-    rep.add("left-action-star", _dev(lhs, rhs), tol)
+    # <L(b) e_i, e_j> = <e_i, L(b*) e_j>, as [c, i, j, a, b]
+    adj = left.conj().transpose(0, 2, 1).reshape(d * m, m)
+    lhs = (adj @ corr.gram.reshape(m, m * n * n)).reshape(d, m, m, n, n)
+    star = left[alg.star_index].transpose(0, 2, 1).reshape(d * m, m)
+    by_second = corr.gram.transpose(1, 0, 2, 3).reshape(m, m * n * n)
+    rhs = (star @ by_second).reshape(d, m, m, n, n)  # [c, j, i, a, b]
+    rep.add("left-action-star", _dev(lhs, rhs.transpose(0, 2, 1, 3, 4)), tol)
 
-    comm = np.einsum("cuw,ewv->ceuv", left, corr.right_action) - np.einsum(
-        "euw,cwv->ceuv", corr.right_action, left
-    )
-    rep.add("left-right-commute", _dev(comm), tol)
+    # L(b) R(b') = R(b') L(b), as [c, u, e, v]
+    comm = _dev(_products(left, right), _products(right, left).transpose(2, 1, 0, 3))
+    rep.add("left-right-commute", comm, tol)
+
+
+def _products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Every product ``a[i] @ b[j]`` of two stacks of matrices, in one matmul,
+    as ``out[i, u, j, v]``."""
+    (p, k, l), (q, _, w) = a.shape, b.shape
+    return (a.reshape(p * k, l) @ b.transpose(1, 0, 2).reshape(l, q * w)).reshape(p, k, q, w)
+
 
 
 def _degeneracy(pres: ModulePresentation, tol: float) -> float:
@@ -729,6 +738,21 @@ def right_unitor(e: ModulePresentation, fm: FactorMap) -> np.ndarray:
 # associator
 # ---------------------------------------------------------------------------
 
+def _rebracket(
+    src: FactorMap, expand: np.ndarray, contract: np.ndarray, dst: FactorMap, side: str
+) -> np.ndarray:
+    """The rebracketing ``src.target -> dst.target`` of a triple tensor,
+    composed on the algebraic triple carrier: ``expand`` takes the ``side``
+    factor of a ``src.section`` representative to a pair carrier, ``contract``
+    takes the pair it leaves with the other factor to one of ``dst``'s factors,
+    and ``dst.matrix`` descends.  No bracketing is realized on the way."""
+    triple = _lift(expand, src.section, src.source_dims, side)
+    pair = contract.shape[1]
+    if side == "left":  # (E F) G -> E (F G)
+        return dst.matrix @ _lift(contract, triple, (dst.source_dims[0], pair), "right")
+    return dst.matrix @ _lift(contract, triple, (pair, dst.source_dims[1]), "left")
+
+
 @dataclass
 class AssociatorResult:
     """Rebracketing unitary realize((E.F).G) -> realize(E.(F.G)).
@@ -774,8 +798,8 @@ def associator(
 
     Both iterated tensors are realized (reusing precomputed pieces when
     supplied) and the unitary is induced from the identity on the triple
-    algebraic tensor through the two realization chains.  Its checks are in
-    the result's lazily built ``report``.
+    algebraic tensor through the two realization chains (:func:`_rebracket`).
+    Its checks are in the result's lazily built ``report``.
     """
     _require_same_algebra(e, f)
     _require_same_algebra(f, g)
@@ -790,9 +814,7 @@ def associator(
             f"bracketings realize different dimensions {left_mod.dim} vs {right_mod.dim}",
             residual=abs(left_mod.dim - right_mod.dim),
         )
-    # into the triple carrier through p2 (ef . id), out of it through p4 (id . fg)
-    a_left_adj = _lift(ef[1].section, p2.section, p2.source_dims, "left")
-    alpha = p4.matrix @ _lift(fg[1].matrix, a_left_adj, (e.dim, f.dim * g.dim), "right")
+    alpha = _rebracket(p2, ef[1].section, fg[1].matrix, p4, "left")
     adj = map_adjoint(alpha, left_mod, right_mod)
     return AssociatorResult(alpha, adj, left_mod, p2, right_mod, p4, ef, fg, tol)
 

@@ -5,9 +5,11 @@ correspondence ``E_1``: ``E_0`` is the algebra over itself and
 ``E_n = realize(E_{n-1} . E_1)``.  Identification unitaries
 ``u_{s,t}: realize(E_s . E_t) -> E_{s+t}`` are the canonical ones for
 ``s = 0`` or ``t = 0``, the identity for ``t = 1`` (by construction of the
-powers), and otherwise built recursively through the associator.  The
-coherence report verifies that every identification is a bilinear unitary
-and that the two ways of collapsing a triple product agree.
+powers), and otherwise the rebracketing ``E_s . E_t -> E_{s+t-1} . E_1``,
+composed on the triple carrier between held pair tensors: no three-fold
+bracketing is realized.  The coherence report verifies that every
+identification is a bilinear unitary and that the two ways of collapsing a
+triple product agree.
 """
 from __future__ import annotations
 
@@ -24,21 +26,20 @@ from .errors import (
     ResourceBudgetError,
 )
 from .hilbmod import (
-    AssociatorResult,
     Correspondence,
     FactorMap,
     ModulePresentation,
     _dev,
+    _rebracket,
     _unit_from_blocks,
     algebra_correspondence,
-    associator,
     check_map,
     internal_tensor,
     left_unitor,
+    map_adjoint,
     null_space,
     pull_gram,
     right_unitor,
-    tensor_lift,
     validate_module,
 )
 from .report import VerificationReport, _worst
@@ -49,10 +50,10 @@ DEFAULT_BUDGET = 4096
 class ProductSystem:
     """Truncated family of tensor powers with coherent identifications.
 
-    Powers are realized on construction; every other tensor, associator and
-    identification is realized on first use.  Coherence is verified on the
-    first read of ``verification``, so users that only need some ``u(s,t)``
-    do not pay for the O(levels^3) sweep.
+    Powers are realized on construction; every other pair tensor and every
+    identification and its inverse is built on first use.  Coherence is
+    verified on the first read of ``verification``, so users that only need
+    some ``u(s,t)`` do not pay for the O(levels^3) sweep.
     """
 
     def __init__(
@@ -77,7 +78,7 @@ class ProductSystem:
         self.powers: list[Correspondence] = [algebra_correspondence(self.algebra), generator]
         self._tensors: dict[tuple[int, int], tuple[ModulePresentation, FactorMap]] = {}
         self._u: dict[tuple[int, int], np.ndarray] = {}
-        self._assoc: dict[tuple[int, int, int], AssociatorResult] = {}
+        self._uinv: dict[tuple[int, int], np.ndarray] = {}
         for n in range(2, self.levels + 1):
             prev = self.powers[n - 1]
             needed = prev.dim * generator.dim
@@ -88,7 +89,7 @@ class ProductSystem:
                 )
             mod, fm = internal_tensor(prev, generator, tol)
             self._tensors[(n - 1, 1)] = (mod, fm)
-            self._u[(n - 1, 1)] = np.eye(mod.dim, dtype=complex)
+            self._u[(n - 1, 1)] = self._uinv[(n - 1, 1)] = np.eye(mod.dim, dtype=complex)
             self.powers.append(mod)
 
     def power(self, n: int) -> Correspondence:
@@ -110,26 +111,18 @@ class ProductSystem:
             self._tensors[key] = internal_tensor(es, et, self.tol)
         return self._tensors[key]
 
-    def assoc(self, r: int, s: int, t: int) -> AssociatorResult:
-        """Rebracketing unitary realize((E_r.E_s).E_t) -> realize(E_r.(E_s.E_t))."""
-        key = (r, s, t)
-        if not all(0 <= n <= self.levels for n in (r, s, t, s + t)):
-            raise PreconditionError(f"assoc({r},{s},{t}) outside truncation 0..{self.levels}")
-        if key not in self._assoc:
-            fg = self.tensor(s, t)
-            t4 = self.tensor(r, s + t) if fg[0] is self.powers[s + t] else None
-            ef = self.tensor(r, s)
-            # when E_r . E_s is a power, (E_r . E_s) . E_t is a cached tensor;
-            # taken only within budget, so that no new budget error is raised
-            t2 = None
-            if r + s <= self.levels and ef[0] is self.powers[r + s]:
-                if self.powers[r + s].dim * self.power(t).dim <= self.budget:
-                    t2 = self.tensor(r + s, t)
-            self._assoc[key] = associator(
-                self.power(r), self.power(s), self.power(t), self.tol,
-                ef=ef, fg=fg, t2=t2, t4=t4,
-            )
-        return self._assoc[key]
+    def rebracket(self, r: int, s: int, t: int) -> np.ndarray:
+        """Rebracketing unitary realize(E_r . E_{s+t}) -> realize(E_{r+s} . E_t).
+
+        ``id . u(s,t)^-1`` expands the right factor on the triple carrier and
+        ``u(r,s) . id`` contracts the left pair: only pair tensors are used.
+        """
+        if not all(0 <= n <= self.levels for n in (r, s, t, r + s, s + t)):
+            raise PreconditionError(f"rebracket({r},{s},{t}) outside truncation 0..{self.levels}")
+        return _rebracket(
+            self.tensor(r, s + t)[1], self.tensor(s, t)[1].section @ self.uinv(s, t),
+            self.u(r, s) @ self.tensor(r, s)[1].matrix, self.tensor(r + s, t)[1], "right",
+        )
 
     def u(self, s: int, t: int) -> np.ndarray:
         """Identification unitary realize(E_s . E_t) -> E_{s+t}."""
@@ -143,14 +136,17 @@ class ProductSystem:
         elif s == 0:
             out = left_unitor(self.power(t), self.tensor(0, t)[1])
         else:
-            # peel the last generator factor: E_t = E_{t-1} . E_1
-            a = self.assoc(s, t - 1, 1)
-            lifted = tensor_lift(
-                self.u(s, t - 1), a.left_factor, self._tensors[(s + t - 1, 1)][1], side="left"
-            )
-            out = lifted @ a.adjoint
+            # peel the last generator factor: E_{s+t-1} . E_1 is the power E_{s+t}
+            out = self.rebracket(s, t - 1, 1)
         self._u[key] = out
         return out
+
+    def uinv(self, s: int, t: int) -> np.ndarray:
+        """Inverse E_{s+t} -> realize(E_s . E_t) of ``u(s,t)``: its adjoint."""
+        key = (s, t)
+        if key not in self._uinv:
+            self._uinv[key] = map_adjoint(self.u(s, t), self.tensor(s, t)[0], self.power(s + t))
+        return self._uinv[key]
 
     # -- verification --------------------------------------------------------
 
@@ -173,14 +169,9 @@ class ProductSystem:
         for r in range(1, self.levels - 1):
             for s in range(1, self.levels - r):
                 for t in range(1, self.levels + 1 - r - s):
-                    a = self.assoc(r, s, t)
-                    via_right = self.u(r, s + t) @ tensor_lift(
-                        self.u(s, t), a.right_factor, self.tensor(r, s + t)[1], side="right"
-                    ) @ a.matrix
-                    via_left = self.u(r + s, t) @ tensor_lift(
-                        self.u(r, s), a.left_factor, self.tensor(r + s, t)[1], side="left"
-                    )
-                    rep.add(f"coherence[{r},{s},{t}]", _dev(via_right, via_left), tol)
+                    # both collapse realize(E_r . E_{s+t}) onto E_{r+s+t}
+                    via_left = self.u(r + s, t) @ self.rebracket(r, s, t)
+                    rep.add(f"coherence[{r},{s},{t}]", _dev(via_left, self.u(r, s + t)), tol)
         return rep
 
 

@@ -261,8 +261,14 @@ def test_verify_supplement_gallery(pair):
 
 
 def test_each_tensor_and_associator_realized_once_per_run(monkeypatch):
-    """Within one verification no tensor or rebracketing is built twice from
-    the same operands: the pipeline and the product system share them."""
+    """Within one verification no tensor is built twice from the same
+    operands, and no rebracketing realizes a bracketing: the pipeline and the
+    product system share their tensors.
+
+    At levels L a run realizes the (L+1)(L+2)/2 pair tensors ``E_s . E_t``
+    with ``s + t <= L`` (the powers among them), the L+1 stages
+    ``E+ . E_t``, and one ``(E+ . E_t) . E_m`` per restriction-chain check,
+    L(L+1)/2 of them: 15 + 5 + 10 = 30 at L = 4."""
     import sys
 
     import corrkit.hilbmod as hilbmod
@@ -298,9 +304,54 @@ def test_each_tensor_and_associator_realized_once_per_run(monkeypatch):
         calls.clear()
         assert run().status == "pass"
         assert len(seen) > 20
-        # and none is skipped: 49 tensors and 19 rebracketings per run
-        assert calls == {"internal_tensor": 49, "associator": 19}
+        # and none is skipped; the associator is never called
+        assert calls == {"internal_tensor": 30}
     assert repeats == []
+
+
+def test_action_unitaries_match_the_associator_recursion():
+    """``u_t = u_1 (u_{t-1} . id)`` through the stage map equals the recursion
+    through a realized rebracketing ``(E+ . E_{t-1}) . E_1 -> E+ . E_t``."""
+    from corrkit.hilbmod import associator, tensor_lift
+    from corrkit.instance import parse_instance
+
+    eplus, endo = parse_instance(str(SHIPPED / "weak-dilation-seed0.json")).make_endo()
+    pipe = DilationPipeline(eplus, endo, levels=4)
+    stages, rep = pipe.stages()
+    assert rep.passed
+    ps = pipe.ps()
+    old = {1: stages[1].u}
+    for t in range(2, 5):
+        a = associator(eplus, ps.power(t - 1), ps.power(1), pipe.tol,
+                       ef=(stages[t - 1].tensor, stages[t - 1].factor), fg=ps.tensor(t - 1, 1))
+        lifted = tensor_lift(old[t - 1], a.left_factor, stages[1].factor, side="left")
+        old[t] = stages[1].u @ lifted @ a.adjoint
+        assert max_dev(stages[t].u, old[t]) < 1e-12, t
+
+
+def test_skewed_identification_fails_coherence_and_verify_main(monkeypatch, tmp_path):
+    """Fault witness: ``u(1,2)`` scaled by 1 + 1e-6 when it is built breaks
+    a ``coherence[r,s,t]`` check with ``t >= 2``, and ``verify-main`` exits 1."""
+    import json
+    import re
+
+    from corrkit.cli import EXIT_FAIL, main
+    from corrkit.prodsys import ProductSystem
+
+    built = ProductSystem.u
+
+    def skewed(ps, s, t):
+        if (s, t) == (1, 2) and (1, 2) not in ps._u:
+            ps._u[(1, 2)] = built(ps, 1, 2) * (1 + 1e-6)
+        return built(ps, s, t)
+
+    monkeypatch.setattr(ProductSystem, "u", skewed)
+    out = tmp_path / "out.json"
+    argv = ["verify-main", str(SHIPPED / "weak-dilation-seed0.json"), "--levels", "5",
+            "--report", "machine", "--out", str(out)]
+    assert main(argv) == EXIT_FAIL
+    failed = [c["name"] for c in json.loads(out.read_text())["checks"] if not c["passed"]]
+    assert any(re.fullmatch(r"coherence\[\d+,\d+,[2-9]\]", name) for name in failed), failed
 
 
 def test_alpha_takes_one_adjoint_per_stage_pair(monkeypatch):

@@ -12,7 +12,14 @@ from corrkit.gallery import (
     random_unitary,
     standard_module,
 )
-from corrkit.hilbmod import Correspondence, algebra_correspondence, null_space
+from corrkit.hilbmod import (
+    Correspondence,
+    algebra_correspondence,
+    associator,
+    check_map,
+    null_space,
+    tensor_lift,
+)
 from corrkit.prodsys import (
     ProductSystem,
     build_powers,
@@ -22,6 +29,7 @@ from corrkit.prodsys import (
     find_central_unital_unit,
     unit_cp_matrix_level,
 )
+from corrkit.report import VerificationReport
 
 from conftest import (
     TOL,
@@ -102,25 +110,62 @@ def test_budget_exceeded():
 
 
 def test_assoc_reuses_collapsed_bracketing_within_budget():
-    ps = ProductSystem(plane_correspondence(), 4)
-    # (E_1 . E_1) . E_2 is E_2 . E_2, realized once for both
-    assert ps.assoc(1, 1, 2).left_module is ps.tensor(2, 2)[0]
-    # past the budget the bracketing is realized inside the associator, as
-    # before, and no budget error is raised
-    ps = ProductSystem(plane_correspondence(), 4)
-    ps.budget = 8
-    assert ps.assoc(1, 1, 2).report.passed
-    assert (2, 2) not in ps._tensors
+    """The coherence sweep realizes the pair tensors ``E_s . E_t`` with
+    ``s + t <= L`` and nothing else: every one of them is read by the
+    identification checks anyway, so the sweep can raise no budget error
+    that building the identifications would not."""
+    levels = 4
+    ps = ProductSystem(plane_correspondence(), levels)
+    assert ps.verification.passed
+    assert set(ps._tensors) == {(s, t) for s in range(levels + 1) for t in range(levels + 1 - s)}
+    # the largest pair carrier, 4 x 4 = 16, is budget enough for the whole sweep
+    ps = ProductSystem(plane_correspondence(), levels, budget=16)
+    assert ps.verification.passed
     with pytest.raises(ResourceBudgetError):
-        ps.tensor(2, 2)
+        ps.tensor(3, 3)
 
 
 @pytest.mark.parametrize("rst", [(1, 1, 2), (3, 1, 0), (0, 3, 0), (-1, 1, 1), (1, 0, -1)])
 def test_assoc_outside_truncation_is_a_precondition_error(rst):
     ps = ProductSystem(plane_correspondence(), 2)
     with pytest.raises(PreconditionError):
-        ps.assoc(*rst)
-    assert ps.assoc(1, 1, 1).report.passed
+        ps.rebracket(*rst)
+    rep = VerificationReport("rebracket")
+    check_map(rep, ps.rebracket(1, 1, 1), ps.tensor(1, 2)[0], ps.tensor(2, 1)[0], TOL,
+              {"gram": "gram", "unitary": "unitary", "bilinear": "bilinear"})
+    assert rep.passed
+
+
+def _old_rebracket(ps, r, s, t):
+    """The rebracketing as the associator route built it: realize both
+    bracketings of ``E_r . E_s . E_t``, then ``(u(r,s) . id) a^-1
+    (id . u(s,t))^-1``."""
+    a = associator(ps.power(r), ps.power(s), ps.power(t), ps.tol,
+                   ef=ps.tensor(r, s), fg=ps.tensor(s, t))
+    to_right = tensor_lift(ps.u(s, t), a.right_factor, ps.tensor(r, s + t)[1], side="right")
+    to_left = tensor_lift(ps.u(r, s), a.left_factor, ps.tensor(r + s, t)[1], side="left")
+    return to_left @ np.linalg.inv(to_right @ a.matrix)
+
+
+@pytest.mark.parametrize("gen, levels", [(small_generator(k), 3) for k in range(4)] + [
+    (plane_correspondence(), 4), (doubled_swap_correspondence(), 3)],
+    ids=[f"seed{k}" for k in range(4)] + ["plane", "doubled-swap"])
+def test_rebracket_matches_the_associator_route(gen, levels):
+    ps = build_powers(gen, levels)
+    for r in range(levels + 1):
+        for s in range(levels + 1 - r):
+            for t in range(levels + 1 - r - s):
+                got = ps.rebracket(r, s, t)
+                assert max_dev(got, _old_rebracket(ps, r, s, t)) < 1e-12, (r, s, t)
+
+
+def test_inverse_identification_is_cached_beside_u():
+    ps = build_powers(small_generator(3), 3)
+    uinv = ps.uinv(1, 2)
+    assert ps.uinv(1, 2) is uinv
+    assert max_dev(uinv @ ps.u(1, 2), np.eye(ps.tensor(1, 2)[0].dim)) < TOL
+    # the powers' own identifications are exact identities both ways
+    assert np.array_equal(ps.uinv(2, 1), np.eye(ps.power(3).dim))
 
 
 @pytest.mark.parametrize("seed", range(6))
