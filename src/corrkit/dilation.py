@@ -200,12 +200,14 @@ def left_limit(ps: ProductSystem, omega1: np.ndarray) -> TruncatedLimit:
 
 @dataclass
 class ActionStage:
-    """Realized ``E+ . E_t`` with the action unitary onto the module."""
+    """Realized ``E+ . E_t`` with the action unitary onto the module, and the
+    operator basis amplified to it once, ``a . id``."""
 
     t: int
     tensor: ModulePresentation
     factor: FactorMap
     u: np.ndarray
+    ops: np.ndarray
 
 
 def stage_map(ps: ProductSystem, stages: list[ActionStage], t: int, m: int) -> np.ndarray:
@@ -230,17 +232,19 @@ def build_action_stages(pipe: DilationPipeline) -> tuple[list[ActionStage], Veri
     ps = pipe.ps()
     rep = VerificationReport("module action of the product system")
     t0, f0 = internal_tensor(eplus, ps.power(0), tol)
-    stages = [ActionStage(0, t0, f0, right_unitor(eplus, f0))]
+    lift = lambda fm: amplify(endo.op_stack, fm, side="left")
+    stages = [ActionStage(0, t0, f0, right_unitor(eplus, f0), lift(f0))]
     base = u_unitary(eplus, endo, 1, pipe.e1(), tol)
     rep.extend(base.report)
-    stages.append(ActionStage(1, base.tensor, base.factor, base.matrix))
+    stages.append(ActionStage(1, base.tensor, base.factor, base.matrix, base.lifted_ops))
     for t in range(2, ps.levels + 1):
-        stages.append(ActionStage(t, *internal_tensor(eplus, ps.power(t), tol), None))
+        tensor, fm = internal_tensor(eplus, ps.power(t), tol)
+        stages.append(ActionStage(t, tensor, fm, None, lift(fm)))
         u_t = stages[t].u = stages[1].u @ stage_map(ps, stages, t - 1, 1)
-        adj = check_map(rep, u_t, stages[t].tensor, eplus, tol, {
+        adj = check_map(rep, u_t, tensor, eplus, tol, {
             "unitary": f"action-unitary[{t}]", "gram": f"action-isometric[{t}]"})
-        lifted = amplify(endo.op_stack, stages[t].factor, side="left")
-        rep.add(f"recovery-identity[{t}]", _dev(u_t @ lifted @ adj, endo.image_ops(t)), tol)
+        rep.add(f"recovery-identity[{t}]",
+                _dev(u_t @ stages[t].ops @ adj, endo.image_ops(t)), tol)
     return stages, rep
 
 
@@ -391,31 +395,31 @@ def verify_main(pipe: DilationPipeline) -> VerificationReport:
     rep.extend(stage_rep)
     rep.extend(pipe.w()[1])
 
-    ops = endo.op_stack
     for t in range(1, levels + 1):
         for m in range(levels + 1 - t):
-            got = pipe.alpha(t, m, amplify(ops, stages[t + m].factor, side="left"))
             want = amplify(endo.image_ops(t), stages[m].factor, side="left")
+            got = pipe.alpha(t, m, stages[t + m].ops)
             rep.add(f"restriction-identity[{t},{m}]", _dev(got, want), tol)
-            rep.add(f"restriction-chain-agree[{t},{m}]", _restriction_chain_dev(pipe, t, m), tol)
+            rep.add(f"restriction-chain-agree[{t},{m}]",
+                    _restriction_chain_dev(pipe, t, m, want), tol)
 
     for m in range(levels + 1):
-        vecs = amplify(ops, stages[m].factor, side="left").reshape(len(ops), -1)
-        rep.add_flag(f"amplification-injective[{m}]", matrix_rank_tol(vecs) == len(ops))
+        vecs = stages[m].ops.reshape(len(stages[m].ops), -1)
+        rep.add_flag(f"amplification-injective[{m}]", matrix_rank_tol(vecs) == len(vecs))
     return rep
 
 
-def _restriction_chain_dev(pipe: DilationPipeline, t: int, m: int) -> float:
+def _restriction_chain_dev(pipe: DilationPipeline, t: int, m: int, want: np.ndarray) -> float:
     """Independently compose ``(u_t . id)(a . id . id)(u_t . id)*`` on its own
-    realization of ``(E+ . E_t) . E_m``: no ``W`` and no stage map enters, and
-    it is the one three-fold bracketing a run realizes."""
+    realization of ``(E+ . E_t) . E_m`` and compare it with ``want``, the
+    stack ``theta^t(a) . id`` on stage ``m``: no ``W`` and no stage map
+    enters, and it is the one three-fold bracketing a run realizes."""
     stages = pipe.stages()[0]
     left_mod, left_factor = internal_tensor(stages[t].tensor, pipe.ps().power(m), pipe.tol)
     lout = tensor_lift(stages[t].u, left_factor, stages[m].factor, side="left")
     lout_adj = map_adjoint(lout, left_mod, stages[m].tensor)
-    inner_lift = amplify(pipe.endo.op_stack, stages[t].factor, side="left")
-    chain = lout @ amplify(inner_lift, left_factor, side="left") @ lout_adj
-    return _dev(chain, amplify(pipe.endo.image_ops(t), stages[m].factor, side="left"))
+    chain = lout @ amplify(stages[t].ops, left_factor, side="left") @ lout_adj
+    return _dev(chain, want)
 
 
 # ---------------------------------------------------------------------------
@@ -482,7 +486,7 @@ def weak_dilation_check(pipe: DilationPipeline, xi_plus: np.ndarray) -> WeakDila
             )
 
     e1 = pipe.e1()
-    xi1 = e1.factor.matrix @ np.kron(xi_plus.conj(), xi_plus)
+    xi1 = e1.factor.matrix @ np.outer(xi_plus.conj(), xi_plus).ravel()
     rep.add("candidate-unit-norm", _dev(e1.corr.inner(xi1, xi1), alg.unit), tol)
     ps = pipe.ps()
     rep.extend(check_unit(ps, xi1))
@@ -555,7 +559,8 @@ def verify_supplement(pipe: DilationPipeline, xi_plus: np.ndarray) -> Verificati
     corners = _corners(eplus, xi_plus)
     p0 = rank_one(eplus, xi_plus, xi_plus).matrix
     # the vector xi+ . omega_m on every stage, and its projection
-    vs = [stages[m].factor.matrix @ np.kron(xi_plus, omega.levels[m]) for m in range(levels + 1)]
+    vs = [stages[m].factor.matrix @ np.outer(xi_plus, omega.levels[m]).ravel()
+          for m in range(levels + 1)]
     projs = [rank_one(stages[m].tensor, v, v).matrix for m, v in enumerate(vs)]
     for t in range(1, levels + 1):
         moved = endo.image_ops(t)

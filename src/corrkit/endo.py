@@ -241,7 +241,7 @@ def associated_correspondence(
     # frame[p, u, (i, j)] = theta^t(xi_p e_i*)[u, j], the p-th map on e_i* (x) e_j
     frame = np.tensordot(_frame(eplus, tol), endo.rank_one_images(t), axes=([1], [0]))
     frame = frame.transpose(0, 2, 1, 3).reshape(len(frame), m, m * m)
-    proj, section = _realize((eplus.scalar_sqrt @ frame).reshape(-1, m * m), tol)
+    proj, section, _ = _realize((eplus.scalar_sqrt @ frame).reshape(-1, m * m), tol)
     gram = sum(pull_gram(v, eplus.gram) for v in frame @ section)
     right = proj @ _lift(eplus.right_action, section, (m, m), "right")
     left = proj @ _lift(eplus.right_action[alg.star_index].conj(), section, (m, m), "left")
@@ -300,6 +300,7 @@ class ActionUnitary:
     factor: FactorMap
     et: Correspondence
     report: VerificationReport
+    lifted_ops: np.ndarray  # the operator basis amplified to the tensor, ``a . id``
 
 
 def u_unitary(
@@ -339,9 +340,9 @@ def u_unitary(
             residual=float(abs(tensor.dim - m)),
         )
     adj = check_map(rep, u, tensor, eplus, tol, {"unitary": f"action-unitary[{t}]"})
-    rec = _dev(u @ amplify(endo.op_stack, fm, side="left") @ adj, endo.image_ops(t))
-    rep.add(f"recovery-identity[{t}]", rec, tol)
-    return ActionUnitary(t, u, tensor, fm, et.corr, rep)
+    lifted = amplify(endo.op_stack, fm, side="left")
+    rep.add(f"recovery-identity[{t}]", _dev(u @ lifted @ adj, endo.image_ops(t)), tol)
+    return ActionUnitary(t, u, tensor, fm, et.corr, rep, lifted)
 
 
 # ---------------------------------------------------------------------------

@@ -26,9 +26,26 @@ Factoring the Gram of the left module as ``<e_i, e_k> = sum_p u[p, i]* u[p, k]``
 (:attr:`ModulePresentation.gram_rows`) embeds the algebraic tensor isometrically
 in ``F^P`` by ``x_i (x) y_j -> (L(u[p, i]) y_j)_p``.  Each ``u[p, i]`` lies in
 row 0 of one algebra block ``b``, so the image lies in the corner sum
-``(+)_p L(e^b_00) F`` of dimension ``sum_p rank L(e^b_00)``.
-:func:`internal_tensor` takes the kept range of every tensor from a thin SVD
-of that embedding and never forms the ``m_E m_F``-square pre-Gram.
+``(+)_p L(e^b_00) F`` of dimension ``sum_p rank L(e^b_00)``: in the frame
+``Y_b`` of each corner, that embedding is the corner factor ``K`` with rows
+``(b, p, alpha)``.  :func:`internal_tensor` takes the kept range of every
+tensor from a thin SVD of ``K`` and never forms the ``m_E m_F``-square
+pre-Gram.  It computes the realized actions and Gram in the same frame, from
+``Q = K @ section`` (orthonormal columns, ``Q^H K = proj``).  With ``S`` the
+scalar Gram of ``F`` and ``W[(b, p, a), i] = w_b[p, i, a]`` the Gram factor
+rows of ``E``, three identities hold exactly on modules that satisfy the
+axioms:
+
+* right action: ``right(c) = Q^H ((+)_{b,p} R~_b(c)) Q`` with
+  ``R~_b(c) = Y_b^H S^{1/2} R_F(c) S^{-1/2} Y_b``;
+* Gram: ``gram = sum_{b,p} pull_gram(Q_{bp}, G~_b)`` with
+  ``G~_b = pull_gram(S^{-1/2} Y_b, gram_F)``;
+* left action: ``left(c) = Q^H ((+)_b M~_b(c) (x) I_{r_b}) Q``, because
+  ``W L_E(c) = ((+)_b M~_b(c) (x) I_{n_b}) W``.
+
+``R~_b`` and ``G~_b`` are cached on ``F`` (:attr:`Correspondence.corner_actions`),
+``M~_b`` on ``E`` (:attr:`Correspondence._left_blocks`), so no action is
+lifted to the ``m_E m_F``-dimensional carrier.
 """
 from __future__ import annotations
 
@@ -276,6 +293,18 @@ class Correspondence(ModulePresentation):
             )
 
     @cached_property
+    def _corners(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """Per algebra block ``b``, the corner basis ``Y_b`` and the stack
+        ``S^{1/2} L(e^b_{0c})`` of row-0 units, of shape (n_b, m, m)."""
+        out = []
+        start = 0
+        for nb in self.algebra.blocks:
+            row0 = self.scalar_sqrt @ self.left_action[start:start + nb]  # e^b_{0c}
+            out.append((_range_basis(row0[0]), row0))
+            start += nb * nb
+        return tuple(out)
+
+    @cached_property
     def corner_maps(self) -> tuple[np.ndarray, ...]:
         """Per algebra block ``b``, the stack ``C_b[c] = Y_b^H S^{1/2} L(e^b_{0c})``
         of shape (n_b, r_b, m), with ``S`` the scalar Gram.
@@ -286,19 +315,41 @@ class Correspondence(ModulePresentation):
         ``S^{1/2} L(e^b_{0c})``, so ``C_b`` loses nothing of it; ``r_b`` is the
         rank of ``L(e^b_00)``.
         """
+        return tuple(y.conj().T @ row0 for y, row0 in self._corners)
+
+    @cached_property
+    def corner_actions(self) -> tuple[np.ndarray, ...]:
+        """Per algebra block ``b``, the right action and the Gram compressed to
+        the corner ``Y_b``, stacked as one (d + n^2, r_b, r_b) array: first
+        ``R~_b(c) = Y_b^H S^{1/2} R(c) S^{-1/2} Y_b``, then the entries
+        ``(x, y)`` of ``G~_b = pull_gram(S^{-1/2} Y_b, gram)`` in row-major
+        order.  Since ``R`` commutes with ``L(e^b_00)``, ``S^{1/2} R(c) S^{-1/2}``
+        keeps the range of ``Y_b``, so ``R~_b`` is the right action there."""
+        n = self.algebra.size
         out = []
-        start = 0
-        for nb in self.algebra.blocks:
-            row0 = self.scalar_sqrt @ self.left_action[start:start + nb]  # e^b_{0c}
-            out.append(_range_basis(row0[0]).conj().T @ row0)
-            start += nb * nb
+        for y, _ in self._corners:
+            r = y.shape[1]
+            back = self.scalar_isqrt @ y
+            right = (self.scalar_sqrt @ y).conj().T @ self.right_action @ back
+            gram = pull_gram(back, self.gram).transpose(2, 3, 0, 1).reshape(n * n, r, r)
+            out.append(np.concatenate([right, gram]))
         return tuple(out)
 
     @cached_property
-    def _action_rows(self) -> np.ndarray:
-        """The left then the right action stacked as one (2 d m, m) matrix."""
-        both = np.concatenate([self.left_action, self.right_action])
-        return both.reshape(2 * self.algebra.dim * self.dim, self.dim)
+    def _left_blocks(self) -> tuple[np.ndarray, ...]:
+        """Per algebra block ``b``, the left action on the Gram factor rows: the
+        (d, P_b, P_b) stack ``M~_b`` with ``W L(c) = (+)_b (M~_b(c) (x) I_{n_b}) W``,
+        where ``W[(b, p, a), i] = w_b[p, i, a]`` (:attr:`_gram_factor`).
+
+        ``W`` maps onto ``(+)_b C^{P_b} (x) C^{n_b}``, on which the adjointable
+        ``L(c)`` acts as a matrix on the first factor; ``W^+ = (n S)^+ W^H``
+        since ``W^H W = n S``, so ``M~_b(c)`` is read from the ``a = 0`` rows and
+        columns of ``W L(c) W^+``."""
+        pinv = self.scalar_isqrt @ self.scalar_isqrt / self.algebra.size
+        return tuple(
+            w[:, :, 0] @ self.left_action @ (pinv @ w[:, :, 0].conj().T)
+            for w in self._gram_factor
+        )
 
     def left_of(self, b: np.ndarray) -> np.ndarray:
         return np.einsum("c,cuv->uv", self.algebra.coords(b), self.left_action)
@@ -467,21 +518,25 @@ def is_nondegenerate(pres: ModulePresentation, tol: float = DEFAULT_TOL) -> bool
 # whitened realization
 # ---------------------------------------------------------------------------
 
-def _realize(k: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """``(proj, section)`` realizing a carrier whose scalarized Gram is ``k^H k``.
+def _realize(k: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(proj, section, q)`` realizing a carrier whose scalarized Gram is ``k^H k``.
 
     With ``k = U diag(s) V^H``, singular values with ``s**2 <= tol * s_0**2``
     are dropped.  A degenerate carrier gets ``diag(s) V^H`` and
     ``V diag(1/s)`` on the kept range; a nondegenerate one the symmetric roots
     ``V diag(s^{+-1}) V^H``, the identity where ``k^H k = I``.  Either way
     ``proj @ section = I`` and ``section^H k^H k section = I``.
+
+    ``q = k @ section`` (``U`` on the kept range, ``U V^H`` when nondegenerate)
+    has orthonormal columns and ``q^H k = proj``: the realization seen in the
+    frame of ``k``'s rows.
     """
-    _, s, vh = np.linalg.svd(k, full_matrices=False)
+    u, s, vh = np.linalg.svd(k, full_matrices=False)
     r = int(np.count_nonzero(s ** 2 > tol * (float(s[0]) ** 2 if s.size else 0.0)))
     if r == k.shape[1]:
         v = vh.conj().T
-        return (v * s) @ vh, (v / s) @ vh
-    return s[:r, None] * vh[:r], vh[:r].conj().T / s[:r]
+        return (v * s) @ vh, (v / s) @ vh, u @ vh
+    return s[:r, None] * vh[:r], vh[:r].conj().T / s[:r], u[:, :r]
 
 
 def reduce_presentation(
@@ -502,7 +557,7 @@ def reduce_presentation(
     m = pres.dim
     # row (p, c) of block b is w[p, :, c]: the scalarized Gram is sum |w|^2 / n
     rows = [w.transpose(0, 2, 1).reshape(len(w) * w.shape[2], m) for w in pres._gram_factor]
-    proj, section = _realize(np.concatenate(rows) / np.sqrt(pres.algebra.size), tol)
+    proj, section, _ = _realize(np.concatenate(rows) / np.sqrt(pres.algebra.size), tol)
     if len(proj) == m:
         return pres, np.eye(m, dtype=complex)
     right = proj @ pres.right_action @ section
@@ -559,31 +614,41 @@ def internal_tensor(
     tensor is realized by :func:`_realize` of the corner factor ``K``
     (``K^H K`` is the scalarized pre-Gram): the factor map has a section with
     ``matrix @ section = I``, and the realized scalar Gram is ``I``.
+
+    The actions and the Gram are computed in the frame of ``K``'s rows
+    ``(b, p, alpha)``, by the three identities of the module docstring: from
+    ``Q = K @ section`` and the cached stacks ``R~_b``, ``G~_b``
+    (:attr:`Correspondence.corner_actions`) and ``M~_b``
+    (:attr:`Correspondence._left_blocks`), one block ``b`` at a time and never
+    on the ``m_E m_F``-dimensional carrier.
     """
     _require_same_algebra(e, f)
     if not f.is_correspondence:
         raise IncompatibleOperandsError("right tensor factor must be a correspondence")
-    d, n, me, mf = e.algebra.dim, e.algebra.size, e.dim, f.dim
-    proj, section = _realize(_corner_factor(e, f), tol)
+    d, n = e.algebra.dim, e.algebra.size
+    proj, section, q = _realize(_corner_factor(e, f), tol)
     r = len(proj)
-    # both actions of f in one product: act[c, q, k, b] = sum_l A_c[q, l] section[(k, l), b]
-    cols = section.reshape(me, mf, r).transpose(1, 0, 2).reshape(mf, me * r)
-    act = (f._action_rows @ cols).reshape(2 * d, mf, me, r)
-    # glk[i, (q, b)] = sum <e_i, e_k>_c act[c, q, k, b] over the left half; f.gram then contracts q
-    lk = act[:d].transpose(0, 2, 1, 3).reshape(d * me, mf * r)
-    glk = e.gram_coords.transpose(0, 2, 1).reshape(me, d * me) @ lk
-    fglk = f.gram.transpose(0, 2, 3, 1).reshape(mf * n * n, mf) @ glk.reshape(me, mf, r)
-    gram = (section.conj().T @ fglk.reshape(me * mf, n * n * r)).reshape(r, n, n, r)
-    gram = np.ascontiguousarray(gram.transpose(0, 3, 1, 2))
-    # right[c] = proj (I (x) R_c) section, with the columns of proj in (q, k) order
-    proj_qk = proj.reshape(r, me, mf).transpose(0, 2, 1).reshape(r, mf * me)
-    right = proj_qk @ act[d:].reshape(d, mf * me, r)
-    if e.is_correspondence:
-        left = proj @ _lift(e.left_action, section, (me, mf), "left")
+    both = np.zeros((d + n * n, r, r), dtype=complex)  # the right action, then the Gram entries
+    left = np.zeros((d, r, r), dtype=complex) if e.is_correspondence else None
+    at = 0
+    for b, (w, stack) in enumerate(zip(e._gram_factor, f.corner_actions)):
+        p, rb = len(w), stack.shape[1]
+        qb = q[at:at + p * rb]
+        at += p * rb
+        # act[c, (p, alpha), s] = sum_beta stack[c, alpha, beta] qb[(p, beta), s]
+        cols = qb.reshape(p, rb, r).transpose(1, 0, 2).reshape(rb, p * r)
+        act = (stack.reshape(len(stack) * rb, rb) @ cols).reshape(len(stack), rb, p, r)
+        both += qb.conj().T @ act.transpose(0, 2, 1, 3).reshape(len(stack), p * rb, r)
+        if left is not None:
+            moved = e._left_blocks[b].reshape(d * p, p) @ qb.reshape(p, rb * r)
+            left += qb.conj().T @ moved.reshape(d, p * rb, r)
+    right = both[:d].copy()  # a view would keep the Gram entries alive twice
+    gram = np.ascontiguousarray(both[d:].reshape(n, n, r, r).transpose(2, 3, 0, 1))
+    if left is not None:
         reduced = Correspondence(e.algebra, right, gram, left)
     else:
         reduced = ModulePresentation(e.algebra, right, gram)
-    return reduced, FactorMap(proj, section, (me, mf), reduced)
+    return reduced, FactorMap(proj, section, (e.dim, f.dim), reduced)
 
 
 # ---------------------------------------------------------------------------
@@ -791,8 +856,6 @@ def associator(
     *,
     ef: tuple[ModulePresentation, FactorMap] | None = None,
     fg: tuple[ModulePresentation, FactorMap] | None = None,
-    t2: tuple[ModulePresentation, FactorMap] | None = None,
-    t4: tuple[ModulePresentation, FactorMap] | None = None,
 ) -> AssociatorResult:
     """Compute the canonical rebracketing unitary and its adjoint.
 
@@ -805,10 +868,8 @@ def associator(
     _require_same_algebra(f, g)
     ef = ef or internal_tensor(e, f, tol)
     fg = fg or internal_tensor(f, g, tol)
-    t2 = t2 or internal_tensor(ef[0], g, tol)
-    t4 = t4 or internal_tensor(e, fg[0], tol)
-    left_mod, p2 = t2
-    right_mod, p4 = t4
+    left_mod, p2 = internal_tensor(ef[0], g, tol)
+    right_mod, p4 = internal_tensor(e, fg[0], tol)
     if left_mod.dim != right_mod.dim:
         raise ConstructionError(
             f"bracketings realize different dimensions {left_mod.dim} vs {right_mod.dim}",

@@ -219,7 +219,7 @@ def derive_unit(ps: ProductSystem, xi1: np.ndarray) -> Unit:
     levels = [ps.algebra.coords(ps.algebra.unit), xi1]
     for n in range(2, ps.levels + 1):
         fm = ps._tensors[(n - 1, 1)][1]
-        levels.append(fm.matrix @ np.kron(levels[n - 1], xi1))
+        levels.append(fm.matrix @ np.outer(levels[n - 1], xi1).ravel())
     unit_dev = _dev(e1.inner(xi1, xi1), ps.algebra.unit)
     cent_dev = _dev(e1.left_action @ xi1, e1.right_action @ xi1)
     return Unit(xi1, levels, unit_dev <= ps.tol, cent_dev <= ps.tol, unit_dev, cent_dev)
@@ -233,7 +233,7 @@ def check_unit(ps: ProductSystem, xi1: np.ndarray) -> VerificationReport:
     for s in range(ps.levels + 1):
         for t in range(ps.levels + 1 - s):
             fm = ps.tensor(s, t)[1]
-            image = ps.u(s, t) @ fm.matrix @ np.kron(unit.levels[s], unit.levels[t])
+            image = ps.u(s, t) @ fm.matrix @ np.outer(unit.levels[s], unit.levels[t]).ravel()
             rep.add(f"unit-propagation[{s},{t}]", _dev(image, unit.levels[s + t]), tol)
     for n in range(ps.levels + 1):
         en = ps.power(n)

@@ -102,23 +102,33 @@ class VerificationReport:
         return "\n".join(lines)
 
     def to_machine(self) -> str:
-        """Stable machine format: sorted keys, decimal-string deviations."""
-        payload = {
+        """Stable machine format: sorted keys, decimal-string deviations.
+
+        The bytes are those of ``json.dumps(payload, sort_keys=True, indent=1)``
+        with the checks sorted by name.  The indenting encoder is pure Python,
+        so the check list, the bulk of a report, is written with one
+        ``%``-format per check, and ``json`` writes the names and the head.
+        """
+        head = json.dumps({
             "title": self.title,
             "status": self.status,
             "detail": self.detail,
             "provenance": {k: _stable(v) for k, v in self.provenance.items()},
-            "checks": [
-                {
-                    "name": c.name,
-                    "deviation": f"{c.deviation:.17e}",
-                    "tolerance": f"{c.tolerance:.17e}",
-                    "passed": c.passed,
-                }
-                for c in sorted(self.checks, key=lambda c: c.name)
-            ],
-        }
-        return json.dumps(payload, sort_keys=True, indent=1)
+        }, sort_keys=True, indent=1)
+        checks = [
+            _MACHINE_CHECK % (c.deviation, json.dumps(c.name), "true" if c.passed else "false",
+                              c.tolerance)
+            for c in sorted(self.checks, key=lambda c: c.name)
+        ]
+        listed = "[\n" + ",\n".join(checks) + "\n ]" if checks else "[]"
+        # "checks" sorts before every key of the head, which opens with "{\n"
+        return '{\n "checks": ' + listed + ",\n" + head[2:]
+
+
+_MACHINE_CHECK = (
+    '  {\n   "deviation": "%.17e",\n   "name": %s,\n   "passed": %s,\n'
+    '   "tolerance": "%.17e"\n  }'
+)
 
 
 def _stable(value):

@@ -391,3 +391,113 @@ def test_zero_gram_exits_invalid(tmp_path, capsys, name, module, command):
     bad.write_text(json.dumps(doc))
     assert main([command, str(bad)]) == EXIT_INVALID
     assert "fails invariants: scalar-gram-nondegenerate" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# the machine report against the indenting json encoder
+# ---------------------------------------------------------------------------
+
+def ref_machine(report) -> str:
+    """The machine report as ``json.dumps`` writes the whole payload."""
+    from corrkit.report import _stable
+
+    payload = {
+        "title": report.title,
+        "status": report.status,
+        "detail": report.detail,
+        "provenance": {k: _stable(v) for k, v in report.provenance.items()},
+        "checks": [
+            {"name": c.name, "deviation": f"{c.deviation:.17e}",
+             "tolerance": f"{c.tolerance:.17e}", "passed": c.passed}
+            for c in sorted(report.checks, key=lambda c: c.name)
+        ],
+    }
+    return json.dumps(payload, sort_keys=True, indent=1)
+
+
+def shipped_commands(path: Path) -> list[list[str]]:
+    """Every command that applies to a shipped file, by the sections it has."""
+    doc = json.loads(path.read_text())
+    f = str(path)
+    argvs = [["validate", f]]
+    if "endomorphism" in doc:
+        argvs += [["verify-main", f], ["spatial", f]]
+        if "xi" in doc.get("vectors", {}):
+            argvs += [["dilate", f], ["verify-supplement", f]]
+    ps = doc.get("product_system")
+    if ps:
+        argvs += [["derive-ps", f], ["spatial", f]]
+        units = sorted(ps.get("units", {}))
+        if len(units) >= 2:
+            argvs.append(["compare-units", f, "--first", units[0], "--second", units[1]])
+    for name, mod in sorted(doc["modules"].items()):
+        if "left_action" in mod:
+            argvs.append(["tensor", f, "--left", name, "--right", name])
+    return argvs
+
+
+def test_machine_report_bytes_are_the_json_encoders(tmp_path, monkeypatch):
+    """Every machine report of every command on the shipped files is
+    byte-identical to ``json.dumps(payload, sort_keys=True, indent=1)``."""
+    from corrkit.report import VerificationReport
+
+    emitted = VerificationReport.to_machine
+    pairs = []
+
+    def recorded(report):
+        out = emitted(report)
+        pairs.append((out, ref_machine(report)))
+        return out
+
+    monkeypatch.setattr(VerificationReport, "to_machine", recorded)
+    argvs = [argv for path in sorted(SHIPPED.glob("*.json")) for argv in shipped_commands(path)]
+    for argv in argvs:
+        code = main(argv + ["--report", "machine", "--out", str(tmp_path / "out.json")])
+        assert code in (EXIT_PASS, EXIT_FAIL, EXIT_DEGENERATE), argv
+        assert (tmp_path / "out.json").read_text() == pairs[-1][0] + "\n"
+    assert len(pairs) == len(argvs) > 40
+    assert all(out == ref for out, ref in pairs)
+
+
+def test_machine_report_bytes_on_edge_values():
+    """A NaN deviation, an empty check list, and names, titles and details
+    with quotes, backslashes, newlines and non-ASCII characters."""
+    from corrkit.report import VerificationReport
+
+    empty = VerificationReport("empty")
+    assert empty.to_machine() == ref_machine(empty) and '"checks": [],' in empty.to_machine()
+    rep = VerificationReport('title "q" é\n', provenance={"levels": 3, "tol": 1e-9})
+    rep.add('na"me\\ é ☃ [1,2]', float("nan"), 1e-9)
+    rep.add("b", -0.0, 1e-9)
+    rep.add("c", float("inf"), 0.0)
+    rep.add_flag("a", False)
+    rep.detail = "dü\ttab"
+    assert rep.to_machine() == ref_machine(rep)
+    assert json.loads(rep.to_machine())["checks"][-1]["deviation"] == "nan"
+
+
+# ---------------------------------------------------------------------------
+# the realized tensor's Gram has an independent check
+# ---------------------------------------------------------------------------
+
+def test_scaled_corner_gram_fails_the_inner_product_rule(tmp_path, monkeypatch):
+    """Fault witness: one compressed Gram ``G~_b`` scaled by 1 + 1e-6 fails
+    ``inner-product-rule``, which compares with the pre-Gram built from the
+    factors, and ``tensor`` exits 1."""
+    from corrkit.hilbmod import Correspondence
+
+    built = Correspondence.corner_actions.func
+
+    def scaled(corr):
+        stacks = list(built(corr))
+        stacks[0] = stacks[0].copy()
+        stacks[0][corr.algebra.dim:] *= 1 + 1e-6
+        return tuple(stacks)
+
+    argv = ["tensor", str(SHIPPED / "correspondence-seed0.json"), "--left", "F", "--right", "F"]
+    assert main(argv) == EXIT_PASS
+    monkeypatch.setattr(Correspondence, "corner_actions", property(scaled))
+    out = tmp_path / "out.json"
+    assert main(argv + ["--report", "machine", "--out", str(out)]) == EXIT_FAIL
+    failed = [c["name"] for c in json.loads(out.read_text())["checks"] if not c["passed"]]
+    assert "inner-product-rule" in failed

@@ -309,6 +309,33 @@ def test_each_tensor_and_associator_realized_once_per_run(monkeypatch):
     assert repeats == []
 
 
+def test_operator_basis_amplified_once_per_stage(monkeypatch):
+    """``verify_main`` amplifies the operator basis onto each stage
+    ``E+ . E_t``, t = 0..L, exactly once: the recovery, restriction,
+    restriction-chain and injectivity checks read the stack the stage holds."""
+    import sys
+
+    import corrkit.hilbmod as hilbmod
+    from corrkit.instance import parse_instance
+
+    eplus, endo = parse_instance(str(SHIPPED / "weak-dilation-seed0.json")).make_endo()
+    real = hilbmod.amplify
+    lifted = []
+
+    def counted(a, fm, **kwargs):
+        if a is endo.op_stack:
+            lifted.append(id(fm))
+        return real(a, fm, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("corrkit") and mod is not None and vars(mod).get("amplify") is real:
+            monkeypatch.setattr(mod, "amplify", counted)
+    pipe = DilationPipeline(eplus, endo, levels=4)
+    assert verify_main(pipe).status == "pass"
+    assert sorted(lifted) == sorted(id(stage.factor) for stage in pipe.stages()[0])
+    assert len(lifted) == 5
+
+
 def test_action_unitaries_match_the_associator_recursion():
     """``u_t = u_1 (u_{t-1} . id)`` through the stage map equals the recursion
     through a realized rebracketing ``(E+ . E_{t-1}) . E_1 -> E+ . E_t``."""

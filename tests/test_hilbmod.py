@@ -1,3 +1,4 @@
+import functools
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,7 @@ from corrkit.hilbmod import (
     ModulePresentation,
     _corner_factor,
     _lift,
+    _realize,
     _unitary_dev,
     adjointable_basis,
     algebra_correspondence,
@@ -922,6 +924,153 @@ def test_corner_factor_of_the_m9_ladder_has_nine_rows():
     f = associated_correspondence(e, endomorphism_from_conjugation(e, v), 1).corr
     k = _assert_factor_of_pre_gram(e, f)
     assert (len(k), len(ref_factor_rows(e, f))) == (9, 27)
+
+
+# ---------------------------------------------------------------------------
+# the realized tensor in the corner frame
+# ---------------------------------------------------------------------------
+
+def ref_tensor_arrays(e, f, tol=TOL):
+    """The lifted formulas on the ``m_E m_F`` carrier: both actions of ``f``
+    lifted through the section in one flat product, the Gram contracted
+    against ``e``'s Gram coordinates and ``f``'s Gram, and the left action of
+    ``e`` lifted, each descended by ``proj``.  Returns (right, gram, left),
+    with ``left`` None when ``e`` is a plain module."""
+    d, n, me, mf = e.algebra.dim, e.algebra.size, e.dim, f.dim
+    proj, section, _ = _realize(_corner_factor(e, f), tol)
+    r = len(proj)
+    rows = np.concatenate([f.left_action, f.right_action]).reshape(2 * d * mf, mf)
+    cols = section.reshape(me, mf, r).transpose(1, 0, 2).reshape(mf, me * r)
+    act = (rows @ cols).reshape(2 * d, mf, me, r)
+    lk = act[:d].transpose(0, 2, 1, 3).reshape(d * me, mf * r)
+    glk = e.gram_coords.transpose(0, 2, 1).reshape(me, d * me) @ lk
+    fglk = f.gram.transpose(0, 2, 3, 1).reshape(mf * n * n, mf) @ glk.reshape(me, mf, r)
+    gram = (section.conj().T @ fglk.reshape(me * mf, n * n * r)).reshape(r, n, n, r)
+    proj_qk = proj.reshape(r, me, mf).transpose(0, 2, 1).reshape(r, mf * me)
+    right = proj_qk @ act[d:].reshape(d, mf * me, r)
+    left = proj @ _lift(e.left_action, section, (me, mf), "left") if e.is_correspondence else None
+    return right, gram.transpose(0, 3, 1, 2), left
+
+
+def ladder_e1(blocks):
+    """``E_1`` of the benchmark's ladder: the algebra over itself with the
+    inner map ``a -> v a v*``, ``v`` with blocks ``kron(U_n, I_n)``."""
+    from corrkit.endo import associated_correspondence, endomorphism_from_conjugation
+
+    rng = np.random.default_rng(1)
+    alg = make_algebra(blocks)
+    eplus = standard_module(alg, blocks)
+    v = np.zeros((eplus.dim, eplus.dim), dtype=complex)
+    at = 0
+    for n in blocks:
+        v[at:at + n * n, at:at + n * n] = np.kron(random_unitary(rng, n), np.eye(n))
+        at += n * n
+    return associated_correspondence(eplus, endomorphism_from_conjugation(eplus, v), 1).corr
+
+
+def _killed_block_pairs():
+    alg = make_algebra([1, 1])
+    f = standard_module(alg, [1, 1], multiplicities=[[1, 0], [1, 0]])
+    e = conjugated(standard_module(alg, [2, 1]), random_unitary(np.random.default_rng(4), 3))
+    return [(e, f), (f, f)]
+
+
+def skewed(f, seed):
+    """``f`` in a skew carrier basis, whose scalar Gram does not commute with
+    the actions."""
+    rng = np.random.default_rng(seed)
+    skew = np.eye(f.dim) + 0.3 * _rand(rng, f.dim, f.dim)
+    inv = np.linalg.inv(skew)
+    return Correspondence(f.algebra, inv @ f.right_action @ skew,
+                          ref_pull_gram(skew, f.gram), inv @ f.left_action @ skew)
+
+
+@functools.lru_cache(maxsize=None)
+def frame_pairs():
+    """The random pairs, ``E_1 . E_1`` of four ladders and of one in a skew
+    basis, both orders of a zero-dimensional factor, and a right factor whose
+    left action kills a block."""
+    alg = make_algebra([1, 2])
+    zero = standard_module(alg, [0, 0], multiplicities=[[0, 0], [0, 0]])
+    pairs = list(tensor_pairs())
+    pairs += [(e1, e1) for e1 in map(ladder_e1, ([3], [2, 3], [1, 2], [4]))]
+    pairs.append((skewed(ladder_e1([1, 2]), 3),) * 2)
+    pairs += [(zero, algebra_correspondence(alg)), (algebra_correspondence(alg), zero)]
+    return tuple(pairs + _killed_block_pairs())
+
+
+@pytest.mark.parametrize("k", range(len(frame_pairs())))
+def test_corner_frame_matches_the_lifted_formulas(k):
+    e, f = frame_pairs()[k]
+    tensor, fm = internal_tensor(e, f)
+    right, gram, left = ref_tensor_arrays(e, f)
+    proj, section, _ = _realize(_corner_factor(e, f), TOL)
+    assert np.array_equal(fm.matrix, proj) and np.array_equal(fm.section, section)
+    assert max_dev(tensor.right_action, right) < KERNEL_ATOL
+    assert max_dev(tensor.gram, gram) < KERNEL_ATOL
+    assert tensor.is_correspondence == e.is_correspondence
+    if left is not None:
+        assert max_dev(tensor.left_action, left) < KERNEL_ATOL
+
+
+@pytest.mark.parametrize("k", range(len(frame_pairs())))
+def test_realize_q_is_the_left_factor(k):
+    """``q = K @ section`` has orthonormal columns and ``q^H K = proj``."""
+    k_mat = _corner_factor(*frame_pairs()[k])
+    proj, section, q = _realize(k_mat, TOL)
+    assert max_dev(q, k_mat @ section) < KERNEL_ATOL
+    assert max_dev(q.conj().T @ q, np.eye(len(proj))) < KERNEL_ATOL
+    assert max_dev(q.conj().T @ k_mat, proj) < KERNEL_ATOL
+
+
+def _block_diag(mats):
+    out = np.zeros((sum(len(a) for a in mats),) * 2, dtype=complex)
+    at = 0
+    for a in mats:
+        out[at:at + len(a), at:at + len(a)] = a
+        at += len(a)
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def shipped_correspondences():
+    """The correspondences of the shipped files, ``E_1`` of every shipped
+    endomorphism, and the one over the largest algebra in a skew basis."""
+    from corrkit.endo import associated_correspondence
+    from corrkit.instance import parse_instance
+
+    out = [mod for mod in shipped_modules() if mod.is_correspondence]
+    for path in sorted(SHIPPED.glob("*.json")):
+        inst = parse_instance(str(path))
+        if inst.endomorphism is not None:
+            out.append(associated_correspondence(*inst.make_endo(), 1).corr)
+    return tuple(out) + (skewed(max(out, key=lambda f: (f.algebra.dim, f.dim)), 5),)
+
+
+@pytest.mark.parametrize("k", range(len(shipped_correspondences())))
+def test_frame_identities_on_shipped_correspondences(k):
+    """``K (I (x) R(c)) = ((+)_{b,p} R~_b(c)) K``, ``W L(c) = ((+)_b M~_b(c) (x) I) W``
+    and ``sum_{b,p} pull_gram(K_bp, G~_b)`` is the pre-Gram, for ``K`` the
+    corner factor of ``F . F`` and ``W`` the Gram factor rows of ``F``."""
+    f = shipped_correspondences()[k]
+    d, n, m = f.algebra.dim, f.algebra.size, f.dim
+    k_mat = _corner_factor(f, f)
+    copies = [len(w) for w in f._gram_factor]
+    pre = np.zeros((m * m, m * m, n, n), dtype=complex)
+    at = 0
+    for p, stack in zip(copies, f.corner_actions):
+        gt = stack[d:].reshape(n, n, *stack.shape[1:]).transpose(2, 3, 0, 1)
+        for _ in range(p):
+            pre += pull_gram(k_mat[at:at + stack.shape[1]], gt)
+            at += stack.shape[1]
+    assert max_dev(pre, tensor_pre_gram(f, f)) < KERNEL_ATOL
+    w = np.concatenate([g.transpose(0, 2, 1).reshape(-1, m) for g in f._gram_factor])
+    for c in range(d):
+        moved = _block_diag([s[c] for p, s in zip(copies, f.corner_actions) for _ in range(p)])
+        assert max_dev(k_mat @ np.kron(np.eye(m), f.right_action[c]), moved @ k_mat) < KERNEL_ATOL
+        left = _block_diag([np.kron(mb[c], np.eye(nb))
+                            for mb, nb in zip(f._left_blocks, f.algebra.blocks)])
+        assert max_dev(w @ f.left_action[c], left @ w) < KERNEL_ATOL
 
 
 # ---------------------------------------------------------------------------
