@@ -128,31 +128,7 @@ class Algebra:
     def split(self, a: np.ndarray) -> list[np.ndarray]:
         return [np.array(a[sl, sl]) for sl in self.block_slices]
 
-    def require_element(self, a: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
-        a = np.asarray(a)
-        if a.shape != (self.size, self.size):
-            raise InvalidElementError(
-                f"element of shape {a.shape}, expected ({self.size}, {self.size})"
-            )
-        off = np.abs(np.where(self.support_mask, 0.0, a)).max() if self.size else 0.0
-        if off > tol:
-            raise InvalidElementError(f"entries off the diagonal blocks (max {off:.3e})")
-        return a.astype(complex)
-
     # -- operations --------------------------------------------------------
-
-    def is_positive(self, a: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-        """Whether ``a`` is Hermitian within tol with spectrum >= -tol."""
-        a = self.require_element(a, tol)
-        if np.abs(a - a.conj().T).max() > tol:
-            return False
-        eigs = np.linalg.eigvalsh((a + a.conj().T) / 2.0)
-        return bool(eigs.min() >= -tol)
-
-    def faithful_state(self, a: np.ndarray) -> complex:
-        """Normalized trace; vanishes on a positive element only at zero."""
-        a = self.require_element(a)
-        return complex(np.trace(a)) / self.size
 
     def center_basis(self) -> list[np.ndarray]:
         """Blockwise identities: a basis of the center."""
@@ -162,10 +138,6 @@ class Algebra:
             z[sl, sl] = np.eye(sl.stop - sl.start)
             out.append(z)
         return out
-
-    def random_element(self, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
-        v = rng.standard_normal(self.dim) + 1j * rng.standard_normal(self.dim)
-        return self.from_coords(scale * v)
 
 
 def make_algebra(blocks) -> Algebra:

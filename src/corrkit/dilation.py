@@ -76,7 +76,6 @@ NOT_APPLICABLE_DETAIL = "not applicable (non-spatial)"
 
 @dataclass
 class TruncatedLimit:
-    direction: str                 # "right" | "left"
     ps: ProductSystem
     unit: Unit
     embeddings: list[np.ndarray]   # stage n -> n+1
@@ -117,17 +116,17 @@ def right_limit(ps: ProductSystem, xi1: np.ndarray) -> TruncatedLimit:
     for s in range(1, n_levels):
         for t in range(1, n_levels + 1 - s):
             es = ps.power(s)
-            proj_s = rank_one(es, unit.levels[s], unit.levels[s]).matrix
+            proj_s = rank_one(es, unit.levels[s], unit.levels[s])
             lifted = stage_shift(ps, proj_s, s, t)
             est = ps.power(s + t)
-            proj_st = rank_one(est, unit.levels[s + t], unit.levels[s + t]).matrix
+            proj_st = rank_one(est, unit.levels[s + t], unit.levels[s + t])
             rep.add(
                 f"increasing-projection[{s},{t}]",
                 est.positivity_defect(lifted - proj_st),
                 tol,
             )
     _stage_endomorphism_checks(ps, rep)
-    return TruncatedLimit("right", ps, unit, embeddings, rep)
+    return TruncatedLimit(ps, unit, embeddings, rep)
 
 
 def stage_shift(ps: ProductSystem, a: np.ndarray, n: int, t: int = 1) -> np.ndarray:
@@ -191,7 +190,7 @@ def left_limit(ps: ProductSystem, omega1: np.ndarray) -> TruncatedLimit:
                 _dev(ps.u(t, m + 1) @ lifted, embeddings[t + m] @ ps.u(t, m)),
                 tol,
             )
-    return TruncatedLimit("left", ps, unit, embeddings, rep)
+    return TruncatedLimit(ps, unit, embeddings, rep)
 
 
 # ---------------------------------------------------------------------------
@@ -429,7 +428,7 @@ def _restriction_chain_dev(pipe: DilationPipeline, t: int, m: int, want: np.ndar
 def _corners(eplus: ModulePresentation, xi: np.ndarray) -> np.ndarray:
     """The corner embedding ``b -> xi b xi*`` of every algebra basis element,
     stacked (d, m, m)."""
-    return np.stack([rank_one(eplus, r @ xi, xi).matrix for r in eplus.right_action])
+    return np.stack([rank_one(eplus, r @ xi, xi) for r in eplus.right_action])
 
 
 @dataclass
@@ -456,7 +455,7 @@ def weak_dilation_check(pipe: DilationPipeline, xi_plus: np.ndarray) -> WeakDila
     if norm_dev > tol:
         raise PreconditionError(f"vector is not a unit vector (deviation {norm_dev:.3e})")
     rep = VerificationReport("weak dilation", provenance={"levels": levels})
-    p0 = rank_one(eplus, xi_plus, xi_plus).matrix
+    p0 = rank_one(eplus, xi_plus, xi_plus)
     # theta^t once per level, on p0 and the corners xi b xi* together
     probes = np.concatenate([p0[None], _corners(eplus, xi_plus)])
     tmats = []
@@ -504,7 +503,7 @@ def primary_span_ranks(pipe: DilationPipeline, xi_plus: np.ndarray) -> list[int]
     """Ranks of the growing span of the moved projection ranges, at times
     ``0..pipe.levels``."""
     eplus, endo = pipe.eplus, pipe.endo
-    p0 = rank_one(eplus, np.asarray(xi_plus, dtype=complex), np.asarray(xi_plus, dtype=complex)).matrix
+    p0 = rank_one(eplus, xi_plus, xi_plus)
     cols = []
     ranks = []
     for t in range(pipe.levels + 1):
@@ -557,11 +556,11 @@ def verify_supplement(pipe: DilationPipeline, xi_plus: np.ndarray) -> Verificati
     xi_plus = np.asarray(xi_plus, dtype=complex)
 
     corners = _corners(eplus, xi_plus)
-    p0 = rank_one(eplus, xi_plus, xi_plus).matrix
+    p0 = rank_one(eplus, xi_plus, xi_plus)
     # the vector xi+ . omega_m on every stage, and its projection
     vs = [stages[m].factor.matrix @ np.outer(xi_plus, omega.levels[m]).ravel()
           for m in range(levels + 1)]
-    projs = [rank_one(stages[m].tensor, v, v).matrix for m, v in enumerate(vs)]
+    projs = [rank_one(stages[m].tensor, v, v) for m, v in enumerate(vs)]
     for t in range(1, levels + 1):
         moved = endo.image_ops(t)
         moved_p0 = endo.apply(p0, t)
@@ -594,8 +593,8 @@ def verify_supplement(pipe: DilationPipeline, xi_plus: np.ndarray) -> Verificati
         et = pipe.ps().power(t)
         pairing = et.inner(omega.levels[t], wd.unit.levels[t])
         pairing_is_unit = _dev(pairing, alg.unit) <= tol
-        p_xi = rank_one(et, wd.unit.levels[t], wd.unit.levels[t]).matrix
-        p_om = rank_one(et, omega.levels[t], omega.levels[t]).matrix
+        p_xi = rank_one(et, wd.unit.levels[t], wd.unit.levels[t])
+        p_om = rank_one(et, omega.levels[t], omega.levels[t])
         projections_match = _dev(p_xi, p_om) <= tol
         worst = _worst([stages[m].tensor.positivity_defect(pipe.alpha(t, m, p_tm) - projs[m])
                         for m, p_tm in enumerate(projs[t:])])
@@ -637,8 +636,8 @@ def unit_pairing_check(ps: ProductSystem, xi1: np.ndarray, omega1: np.ndarray) -
         for t in range(1, ps.levels + 1):
             rep.add(f"pairing-unit[{t}]", pair_devs[t - 1], tol)
             et = ps.power(t)
-            p_xi = rank_one(et, xi.levels[t], xi.levels[t]).matrix
-            p_om = rank_one(et, omega.levels[t], omega.levels[t]).matrix
+            p_xi = rank_one(et, xi.levels[t], xi.levels[t])
+            p_om = rank_one(et, omega.levels[t], omega.levels[t])
             rep.add(f"projection-dominates[{t}]", et.positivity_defect(p_xi - p_om), tol)
             rep.add(f"projection-dominated[{t}]", et.positivity_defect(p_om - p_xi), tol)
             rep.add(f"projection-equal[{t}]", _dev(p_xi, p_om), tol)

@@ -298,7 +298,6 @@ class ActionUnitary:
     matrix: np.ndarray
     tensor: ModulePresentation
     factor: FactorMap
-    et: Correspondence
     report: VerificationReport
     lifted_ops: np.ndarray  # the operator basis amplified to the tensor, ``a . id``
 
@@ -342,7 +341,7 @@ def u_unitary(
     adj = check_map(rep, u, tensor, eplus, tol, {"unitary": f"action-unitary[{t}]"})
     lifted = amplify(endo.op_stack, fm, side="left")
     rep.add(f"recovery-identity[{t}]", _dev(u @ lifted @ adj, endo.image_ops(t)), tol)
-    return ActionUnitary(t, u, tensor, fm, et.corr, rep, lifted)
+    return ActionUnitary(t, u, tensor, fm, rep, lifted)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,12 @@
 """Named desk-scale instances used by the test suite, docs, and generators.
 
-Modules over a block algebra are built in a standard form: the carrier is a
-direct sum of row spaces, one group of ``k_i`` rows of length ``n_i`` per
+Modules over a block algebra are built in the standard form
+``(+)_i C^{k_i} (x) C^{n_i}``: one group of ``k_i`` rows of length ``n_i`` per
 algebra block, with blockwise matrix multiplication from the right and the
-blockwise ``x* y`` Gram.  Left actions come from a multiplicity matrix
-assigning algebra blocks to operator blocks.  A unitary change of basis
-produces presentations with no visible block structure while preserving
-every axiom exactly.
+blockwise ``x* y`` Gram, each a Kronecker product of matrix units.  Left
+actions come from a multiplicity matrix assigning algebra blocks to operator
+blocks.  A unitary change of basis produces presentations with no visible
+block structure while preserving every axiom exactly.
 
 In finite dimensions an intertwining isometry is automatically unitary, so
 an endomorphism semigroup admits a central unital unit exactly when it is
@@ -39,65 +39,42 @@ def standard_module(
     """Blockwise row-space module, optionally with a multiplicity left action.
 
     ``row_counts[i]`` rows of length ``blocks[i]`` form the i-th carrier
-    group.  When ``multiplicities`` is given, group ``i`` must decompose as
-    ``sum_j multiplicities[i][j] * blocks[j]`` rows and the left action
+    group ``C^{k_i} (x) C^{n_i}``, on which ``R(e^i_pq) = I (x) E_qp`` and
+    ``<(r, a), (r', c)> = delta_{rr'} e^i_ac``.  When ``multiplicities`` is
+    given, group ``i`` must decompose as ``sum_j multiplicities[i][j] * blocks[j]``
+    rows, and ``L(e^j_pq) = ((+)_{j'} delta_{jj'} I_{mu_ij'} (x) E_pq) (x) I_{n_i}``
     embeds algebra block ``j`` with that multiplicity.
     """
     if len(row_counts) != len(alg.blocks):
         raise InvalidPresentationError("one row count per algebra block is required")
-    index = []
-    for i, (k, n) in enumerate(zip(row_counts, alg.blocks)):
-        for r in range(k):
-            for c in range(n):
-                index.append((i, r, c))
-    m = len(index)
-    pos = {key: w for w, key in enumerate(index)}
-    rows_of, cols_of = alg.basis_positions
-    d = alg.dim
-
-    right = np.zeros((d, m, m), dtype=complex)
-    block_of = []
-    offset = 0
-    for i, n in enumerate(alg.blocks):
-        block_of.extend([i] * (n * n))
-        offset += n * n
-    starts = np.cumsum([0] + list(alg.blocks))
-    for kappa in range(d):
-        b = block_of[kappa]
-        p = rows_of[kappa] - starts[b]
-        q = cols_of[kappa] - starts[b]
-        for r in range(row_counts[b]):
-            right[kappa, pos[(b, r, q)], pos[(b, r, p)]] = 1.0
-
-    gram = np.zeros((m, m, alg.size, alg.size), dtype=complex)
-    for w, (i, r, c) in enumerate(index):
-        for w2, (i2, r2, c2) in enumerate(index):
-            if i == i2 and r == r2:
-                gram[w, w2, starts[i] + c, starts[i2] + c2] = 1.0
-
+    blocks, d, n = alg.blocks, alg.dim, alg.size
+    # the matrix units of every block in basis order, where each block's units
+    # start in the basis, and where each row group starts in the carrier
+    units = [np.eye(nb * nb).reshape(nb * nb, nb, nb) for nb in blocks]
+    at = np.cumsum([0] + [nb * nb for nb in blocks])
+    rows = np.cumsum([0] + [k * nb for k, nb in zip(row_counts, blocks)])
+    groups = [slice(a, b) for a, b in zip(rows[:-1], rows[1:])]
+    right = np.zeros((d, rows[-1], rows[-1]), dtype=complex)
+    gram = np.zeros((rows[-1], rows[-1], n, n), dtype=complex)
+    for i, (k, nb, sl, g) in enumerate(zip(row_counts, blocks, alg.block_slices, groups)):
+        right[at[i]:at[i + 1], g, g] = np.kron(np.eye(k)[None], units[i].transpose(0, 2, 1))
+        gram[g, g, sl, sl] = np.kron(np.eye(k)[:, :, None, None], units[i].reshape((nb,) * 4))
     if multiplicities is None:
         return ModulePresentation(alg, right, gram)
 
-    left = np.zeros((d, m, m), dtype=complex)
-    for i, k in enumerate(row_counts):
-        if sum(mu * n for mu, n in zip(multiplicities[i], alg.blocks)) != k:
+    left = np.zeros_like(right)
+    for i, (k, nb, g) in enumerate(zip(row_counts, blocks, groups)):
+        sizes = [mu * nj for mu, nj in zip(multiplicities[i], blocks)]
+        if sum(sizes) != k:
             raise InvalidPresentationError(
                 f"row group {i} of size {k} does not match its multiplicities"
             )
-        segments = []  # (algebra block j, copy, local row) in order
-        for j, n in enumerate(alg.blocks):
-            for copy in range(multiplicities[i][j]):
-                for p in range(n):
-                    segments.append((j, copy, p))
-        for kappa in range(d):
-            b = block_of[kappa]
-            p = rows_of[kappa] - starts[b]
-            q = cols_of[kappa] - starts[b]
-            for ridx, (j, copy, local) in enumerate(segments):
-                if j == b and local == q:
-                    target = segments.index((j, copy, p))
-                    for c in range(alg.blocks[i]):
-                        left[kappa, pos[(i, target, c)], pos[(i, ridx, c)]] = 1.0
+        copies = np.cumsum([0] + sizes)
+        for j, mu in enumerate(multiplicities[i]):
+            on_rows = np.zeros((len(units[j]), k, k))  # L(e^j_pq) on the rows of group i
+            span = slice(copies[j], copies[j + 1])
+            on_rows[:, span, span] = np.kron(np.eye(mu)[None], units[j])
+            left[at[j]:at[j + 1], g, g] = np.kron(on_rows, np.eye(nb)[None])
     return Correspondence(alg, right, gram, left)
 
 

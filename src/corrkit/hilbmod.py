@@ -23,12 +23,12 @@ returns the projection onto the realization and a section with
 are whitened, so their scale does not compound with depth.
 
 Factoring the Gram of the left module as ``<e_i, e_k> = sum_p u[p, i]* u[p, k]``
-(:attr:`ModulePresentation.gram_rows`) embeds the algebraic tensor isometrically
-in ``F^P`` by ``x_i (x) y_j -> (L(u[p, i]) y_j)_p``.  Each ``u[p, i]`` lies in
-row 0 of one algebra block ``b``, so the image lies in the corner sum
-``(+)_p L(e^b_00) F`` of dimension ``sum_p rank L(e^b_00)``: in the frame
-``Y_b`` of each corner, that embedding is the corner factor ``K`` with rows
-``(b, p, alpha)``.  :func:`internal_tensor` takes the kept range of every
+(:attr:`ModulePresentation._gram_factor`) embeds the algebraic tensor
+isometrically in ``F^P`` by ``x_i (x) y_j -> (L(u[p, i]) y_j)_p``.  Each
+``u[p, i]`` lies in row 0 of one algebra block ``b``, so the image lies in the
+corner sum ``(+)_p L(e^b_00) F`` of dimension ``sum_p rank L(e^b_00)``: in the
+frame ``Y_b`` of each corner, that embedding is the corner factor ``K`` with
+rows ``(b, p, alpha)``.  :func:`internal_tensor` takes the kept range of every
 tensor from a thin SVD of ``K`` and never forms the ``m_E m_F``-square
 pre-Gram.  It computes the realized actions and Gram in the same frame, from
 ``Q = K @ section`` (orthonormal columns, ``Q^H K = proj``).  With ``S`` the
@@ -43,9 +43,10 @@ axioms:
 * left action: ``left(c) = Q^H ((+)_b M~_b(c) (x) I_{r_b}) Q``, because
   ``W L_E(c) = ((+)_b M~_b(c) (x) I_{n_b}) W``.
 
-``R~_b`` and ``G~_b`` are cached on ``F`` (:attr:`Correspondence.corner_actions`),
-``M~_b`` on ``E`` (:attr:`Correspondence._left_blocks`), so no action is
-lifted to the ``m_E m_F``-dimensional carrier.
+The corner maps behind ``K`` and the stacks ``R~_b``, ``G~_b`` are one cached
+frame on ``F`` (:attr:`Correspondence.corner_frame`), ``M~_b`` is cached on
+``E`` (:attr:`Correspondence._left_blocks`), so no action is lifted to the
+``m_E m_F``-dimensional carrier.
 """
 from __future__ import annotations
 
@@ -199,9 +200,16 @@ class ModulePresentation:
 
     @cached_property
     def _gram_factor(self) -> tuple[np.ndarray, ...]:
-        """Per algebra block ``b``, the rows of :attr:`gram_rows` that live in
-        that block, as coefficients ``w[p, i, c]`` with
-        ``u[p, i] = sum_c w[p, i, c] e^b_{0c}``; shape (P_b, m, n_b)."""
+        """Gram factor rows ``u[p, i]`` with ``<e_i, e_k> = sum_p u[p, i]* u[p, k]``,
+        per algebra block ``b``: the rows living in row 0 of that block, as
+        coefficients ``w[p, i, c]`` with ``u[p, i] = sum_c w[p, i, c] e^b_{0c}``,
+        of shape (P_b, m, n_b).
+
+        One eigendecomposition per block of the (m n_b)-square Gram
+        ``G[(i, a), (k, c)] = <e_i, e_k>[a, c]``; each kept eigenpair gives one
+        row.  Eigenvalues up to ``RANK_RTOL`` times the largest of all blocks
+        are dropped, so ``sum_b P_b`` is the numerical rank of the Gram.
+        """
         alg, m = self.algebra, self.dim
         spectra = []
         for sl, nb in zip(alg.block_slices, alg.blocks):
@@ -214,24 +222,6 @@ class ModulePresentation:
             w = (vecs[:, keep] * np.sqrt(vals[keep])).conj().T  # G = w^H w
             out.append(w.reshape(len(w), m, nb))
         return tuple(out)
-
-    @cached_property
-    def gram_rows(self) -> np.ndarray:
-        """Gram factor ``u`` of shape (P, m, n, n): ``<e_i, e_k> = sum_p u[p, i]* u[p, k]``.
-
-        One eigendecomposition per algebra block of the (m n_b)-square Gram
-        ``G[(i, a), (k, b)] = <e_i, e_k>[a, b]``; each kept eigenpair gives one
-        row ``p``, whose elements ``u[p, i]`` live in row 0 of that block.
-        Eigenvalues up to ``RANK_RTOL`` times the largest of all blocks are
-        dropped, so ``P`` is the numerical rank of the Gram.
-        """
-        alg, m = self.algebra, self.dim
-        rows = []
-        for w, sl in zip(self._gram_factor, alg.block_slices):
-            u = np.zeros((len(w), m, alg.size, alg.size), dtype=complex)
-            u[:, :, sl.start, sl] = w
-            rows.append(u)
-        return np.concatenate(rows)
 
     @cached_property
     def scalar_gram(self) -> np.ndarray:
@@ -293,46 +283,32 @@ class Correspondence(ModulePresentation):
             )
 
     @cached_property
-    def _corners(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-        """Per algebra block ``b``, the corner basis ``Y_b`` and the stack
-        ``S^{1/2} L(e^b_{0c})`` of row-0 units, of shape (n_b, m, m)."""
+    def corner_frame(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """Per algebra block ``b``, the corner map ``C_b`` and the corner actions
+        ``A_b``, in an orthonormal basis ``Y_b`` of the range of
+        ``S^{1/2} L(e^b_00)``, with ``S`` the scalar Gram (a thin SVD with the
+        ``RANK_RTOL`` cutoff; ``r_b`` is the rank of ``L(e^b_00)``).
+
+        * ``C_b[c] = Y_b^H S^{1/2} L(e^b_{0c})``, of shape (n_b, r_b, m).  Since
+          ``L(e^b_{0c}) = L(e^b_00) L(e^b_{0c})``, the range of ``Y_b`` holds
+          every ``S^{1/2} L(e^b_{0c})``, so ``C_b`` loses nothing of it.
+        * ``A_b``, of shape (d + n^2, r_b, r_b): first the right action
+          ``R~_b(c) = Y_b^H S^{1/2} R(c) S^{-1/2} Y_b``, then the entries
+          ``(x, y)`` of ``G~_b = pull_gram(S^{-1/2} Y_b, gram)`` in row-major
+          order.  Since ``R`` commutes with ``L(e^b_00)``, ``S^{1/2} R(c) S^{-1/2}``
+          keeps the range of ``Y_b``, so ``R~_b`` is the right action there.
+        """
+        n = self.algebra.size
         out = []
         start = 0
         for nb in self.algebra.blocks:
             row0 = self.scalar_sqrt @ self.left_action[start:start + nb]  # e^b_{0c}
-            out.append((_range_basis(row0[0]), row0))
             start += nb * nb
-        return tuple(out)
-
-    @cached_property
-    def corner_maps(self) -> tuple[np.ndarray, ...]:
-        """Per algebra block ``b``, the stack ``C_b[c] = Y_b^H S^{1/2} L(e^b_{0c})``
-        of shape (n_b, r_b, m), with ``S`` the scalar Gram.
-
-        ``Y_b`` is an orthonormal basis of the range of ``S^{1/2} L(e^b_00)``,
-        from a thin SVD with the ``RANK_RTOL`` cutoff.  Since
-        ``L(e^b_{0c}) = L(e^b_00) L(e^b_{0c})``, that range holds every
-        ``S^{1/2} L(e^b_{0c})``, so ``C_b`` loses nothing of it; ``r_b`` is the
-        rank of ``L(e^b_00)``.
-        """
-        return tuple(y.conj().T @ row0 for y, row0 in self._corners)
-
-    @cached_property
-    def corner_actions(self) -> tuple[np.ndarray, ...]:
-        """Per algebra block ``b``, the right action and the Gram compressed to
-        the corner ``Y_b``, stacked as one (d + n^2, r_b, r_b) array: first
-        ``R~_b(c) = Y_b^H S^{1/2} R(c) S^{-1/2} Y_b``, then the entries
-        ``(x, y)`` of ``G~_b = pull_gram(S^{-1/2} Y_b, gram)`` in row-major
-        order.  Since ``R`` commutes with ``L(e^b_00)``, ``S^{1/2} R(c) S^{-1/2}``
-        keeps the range of ``Y_b``, so ``R~_b`` is the right action there."""
-        n = self.algebra.size
-        out = []
-        for y, _ in self._corners:
-            r = y.shape[1]
-            back = self.scalar_isqrt @ y
+            y = _range_basis(row0[0])
+            r, back = y.shape[1], self.scalar_isqrt @ y
             right = (self.scalar_sqrt @ y).conj().T @ self.right_action @ back
             gram = pull_gram(back, self.gram).transpose(2, 3, 0, 1).reshape(n * n, r, r)
-            out.append(np.concatenate([right, gram]))
+            out.append((y.conj().T @ row0, np.concatenate([right, gram])))
         return tuple(out)
 
     @cached_property
@@ -594,11 +570,11 @@ def _corner_factor(e: ModulePresentation, f: Correspondence) -> np.ndarray:
 
     Row block ``p`` is ``Y_b^H S_F^{1/2} L(u[p, i])`` over the columns
     ``(i, j)``, for the gram row ``u[p]`` of ``e`` in block ``b``: it has
-    ``r_b = rank L(e^b_00)`` rows (see :attr:`Correspondence.corner_maps`).
+    ``r_b = rank L(e^b_00)`` rows (see :attr:`Correspondence.corner_frame`).
     """
     me, mf = e.dim, f.dim
     parts = []
-    for w, corner in zip(e._gram_factor, f.corner_maps):
+    for w, (corner, _) in zip(e._gram_factor, f.corner_frame):
         p, nb, r = len(w), w.shape[2], corner.shape[1]
         k = (w.reshape(p * me, nb) @ corner.reshape(nb, r * mf)).reshape(p, me, r, mf)
         parts.append(k.transpose(0, 2, 1, 3).reshape(p * r, me * mf))
@@ -618,7 +594,7 @@ def internal_tensor(
     The actions and the Gram are computed in the frame of ``K``'s rows
     ``(b, p, alpha)``, by the three identities of the module docstring: from
     ``Q = K @ section`` and the cached stacks ``R~_b``, ``G~_b``
-    (:attr:`Correspondence.corner_actions`) and ``M~_b``
+    (:attr:`Correspondence.corner_frame`) and ``M~_b``
     (:attr:`Correspondence._left_blocks`), one block ``b`` at a time and never
     on the ``m_E m_F``-dimensional carrier.
     """
@@ -631,7 +607,7 @@ def internal_tensor(
     both = np.zeros((d + n * n, r, r), dtype=complex)  # the right action, then the Gram entries
     left = np.zeros((d, r, r), dtype=complex) if e.is_correspondence else None
     at = 0
-    for b, (w, stack) in enumerate(zip(e._gram_factor, f.corner_actions)):
+    for b, (w, (_, stack)) in enumerate(zip(e._gram_factor, f.corner_frame)):
         p, rb = len(w), stack.shape[1]
         qb = q[at:at + p * rb]
         at += p * rb
@@ -700,25 +676,22 @@ def adjointable_basis(
     return [AdjointableOperator(a, b) for a, b, ok in zip(ops, adj, keep) if ok]
 
 
-def rank_one(e: ModulePresentation, x: np.ndarray, y: np.ndarray) -> AdjointableOperator:
-    """The operator ``z -> x <y, z>`` together with its adjoint ``y x*``."""
+def rank_one(e: ModulePresentation, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The (m, m) matrix of the operator ``z -> x <y, z>``."""
     x = np.asarray(x, dtype=complex)
     y = np.asarray(y, dtype=complex)
     if x.shape != (e.dim,) or y.shape != (e.dim,):
         raise IncompatibleOperandsError(
             f"vectors of shapes {x.shape}, {y.shape} on a carrier of dimension {e.dim}"
         )
-
-    def mat(u, v):
-        gy = np.einsum("l,ljc->jc", np.conj(v), e.gram_coords)
-        return np.einsum("jc,cuw,w->uj", gy, e.right_action, u)
-
-    return AdjointableOperator(mat(x, y), mat(y, x))
+    gy = np.tensordot(np.conj(y), e.gram_coords, axes=([0], [0]))  # [j, c]: <y, e_j>
+    return np.tensordot(e.right_action @ x, gy, axes=([0], [1]))
 
 
 def rank_one_stack(e: ModulePresentation) -> np.ndarray:
-    """All basis rank-one operators ``e_i e_j*`` as a (m, m, m, m) stack."""
-    return np.einsum("jvc,cui->ijuv", e.gram_coords, e.right_action)
+    """All basis rank-one operators ``e_i e_j*`` as an (m, m, m, m) stack:
+    ``out[i, j] = rank_one(e, e_i, e_j)``."""
+    return np.tensordot(e.gram_coords, e.right_action, axes=([2], [0])).transpose(3, 0, 2, 1)
 
 
 def operator_rows(ops: list[AdjointableOperator], m: int) -> np.ndarray:
@@ -833,7 +806,6 @@ class AssociatorResult:
     right_module: ModulePresentation
     right_factor: FactorMap     # over E (x) (F.G)-realized
     ef: tuple[ModulePresentation, FactorMap]
-    fg: tuple[ModulePresentation, FactorMap]
     tol: float
 
     @cached_property
@@ -877,7 +849,7 @@ def associator(
         )
     alpha = _rebracket(p2, ef[1].section, fg[1].matrix, p4, "left")
     adj = map_adjoint(alpha, left_mod, right_mod)
-    return AssociatorResult(alpha, adj, left_mod, p2, right_mod, p4, ef, fg, tol)
+    return AssociatorResult(alpha, adj, left_mod, p2, right_mod, p4, ef, tol)
 
 
 # ---------------------------------------------------------------------------

@@ -447,10 +447,6 @@ def emit_instance(inst: Instance) -> str:
     return json.dumps(encode_instance(inst), sort_keys=True, indent=1)
 
 
-def instances_equal(a: Instance, b: Instance) -> bool:
-    return emit_instance(a) == emit_instance(b)
-
-
 # ---------------------------------------------------------------------------
 # seeded generation
 # ---------------------------------------------------------------------------

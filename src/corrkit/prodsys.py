@@ -165,7 +165,8 @@ class ProductSystem:
         for s in range(self.levels + 1):
             for t in range(self.levels + 1 - s):
                 check_map(rep, self.u(s, t), self.tensor(s, t)[0], self.power(s + t), tol, {
-                    p: f"identification[{s},{t}]-{p}" for p in ("gram", "unitary", "bilinear")})
+                    p: f"identification[{s},{t}]-{p}" for p in ("gram", "unitary", "bilinear")},
+                    self.uinv(s, t))
         for r in range(1, self.levels - 1):
             for s in range(1, self.levels - r):
                 for t in range(1, self.levels + 1 - r - s):

@@ -143,6 +143,12 @@ def oracle_commutant_dimension(pres: ModulePresentation) -> int:
     return m * m - oracle_rank(system, rtol=1e-11)
 
 
+def random_element(alg: Algebra, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
+    """An algebra element with independent complex normal coordinates."""
+    v = rng.standard_normal(alg.dim) + 1j * rng.standard_normal(alg.dim)
+    return alg.from_coords(scale * v)
+
+
 def traced_peak(fn, *args):
     """``fn(*args)`` together with the peak bytes it held beyond what was
     allocated before the call, as ``tracemalloc`` sees them."""

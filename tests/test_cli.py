@@ -486,17 +486,19 @@ def test_scaled_corner_gram_fails_the_inner_product_rule(tmp_path, monkeypatch):
     factors, and ``tensor`` exits 1."""
     from corrkit.hilbmod import Correspondence
 
-    built = Correspondence.corner_actions.func
+    built = Correspondence.corner_frame.func
 
     def scaled(corr):
-        stacks = list(built(corr))
-        stacks[0] = stacks[0].copy()
-        stacks[0][corr.algebra.dim:] *= 1 + 1e-6
-        return tuple(stacks)
+        frame = list(built(corr))
+        corner, actions = frame[0]
+        actions = actions.copy()
+        actions[corr.algebra.dim:] *= 1 + 1e-6
+        frame[0] = (corner, actions)
+        return tuple(frame)
 
     argv = ["tensor", str(SHIPPED / "correspondence-seed0.json"), "--left", "F", "--right", "F"]
     assert main(argv) == EXIT_PASS
-    monkeypatch.setattr(Correspondence, "corner_actions", property(scaled))
+    monkeypatch.setattr(Correspondence, "corner_frame", property(scaled))
     out = tmp_path / "out.json"
     assert main(argv + ["--report", "machine", "--out", str(out)]) == EXIT_FAIL
     failed = [c["name"] for c in json.loads(out.read_text())["checks"] if not c["passed"]]

@@ -78,12 +78,12 @@ def test_right_limit_increasing_with_eigen_oracle():
 
     unit = lim.unit
     e1, e2 = ps.power(1), ps.power(2)
-    p1 = rank_one(e1, unit.levels[1], unit.levels[1]).matrix
+    p1 = rank_one(e1, unit.levels[1], unit.levels[1])
     u = ps.u(1, 1)
     lifted = u @ amplify(p1, ps.tensor(1, 1)[1], side="left") @ map_adjoint(
         u, ps.tensor(1, 1)[0], e2
     )
-    diff = lifted - rank_one(e2, unit.levels[2], unit.levels[2]).matrix
+    diff = lifted - rank_one(e2, unit.levels[2], unit.levels[2])
     s = e2.scalar_gram
     for _ in range(50):
         x = rng.standard_normal(e2.dim) + 1j * rng.standard_normal(e2.dim)

@@ -235,7 +235,7 @@ def _oracle_balanced_gram(eplus, v, t):
     out = np.zeros((m, m, m, m, n, n), dtype=complex)
     for i in range(m):
         for k in range(m):
-            image = vt @ rank_one(eplus, _basis(m, i), _basis(m, k)).matrix @ vt_inv
+            image = vt @ rank_one(eplus, _basis(m, i), _basis(m, k)) @ vt_inv
             for j in range(m):
                 for l in range(m):
                     out[i, j, k, l] = sum(eplus.gram[j, q] * image[q, l] for q in range(m))

@@ -37,6 +37,7 @@ from corrkit.hilbmod import (
     null_space,
     pull_gram,
     rank_one,
+    rank_one_stack,
     reduce_presentation,
     right_unitor,
     tensor_lift,
@@ -268,16 +269,16 @@ def test_rank_one_projection():
     e0 = algebra_correspondence(alg)
     xi = alg.coords(alg.unit)
     p = rank_one(e0, xi, xi)
-    assert max_dev(p.matrix @ p.matrix, p.matrix) < TOL
-    assert max_dev(p.adjoint, p.matrix) < TOL
+    assert max_dev(p @ p, p) < TOL
+    assert max_dev(map_adjoint(p, e0, e0), p) < TOL
 
 
 def test_rank_one_zero():
     e = seeded_module(1)
     z = rank_one(e, np.zeros(e.dim), np.ones(e.dim))
-    assert max_dev(z.matrix, 0) == 0.0
+    assert max_dev(z, 0) == 0.0
     z2 = rank_one(e, np.ones(e.dim), np.zeros(e.dim))
-    assert max_dev(z2.matrix, 0) == 0.0
+    assert max_dev(z2, 0) == 0.0
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -289,14 +290,44 @@ def test_rank_one_against_direct_evaluation(seed):
     z = rng.standard_normal(e.dim) + 1j * rng.standard_normal(e.dim)
     op = rank_one(e, x, y)
     direct = e.right_of(e.inner(y, z)) @ x
-    assert max_dev(op.matrix @ z, direct) < 1e-10
-    assert max_dev(op.adjoint, rank_one(e, y, x).matrix) < 1e-12
+    assert max_dev(op @ z, direct) < 1e-10
+    assert max_dev(map_adjoint(op, e, e), rank_one(e, y, x)) < 1e-12
 
 
 def test_rank_one_dimension_mismatch():
     e = seeded_module(0)
     with pytest.raises(IncompatibleOperandsError):
         rank_one(e, np.zeros(e.dim + 1), np.zeros(e.dim))
+
+
+def ref_rank_one(e, x, y):
+    """``z -> x <y, z>`` by two einsums over the Gram coordinates and the right action."""
+    gy = np.einsum("l,ljc->jc", np.conj(y), e.gram_coords)
+    return np.einsum("jc,cuw,w->uj", gy, e.right_action, x)
+
+
+def ref_rank_one_stack(e):
+    """Every basis rank-one ``e_i e_j*``, stacked (m, m, m, m), by one einsum."""
+    return np.einsum("jvc,cui->ijuv", e.gram_coords, e.right_action)
+
+
+def test_rank_ones_match_the_einsum_oracles():
+    """On every module of the shipped files, the m = 9 ladder module and its
+    ``E_1``, and a [1, 2] correspondence in a skew basis: the rank-ones of
+    random unit vectors and of all basis pairs agree with the einsums to 1e-14
+    relative to their largest entry (the skew basis has entries up to 31)."""
+    rng = np.random.default_rng(11)
+    ladder = standard_module(make_algebra([3]), [3])
+    modules = shipped_modules() + [ladder, ladder_e1([3]),
+                                   skewed(algebra_correspondence(make_algebra([1, 2])), 8)]
+    assert len(modules) == 15
+    for e in modules:
+        for _ in range(3):
+            x, y = (v / np.linalg.norm(v) for v in (_rand(rng, e.dim), _rand(rng, e.dim)))
+            ref = ref_rank_one(e, x, y)
+            assert max_dev(rank_one(e, x, y), ref) <= 1e-14 * max(1.0, np.abs(ref).max())
+        ref = ref_rank_one_stack(e)
+        assert max_dev(rank_one_stack(e), ref) <= 1e-14 * max(1.0, np.abs(ref).max())
 
 
 def test_compacts_span():
@@ -557,16 +588,21 @@ def _rank_deficient_module():
     _rank_deficient_module(),
 ])
 def test_gram_rows_factor_the_gram(e):
-    u = e.gram_rows
-    assert u.shape[1:] == (e.dim, e.algebra.size, e.algebra.size)
-    assert max_dev(np.einsum("piba,pkbc->ikac", u.conj(), u), e.gram) < KERNEL_ATOL
+    """The Gram factor rows ``u[p, i] = sum_c w[p, i, c] e^b_{0c}`` of each block
+    give ``<e_i, e_k> = sum_p u[p, i]* u[p, k]``, whose block ``b`` is
+    ``sum_p conj(w[p, i, a]) w[p, k, c]``, and there are as many as the Gram's rank."""
+    rebuilt = np.zeros_like(e.gram)
+    for w, sl, nb in zip(e._gram_factor, e.algebra.block_slices, e.algebra.blocks):
+        assert w.shape[1:] == (e.dim, nb)
+        rebuilt[:, :, sl, sl] = np.einsum("pia,pkc->ikac", w.conj(), w)
+    assert max_dev(rebuilt, e.gram) < KERNEL_ATOL
     big = e.gram.transpose(0, 2, 1, 3).reshape(e.dim * e.algebra.size, -1)
-    assert len(u) == oracle_rank(big, rtol=RANK_RTOL)
+    assert sum(map(len, e._gram_factor)) == oracle_rank(big, rtol=RANK_RTOL)
 
 
 def test_rank_deficient_module_has_fewer_rows():
     e = _rank_deficient_module()
-    assert len(e.gram_rows) < e.dim
+    assert sum(map(len, e._gram_factor)) < e.dim
 
 
 def _assert_eigh_range(e, f, monkeypatch):
@@ -629,7 +665,7 @@ def test_algebra_tensor_inner_map_correspondence_realizes_dimension_nine(monkeyp
     e = algebra_correspondence(make_algebra([3]))
     v = np.kron(random_unitary(np.random.default_rng(1), 3), np.eye(3))
     endo = endomorphism_from_conjugation(e, v)
-    assert len(e.gram_rows) == 3 < e.dim
+    assert sum(map(len, e._gram_factor)) == 3 < e.dim
     skew = np.eye(9) + 0.3 * _rand(np.random.default_rng(2), 9, 9)
     inv = np.linalg.inv(skew)
     for t in (1, 2):
@@ -853,11 +889,23 @@ def test_compacts_span_fails_on_a_truncated_basis():
 # the corner-compressed Gram factor
 # ---------------------------------------------------------------------------
 
+def ref_gram_rows(e):
+    """The Gram factor rows of ``e`` as algebra elements ``u[p, i]``, of shape
+    (P, m, n, n): row 0 of block ``b`` holds ``w_b[p, i]``."""
+    alg = e.algebra
+    rows = []
+    for w, sl in zip(e._gram_factor, alg.block_slices):
+        u = np.zeros((len(w), e.dim, alg.size, alg.size), dtype=complex)
+        u[:, :, sl.start, sl] = w
+        rows.append(u)
+    return np.concatenate(rows)
+
+
 def ref_factor_rows(e, f):
     """The uncompressed factor: ``K[(p, g), (i, j)] = (S_F^{1/2} L(u[p, i]))[g, j]``,
     with ``P m_F`` rows."""
     sqrt_left = f.scalar_sqrt @ f.left_action
-    k = np.tensordot(e.algebra.coords(e.gram_rows), sqrt_left, axes=([2], [0]))
+    k = np.tensordot(e.algebra.coords(ref_gram_rows(e)), sqrt_left, axes=([2], [0]))
     return k.transpose(0, 2, 1, 3).reshape(len(k) * f.dim, e.dim * f.dim)
 
 
@@ -882,7 +930,7 @@ def test_corner_factor_on_doubled_swap():
     """A commutative pair whose block units act with rank 2 on a 4-dimensional
     carrier, so each corner is a proper subspace."""
     f = doubled_swap_correspondence()
-    assert [c.shape[1] for c in f.corner_maps] == [2, 2]
+    assert [c.shape[1] for c, _ in f.corner_frame] == [2, 2]
     for e in (f, conjugated(f, random_unitary(np.random.default_rng(3), 4))):
         k = _assert_factor_of_pre_gram(e, f)
         assert len(k) < len(ref_factor_rows(e, f))
@@ -894,7 +942,7 @@ def test_corner_factor_with_a_killed_block():
     alg = make_algebra([1, 1])
     f = standard_module(alg, [1, 1], multiplicities=[[1, 0], [1, 0]])
     assert validate_module(f).passed
-    assert [c.shape[1] for c in f.corner_maps] == [2, 0]
+    assert [c.shape[1] for c, _ in f.corner_frame] == [2, 0]
     e = conjugated(standard_module(alg, [2, 1]), random_unitary(np.random.default_rng(4), 3))
     assert len(e._gram_factor[1]) > 0
     k = _assert_factor_of_pre_gram(e, f)
@@ -911,7 +959,7 @@ def test_corner_factor_after_a_larger_block():
     assert validate_module(f).passed
     # L(e^0_00) keeps row 0 of the one block-0 copy (2 dims); L(e^1_00) is the
     # identity on the two block-1 copies (2 + 1 dims)
-    assert [c.shape for c in f.corner_maps] == [(2, 2, 7), (1, 3, 7)]
+    assert [c.shape for c, _ in f.corner_frame] == [(2, 2, 7), (1, 3, 7)]
     e = conjugated(standard_module(alg, [2, 1]), random_unitary(rng, 5))
     _assert_factor_of_pre_gram(e, f)
 
@@ -1056,9 +1104,10 @@ def test_frame_identities_on_shipped_correspondences(k):
     d, n, m = f.algebra.dim, f.algebra.size, f.dim
     k_mat = _corner_factor(f, f)
     copies = [len(w) for w in f._gram_factor]
+    actions = [a for _, a in f.corner_frame]
     pre = np.zeros((m * m, m * m, n, n), dtype=complex)
     at = 0
-    for p, stack in zip(copies, f.corner_actions):
+    for p, stack in zip(copies, actions):
         gt = stack[d:].reshape(n, n, *stack.shape[1:]).transpose(2, 3, 0, 1)
         for _ in range(p):
             pre += pull_gram(k_mat[at:at + stack.shape[1]], gt)
@@ -1066,7 +1115,7 @@ def test_frame_identities_on_shipped_correspondences(k):
     assert max_dev(pre, tensor_pre_gram(f, f)) < KERNEL_ATOL
     w = np.concatenate([g.transpose(0, 2, 1).reshape(-1, m) for g in f._gram_factor])
     for c in range(d):
-        moved = _block_diag([s[c] for p, s in zip(copies, f.corner_actions) for _ in range(p)])
+        moved = _block_diag([s[c] for p, s in zip(copies, actions) for _ in range(p)])
         assert max_dev(k_mat @ np.kron(np.eye(m), f.right_action[c]), moved @ k_mat) < KERNEL_ATOL
         left = _block_diag([np.kron(mb[c], np.eye(nb))
                             for mb, nb in zip(f._left_blocks, f.algebra.blocks)])

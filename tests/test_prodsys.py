@@ -38,6 +38,7 @@ from conftest import (
     oracle_rank,
     oracle_scalarized,
     oracles,
+    random_element,
     small_generator,
     traced_peak,
     triple_copy,
@@ -83,7 +84,7 @@ def test_powers_of_algebra_are_multiplication():
     assert all(ps.power(n).dim == alg.dim for n in range(4))
     assert ps.verification.passed
     rng = np.random.default_rng(0)
-    a, b = alg.random_element(rng, 0.5), alg.random_element(rng, 0.5)
+    a, b = random_element(alg, rng, 0.5), random_element(alg, rng, 0.5)
     # the canonical identification with the algebra factor is multiplication
     mod01, fm01 = ps.tensor(0, 1)
     image = ps.u(0, 1) @ fm01.matrix @ np.kron(alg.coords(a), alg.coords(b))
@@ -173,6 +174,29 @@ def test_coherence_on_seeded_generators(seed):
     ps = build_powers(small_generator(seed), 3)
     assert ps.verification.passed
     assert ps.verification.max_deviation < TOL
+
+
+def test_one_adjoint_per_identification(monkeypatch):
+    """The coherence sweep adjoints each identification ``u(s,t)`` at most once:
+    its unitarity check takes ``uinv(s, t)``, which the rebracketings reuse."""
+    import corrkit.hilbmod as hilbmod
+    import corrkit.prodsys as prodsys
+
+    levels = 4
+    ps = build_powers(conjugated(doubled_swap_correspondence(),
+                                 random_unitary(np.random.default_rng(9), 4)), levels)
+    real, calls = hilbmod.map_adjoint, []
+
+    def counted(v, dom, cod):
+        calls.append(id(v))
+        return real(v, dom, cod)
+
+    for module in (hilbmod, prodsys):
+        monkeypatch.setattr(module, "map_adjoint", counted)
+    assert ps.coherence_report().passed
+    pairs = {id(ps.u(s, t)) for s in range(levels + 1) for t in range(levels + 1 - s)}
+    assert set(calls) <= pairs
+    assert len(calls) == len(set(calls)) > 0
 
 
 def _plane_units():
