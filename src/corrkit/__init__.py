@@ -36,12 +36,10 @@ from .hilbmod import (
     adjointable_basis,
     algebra_correspondence,
     associator,
-    compacts_span_check,
     fullness_check,
     internal_tensor,
     left_faithful_check,
     rank_one,
-    reduce_presentation,
     validate_module,
 )
 from .dilation import (

@@ -38,9 +38,11 @@ from .hilbmod import (
     tensor_pre_gram,
     validate_module,
 )
-from .instance import Instance, PROFILES, RunConfig, emit_instance, generate_instance, parse_instance
+from .instance import (
+    PROFILES, Instance, RunConfig, _pairs, emit_instance, generate_instance, parse_instance,
+)
 from .prodsys import build_powers, check_unit, find_central_unital_unit
-from .report import FAIL, NOT_APPLICABLE, PASS, UNKNOWN, VerificationReport
+from .report import NOT_APPLICABLE, PASS, UNKNOWN, VerificationReport
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -80,8 +82,7 @@ def _cmd_validate(inst: Instance, config: RunConfig) -> VerificationReport:
     for name in sorted(inst.modules):
         rep.extend(validate_module(inst.modules[name], config.tol), prefix=f"{name}.")
     if inst.endomorphism is not None:
-        eplus, endo = inst.make_endo()
-        rep.extend(validate_endomorphism(endo, config.tol))
+        rep.extend(validate_endomorphism(inst.make_endo()[1], config.tol))
     return rep
 
 
@@ -273,13 +274,8 @@ def main(argv=None) -> int:
                 ops = adjointable_basis(inst.module(args.module), config.tol)
             doc = {
                 "module": args.module,
-                "operators": [
-                    {
-                        "matrix": [[[float(x.real), float(x.imag)] for x in row] for row in op.matrix],
-                        "adjoint": [[[float(x.real), float(x.imag)] for x in row] for row in op.adjoint],
-                    }
-                    for op in ops
-                ],
+                "operators": [{"matrix": _pairs(op.matrix), "adjoint": _pairs(op.adjoint)}
+                              for op in ops],
             }
             _emit(json.dumps(doc, sort_keys=True, indent=1), args.out)
             return EXIT_PASS

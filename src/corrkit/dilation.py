@@ -52,6 +52,7 @@ from .hilbmod import (
     rank_one_stack,
     right_unitor,
     tensor_lift,
+    tensor_vector,
     validate_module,
 )
 from .prodsys import (
@@ -60,14 +61,12 @@ from .prodsys import (
     ProductSystem,
     Unit,
     check_unit,
-    choi_matrix,
+    cp_checks,
     derive_unit,
     find_central_unital_unit,
     unit_cp_matrix_level,
 )
 from .report import NOT_APPLICABLE, VerificationReport, _worst
-
-NOT_APPLICABLE_DETAIL = "not applicable (non-spatial)"
 
 
 # ---------------------------------------------------------------------------
@@ -96,35 +95,15 @@ def right_limit(ps: ProductSystem, xi1: np.ndarray) -> TruncatedLimit:
         raise PreconditionError(
             f"unit is not unital (deviation {unit.unitality_deviation:.3e})"
         )
-    n_levels = ps.levels
-    rep = VerificationReport("right limit", provenance={"levels": n_levels})
-    embeddings = _right_embeddings(ps, unit)
-    for n, j in enumerate(embeddings):
-        check_map(rep, j, ps.power(n), ps.power(n + 1), tol, {
-            "isometry": f"right-embedding-isometry[{n}]", "gram": f"right-embedding-gram[{n}]"})
-        rep.add(f"right-vector-coherence[{n}]", _dev(j @ unit.levels[n], unit.levels[n + 1]), tol)
-    for n in range(n_levels):
-        for t in range(1, n_levels - n):
-            lifted = tensor_lift(
-                embeddings[n], ps.tensor(n, t)[1], ps.tensor(n + 1, t)[1], side="left"
-            )
-            rep.add(
-                f"right-factorization-square[{n},{t}]",
-                _dev(ps.u(n + 1, t) @ lifted, embeddings[n + t] @ ps.u(n, t)),
-                tol,
-            )
-    for s in range(1, n_levels):
-        for t in range(1, n_levels + 1 - s):
-            es = ps.power(s)
-            proj_s = rank_one(es, unit.levels[s], unit.levels[s])
-            lifted = stage_shift(ps, proj_s, s, t)
-            est = ps.power(s + t)
-            proj_st = rank_one(est, unit.levels[s + t], unit.levels[s + t])
-            rep.add(
-                f"increasing-projection[{s},{t}]",
-                est.positivity_defect(lifted - proj_st),
-                tol,
-            )
+    rep = VerificationReport("right limit", provenance={"levels": ps.levels})
+    embeddings = _limit_embeddings(ps, unit, "right", rep)
+    _limit_squares(ps, embeddings, "right", rep)
+    projs = [rank_one(ps.power(n), v, v) for n, v in enumerate(unit.levels)]
+    for s in range(1, ps.levels):
+        for t in range(1, ps.levels + 1 - s):
+            lifted = stage_shift(ps, projs[s], s, t)
+            rep.add(f"increasing-projection[{s},{t}]",
+                    ps.power(s + t).positivity_defect(lifted - projs[s + t]), tol)
     _stage_endomorphism_checks(ps, rep)
     return TruncatedLimit(ps, unit, embeddings, rep)
 
@@ -148,6 +127,49 @@ def _stage_endomorphism_checks(ps: ProductSystem, rep: VerificationReport) -> No
         )
 
 
+def _limit_embeddings(
+    ps: ProductSystem, unit: Unit, side: str, rep: VerificationReport | None = None
+) -> list[np.ndarray]:
+    """The embeddings of stage n into stage n + 1 of the limit along ``unit``:
+    ``x -> xi . x`` through ``u(1,n)`` (``side="right"``) or ``x -> x . omega``
+    through ``u(n,1)`` (``side="left"``).  With ``rep``, each is checked as an
+    isometry preserving the Gram (on the left also bilinear) that carries the
+    unit's level n to level n + 1."""
+    props = {"isometry": "isometry", "gram": "gram"}
+    if side == "left":
+        props["left-linear"] = "bilinear"
+    out = []
+    for n in range(ps.levels):
+        pair = (1, n) if side == "right" else (n, 1)
+        j = ps.u(*pair) @ tensor_vector(ps.tensor(*pair)[1], unit.vector, side)
+        if rep is not None:
+            check_map(rep, j, ps.power(n), ps.power(n + 1), ps.tol,
+                      {p: f"{side}-embedding-{name}[{n}]" for p, name in props.items()})
+            rep.add(f"{side}-vector-coherence[{n}]",
+                    _dev(j @ unit.levels[n], unit.levels[n + 1]), ps.tol)
+        out.append(j)
+    return out
+
+
+def _limit_squares(
+    ps: ProductSystem, embeddings: list[np.ndarray], side: str, rep: VerificationReport
+) -> None:
+    """The identifications commute with the embeddings ``j`` on ``E_a . E_b``:
+    ``u(a+1,b) (j_a . id) = j_{a+b} u(a,b)`` for the right limit
+    (``right-factorization-square[a,b]``, ``b >= 1``) and
+    ``u(a,b+1) (id . j_b) = j_{a+b} u(a,b)`` for the left one
+    (``left-embedding-square[a,b]``, ``a >= 1``)."""
+    left = side == "left"
+    name = "left-embedding-square" if left else "right-factorization-square"
+    for a in range(int(left), ps.levels):
+        for b in range(int(not left), ps.levels - a):
+            n, cod = (b, (a, b + 1)) if left else (a, (a + 1, b))
+            lifted = tensor_lift(embeddings[n], ps.tensor(a, b)[1], ps.tensor(*cod)[1],
+                                 side="right" if left else "left")
+            rep.add(f"{name}[{a},{b}]",
+                    _dev(ps.u(*cod) @ lifted, embeddings[a + b] @ ps.u(a, b)), ps.tol)
+
+
 def left_limit(ps: ProductSystem, omega1: np.ndarray) -> TruncatedLimit:
     """Stage the limit along a central unital unit, ``x -> x . omega``.
 
@@ -162,34 +184,15 @@ def left_limit(ps: ProductSystem, omega1: np.ndarray) -> TruncatedLimit:
             f"vector is not a central unital unit (unitality "
             f"{unit.unitality_deviation:.3e}, centrality {unit.centrality_deviation:.3e})"
         )
-    n_levels = ps.levels
-    alg = ps.algebra
-    rep = VerificationReport("left limit", provenance={"levels": n_levels})
-    embeddings = []
-    for n in range(n_levels):
-        fm = ps.tensor(n, 1)[1]
-        k = ps.u(n, 1) @ fm.matrix @ np.kron(np.eye(ps.power(n).dim), omega1.reshape(-1, 1))
-        embeddings.append(k)
-        check_map(rep, k, ps.power(n), ps.power(n + 1), tol, {
-            "isometry": f"left-embedding-isometry[{n}]", "gram": f"left-embedding-gram[{n}]",
-            "left-linear": f"left-embedding-bilinear[{n}]"})
-        rep.add(f"left-vector-coherence[{n}]", _dev(k @ unit.levels[n], unit.levels[n + 1]), tol)
-    for n in range(n_levels + 1):
+    rep = VerificationReport("left limit", provenance={"levels": ps.levels})
+    embeddings = _limit_embeddings(ps, unit, "left", rep)
+    for n in range(ps.levels + 1):
         en = ps.power(n)
         v = unit.levels[n]
         rep.add(f"central-vector-expectation[{n}]",
-                _dev(en.inner(v, en.left_action @ v), alg.basis), tol)
+                _dev(en.inner(v, en.left_action @ v), ps.algebra.basis), tol)
         rep.add_flag(f"left-faithful[{n}]", left_faithful_check(en))
-    for t in range(1, n_levels):
-        for m in range(n_levels - t):
-            lifted = tensor_lift(
-                embeddings[m], ps.tensor(t, m)[1], ps.tensor(t, m + 1)[1], side="right"
-            )
-            rep.add(
-                f"left-embedding-square[{t},{m}]",
-                _dev(ps.u(t, m + 1) @ lifted, embeddings[t + m] @ ps.u(t, m)),
-                tol,
-            )
+    _limit_squares(ps, embeddings, "left", rep)
     return TruncatedLimit(ps, unit, embeddings, rep)
 
 
@@ -360,6 +363,16 @@ class DilationPipeline:
         return w.blocks[m] @ lifted_op @ w.adjoints[m]
 
 
+def _certified_non_spatial(rep: VerificationReport, search: CentralUnitSearch) -> bool:
+    """Whether the search certified that no central unital unit exists; if so,
+    ``rep`` records it and gets the ``not-applicable`` verdict."""
+    if search.status != "none-exists":
+        return False
+    rep.add_flag("spatiality-certified-none", True)
+    rep.set_status(NOT_APPLICABLE, f"not applicable (non-spatial); {search.certificate}")
+    return True
+
+
 def verify_main(pipe: DilationPipeline) -> VerificationReport:
     """Full verification that the endomorphism semigroup extends to a
     semigroup of unitaries on the doubled module.
@@ -381,9 +394,7 @@ def verify_main(pipe: DilationPipeline) -> VerificationReport:
     rep.extend(validate_module(pipe.e1().corr, tol), prefix="associated-")
 
     search = pipe.spatial()
-    if search.status == "none-exists":
-        rep.add_flag("spatiality-certified-none", True)
-        rep.set_status(NOT_APPLICABLE, NOT_APPLICABLE_DETAIL + f"; {search.certificate}")
+    if _certified_non_spatial(rep, search):
         return rep
 
     ps = pipe.ps()
@@ -464,18 +475,7 @@ def weak_dilation_check(pipe: DilationPipeline, xi_plus: np.ndarray) -> WeakDila
         rep.add(f"projection-increasing[{t}]", eplus.positivity_defect(moved[0] - p0), tol)
         # column c holds the coordinates of T_t(b_c) = <xi, theta^t(xi b_c xi*) xi>
         tmats.append(alg.coords(eplus.inner(xi_plus, moved[1:] @ xi_plus)).T)
-    unit_coords = alg.coords(alg.unit)
-    star = alg.star_index
-    for t in range(1, levels + 1):
-        tm = tmats[t - 1]
-        rep.add(f"cp-unital[{t}]", _dev(tm @ unit_coords, unit_coords), tol)
-        choi = choi_matrix(alg, tm)
-        eigs = np.linalg.eigvalsh((choi + choi.conj().T) / 2.0)
-        scale = max(1.0, float(eigs.max(initial=0.0)))
-        rep.add(f"choi-positive[{t}]",
-                _worst((_dev(choi, choi.conj().T), -eigs.min())), tol * scale)
-        images = alg.from_coords(tm.T)  # images[c] is T_t(basis[c])
-        rep.add(f"cp-star[{t}]", _dev(images[star], images.conj().transpose(0, 2, 1)), tol)
+    cp_checks(rep, alg, tmats, tol, unital=True)
     for s in range(1, levels + 1):
         for t in range(1, levels + 1 - s):
             rep.add(
@@ -485,7 +485,7 @@ def weak_dilation_check(pipe: DilationPipeline, xi_plus: np.ndarray) -> WeakDila
             )
 
     e1 = pipe.e1()
-    xi1 = e1.factor.matrix @ np.outer(xi_plus.conj(), xi_plus).ravel()
+    xi1 = tensor_vector(e1.factor, xi_plus, "left") @ xi_plus.conj()
     rep.add("candidate-unit-norm", _dev(e1.corr.inner(xi1, xi1), alg.unit), tol)
     ps = pipe.ps()
     rep.extend(check_unit(ps, xi1))
@@ -543,10 +543,7 @@ def verify_supplement(pipe: DilationPipeline, xi_plus: np.ndarray) -> Verificati
     )
     rep.extend(wd.report)
 
-    search = pipe.spatial()
-    if search.status == "none-exists":
-        rep.add_flag("spatiality-certified-none", True)
-        rep.set_status(NOT_APPLICABLE, NOT_APPLICABLE_DETAIL + f"; {search.certificate}")
+    if _certified_non_spatial(rep, pipe.spatial()):
         return rep
 
     rep.extend(verify_main(pipe))
@@ -558,7 +555,7 @@ def verify_supplement(pipe: DilationPipeline, xi_plus: np.ndarray) -> Verificati
     corners = _corners(eplus, xi_plus)
     p0 = rank_one(eplus, xi_plus, xi_plus)
     # the vector xi+ . omega_m on every stage, and its projection
-    vs = [stages[m].factor.matrix @ np.outer(xi_plus, omega.levels[m]).ravel()
+    vs = [tensor_vector(stages[m].factor, omega.levels[m], "left") @ xi_plus
           for m in range(levels + 1)]
     projs = [rank_one(stages[m].tensor, v, v) for m, v in enumerate(vs)]
     for t in range(1, levels + 1):
@@ -729,8 +726,7 @@ def compare_unit_limits(ps: ProductSystem, xi1: np.ndarray, xi2: np.ndarray) -> 
         _dev(found @ u1.vector, u2.vector),
     )), tol)
     v_stage = found
-    j1 = _right_embeddings(ps, u1)
-    j2 = _right_embeddings(ps, u2)
+    j1, j2 = (_limit_embeddings(ps, u, "right") for u in (u1, u2))
     for n in range(1, ps.levels):
         fm = ps.tensor(n, 1)[1]
         v_next = fm.matrix @ np.kron(v_stage, found) @ fm.section
@@ -741,17 +737,6 @@ def compare_unit_limits(ps: ProductSystem, xi1: np.ndarray, xi2: np.ndarray) -> 
         v_stage = v_next
     verdict = "automorphism-found" if rep.passed else "unknown"
     return UnitComparison(verdict, rep, found)
-
-
-def _right_embeddings(ps: ProductSystem, unit: Unit) -> list[np.ndarray]:
-    """The embeddings ``x -> xi . x`` of stage n into stage n + 1."""
-    out = []
-    for n in range(ps.levels):
-        fm = ps.tensor(1, n)[1]
-        out.append(
-            ps.u(1, n) @ fm.matrix @ np.kron(unit.vector.reshape(-1, 1), np.eye(ps.power(n).dim))
-        )
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -782,7 +767,7 @@ def spatiality_report(pipe: DilationPipeline) -> tuple[str, VerificationReport]:
         rep.add_flag("fullness-necessary-condition", fullness_check(eplus))
         rep.add("central-unit-unitality", search.residuals.get("unitality", 0.0), tol)
         rep.add("central-unit-centrality", search.residuals.get("centrality", 0.0), tol)
-        stages, stage_rep = pipe.stages()
+        stages = pipe.stages()[0]
         omega = derive_unit(pipe.ps(), search.vector)
         vs = {}
         for t in range(1, levels + 1):

@@ -53,6 +53,7 @@ from .hilbmod import (
     pull_gram,
     rank_one_stack,
     rank_ones_span,
+    tensor_vector,
 )
 from .report import VerificationReport, _worst
 
@@ -432,8 +433,7 @@ def isometry_from_unit(
             f"vector is not central unital (unitality {unit_dev:.3e}, "
             f"centrality {cent_dev:.3e})"
         )
-    m = eplus.dim
-    v = u_matrix @ tensor_factor.matrix @ np.kron(np.eye(m), omega_t.reshape(-1, 1))
+    v = u_matrix @ tensor_vector(tensor_factor, omega_t, "left")
     rep = VerificationReport(f"intertwining isometry from unit [t={t}]")
     adj = check_map(rep, v, eplus, eplus, tol, {"isometry": f"isometry[{t}]"})
     rep.add(f"intertwining[{t}]", _dev(endo.image_ops(t) @ v, v @ endo.op_stack), tol)

@@ -15,8 +15,8 @@ is the algebraic tensor carrier with the balanced pre-inner product
 ``<x (x) y, x' (x) y'> = <y, L(<x, x'>) y'>``, quotiented by its length-zero
 vectors.
 
-Every realized module (an internal tensor, an associated correspondence
-``E_t``, a reduced presentation) comes from one primitive, :func:`_realize`,
+Every realized module (an internal tensor or an associated correspondence
+``E_t``) comes from one primitive, :func:`_realize`,
 applied to a factor ``k`` of the carrier's scalarized Gram ``k^H k``.  It
 returns the projection onto the realization and a section with
 ``proj @ section = I``, and the realized scalar Gram is ``I``: realizations
@@ -112,6 +112,21 @@ def pull_gram(v: np.ndarray, gram: np.ndarray) -> np.ndarray:
     """
     pulled = v.conj().T @ gram.transpose(2, 3, 0, 1) @ v
     return np.ascontiguousarray(pulled.transpose(2, 3, 0, 1))
+
+
+def psd_defect(a: np.ndarray) -> tuple[float, float]:
+    """``(defect, scale)`` of a square matrix ``a``: the defect is the worse of
+    the distance of ``a`` from Hermitian and minus the least eigenvalue of its
+    Hermitian part (0 when ``a`` is positive semidefinite, NaN when an entry is
+    not finite); the scale is ``max(1, top eigenvalue)``, what a tolerance
+    relative to the size of ``a`` multiplies."""
+    if not a.size:
+        return 0.0, 1.0
+    herm = _dev(a, a.conj().T)
+    if not math.isfinite(herm):  # eigvalsh reads one triangle and may drop a NaN
+        return herm, 1.0
+    eigs = np.linalg.eigvalsh((a + a.conj().T) / 2.0)
+    return _worst((herm, -eigs[0])), max(1.0, float(eigs[-1]))
 
 
 def _range_basis(a: np.ndarray) -> np.ndarray:
@@ -258,11 +273,9 @@ class ModulePresentation:
         return np.einsum("i,...j,ijab->...ab", np.conj(x), y, self.gram)
 
     def positivity_defect(self, a: np.ndarray) -> float:
-        """How far the operator ``a`` is from being positive in B^a(E)."""
-        w = self.scalar_sqrt @ a @ self.scalar_isqrt
-        herm = _dev(w, w.conj().T)
-        eigs = np.linalg.eigvalsh((w + w.conj().T) / 2.0)
-        return _worst((herm, -eigs.min(initial=0.0)))
+        """How far the operator ``a`` is from being positive in B^a(E): the
+        :func:`psd_defect` of ``a`` whitened by the scalar Gram."""
+        return psd_defect(self.scalar_sqrt @ a @ self.scalar_isqrt)[0]
 
 
 @dataclass
@@ -426,13 +439,8 @@ def validate_module(
     rhs = _products(pres.gram.reshape(m * m, n, n), alg.basis).reshape(m, m, n, d, n)
     rep.add("gram-right-linearity", _dev(lhs, rhs.transpose(3, 1, 0, 2, 4)), tol)
 
-    big = pres.gram.transpose(0, 2, 1, 3).reshape(m * n, m * n)
-    if big.size:
-        eigs = np.linalg.eigvalsh((big + big.conj().T) / 2.0)
-        scale = max(1.0, float(eigs.max(initial=0.0)))
-        rep.add("gram-positive", _worst((-eigs.min(),)), tol * scale)
-    else:
-        rep.add("gram-positive", 0.0, tol)
+    defect, scale = psd_defect(pres.gram.transpose(0, 2, 1, 3).reshape(m * n, m * n))
+    rep.add("gram-positive", defect, tol * scale)
 
     if check_nondegenerate:
         rep.add("scalar-gram-nondegenerate", _degeneracy(pres, tol), 0.0)
@@ -513,35 +521,6 @@ def _realize(k: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndar
         v = vh.conj().T
         return (v * s) @ vh, (v / s) @ vh, u @ vh
     return s[:r, None] * vh[:r], vh[:r].conj().T / s[:r], u[:, :r]
-
-
-def reduce_presentation(
-    pres: ModulePresentation, tol: float = DEFAULT_TOL
-) -> tuple[ModulePresentation, np.ndarray]:
-    """Quotient a possibly degenerate presentation by its length-zero vectors.
-
-    Every axiom except nondegeneracy must hold; otherwise the presentation
-    is rejected.  Nondegenerate input comes back unchanged with the identity
-    projection; otherwise the reduction is :func:`_realize` of the Gram
-    factor rows over ``sqrt(n)``: ``proj @ section = I`` for a section, and
-    the reduced scalar Gram is ``I``.
-    """
-    rep = validate_module(pres, tol, check_nondegenerate=False)
-    if not rep.passed:
-        names = ", ".join(c.name for c in rep.failed_checks())
-        raise InvalidPresentationError(f"axiom violations besides degeneracy: {names}")
-    m = pres.dim
-    # row (p, c) of block b is w[p, :, c]: the scalarized Gram is sum |w|^2 / n
-    rows = [w.transpose(0, 2, 1).reshape(len(w) * w.shape[2], m) for w in pres._gram_factor]
-    proj, section, _ = _realize(np.concatenate(rows) / np.sqrt(pres.algebra.size), tol)
-    if len(proj) == m:
-        return pres, np.eye(m, dtype=complex)
-    right = proj @ pres.right_action @ section
-    gram = pull_gram(section, pres.gram)
-    if pres.is_correspondence:
-        left = proj @ pres.left_action @ section
-        return Correspondence(pres.algebra, right, gram, left), proj
-    return ModulePresentation(pres.algebra, right, gram), proj
 
 
 # ---------------------------------------------------------------------------
@@ -714,18 +693,6 @@ def rank_ones_span(e: ModulePresentation, coords: np.ndarray, resid: float, tol:
     return resid <= tol * scale and matrix_rank_tol(coords) == coords.shape[1]
 
 
-def compacts_span_check(
-    e: ModulePresentation, ops: list[AdjointableOperator] | None = None
-) -> bool:
-    """Whether the rank-one operators span all adjointable operators, decided by
-    :func:`rank_ones_span` at the default tolerance; ``ops`` is the orthonormal
-    basis of :func:`adjointable_basis`, computed when not supplied."""
-    m = e.dim
-    ops = adjointable_basis(e) if ops is None else ops
-    coords, resid = basis_coords(operator_rows(ops, m), rank_one_stack(e).reshape(m * m, m * m))
-    return rank_ones_span(e, coords, resid, DEFAULT_TOL)
-
-
 def fullness_check(e: ModulePresentation) -> bool:
     """Whether the inner products span the whole algebra."""
     m = e.dim
@@ -748,6 +715,14 @@ def amplify(a: np.ndarray, fm: FactorMap, *, side: str = "left") -> np.ndarray:
     """Descend ``a (x) id`` (or ``id (x) a``) through a factor map; a stack
     of operators gives the stack of their amplifications."""
     return fm.matrix @ _lift(a, fm.section, fm.source_dims, side)
+
+
+def tensor_vector(fm: FactorMap, vec: np.ndarray, side: str) -> np.ndarray:
+    """The (r, k) matrix of ``x -> [x (x) vec]`` (``x`` in the left factor,
+    ``side="left"``) or of ``x -> [vec (x) x]`` (``side="right"``), read off the
+    factor map without forming ``kron(I, vec)``."""
+    rows = fm.matrix.reshape(len(fm.matrix), *fm.source_dims)
+    return rows @ vec if side == "left" else np.tensordot(rows, vec, axes=([1], [0]))
 
 
 def tensor_lift(

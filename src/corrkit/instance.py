@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import cmath
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -378,20 +378,10 @@ def parse_instance(path: str) -> Instance:
 # encoding
 # ---------------------------------------------------------------------------
 
-def _encode_scalar(z: complex) -> list[float]:
-    return [float(np.real(z)), float(np.imag(z))]
-
-
-def _encode_matrix(m: np.ndarray) -> list:
-    return [[_encode_scalar(x) for x in row] for row in np.asarray(m)]
-
-
-def _encode_vector(v: np.ndarray) -> list:
-    return [_encode_scalar(x) for x in np.asarray(v)]
-
-
-def _encode_element(a: np.ndarray, alg: Algebra) -> list:
-    return [_encode_matrix(b) for b in alg.split(a)]
+def _pairs(a: np.ndarray) -> list:
+    """A complex array as nested lists with ``[re, im]`` pairs of floats at the bottom."""
+    a = np.asarray(a, dtype=complex)
+    return np.stack([a.real, a.imag], -1).tolist()
 
 
 def encode_instance(inst: Instance) -> dict:
@@ -399,28 +389,25 @@ def encode_instance(inst: Instance) -> dict:
     doc: dict = {"algebra": {"blocks": list(alg.blocks)}, "modules": {}}
     for name in sorted(inst.modules):
         mod = inst.modules[name]
+        blocks = [_pairs(mod.gram[:, :, sl, sl]) for sl in alg.block_slices]
         entry = {
             "dim": mod.dim,
-            "right_action": [_encode_matrix(mod.right_action[c]) for c in range(alg.dim)],
-            "gram": [
-                [_encode_element(mod.gram[i, j], alg) for j in range(mod.dim)]
-                for i in range(mod.dim)
-            ],
+            "right_action": _pairs(mod.right_action),
+            "gram": [[[grid[i][j] for grid in blocks] for j in range(mod.dim)]
+                     for i in range(mod.dim)],
         }
         if mod.is_correspondence:
-            entry["left_action"] = [
-                _encode_matrix(mod.left_action[c]) for c in range(alg.dim)
-            ]
+            entry["left_action"] = _pairs(mod.left_action)
         doc["modules"][name] = entry
     if inst.vectors:
         doc["vectors"] = {
-            name: {"module": mod_name, "entries": _encode_vector(vec)}
+            name: {"module": mod_name, "entries": _pairs(vec)}
             for name, (mod_name, vec) in sorted(inst.vectors.items())
         }
     if inst.endomorphism is not None:
         doc["endomorphism"] = {
             "on": inst.endomorphism[0],
-            "matrix": _encode_matrix(inst.endomorphism[1]),
+            "matrix": _pairs(inst.endomorphism[1]),
             "basis": OPERATOR_BASIS,
         }
     if inst.product_system is not None:
@@ -428,17 +415,10 @@ def encode_instance(inst: Instance) -> dict:
             "generator": inst.product_system["generator"],
             "levels": inst.product_system["levels"],
             "units": {
-                name: _encode_vector(vec)
-                for name, vec in sorted(inst.product_system["units"].items())
+                name: _pairs(vec) for name, vec in sorted(inst.product_system["units"].items())
             },
         }
-    doc["config"] = {
-        "levels": inst.config.levels,
-        "tol": inst.config.tol,
-        "budget": inst.config.budget,
-        "seed": inst.config.seed,
-        "report": inst.config.report,
-    }
+    doc["config"] = asdict(inst.config)
     return doc
 
 

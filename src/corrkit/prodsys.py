@@ -38,11 +38,13 @@ from .hilbmod import (
     left_unitor,
     map_adjoint,
     null_space,
+    psd_defect,
     pull_gram,
     right_unitor,
+    tensor_vector,
     validate_module,
 )
-from .report import VerificationReport, _worst
+from .report import VerificationReport
 
 DEFAULT_BUDGET = 4096
 
@@ -219,8 +221,7 @@ def derive_unit(ps: ProductSystem, xi1: np.ndarray) -> Unit:
         )
     levels = [ps.algebra.coords(ps.algebra.unit), xi1]
     for n in range(2, ps.levels + 1):
-        fm = ps._tensors[(n - 1, 1)][1]
-        levels.append(fm.matrix @ np.outer(levels[n - 1], xi1).ravel())
+        levels.append(tensor_vector(ps.tensor(n - 1, 1)[1], xi1, "left") @ levels[n - 1])
     unit_dev = _dev(e1.inner(xi1, xi1), ps.algebra.unit)
     cent_dev = _dev(e1.left_action @ xi1, e1.right_action @ xi1)
     return Unit(xi1, levels, unit_dev <= ps.tol, cent_dev <= ps.tol, unit_dev, cent_dev)
@@ -233,17 +234,14 @@ def check_unit(ps: ProductSystem, xi1: np.ndarray) -> VerificationReport:
     rep = VerificationReport("unit checks", provenance={"levels": ps.levels})
     for s in range(ps.levels + 1):
         for t in range(ps.levels + 1 - s):
-            fm = ps.tensor(s, t)[1]
-            image = ps.u(s, t) @ fm.matrix @ np.outer(unit.levels[s], unit.levels[t]).ravel()
+            pair = tensor_vector(ps.tensor(s, t)[1], unit.levels[t], "left") @ unit.levels[s]
+            image = ps.u(s, t) @ pair
             rep.add(f"unit-propagation[{s},{t}]", _dev(image, unit.levels[s + t]), tol)
-    for n in range(ps.levels + 1):
-        en = ps.power(n)
-        v = unit.levels[n]
-        rep.add(f"unitality-level-{n}", _dev(en.inner(v, v), ps.algebra.unit), tol)
+    for n, v in enumerate(unit.levels):
+        rep.add(f"unitality-level-{n}", _dev(ps.power(n).inner(v, v), ps.algebra.unit), tol)
     if unit.central:
-        for n in range(ps.levels + 1):
+        for n, v in enumerate(unit.levels):
             en = ps.power(n)
-            v = unit.levels[n]
             rep.add(f"centrality-level-{n}", _dev(en.left_action @ v, en.right_action @ v), tol)
     else:
         rep.detail = f"not central (level-1 deviation {unit.centrality_deviation:.3e})"
@@ -321,44 +319,46 @@ def choi_matrix(alg: Algebra, tmat: np.ndarray) -> np.ndarray:
     """Choi matrix of the map extended by the block conditional expectation."""
     n = alg.size
     rows, cols = alg.basis_positions
-    choi = np.zeros((n * n, n * n), dtype=complex)
-    for k in range(alg.dim):
-        unit = np.zeros((n, n), dtype=complex)
-        unit[rows[k], cols[k]] = 1.0
-        choi += np.kron(unit, alg.from_coords(tmat[:, k]))
-    return choi
+    choi = np.zeros((n, n, n, n), dtype=complex)
+    choi[rows, :, cols, :] = alg.from_coords(tmat.T)  # block (r, c) is the image of e_rc
+    return choi.reshape(n * n, n * n)
+
+
+def cp_checks(
+    rep: VerificationReport, alg: Algebra, tmats: list[np.ndarray], tol: float, unital: bool
+) -> list[np.ndarray]:
+    """Add, for each level ``t`` of the maps ``T_t`` with matrices ``tmats[t - 1]``,
+    ``cp-unital[t]`` (when ``unital``), ``choi-positive[t]`` (the
+    :func:`psd_defect` of the Choi matrix, against ``tol`` times its scale) and
+    ``cp-star[t]``; returns the Choi matrices."""
+    unit_coords, star = alg.coords(alg.unit), alg.star_index
+    chois = []
+    for t, tm in enumerate(tmats, 1):
+        if unital:
+            rep.add(f"cp-unital[{t}]", _dev(tm @ unit_coords, unit_coords), tol)
+        chois.append(choi_matrix(alg, tm))
+        defect, scale = psd_defect(chois[-1])
+        rep.add(f"choi-positive[{t}]", defect, tol * scale)
+        images = alg.from_coords(tm.T)  # images[c] is T_t(basis[c])
+        rep.add(f"cp-star[{t}]", _dev(images[star], images.conj().transpose(0, 2, 1)), tol)
+    return chois
 
 
 def cp_of_unit(ps: ProductSystem, xi1: np.ndarray) -> CPFamily:
     """The CP semigroup generated by a unit, verified level by level.
 
-    ``T_t`` is the t-th power of ``b -> <xi, L(b) xi>``; each level is
-    cross-checked against the inner product taken in the realized power,
-    Choi positivity is verified, and unitality is asserted when the unit is
-    unital.
+    ``T_t`` is the t-th power of ``b -> <xi, L(b) xi>``; every level gets the
+    checks of :func:`cp_checks` (unitality when the unit is unital), then each
+    is cross-checked against the inner product taken in the realized power.
     """
-    alg, levels, tol = ps.algebra, ps.levels, ps.tol
-    unit = derive_unit(ps, xi1)
+    unit, tol = derive_unit(ps, xi1), ps.tol
     t1 = unit_cp_matrix_level(ps, unit, 1)
-    rep = VerificationReport("cp maps of unit", provenance={"levels": levels})
-    star = alg.star_index
-    maps = []
-    unit_coords = alg.coords(alg.unit)
-    for t in range(1, levels + 1):
-        tm = np.linalg.matrix_power(t1, t)
-        choi = choi_matrix(alg, tm)
-        rep.add(f"choi-hermitian[{t}]", _dev(choi, choi.conj().T), tol)
-        eigs = np.linalg.eigvalsh((choi + choi.conj().T) / 2.0)
-        scale = max(1.0, float(eigs.max(initial=0.0)))
-        rep.add(f"choi-positive[{t}]", _worst((-eigs.min(),)), tol * scale)
-        images = alg.from_coords(tm.T)  # images[c] is T_t(basis[c])
-        rep.add(f"cp-star[{t}]", _dev(images[star], images.conj().transpose(0, 2, 1)), tol)
-        if unit.unital:
-            rep.add(f"cp-unital[{t}]", _dev(tm @ unit_coords, unit_coords), tol)
-        direct = unit_cp_matrix_level(ps, unit, t)
-        rep.add(f"cp-semigroup-crosscheck[{t}]", _dev(tm, direct), tol)
-        maps.append(CPMap(t, tm, choi))
-    return CPFamily(maps, rep)
+    rep = VerificationReport("cp maps of unit", provenance={"levels": ps.levels})
+    tmats = [np.linalg.matrix_power(t1, t) for t in range(1, ps.levels + 1)]
+    chois = cp_checks(rep, ps.algebra, tmats, tol, unit.unital)
+    for t, tm in enumerate(tmats, 1):
+        rep.add(f"cp-semigroup-crosscheck[{t}]", _dev(tm, unit_cp_matrix_level(ps, unit, t)), tol)
+    return CPFamily([CPMap(t, tm, c) for t, (tm, c) in enumerate(zip(tmats, chois), 1)], rep)
 
 
 def unit_cp_matrix_level(ps: ProductSystem, unit: Unit, t: int) -> np.ndarray:

@@ -58,6 +58,26 @@ def test_flipped_flag_is_a_difference_without_headroom(tmp_path, capsys):
     assert len(out) == 2
 
 
+def test_family_that_newly_reads_zero_is_a_difference(tmp_path, capsys):
+    """A family whose deviations all read exactly 0.0 in the second run but not
+    in the first is listed with its indices read as ``*`` and counts as a
+    difference; one that was 0.0 already, or is not 0.0 everywhere, is not."""
+    def checks(t1, t2, flag):
+        return [_check("coherence[1,2,1]", t1, 1e-9), _check("coherence[1,1,2]", t2, 1e-9),
+                _check("gram-positive", 1e-15, 1e-9), _check("left-faithful[3]", flag, 0.0)]
+
+    first = _run_dir(tmp_path / "a", {"w/00": checks(1e-15, 0.0, 0.0)})
+    second = _run_dir(tmp_path / "b", {"w/00": checks(0.0, 0.0, 0.0)})
+    assert compare_reports.diff(first, second) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[1] == ("1 check families read exactly 0.0 on every output of the second run "
+                      "only: ['coherence[*,*,*]']")
+    assert out[2].endswith("0 differ in exit code, verdict, status, check names or pass flags; "
+                           "0 outputs byte-identical")
+    third = _run_dir(tmp_path / "c", {"w/00": checks(0.0, 1e-16, 0.0)})
+    assert compare_reports.diff(first, third) == 0
+
+
 def test_reordered_checks_name_the_first_that_moved(tmp_path, capsys):
     a, b, c = (_check(n, 1e-12, 1e-9) for n in "abc")
     first = _run_dir(tmp_path / "a", {"w/00": [a, b, c], "w/01": [a, b]})

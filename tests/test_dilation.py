@@ -206,6 +206,25 @@ def test_weak_dilation_applies_theta_once_per_level(monkeypatch):
     assert calls == [1, 2, 3]
 
 
+def test_non_hermitian_choi_fails_choi_positive(monkeypatch):
+    """A Choi matrix off Hermitian by a skew-Hermitian 1e-6 i, whose Hermitian
+    part stays positive, fails ``choi-positive[t]`` in both reports that run
+    the CP checks, and nothing else does."""
+    import corrkit.prodsys as prodsys
+    from corrkit.prodsys import ProductSystem, cp_of_unit
+
+    real = prodsys.choi_matrix
+    monkeypatch.setattr(prodsys, "choi_matrix",
+                        lambda alg, tm: real(alg, tm) + 1e-6j * np.eye(alg.size ** 2))
+    inst = inner_rotation_instance()
+    pipe = DilationPipeline(inst.eplus, inst.endo, levels=2)
+    e1 = algebra_correspondence(make_algebra([1, 2]))
+    reports = [weak_dilation_check(pipe, inst.unit_vectors["xi"]).report,
+               cp_of_unit(ProductSystem(e1, 2), find_central_unital_unit(e1).vector).report]
+    for rep in reports:
+        assert {c.name for c in rep.failed_checks()} == {"choi-positive[1]", "choi-positive[2]"}
+
+
 def test_weak_dilation_identity():
     inst = identity_mixed_instance()
     wd = weak_dilation_check(DilationPipeline(inst.eplus, inst.endo, levels=4), inst.unit_vectors["xi"])

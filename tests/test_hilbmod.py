@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from corrkit.algebra import make_algebra
-from corrkit.errors import IncompatibleOperandsError, InvalidPresentationError
+from corrkit.errors import IncompatibleOperandsError
 from corrkit.gallery import (
     block_swap_correspondence,
     conjugated,
@@ -26,8 +26,8 @@ from corrkit.hilbmod import (
     algebra_correspondence,
     amplify,
     associator,
+    basis_coords,
     check_map,
-    compacts_span_check,
     fullness_check,
     internal_tensor,
     is_nondegenerate,
@@ -35,13 +35,16 @@ from corrkit.hilbmod import (
     left_unitor,
     map_adjoint,
     null_space,
+    operator_rows,
+    psd_defect,
     pull_gram,
     rank_one,
     rank_one_stack,
-    reduce_presentation,
+    rank_ones_span,
     right_unitor,
     tensor_lift,
     tensor_pre_gram,
+    tensor_vector,
     validate_module,
 )
 from corrkit.prodsys import build_powers
@@ -100,35 +103,39 @@ def test_nondegeneracy_has_one_definition(diag, ok):
     assert (check.deviation == 0.0) == ok
 
 
+def test_psd_defect_needs_hermitian_and_finite():
+    """``psd_defect`` is 0 on a positive matrix and minus the least eigenvalue
+    on a Hermitian one; a matrix whose Hermitian part is positive but that is
+    not Hermitian fails, and a NaN entry, wherever it sits, gives NaN."""
+    assert psd_defect(np.diag([2.0, 0.0])) == (0.0, 2.0)
+    assert psd_defect(np.diag([0.5, -0.25])) == (0.25, 1.0)
+    skew = np.array([[1.0, 1.0], [0.0, 1.0]])  # Hermitian part [[1, .5], [.5, 1]] > 0
+    assert np.linalg.eigvalsh((skew + skew.T) / 2.0).min() > 0.0
+    defect, scale = psd_defect(skew)
+    assert defect == 1.0 and not defect <= TOL * scale
+    for at in ((0, 0), (0, 1), (1, 0)):
+        bad = np.eye(2, dtype=complex)
+        bad[at] = np.nan
+        defect, scale = psd_defect(bad)
+        assert np.isnan(defect) and not defect <= TOL * scale
+
+
 # ---------------------------------------------------------------------------
 # reduction
 # ---------------------------------------------------------------------------
 
-def test_reduce_nondegenerate_is_identity():
-    pres = seeded_module(3)
-    reduced, proj = reduce_presentation(pres)
-    assert reduced is pres
-    assert max_dev(proj, np.eye(pres.dim)) == 0.0
-
-
 def test_reduce_drops_single_null_vector():
+    """Realizing ``E . C`` over C, whose pre-Gram is the Gram of ``E``, drops
+    the one null vector and keeps the inner product along the factor map."""
     alg = make_algebra([1])
     right = np.eye(3, dtype=complex)[None, :, :]
     gram = np.zeros((3, 3, 1, 1), dtype=complex)
     gram[:2, :2, 0, 0] = np.array([[2.0, 0.3], [0.3, 1.0]])
     pres = ModulePresentation(alg, right, gram)
-    reduced, proj = reduce_presentation(pres)
+    reduced, fm = internal_tensor(pres, algebra_correspondence(alg))
     assert reduced.dim == 2
-    # the projection preserves the inner product
-    pulled = np.einsum("ui,vj,uvab->ijab", proj.conj(), proj, reduced.gram)
+    pulled = np.einsum("ui,vj,uvab->ijab", fm.matrix.conj(), fm.matrix, reduced.gram)
     assert max_dev(pulled, gram) < TOL
-
-
-def test_reduce_rejects_other_violations():
-    e0 = algebra_correspondence(make_algebra([2]))
-    bad = Correspondence(e0.algebra, e0.right_action, -e0.gram, e0.left_action)
-    with pytest.raises(InvalidPresentationError):
-        reduce_presentation(bad)
 
 
 def test_block_swap_tensor_kernel():
@@ -330,11 +337,20 @@ def test_rank_ones_match_the_einsum_oracles():
         assert max_dev(rank_one_stack(e), ref) <= 1e-14 * max(1.0, np.abs(ref).max())
 
 
+def _compacts_span(e, ops=None):
+    """Whether the rank-ones span the operators ``ops`` (by default the basis of
+    ``adjointable_basis``), decided as ``validate_endomorphism`` decides it."""
+    m = e.dim
+    ops = adjointable_basis(e) if ops is None else ops
+    coords, resid = basis_coords(operator_rows(ops, m), rank_one_stack(e).reshape(m * m, m * m))
+    return rank_ones_span(e, coords, resid, TOL)
+
+
 def test_compacts_span():
     alg = make_algebra([1])
-    assert compacts_span_check(standard_module(alg, [2]))
-    assert compacts_span_check(algebra_correspondence(make_algebra([1, 2])))
-    assert compacts_span_check(standard_module(make_algebra([1, 1]), [2, 2]))
+    assert _compacts_span(standard_module(alg, [2]))
+    assert _compacts_span(algebra_correspondence(make_algebra([1, 2])))
+    assert _compacts_span(standard_module(make_algebra([1, 1]), [2, 2]))
 
 
 def test_fullness():
@@ -513,23 +529,12 @@ def _assert_whitened(proj, section, pre):
 
 @pytest.mark.parametrize("k", range(8))
 def test_pre_gram_and_quotient_match_einsum(k):
-    """The kron-free pre-Gram against the einsum formula; the reduction of the
-    reference pre-tensor and the realized tensor against the formulas on
-    their sections."""
+    """The kron-free pre-Gram against the einsum formula, and the realized
+    tensor against the formulas on its section."""
     e, f = tensor_pairs()[k]
     pre = ref_pre_tensor(e, f)
     assert max_dev(tensor_pre_gram(e, f), pre.gram) < KERNEL_ATOL
-    reduced, proj = reduce_presentation(pre)
-    if reduced is pre:
-        assert k >= 2  # the first two pairs are degenerate
-        assert np.array_equal(proj, np.eye(pre.dim))
-        assert oracle_rank(pre.scalar_gram) == pre.dim
-    else:
-        # the section of the whitened projection diag(s) V^H is V diag(1/s)
-        section = np.linalg.pinv(proj)
-        _assert_whitened(proj, section, pre)
-        _assert_formulas_on_section(reduced, proj, section, pre)
-    # internal_tensor builds the same pre-tensor without kron
+    # internal_tensor realizes the reference pre-tensor without kron
     tensor, fm = internal_tensor(e, f)
     _assert_whitened(fm.matrix, fm.section, pre)
     _assert_formulas_on_section(tensor, fm.matrix, fm.section, pre)
@@ -539,6 +544,27 @@ def test_quotient_degenerate_pairs_really_reduce():
     for e, f in tensor_pairs()[:2]:
         tensor, _ = internal_tensor(e, f)
         assert tensor.dim < e.dim * f.dim
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 6])
+def test_tensor_vector_matches_kron(k):
+    """``tensor_vector`` against the ``kron``/``outer`` formulas on both sides,
+    for degenerate (k = 0, 1) and nondegenerate (k = 2, 6) factor maps."""
+    e, f = tensor_pairs()[k]
+    tensor, fm = internal_tensor(e, f)
+    assert (tensor.dim < e.dim * f.dim) == (k < 2)
+    rng = np.random.default_rng(90 + k)
+    x, y = _rand(rng, e.dim), _rand(rng, f.dim)
+    close = lambda a, ref: max_dev(a, ref) <= 1e-14 * max(1.0, np.abs(ref).max())
+    pair = fm.matrix @ np.outer(x, y).ravel()
+    left = tensor_vector(fm, y, "left")  # x -> [x (x) y]
+    assert left.shape == (tensor.dim, e.dim)
+    assert close(left, fm.matrix @ np.kron(np.eye(e.dim), y.reshape(-1, 1)))
+    assert close(left @ x, pair)
+    right = tensor_vector(fm, x, "right")  # y -> [x (x) y]
+    assert right.shape == (tensor.dim, f.dim)
+    assert close(right, fm.matrix @ np.kron(x.reshape(-1, 1), np.eye(f.dim)))
+    assert close(right @ y, pair)
 
 
 @pytest.mark.parametrize("k", range(8))
@@ -614,8 +640,7 @@ def _assert_eigh_range(e, f, monkeypatch):
         raise AssertionError("pre-tensor formed")
 
     with monkeypatch.context() as patch:
-        for name in ("tensor_pre_gram", "reduce_presentation"):
-            patch.setattr(hilbmod, name, refuse)
+        patch.setattr(hilbmod, "tensor_pre_gram", refuse)
         tensor, fm = internal_tensor(e, f)
     _assert_whitened(fm.matrix, fm.section, ref_pre_tensor(e, f))
     return tensor
@@ -633,16 +658,18 @@ def test_factored_tensor_keeps_the_eigh_range(monkeypatch):
 
 
 @pytest.mark.parametrize("pre", [
-    ref_pre_tensor(*tensor_pairs()[0]),
-    ref_pre_tensor(*tensor_pairs()[1]),
-    _rank_deficient_module(),
+    tensor_pairs()[0],
+    tensor_pairs()[1],
+    (_rank_deficient_module(), algebra_correspondence(make_algebra([1, 2]))),
 ])
 def test_reduced_degenerate_presentation_is_whitened(pre):
-    """The reduction has the oracle's rank, pulls its Gram back to the input
-    Gram along the projection, and has the identity scalar Gram."""
-    reduced, proj = reduce_presentation(pre)
-    assert reduced.dim == oracle_rank(oracle_scalarized(pre.algebra, pre.gram)) < pre.dim
-    assert max_dev(pull_gram(proj, reduced.gram), pre.gram) < 1e-12
+    """The realization of a degenerate algebraic tensor (the operand pair
+    ``pre``) has the oracle's rank, pulls its Gram back to the pre-Gram along
+    the factor map, and has the identity scalar Gram."""
+    ref = ref_pre_tensor(*pre)
+    reduced, fm = internal_tensor(*pre)
+    assert reduced.dim == oracle_rank(oracle_scalarized(ref.algebra, ref.gram)) < ref.dim
+    assert max_dev(pull_gram(fm.matrix, reduced.gram), ref.gram) < 1e-12
     assert max_dev(reduced.scalar_gram, np.eye(reduced.dim)) < 1e-12
     assert validate_module(reduced).passed
 
@@ -858,29 +885,15 @@ def test_rotated_plane_has_all_operators_adjointable(seed):
     assert len(adjointable_basis(e)) == 4
 
 
-def test_compacts_span_reuses_supplied_basis(monkeypatch):
-    import corrkit.hilbmod as hilbmod
-
-    e = seeded_module(1)
-    ops = adjointable_basis(e)
-    expected = compacts_span_check(e)
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("operator basis recomputed")
-
-    monkeypatch.setattr(hilbmod, "adjointable_basis", refuse)
-    assert compacts_span_check(e, ops=ops) == expected
-
-
 def test_compacts_span_fails_on_a_truncated_basis():
     """The rank-ones span every shipped module's operators, so dropping one
     basis operator leaves some rank-one outside the span."""
     truncated = 0
     for e in shipped_modules():
         ops = adjointable_basis(e)
-        assert compacts_span_check(e, ops)
+        assert _compacts_span(e, ops)
         if len(ops) >= 2:
-            assert not compacts_span_check(e, ops[:-1])
+            assert not _compacts_span(e, ops[:-1])
             truncated += 1
     assert truncated
 

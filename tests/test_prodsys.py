@@ -24,6 +24,7 @@ from corrkit.prodsys import (
     ProductSystem,
     build_powers,
     check_unit,
+    choi_matrix,
     cp_of_unit,
     derive_unit,
     find_central_unital_unit,
@@ -315,6 +316,22 @@ def test_cp_scalar_scaling():
     norm = 0.6**2 + 0.8**2
     for cp in fam.maps:
         assert abs(cp.matrix[0, 0] - norm**cp.level) < 1e-12
+
+
+@pytest.mark.parametrize("blocks", [[1], [2], [1, 2], [2, 3, 1]])
+def test_choi_matrix_matches_the_kron_loop(blocks):
+    """The Choi matrix written blockwise equals the sum of ``kron(e_rc, T(e_rc))``
+    over the matrix units, entry for entry."""
+    alg = make_algebra(blocks)
+    rng = np.random.default_rng(sum(blocks))
+    tmat = rng.standard_normal((alg.dim, alg.dim)) + 1j * rng.standard_normal((alg.dim, alg.dim))
+    rows, cols = alg.basis_positions
+    ref = np.zeros((alg.size ** 2, alg.size ** 2), dtype=complex)
+    for k in range(alg.dim):
+        unit = np.zeros((alg.size, alg.size))
+        unit[rows[k], cols[k]] = 1.0
+        ref += np.kron(unit, alg.from_coords(tmat[:, k]))
+    assert np.array_equal(choi_matrix(alg, tmat), ref)
 
 
 @pytest.mark.parametrize("seed", range(4))

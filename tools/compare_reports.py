@@ -23,7 +23,11 @@ passing checks, so the headroom of a "digits only" change shows.  An output
 that is not a report (``generate``, ``basis``) and differs still counts as a
 difference; when its JSON structure and its non-numeric values agree, the
 line says "numbers only" with the largest absolute difference of a number.
-The exit status is 1 when any command differs, else 0.
+It also lists every check family (a check name with each run of digits read
+as ``*``, e.g. ``coherence[*,*,*]``) whose deviation reads exactly 0.0 on
+every output of the second run but not of the first: a check that has come to
+hold by construction, and so no longer tests anything, counts as a difference.
+The exit status is 1 when any command or family differs, else 0.
 """
 from __future__ import annotations
 
@@ -31,6 +35,7 @@ import argparse
 import importlib.util
 import json
 import os
+import re
 import shutil
 import sys
 from itertools import zip_longest
@@ -146,6 +151,14 @@ def _output_diff(bytes_a: bytes, bytes_b: bytes) -> str:
     return "output differs" if gap is None else f"numbers only, largest |difference| {gap:.1e}"
 
 
+def _fold_zeros(zeros: dict, doc) -> None:
+    """Fold a report into ``zeros``: per check family (digits read as ``*``),
+    whether every deviation seen so far reads exactly 0.0."""
+    for c in doc["checks"]:
+        family = re.sub(r"\d+", "*", c["name"])
+        zeros[family] = zeros.get(family, True) and float(c["deviation"]) == 0.0
+
+
 def _without_digits(doc) -> dict:
     return {**doc, "checks": [{k: v for k, v in c.items() if k not in ("deviation", "tolerance")}
                               for c in doc["checks"]]}
@@ -159,6 +172,7 @@ def diff(first: Path, second: Path) -> int:
     keys = sorted(set(runs[0]) | set(runs[1]))
     identical, differing, digits = 0, [], []
     worst = [0.0, 0.0]
+    zeros = [{}, {}]
     for key in keys:
         a, b = runs[0].get(key), runs[1].get(key)
         if a is None or b is None:
@@ -167,6 +181,9 @@ def diff(first: Path, second: Path) -> int:
         reasons = [f"{field} {a[field]!r} -> {b[field]!r}"
                    for field in ("command", "exit", "check", "known_fault") if a[field] != b[field]]
         (bytes_a, doc_a), (bytes_b, doc_b) = (_report(root / f"{key}.json") for root in (first, second))
+        for side, doc in zip(zeros, (doc_a, doc_b)):
+            if doc is not None:
+                _fold_zeros(side, doc)
         if bytes_a is not None and bytes_a == bytes_b:
             identical += 1
         elif doc_a is not None and doc_b is not None:
@@ -195,14 +212,18 @@ def diff(first: Path, second: Path) -> int:
             reasons.append(_output_diff(bytes_a, bytes_b))
         if reasons:
             differing.append(f"{key} ({a['command']}): " + "; ".join(reasons))
+    zeroed = sorted(f for f, zero in zeros[1].items() if zero and zeros[0].get(f) is False)
     for line in differing + digits:
         print(line)
+    if zeroed:
+        print(f"{len(zeroed)} check families read exactly 0.0 on every output of the second "
+              f"run only: {zeroed}")
     print(f"{len(keys)} commands: {len(differing)} differ in exit code, verdict, status, "
           f"check names or pass flags; {identical} outputs byte-identical")
     if digits:
         print(f"{len(digits)} outputs differ only in digits; largest passing deviation/tolerance "
               f"over them {worst[0]:.1e} -> {worst[1]:.1e}")
-    return 1 if differing else 0
+    return 1 if differing or zeroed else 0
 
 
 def main(argv=None) -> int:
