@@ -56,8 +56,10 @@ def _exit_code(report: VerificationReport) -> int:
     return EXIT_PASS if report.status == PASS else EXIT_FAIL
 
 
-def run(command: str, inst: Instance, config: RunConfig, **kwargs) -> tuple[int, VerificationReport]:
-    """Dispatch one verification command; returns (exit code, report)."""
+def run(command: str, inst: Instance, **kwargs) -> tuple[int, VerificationReport]:
+    """Dispatch one verification command under ``inst.config``, the config the
+    instance was parsed and validated with; returns (exit code, report)."""
+    config = inst.config
     handlers = {
         "validate": _cmd_validate,
         "tensor": _cmd_tensor,
@@ -233,16 +235,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_overrides(config: RunConfig, args) -> RunConfig:
-    return RunConfig(
-        levels=args.levels if args.levels is not None else config.levels,
-        tol=args.tol if args.tol is not None else config.tol,
-        budget=args.budget if args.budget is not None else config.budget,
-        seed=args.seed if args.seed is not None else config.seed,
-        report=args.report if args.report is not None else config.report,
-    )
-
-
 def _emit(text: str, out: str | None) -> None:
     if out:
         with open(out, "w", encoding="utf-8") as fh:
@@ -253,19 +245,17 @@ def _emit(text: str, out: str | None) -> None:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    # the flags given override the instance's config section
+    flags = {k: v for k in ("levels", "tol", "budget", "seed", "report")
+             if (v := getattr(args, k)) is not None}
     try:
         if args.command == "generate":
-            config = _apply_overrides(RunConfig(), args)
-            inst = generate_instance(config.seed, args.profile)
+            inst = generate_instance(RunConfig(**flags).seed, args.profile)
             _emit(emit_instance(inst), args.out)
             return EXIT_PASS
 
-        inst = parse_instance(args.instance)
-        config = _apply_overrides(inst.config, args)
-        inst.config = config
-        if args.levels is not None and inst.product_system is not None:
-            inst.product_system["levels"] = args.levels
-
+        inst = parse_instance(args.instance, flags)
+        config = inst.config
         if args.command == "basis":
             # the endomorphism's module already has its basis from parsing
             if inst.endomorphism is not None and inst.endomorphism[0] == args.module:
@@ -284,7 +274,7 @@ def main(argv=None) -> int:
         for key in ("left", "right", "vector", "first", "second"):
             if hasattr(args, key):
                 extra[key] = getattr(args, key)
-        code, report = run(args.command, inst, config, **extra)
+        code, report = run(args.command, inst, **extra)
         _emit(report.to_machine() if config.report == "machine" else report.to_text(), args.out)
         return code
     except (InstanceFormatError, PreconditionError) as exc:

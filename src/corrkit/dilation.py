@@ -25,6 +25,7 @@ import numpy as np
 
 from .algebra import DEFAULT_TOL
 from .endo import (
+    ActionStage,
     AssociatedCorrespondence,
     Endomorphism,
     associated_correspondence,
@@ -35,7 +36,6 @@ from .endo import (
 )
 from .errors import PreconditionError
 from .hilbmod import (
-    FactorMap,
     ModulePresentation,
     _dev,
     _range_basis,
@@ -200,18 +200,6 @@ def left_limit(ps: ProductSystem, omega1: np.ndarray) -> TruncatedLimit:
 # the module action of the product system and the staged unitaries
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ActionStage:
-    """Realized ``E+ . E_t`` with the action unitary onto the module, and the
-    operator basis amplified to it once, ``a . id``."""
-
-    t: int
-    tensor: ModulePresentation
-    factor: FactorMap
-    u: np.ndarray
-    ops: np.ndarray
-
-
 def stage_map(ps: ProductSystem, stages: list[ActionStage], t: int, m: int) -> np.ndarray:
     """The map ``E+ . E_{t+m} -> E+ . E_m`` given by ``(u_t . id)(id . u(t,m)^-1)``,
     composed on the triple carrier between the stages ``t + m`` and ``m``."""
@@ -236,9 +224,9 @@ def build_action_stages(pipe: DilationPipeline) -> tuple[list[ActionStage], Veri
     t0, f0 = internal_tensor(eplus, ps.power(0), tol)
     lift = lambda fm: amplify(endo.op_stack, fm, side="left")
     stages = [ActionStage(0, t0, f0, right_unitor(eplus, f0), lift(f0))]
-    base = u_unitary(eplus, endo, 1, pipe.e1(), tol)
-    rep.extend(base.report)
-    stages.append(ActionStage(1, base.tensor, base.factor, base.matrix, base.lifted_ops))
+    stage, stage_rep = u_unitary(eplus, endo, 1, pipe.e1(), tol)
+    rep.extend(stage_rep)
+    stages.append(stage)
     for t in range(2, ps.levels + 1):
         tensor, fm = internal_tensor(eplus, ps.power(t), tol)
         stages.append(ActionStage(t, tensor, fm, None, lift(fm)))
@@ -436,19 +424,15 @@ def _restriction_chain_dev(pipe: DilationPipeline, t: int, m: int, want: np.ndar
 # weak dilations
 # ---------------------------------------------------------------------------
 
-def _corners(eplus: ModulePresentation, xi: np.ndarray) -> np.ndarray:
-    """The corner embedding ``b -> xi b xi*`` of every algebra basis element,
-    stacked (d, m, m)."""
-    return np.stack([rank_one(eplus, r @ xi, xi) for r in eplus.right_action])
-
-
 @dataclass
 class WeakDilation:
     ok: bool
     report: VerificationReport
     cp_matrices: list[np.ndarray]       # T_1 .. T_N in the matrix-unit basis
-    candidate_unit: np.ndarray | None   # vector of E_1
-    unit: Unit | None                   # its powers in the product system
+    unit: Unit                          # the candidate unit of E_1 and its powers
+    # theta^t, t = 0..N, of the probes: the stack of p0 = xi xi* and the
+    # corners xi b_c xi* of the algebra basis elements b_c
+    probes: list[np.ndarray]
 
 
 def weak_dilation_check(pipe: DilationPipeline, xi_plus: np.ndarray) -> WeakDilation:
@@ -468,10 +452,11 @@ def weak_dilation_check(pipe: DilationPipeline, xi_plus: np.ndarray) -> WeakDila
     rep = VerificationReport("weak dilation", provenance={"levels": levels})
     p0 = rank_one(eplus, xi_plus, xi_plus)
     # theta^t once per level, on p0 and the corners xi b xi* together
-    probes = np.concatenate([p0[None], _corners(eplus, xi_plus)])
+    probes = [np.stack([p0] + [rank_one(eplus, r @ xi_plus, xi_plus) for r in eplus.right_action])]
     tmats = []
     for t in range(1, levels + 1):
-        moved = endo.apply(probes, t)
+        moved = endo.apply(probes[0], t)
+        probes.append(moved)
         rep.add(f"projection-increasing[{t}]", eplus.positivity_defect(moved[0] - p0), tol)
         # column c holds the coordinates of T_t(b_c) = <xi, theta^t(xi b_c xi*) xi>
         tmats.append(alg.coords(eplus.inner(xi_plus, moved[1:] @ xi_plus)).T)
@@ -496,7 +481,7 @@ def weak_dilation_check(pipe: DilationPipeline, xi_plus: np.ndarray) -> WeakDila
             _dev(unit_cp_matrix_level(ps, unit, t), tmats[t - 1]),
             tol,
         )
-    return WeakDilation(rep.passed, rep, tmats, xi1, unit)
+    return WeakDilation(rep.passed, rep, tmats, unit, probes)
 
 
 def primary_span_ranks(pipe: DilationPipeline, xi_plus: np.ndarray) -> list[int]:
@@ -552,15 +537,14 @@ def verify_supplement(pipe: DilationPipeline, xi_plus: np.ndarray) -> Verificati
     alg = eplus.algebra
     xi_plus = np.asarray(xi_plus, dtype=complex)
 
-    corners = _corners(eplus, xi_plus)
-    p0 = rank_one(eplus, xi_plus, xi_plus)
+    p0, corners = wd.probes[0][0], wd.probes[0][1:]
     # the vector xi+ . omega_m on every stage, and its projection
     vs = [tensor_vector(stages[m].factor, omega.levels[m], "left") @ xi_plus
           for m in range(levels + 1)]
     projs = [rank_one(stages[m].tensor, v, v) for m, v in enumerate(vs)]
     for t in range(1, levels + 1):
         moved = endo.image_ops(t)
-        moved_p0 = endo.apply(p0, t)
+        moved_p0 = wd.probes[t][0]
         for m in range(levels + 1 - t):
             stage, v = stages[m], vs[m]
             lifted = amplify(moved, stage.factor, side="left")
@@ -579,7 +563,7 @@ def verify_supplement(pipe: DilationPipeline, xi_plus: np.ndarray) -> Verificati
             rep.add(f"filtration-projection[{t},{m}]", filt, tol)
 
     rep.extend(
-        unit_pairing_check(pipe.ps(), wd.candidate_unit, pipe.spatial().vector),
+        unit_pairing_check(pipe.ps(), wd.unit.vector, pipe.spatial().vector),
         prefix="pairing.",
     )
 

@@ -292,15 +292,15 @@ def power_coherence(
 # ---------------------------------------------------------------------------
 
 @dataclass
-class ActionUnitary:
-    """Unitary realize(E+ . E_t) -> E+ implementing the module action."""
+class ActionStage:
+    """Realized ``E+ . E_t`` with the action unitary ``u`` onto the module, and
+    the operator basis amplified to it once, ``a . id``."""
 
-    level: int
-    matrix: np.ndarray
+    t: int
     tensor: ModulePresentation
     factor: FactorMap
-    report: VerificationReport
-    lifted_ops: np.ndarray  # the operator basis amplified to the tensor, ``a . id``
+    u: np.ndarray
+    ops: np.ndarray
 
 
 def u_unitary(
@@ -309,11 +309,12 @@ def u_unitary(
     t: int,
     et: AssociatedCorrespondence | None = None,
     tol: float = DEFAULT_TOL,
-) -> ActionUnitary:
+) -> tuple[ActionStage, VerificationReport]:
     """Build and verify ``u_t : x (x) (y* . z) -> theta^t(x y*) z``.
 
     Requires a full module; the recovery identity
     ``theta^t(a) = u_t (a . id) u_t*`` is verified over the operator basis.
+    Returns the stage ``t`` and the report.
     """
     if t < 1:
         raise PreconditionError("the action unitary is built for t >= 1")
@@ -342,7 +343,7 @@ def u_unitary(
     adj = check_map(rep, u, tensor, eplus, tol, {"unitary": f"action-unitary[{t}]"})
     lifted = amplify(endo.op_stack, fm, side="left")
     rep.add(f"recovery-identity[{t}]", _dev(u @ lifted @ adj, endo.image_ops(t)), tol)
-    return ActionUnitary(t, u, tensor, fm, rep, lifted)
+    return ActionStage(t, tensor, fm, u, lifted), rep
 
 
 # ---------------------------------------------------------------------------

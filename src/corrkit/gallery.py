@@ -1,12 +1,11 @@
 """Named desk-scale instances used by the test suite, docs, and generators.
 
-Modules over a block algebra are built in the standard form
-``(+)_i C^{k_i} (x) C^{n_i}``: one group of ``k_i`` rows of length ``n_i`` per
-algebra block, with blockwise matrix multiplication from the right and the
-blockwise ``x* y`` Gram, each a Kronecker product of matrix units.  Left
-actions come from a multiplicity matrix assigning algebra blocks to operator
-blocks.  A unitary change of basis produces presentations with no visible
-block structure while preserving every axiom exactly.
+Every module here is built from the standard form
+``(+)_i C^{k_i} (x) C^{n_i}`` of :func:`corrkit.hilbmod.standard_module`
+(re-exported here), optionally moved by a unitary change of carrier basis
+(:func:`conjugated`), which hides the block structure while preserving every
+axiom exactly.  Operators on the row index of each group come from the one
+builder :func:`row_operator`.
 
 In finite dimensions an intertwining isometry is automatically unitary, so
 an endomorphism semigroup admits a central unital unit exactly when it is
@@ -26,56 +25,9 @@ from .hilbmod import (
     Correspondence,
     ModulePresentation,
     adjointable_basis,
-    algebra_correspondence,
     pull_gram,
+    standard_module,
 )
-
-
-def standard_module(
-    alg: Algebra,
-    row_counts: list[int],
-    multiplicities: list[list[int]] | None = None,
-) -> ModulePresentation | Correspondence:
-    """Blockwise row-space module, optionally with a multiplicity left action.
-
-    ``row_counts[i]`` rows of length ``blocks[i]`` form the i-th carrier
-    group ``C^{k_i} (x) C^{n_i}``, on which ``R(e^i_pq) = I (x) E_qp`` and
-    ``<(r, a), (r', c)> = delta_{rr'} e^i_ac``.  When ``multiplicities`` is
-    given, group ``i`` must decompose as ``sum_j multiplicities[i][j] * blocks[j]``
-    rows, and ``L(e^j_pq) = ((+)_{j'} delta_{jj'} I_{mu_ij'} (x) E_pq) (x) I_{n_i}``
-    embeds algebra block ``j`` with that multiplicity.
-    """
-    if len(row_counts) != len(alg.blocks):
-        raise InvalidPresentationError("one row count per algebra block is required")
-    blocks, d, n = alg.blocks, alg.dim, alg.size
-    # the matrix units of every block in basis order, where each block's units
-    # start in the basis, and where each row group starts in the carrier
-    units = [np.eye(nb * nb).reshape(nb * nb, nb, nb) for nb in blocks]
-    at = np.cumsum([0] + [nb * nb for nb in blocks])
-    rows = np.cumsum([0] + [k * nb for k, nb in zip(row_counts, blocks)])
-    groups = [slice(a, b) for a, b in zip(rows[:-1], rows[1:])]
-    right = np.zeros((d, rows[-1], rows[-1]), dtype=complex)
-    gram = np.zeros((rows[-1], rows[-1], n, n), dtype=complex)
-    for i, (k, nb, sl, g) in enumerate(zip(row_counts, blocks, alg.block_slices, groups)):
-        right[at[i]:at[i + 1], g, g] = np.kron(np.eye(k)[None], units[i].transpose(0, 2, 1))
-        gram[g, g, sl, sl] = np.kron(np.eye(k)[:, :, None, None], units[i].reshape((nb,) * 4))
-    if multiplicities is None:
-        return ModulePresentation(alg, right, gram)
-
-    left = np.zeros_like(right)
-    for i, (k, nb, g) in enumerate(zip(row_counts, blocks, groups)):
-        sizes = [mu * nj for mu, nj in zip(multiplicities[i], blocks)]
-        if sum(sizes) != k:
-            raise InvalidPresentationError(
-                f"row group {i} of size {k} does not match its multiplicities"
-            )
-        copies = np.cumsum([0] + sizes)
-        for j, mu in enumerate(multiplicities[i]):
-            on_rows = np.zeros((len(units[j]), k, k))  # L(e^j_pq) on the rows of group i
-            span = slice(copies[j], copies[j + 1])
-            on_rows[:, span, span] = np.kron(np.eye(mu)[None], units[j])
-            left[at[j]:at[j + 1], g, g] = np.kron(on_rows, np.eye(nb)[None])
-    return Correspondence(alg, right, gram, left)
 
 
 def conjugated(pres: ModulePresentation, u: np.ndarray):
@@ -95,6 +47,20 @@ def random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
+def row_operator(alg: Algebra, mats: list[np.ndarray]) -> np.ndarray:
+    """``(+)_i mats[i] (x) I_{n_i}`` on a standard-form carrier: ``mats[i]`` acts
+    on the row index of group ``i``, so the result commutes with the right
+    action (and is left multiplication by ``(+)_i mats[i]`` on the algebra
+    over itself)."""
+    parts = [np.kron(a, np.eye(n)) for a, n in zip(mats, alg.blocks)]
+    out = np.zeros((sum(len(p) for p in parts),) * 2, dtype=complex)
+    at = 0
+    for p in parts:
+        out[at:at + len(p), at:at + len(p)] = p
+        at += len(p)
+    return out
+
+
 def unit_vector_of_identity(alg: Algebra, row_counts: list[int]) -> np.ndarray:
     """Coordinates of the identity when the module is the algebra itself."""
     if list(row_counts) != list(alg.blocks):
@@ -112,36 +78,22 @@ def unit_vector_of_identity(alg: Algebra, row_counts: list[int]) -> np.ndarray:
 
 def block_swap_correspondence() -> Correspondence:
     """The algebra over two scalar blocks with the left action swapped."""
-    alg = make_algebra([1, 1])
-    e0 = algebra_correspondence(alg)
-    return Correspondence(alg, e0.right_action, e0.gram, e0.left_action[[1, 0]])
+    return standard_module(make_algebra([1, 1]), [1, 1], [[0, 1], [1, 0]])
 
 
 def plane_correspondence() -> Correspondence:
     """Two-dimensional space over the scalars with trivial actions."""
-    alg = make_algebra([1])
-    eye = np.eye(2, dtype=complex)[None, :, :]
-    return Correspondence(alg, eye.copy(), np.eye(2, dtype=complex).reshape(2, 2, 1, 1), eye.copy())
+    return standard_module(make_algebra([1]), [2], [[2]])
 
 
 def doubled_swap_correspondence() -> Correspondence:
     """Two copies of the algebra over two scalar blocks, one with the
-    left action swapped; its unital units generate different compressions."""
-    alg = make_algebra([1, 1])
-    e0 = algebra_correspondence(alg)
-    d = alg.dim
-    right = np.zeros((d, 4, 4), dtype=complex)
-    left = np.zeros((d, 4, 4), dtype=complex)
-    gram = np.zeros((4, 4, 2, 2), dtype=complex)
-    swapped = e0.left_action[[1, 0]]
-    for c in range(d):
-        right[c][:2, :2] = e0.right_action[c]
-        right[c][2:, 2:] = e0.right_action[c]
-        left[c][:2, :2] = e0.left_action[c]
-        left[c][2:, 2:] = swapped[c]
-    gram[:2, :2] = e0.gram
-    gram[2:, 2:] = e0.gram
-    return Correspondence(alg, right, gram, left)
+    left action swapped; its unital units generate different compressions.
+
+    The carrier is ordered copy by copy: coordinates 0, 1 hold the plain copy
+    and 2, 3 the swapped one."""
+    corr = standard_module(make_algebra([1, 1]), [2, 2], [[1, 1], [1, 1]])
+    return conjugated(corr, np.eye(4, dtype=complex)[:, [0, 3, 1, 2]])
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +139,7 @@ def inner_rotation_instance(angle: float = np.pi / 5) -> EndomorphismInstance:
     g = np.array(
         [[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]], dtype=complex
     )
-    v = np.kron(g.conj().T, np.eye(2))  # left multiplication by g* on row coordinates
+    v = row_operator(alg, [g.conj().T])  # left multiplication by g*
     endo = endomorphism_from_conjugation(eplus, v)
     one = unit_vector_of_identity(alg, [2])
     return EndomorphismInstance("inner-rotation", eplus, endo, True, {"xi": one})
@@ -198,9 +150,7 @@ def inner_two_block_instance(seed: int = 5) -> EndomorphismInstance:
     alg = make_algebra([1, 1])
     eplus = standard_module(alg, [2, 2])
     rng = np.random.default_rng(seed)
-    v = np.zeros((4, 4), dtype=complex)
-    v[:2, :2] = random_unitary(rng, 2)
-    v[2:, 2:] = random_unitary(rng, 2)
+    v = row_operator(alg, [random_unitary(rng, 2) for _ in range(2)])
     endo = endomorphism_from_conjugation(eplus, v)
     return EndomorphismInstance("inner-two-block", eplus, endo, True, {})
 

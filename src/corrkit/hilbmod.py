@@ -47,6 +47,13 @@ The corner maps behind ``K`` and the stacks ``R~_b``, ``G~_b`` are one cached
 frame on ``F`` (:attr:`Correspondence.corner_frame`), ``M~_b`` is cached on
 ``E`` (:attr:`Correspondence._left_blocks`), so no action is lifted to the
 ``m_E m_F``-dimensional carrier.
+
+Every named module is built from one standard form, :func:`standard_module`:
+the carrier ``(+)_i C^{k_i} (x) C^{n_i}`` with the blockwise right action and
+Gram and, optionally, a multiplicity left action.  Over a block algebra every
+correspondence is a unitary change of basis of such a form, and the algebra
+over itself (:func:`algebra_correspondence`, ``E_0`` of every product system)
+is the one with identity multiplicities.
 """
 from __future__ import annotations
 
@@ -401,12 +408,7 @@ def check_map(
 # validation
 # ---------------------------------------------------------------------------
 
-def validate_module(
-    pres: ModulePresentation,
-    tol: float = DEFAULT_TOL,
-    *,
-    check_nondegenerate: bool = True,
-) -> VerificationReport:
+def validate_module(pres: ModulePresentation, tol: float = DEFAULT_TOL) -> VerificationReport:
     """Check every structural axiom of a module presentation.
 
     One named check per axiom; the left-action axioms are included exactly
@@ -442,8 +444,7 @@ def validate_module(
     defect, scale = psd_defect(pres.gram.transpose(0, 2, 1, 3).reshape(m * n, m * n))
     rep.add("gram-positive", defect, tol * scale)
 
-    if check_nondegenerate:
-        rep.add("scalar-gram-nondegenerate", _degeneracy(pres, tol), 0.0)
+    rep.add("scalar-gram-nondegenerate", _degeneracy(pres, tol), 0.0)
 
     if pres.is_correspondence:
         _validate_left_action(pres, rep, tol)
@@ -828,13 +829,57 @@ def associator(
 
 
 # ---------------------------------------------------------------------------
-# the algebra as a correspondence over itself
+# standard forms
 # ---------------------------------------------------------------------------
 
+def standard_module(
+    alg: Algebra,
+    row_counts: list[int],
+    multiplicities: list[list[int]] | None = None,
+) -> ModulePresentation | Correspondence:
+    """Blockwise row-space module, optionally with a multiplicity left action.
+
+    ``row_counts[i]`` rows of length ``blocks[i]`` form the i-th carrier
+    group ``C^{k_i} (x) C^{n_i}``, on which ``R(e^i_pq) = I (x) E_qp`` and
+    ``<(r, a), (r', c)> = delta_{rr'} e^i_ac``.  When ``multiplicities`` is
+    given, group ``i`` must decompose as ``sum_j multiplicities[i][j] * blocks[j]``
+    rows, and ``L(e^j_pq) = ((+)_{j'} delta_{jj'} I_{mu_ij'} (x) E_pq) (x) I_{n_i}``
+    embeds algebra block ``j`` with that multiplicity.
+    """
+    if len(row_counts) != len(alg.blocks):
+        raise InvalidPresentationError("one row count per algebra block is required")
+    blocks, d, n = alg.blocks, alg.dim, alg.size
+    # the matrix units of every block in basis order, where each block's units
+    # start in the basis, and where each row group starts in the carrier
+    units = [np.eye(nb * nb).reshape(nb * nb, nb, nb) for nb in blocks]
+    at = np.cumsum([0] + [nb * nb for nb in blocks])
+    rows = np.cumsum([0] + [k * nb for k, nb in zip(row_counts, blocks)])
+    groups = [slice(a, b) for a, b in zip(rows[:-1], rows[1:])]
+    right = np.zeros((d, rows[-1], rows[-1]), dtype=complex)
+    gram = np.zeros((rows[-1], rows[-1], n, n), dtype=complex)
+    for i, (k, nb, sl, g) in enumerate(zip(row_counts, blocks, alg.block_slices, groups)):
+        right[at[i]:at[i + 1], g, g] = np.kron(np.eye(k)[None], units[i].transpose(0, 2, 1))
+        gram[g, g, sl, sl] = np.kron(np.eye(k)[:, :, None, None], units[i].reshape((nb,) * 4))
+    if multiplicities is None:
+        return ModulePresentation(alg, right, gram)
+
+    left = np.zeros_like(right)
+    for i, (k, nb, g) in enumerate(zip(row_counts, blocks, groups)):
+        sizes = [mu * nj for mu, nj in zip(multiplicities[i], blocks)]
+        if sum(sizes) != k:
+            raise InvalidPresentationError(
+                f"row group {i} of size {k} does not match its multiplicities"
+            )
+        copies = np.cumsum([0] + sizes)
+        for j, mu in enumerate(multiplicities[i]):
+            on_rows = np.zeros((len(units[j]), k, k))  # L(e^j_pq) on the rows of group i
+            span = slice(copies[j], copies[j + 1])
+            on_rows[:, span, span] = np.kron(np.eye(mu)[None], units[j])
+            left[at[j]:at[j + 1], g, g] = np.kron(on_rows, np.eye(nb)[None])
+    return Correspondence(alg, right, gram, left)
+
+
 def algebra_correspondence(alg: Algebra) -> Correspondence:
-    """The algebra as a correspondence over itself: ``<a, b> = a* b``."""
-    prod = alg.basis_products  # coordinates of basis[i] @ basis[j]
-    right = prod.transpose(1, 2, 0)  # right[c][w, u] = coords(basis_u basis_c)[w]
-    left = prod.transpose(0, 2, 1)   # left[c][w, u] = coords(basis_c basis_u)[w]
-    gram = np.einsum("iba,jbc->ijac", alg.basis.conj(), alg.basis)
-    return Correspondence(alg, np.ascontiguousarray(right), gram, np.ascontiguousarray(left))
+    """The algebra as a correspondence over itself, ``<a, b> = a* b``: the
+    standard form with identity multiplicities, ``E_0`` of every product system."""
+    return standard_module(alg, list(alg.blocks), np.eye(len(alg.blocks), dtype=int).tolist())

@@ -19,8 +19,10 @@ import numpy as np
 from .algebra import NORM_BOUND, Algebra, make_algebra
 from .endo import Endomorphism, endomorphism_from_conjugation
 from .errors import InstanceFormatError
-from .gallery import conjugated, random_unitary, standard_module, unit_vector_of_identity
-from .hilbmod import Correspondence, ModulePresentation, adjointable_basis, validate_module
+from .gallery import conjugated, random_unitary, row_operator, unit_vector_of_identity
+from .hilbmod import (
+    Correspondence, ModulePresentation, adjointable_basis, standard_module, validate_module,
+)
 from .prodsys import DEFAULT_BUDGET
 
 PROFILES = ("module", "correspondence", "spatial-endomorphism", "weak-dilation")
@@ -55,7 +57,6 @@ class Instance:
     endomorphism: tuple[str, np.ndarray] | None = None
     product_system: dict | None = None
     config: RunConfig = field(default_factory=RunConfig)
-    # (endomorphism, module, tol, result) of the last make_endo
     _endo: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def module(self, name: str) -> ModulePresentation:
@@ -78,25 +79,21 @@ class Instance:
         return self.module(mod_name), entries
 
     def make_endo(self) -> tuple[ModulePresentation, Endomorphism]:
-        """The endomorphism's module and map; the operator basis is computed
-        again only when the endomorphism, its module or the tolerance changed."""
-        if self.endomorphism is None:
-            raise InstanceFormatError("instance has no endomorphism")
-        name, matrix = self.endomorphism
-        eplus = self.module(name)
-        tol = self.config.tol
-        cached = self._endo
-        if cached and cached[0] is self.endomorphism and cached[1] is eplus and cached[2] == tol:
-            return eplus, cached[3]
-        ops = adjointable_basis(eplus, tol)
-        if matrix.shape != (len(ops), len(ops)):
-            raise InstanceFormatError(
-                f"endomorphism matrix of shape {matrix.shape}; the operator basis "
-                f"of {name!r} has dimension {len(ops)}"
-            )
-        endo = Endomorphism(eplus, ops, matrix)
-        self._endo = (self.endomorphism, eplus, tol, endo)
-        return eplus, endo
+        """The endomorphism's module and map, built once, on the first call, with
+        the operator basis at the config's tolerance."""
+        if self._endo is None:
+            if self.endomorphism is None:
+                raise InstanceFormatError("instance has no endomorphism")
+            name, matrix = self.endomorphism
+            eplus = self.module(name)
+            ops = adjointable_basis(eplus, self.config.tol)
+            if matrix.shape != (len(ops), len(ops)):
+                raise InstanceFormatError(
+                    f"endomorphism matrix of shape {matrix.shape}; the operator basis "
+                    f"of {name!r} has dimension {len(ops)}"
+                )
+            self._endo = (eplus, Endomorphism(eplus, ops, matrix))
+        return self._endo
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +281,11 @@ def _decode_module(value, alg: Algebra, name: str, tol: float) -> ModulePresenta
     return pres
 
 
-def decode_instance(doc: dict) -> Instance:
+def decode_instance(doc: dict, overrides: dict | None = None) -> Instance:
+    """Decode and fully validate an instance document.  The non-None entries
+    of ``overrides`` (``RunConfig`` fields) replace the document's ``config``
+    before any module is validated, any budget checked or any basis built; a
+    ``levels`` entry also sets ``product_system.levels``."""
     _expect_keys(
         doc,
         {"algebra", "modules", "vectors", "endomorphism", "product_system", "config"},
@@ -304,7 +305,8 @@ def decode_instance(doc: dict) -> Instance:
     _expect_keys(
         cfg_doc, {"levels", "tol", "budget", "seed", "report"}, set(), "config"
     )
-    config = RunConfig(**cfg_doc)
+    flags = {k: v for k, v in (overrides or {}).items() if v is not None}
+    config = RunConfig(**{**cfg_doc, **flags})
 
     modules = {}
     if not isinstance(doc["modules"], dict) or not doc["modules"]:
@@ -345,6 +347,7 @@ def decode_instance(doc: dict) -> Instance:
         levels = doc[where]["levels"]
         if not isinstance(levels, int) or levels < 1:
             raise InstanceFormatError(f"{where}.levels: expected a positive integer")
+        levels = flags.get("levels", levels)
         if config.budget < gen.dim:
             raise InstanceFormatError(
                 f"{where}: budget {config.budget} below generator dimension {gen.dim}"
@@ -360,8 +363,9 @@ def decode_instance(doc: dict) -> Instance:
     return inst
 
 
-def parse_instance(path: str) -> Instance:
-    """Load and fully validate an instance file."""
+def parse_instance(path: str, overrides: dict | None = None) -> Instance:
+    """Load and fully validate an instance file, with the run-config
+    ``overrides`` of :func:`decode_instance`."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -371,7 +375,7 @@ def parse_instance(path: str) -> Instance:
         raise InstanceFormatError(
             f"{path}: parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
-    return decode_instance(doc)
+    return decode_instance(doc, overrides)
 
 
 # ---------------------------------------------------------------------------
@@ -483,7 +487,7 @@ def generate_instance(seed: int, profile: str) -> Instance:
         eplus = conjugated(eplus, carrier)
         # a unitary in the commutant: conjugate a blockwise unitary on the
         # row coordinates into the new basis
-        v_std = _blockwise_row_unitary(alg, counts, rng)
+        v_std = row_operator(alg, [random_unitary(rng, k) for k in counts])
         v = carrier.conj().T @ v_std @ carrier
         endo = endomorphism_from_conjugation(eplus, v)
         inst = Instance(alg, {"E": eplus}, config=config)
@@ -493,40 +497,11 @@ def generate_instance(seed: int, profile: str) -> Instance:
     # weak-dilation: the algebra over itself, identity unit vector, inner map
     counts = [n for n in alg.blocks]
     eplus = standard_module(alg, counts)
-    g = _blockwise_algebra_unitary(alg, rng)
-    v = _left_multiplication_matrix(alg, counts, g.conj().T)
+    # left multiplication by g*, for a blockwise unitary g
+    v = row_operator(alg, [random_unitary(rng, n).conj().T for n in alg.blocks])
     endo = endomorphism_from_conjugation(eplus, v)
     inst = Instance(alg, {"E": eplus}, config=config)
     inst.endomorphism = ("E", endo.matrix)
     inst.vectors["xi"] = ("E", unit_vector_of_identity(alg, counts))
     return inst
 
-
-def _direct_sum(mats: list[np.ndarray]) -> np.ndarray:
-    total = sum(m.shape[0] for m in mats)
-    out = np.zeros((total, total), dtype=complex)
-    at = 0
-    for m in mats:
-        out[at : at + m.shape[0], at : at + m.shape[0]] = m
-        at += m.shape[0]
-    return out
-
-
-def _blockwise_row_unitary(alg: Algebra, counts: list[int], rng: np.random.Generator) -> np.ndarray:
-    """Unitary in the commutant: acts on the row index of each group."""
-    return _direct_sum(
-        [np.kron(random_unitary(rng, k), np.eye(n)) for k, n in zip(counts, alg.blocks)]
-    )
-
-
-def _blockwise_algebra_unitary(alg: Algebra, rng: np.random.Generator) -> np.ndarray:
-    return alg.embed([random_unitary(rng, n) for n in alg.blocks])
-
-
-def _left_multiplication_matrix(alg: Algebra, counts: list[int], g: np.ndarray) -> np.ndarray:
-    """Left multiplication by an algebra element when the module is the
-    algebra itself (row count equal to block size)."""
-    if list(counts) != list(alg.blocks):
-        raise InstanceFormatError("left multiplication needs the algebra over itself")
-    blocks = alg.split(g)
-    return _direct_sum([np.kron(b, np.eye(n)) for b, n in zip(blocks, alg.blocks)])

@@ -82,15 +82,7 @@ class ProductSystem:
         self._u: dict[tuple[int, int], np.ndarray] = {}
         self._uinv: dict[tuple[int, int], np.ndarray] = {}
         for n in range(2, self.levels + 1):
-            prev = self.powers[n - 1]
-            needed = prev.dim * generator.dim
-            if needed > self.budget:
-                raise ResourceBudgetError(
-                    f"power {n} needs carrier dimension {needed} > budget {self.budget}",
-                    required=needed,
-                )
-            mod, fm = internal_tensor(prev, generator, tol)
-            self._tensors[(n - 1, 1)] = (mod, fm)
+            mod = self.tensor(n - 1, 1)[0]  # E_n is realize(E_{n-1} . E_1)
             self._u[(n - 1, 1)] = self._uinv[(n - 1, 1)] = np.eye(mod.dim, dtype=complex)
             self.powers.append(mod)
 

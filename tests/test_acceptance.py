@@ -32,7 +32,7 @@ from corrkit.gallery import (
     weak_dilation_gallery,
 )
 from corrkit.hilbmod import algebra_correspondence, fullness_check, internal_tensor
-from corrkit.instance import Instance, RunConfig, emit_instance
+from corrkit.instance import Instance, emit_instance
 from corrkit.prodsys import build_powers, find_central_unital_unit
 
 from conftest import (
@@ -92,9 +92,9 @@ def test_criterion_3_endomorphism_recovery():
             for t in range(1, LEVELS + 1)
         }
         for t in range(1, LEVELS + 1):
-            uu = u_unitary(inst.eplus, inst.endo, t, assoc[t], TOL)
-            assert uu.report.passed, (inst.name, t)
-            worst = max(worst, uu.report.max_deviation)
+            _, uu_rep = u_unitary(inst.eplus, inst.endo, t, assoc[t], TOL)
+            assert uu_rep.passed, (inst.name, t)
+            worst = max(worst, uu_rep.max_deviation)
         for s in range(1, LEVELS):
             for t in range(1, LEVELS + 1 - s):
                 _, rep = power_coherence(inst.endo, assoc[s], assoc[t], assoc[s + t], TOL)
@@ -204,7 +204,7 @@ def test_criterion_7_degenerate_handling():
     exit code 3, never a crash or a false pass."""
     for inst_obj in (block_collapse_instance(), outer_swap_instance()):
         inst = _instance_for(inst_obj)
-        code, rep = run("verify-main", inst, RunConfig())
+        code, rep = run("verify-main", inst)
         assert code == EXIT_DEGENERATE, inst_obj.name
         assert rep.status == "not-applicable"
         assert "not applicable (non-spatial)" in rep.detail
@@ -232,8 +232,8 @@ def test_criterion_8_determinism(tmp_path):
     a = run_cli(tmp_path / "a.json")
     b = run_cli(tmp_path / "b.json")
     assert a == b
-    _, rep1 = run("verify-main", inst, RunConfig())
-    _, rep2 = run("verify-main", inst, RunConfig())
+    _, rep1 = run("verify-main", inst)
+    _, rep2 = run("verify-main", inst)
     assert rep1.to_machine() == rep2.to_machine()
     # seeded generation is byte-stable too
     from corrkit.instance import generate_instance

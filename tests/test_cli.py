@@ -285,6 +285,26 @@ def test_generate_and_validate_chain(tmp_path):
     assert main(["verify-supplement", str(out), "--vector", "xi"]) == EXIT_PASS
 
 
+@pytest.mark.parametrize("profile", ["correspondence", "spatial-endomorphism", "weak-dilation"])
+def test_generate_reproduces_the_shipped_file(tmp_path, profile):
+    """``generate`` is byte-stable: seed 0 gives the shipped file, newline included."""
+    out = tmp_path / "gen.json"
+    assert main(["generate", "--profile", profile, "--seed", "0", "--out", str(out)]) == EXIT_PASS
+    assert out.read_bytes() == (SHIPPED / f"{profile}-seed0.json").read_bytes()
+
+
+def test_tol_flag_governs_parse_time_validation(tmp_path, capsys):
+    """A Gram entry off by 1e-7 fails validation at the file's tolerance, 1e-9,
+    and passes at ``--tol 1e-6``: the flag reaches the parse-time checks."""
+    doc = json.loads((SHIPPED / "module-seed1.json").read_text())
+    doc["modules"]["E"]["gram"][0][1][0][0][0][0] += 1e-7
+    path = tmp_path / "perturbed.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", str(path), "--tol", "1e-6"]) == EXIT_PASS
+    assert main(["validate", str(path)]) == EXIT_INVALID
+    assert "fails invariants: gram-hermitian" in capsys.readouterr().err
+
+
 def ladder_file(tmp_path, blocks) -> str:
     """The benchmark's ladder instance: the algebra over itself with the
     inner map ``a -> v a v*``, where ``v`` has blocks ``kron(U_n, I_n)`` drawn
@@ -331,7 +351,7 @@ def test_run_dispatch_rejects_unknown_command(spatial_file):
 
     inst = parse_instance(spatial_file)
     with pytest.raises(Exception):
-        run("mystery", inst, inst.config)
+        run("mystery", inst)
 
 
 def test_missing_file_is_invalid():

@@ -325,8 +325,8 @@ def test_action_unitary_identity_reduces_to_canonical():
     inst = identity_mixed_instance()
     alg = inst.eplus.algebra
     res = associated_correspondence(inst.eplus, inst.endo, 1)
-    uu = u_unitary(inst.eplus, inst.endo, 1, res)
-    assert uu.report.passed
+    uu, uu_rep = u_unitary(inst.eplus, inst.endo, 1, res)
+    assert uu_rep.passed
     # iso from the associated correspondence onto the algebra: x* . y -> <x, y>
     m = inst.eplus.dim
     psi = np.zeros((alg.dim, m * m), dtype=complex)
@@ -338,15 +338,15 @@ def test_action_unitary_identity_reduces_to_canonical():
     tensor0, fm0 = internal_tensor(inst.eplus, e0)
     bridge = tensor_lift(psi_realized, uu.factor, fm0, side="right")
     canonical = right_unitor(inst.eplus, fm0)
-    assert max_dev(canonical @ bridge, uu.matrix) < TOL
+    assert max_dev(canonical @ bridge, uu.u) < TOL
 
 
 @pytest.mark.parametrize("t", [1, 2, 3])
 def test_action_unitary_on_collapse(t):
     inst = block_collapse_instance()
-    uu = u_unitary(inst.eplus, inst.endo, t)
-    assert uu.report.passed
-    assert uu.report.max_deviation < TOL
+    _, rep = u_unitary(inst.eplus, inst.endo, t)
+    assert rep.passed
+    assert rep.max_deviation < TOL
 
 
 def test_action_unitary_requires_full_module():
@@ -407,10 +407,10 @@ def test_spatiality_searches_agree_on_gallery():
 def test_isometry_from_unit_identity_instance():
     inst = identity_mixed_instance()
     res = associated_correspondence(inst.eplus, inst.endo, 1)
-    uu = u_unitary(inst.eplus, inst.endo, 1, res)
+    uu, _ = u_unitary(inst.eplus, inst.endo, 1, res)
     search = find_central_unital_unit(res.corr)
     op, rep = isometry_from_unit(
-        inst.eplus, inst.endo, 1, uu.matrix, uu.factor, res.corr, search.vector
+        inst.eplus, inst.endo, 1, uu.u, uu.factor, res.corr, search.vector
     )
     assert rep.passed
     # for the identity map the isometry is unitary, hence invertible
@@ -420,7 +420,7 @@ def test_isometry_from_unit_identity_instance():
 def test_isometry_from_unit_rejects_noncentral_vector():
     inst = inner_rotation_instance()
     res = associated_correspondence(inst.eplus, inst.endo, 1)
-    uu = u_unitary(inst.eplus, inst.endo, 1, res)
+    uu, _ = u_unitary(inst.eplus, inst.endo, 1, res)
     bad = np.zeros(res.corr.dim, dtype=complex)
     bad[0] = 1.0
     search = find_central_unital_unit(res.corr)
@@ -429,5 +429,5 @@ def test_isometry_from_unit_rejects_noncentral_vector():
         bad[-1] = 1.0
     with pytest.raises(PreconditionError):
         isometry_from_unit(
-            inst.eplus, inst.endo, 1, uu.matrix, uu.factor, res.corr, bad
+            inst.eplus, inst.endo, 1, uu.u, uu.factor, res.corr, bad
         )

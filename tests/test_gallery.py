@@ -5,8 +5,19 @@ import pytest
 
 from corrkit.algebra import make_algebra
 from corrkit.errors import InvalidPresentationError
-from corrkit.gallery import standard_module
-from corrkit.hilbmod import Correspondence, ModulePresentation, validate_module
+from corrkit.gallery import (
+    block_swap_correspondence,
+    doubled_swap_correspondence,
+    plane_correspondence,
+    row_operator,
+    standard_module,
+)
+from corrkit.hilbmod import (
+    Correspondence,
+    ModulePresentation,
+    algebra_correspondence,
+    validate_module,
+)
 
 BLOCKS = ([1], [2], [1, 1], [1, 2], [3], [2, 3])
 
@@ -96,3 +107,61 @@ def test_standard_module_rejects_mismatched_multiplicities():
         standard_module(alg, [1, 3], [[1, 0], [0, 1]])
     with pytest.raises(InvalidPresentationError, match="one row count per algebra block"):
         standard_module(alg, [1])
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def assert_arrays(corr, right, gram, left):
+    for name, want in (("right_action", right), ("gram", gram), ("left_action", left)):
+        assert same_bits(getattr(corr, name), np.asarray(want, dtype=complex)), name
+
+
+@pytest.mark.parametrize("blocks", ([1], [2], [1, 1], [1, 2], [2, 3]), ids=str)
+def test_algebra_correspondence_is_the_algebra_over_itself(blocks):
+    """E_0 from the standard form equals, bit for bit, the algebra read off its
+    basis products (``R(c) u = u c``, ``L(c) u = c u``) with ``<a, b> = a* b``."""
+    alg = make_algebra(blocks)
+    prod = alg.basis_products  # coordinates of basis[i] @ basis[j]
+    gram = np.einsum("iba,jbc->ijac", alg.basis.conj(), alg.basis)
+    want = (prod.transpose(1, 2, 0), gram, prod.transpose(0, 2, 1))
+    assert_arrays(algebra_correspondence(alg), *want)
+
+
+def test_plane_correspondence_literal():
+    eye = np.eye(2)[None]
+    assert_arrays(plane_correspondence(), eye, np.eye(2).reshape(2, 2, 1, 1), eye)
+
+
+def test_block_swap_correspondence_literal():
+    units = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]
+    gram = np.zeros((2, 2, 2, 2))
+    gram[0, 0], gram[1, 1] = units
+    assert_arrays(block_swap_correspondence(), units, gram, units[::-1])
+
+
+def test_doubled_swap_correspondence_literal():
+    """Coordinates 0, 1 are the plain copy of C + C, and 2, 3 the swapped one."""
+    right = [np.diag([1.0, 0.0, 1.0, 0.0]), np.diag([0.0, 1.0, 0.0, 1.0])]
+    left = [np.diag([1.0, 0.0, 0.0, 1.0]), np.diag([0.0, 1.0, 1.0, 0.0])]
+    gram = np.zeros((4, 4, 2, 2))
+    for i in range(4):
+        gram[i, i, i % 2, i % 2] = 1.0
+    assert_arrays(doubled_swap_correspondence(), right, gram, left)
+
+
+@pytest.mark.parametrize("blocks, counts", [([2], [3]), ([1, 2], [2, 2]), ([2, 1, 3], [1, 3, 2])])
+def test_row_operator_is_the_kron_direct_sum(blocks, counts):
+    alg = make_algebra(blocks)
+    rng = np.random.default_rng(3)
+    mats = [rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k)) for k in counts]
+    parts = [np.kron(a, np.eye(n)) for a, n in zip(mats, blocks)]
+    want = np.block([[p if i == j else np.zeros((len(p), len(q))) for j, q in enumerate(parts)]
+                     for i, p in enumerate(parts)])
+    got = row_operator(alg, mats)
+    assert same_bits(got, want.astype(complex))
+    # it acts on the row index, so it commutes with the right action
+    right = standard_module(alg, counts).right_action
+    assert np.abs(got @ right - right @ got).max() < 1e-12

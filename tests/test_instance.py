@@ -1,4 +1,3 @@
-import dataclasses
 import json
 
 import pytest
@@ -172,8 +171,12 @@ def test_endomorphism_basis_built_once_per_tolerance(monkeypatch):
     eplus, endo = inst.make_endo()
     assert inst.make_endo()[1] is endo
     assert calls == [TOL]
-    inst.config = dataclasses.replace(inst.config, tol=2 * TOL)
-    assert inst.make_endo()[1] is not endo
+    # an override reaches the parse-time basis; a None entry is no override
+    again = decode_instance(json.loads(text), {"tol": 2 * TOL, "levels": None})
+    assert again.config.tol == 2 * TOL and again.config.levels == inst.config.levels
+    assert calls == [TOL, 2 * TOL]
+    assert again.make_endo()[1] is not endo
+    assert again.make_endo()[1] is again.make_endo()[1]
     assert calls == [TOL, 2 * TOL]
 
 
