@@ -35,7 +35,6 @@ from .hilbmod import (
     ModulePresentation,
     adjointable_basis,
     algebra_correspondence,
-    associator,
     fullness_check,
     internal_tensor,
     left_faithful_check,
@@ -47,7 +46,6 @@ from .dilation import (
     build_w,
     compare_unit_limits,
     left_limit,
-    primary_check,
     right_limit,
     spatiality_report,
     unit_pairing_check,
@@ -65,7 +63,6 @@ from .instance import (
 from .prodsys import (
     ProductSystem,
     Unit,
-    build_powers,
     check_unit,
     cp_of_unit,
     derive_unit,

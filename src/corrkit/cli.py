@@ -41,7 +41,7 @@ from .hilbmod import (
 from .instance import (
     PROFILES, Instance, RunConfig, _pairs, emit_instance, generate_instance, parse_instance,
 )
-from .prodsys import build_powers, check_unit, find_central_unital_unit
+from .prodsys import ProductSystem, check_unit, find_central_unital_unit
 from .report import NOT_APPLICABLE, PASS, UNKNOWN, VerificationReport
 
 EXIT_PASS = 0
@@ -107,14 +107,13 @@ def _require_ps(inst: Instance, config: RunConfig):
     if inst.product_system is None:
         raise InstanceFormatError("this command needs a product_system section")
     gen = inst.correspondence(inst.product_system["generator"], "product_system")
-    levels = inst.product_system["levels"]
-    return build_powers(gen, levels, config.tol, config.budget)
+    return ProductSystem(gen, inst.product_system["levels"], config.tol, config.budget)
 
 
 def _cmd_derive_ps(inst: Instance, config: RunConfig) -> VerificationReport:
     ps = _require_ps(inst, config)
     rep = VerificationReport("product system derivation", provenance={"levels": ps.levels})
-    rep.extend(ps.verification)
+    rep.extend(ps.coherence_report())
     for name, vec in sorted(inst.product_system["units"].items()):
         rep.extend(check_unit(ps, vec), prefix=f"{name}.")
     rep.detail = f"stage dimensions {[ps.power(n).dim for n in range(ps.levels + 1)]}"

@@ -498,11 +498,6 @@ def primary_span_ranks(pipe: DilationPipeline, xi_plus: np.ndarray) -> list[int]
     return ranks
 
 
-def primary_check(pipe: DilationPipeline, xi_plus: np.ndarray) -> bool:
-    """Whether the moved projection ranges exhaust the whole module."""
-    return primary_span_ranks(pipe, xi_plus)[-1] == pipe.eplus.dim
-
-
 # ---------------------------------------------------------------------------
 # vector expectation identities on the doubled module
 # ---------------------------------------------------------------------------

@@ -64,11 +64,7 @@ from functools import cached_property
 import numpy as np
 
 from .algebra import DEFAULT_TOL, Algebra
-from .errors import (
-    ConstructionError,
-    IncompatibleOperandsError,
-    InvalidPresentationError,
-)
+from .errors import IncompatibleOperandsError, InvalidPresentationError
 from .report import VerificationReport, _worst
 
 RANK_RTOL = 1e-10
@@ -738,18 +734,18 @@ def tensor_lift(
 
 def left_unitor(f: Correspondence, fm: FactorMap) -> np.ndarray:
     """Canonical map realize(B (.) F) -> F, ``b (x) y -> L(b) y``."""
-    c = f.left_action.transpose(1, 0, 2).reshape(f.dim, -1)
+    c = f.left_action.transpose(1, 0, 2).reshape(f.dim, f.dim * len(f.left_action))
     return c @ fm.section
 
 
 def right_unitor(e: ModulePresentation, fm: FactorMap) -> np.ndarray:
     """Canonical map realize(E (.) B) -> E, ``x (x) b -> x . b``."""
-    c = e.right_action.transpose(1, 2, 0).reshape(e.dim, -1)
+    c = e.right_action.transpose(1, 2, 0).reshape(e.dim, e.dim * len(e.right_action))
     return c @ fm.section
 
 
 # ---------------------------------------------------------------------------
-# associator
+# rebracketing
 # ---------------------------------------------------------------------------
 
 def _rebracket(
@@ -765,67 +761,6 @@ def _rebracket(
     if side == "left":  # (E F) G -> E (F G)
         return dst.matrix @ _lift(contract, triple, (dst.source_dims[0], pair), "right")
     return dst.matrix @ _lift(contract, triple, (pair, dst.source_dims[1]), "left")
-
-
-@dataclass
-class AssociatorResult:
-    """Rebracketing unitary realize((E.F).G) -> realize(E.(F.G)).
-
-    Its own checks, in :attr:`report`, run on first read: the callers that
-    only compose rebracketings never pay for them.
-    """
-
-    matrix: np.ndarray
-    adjoint: np.ndarray
-    left_module: ModulePresentation
-    left_factor: FactorMap      # over (E.F)-realized (x) G
-    right_module: ModulePresentation
-    right_factor: FactorMap     # over E (x) (F.G)-realized
-    ef: tuple[ModulePresentation, FactorMap]
-    tol: float
-
-    @cached_property
-    def report(self) -> VerificationReport:
-        """The unitary is Gram-preserving, unitary, and bilinear."""
-        props = ["gram", "unitary", "right-linear"]
-        if self.left_module.is_correspondence and self.right_module.is_correspondence:
-            props.append("left-linear")
-        rep = VerificationReport("associator")
-        check_map(rep, self.matrix, self.left_module, self.right_module, self.tol,
-                  {p: f"associator-{p}" for p in props}, self.adjoint)
-        return rep
-
-
-def associator(
-    e: ModulePresentation,
-    f: Correspondence,
-    g: Correspondence,
-    tol: float = DEFAULT_TOL,
-    *,
-    ef: tuple[ModulePresentation, FactorMap] | None = None,
-    fg: tuple[ModulePresentation, FactorMap] | None = None,
-) -> AssociatorResult:
-    """Compute the canonical rebracketing unitary and its adjoint.
-
-    Both iterated tensors are realized (reusing precomputed pieces when
-    supplied) and the unitary is induced from the identity on the triple
-    algebraic tensor through the two realization chains (:func:`_rebracket`).
-    Its checks are in the result's lazily built ``report``.
-    """
-    _require_same_algebra(e, f)
-    _require_same_algebra(f, g)
-    ef = ef or internal_tensor(e, f, tol)
-    fg = fg or internal_tensor(f, g, tol)
-    left_mod, p2 = internal_tensor(ef[0], g, tol)
-    right_mod, p4 = internal_tensor(e, fg[0], tol)
-    if left_mod.dim != right_mod.dim:
-        raise ConstructionError(
-            f"bracketings realize different dimensions {left_mod.dim} vs {right_mod.dim}",
-            residual=abs(left_mod.dim - right_mod.dim),
-        )
-    alpha = _rebracket(p2, ef[1].section, fg[1].matrix, p4, "left")
-    adj = map_adjoint(alpha, left_mod, right_mod)
-    return AssociatorResult(alpha, adj, left_mod, p2, right_mod, p4, ef, tol)
 
 
 # ---------------------------------------------------------------------------

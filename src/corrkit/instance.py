@@ -2,16 +2,23 @@
 
 An instance is a single JSON document; complex scalars are ``[re, im]``
 pairs, matrices are row-major lists of rows, and algebra elements are lists
-of per-block matrices.  Unknown keys are rejected everywhere, every supplied
-matrix must have operator norm at most 16 (so absolute tolerances are
-meaningful), and every presentation is validated before any task runs.
+of per-block matrices.  A document is decoded once, through one boundary
+that raises ``InstanceFormatError`` (exit code 2) on any defect: every
+section, key, name and integer field is type-checked before any array is
+read (a bool is never a number, and nothing is coerced); every array is read
+by :func:`_read_array`, in one conversion, and must be finite with operator
+norm at most 16 (so absolute tolerances are meaningful); and every
+presentation is validated before any task runs.
 Serialization is canonical: identical instances produce byte-identical
 files, and generation is a pure function of the seed and profile.
 """
 from __future__ import annotations
 
 import cmath
+import functools
 import json
+import math
+import operator
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -30,6 +37,13 @@ _ALGEBRA_CYCLE = ([1], [2], [1, 1], [1, 2])
 OPERATOR_BASIS = "expectation"  # the basis of adjointable_basis, named in every endomorphism
 
 
+def _integer(value, where: str) -> int:
+    """``value`` if it is an integer of at least 1; a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise InstanceFormatError(f"{where}: expected an integer of at least 1")
+    return value
+
+
 @dataclass
 class RunConfig:
     levels: int = 4
@@ -39,12 +53,13 @@ class RunConfig:
     report: str = "text"
 
     def __post_init__(self):
-        if self.levels < 1:
-            raise InstanceFormatError("config.levels must be at least 1")
-        if not self.tol > 0:
-            raise InstanceFormatError("config.tol must be positive")
-        if self.budget < 1:
-            raise InstanceFormatError("config.budget must be positive")
+        _integer(self.levels, "config.levels")
+        _integer(self.budget, "config.budget")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int):
+            raise InstanceFormatError("config.seed: expected an integer")
+        tol = self.tol
+        if isinstance(tol, bool) or not isinstance(tol, (int, float)) or not 0 < tol < math.inf:
+            raise InstanceFormatError("config.tol: expected a positive finite number")
         if self.report not in ("text", "machine"):
             raise InstanceFormatError(f"config.report {self.report!r} not in text|machine")
 
@@ -100,7 +115,7 @@ class Instance:
 # decoding
 # ---------------------------------------------------------------------------
 
-def _expect_keys(obj: dict, allowed: set[str], required: set[str], where: str) -> None:
+def _expect_keys(obj: dict, allowed: set[str], required: set[str], where: str) -> dict:
     if not isinstance(obj, dict):
         raise InstanceFormatError(f"{where}: expected an object")
     unknown = set(obj) - allowed
@@ -109,9 +124,46 @@ def _expect_keys(obj: dict, allowed: set[str], required: set[str], where: str) -
     missing = required - set(obj)
     if missing:
         raise InstanceFormatError(f"{where}: missing keys {sorted(missing)}")
+    return obj
 
 
-def _decode_scalar(value, where: str) -> complex:
+def _objects(value, where: str, allowed: set[str], required: set[str]) -> dict:
+    """A JSON object of named JSON objects, each with its keys checked."""
+    if not isinstance(value, dict):
+        raise InstanceFormatError(f"{where}: expected an object")
+    for name, entry in value.items():
+        _expect_keys(entry, allowed, required, f"{where}.{name}")
+    return value
+
+
+def _name(value, where: str) -> str:
+    if not isinstance(value, str):
+        raise InstanceFormatError(f"{where}: expected a name")
+    return value
+
+
+def _read_pairs(value, ndim: int) -> np.ndarray | None:
+    """``value`` as an ``ndim``-dimensional complex array in one conversion.
+
+    Returns None unless ``value`` nests finite ``[re, im]`` pairs of numbers
+    (no bools) into a rectangular array.  The entries are bitwise those of
+    ``complex(re, im)``.
+    """
+    try:
+        obj = np.array(value, dtype=object)
+        if obj.ndim != ndim + 1 or obj.shape[-1] != 2:
+            return None
+        if not set(map(type, obj.flat)) <= {int, float}:  # a bool is an int to numpy
+            return None
+        pairs = obj.astype(float)
+    except (ValueError, OverflowError):  # ragged nesting, an integer beyond the float range
+        return None
+    if not np.isfinite(pairs).all():
+        return None
+    return pairs.view(complex)[..., 0]
+
+
+def _entry(value, where: str) -> complex:
     if (
         not isinstance(value, list)
         or len(value) != 2
@@ -129,149 +181,91 @@ def _decode_scalar(value, where: str) -> complex:
     return z
 
 
-def _read_pairs(value, ndim: int) -> np.ndarray | None:
-    """``value`` as an ``ndim``-dimensional complex array in one conversion.
+def _fits(got: tuple, shape: tuple) -> bool:
+    return len(got) == len(shape) and all(n in (None, k) for n, k in zip(shape, got))
 
-    Returns None unless ``value`` nests finite ``[re, im]`` pairs of numbers
-    (no bools) into a rectangular array; the caller then decodes it element by
-    element, which names the first bad element.  The entries are bitwise those
-    of ``complex(re, im)``.
+
+def _locate(value, shape: tuple, where_of) -> np.ndarray:
+    """Entry by entry, the array of :func:`_read_array` that one conversion
+    could not read: raises at the first bad entry in row-major order, naming
+    its vector or matrix by ``where_of(*outer index)``."""
+    matrix = len(shape) > 1
+    outer = shape[:-2] if matrix else ()
+    units = []
+    for index in np.ndindex(*outer):
+        unit, where = functools.reduce(operator.getitem, index, value), where_of(*index)
+        rows = unit if matrix else [unit]
+        if not isinstance(unit, list) or matrix and not (unit and all(isinstance(r, list) for r in unit)):
+            what = "a list of rows" if matrix else "a list of [re, im] pairs"
+            raise InstanceFormatError(f"{where}: expected {what}")
+        if any(len(r) != len(rows[0]) for r in rows):
+            raise InstanceFormatError(f"{where}: ragged rows")
+        out = np.array([[_entry(x, where) for x in r] for r in rows], dtype=complex)
+        out = out if matrix else out[0]
+        if not _fits(out.shape, shape[len(outer):]):
+            raise InstanceFormatError(
+                f"{where}: shape {out.shape}, expected {shape[len(outer):]}" if matrix
+                else f"{where}: length {len(out)}, expected {shape[0]}"
+            )
+        units.append(out)
+    return np.stack(units).reshape(outer + units[0].shape)
+
+
+def _read_array(value, shape: tuple, where_of) -> np.ndarray:
+    """The complex array of ``shape`` (``None`` a free length) that ``value``
+    nests, with ``[re, im]`` pairs at the bottom and every matrix (a vector is
+    a one-row matrix) within the operator-norm bound.
+
+    Its trailing one axis (a vector) or two (matrices) form the units that
+    ``where_of(*outer index)`` names in errors.  Valid input takes the one
+    conversion of :func:`_read_pairs`; only when that fails does
+    :func:`_locate` walk the entries to name the first bad one.
     """
-    try:
-        obj = np.array(value, dtype=object)
-        if obj.ndim != ndim + 1 or obj.shape[-1] != 2:
-            return None
-        if not set(map(type, obj.flat)) <= {int, float}:  # a bool is an int to numpy
-            return None
-        pairs = obj.astype(float)
-    except (ValueError, OverflowError):  # ragged nesting, an integer beyond the float range
-        return None
-    if not np.isfinite(pairs).all():
-        return None
-    return pairs.view(complex)[..., 0]
-
-
-def _read_matrix(value, where: str, shape: tuple[int, int] | None = None) -> np.ndarray:
-    """A matrix of [re, im] pairs, with its shape checked but not its norm."""
-    if not isinstance(value, list) or not value or not all(isinstance(r, list) for r in value):
-        raise InstanceFormatError(f"{where}: expected a list of rows")
-    ncols = len(value[0])
-    if any(len(r) != ncols for r in value):
-        raise InstanceFormatError(f"{where}: ragged rows")
-    out = _read_pairs(value, 2)
-    if out is None:
-        out = np.array([[_decode_scalar(x, where) for x in row] for row in value], dtype=complex)
-    if shape is not None and out.shape != shape:
-        raise InstanceFormatError(f"{where}: shape {out.shape}, expected {shape}")
-    return out
-
-
-def _decode_matrix(value, where: str, shape: tuple[int, int] | None = None) -> np.ndarray:
-    out = _read_matrix(value, where, shape)
-    _check_norms(_operator_norms(out[None]), lambda _: where)
-    return out
-
-
-def _decode_vector(value, where: str, dim: int | None = None) -> np.ndarray:
-    if not isinstance(value, list):
-        raise InstanceFormatError(f"{where}: expected a list of [re, im] pairs")
-    out = _read_pairs(value, 1)
-    if out is None:
-        out = np.array([_decode_scalar(x, where) for x in value], dtype=complex)
-    if dim is not None and out.shape != (dim,):
-        raise InstanceFormatError(f"{where}: length {out.shape[0]}, expected {dim}")
-    _check_norms(_operator_norms(out.reshape(1, 1, -1)), lambda _: where)
-    return out
-
-
-def _operator_norms(stack: np.ndarray) -> np.ndarray:
-    """Operator norms of a stack of matrices, one batched SVD."""
+    out = _read_pairs(value, len(shape))
+    if out is None or not _fits(out.shape, shape):
+        out = _locate(value, shape, where_of)
+    stack = out if len(shape) > 1 else out[None]
     if 0 in stack.shape[-2:]:
-        return np.zeros(stack.shape[:-2])
-    return np.linalg.svd(stack, compute_uv=False)[..., 0]
-
-
-def _check_norms(norms: np.ndarray, where_of) -> None:
-    """Reject the first matrix, in row-major order of ``norms``, whose operator
-    norm exceeds the bound; ``where_of`` names it from its index."""
+        return out
+    norms = np.linalg.svd(stack, compute_uv=False)[..., 0]  # one batched SVD
     bad = np.argwhere(norms > NORM_BOUND)
     if len(bad):
         index = tuple(int(k) for k in bad[0])
         raise InstanceFormatError(
             f"{where_of(*index)}: operator norm {norms[index]:.3f} exceeds the bound {NORM_BOUND}"
         )
-
-
-def _read_element(value, alg: Algebra, where: str) -> list[np.ndarray]:
-    """The block matrices of an algebra element, norms unchecked."""
-    if not isinstance(value, list) or len(value) != len(alg.blocks):
-        raise InstanceFormatError(
-            f"{where}: algebra elements are lists of {len(alg.blocks)} block matrices"
-        )
-    return [
-        _read_matrix(b, f"{where}[block {i}]", (n, n))
-        for i, (b, n) in enumerate(zip(value, alg.blocks))
-    ]
-
-
-def _read_gram_blocks(gr: list, alg: Algebra, m: int) -> list[np.ndarray] | None:
-    """Per algebra block, the (m, m, n, n) grid of Gram blocks, each in one
-    conversion; None when any cell or entry is malformed."""
-    if not all(isinstance(cell, list) and len(cell) == len(alg.blocks)
-               for row in gr for cell in row):
-        return None
-    grids = []
-    for b, n in enumerate(alg.blocks):
-        grid = _read_pairs([[cell[b] for cell in row] for row in gr], 4)
-        if grid is None or grid.shape != (m, m, n, n):
-            return None
-        grids.append(grid)
-    return grids
-
-
-def _read_actions(value, where: str, m: int) -> np.ndarray:
-    """A stack of action matrices, with one batched norm check."""
-    out = _read_pairs(value, 3)
-    if out is None or out.shape != (len(value), m, m):
-        out = np.stack([_read_matrix(mat, f"{where}[{c}]", (m, m))
-                        for c, mat in enumerate(value)])
-    _check_norms(_operator_norms(out), lambda c: f"{where}[{c}]")
     return out
 
 
-def _decode_module(value, alg: Algebra, name: str, tol: float) -> ModulePresentation:
-    where = f"modules.{name}"
-    _expect_keys(
-        value, {"dim", "right_action", "gram", "left_action"}, {"dim", "right_action", "gram"}, where
-    )
+def _decode_module(value: dict, alg: Algebra, where: str, tol: float) -> ModulePresentation:
+    """A module whose keys and ``dim`` are checked, from its arrays."""
     m = value["dim"]
-    if not isinstance(m, int) or m < 1:
-        raise InstanceFormatError(f"{where}.dim: expected a positive integer")
-    ra = value["right_action"]
-    if not isinstance(ra, list) or len(ra) != alg.dim:
-        raise InstanceFormatError(f"{where}.right_action: expected {alg.dim} matrices")
-    right = _read_actions(ra, f"{where}.right_action", m)
+
+    def action(key: str) -> np.ndarray:
+        if not isinstance(value[key], list) or len(value[key]) != alg.dim:
+            raise InstanceFormatError(f"{where}.{key}: expected {alg.dim} matrices")
+        return _read_array(value[key], (alg.dim, m, m), lambda c: f"{where}.{key}[{c}]")
+
+    right = action("right_action")
     gr = value["gram"]
-    if not isinstance(gr, list) or len(gr) != m or any(len(row) != m for row in gr):
+    if not (isinstance(gr, list) and len(gr) == m
+            and all(isinstance(row, list) and len(row) == m for row in gr)):
         raise InstanceFormatError(f"{where}.gram: expected an {m} x {m} grid of algebra elements")
-    grids = _read_gram_blocks(gr, alg, m)
-    if grids is None:
-        cells = [[_read_element(gr[i][j], alg, f"{where}.gram[{i}][{j}]") for j in range(m)]
-                 for i in range(m)]
-        grids = [np.array([[cell[b] for cell in row] for row in cells])
-                 for b in range(len(alg.blocks))]
+    for i, row in enumerate(gr):
+        for j, cell in enumerate(row):
+            if not isinstance(cell, list) or len(cell) != len(alg.blocks):
+                raise InstanceFormatError(
+                    f"{where}.gram[{i}][{j}]: algebra elements are lists of "
+                    f"{len(alg.blocks)} block matrices"
+                )
     gram = np.zeros((m, m, alg.size, alg.size), dtype=complex)
-    norms = np.empty((m, m, len(alg.blocks)))
-    for b, (sl, blocks) in enumerate(zip(alg.block_slices, grids)):
-        gram[:, :, sl, sl] = blocks
-        norms[:, :, b] = _operator_norms(blocks)
-    _check_norms(norms, lambda i, j, b: f"{where}.gram[{i}][{j}][block {b}]")
+    for b, (sl, n) in enumerate(zip(alg.block_slices, alg.blocks)):
+        gram[:, :, sl, sl] = _read_array(
+            [[cell[b] for cell in row] for row in gr], (m, m, n, n),
+            lambda i, j: f"{where}.gram[{i}][{j}][block {b}]",
+        )
     if "left_action" in value:
-        la = value["left_action"]
-        if not isinstance(la, list) or len(la) != alg.dim:
-            raise InstanceFormatError(f"{where}.left_action: expected {alg.dim} matrices")
-        left = _read_actions(la, f"{where}.left_action", m)
-        pres = Correspondence(alg, right, gram, left)
+        pres = Correspondence(alg, right, gram, action("left_action"))
     else:
         pres = ModulePresentation(alg, right, gram)
     report = validate_module(pres, tol)
@@ -285,80 +279,74 @@ def decode_instance(doc: dict, overrides: dict | None = None) -> Instance:
     """Decode and fully validate an instance document.  The non-None entries
     of ``overrides`` (``RunConfig`` fields) replace the document's ``config``
     before any module is validated, any budget checked or any basis built; a
-    ``levels`` entry also sets ``product_system.levels``."""
+    ``levels`` entry also sets ``product_system.levels``.
+
+    Every section, key, name and integer is checked before any array is read.
+    """
     _expect_keys(
         doc,
         {"algebra", "modules", "vectors", "endomorphism", "product_system", "config"},
         {"algebra", "modules"},
         "instance",
     )
-    _expect_keys(doc["algebra"], {"blocks"}, {"blocks"}, "algebra")
-    blocks = doc["algebra"]["blocks"]
-    if not isinstance(blocks, list) or not all(isinstance(b, int) for b in blocks):
-        raise InstanceFormatError("algebra.blocks: expected a list of integers")
-    try:
-        alg = make_algebra(blocks)
-    except Exception as exc:
-        raise InstanceFormatError(f"algebra: {exc}") from exc
-
-    cfg_doc = doc.get("config", {})
-    _expect_keys(
-        cfg_doc, {"levels", "tol", "budget", "seed", "report"}, set(), "config"
-    )
+    blocks = _expect_keys(doc["algebra"], {"blocks"}, {"blocks"}, "algebra")["blocks"]
+    if not isinstance(blocks, list) or not blocks:
+        raise InstanceFormatError("algebra.blocks: expected a nonempty list of block sizes")
+    alg = make_algebra([_integer(n, f"algebra.blocks[{k}]") for k, n in enumerate(blocks)])
+    cfg_doc = _expect_keys(doc.get("config", {}), set(RunConfig.__dataclass_fields__), set(), "config")
     flags = {k: v for k, v in (overrides or {}).items() if v is not None}
     config = RunConfig(**{**cfg_doc, **flags})
 
-    modules = {}
-    if not isinstance(doc["modules"], dict) or not doc["modules"]:
+    modules = _objects(doc["modules"], "modules", {"dim", "right_action", "gram", "left_action"},
+                       {"dim", "right_action", "gram"})
+    if not modules:
         raise InstanceFormatError("modules: expected a nonempty object")
-    for name, value in doc["modules"].items():
-        modules[name] = _decode_module(value, alg, name, config.tol)
-
-    inst = Instance(alg, modules, config=config)
-
-    for name, value in doc.get("vectors", {}).items():
-        where = f"vectors.{name}"
-        _expect_keys(value, {"module", "entries"}, {"module", "entries"}, where)
-        mod = inst.module(value["module"])
-        inst.vectors[name] = (
-            value["module"],
-            _decode_vector(value["entries"], where, mod.dim),
-        )
-
+    for name, value in modules.items():
+        _integer(value["dim"], f"modules.{name}.dim")
+    vectors = _objects(doc.get("vectors", {}), "vectors", {"module", "entries"}, {"module", "entries"})
+    for name, value in vectors.items():
+        _name(value["module"], f"vectors.{name}.module")
+    endo = doc.get("endomorphism")
     if "endomorphism" in doc:
-        where = "endomorphism"
-        _expect_keys(doc[where], {"on", "matrix", "basis"}, {"on", "matrix"}, where)
-        if doc[where].get("basis") != OPERATOR_BASIS:
+        _expect_keys(endo, {"on", "matrix", "basis"}, {"on", "matrix"}, "endomorphism")
+        _name(endo["on"], "endomorphism.on")
+        if endo.get("basis") != OPERATOR_BASIS:
             raise InstanceFormatError(
-                f"{where}.matrix is written in the retired operator basis; this version "
+                "endomorphism.matrix is written in the retired operator basis; this version "
                 f'reads only "basis": "{OPERATOR_BASIS}", the basis from the commutant expectation'
             )
-        mod = inst.module(doc[where]["on"])
-        matrix = _decode_matrix(doc[where]["matrix"], f"{where}.matrix")
-        inst.endomorphism = (doc[where]["on"], matrix)
-        inst.make_endo()  # shape check against the operator basis, kept for the commands
-
+    ps = doc.get("product_system")
     if "product_system" in doc:
-        where = "product_system"
-        _expect_keys(
-            doc[where], {"generator", "levels", "units"}, {"generator", "levels"}, where
+        _expect_keys(ps, {"generator", "levels", "units"}, {"generator", "levels"}, "product_system")
+        _name(ps["generator"], "product_system.generator")
+        _integer(ps["levels"], "product_system.levels")
+        if not isinstance(ps.get("units", {}), dict):
+            raise InstanceFormatError("product_system.units: expected an object")
+
+    inst = Instance(alg, {name: _decode_module(value, alg, f"modules.{name}", config.tol)
+                          for name, value in modules.items()}, config=config)
+    for name, value in vectors.items():
+        mod = inst.module(value["module"])
+        inst.vectors[name] = (
+            value["module"], _read_array(value["entries"], (mod.dim,), lambda: f"vectors.{name}"),
         )
-        gen = inst.correspondence(doc[where]["generator"], where)
-        levels = doc[where]["levels"]
-        if not isinstance(levels, int) or levels < 1:
-            raise InstanceFormatError(f"{where}.levels: expected a positive integer")
-        levels = flags.get("levels", levels)
+    if endo is not None:
+        inst.module(endo["on"])
+        inst.endomorphism = (
+            endo["on"], _read_array(endo["matrix"], (None, None), lambda: "endomorphism.matrix"),
+        )
+        inst.make_endo()  # shape check against the operator basis, kept for the commands
+    if ps is not None:
+        gen = inst.correspondence(ps["generator"], "product_system")
         if config.budget < gen.dim:
             raise InstanceFormatError(
-                f"{where}: budget {config.budget} below generator dimension {gen.dim}"
+                f"product_system: budget {config.budget} below generator dimension {gen.dim}"
             )
-        units = {}
-        for uname, vec in doc[where].get("units", {}).items():
-            units[uname] = _decode_vector(vec, f"{where}.units.{uname}", gen.dim)
         inst.product_system = {
-            "generator": doc[where]["generator"],
-            "levels": levels,
-            "units": units,
+            "generator": ps["generator"],
+            "levels": flags.get("levels", ps["levels"]),
+            "units": {u: _read_array(vec, (gen.dim,), lambda: f"product_system.units.{u}")
+                      for u, vec in ps.get("units", {}).items()},
         }
     return inst
 
@@ -463,6 +451,8 @@ def generate_instance(seed: int, profile: str) -> Instance:
     """
     if profile not in PROFILES:
         raise InstanceFormatError(f"unknown profile {profile!r}; choose from {PROFILES}")
+    if seed < 0:
+        raise InstanceFormatError(f"seed {seed}: expected an integer of at least 0")
     rng = np.random.default_rng(seed)
     alg = make_algebra(_ALGEBRA_CYCLE[seed % len(_ALGEBRA_CYCLE)])
     config = RunConfig(seed=seed)

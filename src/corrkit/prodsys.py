@@ -13,7 +13,6 @@ triple product agree.
 """
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +20,6 @@ import numpy as np
 from .algebra import DEFAULT_TOL, Algebra
 from .errors import (
     IncompatibleOperandsError,
-    InvalidPresentationError,
     PreconditionError,
     ResourceBudgetError,
 )
@@ -42,7 +40,6 @@ from .hilbmod import (
     pull_gram,
     right_unitor,
     tensor_vector,
-    validate_module,
 )
 from .report import VerificationReport
 
@@ -54,8 +51,8 @@ class ProductSystem:
 
     Powers are realized on construction; every other pair tensor and every
     identification and its inverse is built on first use.  Coherence is
-    verified on the first read of ``verification``, so users that only need
-    some ``u(s,t)`` do not pay for the O(levels^3) sweep.
+    verified only by :meth:`coherence_report`, so users that only need some
+    ``u(s,t)`` do not pay for the O(levels^3) sweep.
     """
 
     def __init__(
@@ -144,11 +141,6 @@ class ProductSystem:
 
     # -- verification --------------------------------------------------------
 
-    @functools.cached_property
-    def verification(self) -> VerificationReport:
-        """The coherence report, computed on first read and kept."""
-        return self.coherence_report()
-
     def coherence_report(self) -> VerificationReport:
         """Verify every identification and the triple-product coherence."""
         rep = VerificationReport(
@@ -168,23 +160,6 @@ class ProductSystem:
                     via_left = self.u(r + s, t) @ self.rebracket(r, s, t)
                     rep.add(f"coherence[{r},{s},{t}]", _dev(via_left, self.u(r, s + t)), tol)
         return rep
-
-
-def build_powers(
-    generator: Correspondence,
-    levels: int,
-    tol: float = DEFAULT_TOL,
-    budget: int = DEFAULT_BUDGET,
-) -> ProductSystem:
-    """Validate the generator and realize all powers.
-
-    Coherence is verified on the first read of ``ps.verification``.
-    """
-    rep = validate_module(generator, tol)
-    if not rep.passed:
-        names = ", ".join(c.name for c in rep.failed_checks())
-        raise InvalidPresentationError(f"generator fails module axioms: {names}")
-    return ProductSystem(generator, levels, tol, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +240,7 @@ def find_central_unital_unit(e1: Correspondence, tol: float = DEFAULT_TOL) -> Ce
     no central vector has invertible length).
     """
     alg = e1.algebra
-    stacked = (e1.left_action - e1.right_action).reshape(-1, e1.dim)
+    stacked = (e1.left_action - e1.right_action).reshape(alg.dim * e1.dim, e1.dim)
     size = max(float(np.abs(e1.left_action).max(initial=0.0)),
                float(np.abs(e1.right_action).max(initial=0.0)))
     basis = null_space(stacked, scale=size)

@@ -7,6 +7,8 @@ from __future__ import annotations
 
 import importlib.util
 import tracemalloc
+from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +21,17 @@ from corrkit.gallery import (
     random_unitary,
     standard_module,
 )
-from corrkit.hilbmod import Correspondence, ModulePresentation, algebra_correspondence
+from corrkit.hilbmod import (
+    Correspondence,
+    FactorMap,
+    ModulePresentation,
+    _rebracket,
+    algebra_correspondence,
+    check_map,
+    internal_tensor,
+    map_adjoint,
+)
+from corrkit.report import VerificationReport
 
 ALGEBRA_SIGNATURES = ([1], [2], [1, 1], [1, 2])
 TOL = 1e-9
@@ -164,3 +176,62 @@ def traced_peak(fn, *args):
 def max_dev(a, b=None) -> float:
     arr = np.abs(np.asarray(a) - (0 if b is None else np.asarray(b)))
     return float(arr.max()) if arr.size else 0.0
+
+
+# ---------------------------------------------------------------------------
+# the rebracketing oracle: both bracketings realized
+# ---------------------------------------------------------------------------
+
+@dataclass
+class AssociatorResult:
+    """Rebracketing unitary realize((E.F).G) -> realize(E.(F.G)).
+
+    Its own checks, in :attr:`report`, run on first read: the tests that only
+    compare a rebracketing against it never pay for them.
+    """
+
+    matrix: np.ndarray
+    adjoint: np.ndarray
+    left_module: ModulePresentation
+    left_factor: FactorMap      # over (E.F)-realized (x) G
+    right_module: ModulePresentation
+    right_factor: FactorMap     # over E (x) (F.G)-realized
+    ef: tuple[ModulePresentation, FactorMap]
+    tol: float
+
+    @cached_property
+    def report(self) -> VerificationReport:
+        """The unitary is Gram-preserving, unitary, and bilinear."""
+        props = ["gram", "unitary", "right-linear"]
+        if self.left_module.is_correspondence and self.right_module.is_correspondence:
+            props.append("left-linear")
+        rep = VerificationReport("associator")
+        check_map(rep, self.matrix, self.left_module, self.right_module, self.tol,
+                  {p: f"associator-{p}" for p in props}, self.adjoint)
+        return rep
+
+
+def associator(
+    e: ModulePresentation,
+    f: Correspondence,
+    g: Correspondence,
+    tol: float = TOL,
+    *,
+    ef: tuple[ModulePresentation, FactorMap] | None = None,
+    fg: tuple[ModulePresentation, FactorMap] | None = None,
+) -> AssociatorResult:
+    """The canonical rebracketing unitary and its adjoint, the oracle of
+    ``ProductSystem.rebracket`` and of the pipeline's action recursion.
+
+    Both iterated tensors are realized (reusing ``ef`` and ``fg`` when
+    supplied), and the unitary is induced from the identity on the triple
+    algebraic tensor through the two realization chains.
+    """
+    ef = ef or internal_tensor(e, f, tol)
+    fg = fg or internal_tensor(f, g, tol)
+    left_mod, p2 = internal_tensor(ef[0], g, tol)
+    right_mod, p4 = internal_tensor(e, fg[0], tol)
+    assert left_mod.dim == right_mod.dim, "the bracketings realize different dimensions"
+    alpha = _rebracket(p2, ef[1].section, fg[1].matrix, p4, "left")
+    adj = map_adjoint(alpha, left_mod, right_mod)
+    return AssociatorResult(alpha, adj, left_mod, p2, right_mod, p4, ef, tol)

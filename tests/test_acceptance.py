@@ -14,7 +14,7 @@ import pytest
 from corrkit.cli import EXIT_DEGENERATE, run
 from corrkit.dilation import (
     DilationPipeline,
-    primary_check,
+    primary_span_ranks,
     spatiality_report,
     unit_pairing_check,
     verify_main,
@@ -33,7 +33,7 @@ from corrkit.gallery import (
 )
 from corrkit.hilbmod import algebra_correspondence, fullness_check, internal_tensor
 from corrkit.instance import Instance, emit_instance
-from corrkit.prodsys import build_powers, find_central_unital_unit
+from corrkit.prodsys import ProductSystem, find_central_unital_unit
 
 from conftest import (
     max_dev,
@@ -75,8 +75,8 @@ def test_criterion_2_product_system_coherence():
     generators."""
     worst = 0.0
     for seed in range(20):
-        ps = build_powers(small_generator(seed), LEVELS, TOL)
-        rep = ps.verification
+        ps = ProductSystem(small_generator(seed), LEVELS, TOL)
+        rep = ps.coherence_report()
         assert rep.passed, (seed, [c.name for c in rep.failed_checks()])
         worst = max(worst, rep.max_deviation)
     verdict("criterion-2 coherence", worst <= TOL, f"max deviation {worst:.2e} over 20 generators")
@@ -171,24 +171,21 @@ def test_criterion_6_remark_cross_checks():
 
     # pairing forces unit equality: aligned, perturbed, and vacuous cases
     alg_corr = algebra_correspondence(identity_mixed_instance().eplus.algebra)
-    ps = build_powers(alg_corr, LEVELS, TOL)
+    ps = ProductSystem(alg_corr, LEVELS, TOL)
     omega = find_central_unital_unit(alg_corr, TOL).vector
     rep = unit_pairing_check(ps, omega, omega)
     assert rep.passed and any(c.name == f"unit-coincide[{LEVELS}]" for c in rep.checks)
     worst = max(worst, rep.max_deviation)
-    plane_ps = build_powers(plane_correspondence(), LEVELS, TOL)
+    plane_ps = ProductSystem(plane_correspondence(), LEVELS, TOL)
     with pytest.raises(PreconditionError):
         unit_pairing_check(plane_ps, np.array([1.0, 0.5]), np.array([1.0, 0.0]))
     vac = unit_pairing_check(plane_ps, np.array([0.0, 1.0]), np.array([1.0, 0.0]))
     assert vac.passed and any(c.name == "pairing-vacuous" for c in vac.checks)
 
     # primary dilations decided by the hand rank argument
-    full = identity_mixed_instance()
-    assert primary_check(DilationPipeline(full.eplus, full.endo, levels=LEVELS), full.unit_vectors["xi"])
-    partial = identity_scalar_instance()
-    assert not primary_check(
-        DilationPipeline(partial.eplus, partial.endo, levels=LEVELS), partial.unit_vectors["xi"]
-    )
+    for obj, primary in ((identity_mixed_instance(), True), (identity_scalar_instance(), False)):
+        pipe = DilationPipeline(obj.eplus, obj.endo, levels=LEVELS)
+        assert (primary_span_ranks(pipe, obj.unit_vectors["xi"])[-1] == obj.eplus.dim) == primary
 
     verdict("criterion-6 remark-cross-checks", worst <= TOL, f"max deviation {worst:.2e}")
 

@@ -81,9 +81,23 @@ def test_dilate_exit(spatial_file):
     assert main(["dilate", spatial_file, "--vector", "xi"]) == EXIT_PASS
 
 
+@pytest.mark.parametrize("command", ["verify-main", "spatial", "dilate", "verify-supplement"])
+def test_endomorphism_with_a_zero_image_is_decided(command, tmp_path):
+    """``theta(1) = 0`` over the scalars leaves ``E_1`` zero-dimensional; the
+    map fails validation, and every endomorphism command still ends in an
+    exit code, not a traceback."""
+    doc = json.loads((SHIPPED / "weak-dilation-seed0.json").read_text())
+    assert doc["algebra"]["blocks"] == [1] and len(doc["endomorphism"]["matrix"]) == 1
+    doc["endomorphism"]["matrix"][0][0] = [0.0, 0.0]
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", str(path)]) == EXIT_FAIL
+    assert main([command, str(path), "--levels", "2"]) in (EXIT_PASS, EXIT_FAIL, EXIT_INVALID, EXIT_DEGENERATE)
+
+
 @pytest.mark.parametrize("build", [identity_mixed_instance, identity_scalar_instance])
 def test_dilate_primary_flag_matches_primary_check(tmp_path, build):
-    from corrkit.dilation import DilationPipeline, primary_check, primary_span_ranks
+    from corrkit.dilation import DilationPipeline, primary_span_ranks
 
     obj = build()
     path = write(tmp_path, "inst.json", instance_from_endomorphism(obj))
@@ -91,8 +105,9 @@ def test_dilate_primary_flag_matches_primary_check(tmp_path, build):
     flag = next(c for c in report["checks"] if c["name"] == "primary-dilation")
     xi = next(iter(obj.unit_vectors.values()))
     pipe = DilationPipeline(obj.eplus, obj.endo, levels=4)
-    assert flag["passed"] == primary_check(pipe, xi)
-    assert str(primary_span_ranks(pipe, xi)) in report["detail"]
+    ranks = primary_span_ranks(pipe, xi)
+    assert flag["passed"] == (ranks[-1] == pipe.eplus.dim)
+    assert str(ranks) in report["detail"]
 
 
 def test_spatial_exit(spatial_file, collapse_file):

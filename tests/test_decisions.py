@@ -25,7 +25,7 @@ from corrkit.gallery import (
 )
 from corrkit.hilbmod import Correspondence, algebra_correspondence, pull_gram
 from corrkit.instance import parse_instance
-from corrkit.prodsys import build_powers, find_central_unital_unit
+from corrkit.prodsys import ProductSystem, find_central_unital_unit
 
 from conftest import ROOT, oracles
 
@@ -117,7 +117,7 @@ def transport_worst(out) -> float:
 
 @pytest.mark.parametrize("seed", range(12))
 def test_compare_units_decides_random_plane_pairs(seed):
-    ps = build_powers(plane_correspondence(), 4)
+    ps = ProductSystem(plane_correspondence(), 4)
     u = random_unitary(np.random.default_rng(seed), 2)
     out = compare_unit_limits(ps, u[:, 0], u[:, 1])
     assert out.verdict == "automorphism-found"
@@ -177,7 +177,7 @@ def test_compare_units_finds_a_blockwise_bilinear_unitary(base, copies, seed):
     g = skewed(f, t)
     tinv = np.linalg.inv(t)
     xi1, xi2 = tinv @ xi, tinv @ w @ xi
-    out = compare_unit_limits(build_powers(g, 3), xi1, xi2)
+    out = compare_unit_limits(ProductSystem(g, 3), xi1, xi2)
     assert out.verdict == "automorphism-found", [c.name for c in out.report.failed_checks()]
     assert transport_worst(out) <= EXACT
     assert np.abs(out.unitary @ xi1 - xi2).max() <= EXACT
@@ -186,7 +186,7 @@ def test_compare_units_finds_a_blockwise_bilinear_unitary(base, copies, seed):
 def test_compare_units_conjugated_plain_and_swapped_differ():
     basis = random_unitary(np.random.default_rng(8), 4)
     f = conjugated(doubled_swap_correspondence(), basis)
-    ps = build_powers(f, 3)
+    ps = ProductSystem(f, 3)
     plain = basis.conj().T @ np.array([1, 1, 0, 0])
     swapped = basis.conj().T @ np.array([0, 0, 1, 1])
     assert compare_unit_limits(ps, plain, swapped).verdict == "necessary-condition-fails"

@@ -10,7 +10,6 @@ from corrkit.dilation import (
     build_w,
     compare_unit_limits,
     left_limit,
-    primary_check,
     primary_span_ranks,
     right_limit,
     spatiality_report,
@@ -33,9 +32,9 @@ from corrkit.gallery import (
     weak_dilation_gallery,
 )
 from corrkit.hilbmod import adjointable_basis, algebra_correspondence
-from corrkit.prodsys import build_powers, find_central_unital_unit
+from corrkit.prodsys import ProductSystem, find_central_unital_unit
 
-from conftest import TOL, max_dev
+from conftest import TOL, associator, max_dev
 
 SHIPPED = Path(__file__).resolve().parent.parent / "instances"
 
@@ -46,14 +45,14 @@ SHIPPED = Path(__file__).resolve().parent.parent / "instances"
 
 def test_right_limit_over_algebra():
     alg = make_algebra([1, 2])
-    ps = build_powers(algebra_correspondence(alg), 4)
+    ps = ProductSystem(algebra_correspondence(alg), 4)
     lim = right_limit(ps, alg.coords(alg.unit))
     assert lim.report.passed
     assert lim.report.max_deviation < TOL
 
 
 def test_right_limit_plane_doubling():
-    ps = build_powers(plane_correspondence(), 4)
+    ps = ProductSystem(plane_correspondence(), 4)
     lim = right_limit(ps, np.array([1.0, 0.0]))
     assert lim.report.passed
     assert [e.shape for e in lim.embeddings] == [(2, 1), (4, 2), (8, 4), (16, 8)]
@@ -68,7 +67,7 @@ def test_right_limit_plane_doubling():
 
 def test_right_limit_increasing_with_eigen_oracle():
     rng = np.random.default_rng(5)
-    ps = build_powers(plane_correspondence(), 3)
+    ps = ProductSystem(plane_correspondence(), 3)
     v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
     v = v / np.linalg.norm(v)
     lim = right_limit(ps, v)
@@ -92,14 +91,14 @@ def test_right_limit_increasing_with_eigen_oracle():
 
 
 def test_right_limit_needs_unital_unit():
-    ps = build_powers(plane_correspondence(), 3)
+    ps = ProductSystem(plane_correspondence(), 3)
     with pytest.raises(PreconditionError):
         right_limit(ps, np.array([2.0, 0.0]))
 
 
 def test_left_limit_over_algebra():
     alg = make_algebra([1, 2])
-    ps = build_powers(algebra_correspondence(alg), 4)
+    ps = ProductSystem(algebra_correspondence(alg), 4)
     search = find_central_unital_unit(ps.generator)
     lim = left_limit(ps, search.vector)
     assert lim.report.passed
@@ -109,7 +108,7 @@ def test_left_limit_over_algebra():
 
 
 def test_left_limit_rejects_noncentral_vector():
-    ps = build_powers(doubled_swap_correspondence(), 2)
+    ps = ProductSystem(doubled_swap_correspondence(), 2)
     # unital but not central: supported on the swapped copy
     with pytest.raises(PreconditionError):
         left_limit(ps, np.array([0.0, 0.0, 1.0, 1.0]))
@@ -296,35 +295,29 @@ def test_each_tensor_and_associator_realized_once_per_run(monkeypatch):
     inst = parse_instance(str(SHIPPED / "weak-dilation-seed0.json"))
     eplus, endo = inst.make_endo()
     _, xi = inst.vector("xi")
-    seen, held, repeats, calls = set(), [], [], {}
+    real = hilbmod.internal_tensor
+    seen, held, repeats = set(), [], []
 
-    def tracked(fn, arity):
-        def wrapper(*args, **kwargs):
-            held.append(args)  # keeps the operand ids unique during a run
-            calls[fn.__name__] = calls.get(fn.__name__, 0) + 1
-            key = (fn.__name__,) + tuple(id(a) for a in args[:arity])
-            if key in seen:
-                repeats.append((fn.__name__, [getattr(a, "dim", a) for a in args[:arity]]))
-            seen.add(key)
-            return fn(*args, **kwargs)
-        return wrapper
+    def tracked(e, f, *args, **kwargs):
+        held.append((e, f))  # keeps the operand ids unique during a run
+        if (id(e), id(f)) in seen:
+            repeats.append((e.dim, f.dim))
+        seen.add((id(e), id(f)))
+        return real(e, f, *args, **kwargs)
 
-    for fn, arity in ((hilbmod.internal_tensor, 2), (hilbmod.associator, 3)):
-        wrapper = tracked(fn, arity)
-        for name, mod in list(sys.modules.items()):
-            if name.startswith("corrkit") and mod is not None and vars(mod).get(fn.__name__) is fn:
-                monkeypatch.setattr(mod, fn.__name__, wrapper)
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("corrkit") and mod is not None and vars(mod).get("internal_tensor") is real:
+            monkeypatch.setattr(mod, "internal_tensor", tracked)
     for run in (
         lambda: verify_main(DilationPipeline(eplus, endo, levels=4)),
         lambda: verify_supplement(DilationPipeline(eplus, endo, levels=4), xi),
     ):
         seen.clear()
         held.clear()
-        calls.clear()
         assert run().status == "pass"
         assert len(seen) > 20
-        # and none is skipped; the associator is never called
-        assert calls == {"internal_tensor": 30}
+        # and none is skipped
+        assert len(held) == 30
     assert repeats == []
 
 
@@ -358,7 +351,7 @@ def test_operator_basis_amplified_once_per_stage(monkeypatch):
 def test_action_unitaries_match_the_associator_recursion():
     """``u_t = u_1 (u_{t-1} . id)`` through the stage map equals the recursion
     through a realized rebracketing ``(E+ . E_{t-1}) . E_1 -> E+ . E_t``."""
-    from corrkit.hilbmod import associator, tensor_lift
+    from corrkit.hilbmod import tensor_lift
     from corrkit.instance import parse_instance
 
     eplus, endo = parse_instance(str(SHIPPED / "weak-dilation-seed0.json")).make_endo()
@@ -462,14 +455,15 @@ def test_collapse_carries_idempotent_compression():
 
 def test_primary_for_algebra_module():
     inst = identity_mixed_instance()
-    assert primary_check(DilationPipeline(inst.eplus, inst.endo, levels=4), inst.unit_vectors["xi"])
+    pipe = DilationPipeline(inst.eplus, inst.endo, levels=4)
+    assert primary_span_ranks(pipe, inst.unit_vectors["xi"])[-1] == inst.eplus.dim
 
 
 def test_not_primary_on_larger_module():
     inst = identity_scalar_instance()
     pipe = DilationPipeline(inst.eplus, inst.endo, levels=4)
-    assert not primary_check(pipe, inst.unit_vectors["xi"])
     assert primary_span_ranks(pipe, inst.unit_vectors["xi"]) == [1] * 5
+    assert inst.eplus.dim > 1
 
 
 def test_primary_ranks_on_collapse_by_oracle():
@@ -479,7 +473,7 @@ def test_primary_ranks_on_collapse_by_oracle():
     ranks = primary_span_ranks(pipe, xi)
     # by hand: the moved projections keep their ranges inside two coordinates
     assert ranks == [2, 2, 2, 2]
-    assert not primary_check(pipe, xi)
+    assert ranks[-1] < inst.eplus.dim
 
 
 # ---------------------------------------------------------------------------
@@ -488,7 +482,7 @@ def test_primary_ranks_on_collapse_by_oracle():
 
 def test_unit_pairing_equal_units():
     alg = make_algebra([1, 2])
-    ps = build_powers(algebra_correspondence(alg), 4)
+    ps = ProductSystem(algebra_correspondence(alg), 4)
     one = alg.coords(alg.unit)
     rep = unit_pairing_check(ps, one, one)
     assert rep.passed
@@ -497,7 +491,7 @@ def test_unit_pairing_equal_units():
 
 
 def test_unit_pairing_vacuous_branch():
-    ps = build_powers(plane_correspondence(), 3)
+    ps = ProductSystem(plane_correspondence(), 3)
     rep = unit_pairing_check(ps, np.array([0.0, 1.0]), np.array([1.0, 0.0]))
     assert rep.passed
     assert any(c.name == "pairing-vacuous" for c in rep.checks)
@@ -508,7 +502,7 @@ def test_unit_pairing_orthogonal_perturbation_forces_zero():
     """A unit pairing to the identity against a central unit must equal it:
     perturbing orthogonally breaks unitality unless the perturbation is zero."""
     e1 = plane_correspondence()
-    ps = build_powers(e1, 3)
+    ps = ProductSystem(e1, 3)
     omega = np.array([1.0, 0.0])
     v = np.array([0.0, 1.0])
     assert max_dev(e1.inner(omega, v), 0) == 0.0
@@ -524,7 +518,7 @@ def test_unit_pairing_orthogonal_perturbation_forces_zero():
 
 
 def test_unit_pairing_rejects_bad_flags():
-    ps = build_powers(plane_correspondence(), 2)
+    ps = ProductSystem(plane_correspondence(), 2)
     with pytest.raises(PreconditionError):
         unit_pairing_check(ps, np.array([2.0, 0.0]), np.array([1.0, 0.0]))
 
@@ -534,7 +528,7 @@ def test_unit_pairing_rejects_bad_flags():
 # ---------------------------------------------------------------------------
 
 def test_compare_units_identity():
-    ps = build_powers(plane_correspondence(), 3)
+    ps = ProductSystem(plane_correspondence(), 3)
     xi = np.array([1.0, 0.0])
     out = compare_unit_limits(ps, xi, xi)
     assert out.verdict == "automorphism-found"
@@ -542,7 +536,7 @@ def test_compare_units_identity():
 
 
 def test_compare_units_coordinate_swap():
-    ps = build_powers(plane_correspondence(), 3)
+    ps = ProductSystem(plane_correspondence(), 3)
     out = compare_unit_limits(ps, np.array([1.0, 0.0]), np.array([0.0, 1.0]))
     assert out.verdict == "automorphism-found"
     assert out.report.passed
@@ -550,7 +544,7 @@ def test_compare_units_coordinate_swap():
 
 
 def test_compare_units_distinct_compressions():
-    ps = build_powers(doubled_swap_correspondence(), 3)
+    ps = ProductSystem(doubled_swap_correspondence(), 3)
     out = compare_unit_limits(
         ps, np.array([1.0, 1.0, 0.0, 0.0]), np.array([0.0, 0.0, 1.0, 1.0])
     )
@@ -617,5 +611,5 @@ def test_no_entry_point_takes_a_second_source_of_run_parameters():
         "verify_main", "verify_supplement", "weak_dilation_check", "spatiality_report",
         "build_action_stages", "build_w", "derive_unit", "check_unit", "right_limit",
         "left_limit", "unit_pairing_check", "compare_unit_limits", "cp_of_unit",
-        "primary_span_ranks", "primary_check",
+        "primary_span_ranks",
     } <= checked

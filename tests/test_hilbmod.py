@@ -25,7 +25,6 @@ from corrkit.hilbmod import (
     adjointable_basis,
     algebra_correspondence,
     amplify,
-    associator,
     basis_coords,
     check_map,
     fullness_check,
@@ -47,11 +46,12 @@ from corrkit.hilbmod import (
     tensor_vector,
     validate_module,
 )
-from corrkit.prodsys import build_powers
+from corrkit.prodsys import ProductSystem
 from corrkit.report import VerificationReport, _worst
 
 from conftest import (
     TOL,
+    associator,
     max_dev,
     oracle_commutant_dimension,
     oracle_pre_gram,
@@ -651,7 +651,7 @@ def test_factored_tensor_keeps_the_eigh_range(monkeypatch):
     plane's nondegenerate powers and the doubled swap's degenerate ones."""
     pairs = list(tensor_pairs())
     for gen in (plane_correspondence(), doubled_swap_correspondence()):
-        ps = build_powers(gen, 2)
+        ps = ProductSystem(gen, 2)
         pairs += [(ps.power(s), ps.power(t)) for s in range(3) for t in (1, 2)]
     for e, f in pairs:
         _assert_eigh_range(e, f, monkeypatch)
@@ -678,7 +678,7 @@ def test_tensor_of_the_triple_copy_stays_small():
     """``E_0 . E_2`` (5 x 45 -> 45) holds no (m_E m_F)-square or
     (m_F r)-square intermediate; those took 190 MiB here, and 4.95 GiB for
     ``E_0 . E_3``."""
-    ps = build_powers(triple_copy(), 2)
+    ps = ProductSystem(triple_copy(), 2)
     e, f = ps.power(0), ps.power(2)
     internal_tensor(e, f)  # warm the cached Gram factor and corner maps
     (tensor, _), peak = traced_peak(internal_tensor, e, f)

@@ -1,7 +1,10 @@
 import json
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+from corrkit import cli
 from corrkit.dilation import DilationPipeline, weak_dilation_check
 from corrkit.errors import InstanceFormatError
 from corrkit.instance import (
@@ -92,8 +95,6 @@ def test_norm_error_names_the_oversize_action():
 
 
 def test_norms_checked_with_one_svd_per_stack(monkeypatch):
-    import numpy as np
-
     doc = _module_doc()
     calls = []
     real = np.linalg.svd
@@ -221,7 +222,7 @@ def test_unknown_profile():
 
 
 # ---------------------------------------------------------------------------
-# one conversion per stack, with the per-element decoder naming bad entries
+# one conversion per array, with the entry-by-entry locator naming bad entries
 # ---------------------------------------------------------------------------
 
 def _corrupt_docs():
@@ -294,9 +295,8 @@ def test_bad_entry_named_as_by_the_element_decoder(kind, place, pos, monkeypatch
 
 
 def test_one_step_decoding_matches_the_element_decoder(monkeypatch):
-    """Bitwise the same arrays, and no per-element decoding on valid input."""
-    import numpy as np
-
+    """Bitwise the same arrays from the locator, and no entry-by-entry
+    decoding of valid input."""
     import corrkit.instance as instance
 
     docs = list(_corrupt_docs()) + [json.loads(emit_instance(generate_instance(s, p)))
@@ -312,14 +312,138 @@ def test_one_step_decoding_matches_the_element_decoder(monkeypatch):
             out.append(inst.endomorphism[1])
         return [(a.shape, a.tobytes()) for a in out]
 
-    def refuse(value, where):
-        raise AssertionError(f"{where} decoded element by element")
+    def refuse(value, shape, where_of):
+        raise AssertionError(f"an array of shape {shape} decoded entry by entry")
 
     with monkeypatch.context() as patch:
-        patch.setattr(instance, "_decode_scalar", refuse)
+        patch.setattr(instance, "_locate", refuse)
         fast = [arrays(decode_instance(doc)) for doc in docs]
     monkeypatch.setattr(instance, "_read_pairs", lambda value, ndim: None)
     slow = [arrays(decode_instance(doc)) for doc in docs]
     assert fast == slow
     xi = decode_instance(docs[1]).vectors["xi"][1]
     assert np.signbit([xi[0].real, xi[1].imag]).all() and xi[1].real == 3.0
+
+
+# ---------------------------------------------------------------------------
+# malformed documents exit 2, never with a traceback
+# ---------------------------------------------------------------------------
+
+SHIPPED = Path(__file__).resolve().parent.parent / "instances"
+
+
+def _set(doc, path, value):
+    for key in path[:-1]:
+        doc = doc[key]
+    doc[path[-1]] = value
+
+
+def _leaves(node, path=()):
+    """(path, value) of every JSON leaf under ``node``."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        yield path, node
+        return
+    for key, child in items:
+        yield from _leaves(child, path + (key,))
+
+
+def _cli(argv, doc, tmp_path, capsys) -> tuple[int, str, str]:
+    """``cli.main`` on ``doc`` written to a file: (exit code, stdout, stderr).
+    An exception out of ``cli.main`` fails the calling test."""
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    code = cli.main([argv[0], str(path), *argv[1:]])
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+REPROS = {
+    "levels-string": ("module-seed0", ("config", "levels"), "x", "config.levels"),
+    "tol-null": ("module-seed0", ("config", "tol"), None, "config.tol"),
+    "gram-row-scalar": ("module-seed0", ("modules", "E", "gram", 0), 1.5, "modules.E.gram"),
+    "generator-list": ("correspondence-seed0", ("product_system", "generator"), [],
+                       "product_system.generator"),
+    "levels-float": ("module-seed0", ("config", "levels"), 2.5, "config.levels"),
+    "blocks-bool": ("module-seed0", ("algebra", "blocks"), [True], "algebra.blocks[0]"),
+    "seed-string": ("module-seed0", ("config", "seed"), "abc", "config.seed"),
+    "tol-bool": ("module-seed0", ("config", "tol"), True, "config.tol"),
+    "vectors-list": ("module-seed0", ("vectors",), [], "vectors"),
+}
+
+
+@pytest.mark.parametrize("case", REPROS)
+def test_mistyped_field_exits_2_naming_it(case, tmp_path, capsys):
+    name, path, value, field = REPROS[case]
+    doc = json.loads((SHIPPED / f"{name}.json").read_text())
+    _set(doc, path, value)
+    with pytest.raises(InstanceFormatError) as err:
+        decode_instance(doc)
+    assert str(err.value).startswith(f"{field}: ")
+    assert _cli(["validate"], doc, tmp_path, capsys)[::2] == (2, f"error: {err.value}\n")
+
+
+def test_module_arrays_read_right_action_gram_left_action():
+    """With every array of a correspondence bad, the error names the first in
+    the order right action, Gram, left action."""
+    fields = ("right_action", "gram", "left_action")
+    for k, key in enumerate(fields):
+        doc = json.loads((SHIPPED / "correspondence-seed0.json").read_text())
+        for bad in fields[k:]:
+            doc["modules"]["F"][bad] = "x"
+        with pytest.raises(InstanceFormatError, match=rf"^modules\.F\.{key}: "):
+            decode_instance(doc)
+
+
+def test_negative_seed_is_recorded_but_not_generated(tmp_path, capsys):
+    """A document's seed is only recorded in reports, so any integer is read;
+    ``generate`` seeds numpy with it and refuses a negative one with exit 2."""
+    doc = json.loads((SHIPPED / "module-seed0.json").read_text())
+    doc["config"]["seed"] = -1
+    assert decode_instance(doc).config.seed == -1
+    assert _cli(["validate"], doc, tmp_path, capsys)[0] == 0
+    assert cli.main(["generate", "--profile", "module", "--seed", "-1"]) == 2
+    assert capsys.readouterr().err == "error: seed -1: expected an integer of at least 0\n"
+
+
+REPLACEMENTS = ["x", True, None, [], {}, -1, 0, 1.5, [[1]], float("nan")]
+
+
+def _must_reject(old, new) -> bool:
+    """NaN, or a value of another JSON type than the leaf it replaces; an
+    integer may stand for a float, and a bool is not a number."""
+    return new != new or type(new) is not type(old) and not (type(old) is float and type(new) is int)
+
+
+def test_mutated_shipped_documents_exit_2_or_decide(tmp_path, capsys):
+    """A seeded mutation run: in every shipped instance, a draw of JSON leaves
+    is replaced by each value of REPLACEMENTS.  ``validate`` gives exit 2 or a
+    decided report and never raises, and a mistyped value always exits 2; a
+    document that still validates also runs one pipeline command.  An integer
+    in place of an integral float pair entry is the same document."""
+    rng = np.random.default_rng(21)
+    for path in sorted(SHIPPED.glob("*.json")):
+        base = json.loads(path.read_text())
+        leaves = list(_leaves(base))
+        pipeline = (["verify-main", "--levels", "2"] if "endomorphism" in base
+                    else ["derive-ps"] if "product_system" in base else None)
+        for k in rng.choice(len(leaves), size=min(8, len(leaves)), replace=False):
+            where, old = leaves[k]
+            for new in REPLACEMENTS:
+                doc = json.loads(json.dumps(base))
+                _set(doc, where, new)
+                code = _cli(["validate"], doc, tmp_path, capsys)[0]
+                assert code in (0, 1, 2, 3), (path.name, where, new)
+                if _must_reject(old, new):
+                    assert code == 2, (path.name, where, new)
+                if code in (0, 1) and pipeline:
+                    assert _cli(pipeline, doc, tmp_path, capsys)[0] in (0, 1, 2, 3), (path.name, where, new)
+        integral = [(where, old) for where, old in leaves if type(old) is float and old.is_integer()]
+        expected = _cli(["validate"], base, tmp_path, capsys)
+        for k in rng.choice(len(integral), size=min(3, len(integral)), replace=False):
+            doc = json.loads(json.dumps(base))
+            _set(doc, integral[k][0], int(integral[k][1]))
+            assert _cli(["validate"], doc, tmp_path, capsys) == expected == (0, expected[1], "")

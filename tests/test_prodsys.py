@@ -15,14 +15,12 @@ from corrkit.gallery import (
 from corrkit.hilbmod import (
     Correspondence,
     algebra_correspondence,
-    associator,
     check_map,
     null_space,
     tensor_lift,
 )
 from corrkit.prodsys import (
     ProductSystem,
-    build_powers,
     check_unit,
     choi_matrix,
     cp_of_unit,
@@ -34,6 +32,7 @@ from corrkit.report import VerificationReport
 
 from conftest import (
     TOL,
+    associator,
     max_dev,
     oracle_pre_gram,
     oracle_rank,
@@ -65,7 +64,7 @@ def test_tensor_dimensions_match_the_multiplicity_oracle(gen, levels):
     blocks = list(gen.algebra.blocks)
     mod = oracles.Module.from_arrays(blocks, gen.right_action, gen.left_action, gen.gram)
     want = oracles.stage_dimensions(blocks, oracles.multiplicity_matrix(mod), levels)
-    ps = build_powers(gen, levels)
+    ps = ProductSystem(gen, levels)
     for total in range(levels + 1):
         for s in range(total + 1):
             (tensor, _), peak = traced_peak(ps.tensor, s, total - s)
@@ -74,16 +73,16 @@ def test_tensor_dimensions_match_the_multiplicity_oracle(gen, levels):
 
 
 def test_powers_of_scalar_plane():
-    ps = build_powers(plane_correspondence(), 4)
+    ps = ProductSystem(plane_correspondence(), 4)
     assert [ps.power(n).dim for n in range(5)] == [1, 2, 4, 8, 16]
-    assert ps.verification.passed
+    assert ps.coherence_report().passed
 
 
 def test_powers_of_algebra_are_multiplication():
     alg = make_algebra([1, 2])
-    ps = build_powers(algebra_correspondence(alg), 3)
+    ps = ProductSystem(algebra_correspondence(alg), 3)
     assert all(ps.power(n).dim == alg.dim for n in range(4))
-    assert ps.verification.passed
+    assert ps.coherence_report().passed
     rng = np.random.default_rng(0)
     a, b = random_element(alg, rng, 0.5), random_element(alg, rng, 0.5)
     # the canonical identification with the algebra factor is multiplication
@@ -99,7 +98,7 @@ def test_powers_of_algebra_are_multiplication():
 
 def test_powers_of_block_swap_stay_two_dimensional():
     swap = block_swap_correspondence()
-    ps = build_powers(swap, 4)
+    ps = ProductSystem(swap, 4)
     assert [ps.power(n).dim for n in range(5)] == [2, 2, 2, 2, 2]
     pre = oracle_pre_gram(swap, swap)
     assert oracle_rank(oracle_scalarized(swap.algebra, pre)) == 2
@@ -107,7 +106,7 @@ def test_powers_of_block_swap_stay_two_dimensional():
 
 def test_budget_exceeded():
     with pytest.raises(ResourceBudgetError) as err:
-        build_powers(plane_correspondence(), 4, budget=8)
+        ProductSystem(plane_correspondence(), 4, budget=8)
     assert err.value.required == 16
 
 
@@ -118,11 +117,11 @@ def test_assoc_reuses_collapsed_bracketing_within_budget():
     that building the identifications would not."""
     levels = 4
     ps = ProductSystem(plane_correspondence(), levels)
-    assert ps.verification.passed
+    assert ps.coherence_report().passed
     assert set(ps._tensors) == {(s, t) for s in range(levels + 1) for t in range(levels + 1 - s)}
     # the largest pair carrier, 4 x 4 = 16, is budget enough for the whole sweep
     ps = ProductSystem(plane_correspondence(), levels, budget=16)
-    assert ps.verification.passed
+    assert ps.coherence_report().passed
     with pytest.raises(ResourceBudgetError):
         ps.tensor(3, 3)
 
@@ -153,7 +152,7 @@ def _old_rebracket(ps, r, s, t):
     (plane_correspondence(), 4), (doubled_swap_correspondence(), 3)],
     ids=[f"seed{k}" for k in range(4)] + ["plane", "doubled-swap"])
 def test_rebracket_matches_the_associator_route(gen, levels):
-    ps = build_powers(gen, levels)
+    ps = ProductSystem(gen, levels)
     for r in range(levels + 1):
         for s in range(levels + 1 - r):
             for t in range(levels + 1 - r - s):
@@ -162,7 +161,7 @@ def test_rebracket_matches_the_associator_route(gen, levels):
 
 
 def test_inverse_identification_is_cached_beside_u():
-    ps = build_powers(small_generator(3), 3)
+    ps = ProductSystem(small_generator(3), 3)
     uinv = ps.uinv(1, 2)
     assert ps.uinv(1, 2) is uinv
     assert max_dev(uinv @ ps.u(1, 2), np.eye(ps.tensor(1, 2)[0].dim)) < TOL
@@ -172,9 +171,9 @@ def test_inverse_identification_is_cached_beside_u():
 
 @pytest.mark.parametrize("seed", range(6))
 def test_coherence_on_seeded_generators(seed):
-    ps = build_powers(small_generator(seed), 3)
-    assert ps.verification.passed
-    assert ps.verification.max_deviation < TOL
+    ps = ProductSystem(small_generator(seed), 3)
+    rep = ps.coherence_report()
+    assert rep.passed and rep.max_deviation < TOL
 
 
 def test_one_adjoint_per_identification(monkeypatch):
@@ -184,7 +183,7 @@ def test_one_adjoint_per_identification(monkeypatch):
     import corrkit.prodsys as prodsys
 
     levels = 4
-    ps = build_powers(conjugated(doubled_swap_correspondence(),
+    ps = ProductSystem(conjugated(doubled_swap_correspondence(),
                                  random_unitary(np.random.default_rng(9), 4)), levels)
     real, calls = hilbmod.map_adjoint, []
 
@@ -222,19 +221,14 @@ def test_unit_reports_do_not_depend_on_reading_verification(case):
             check_unit(ps, xi2).to_machine(),
         ]
 
-    swept = build_powers(gen, levels)
-    assert "verification" not in vars(swept)
-    first = swept.verification
-    assert first.passed
-    lazy = build_powers(gen, levels)
-    assert reports(swept) == reports(lazy)
-    assert "verification" not in vars(lazy)
-    assert swept.verification is first
+    swept = ProductSystem(gen, levels)
+    assert swept.coherence_report().passed
+    assert reports(swept) == reports(ProductSystem(gen, levels))
 
 
 def test_check_unit_identity():
     alg = make_algebra([1, 2])
-    ps = build_powers(algebra_correspondence(alg), 4)
+    ps = ProductSystem(algebra_correspondence(alg), 4)
     rep = check_unit(ps, alg.coords(alg.unit))
     assert rep.passed
     names = {c.name for c in rep.checks}
@@ -243,7 +237,7 @@ def test_check_unit_identity():
 
 
 def test_check_unit_plane_vector():
-    ps = build_powers(plane_correspondence(), 4)
+    ps = ProductSystem(plane_correspondence(), 4)
     xi = np.array([1.0, 0.0])
     rep = check_unit(ps, xi)
     assert rep.passed
@@ -253,7 +247,7 @@ def test_check_unit_plane_vector():
 
 
 def test_check_unit_scaled_fails_unitality():
-    ps = build_powers(plane_correspondence(), 3)
+    ps = ProductSystem(plane_correspondence(), 3)
     rep = check_unit(ps, np.array([2.0, 0.0]))
     failed = {c.name for c in rep.failed_checks()}
     assert "unitality-level-1" in failed
@@ -353,4 +347,4 @@ def test_cp_seeded_choi_and_semigroup(seed):
 
 def test_levels_must_be_positive():
     with pytest.raises(PreconditionError):
-        build_powers(plane_correspondence(), 0)
+        ProductSystem(plane_correspondence(), 0)
