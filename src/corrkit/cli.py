@@ -30,8 +30,11 @@ from .errors import (
     PreconditionError,
 )
 from .hilbmod import (
+    Correspondence,
+    ModulePresentation,
     _dev,
     adjointable_basis,
+    check_map,
     internal_tensor,
     matrix_rank_tol,
     pull_gram,
@@ -93,11 +96,19 @@ def _cmd_tensor(inst: Instance, config: RunConfig, left: str = "", right: str = 
         raise InstanceFormatError("tensor: --left and --right module names are required")
     e = inst.module(left)
     f = inst.correspondence(right, "tensor")
-    tensor, fm = internal_tensor(e, f, config.tol)
+    tensor, fm = internal_tensor(e, f)
     rep = VerificationReport(f"internal tensor {left} . {right}")
     rep.add_flag("factor-surjective", matrix_rank_tol(fm.matrix) == tensor.dim)
-    pulled = pull_gram(fm.matrix, tensor.gram)
-    rep.add("inner-product-rule", _dev(pulled, tensor_pre_gram(e, f)), config.tol)
+    pre = tensor_pre_gram(e, f)
+    rep.add("inner-product-rule", _dev(pull_gram(fm.matrix, tensor.gram), pre), config.tol)
+    # the factor map against the algebraic tensor's actions I (x) R_F and L_E (x) I
+    right_action = np.kron(np.eye(e.dim)[None], f.right_action)
+    if e.is_correspondence:
+        algebraic = Correspondence(e.algebra, right_action, pre, np.kron(e.left_action, np.eye(f.dim)[None]))
+    else:
+        algebraic = ModulePresentation(e.algebra, right_action, pre)
+    prop = "bilinear" if e.is_correspondence else "right-linear"
+    check_map(rep, fm.matrix, algebraic, tensor, config.tol, {prop: f"factor-map-{prop}"})
     rep.extend(validate_module(tensor, config.tol), prefix="tensor-")
     rep.detail = f"realized dimension {tensor.dim} from {e.dim} x {f.dim}"
     return rep
@@ -120,15 +131,20 @@ def _cmd_derive_ps(inst: Instance, config: RunConfig) -> VerificationReport:
     return rep
 
 
-def _pipeline(inst: Instance, config: RunConfig) -> DilationPipeline:
-    """The one pipeline of a dilation command, built from the run config."""
-    eplus, endo = inst.make_endo()
-    return DilationPipeline(eplus, endo, config.levels, config.tol, config.budget)
+def _on_pipeline(body):
+    """A dilation command, ``body(inst, pipe, **kwargs)`` on the one pipeline
+    built from the run config, behind one gate: an endomorphism that fails
+    validation makes that report the command's, before any spatiality decision."""
+    def command(inst: Instance, config: RunConfig, **kwargs) -> VerificationReport:
+        pipe = DilationPipeline(*inst.make_endo(), config.levels, config.tol, config.budget)
+        checked = pipe.endomorphism_report()
+        return body(inst, pipe, **kwargs) if checked.passed else checked
+    return command
 
 
 def _cmd_spatial(inst: Instance, config: RunConfig) -> VerificationReport:
     if inst.endomorphism is not None:
-        return spatiality_report(_pipeline(inst, config))[1]
+        return _on_pipeline(lambda _, pipe: spatiality_report(pipe)[1])(inst, config)
     ps = _require_ps(inst, config)
     search = find_central_unital_unit(ps.generator, config.tol)
     rep = VerificationReport("spatiality", provenance={"levels": ps.levels})
@@ -148,8 +164,8 @@ def _endo_vector(inst: Instance, pipe: DilationPipeline, command: str, vector: s
     return vec
 
 
-def _cmd_dilate(inst: Instance, config: RunConfig, vector: str = "xi") -> VerificationReport:
-    pipe = _pipeline(inst, config)
+@_on_pipeline
+def _cmd_dilate(inst: Instance, pipe: DilationPipeline, vector: str = "xi") -> VerificationReport:
     vec = _endo_vector(inst, pipe, "dilate", vector)
     rep = weak_dilation_check(pipe, vec).report
     ranks = primary_span_ranks(pipe, vec)
@@ -158,12 +174,11 @@ def _cmd_dilate(inst: Instance, config: RunConfig, vector: str = "xi") -> Verifi
     return rep
 
 
-def _cmd_verify_main(inst: Instance, config: RunConfig) -> VerificationReport:
-    return verify_main(_pipeline(inst, config))
+_cmd_verify_main = _on_pipeline(lambda _, pipe: verify_main(pipe))
 
 
-def _cmd_verify_supplement(inst: Instance, config: RunConfig, vector: str = "xi") -> VerificationReport:
-    pipe = _pipeline(inst, config)
+@_on_pipeline
+def _cmd_verify_supplement(inst: Instance, pipe: DilationPipeline, vector: str = "xi") -> VerificationReport:
     return verify_supplement(pipe, _endo_vector(inst, pipe, "verify-supplement", vector))
 
 

@@ -221,14 +221,14 @@ def build_action_stages(pipe: DilationPipeline) -> tuple[list[ActionStage], Veri
     eplus, endo, tol = pipe.eplus, pipe.endo, pipe.tol
     ps = pipe.ps()
     rep = VerificationReport("module action of the product system")
-    t0, f0 = internal_tensor(eplus, ps.power(0), tol)
+    t0, f0 = internal_tensor(eplus, ps.power(0))
     lift = lambda fm: amplify(endo.op_stack, fm, side="left")
     stages = [ActionStage(0, t0, f0, right_unitor(eplus, f0), lift(f0))]
     stage, stage_rep = u_unitary(eplus, endo, 1, pipe.e1(), tol)
     rep.extend(stage_rep)
     stages.append(stage)
     for t in range(2, ps.levels + 1):
-        tensor, fm = internal_tensor(eplus, ps.power(t), tol)
+        tensor, fm = internal_tensor(eplus, ps.power(t))
         stages.append(ActionStage(t, tensor, fm, None, lift(fm)))
         u_t = stages[t].u = stages[1].u @ stage_map(ps, stages, t - 1, 1)
         adj = check_map(rep, u_t, tensor, eplus, tol, {
@@ -318,6 +318,10 @@ class DilationPipeline:
             self._cache[key] = builder()
         return self._cache[key]
 
+    def endomorphism_report(self) -> VerificationReport:
+        """The endomorphism's validation, the gate of every dilation command."""
+        return self._get("endo", lambda: validate_endomorphism(self.endo, self.tol))
+
     def e1(self) -> AssociatedCorrespondence:
         return self._get("e1", lambda: associated_correspondence(self.eplus, self.endo, 1, self.tol))
 
@@ -377,7 +381,7 @@ def verify_main(pipe: DilationPipeline) -> VerificationReport:
         "main verification",
         provenance={"levels": levels, "budget": pipe.budget, "tol": tol},
     )
-    rep.extend(validate_endomorphism(endo, tol))
+    rep.extend(pipe.endomorphism_report())
     rep.add_flag("module-full", fullness_check(eplus))
     rep.extend(validate_module(pipe.e1().corr, tol), prefix="associated-")
 
@@ -413,7 +417,7 @@ def _restriction_chain_dev(pipe: DilationPipeline, t: int, m: int, want: np.ndar
     stack ``theta^t(a) . id`` on stage ``m``: no ``W`` and no stage map
     enters, and it is the one three-fold bracketing a run realizes."""
     stages = pipe.stages()[0]
-    left_mod, left_factor = internal_tensor(stages[t].tensor, pipe.ps().power(m), pipe.tol)
+    left_mod, left_factor = internal_tensor(stages[t].tensor, pipe.ps().power(m))
     lout = tensor_lift(stages[t].u, left_factor, stages[m].factor, side="left")
     lout_adj = map_adjoint(lout, left_mod, stages[m].tensor)
     chain = lout @ amplify(stages[t].ops, left_factor, side="left") @ lout_adj

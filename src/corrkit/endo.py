@@ -242,7 +242,7 @@ def associated_correspondence(
     # frame[p, u, (i, j)] = theta^t(xi_p e_i*)[u, j], the p-th map on e_i* (x) e_j
     frame = np.tensordot(_frame(eplus, tol), endo.rank_one_images(t), axes=([1], [0]))
     frame = frame.transpose(0, 2, 1, 3).reshape(len(frame), m, m * m)
-    proj, section, _ = _realize((eplus.scalar_sqrt @ frame).reshape(-1, m * m), tol)
+    proj, section = _realize((eplus.scalar_sqrt @ frame).reshape(-1, m * m), tol)
     gram = sum(pull_gram(v, eplus.gram) for v in frame @ section)
     right = proj @ _lift(eplus.right_action, section, (m, m), "right")
     left = proj @ _lift(eplus.right_action[alg.star_index].conj(), section, (m, m), "left")
@@ -268,7 +268,7 @@ def power_coherence(
     s, t = es.level, et.level
     if est.level != s + t or min(s, t) < 1:
         raise PreconditionError("power coherence needs levels s, t >= 1 with their sum realized")
-    tensor, fm = internal_tensor(es.corr, et.corr, tol)
+    tensor, fm = internal_tensor(es.corr, et.corr)
 
     # bridge[u, (j, k, l)] = theta^t(e_j e_k*)[u, l], as in u_unitary
     bridge = endo.rank_one_images(t).transpose(2, 0, 1, 3).reshape(m, m ** 3)
@@ -323,7 +323,7 @@ def u_unitary(
     if et is None:
         et = associated_correspondence(eplus, endo, t, tol)
     m = eplus.dim
-    tensor, fm = internal_tensor(eplus, et.corr, tol)
+    tensor, fm = internal_tensor(eplus, et.corr)
     bridge = endo.rank_one_images(t).transpose(2, 0, 1, 3).reshape(m, m * m * m)  # [u,(i,k,l)]
     u = bridge @ _lift(et.factor.section, fm.section, fm.source_dims, "right")
 

@@ -15,12 +15,9 @@ is the algebraic tensor carrier with the balanced pre-inner product
 ``<x (x) y, x' (x) y'> = <y, L(<x, x'>) y'>``, quotiented by its length-zero
 vectors.
 
-Every realized module (an internal tensor or an associated correspondence
-``E_t``) comes from one primitive, :func:`_realize`,
-applied to a factor ``k`` of the carrier's scalarized Gram ``k^H k``.  It
-returns the projection onto the realization and a section with
-``proj @ section = I``, and the realized scalar Gram is ``I``: realizations
-are whitened, so their scale does not compound with depth.
+Every realized module is whitened: its factor map ``proj`` has a section with
+``proj @ section = I`` and the realized scalar Gram is ``I``, so scale does
+not compound with depth.
 
 Factoring the Gram of the left module as ``<e_i, e_k> = sum_p u[p, i]* u[p, k]``
 (:attr:`ModulePresentation._gram_factor`) embeds the algebraic tensor
@@ -28,25 +25,25 @@ isometrically in ``F^P`` by ``x_i (x) y_j -> (L(u[p, i]) y_j)_p``.  Each
 ``u[p, i]`` lies in row 0 of one algebra block ``b``, so the image lies in the
 corner sum ``(+)_p L(e^b_00) F`` of dimension ``sum_p rank L(e^b_00)``: in the
 frame ``Y_b`` of each corner, that embedding is the corner factor ``K`` with
-rows ``(b, p, alpha)``.  :func:`internal_tensor` takes the kept range of every
-tensor from a thin SVD of ``K`` and never forms the ``m_E m_F``-square
-pre-Gram.  It computes the realized actions and Gram in the same frame, from
-``Q = K @ section`` (orthonormal columns, ``Q^H K = proj``).  With ``S`` the
-scalar Gram of ``F`` and ``W[(b, p, a), i] = w_b[p, i, a]`` the Gram factor
-rows of ``E``, three identities hold exactly on modules that satisfy the
-axioms:
+rows ``(b, p, alpha)``.  Over a block algebra the tensor is the standard form
+``(+)_b C^{P_b} (x) L(e^b_00) F``, so ``K`` has full row rank ``sum_b P_b r_b``
+and :func:`internal_tensor` realizes the tensor on its rows, ``proj = K``,
+with no rank decision of its own.  With ``S`` the scalar Gram of ``F`` and
+``W[(b, p, a), i] = w_b[p, i, a]`` the Gram factor rows of ``E``, the
+realized structure is block diagonal on modules that satisfy the axioms:
 
-* right action: ``right(c) = Q^H ((+)_{b,p} R~_b(c)) Q`` with
+* right action: ``right(c) = (+)_{b,p} R~_b(c)``, since
+  ``K (I (x) R_F(c)) = ((+)_{b,p} R~_b(c)) K`` with
   ``R~_b(c) = Y_b^H S^{1/2} R_F(c) S^{-1/2} Y_b``;
-* Gram: ``gram = sum_{b,p} pull_gram(Q_{bp}, G~_b)`` with
-  ``G~_b = pull_gram(S^{-1/2} Y_b, gram_F)``;
-* left action: ``left(c) = Q^H ((+)_b M~_b(c) (x) I_{r_b}) Q``, because
+* Gram: ``gram = (+)_{b,p} G~_b``, since the pre-Gram is
+  ``sum_{b,p} pull_gram(K_{bp}, G~_b)`` with ``G~_b = pull_gram(S^{-1/2} Y_b, gram_F)``;
+* left action: ``left(c) = (+)_b M~_b(c) (x) I_{r_b}``, because
   ``W L_E(c) = ((+)_b M~_b(c) (x) I_{n_b}) W``.
 
 The corner maps behind ``K`` and the stacks ``R~_b``, ``G~_b`` are one cached
 frame on ``F`` (:attr:`Correspondence.corner_frame`), ``M~_b`` is cached on
-``E`` (:attr:`Correspondence._left_blocks`), so no action is lifted to the
-``m_E m_F``-dimensional carrier.
+``E`` (:attr:`Correspondence._left_blocks`).  An associated correspondence,
+whose factor need not have full row rank, is realized by :func:`_realize`.
 
 Every named module is built from one standard form, :func:`standard_module`:
 the carrier ``(+)_i C^{k_i} (x) C^{n_i}`` with the blockwise right action and
@@ -499,25 +496,20 @@ def is_nondegenerate(pres: ModulePresentation, tol: float = DEFAULT_TOL) -> bool
 # whitened realization
 # ---------------------------------------------------------------------------
 
-def _realize(k: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(proj, section, q)`` realizing a carrier whose scalarized Gram is ``k^H k``.
-
-    With ``k = U diag(s) V^H``, singular values with ``s**2 <= tol * s_0**2``
-    are dropped.  A degenerate carrier gets ``diag(s) V^H`` and
-    ``V diag(1/s)`` on the kept range; a nondegenerate one the symmetric roots
-    ``V diag(s^{+-1}) V^H``, the identity where ``k^H k = I``.  Either way
-    ``proj @ section = I`` and ``section^H k^H k section = I``.
-
-    ``q = k @ section`` (``U`` on the kept range, ``U V^H`` when nondegenerate)
-    has orthonormal columns and ``q^H k = proj``: the realization seen in the
-    frame of ``k``'s rows.
-    """
-    u, s, vh = np.linalg.svd(k, full_matrices=False)
+def _realize(k: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """``(proj, section)`` realizing a carrier whose scalarized Gram is ``k^H k``,
+    for a factor ``k`` of any rank: with ``k = U diag(s) V^H``, singular values
+    with ``s**2 <= tol * s_0**2`` are dropped.  A degenerate carrier gets
+    ``diag(s) V^H`` and ``V diag(1/s)`` on the kept range; a nondegenerate one
+    the symmetric roots ``V diag(s^{+-1}) V^H``, the identity where
+    ``k^H k = I``.  Either way ``proj @ section = I`` and
+    ``section^H k^H k section = I``."""
+    _, s, vh = np.linalg.svd(k, full_matrices=False)
     r = int(np.count_nonzero(s ** 2 > tol * (float(s[0]) ** 2 if s.size else 0.0)))
     if r == k.shape[1]:
         v = vh.conj().T
-        return (v * s) @ vh, (v / s) @ vh, u @ vh
-    return s[:r, None] * vh[:r], vh[:r].conj().T / s[:r], u[:, :r]
+        return (v * s) @ vh, (v / s) @ vh
+    return s[:r, None] * vh[:r], vh[:r].conj().T / s[:r]
 
 
 # ---------------------------------------------------------------------------
@@ -557,50 +549,39 @@ def _corner_factor(e: ModulePresentation, f: Correspondence) -> np.ndarray:
     return np.concatenate(parts)
 
 
-def internal_tensor(
-    e: ModulePresentation, f: ModulePresentation, tol: float = DEFAULT_TOL
-) -> tuple[ModulePresentation, FactorMap]:
+def internal_tensor(e: ModulePresentation, f: ModulePresentation) -> tuple[ModulePresentation, FactorMap]:
     """Internal tensor product of a module with a correspondence.
 
-    The result is a correspondence exactly when the left factor is one.  The
-    tensor is realized by :func:`_realize` of the corner factor ``K``
-    (``K^H K`` is the scalarized pre-Gram): the factor map has a section with
-    ``matrix @ section = I``, and the realized scalar Gram is ``I``.
-
-    The actions and the Gram are computed in the frame of ``K``'s rows
-    ``(b, p, alpha)``, by the three identities of the module docstring: from
-    ``Q = K @ section`` and the cached stacks ``R~_b``, ``G~_b``
-    (:attr:`Correspondence.corner_frame`) and ``M~_b``
-    (:attr:`Correspondence._left_blocks`), one block ``b`` at a time and never
-    on the ``m_E m_F``-dimensional carrier.
+    The result is a correspondence exactly when the left factor is one.  It is
+    realized on the rows ``(b, p, alpha)`` of the corner factor ``K``, of full
+    row rank ``sum_b P_b r_b`` (module docstring): the factor map is ``K`` with
+    the section ``K^H (K K^H)^{-1}``, and the actions and the Gram are block
+    diagonal, placed from the stacks cached on the factors
+    (:attr:`Correspondence.corner_frame`, :attr:`Correspondence._left_blocks`).
     """
     _require_same_algebra(e, f)
     if not f.is_correspondence:
         raise IncompatibleOperandsError("right tensor factor must be a correspondence")
     d, n = e.algebra.dim, e.algebra.size
-    proj, section, q = _realize(_corner_factor(e, f), tol)
-    r = len(proj)
-    both = np.zeros((d + n * n, r, r), dtype=complex)  # the right action, then the Gram entries
+    k = _corner_factor(e, f)
+    section = np.linalg.solve(k @ k.conj().T, k).conj().T
+    r = len(k)
+    right, gram = np.zeros((d, r, r), dtype=complex), np.zeros((r, r, n, n), dtype=complex)
     left = np.zeros((d, r, r), dtype=complex) if e.is_correspondence else None
     at = 0
     for b, (w, (_, stack)) in enumerate(zip(e._gram_factor, f.corner_frame)):
         p, rb = len(w), stack.shape[1]
-        qb = q[at:at + p * rb]
+        rows = np.arange(at, at + p * rb).reshape(p, rb)  # rows[p, alpha] of K
         at += p * rb
-        # act[c, (p, alpha), s] = sum_beta stack[c, alpha, beta] qb[(p, beta), s]
-        cols = qb.reshape(p, rb, r).transpose(1, 0, 2).reshape(rb, p * r)
-        act = (stack.reshape(len(stack) * rb, rb) @ cols).reshape(len(stack), rb, p, r)
-        both += qb.conj().T @ act.transpose(0, 2, 1, 3).reshape(len(stack), p * rb, r)
+        right[:, rows[:, :, None], rows[:, None, :]] = stack[:d, None]
+        gram[rows[:, :, None], rows[:, None, :]] = stack[d:].reshape(n, n, rb, rb).transpose(2, 3, 0, 1)
         if left is not None:
-            moved = e._left_blocks[b].reshape(d * p, p) @ qb.reshape(p, rb * r)
-            left += qb.conj().T @ moved.reshape(d, p * rb, r)
-    right = both[:d].copy()  # a view would keep the Gram entries alive twice
-    gram = np.ascontiguousarray(both[d:].reshape(n, n, r, r).transpose(2, 3, 0, 1))
+            left[:, rows[:, None, :], rows[None, :, :]] = e._left_blocks[b][..., None]
     if left is not None:
         reduced = Correspondence(e.algebra, right, gram, left)
     else:
         reduced = ModulePresentation(e.algebra, right, gram)
-    return reduced, FactorMap(proj, section, (e.dim, f.dim), reduced)
+    return reduced, FactorMap(k, section, (e.dim, f.dim), reduced)
 
 
 # ---------------------------------------------------------------------------

@@ -99,7 +99,7 @@ class ProductSystem:
                     f"tensor E_{s}.E_{t} needs dimension {needed} > budget {self.budget}",
                     required=needed,
                 )
-            self._tensors[key] = internal_tensor(es, et, self.tol)
+            self._tensors[key] = internal_tensor(es, et)
         return self._tensors[key]
 
     def rebracket(self, r: int, s: int, t: int) -> np.ndarray:

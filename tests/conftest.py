@@ -227,10 +227,10 @@ def associator(
     supplied), and the unitary is induced from the identity on the triple
     algebraic tensor through the two realization chains.
     """
-    ef = ef or internal_tensor(e, f, tol)
-    fg = fg or internal_tensor(f, g, tol)
-    left_mod, p2 = internal_tensor(ef[0], g, tol)
-    right_mod, p4 = internal_tensor(e, fg[0], tol)
+    ef = ef or internal_tensor(e, f)
+    fg = fg or internal_tensor(f, g)
+    left_mod, p2 = internal_tensor(ef[0], g)
+    right_mod, p4 = internal_tensor(e, fg[0])
     assert left_mod.dim == right_mod.dim, "the bracketings realize different dimensions"
     alpha = _rebracket(p2, ef[1].section, fg[1].matrix, p4, "left")
     adj = map_adjoint(alpha, left_mod, right_mod)

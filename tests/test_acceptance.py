@@ -62,7 +62,7 @@ def test_criterion_1_internal_tensor_correctness():
     for seed in range(50):
         e = seeded_module(seed)
         f = seeded_correspondence(seed)
-        tensor, fm = internal_tensor(e, f, TOL)
+        tensor, fm = internal_tensor(e, f)
         pre = oracle_pre_gram(e, f)
         pulled = np.einsum("ui,vj,uvab->ijab", fm.matrix.conj(), fm.matrix, tensor.gram)
         worst = max(worst, max_dev(pulled, pre))

@@ -84,15 +84,15 @@ def test_dilate_exit(spatial_file):
 @pytest.mark.parametrize("command", ["verify-main", "spatial", "dilate", "verify-supplement"])
 def test_endomorphism_with_a_zero_image_is_decided(command, tmp_path):
     """``theta(1) = 0`` over the scalars leaves ``E_1`` zero-dimensional; the
-    map fails validation, and every endomorphism command still ends in an
-    exit code, not a traceback."""
+    map fails validation, and every endomorphism command fails with it before
+    deciding anything else."""
     doc = json.loads((SHIPPED / "weak-dilation-seed0.json").read_text())
     assert doc["algebra"]["blocks"] == [1] and len(doc["endomorphism"]["matrix"]) == 1
     doc["endomorphism"]["matrix"][0][0] = [0.0, 0.0]
     path = tmp_path / "zero.json"
     path.write_text(json.dumps(doc))
     assert main(["validate", str(path)]) == EXIT_FAIL
-    assert main([command, str(path), "--levels", "2"]) in (EXIT_PASS, EXIT_FAIL, EXIT_INVALID, EXIT_DEGENERATE)
+    assert main([command, str(path), "--levels", "2"]) == EXIT_FAIL
 
 
 @pytest.mark.parametrize("build", [identity_mixed_instance, identity_scalar_instance])
@@ -538,3 +538,22 @@ def test_scaled_corner_gram_fails_the_inner_product_rule(tmp_path, monkeypatch):
     assert main(argv + ["--report", "machine", "--out", str(out)]) == EXIT_FAIL
     failed = [c["name"] for c in json.loads(out.read_text())["checks"] if not c["passed"]]
     assert "inner-product-rule" in failed
+
+
+def test_conjugated_left_blocks_fail_only_the_factor_map_check(tmp_path, monkeypatch):
+    """Fault witness: the left action on the Gram factor rows, conjugated by
+    the swap of the two rows, is still a unital *-representation commuting
+    with the right action, so the realized tensor passes its own axioms; only
+    ``factor-map-bilinear``, which compares it with ``L_E (x) I`` on the
+    algebraic tensor, fails, and ``tensor`` exits 1."""
+    from corrkit.hilbmod import Correspondence
+
+    built = Correspondence._left_blocks.func
+    swap = np.array([[0.0, 1.0], [1.0, 0.0]])
+    monkeypatch.setattr(Correspondence, "_left_blocks",
+                        property(lambda corr: tuple(swap @ m @ swap for m in built(corr))))
+    out = tmp_path / "out.json"
+    argv = ["tensor", str(SHIPPED / "correspondence-seed1.json"), "--left", "F", "--right", "F"]
+    assert main(argv + ["--report", "machine", "--out", str(out)]) == EXIT_FAIL
+    failed = [c["name"] for c in json.loads(out.read_text())["checks"] if not c["passed"]]
+    assert failed == ["factor-map-bilinear"]

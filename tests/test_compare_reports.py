@@ -78,6 +78,29 @@ def test_family_that_newly_reads_zero_is_a_difference(tmp_path, capsys):
     assert compare_reports.diff(first, third) == 0
 
 
+def test_newly_zero_families_show_their_first_run_deviation(tmp_path, capsys):
+    """Each family that newly reads 0.0 is printed last with its largest
+    |deviation| in the first run, so one at its floor shows apart from one
+    that read rounding-sized deviations; a NaN counts as the largest."""
+    first = _run_dir(tmp_path / "a", {
+        "w/00": [_check("commute", 1.8e-16, 1e-9), _check("dominated[1]", 5.3e-47, 1e-9)],
+        "w/01": [_check("commute", 0.0, 1e-9), _check("dominated[2]", -2.5e-32, 1e-9),
+                 _check("star", float("nan"), 1e-9, passed=False)],
+    })
+    second = _run_dir(tmp_path / "b", {
+        "w/00": [_check("commute", 0.0, 1e-9), _check("dominated[1]", 0.0, 1e-9)],
+        "w/01": [_check("commute", 0.0, 1e-9), _check("dominated[2]", 0.0, 1e-9),
+                 _check("star", 0.0, 1e-9, passed=False)],
+    })
+    assert compare_reports.diff(first, second) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[-3:] == [
+        "commute: largest |deviation| 1.8e-16 in the first run, 0.0 in the second",
+        "dominated[*]: largest |deviation| 2.5e-32 in the first run, 0.0 in the second",
+        "star: largest |deviation| nan in the first run, 0.0 in the second",
+    ]
+
+
 def test_reordered_checks_name_the_first_that_moved(tmp_path, capsys):
     a, b, c = (_check(n, 1e-12, 1e-9) for n in "abc")
     first = _run_dir(tmp_path / "a", {"w/00": [a, b, c], "w/01": [a, b]})

@@ -321,6 +321,26 @@ def test_each_tensor_and_associator_realized_once_per_run(monkeypatch):
     assert repeats == []
 
 
+def test_endomorphism_validated_once_per_pipeline(monkeypatch):
+    """The pipeline holds the endomorphism's validation: ``verify_supplement``
+    (which runs ``verify_main``) and a second ``verify_main`` validate the map
+    once, and the main report carries those checks first."""
+    import corrkit.dilation as dilation
+    from corrkit.endo import validate_endomorphism
+    from corrkit.instance import parse_instance
+
+    inst = parse_instance(str(SHIPPED / "weak-dilation-seed0.json"))
+    pipe = DilationPipeline(*inst.make_endo(), levels=2)
+    calls = []
+    monkeypatch.setattr(dilation, "validate_endomorphism",
+                        lambda *args: calls.append(args) or validate_endomorphism(*args))
+    assert verify_supplement(pipe, inst.vector("xi")[1]).status == "pass"
+    rep = verify_main(pipe)
+    assert len(calls) == 1
+    held = [(c.name, c.deviation) for c in pipe.endomorphism_report().checks]
+    assert [(c.name, c.deviation) for c in rep.checks[:len(held)]] == held
+
+
 def test_operator_basis_amplified_once_per_stage(monkeypatch):
     """``verify_main`` amplifies the operator basis onto each stage
     ``E+ . E_t``, t = 0..L, exactly once: the recovery, restriction,

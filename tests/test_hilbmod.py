@@ -567,27 +567,6 @@ def test_tensor_vector_matches_kron(k):
     assert close(right @ y, pair)
 
 
-@pytest.mark.parametrize("k", range(8))
-def test_factor_rows_are_the_corner_svd_rows(k):
-    """A degenerate tensor's factor rows are the leading right singular vectors
-    of the corner factor ``K = U diag(s) V^H`` scaled by ``s``, with section
-    ``V diag(1/s)``; a nondegenerate one has the symmetric roots
-    ``V diag(s^{+-1}) V^H``.  Either way the realized scalar Gram is ``I``."""
-    e, f = tensor_pairs()[k]
-    tensor, fm = internal_tensor(e, f)
-    r = tensor.dim
-    _, s, vh = np.linalg.svd(_corner_factor(e, f), full_matrices=False)
-    if r == e.dim * f.dim:
-        assert k >= 2  # the first two pairs are degenerate
-        v = vh.conj().T
-        assert max_dev(fm.matrix, (v * s) @ vh) < KERNEL_ATOL
-        assert max_dev(fm.section, (v / s) @ vh) < KERNEL_ATOL
-    else:
-        assert max_dev(fm.matrix, s[:r, None] * vh[:r]) < KERNEL_ATOL
-        assert max_dev(fm.section, vh[:r].conj().T / s[:r]) < KERNEL_ATOL
-    assert max_dev(tensor.scalar_gram, np.eye(r)) < 1e-12
-
-
 # ---------------------------------------------------------------------------
 # Gram factor of the left module and the factored tensor
 # ---------------------------------------------------------------------------
@@ -991,14 +970,14 @@ def test_corner_factor_of_the_m9_ladder_has_nine_rows():
 # the realized tensor in the corner frame
 # ---------------------------------------------------------------------------
 
-def ref_tensor_arrays(e, f, tol=TOL):
+def ref_tensor_arrays(e, f, fm):
     """The lifted formulas on the ``m_E m_F`` carrier: both actions of ``f``
-    lifted through the section in one flat product, the Gram contracted
+    lifted through ``fm.section`` in one flat product, the Gram contracted
     against ``e``'s Gram coordinates and ``f``'s Gram, and the left action of
-    ``e`` lifted, each descended by ``proj``.  Returns (right, gram, left),
+    ``e`` lifted, each descended by ``fm.matrix``.  Returns (right, gram, left),
     with ``left`` None when ``e`` is a plain module."""
     d, n, me, mf = e.algebra.dim, e.algebra.size, e.dim, f.dim
-    proj, section, _ = _realize(_corner_factor(e, f), tol)
+    proj, section = fm.matrix, fm.section
     r = len(proj)
     rows = np.concatenate([f.left_action, f.right_action]).reshape(2 * d * mf, mf)
     cols = section.reshape(me, mf, r).transpose(1, 0, 2).reshape(mf, me * r)
@@ -1061,12 +1040,25 @@ def frame_pairs():
 
 
 @pytest.mark.parametrize("k", range(len(frame_pairs())))
+def test_factor_rows_are_the_corner_svd_rows(k):
+    """The frame contract: the factor map is the corner factor itself,
+    bitwise, which has full row rank, so the realized dimension is
+    ``sum_b P_b r_b``; and the realized scalar Gram is ``I``."""
+    e, f = frame_pairs()[k]
+    tensor, fm = internal_tensor(e, f)
+    k_mat = _corner_factor(e, f)
+    assert np.array_equal(fm.matrix, k_mat)
+    assert oracle_rank(k_mat, rtol=RANK_RTOL) == len(k_mat)
+    rows = [len(w) * c.shape[1] for w, (c, _) in zip(e._gram_factor, f.corner_frame)]
+    assert tensor.dim == sum(rows) == len(k_mat)
+    assert max_dev(tensor.scalar_gram, np.eye(tensor.dim)) < 1e-12
+
+
+@pytest.mark.parametrize("k", range(len(frame_pairs())))
 def test_corner_frame_matches_the_lifted_formulas(k):
     e, f = frame_pairs()[k]
     tensor, fm = internal_tensor(e, f)
-    right, gram, left = ref_tensor_arrays(e, f)
-    proj, section, _ = _realize(_corner_factor(e, f), TOL)
-    assert np.array_equal(fm.matrix, proj) and np.array_equal(fm.section, section)
+    right, gram, left = ref_tensor_arrays(e, f, fm)
     assert max_dev(tensor.right_action, right) < KERNEL_ATOL
     assert max_dev(tensor.gram, gram) < KERNEL_ATOL
     assert tensor.is_correspondence == e.is_correspondence
@@ -1076,12 +1068,33 @@ def test_corner_frame_matches_the_lifted_formulas(k):
 
 @pytest.mark.parametrize("k", range(len(frame_pairs())))
 def test_realize_q_is_the_left_factor(k):
-    """``q = K @ section`` has orthonormal columns and ``q^H K = proj``."""
+    """``_realize`` needs no full row rank: the corner factor ``K`` stacked on
+    itself, scaled by ``1/sqrt(2)``, has the same ``K^H K`` and twice the rows.
+    Its realization has ``K``'s rank, ``proj @ section = I``, the whitened
+    Gram ``section^H K^H K section = I``, and ``section @ proj`` is the
+    orthogonal projector onto the row range of ``K``."""
     k_mat = _corner_factor(*frame_pairs()[k])
-    proj, section, q = _realize(k_mat, TOL)
-    assert max_dev(q, k_mat @ section) < KERNEL_ATOL
-    assert max_dev(q.conj().T @ q, np.eye(len(proj))) < KERNEL_ATOL
-    assert max_dev(q.conj().T @ k_mat, proj) < KERNEL_ATOL
+    proj, section = _realize(np.concatenate([k_mat, k_mat]) / np.sqrt(2.0), TOL)
+    r = len(k_mat)
+    assert proj.shape == (r, k_mat.shape[1]) and section.shape == (k_mat.shape[1], r)
+    assert max_dev(proj @ section, np.eye(r)) < 1e-10
+    assert max_dev(section.conj().T @ (k_mat.conj().T @ k_mat) @ section, np.eye(r)) < 1e-10
+    assert max_dev(section @ proj, np.linalg.pinv(k_mat) @ k_mat) < 1e-10
+
+
+def test_internal_tensor_on_warmed_factors_takes_no_decomposition(monkeypatch):
+    """Once the operands' Gram factor and corner frame are cached, realizing
+    their tensor takes no SVD and no eigendecomposition: its one rank decision
+    was made by those caches."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("decomposition taken")
+
+    for e, f in frame_pairs():
+        internal_tensor(e, f)
+        with monkeypatch.context() as patch:
+            for name in ("svd", "eigh"):
+                patch.setattr(np.linalg, name, refuse)
+            internal_tensor(e, f)
 
 
 def _block_diag(mats):

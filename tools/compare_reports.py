@@ -27,6 +27,9 @@ It also lists every check family (a check name with each run of digits read
 as ``*``, e.g. ``coherence[*,*,*]``) whose deviation reads exactly 0.0 on
 every output of the second run but not of the first: a check that has come to
 hold by construction, and so no longer tests anything, counts as a difference.
+Each such family is printed last with the largest |deviation| it read in the
+first run, so a family that sat at its floor (say 1e-32) shows apart from one
+that read rounding-sized deviations before.
 The exit status is 1 when any command or family differs, else 0.
 """
 from __future__ import annotations
@@ -151,12 +154,14 @@ def _output_diff(bytes_a: bytes, bytes_b: bytes) -> str:
     return "output differs" if gap is None else f"numbers only, largest |difference| {gap:.1e}"
 
 
-def _fold_zeros(zeros: dict, doc) -> None:
-    """Fold a report into ``zeros``: per check family (digits read as ``*``),
-    whether every deviation seen so far reads exactly 0.0."""
+def _fold_zeros(largest: dict, doc) -> None:
+    """Fold a report into ``largest``: per check family (digits read as ``*``),
+    the largest |deviation| seen so far, NaN once any reads NaN; it is 0.0
+    exactly when every deviation reads 0.0."""
     for c in doc["checks"]:
         family = re.sub(r"\d+", "*", c["name"])
-        zeros[family] = zeros.get(family, True) and float(c["deviation"]) == 0.0
+        seen, dev = largest.get(family, 0.0), abs(float(c["deviation"]))
+        largest[family] = seen if seen != seen or dev <= seen else dev
 
 
 def _without_digits(doc) -> dict:
@@ -172,7 +177,7 @@ def diff(first: Path, second: Path) -> int:
     keys = sorted(set(runs[0]) | set(runs[1]))
     identical, differing, digits = 0, [], []
     worst = [0.0, 0.0]
-    zeros = [{}, {}]
+    largest = [{}, {}]
     for key in keys:
         a, b = runs[0].get(key), runs[1].get(key)
         if a is None or b is None:
@@ -181,7 +186,7 @@ def diff(first: Path, second: Path) -> int:
         reasons = [f"{field} {a[field]!r} -> {b[field]!r}"
                    for field in ("command", "exit", "check", "known_fault") if a[field] != b[field]]
         (bytes_a, doc_a), (bytes_b, doc_b) = (_report(root / f"{key}.json") for root in (first, second))
-        for side, doc in zip(zeros, (doc_a, doc_b)):
+        for side, doc in zip(largest, (doc_a, doc_b)):
             if doc is not None:
                 _fold_zeros(side, doc)
         if bytes_a is not None and bytes_a == bytes_b:
@@ -212,7 +217,7 @@ def diff(first: Path, second: Path) -> int:
             reasons.append(_output_diff(bytes_a, bytes_b))
         if reasons:
             differing.append(f"{key} ({a['command']}): " + "; ".join(reasons))
-    zeroed = sorted(f for f, zero in zeros[1].items() if zero and zeros[0].get(f) is False)
+    zeroed = sorted(f for f, dev in largest[1].items() if dev == 0.0 and largest[0].get(f, 0.0) != 0.0)
     for line in differing + digits:
         print(line)
     if zeroed:
@@ -223,6 +228,9 @@ def diff(first: Path, second: Path) -> int:
     if digits:
         print(f"{len(digits)} outputs differ only in digits; largest passing deviation/tolerance "
               f"over them {worst[0]:.1e} -> {worst[1]:.1e}")
+    for family in zeroed:
+        print(f"{family}: largest |deviation| {largest[0][family]:.1e} in the first run, "
+              "0.0 in the second")
     return 1 if differing or zeroed else 0
 
 
