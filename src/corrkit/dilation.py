@@ -691,7 +691,8 @@ def compare_unit_limits(ps: ProductSystem, xi1: np.ndarray, xi2: np.ndarray) -> 
         li = left[offsets[i]:offsets[i + 1]].reshape(ni, ni, m, m)  # li[a, c] = L(e^i_ac)
         for j, nj in enumerate(blocks):
             rj = right[offsets[j]:offsets[j + 1]].reshape(nj, nj, m, m)
-            y = _range_basis(li[0, 0] @ rj[0, 0])
+            corner = li[0, 0] @ rj[0, 0]  # a projection: whitened, L and R commute
+            y = _range_basis(corner, corner)
             if y.shape[1] == 0:
                 continue
             # the copy (a, c) of C^{L_ij} is spanned by B_ac Y, B_ac = L(e^i_a0) R(e^j_0c)

@@ -38,7 +38,7 @@ from .hilbmod import (
     ModulePresentation,
     _dev,
     _lift,
-    _realize,
+    _range_basis,
     _unit_from_blocks,
     adjointable_basis,
     algebra_correspondence,
@@ -225,7 +225,10 @@ def associated_correspondence(
     ``<x* (x) y, x'* (x) y'> = <y, theta^t(x x'*) y'>``.  For the frame ``xi``
     of :func:`_frame`, ``theta^t(x x'*) = sum_p theta^t(xi_p x*)^* theta^t(xi_p x'*)``,
     so that inner product is pulled back from ``E+^P`` along the map
-    ``x* (x) y -> (theta^t(xi_p x*) y)_p``, realized through ``_realize``.
+    ``x* (x) y -> (theta^t(xi_p x*) y)_p``, which is onto ``(+)_p Q_p E+`` for
+    the idempotents ``Q_p = theta^t(xi_p xi_p*)``: in the first ``tr Q_p`` left
+    singular vectors of ``S^{1/2} Q_p`` it is a factor ``K`` of full row rank,
+    realized as in :func:`internal_tensor`.  ``tol`` only picks the frame blocks.
     """
     alg = eplus.algebra
     if t == 0:
@@ -240,9 +243,15 @@ def associated_correspondence(
         raise ConstructionError("rank-one operators leave the operator basis", residual=resid)
 
     # frame[p, u, (i, j)] = theta^t(xi_p e_i*)[u, j], the p-th map on e_i* (x) e_j
-    frame = np.tensordot(_frame(eplus, tol), endo.rank_one_images(t), axes=([1], [0]))
+    xi = _frame(eplus, tol)
+    frame = np.tensordot(xi, endo.rank_one_images(t), axes=([1], [0]))
     frame = frame.transpose(0, 2, 1, 3).reshape(len(frame), m, m * m)
-    proj, section = _realize((eplus.scalar_sqrt @ frame).reshape(-1, m * m), tol)
+    # Q_p = theta^t(xi_p xi_p*) = sum_i conj(xi_p[i]) theta^t(xi_p e_i*)
+    idem = np.einsum("pi,puij->puj", xi.conj(), frame.reshape(len(frame), m, m, m))
+    sq = eplus.scalar_sqrt
+    proj = np.concatenate([_range_basis(sq @ q, q).conj().T @ sq @ rows
+                           for q, rows in zip(idem, frame)])
+    section = np.linalg.solve(proj @ proj.conj().T, proj).conj().T
     gram = sum(pull_gram(v, eplus.gram) for v in frame @ section)
     right = proj @ _lift(eplus.right_action, section, (m, m), "right")
     left = proj @ _lift(eplus.right_action[alg.star_index].conj(), section, (m, m), "left")

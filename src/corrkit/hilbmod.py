@@ -42,8 +42,10 @@ realized structure is block diagonal on modules that satisfy the axioms:
 
 The corner maps behind ``K`` and the stacks ``R~_b``, ``G~_b`` are one cached
 frame on ``F`` (:attr:`Correspondence.corner_frame`), ``M~_b`` is cached on
-``E`` (:attr:`Correspondence._left_blocks`).  An associated correspondence,
-whose factor need not have full row rank, is realized by :func:`_realize`.
+``E`` (:attr:`Correspondence._left_blocks`).  Every range basis is cut at the
+trace of an idempotent (:func:`_range_basis`): ``r_b = tr L(e^b_00)`` here,
+and ``tr theta^t(xi_p xi_p*)`` for the projection frame on which
+:func:`corrkit.endo.associated_correspondence` realizes ``E_t`` the same way.
 
 Every named module is built from one standard form, :func:`standard_module`:
 the carrier ``(+)_i C^{k_i} (x) C^{n_i}`` with the blockwise right action and
@@ -129,12 +131,11 @@ def psd_defect(a: np.ndarray) -> tuple[float, float]:
     return _worst((herm, -eigs[0])), max(1.0, float(eigs[-1]))
 
 
-def _range_basis(a: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the range of ``a``, as columns: an SVD with the
-    ``RANK_RTOL`` cutoff."""
-    y, s, _ = np.linalg.svd(a)
-    rank = int(np.sum(s > RANK_RTOL * s[0])) if s.size and s[0] > 0.0 else 0
-    return y[:, :rank]
+def _range_basis(a: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the range of ``a``, as columns, where ``a`` has the
+    rank of the idempotent ``p``: the first ``tr p`` left singular vectors of
+    ``a``, with no singular-value cutoff."""
+    return np.linalg.svd(a)[0][:, :round(float(np.trace(p).real))]
 
 
 def _unit_from_blocks(
@@ -299,8 +300,8 @@ class Correspondence(ModulePresentation):
     def corner_frame(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
         """Per algebra block ``b``, the corner map ``C_b`` and the corner actions
         ``A_b``, in an orthonormal basis ``Y_b`` of the range of
-        ``S^{1/2} L(e^b_00)``, with ``S`` the scalar Gram (a thin SVD with the
-        ``RANK_RTOL`` cutoff; ``r_b`` is the rank of ``L(e^b_00)``).
+        ``S^{1/2} L(e^b_00)``, with ``S`` the scalar Gram: its first ``r_b``
+        left singular vectors, ``r_b = tr L(e^b_00)`` the rank of the idempotent.
 
         * ``C_b[c] = Y_b^H S^{1/2} L(e^b_{0c})``, of shape (n_b, r_b, m).  Since
           ``L(e^b_{0c}) = L(e^b_00) L(e^b_{0c})``, the range of ``Y_b`` holds
@@ -315,9 +316,10 @@ class Correspondence(ModulePresentation):
         out = []
         start = 0
         for nb in self.algebra.blocks:
-            row0 = self.scalar_sqrt @ self.left_action[start:start + nb]  # e^b_{0c}
+            units = self.left_action[start:start + nb]  # L(e^b_{0c})
             start += nb * nb
-            y = _range_basis(row0[0])
+            row0 = self.scalar_sqrt @ units
+            y = _range_basis(row0[0], units[0])
             r, back = y.shape[1], self.scalar_isqrt @ y
             right = (self.scalar_sqrt @ y).conj().T @ self.right_action @ back
             gram = pull_gram(back, self.gram).transpose(2, 3, 0, 1).reshape(n * n, r, r)
@@ -490,26 +492,6 @@ def _degeneracy(pres: ModulePresentation, tol: float) -> float:
 
 def is_nondegenerate(pres: ModulePresentation, tol: float = DEFAULT_TOL) -> bool:
     return _degeneracy(pres, tol) <= 0.0
-
-
-# ---------------------------------------------------------------------------
-# whitened realization
-# ---------------------------------------------------------------------------
-
-def _realize(k: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """``(proj, section)`` realizing a carrier whose scalarized Gram is ``k^H k``,
-    for a factor ``k`` of any rank: with ``k = U diag(s) V^H``, singular values
-    with ``s**2 <= tol * s_0**2`` are dropped.  A degenerate carrier gets
-    ``diag(s) V^H`` and ``V diag(1/s)`` on the kept range; a nondegenerate one
-    the symmetric roots ``V diag(s^{+-1}) V^H``, the identity where
-    ``k^H k = I``.  Either way ``proj @ section = I`` and
-    ``section^H k^H k section = I``."""
-    _, s, vh = np.linalg.svd(k, full_matrices=False)
-    r = int(np.count_nonzero(s ** 2 > tol * (float(s[0]) ** 2 if s.size else 0.0)))
-    if r == k.shape[1]:
-        v = vh.conj().T
-        return (v * s) @ vh, (v / s) @ vh
-    return s[:r, None] * vh[:r], vh[:r].conj().T / s[:r]
 
 
 # ---------------------------------------------------------------------------

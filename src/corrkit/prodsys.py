@@ -153,9 +153,10 @@ class ProductSystem:
                 check_map(rep, self.u(s, t), self.tensor(s, t)[0], self.power(s + t), tol, {
                     p: f"identification[{s},{t}]-{p}" for p in ("gram", "unitary", "bilinear")},
                     self.uinv(s, t))
-        for r in range(1, self.levels - 1):
-            for s in range(1, self.levels - r):
-                for t in range(1, self.levels + 1 - r - s):
+        # t = 1 holds by definition: u(r, s+1) is rebracket(r, s, 1) and u(r+s, 1) = I
+        for r in range(1, self.levels - 2):
+            for s in range(1, self.levels - r - 1):
+                for t in range(2, self.levels + 1 - r - s):
                     # both collapse realize(E_r . E_{s+t}) onto E_{r+s+t}
                     via_left = self.u(r + s, t) @ self.rebracket(r, s, t)
                     rep.add(f"coherence[{r},{s},{t}]", _dev(via_left, self.u(r, s + t)), tol)

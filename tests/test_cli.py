@@ -15,11 +15,14 @@ from corrkit.cli import (
 )
 from corrkit.gallery import (
     block_collapse_instance,
+    conjugated,
     doubled_swap_correspondence,
     identity_mixed_instance,
     identity_scalar_instance,
     plane_correspondence,
+    random_unitary,
 )
+from corrkit.hilbmod import Correspondence
 from corrkit.instance import Instance, emit_instance, generate_instance
 
 SHIPPED = Path(__file__).resolve().parent.parent / "instances"
@@ -171,6 +174,25 @@ def test_tensor_on_correspondence(tmp_path):
     assert main(["tensor", path, "--left", "F", "--right", "F"]) == EXIT_PASS
 
 
+@pytest.mark.parametrize("eps", [2e-10, 5e-10])
+def test_tensor_keeps_the_trace_rank_of_a_nearly_idempotent_corner(tmp_path, capsys, eps):
+    """Regression: a conjugated doubled swap with ``L(e^0_00)`` moved ``eps`` off
+    idempotent along its least eigenvector, and ``L(e^1_00)`` the opposite way
+    so that ``L(1) = I`` stays, passes ``validate`` at tol 1e-9.  Each corner
+    keeps the rank ``tr L(e^b_00) = 2``, so ``F . F`` is realized with the
+    unperturbed dimension 8 and passes; a singular-value cutoff relative to the
+    top counted the ``eps`` direction, realized dimension 10 and failed."""
+    f = conjugated(doubled_swap_correspondence(), random_unitary(np.random.default_rng(3), 4))
+    left = f.left_action.copy()
+    least = np.linalg.eigh(left[0])[1][:, 0]
+    left[:2] += eps * np.array([1.0, -1.0])[:, None, None] * np.outer(least, least.conj())
+    path = write(tmp_path, "perturbed.json",
+                 Instance(f.algebra, {"F": Correspondence(f.algebra, f.right_action, f.gram, left)}))
+    assert main(["validate", path, "--tol", "1e-9"]) == EXIT_PASS
+    assert main(["tensor", path, "--left", "F", "--right", "F"]) == EXIT_PASS
+    assert "realized dimension 8 from 4 x 4" in capsys.readouterr().out
+
+
 def test_derive_ps(tmp_path):
     inst = generate_instance(1, "correspondence")
     path = write(tmp_path, "corr.json", inst)
@@ -286,7 +308,7 @@ def test_derive_ps_lists_every_coherence_check(tmp_path, levels):
     }
     triples = {
         f"coherence[{r},{s},{t}]"
-        for r in range(1, levels + 1) for s in range(1, levels + 1) for t in range(1, levels + 1)
+        for r in range(1, levels + 1) for s in range(1, levels + 1) for t in range(2, levels + 1)
         if r + s + t <= levels
     }
     assert {n for n in names if n.startswith("identification[")} == identifications

@@ -43,10 +43,33 @@ def test_digits_only_outputs_show_their_headroom(tmp_path, capsys):
     # the failing check and the zero tolerance do not count
     assert out[0] == ("w/01 (verify-main): deviation digits only; largest passing "
                       "deviation/tolerance 5.0e-01 -> 7.0e-01")
-    assert out[1].endswith("0 differ in exit code, verdict, status, check names or pass flags; "
+    assert out[1].endswith("0 differ in exit code, verdict, status, detail, check names or pass flags; "
                            "1 outputs byte-identical")
     assert out[2] == ("1 outputs differ only in digits; largest passing deviation/tolerance "
                       "over them 5.0e-01 -> 7.0e-01")
+
+
+def test_changed_dimension_in_a_detail_is_a_difference(tmp_path, capsys):
+    """Numbers in exponent form may move in a detail or the provenance; a
+    realized dimension written as an integer may not."""
+    def run(root, detail, tol):
+        _run_dir(root, {"w/00": [_check("a", 1e-12, 1e-9)]})
+        doc = json.loads((root / "w/00.json").read_text())
+        doc.update(detail=detail, provenance={"tol": tol})
+        (root / "w/00.json").write_text(json.dumps(doc))
+        return root
+
+    first = run(tmp_path / "a", "realized dimension 8 from 4 x 4; gap 1.5e-12", "1.0e-09")
+    moved = run(tmp_path / "b", "realized dimension 8 from 4 x 4; gap 2.5e-12", "1.00000001e-09")
+    assert compare_reports.diff(first, moved) == 0
+    assert capsys.readouterr().out.splitlines()[0] == (
+        "w/00 (verify-main): deviation digits and exponent-form numbers only; "
+        "largest passing deviation/tolerance 1.0e-03 -> 1.0e-03")
+    grown = run(tmp_path / "c", "realized dimension 10 from 4 x 4; gap 1.5e-12", "1.0e-09")
+    assert compare_reports.diff(first, grown) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "w/00 (verify-main): detail changed beyond exponent-form numbers"
+    assert out[1].startswith("1 commands: 1 differ in exit code, verdict, status, detail,")
 
 
 def test_flipped_flag_is_a_difference_without_headroom(tmp_path, capsys):
@@ -72,7 +95,7 @@ def test_family_that_newly_reads_zero_is_a_difference(tmp_path, capsys):
     out = capsys.readouterr().out.splitlines()
     assert out[1] == ("1 check families read exactly 0.0 on every output of the second run "
                       "only: ['coherence[*,*,*]']")
-    assert out[2].endswith("0 differ in exit code, verdict, status, check names or pass flags; "
+    assert out[2].endswith("0 differ in exit code, verdict, status, detail, check names or pass flags; "
                            "0 outputs byte-identical")
     third = _run_dir(tmp_path / "c", {"w/00": checks(0.0, 1e-16, 0.0)})
     assert compare_reports.diff(first, third) == 0

@@ -6,6 +6,7 @@ import pytest
 from corrkit.algebra import make_algebra
 from corrkit.endo import (
     Endomorphism,
+    _frame,
     associated_correspondence,
     endomorphism_from_conjugation,
     endomorphism_from_map,
@@ -184,6 +185,24 @@ def test_associated_level_zero_is_algebra():
     res = associated_correspondence(inst.eplus, inst.endo, 0)
     assert res.corr.dim == inst.eplus.algebra.dim
     assert res.factor is None
+
+
+@pytest.mark.parametrize("t", [1, 2, 3])
+@pytest.mark.parametrize("k", range(len(endomorphism_gallery())))
+def test_associated_factor_sits_on_its_projection_frame(k, t):
+    """The factor map of ``E_t`` has full row rank, ``proj @ section = I`` and
+    the scalar Gram ``I``, and ``E_t`` has dimension ``sum_p tr Q_p``: for the
+    frame ``xi`` of ``_frame``, each ``Q_p = theta^t(xi_p xi_p*)`` is an
+    idempotent whose range the factor covers."""
+    inst = endomorphism_gallery()[k]
+    res = associated_correspondence(inst.eplus, inst.endo, t)
+    proj, section = res.factor.matrix, res.factor.section
+    assert oracle_rank(proj) == len(proj) == res.corr.dim
+    assert max_dev(proj @ section, np.eye(res.corr.dim)) < 1e-12
+    assert max_dev(res.corr.scalar_gram, np.eye(res.corr.dim)) < 1e-12
+    idems = [inst.endo.apply(rank_one(inst.eplus, x, x), t) for x in _frame(inst.eplus, TOL)]
+    assert max(max_dev(q @ q, q) for q in idems) < 1e-10
+    assert res.corr.dim == sum(round(np.trace(q).real) for q in idems)
 
 
 def test_associated_warns_on_non_full_module():

@@ -20,7 +20,6 @@ from corrkit.hilbmod import (
     ModulePresentation,
     _corner_factor,
     _lift,
-    _realize,
     _unitary_dev,
     adjointable_basis,
     algebra_correspondence,
@@ -181,7 +180,8 @@ def test_tensor_with_a_zero_dimensional_factor():
     zero = standard_module(alg, [0, 0], multiplicities=[[0, 0], [0, 0]])
     for e, g in ((zero, f), (f, zero)):
         tensor, fm = internal_tensor(e, g)
-        assert tensor.dim == 0 and fm.matrix.shape == (0, 0)
+        assert tensor.dim == 0
+        _assert_whitened(fm.matrix, fm.section, ref_pre_tensor(e, g))
 
 
 def test_tensor_with_algebra_is_canonical():
@@ -519,7 +519,7 @@ def _assert_whitened(proj, section, pre):
     is the orthogonal projection onto the eigh range kept at ``TOL``."""
     s = pre.scalar_gram
     vals, vecs = np.linalg.eigh((s + s.conj().T) / 2.0)
-    kept = vecs[:, vals > TOL * vals.max()]
+    kept = vecs[:, vals > TOL * vals.max(initial=0.0)]
     r = kept.shape[1]
     assert proj.shape == (r, len(s)) and section.shape == (len(s), r)
     assert max_dev(proj @ section, np.eye(r)) < 1e-10
@@ -1043,7 +1043,8 @@ def frame_pairs():
 def test_factor_rows_are_the_corner_svd_rows(k):
     """The frame contract: the factor map is the corner factor itself,
     bitwise, which has full row rank, so the realized dimension is
-    ``sum_b P_b r_b``; and the realized scalar Gram is ``I``."""
+    ``sum_b P_b r_b``; and the realization is whitened, zero-dimensional
+    pairs included."""
     e, f = frame_pairs()[k]
     tensor, fm = internal_tensor(e, f)
     k_mat = _corner_factor(e, f)
@@ -1051,7 +1052,7 @@ def test_factor_rows_are_the_corner_svd_rows(k):
     assert oracle_rank(k_mat, rtol=RANK_RTOL) == len(k_mat)
     rows = [len(w) * c.shape[1] for w, (c, _) in zip(e._gram_factor, f.corner_frame)]
     assert tensor.dim == sum(rows) == len(k_mat)
-    assert max_dev(tensor.scalar_gram, np.eye(tensor.dim)) < 1e-12
+    _assert_whitened(fm.matrix, fm.section, ref_pre_tensor(e, f))
 
 
 @pytest.mark.parametrize("k", range(len(frame_pairs())))
@@ -1064,22 +1065,6 @@ def test_corner_frame_matches_the_lifted_formulas(k):
     assert tensor.is_correspondence == e.is_correspondence
     if left is not None:
         assert max_dev(tensor.left_action, left) < KERNEL_ATOL
-
-
-@pytest.mark.parametrize("k", range(len(frame_pairs())))
-def test_realize_q_is_the_left_factor(k):
-    """``_realize`` needs no full row rank: the corner factor ``K`` stacked on
-    itself, scaled by ``1/sqrt(2)``, has the same ``K^H K`` and twice the rows.
-    Its realization has ``K``'s rank, ``proj @ section = I``, the whitened
-    Gram ``section^H K^H K section = I``, and ``section @ proj`` is the
-    orthogonal projector onto the row range of ``K``."""
-    k_mat = _corner_factor(*frame_pairs()[k])
-    proj, section = _realize(np.concatenate([k_mat, k_mat]) / np.sqrt(2.0), TOL)
-    r = len(k_mat)
-    assert proj.shape == (r, k_mat.shape[1]) and section.shape == (k_mat.shape[1], r)
-    assert max_dev(proj @ section, np.eye(r)) < 1e-10
-    assert max_dev(section.conj().T @ (k_mat.conj().T @ k_mat) @ section, np.eye(r)) < 1e-10
-    assert max_dev(section @ proj, np.linalg.pinv(k_mat) @ k_mat) < 1e-10
 
 
 def test_internal_tensor_on_warmed_factors_takes_no_decomposition(monkeypatch):

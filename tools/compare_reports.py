@@ -15,14 +15,16 @@ each command's exit code, the benchmark's verdict on it and whether a
 failure is the workload's known fault.
 
 ``diff`` lists every command whose exit code, benchmark verdict, known-fault
-flag, report status, check names or pass flags differ between two runs, and
-counts the outputs that are byte-identical.  Deviation digits are not
-compared; for each output that differs only there (or in its detail and
-provenance), it prints each run's largest deviation/tolerance ratio over the
-passing checks, so the headroom of a "digits only" change shows.  An output
-that is not a report (``generate``, ``basis``) and differs still counts as a
-difference; when its JSON structure and its non-numeric values agree, the
-line says "numbers only" with the largest absolute difference of a number.
+flag, report status, detail, provenance, title, check names or pass flags
+differ between two runs, and counts the outputs that are byte-identical.
+Deviation digits are not compared, nor any other number written in exponent
+form; a detail that differs in anything else (a realized dimension, a rank, a
+word) is a difference.  For each output that differs only in such digits, it
+prints each run's largest deviation/tolerance ratio over the passing checks,
+so the headroom of a "digits only" change shows.  An output that is not a
+report (``generate``, ``basis``) and differs still counts as a difference;
+when its JSON structure and its non-numeric values agree, the line says
+"numbers only" with the largest absolute difference of a number.
 It also lists every check family (a check name with each run of digits read
 as ``*``, e.g. ``coherence[*,*,*]``) whose deviation reads exactly 0.0 on
 every output of the second run but not of the first: a check that has come to
@@ -164,9 +166,11 @@ def _fold_zeros(largest: dict, doc) -> None:
         largest[family] = seen if seen != seen or dev <= seen else dev
 
 
-def _without_digits(doc) -> dict:
-    return {**doc, "checks": [{k: v for k, v in c.items() if k not in ("deviation", "tolerance")}
-                              for c in doc["checks"]]}
+def _masked(value) -> str:
+    """A JSON value as text with every number written in exponent form (a
+    deviation, a tolerance, a measured value in a detail) read as ``*``; a
+    dimension, rank or count written as an integer stays."""
+    return re.sub(r"[-+]?\d+(?:\.\d*)?[eE][-+]?\d+", "*", json.dumps(value, sort_keys=True))
 
 
 def diff(first: Path, second: Path) -> int:
@@ -206,11 +210,15 @@ def diff(first: Path, second: Path) -> int:
             elif checks_a != checks_b:
                 flips = [n for (n, p), (_, q) in zip(checks_a, checks_b) if p != q]
                 reasons.append(f"pass flags differ on {flips[:5]}")
+            fields = sorted((doc_a.keys() | doc_b.keys()) - {"checks", "status"})
+            changed = [f for f in fields if _masked(doc_a.get(f)) != _masked(doc_b.get(f))]
+            if changed:
+                reasons.append(f"{' and '.join(changed)} changed beyond exponent-form numbers")
             if not reasons:
                 ratios = _headroom(doc_a), _headroom(doc_b)
                 worst = [max(w, r) for w, r in zip(worst, ratios)]
-                what = ("deviation digits" if _without_digits(doc_a) == _without_digits(doc_b)
-                        else "deviation digits, detail or provenance")
+                what = ("deviation digits" if all(doc_a.get(f) == doc_b.get(f) for f in fields)
+                        else "deviation digits and exponent-form numbers")
                 digits.append(f"{key} ({a['command']}): {what} only; largest passing "
                               f"deviation/tolerance {ratios[0]:.1e} -> {ratios[1]:.1e}")
         elif bytes_a != bytes_b:
@@ -224,7 +232,7 @@ def diff(first: Path, second: Path) -> int:
         print(f"{len(zeroed)} check families read exactly 0.0 on every output of the second "
               f"run only: {zeroed}")
     print(f"{len(keys)} commands: {len(differing)} differ in exit code, verdict, status, "
-          f"check names or pass flags; {identical} outputs byte-identical")
+          f"detail, check names or pass flags; {identical} outputs byte-identical")
     if digits:
         print(f"{len(digits)} outputs differ only in digits; largest passing deviation/tolerance "
               f"over them {worst[0]:.1e} -> {worst[1]:.1e}")
