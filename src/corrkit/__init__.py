@@ -22,7 +22,6 @@ from .errors import (
     CorrkitError,
     IncompatibleOperandsError,
     InstanceFormatError,
-    InvalidElementError,
     InvalidPresentationError,
     InvalidSignatureError,
     PreconditionError,

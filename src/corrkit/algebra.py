@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InvalidElementError, InvalidSignatureError
+from .errors import InvalidSignatureError
 
 DEFAULT_TOL = 1e-9
 
@@ -50,6 +50,18 @@ class Algebra:
             out.append(slice(start, start + n))
             start += n
         return tuple(out)
+
+    @cached_property
+    def unit_slices(self) -> tuple[slice, ...]:
+        """Per block, the slice of the basis that holds its matrix units."""
+        ends = np.cumsum([n * n for n in self.blocks]).tolist()
+        return tuple(slice(end - n * n, end) for n, end in zip(self.blocks, ends))
+
+    @cached_property
+    def haar_weights(self) -> np.ndarray:
+        """``1/n_j`` per matrix unit of block ``j``: the weights of the Haar
+        averages ``sum_j (1/n_j) sum_ab x(e^j_ab) y(e^j_ba)`` over basis pairs."""
+        return np.repeat([1.0 / n for n in self.blocks], [n * n for n in self.blocks])
 
     @cached_property
     def basis_positions(self) -> tuple[np.ndarray, np.ndarray]:
@@ -109,20 +121,6 @@ class Algebra:
         rows, cols = self.basis_positions
         out = np.zeros(v.shape[:-1] + (self.size, self.size), dtype=complex)
         out[..., rows, cols] = v
-        return out
-
-    def embed(self, block_matrices: list[np.ndarray]) -> np.ndarray:
-        """Assemble per-block matrices into a block-diagonal element."""
-        if len(block_matrices) != len(self.blocks):
-            raise InvalidElementError(
-                f"expected {len(self.blocks)} blocks, got {len(block_matrices)}"
-            )
-        out = np.zeros((self.size, self.size), dtype=complex)
-        for sl, n, b in zip(self.block_slices, self.blocks, block_matrices):
-            b = np.asarray(b, dtype=complex)
-            if b.shape != (n, n):
-                raise InvalidElementError(f"block of shape {b.shape}, expected ({n}, {n})")
-            out[sl, sl] = b
         return out
 
     def split(self, a: np.ndarray) -> list[np.ndarray]:

@@ -36,7 +36,6 @@ from .hilbmod import (
     adjointable_basis,
     check_map,
     internal_tensor,
-    matrix_rank_tol,
     pull_gram,
     tensor_pre_gram,
     validate_module,
@@ -98,7 +97,6 @@ def _cmd_tensor(inst: Instance, config: RunConfig, left: str = "", right: str = 
     f = inst.correspondence(right, "tensor")
     tensor, fm = internal_tensor(e, f)
     rep = VerificationReport(f"internal tensor {left} . {right}")
-    rep.add_flag("factor-surjective", matrix_rank_tol(fm.matrix) == tensor.dim)
     pre = tensor_pre_gram(e, f)
     rep.add("inner-product-rule", _dev(pull_gram(fm.matrix, tensor.gram), pre), config.tol)
     # the factor map against the algebraic tensor's actions I (x) R_F and L_E (x) I

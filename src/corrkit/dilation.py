@@ -682,15 +682,14 @@ def compare_unit_limits(ps: ProductSystem, xi1: np.ndarray, xi2: np.ndarray) -> 
     e1 = ps.generator
     m = e1.dim
     sq, isq = e1.scalar_sqrt, e1.scalar_isqrt
-    blocks = e1.algebra.blocks
-    offsets = np.cumsum([0] + [n * n for n in blocks])
+    blocks = list(zip(e1.algebra.unit_slices, e1.algebra.blocks))
     # whitened, both actions are *-representations on the standard inner product
     left, right = (sq @ action @ isq for action in (e1.left_action, e1.right_action))
     whitened = np.zeros((m, m), dtype=complex)
-    for i, ni in enumerate(blocks):
-        li = left[offsets[i]:offsets[i + 1]].reshape(ni, ni, m, m)  # li[a, c] = L(e^i_ac)
-        for j, nj in enumerate(blocks):
-            rj = right[offsets[j]:offsets[j + 1]].reshape(nj, nj, m, m)
+    for ui, ni in blocks:
+        li = left[ui].reshape(ni, ni, m, m)  # li[a, c] = L(e^i_ac)
+        for uj, nj in blocks:
+            rj = right[uj].reshape(nj, nj, m, m)
             corner = li[0, 0] @ rj[0, 0]  # a projection: whitened, L and R commute
             y = _range_basis(corner, corner)
             if y.shape[1] == 0:

@@ -39,6 +39,7 @@ from .hilbmod import (
     _dev,
     _lift,
     _range_basis,
+    _trace_rank,
     _unit_from_blocks,
     adjointable_basis,
     algebra_correspondence,
@@ -192,23 +193,21 @@ class AssociatedCorrespondence:
     warnings: list[str] = field(default_factory=list)
 
 
-def _frame(eplus: ModulePresentation, tol: float) -> np.ndarray:
+def _frame(eplus: ModulePresentation) -> np.ndarray:
     """Frame ``xi`` of shape (P, m): ``sum_p <xi_p, xi_p>`` is the unit of every
-    block the module reaches (a largest ``c`` above ``tol`` times the largest
-    of all).  With ``(i, a)`` the pair of largest ``c = <e_i, e_i>^j_aa`` on
-    block ``j``, ``xi_{j,b} = R(e^j_ab) e_i / sqrt(c)`` has inner square ``e^j_bb``.
+    block ``j`` the module reaches, i.e. with ``tr R(e^j_00) > 0``.  With
+    ``(i, a)`` the pair of largest ``c = <e_i, e_i>^j_aa`` on block ``j``,
+    ``xi_{j,b} = R(e^j_ab) e_i / sqrt(c)`` has inner square ``e^j_bb``.
     """
     alg = eplus.algebra
     diag = np.real(np.einsum("iiaa->ia", eplus.gram))  # (m, n)
-    top = float(diag.max(initial=0.0))
-    out, start = [], 0
-    for sl, nb in zip(alg.block_slices, alg.blocks):
-        c = diag[:, sl]
-        if c.max() > tol * top:
+    out = []
+    for sl, units, nb in zip(alg.block_slices, alg.unit_slices, alg.blocks):
+        right = eplus.right_action[units]  # R(e^j_ab) at a * nb + b
+        if _trace_rank(right[0]) > 0:
+            c = diag[:, sl]
             i, a = np.unravel_index(np.argmax(c), c.shape)
-            rows = eplus.right_action[start + a * nb:start + (a + 1) * nb, :, i]  # R(e^j_ab) e_i
-            out.append(rows / np.sqrt(c[i, a]))
-        start += nb * nb
+            out.append(right[a * nb:(a + 1) * nb, :, i] / np.sqrt(c[i, a]))  # R(e^j_ab) e_i
     return np.concatenate(out)
 
 
@@ -228,7 +227,7 @@ def associated_correspondence(
     ``x* (x) y -> (theta^t(xi_p x*) y)_p``, which is onto ``(+)_p Q_p E+`` for
     the idempotents ``Q_p = theta^t(xi_p xi_p*)``: in the first ``tr Q_p`` left
     singular vectors of ``S^{1/2} Q_p`` it is a factor ``K`` of full row rank,
-    realized as in :func:`internal_tensor`.  ``tol`` only picks the frame blocks.
+    realized as in :func:`internal_tensor`.
     """
     alg = eplus.algebra
     if t == 0:
@@ -243,7 +242,7 @@ def associated_correspondence(
         raise ConstructionError("rank-one operators leave the operator basis", residual=resid)
 
     # frame[p, u, (i, j)] = theta^t(xi_p e_i*)[u, j], the p-th map on e_i* (x) e_j
-    xi = _frame(eplus, tol)
+    xi = _frame(eplus)
     frame = np.tensordot(xi, endo.rank_one_images(t), axes=([1], [0]))
     frame = frame.transpose(0, 2, 1, 3).reshape(len(frame), m, m * m)
     # Q_p = theta^t(xi_p xi_p*) = sum_i conj(xi_p[i]) theta^t(xi_p e_i*)

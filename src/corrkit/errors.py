@@ -9,10 +9,6 @@ class InvalidSignatureError(CorrkitError):
     """Algebra signature is empty or contains a nonpositive block size."""
 
 
-class InvalidElementError(CorrkitError):
-    """An array does not describe an element of the given algebra."""
-
-
 class InvalidPresentationError(CorrkitError):
     """A module presentation violates one of its structural axioms."""
 

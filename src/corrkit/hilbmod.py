@@ -42,10 +42,11 @@ realized structure is block diagonal on modules that satisfy the axioms:
 
 The corner maps behind ``K`` and the stacks ``R~_b``, ``G~_b`` are one cached
 frame on ``F`` (:attr:`Correspondence.corner_frame`), ``M~_b`` is cached on
-``E`` (:attr:`Correspondence._left_blocks`).  Every range basis is cut at the
-trace of an idempotent (:func:`_range_basis`): ``r_b = tr L(e^b_00)`` here,
-and ``tr theta^t(xi_p xi_p*)`` for the projection frame on which
-:func:`corrkit.endo.associated_correspondence` realizes ``E_t`` the same way.
+``E`` (:attr:`Correspondence._left_blocks`).  Every rank is the trace of an
+idempotent (:func:`_trace_rank`): ``P_b = tr R_E(e^b_00)`` and
+``r_b = tr L_F(e^b_00)`` here, and ``tr theta^t(xi_p xi_p*)`` for the
+projection frame on which :func:`corrkit.endo.associated_correspondence`
+realizes ``E_t`` the same way.
 
 Every named module is built from one standard form, :func:`standard_module`:
 the carrier ``(+)_i C^{k_i} (x) C^{n_i}`` with the blockwise right action and
@@ -131,11 +132,16 @@ def psd_defect(a: np.ndarray) -> tuple[float, float]:
     return _worst((herm, -eigs[0])), max(1.0, float(eigs[-1]))
 
 
+def _trace_rank(p: np.ndarray) -> int:
+    """The rank of the idempotent ``p``: its trace, rounded."""
+    return round(float(np.trace(p).real))
+
+
 def _range_basis(a: np.ndarray, p: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the range of ``a``, as columns, where ``a`` has the
     rank of the idempotent ``p``: the first ``tr p`` left singular vectors of
     ``a``, with no singular-value cutoff."""
-    return np.linalg.svd(a)[0][:, :round(float(np.trace(p).real))]
+    return np.linalg.svd(a)[0][:, :_trace_rank(p)]
 
 
 def _unit_from_blocks(
@@ -221,22 +227,25 @@ class ModulePresentation:
         coefficients ``w[p, i, c]`` with ``u[p, i] = sum_c w[p, i, c] e^b_{0c}``,
         of shape (P_b, m, n_b).
 
-        One eigendecomposition per block of the (m n_b)-square Gram
-        ``G[(i, a), (k, c)] = <e_i, e_k>[a, c]``; each kept eigenpair gives one
-        row.  Eigenvalues up to ``RANK_RTOL`` times the largest of all blocks
-        are dropped, so ``sum_b P_b`` is the numerical rank of the Gram.
+        On a nondegenerate module the (m n_b)-square block Gram
+        ``G[(i, a), (k, c)] = <e_i, e_k>[a, c]`` has the rank
+        ``P_b = tr R(e^b_00)`` of the idempotent ``R(e^b_00)``, the dimension of
+        ``E e^b_00``; its top ``P_b`` eigenpairs give the rows, with no cutoff.
+        A degenerate module has a null vector in some ``E e^b_00``, so a kept
+        eigenvalue vanishes there (up to ``DEFAULT_TOL`` times the top): it is
+        refused.
         """
         alg, m = self.algebra, self.dim
-        spectra = []
-        for sl, nb in zip(alg.block_slices, alg.blocks):
+        out, kept = [], []
+        for sl, units, nb in zip(alg.block_slices, alg.unit_slices, alg.blocks):
             g = self.gram[:, :, sl, sl].transpose(0, 2, 1, 3).reshape(m * nb, m * nb)
-            spectra.append(np.linalg.eigh((g + g.conj().T) / 2.0))
-        top = max((float(vals.max(initial=0.0)) for vals, _ in spectra), default=0.0)
-        out = []
-        for (vals, vecs), nb in zip(spectra, alg.blocks):
-            keep = vals > RANK_RTOL * top
-            w = (vecs[:, keep] * np.sqrt(vals[keep])).conj().T  # G = w^H w
+            vals, vecs = np.linalg.eigh((g + g.conj().T) / 2.0)
+            first = len(vals) - _trace_rank(self.right_action[units.start])  # R(e^b_00)
+            kept.extend(vals[first:])
+            w = (vecs[:, first:] * np.sqrt(vals[first:])).conj().T  # G = w^H w
             out.append(w.reshape(len(w), m, nb))
+        if kept and not min(kept) > DEFAULT_TOL * max(kept):
+            raise InvalidPresentationError("the Gram factor needs a nondegenerate presentation")
         return tuple(out)
 
     @cached_property
@@ -247,12 +256,9 @@ class ModulePresentation:
     @cached_property
     def _scalar_sqrts(self) -> tuple[np.ndarray, np.ndarray]:
         vals, vecs = np.linalg.eigh(self.scalar_gram)
-        vals = np.clip(vals, 0.0, None)
         root = np.sqrt(vals)
-        cutoff = (vals.max(initial=0.0)) * RANK_RTOL
-        inv = np.where(vals > cutoff, 1.0 / np.where(vals > cutoff, root, 1.0), 0.0)
         make = lambda w: (vecs * w) @ vecs.conj().T
-        return make(root), make(inv)
+        return make(root), make(1.0 / root)
 
     @property
     def scalar_sqrt(self) -> np.ndarray:
@@ -314,10 +320,8 @@ class Correspondence(ModulePresentation):
         """
         n = self.algebra.size
         out = []
-        start = 0
-        for nb in self.algebra.blocks:
-            units = self.left_action[start:start + nb]  # L(e^b_{0c})
-            start += nb * nb
+        for sl, nb in zip(self.algebra.unit_slices, self.algebra.blocks):
+            units = self.left_action[sl][:nb]  # L(e^b_{0c})
             row0 = self.scalar_sqrt @ units
             y = _range_basis(row0[0], units[0])
             r, back = y.shape[1], self.scalar_isqrt @ y
@@ -588,9 +592,8 @@ def adjointable_basis(
     if not is_nondegenerate(e, tol):
         raise InvalidPresentationError("adjointable operators need a reduced presentation")
     alg, m, r = e.algebra, e.dim, e.right_action
-    weights = np.repeat([1.0 / n for n in alg.blocks], [n * n for n in alg.blocks])
     # with vec(A X B) = kron(A, B^T) vec(X) on row-major vec, row (u, v) is vec E(E_uv)
-    images = np.einsum("c,cij,ckl->jkil", weights, r, r[alg.star_index], optimize=True)
+    images = np.einsum("c,cij,ckl->jkil", alg.haar_weights, r, r[alg.star_index], optimize=True)
     images = images.reshape(m * m, m * m)
     rank = int(round(float(np.trace(images).real)))
     top = float(np.linalg.norm(images, axis=1).max(initial=0.0))
@@ -654,17 +657,17 @@ def rank_ones_span(e: ModulePresentation, coords: np.ndarray, resid: float, tol:
 
 
 def fullness_check(e: ModulePresentation) -> bool:
-    """Whether the inner products span the whole algebra."""
-    m = e.dim
-    coords = e.gram_coords.reshape(m * m, e.algebra.dim)
-    return matrix_rank_tol(coords) == e.algebra.dim
+    """Whether the inner products span the whole algebra.  Their span is an
+    ideal, a sum of blocks; on a nondegenerate module it holds block ``b``
+    exactly when ``E e^b_00`` is not zero, i.e. ``tr R(e^b_00) >= 1``."""
+    return all(_trace_rank(e.right_action[sl.start]) >= 1 for sl in e.algebra.unit_slices)
 
 
 def left_faithful_check(f: Correspondence) -> bool:
-    """Whether the left action annihilates only the zero element."""
-    d = f.algebra.dim
-    flat = f.left_action.reshape(d, -1)
-    return matrix_rank_tol(flat) == d
+    """Whether the left action annihilates only the zero element.  The kernel
+    of a unital *-homomorphism is a sum of blocks, and it misses block ``b``
+    exactly when ``tr L(e^b_00) >= 1``."""
+    return all(_trace_rank(f.left_action[sl.start]) >= 1 for sl in f.algebra.unit_slices)
 
 
 # ---------------------------------------------------------------------------
@@ -747,16 +750,15 @@ def standard_module(
     if len(row_counts) != len(alg.blocks):
         raise InvalidPresentationError("one row count per algebra block is required")
     blocks, d, n = alg.blocks, alg.dim, alg.size
-    # the matrix units of every block in basis order, where each block's units
-    # start in the basis, and where each row group starts in the carrier
+    # the matrix units of every block in basis order, and where each row group
+    # starts in the carrier
     units = [np.eye(nb * nb).reshape(nb * nb, nb, nb) for nb in blocks]
-    at = np.cumsum([0] + [nb * nb for nb in blocks])
     rows = np.cumsum([0] + [k * nb for k, nb in zip(row_counts, blocks)])
     groups = [slice(a, b) for a, b in zip(rows[:-1], rows[1:])]
     right = np.zeros((d, rows[-1], rows[-1]), dtype=complex)
     gram = np.zeros((rows[-1], rows[-1], n, n), dtype=complex)
     for i, (k, nb, sl, g) in enumerate(zip(row_counts, blocks, alg.block_slices, groups)):
-        right[at[i]:at[i + 1], g, g] = np.kron(np.eye(k)[None], units[i].transpose(0, 2, 1))
+        right[alg.unit_slices[i], g, g] = np.kron(np.eye(k)[None], units[i].transpose(0, 2, 1))
         gram[g, g, sl, sl] = np.kron(np.eye(k)[:, :, None, None], units[i].reshape((nb,) * 4))
     if multiplicities is None:
         return ModulePresentation(alg, right, gram)
@@ -773,7 +775,7 @@ def standard_module(
             on_rows = np.zeros((len(units[j]), k, k))  # L(e^j_pq) on the rows of group i
             span = slice(copies[j], copies[j + 1])
             on_rows[:, span, span] = np.kron(np.eye(mu)[None], units[j])
-            left[at[j]:at[j + 1], g, g] = np.kron(on_rows, np.eye(nb)[None])
+            left[alg.unit_slices[j], g, g] = np.kron(on_rows, np.eye(nb)[None])
     return Correspondence(alg, right, gram, left)
 
 

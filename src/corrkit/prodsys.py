@@ -29,13 +29,13 @@ from .hilbmod import (
     ModulePresentation,
     _dev,
     _rebracket,
+    _trace_rank,
     _unit_from_blocks,
     algebra_correspondence,
     check_map,
     internal_tensor,
     left_unitor,
     map_adjoint,
-    null_space,
     psd_defect,
     pull_gram,
     right_unitor,
@@ -231,22 +231,26 @@ class CentralUnitSearch:
 def find_central_unital_unit(e1: Correspondence, tol: float = DEFAULT_TOL) -> CentralUnitSearch:
     """Decide whether a central unital vector exists, and construct one.
 
-    The central subspace ``C = {v : L(b) v = R(b) v}`` carries center-valued
-    inner products, which the central projections ``q_j = R(p_j)`` split
-    into one scalar Gram ``M_j`` per algebra block.  A central unital vector
-    exists exactly when every ``M_j`` is nonzero; then
+    The central subspace ``C = {v : L(b) v = R(b) v}`` is the range of the
+    Haar average ``P = sum_j (1/n_j) sum_ab L(e^j_ab) R(e^j_ba)``, an
+    idempotent, so its dimension is ``tr P``; its basis is that many last right
+    singular vectors of the stacked system ``L(b) - R(b)``, with no cutoff.
+    ``C`` carries center-valued inner products, which the central projections
+    ``q_j = R(p_j)`` split into one scalar Gram ``M_j`` per algebra block.  A
+    central unital vector exists exactly when every ``M_j`` is nonzero; then
     ``omega = sum_j q_j (basis @ z_j) / sqrt(lam_j)``, with ``(lam_j, z_j)``
     the top eigenpair of ``M_j``, has ``<omega, omega> = 1``.  Nonexistence
     is certified when ``C`` is trivial or when some ``M_j`` vanishes (then
     no central vector has invertible length).
     """
     alg = e1.algebra
+    haar = np.tensordot(alg.haar_weights, e1.left_action @ e1.right_action[alg.star_index], axes=1)
+    dim = _trace_rank(haar)
+    residuals = {"central-dimension": dim}
+    if dim == 0:
+        return CentralUnitSearch("none-exists", None, "central-subspace-trivial", residuals)
     stacked = (e1.left_action - e1.right_action).reshape(alg.dim * e1.dim, e1.dim)
-    size = max(float(np.abs(e1.left_action).max(initial=0.0)),
-               float(np.abs(e1.right_action).max(initial=0.0)))
-    basis = null_space(stacked, scale=size)
-    if basis.shape[1] == 0:
-        return CentralUnitSearch("none-exists", None, "central-subspace-trivial", {})
+    basis = np.linalg.svd(stacked, full_matrices=False)[2][e1.dim - dim:].conj().T
     grams = pull_gram(basis, e1.gram)
     blockwise = [np.trace(grams[:, :, sl, sl], axis1=2, axis2=3) / n
                  for sl, n in zip(alg.block_slices, alg.blocks)]
@@ -254,13 +258,10 @@ def find_central_unital_unit(e1: Correspondence, tol: float = DEFAULT_TOL) -> Ce
     omega, block = _unit_from_blocks(basis, blockwise, projections, tol)
     if omega is None:
         return CentralUnitSearch(
-            "none-exists", None, f"block-{block}-gram-vanishes-on-central-subspace",
-            {"central-dimension": basis.shape[1]},
+            "none-exists", None, f"block-{block}-gram-vanishes-on-central-subspace", residuals
         )
-    residuals = {
-        "unitality": _dev(e1.inner(omega, omega), alg.unit),
-        "centrality": _dev(e1.left_action @ omega, e1.right_action @ omega),
-    }
+    residuals["unitality"] = _dev(e1.inner(omega, omega), alg.unit)
+    residuals["centrality"] = _dev(e1.left_action @ omega, e1.right_action @ omega)
     return CentralUnitSearch("found", omega, "constructed", residuals)
 
 

@@ -83,10 +83,6 @@ class VerificationReport:
             return self._status
         return PASS if self.passed else FAIL
 
-    @property
-    def max_deviation(self) -> float:
-        return _worst(c.deviation for c in self.checks)
-
     def failed_checks(self) -> list[Check]:
         return [c for c in self.checks if not c.passed]
 

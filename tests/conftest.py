@@ -31,7 +31,7 @@ from corrkit.hilbmod import (
     internal_tensor,
     map_adjoint,
 )
-from corrkit.report import VerificationReport
+from corrkit.report import VerificationReport, _worst
 
 ALGEBRA_SIGNATURES = ([1], [2], [1, 1], [1, 2])
 TOL = 1e-9
@@ -176,6 +176,11 @@ def traced_peak(fn, *args):
 def max_dev(a, b=None) -> float:
     arr = np.abs(np.asarray(a) - (0 if b is None else np.asarray(b)))
     return float(arr.max()) if arr.size else 0.0
+
+
+def max_deviation(rep: VerificationReport) -> float:
+    """The largest deviation of the checks of ``rep``, NaN when any is NaN."""
+    return _worst(c.deviation for c in rep.checks)
 
 
 # ---------------------------------------------------------------------------

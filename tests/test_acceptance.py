@@ -37,6 +37,7 @@ from corrkit.prodsys import ProductSystem, find_central_unital_unit
 
 from conftest import (
     max_dev,
+    max_deviation,
     oracle_pre_gram,
     oracle_rank,
     oracle_scalarized,
@@ -78,7 +79,7 @@ def test_criterion_2_product_system_coherence():
         ps = ProductSystem(small_generator(seed), LEVELS, TOL)
         rep = ps.coherence_report()
         assert rep.passed, (seed, [c.name for c in rep.failed_checks()])
-        worst = max(worst, rep.max_deviation)
+        worst = max(worst, max_deviation(rep))
     verdict("criterion-2 coherence", worst <= TOL, f"max deviation {worst:.2e} over 20 generators")
 
 
@@ -94,12 +95,12 @@ def test_criterion_3_endomorphism_recovery():
         for t in range(1, LEVELS + 1):
             _, uu_rep = u_unitary(inst.eplus, inst.endo, t, assoc[t], TOL)
             assert uu_rep.passed, (inst.name, t)
-            worst = max(worst, uu_rep.max_deviation)
+            worst = max(worst, max_deviation(uu_rep))
         for s in range(1, LEVELS):
             for t in range(1, LEVELS + 1 - s):
                 _, rep = power_coherence(inst.endo, assoc[s], assoc[t], assoc[s + t], TOL)
                 assert rep.passed, (inst.name, s, t)
-                worst = max(worst, rep.max_deviation)
+                worst = max(worst, max_deviation(rep))
     verdict("criterion-3 recovery", worst <= TOL, f"max deviation {worst:.2e}")
 
 
@@ -118,7 +119,7 @@ def test_criterion_4_main_restriction_identity():
         if inst.spatial:
             spatial_count += 1
             assert rep.status == "pass", (inst.name, [c.name for c in rep.failed_checks()])
-            worst = max(worst, rep.max_deviation)
+            worst = max(worst, max_deviation(rep))
             names_t = {c.name for c in rep.checks}
             assert f"restriction-identity[1,{LEVELS - 1}]" in names_t
             assert "w-semigroup[1,1,2]" in names_t
@@ -144,7 +145,7 @@ def test_criterion_5_vector_expectation():
         assert f"expectation-identity[{LEVELS},0]" in names
         assert f"choi-positive[{LEVELS}]" in names
         assert f"cp-unital[{LEVELS}]" in names
-        worst = max(worst, rep.max_deviation)
+        worst = max(worst, max_deviation(rep))
         count += 1
     verdict(
         "criterion-5 vector-expectation",
@@ -167,7 +168,7 @@ def test_criterion_6_remark_cross_checks():
             assert f"isometry[{LEVELS}]" in names and f"intertwining[{LEVELS}]" in names
             assert "fullness-necessary-condition" in names
             assert fullness_check(inst.eplus)
-            worst = max(worst, rep.max_deviation)
+            worst = max(worst, max_deviation(rep))
 
     # pairing forces unit equality: aligned, perturbed, and vacuous cases
     alg_corr = algebra_correspondence(identity_mixed_instance().eplus.algebra)
@@ -175,7 +176,7 @@ def test_criterion_6_remark_cross_checks():
     omega = find_central_unital_unit(alg_corr, TOL).vector
     rep = unit_pairing_check(ps, omega, omega)
     assert rep.passed and any(c.name == f"unit-coincide[{LEVELS}]" for c in rep.checks)
-    worst = max(worst, rep.max_deviation)
+    worst = max(worst, max_deviation(rep))
     plane_ps = ProductSystem(plane_correspondence(), LEVELS, TOL)
     with pytest.raises(PreconditionError):
         unit_pairing_check(plane_ps, np.array([1.0, 0.5]), np.array([1.0, 0.0]))

@@ -59,7 +59,7 @@ def test_is_positive_unit():
 
 def test_is_positive_rejects_indefinite():
     alg = make_algebra([2])
-    a = alg.embed([np.diag([1.0, -1.0])])
+    a = np.diag([1.0, -1.0]).astype(complex)  # the one block M_2
     assert _positivity_defect(alg, a) > 1.0 - TOL
 
 
@@ -83,7 +83,7 @@ def test_faithful_state_unit():
 
 def test_faithful_state_example():
     alg = make_algebra([1, 2])
-    a = alg.embed([np.array([[3.0]]), np.zeros((2, 2))])
+    a = np.diag([3.0, 0.0, 0.0]).astype(complex)  # blocks [[3]] and 0 of M_2
     assert abs(_state(alg, a) - 1.0) < 1e-15
 
 

@@ -22,7 +22,7 @@ from corrkit.gallery import (
     plane_correspondence,
     random_unitary,
 )
-from corrkit.hilbmod import Correspondence
+from corrkit.hilbmod import Correspondence, algebra_correspondence
 from corrkit.instance import Instance, emit_instance, generate_instance
 
 SHIPPED = Path(__file__).resolve().parent.parent / "instances"
@@ -174,23 +174,54 @@ def test_tensor_on_correspondence(tmp_path):
     assert main(["tensor", path, "--left", "F", "--right", "F"]) == EXIT_PASS
 
 
-@pytest.mark.parametrize("eps", [2e-10, 5e-10])
-def test_tensor_keeps_the_trace_rank_of_a_nearly_idempotent_corner(tmp_path, capsys, eps):
+@pytest.mark.parametrize("side, eps", [
+    ("left", 2e-10), ("left", 5e-10), ("gram", 2e-10), ("gram", 5e-10),
+], ids=["2e-10", "5e-10", "gram-2e-10", "gram-5e-10"])
+def test_tensor_keeps_the_trace_rank_of_a_nearly_idempotent_corner(tmp_path, capsys, side, eps):
     """Regression: a conjugated doubled swap with ``L(e^0_00)`` moved ``eps`` off
     idempotent along its least eigenvector, and ``L(e^1_00)`` the opposite way
     so that ``L(1) = I`` stays, passes ``validate`` at tol 1e-9.  Each corner
     keeps the rank ``tr L(e^b_00) = 2``, so ``F . F`` is realized with the
     unperturbed dimension 8 and passes; a singular-value cutoff relative to the
-    top counted the ``eps`` direction, realized dimension 10 and failed."""
+    top counted the ``eps`` direction, realized dimension 10 and failed.  The
+    same holds with the Gram moved instead, block 0 by ``eps`` along the least
+    eigenvector ``v`` of its block Gram and block 1 the opposite way: the Gram
+    factor keeps ``P_b = tr R(e^b_00) = 2`` rows, where an eigenvalue cutoff
+    relative to the top kept the ``eps`` one."""
     f = conjugated(doubled_swap_correspondence(), random_unitary(np.random.default_rng(3), 4))
-    left = f.left_action.copy()
-    least = np.linalg.eigh(left[0])[1][:, 0]
-    left[:2] += eps * np.array([1.0, -1.0])[:, None, None] * np.outer(least, least.conj())
+    left, gram = f.left_action.copy(), f.gram.copy()
+    if side == "left":
+        least = np.linalg.eigh(left[0])[1][:, 0]
+        left[:2] += eps * np.array([1.0, -1.0])[:, None, None] * np.outer(least, least.conj())
+    else:
+        least = np.linalg.eigh(gram[:, :, 0, 0])[1][:, 0]
+        gram[:, :, 0, 0] += eps * np.outer(least.conj(), least)
+        gram[:, :, 1, 1] -= eps * np.outer(least.conj(), least)
     path = write(tmp_path, "perturbed.json",
-                 Instance(f.algebra, {"F": Correspondence(f.algebra, f.right_action, f.gram, left)}))
+                 Instance(f.algebra, {"F": Correspondence(f.algebra, f.right_action, gram, left)}))
     assert main(["validate", path, "--tol", "1e-9"]) == EXIT_PASS
     assert main(["tensor", path, "--left", "F", "--right", "F"]) == EXIT_PASS
     assert "realized dimension 8 from 4 x 4" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("eps", [2e-10, 4e-10])
+def test_spatial_finds_the_unit_of_a_nearly_homomorphic_algebra(tmp_path, capsys, eps):
+    """Regression: the algebra ``[1, 2]`` over itself with ``L(e^0_00)`` moved
+    ``eps`` along its least eigenvector and ``L(e^1_00)`` the opposite way
+    passes ``validate`` at tol 1e-9, and its unit ``1`` is central and unital.
+    The central subspace keeps the dimension ``tr P = 2`` of the Haar average
+    ``P``; a singular-value cutoff relative to the top dropped a direction of
+    it and certified that no central unit exists."""
+    e = algebra_correspondence(make_algebra([1, 2]))
+    left = e.left_action.copy()
+    least = np.linalg.eigh(left[0])[1][:, 0]
+    left[:2] += eps * np.array([1.0, -1.0])[:, None, None] * np.outer(least, least.conj())
+    inst = Instance(e.algebra, {"F": Correspondence(e.algebra, e.right_action, e.gram, left)})
+    inst.product_system = {"generator": "F", "levels": 2, "units": {}}
+    path = write(tmp_path, "perturbed.json", inst)
+    assert main(["validate", path, "--tol", "1e-9"]) == EXIT_PASS
+    assert main(["spatial", path]) == EXIT_PASS
+    assert "central unit: found" in capsys.readouterr().out
 
 
 def test_derive_ps(tmp_path):
@@ -541,7 +572,7 @@ def test_scaled_corner_gram_fails_the_inner_product_rule(tmp_path, monkeypatch):
     """Fault witness: one compressed Gram ``G~_b`` scaled by 1 + 1e-6 fails
     ``inner-product-rule``, which compares with the pre-Gram built from the
     factors, and ``tensor`` exits 1."""
-    from corrkit.hilbmod import Correspondence
+    from corrkit.hilbmod import Correspondence, algebra_correspondence
 
     built = Correspondence.corner_frame.func
 
@@ -568,7 +599,7 @@ def test_conjugated_left_blocks_fail_only_the_factor_map_check(tmp_path, monkeyp
     with the right action, so the realized tensor passes its own axioms; only
     ``factor-map-bilinear``, which compares it with ``L_E (x) I`` on the
     algebraic tensor, fails, and ``tensor`` exits 1."""
-    from corrkit.hilbmod import Correspondence
+    from corrkit.hilbmod import Correspondence, algebra_correspondence
 
     built = Correspondence._left_blocks.func
     swap = np.array([[0.0, 1.0], [1.0, 0.0]])

@@ -16,7 +16,7 @@ from corrkit.instance import (
 )
 from corrkit.hilbmod import adjointable_basis, validate_module
 
-from conftest import TOL
+from conftest import TOL, max_deviation
 
 
 def minimal_doc():
@@ -188,7 +188,7 @@ def test_generated_instances_validate(profile, seed):
     for mod in inst.modules.values():
         rep = validate_module(mod, inst.config.tol)
         assert rep.passed
-        assert rep.max_deviation <= TOL
+        assert max_deviation(rep) <= TOL
 
 
 @pytest.mark.parametrize("profile", PROFILES)
