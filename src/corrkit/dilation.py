@@ -112,7 +112,7 @@ def stage_shift(ps: ProductSystem, a: np.ndarray, n: int, t: int = 1) -> np.ndar
     """The staged endomorphism ``a -> a . id``: move an operator (or a stack
     of them) on the n-th power to the (n+t)-th power through the
     identification."""
-    return ps.u(n, t) @ amplify(a, ps.tensor(n, t)[1], side="left") @ ps.uinv(n, t)
+    return ps.u(n, t) @ amplify(a, ps.tensor(n, t), side="left") @ ps.uinv(n, t)
 
 
 def _stage_endomorphism_checks(ps: ProductSystem, rep: VerificationReport) -> None:
@@ -141,7 +141,7 @@ def _limit_embeddings(
     out = []
     for n in range(ps.levels):
         pair = (1, n) if side == "right" else (n, 1)
-        j = ps.u(*pair) @ tensor_vector(ps.tensor(*pair)[1], unit.vector, side)
+        j = ps.u(*pair) @ tensor_vector(ps.tensor(*pair), unit.vector, side)
         if rep is not None:
             check_map(rep, j, ps.power(n), ps.power(n + 1), ps.tol,
                       {p: f"{side}-embedding-{name}[{n}]" for p, name in props.items()})
@@ -164,7 +164,7 @@ def _limit_squares(
     for a in range(int(left), ps.levels):
         for b in range(int(not left), ps.levels - a):
             n, cod = (b, (a, b + 1)) if left else (a, (a + 1, b))
-            lifted = tensor_lift(embeddings[n], ps.tensor(a, b)[1], ps.tensor(*cod)[1],
+            lifted = tensor_lift(embeddings[n], ps.tensor(a, b), ps.tensor(*cod),
                                  side="right" if left else "left")
             rep.add(f"{name}[{a},{b}]",
                     _dev(ps.u(*cod) @ lifted, embeddings[a + b] @ ps.u(a, b)), ps.tol)
@@ -204,7 +204,7 @@ def stage_map(ps: ProductSystem, stages: list[ActionStage], t: int, m: int) -> n
     """The map ``E+ . E_{t+m} -> E+ . E_m`` given by ``(u_t . id)(id . u(t,m)^-1)``,
     composed on the triple carrier between the stages ``t + m`` and ``m``."""
     return _rebracket(
-        stages[t + m].factor, ps.tensor(t, m)[1].section @ ps.uinv(t, m),
+        stages[t + m].factor, ps.tensor(t, m).section @ ps.uinv(t, m),
         stages[t].u @ stages[t].factor.matrix, stages[m].factor, "right",
     )
 
@@ -711,7 +711,7 @@ def compare_unit_limits(ps: ProductSystem, xi1: np.ndarray, xi2: np.ndarray) -> 
     v_stage = found
     j1, j2 = (_limit_embeddings(ps, u, "right") for u in (u1, u2))
     for n in range(1, ps.levels):
-        fm = ps.tensor(n, 1)[1]
+        fm = ps.tensor(n, 1)
         v_next = fm.matrix @ np.kron(v_stage, found) @ fm.section
         en1 = ps.power(n + 1)
         check_map(rep, v_next, en1, en1, tol, {"unitary": f"transport-unitary[{n + 1}]"})

@@ -255,7 +255,7 @@ def associated_correspondence(
     right = proj @ _lift(eplus.right_action, section, (m, m), "right")
     left = proj @ _lift(eplus.right_action[alg.star_index].conj(), section, (m, m), "left")
     reduced = Correspondence(alg, right, gram, left)
-    return AssociatedCorrespondence(t, reduced, FactorMap(proj, section, (m, m), reduced), warnings)
+    return AssociatedCorrespondence(t, reduced, FactorMap(proj, section, (m, m)), warnings)
 
 
 def power_coherence(
@@ -402,8 +402,8 @@ def find_intertwining_isometry(
     blocks, grams, projections = [], [], []
     for j, c in enumerate(eplus.algebra.center_basis()):
         proj = eplus.right_of(c)
-        rank = float(np.real(np.trace(proj)))
-        if rank > 0.5:  # a block the module does not reach asks for nothing
+        rank = _trace_rank(proj)
+        if rank > 0:  # a block the module does not reach asks for nothing
             blocks.append(j)
             grams.append(np.einsum("abuv,vu->ab", products, proj) / rank)
             projections.append(proj)

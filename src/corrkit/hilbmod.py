@@ -369,7 +369,6 @@ class FactorMap:
     matrix: np.ndarray
     section: np.ndarray
     source_dims: tuple[int, int]
-    target: ModulePresentation
 
 
 def map_adjoint(v: np.ndarray, dom: ModulePresentation, cod: ModulePresentation) -> np.ndarray:
@@ -567,7 +566,7 @@ def internal_tensor(e: ModulePresentation, f: ModulePresentation) -> tuple[Modul
         reduced = Correspondence(e.algebra, right, gram, left)
     else:
         reduced = ModulePresentation(e.algebra, right, gram)
-    return reduced, FactorMap(k, section, (e.dim, f.dim), reduced)
+    return reduced, FactorMap(k, section, (e.dim, f.dim))
 
 
 # ---------------------------------------------------------------------------
@@ -717,11 +716,12 @@ def right_unitor(e: ModulePresentation, fm: FactorMap) -> np.ndarray:
 def _rebracket(
     src: FactorMap, expand: np.ndarray, contract: np.ndarray, dst: FactorMap, side: str
 ) -> np.ndarray:
-    """The rebracketing ``src.target -> dst.target`` of a triple tensor,
-    composed on the algebraic triple carrier: ``expand`` takes the ``side``
-    factor of a ``src.section`` representative to a pair carrier, ``contract``
-    takes the pair it leaves with the other factor to one of ``dst``'s factors,
-    and ``dst.matrix`` descends.  No bracketing is realized on the way."""
+    """The rebracketing of a triple tensor from the range of ``src.matrix`` to
+    that of ``dst.matrix``, composed on the algebraic triple carrier: ``expand``
+    takes the ``side`` factor of a ``src.section`` representative to a pair
+    carrier, ``contract`` takes the pair it leaves with the other factor to one
+    of ``dst``'s factors, and ``dst.matrix`` descends.  No bracketing is
+    realized on the way."""
     triple = _lift(expand, src.section, src.source_dims, side)
     pair = contract.shape[1]
     if side == "left":  # (E F) G -> E (F G)

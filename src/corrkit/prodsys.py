@@ -52,7 +52,8 @@ class ProductSystem:
     Powers are realized on construction; every other pair tensor and every
     identification and its inverse is built on first use.  Coherence is
     verified only by :meth:`coherence_report`, so users that only need some
-    ``u(s,t)`` do not pay for the O(levels^3) sweep.
+    ``u(s,t)`` do not pay for the O(levels^3) sweep; it drops each realized
+    pair module that is not a power once its identification is checked.
     """
 
     def __init__(
@@ -75,11 +76,14 @@ class ProductSystem:
         self.tol = tol
         self.budget = int(budget)
         self.powers: list[Correspondence] = [algebra_correspondence(self.algebra), generator]
-        self._tensors: dict[tuple[int, int], tuple[ModulePresentation, FactorMap]] = {}
+        self._tensors: dict[tuple[int, int], FactorMap] = {}
+        self._unchecked: dict[tuple[int, int], ModulePresentation] = {}
         self._u: dict[tuple[int, int], np.ndarray] = {}
         self._uinv: dict[tuple[int, int], np.ndarray] = {}
+        self._report: VerificationReport | None = None
         for n in range(2, self.levels + 1):
-            mod = self.tensor(n - 1, 1)[0]  # E_n is realize(E_{n-1} . E_1)
+            self.tensor(n - 1, 1)
+            mod = self._unchecked[(n - 1, 1)]  # E_n is realize(E_{n-1} . E_1)
             self._u[(n - 1, 1)] = self._uinv[(n - 1, 1)] = np.eye(mod.dim, dtype=complex)
             self.powers.append(mod)
 
@@ -88,8 +92,9 @@ class ProductSystem:
             raise PreconditionError(f"level {n} outside truncation 0..{self.levels}")
         return self.powers[n]
 
-    def tensor(self, s: int, t: int) -> tuple[ModulePresentation, FactorMap]:
-        """Realized tensor ``E_s . E_t`` with its factor map."""
+    def tensor(self, s: int, t: int) -> FactorMap:
+        """Factor map onto the realized tensor ``E_s . E_t``.  The realized
+        module is held until :meth:`coherence_report` checks ``u(s,t)``."""
         key = (s, t)
         if key not in self._tensors:
             es, et = self.power(s), self.power(t)
@@ -99,7 +104,7 @@ class ProductSystem:
                     f"tensor E_{s}.E_{t} needs dimension {needed} > budget {self.budget}",
                     required=needed,
                 )
-            self._tensors[key] = internal_tensor(es, et)
+            self._unchecked[key], self._tensors[key] = internal_tensor(es, et)
         return self._tensors[key]
 
     def rebracket(self, r: int, s: int, t: int) -> np.ndarray:
@@ -111,8 +116,8 @@ class ProductSystem:
         if not all(0 <= n <= self.levels for n in (r, s, t, r + s, s + t)):
             raise PreconditionError(f"rebracket({r},{s},{t}) outside truncation 0..{self.levels}")
         return _rebracket(
-            self.tensor(r, s + t)[1], self.tensor(s, t)[1].section @ self.uinv(s, t),
-            self.u(r, s) @ self.tensor(r, s)[1].matrix, self.tensor(r + s, t)[1], "right",
+            self.tensor(r, s + t), self.tensor(s, t).section @ self.uinv(s, t),
+            self.u(r, s) @ self.tensor(r, s).matrix, self.tensor(r + s, t), "right",
         )
 
     def u(self, s: int, t: int) -> np.ndarray:
@@ -123,9 +128,9 @@ class ProductSystem:
         if s + t > self.levels:
             raise PreconditionError(f"u({s},{t}) exceeds truncation level {self.levels}")
         if t == 0:
-            out = right_unitor(self.power(s), self.tensor(s, 0)[1])
+            out = right_unitor(self.power(s), self.tensor(s, 0))
         elif s == 0:
-            out = left_unitor(self.power(t), self.tensor(0, t)[1])
+            out = left_unitor(self.power(t), self.tensor(0, t))
         else:
             # peel the last generator factor: E_{s+t-1} . E_1 is the power E_{s+t}
             out = self.rebracket(s, t - 1, 1)
@@ -136,13 +141,17 @@ class ProductSystem:
         """Inverse E_{s+t} -> realize(E_s . E_t) of ``u(s,t)``: its adjoint."""
         key = (s, t)
         if key not in self._uinv:
-            self._uinv[key] = map_adjoint(self.u(s, t), self.tensor(s, t)[0], self.power(s + t))
+            self._uinv[key] = map_adjoint(self.u(s, t), self._unchecked[key], self.power(s + t))
         return self._uinv[key]
 
     # -- verification --------------------------------------------------------
 
     def coherence_report(self) -> VerificationReport:
-        """Verify every identification and the triple-product coherence."""
+        """Verify every identification and the triple-product coherence, once:
+        later calls return the same report.  A pair module is dropped once its
+        ``identification[s,t]-*`` checks and ``uinv(s,t)`` are computed."""
+        if self._report is not None:
+            return self._report
         rep = VerificationReport(
             "product system coherence",
             provenance={"levels": self.levels, "budget": self.budget},
@@ -150,9 +159,10 @@ class ProductSystem:
         tol = self.tol
         for s in range(self.levels + 1):
             for t in range(self.levels + 1 - s):
-                check_map(rep, self.u(s, t), self.tensor(s, t)[0], self.power(s + t), tol, {
-                    p: f"identification[{s},{t}]-{p}" for p in ("gram", "unitary", "bilinear")},
-                    self.uinv(s, t))
+                uinv = self.uinv(s, t)  # reads the pair module, which the checks then drop
+                check_map(rep, self.u(s, t), self._unchecked.pop((s, t)), self.power(s + t), tol,
+                          {p: f"identification[{s},{t}]-{p}" for p in ("gram", "unitary", "bilinear")},
+                          uinv)
         # t = 1 holds by definition: u(r, s+1) is rebracket(r, s, 1) and u(r+s, 1) = I
         for r in range(1, self.levels - 2):
             for s in range(1, self.levels - r - 1):
@@ -160,6 +170,7 @@ class ProductSystem:
                     # both collapse realize(E_r . E_{s+t}) onto E_{r+s+t}
                     via_left = self.u(r + s, t) @ self.rebracket(r, s, t)
                     rep.add(f"coherence[{r},{s},{t}]", _dev(via_left, self.u(r, s + t)), tol)
+        self._report = rep
         return rep
 
 
@@ -189,7 +200,7 @@ def derive_unit(ps: ProductSystem, xi1: np.ndarray) -> Unit:
         )
     levels = [ps.algebra.coords(ps.algebra.unit), xi1]
     for n in range(2, ps.levels + 1):
-        levels.append(tensor_vector(ps.tensor(n - 1, 1)[1], xi1, "left") @ levels[n - 1])
+        levels.append(tensor_vector(ps.tensor(n - 1, 1), xi1, "left") @ levels[n - 1])
     unit_dev = _dev(e1.inner(xi1, xi1), ps.algebra.unit)
     cent_dev = _dev(e1.left_action @ xi1, e1.right_action @ xi1)
     return Unit(xi1, levels, unit_dev <= ps.tol, cent_dev <= ps.tol, unit_dev, cent_dev)
@@ -202,7 +213,7 @@ def check_unit(ps: ProductSystem, xi1: np.ndarray) -> VerificationReport:
     rep = VerificationReport("unit checks", provenance={"levels": ps.levels})
     for s in range(ps.levels + 1):
         for t in range(ps.levels + 1 - s):
-            pair = tensor_vector(ps.tensor(s, t)[1], unit.levels[t], "left") @ unit.levels[s]
+            pair = tensor_vector(ps.tensor(s, t), unit.levels[t], "left") @ unit.levels[s]
             image = ps.u(s, t) @ pair
             rep.add(f"unit-propagation[{s},{t}]", _dev(image, unit.levels[s + t]), tol)
     for n, v in enumerate(unit.levels):

@@ -31,7 +31,7 @@ from corrkit.gallery import (
     standard_module,
     weak_dilation_gallery,
 )
-from corrkit.hilbmod import adjointable_basis, algebra_correspondence
+from corrkit.hilbmod import adjointable_basis, algebra_correspondence, internal_tensor
 from corrkit.prodsys import ProductSystem, find_central_unital_unit
 
 from conftest import TOL, associator, max_dev, max_deviation
@@ -79,9 +79,8 @@ def test_right_limit_increasing_with_eigen_oracle():
     e1, e2 = ps.power(1), ps.power(2)
     p1 = rank_one(e1, unit.levels[1], unit.levels[1])
     u = ps.u(1, 1)
-    lifted = u @ amplify(p1, ps.tensor(1, 1)[1], side="left") @ map_adjoint(
-        u, ps.tensor(1, 1)[0], e2
-    )
+    e11, fm11 = internal_tensor(e1, e1)
+    lifted = u @ amplify(p1, fm11, side="left") @ map_adjoint(u, e11, e2)
     diff = lifted - rank_one(e2, unit.levels[2], unit.levels[2])
     s = e2.scalar_gram
     for _ in range(50):
@@ -380,7 +379,8 @@ def test_action_unitaries_match_the_associator_recursion():
     old = {1: stages[1].u}
     for t in range(2, 5):
         a = associator(eplus, ps.power(t - 1), ps.power(1), pipe.tol,
-                       ef=(stages[t - 1].tensor, stages[t - 1].factor), fg=ps.tensor(t - 1, 1))
+                       ef=(stages[t - 1].tensor, stages[t - 1].factor),
+                       fg=internal_tensor(ps.power(t - 1), ps.power(1)))
         lifted = tensor_lift(old[t - 1], a.left_factor, stages[1].factor, side="left")
         old[t] = stages[1].u @ lifted @ a.adjoint
         assert max_dev(stages[t].u, old[t]) < 1e-12, t

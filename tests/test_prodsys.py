@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -18,6 +21,7 @@ from corrkit.hilbmod import (
     Correspondence,
     algebra_correspondence,
     check_map,
+    internal_tensor,
     null_space,
     tensor_lift,
 )
@@ -71,9 +75,9 @@ def test_tensor_dimensions_match_the_multiplicity_oracle(gen, levels):
     ps = ProductSystem(gen, levels)
     for total in range(levels + 1):
         for s in range(total + 1):
-            (tensor, _), peak = traced_peak(ps.tensor, s, total - s)
+            fm, peak = traced_peak(ps.tensor, s, total - s)
             assert peak < 64 * 2**20, (s, total - s)
-            assert tensor.dim == want[total], (s, total - s)
+            assert len(fm.matrix) == want[total], (s, total - s)
 
 
 def test_powers_of_scalar_plane():
@@ -90,11 +94,11 @@ def test_powers_of_algebra_are_multiplication():
     rng = np.random.default_rng(0)
     a, b = random_element(alg, rng, 0.5), random_element(alg, rng, 0.5)
     # the canonical identification with the algebra factor is multiplication
-    mod01, fm01 = ps.tensor(0, 1)
+    fm01 = ps.tensor(0, 1)
     image = ps.u(0, 1) @ fm01.matrix @ np.kron(alg.coords(a), alg.coords(b))
     assert max_dev(image, alg.coords(a @ b)) < TOL
     # at level two, the class of a (x) b depends on the product only
-    _, fm = ps.tensor(1, 1)
+    fm = ps.tensor(1, 1)
     balanced = fm.matrix @ np.kron(alg.coords(a), alg.coords(b))
     moved = fm.matrix @ np.kron(alg.coords(alg.unit), alg.coords(a @ b))
     assert max_dev(balanced, moved) < TOL
@@ -136,7 +140,8 @@ def test_assoc_outside_truncation_is_a_precondition_error(rst):
     with pytest.raises(PreconditionError):
         ps.rebracket(*rst)
     rep = VerificationReport("rebracket")
-    check_map(rep, ps.rebracket(1, 1, 1), ps.tensor(1, 2)[0], ps.tensor(2, 1)[0], TOL,
+    check_map(rep, ps.rebracket(1, 1, 1), internal_tensor(ps.power(1), ps.power(2))[0],
+              internal_tensor(ps.power(2), ps.power(1))[0], TOL,
               {"gram": "gram", "unitary": "unitary", "bilinear": "bilinear"})
     assert rep.passed
 
@@ -146,9 +151,10 @@ def _old_rebracket(ps, r, s, t):
     bracketings of ``E_r . E_s . E_t``, then ``(u(r,s) . id) a^-1
     (id . u(s,t))^-1``."""
     a = associator(ps.power(r), ps.power(s), ps.power(t), ps.tol,
-                   ef=ps.tensor(r, s), fg=ps.tensor(s, t))
-    to_right = tensor_lift(ps.u(s, t), a.right_factor, ps.tensor(r, s + t)[1], side="right")
-    to_left = tensor_lift(ps.u(r, s), a.left_factor, ps.tensor(r + s, t)[1], side="left")
+                   ef=internal_tensor(ps.power(r), ps.power(s)),
+                   fg=internal_tensor(ps.power(s), ps.power(t)))
+    to_right = tensor_lift(ps.u(s, t), a.right_factor, ps.tensor(r, s + t), side="right")
+    to_left = tensor_lift(ps.u(r, s), a.left_factor, ps.tensor(r + s, t), side="left")
     return to_left @ np.linalg.inv(to_right @ a.matrix)
 
 
@@ -168,9 +174,40 @@ def test_inverse_identification_is_cached_beside_u():
     ps = ProductSystem(small_generator(3), 3)
     uinv = ps.uinv(1, 2)
     assert ps.uinv(1, 2) is uinv
-    assert max_dev(uinv @ ps.u(1, 2), np.eye(ps.tensor(1, 2)[0].dim)) < TOL
+    dim = internal_tensor(ps.power(1), ps.power(2))[0].dim
+    assert max_dev(uinv @ ps.u(1, 2), np.eye(dim)) < TOL
     # the powers' own identifications are exact identities both ways
     assert np.array_equal(ps.uinv(2, 1), np.eye(ps.power(3).dim))
+
+
+@pytest.mark.parametrize("gen", [plane_correspondence(), doubled_swap_correspondence()],
+                         ids=["plane", "doubled-swap"])
+def test_coherence_report_releases_checked_pair_modules(gen, monkeypatch):
+    """Once the sweep has checked ``u(s,t)``, the realized ``E_s . E_t`` is
+    released unless it is a power; the report is built once, so a second call
+    rebrackets nothing."""
+    import corrkit.prodsys as prodsys
+
+    real, realized = prodsys.internal_tensor, []
+
+    def recorded(e, f):
+        mod, fm = real(e, f)
+        realized.append(weakref.ref(mod))
+        return mod, fm
+
+    monkeypatch.setattr(prodsys, "internal_tensor", recorded)
+    levels = 4
+    ps = ProductSystem(gen, levels)
+    checks = [(c.name, c.deviation, c.passed) for c in ps.coherence_report().checks]
+    gc.collect()
+    assert len(realized) == (levels + 1) * (levels + 2) // 2
+    alive = [id(ref()) for ref in realized if ref() is not None]
+    assert sorted(alive) == sorted(id(ps.power(n)) for n in range(2, levels + 1))
+    rebrackets = []
+    monkeypatch.setattr(ProductSystem, "rebracket", lambda self, *rst: rebrackets.append(rst))
+    again = ps.coherence_report()
+    assert [(c.name, c.deviation, c.passed) for c in again.checks] == checks
+    assert rebrackets == []
 
 
 @pytest.mark.parametrize("seed", range(6))
