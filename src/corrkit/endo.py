@@ -315,21 +315,18 @@ def u_unitary(
     eplus: ModulePresentation,
     endo: Endomorphism,
     t: int,
-    et: AssociatedCorrespondence | None = None,
+    et: AssociatedCorrespondence,
     tol: float = DEFAULT_TOL,
 ) -> tuple[ActionStage, VerificationReport]:
-    """Build and verify ``u_t : x (x) (y* . z) -> theta^t(x y*) z``.
-
-    Requires a full module; the recovery identity
-    ``theta^t(a) = u_t (a . id) u_t*`` is verified over the operator basis.
-    Returns the stage ``t`` and the report.
+    """Build and verify ``u_t : x (x) (y* . z) -> theta^t(x y*) z`` on
+    ``E+ . et``, with ``et`` the associated level ``t``.  Requires a full module;
+    the recovery identity ``theta^t(a) = u_t (a . id) u_t*`` is verified over
+    the operator basis.  Returns the stage ``t`` and the report.
     """
     if t < 1:
         raise PreconditionError("the action unitary is built for t >= 1")
     if not fullness_check(eplus):
         raise PreconditionError("the module must be full")
-    if et is None:
-        et = associated_correspondence(eplus, endo, t, tol)
     m = eplus.dim
     tensor, fm = internal_tensor(eplus, et.corr)
     bridge = endo.rank_one_images(t).transpose(2, 0, 1, 3).reshape(m, m * m * m)  # [u,(i,k,l)]

@@ -534,23 +534,20 @@ def _corner_factor(e: ModulePresentation, f: Correspondence) -> np.ndarray:
     return np.concatenate(parts)
 
 
-def internal_tensor(e: ModulePresentation, f: ModulePresentation) -> tuple[ModulePresentation, FactorMap]:
-    """Internal tensor product of a module with a correspondence.
-
-    The result is a correspondence exactly when the left factor is one.  It is
-    realized on the rows ``(b, p, alpha)`` of the corner factor ``K``, of full
-    row rank ``sum_b P_b r_b`` (module docstring): the factor map is ``K`` with
-    the section ``K^H (K K^H)^{-1}``, and the actions and the Gram are block
-    diagonal, placed from the stacks cached on the factors
-    (:attr:`Correspondence.corner_frame`, :attr:`Correspondence._left_blocks`).
-    """
+def _tensor_factor(e: ModulePresentation, f: ModulePresentation) -> FactorMap:
+    """The factor map of ``e . f``: ``K`` with the section ``K^H (K K^H)^{-1}``."""
     _require_same_algebra(e, f)
     if not f.is_correspondence:
         raise IncompatibleOperandsError("right tensor factor must be a correspondence")
-    d, n = e.algebra.dim, e.algebra.size
     k = _corner_factor(e, f)
-    section = np.linalg.solve(k @ k.conj().T, k).conj().T
-    r = len(k)
+    return FactorMap(k, np.linalg.solve(k @ k.conj().T, k).conj().T, (e.dim, f.dim))
+
+
+def _tensor_module(e: ModulePresentation, f: Correspondence) -> ModulePresentation:
+    """The realized ``e . f`` on the ``sum_b P_b r_b`` rows ``(b, p, alpha)`` of ``K``,
+    placed block diagonally from the factors' cached stacks; ``K`` is not formed."""
+    d, n = e.algebra.dim, e.algebra.size
+    r = sum(len(w) * stack.shape[1] for w, (_, stack) in zip(e._gram_factor, f.corner_frame))
     right, gram = np.zeros((d, r, r), dtype=complex), np.zeros((r, r, n, n), dtype=complex)
     left = np.zeros((d, r, r), dtype=complex) if e.is_correspondence else None
     at = 0
@@ -563,10 +560,15 @@ def internal_tensor(e: ModulePresentation, f: ModulePresentation) -> tuple[Modul
         if left is not None:
             left[:, rows[:, None, :], rows[None, :, :]] = e._left_blocks[b][..., None]
     if left is not None:
-        reduced = Correspondence(e.algebra, right, gram, left)
-    else:
-        reduced = ModulePresentation(e.algebra, right, gram)
-    return reduced, FactorMap(k, section, (e.dim, f.dim))
+        return Correspondence(e.algebra, right, gram, left)
+    return ModulePresentation(e.algebra, right, gram)
+
+
+def internal_tensor(e: ModulePresentation, f: ModulePresentation) -> tuple[ModulePresentation, FactorMap]:
+    """Internal tensor product of a module with a correspondence (a correspondence
+    when ``e`` is one): :func:`_tensor_module` with :func:`_tensor_factor`."""
+    fm = _tensor_factor(e, f)
+    return _tensor_module(e, f), fm
 
 
 # ---------------------------------------------------------------------------

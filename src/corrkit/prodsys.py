@@ -6,7 +6,7 @@ correspondence ``E_1``: ``E_0`` is the algebra over itself and
 ``u_{s,t}: realize(E_s . E_t) -> E_{s+t}`` are the canonical ones for
 ``s = 0`` or ``t = 0``, the identity for ``t = 1`` (by construction of the
 powers), and otherwise the rebracketing ``E_s . E_t -> E_{s+t-1} . E_1``,
-composed on the triple carrier between held pair tensors: no three-fold
+composed on the triple carrier from the pairs' factor maps: no three-fold
 bracketing is realized.  The coherence report verifies that every
 identification is a bilinear unitary and that the two ways of collapsing a
 triple product agree.
@@ -29,11 +29,12 @@ from .hilbmod import (
     ModulePresentation,
     _dev,
     _rebracket,
+    _tensor_factor,
+    _tensor_module,
     _trace_rank,
     _unit_from_blocks,
     algebra_correspondence,
     check_map,
-    internal_tensor,
     left_unitor,
     map_adjoint,
     psd_defect,
@@ -49,11 +50,10 @@ DEFAULT_BUDGET = 4096
 class ProductSystem:
     """Truncated family of tensor powers with coherent identifications.
 
-    Powers are realized on construction; every other pair tensor and every
-    identification and its inverse is built on first use.  Coherence is
-    verified only by :meth:`coherence_report`, so users that only need some
-    ``u(s,t)`` do not pay for the O(levels^3) sweep; it drops each realized
-    pair module that is not a power once its identification is checked.
+    Powers are realized on construction, and each pair's factor map,
+    identification and inverse on first use; any other pair module is placed
+    where it is read (:meth:`_module`) and is not held.  Only
+    :meth:`coherence_report` runs the O(levels^3) sweep.
     """
 
     def __init__(
@@ -77,15 +77,12 @@ class ProductSystem:
         self.budget = int(budget)
         self.powers: list[Correspondence] = [algebra_correspondence(self.algebra), generator]
         self._tensors: dict[tuple[int, int], FactorMap] = {}
-        self._unchecked: dict[tuple[int, int], ModulePresentation] = {}
         self._u: dict[tuple[int, int], np.ndarray] = {}
         self._uinv: dict[tuple[int, int], np.ndarray] = {}
-        self._report: VerificationReport | None = None
         for n in range(2, self.levels + 1):
             self.tensor(n - 1, 1)
-            mod = self._unchecked[(n - 1, 1)]  # E_n is realize(E_{n-1} . E_1)
-            self._u[(n - 1, 1)] = self._uinv[(n - 1, 1)] = np.eye(mod.dim, dtype=complex)
-            self.powers.append(mod)
+            self.powers.append(_tensor_module(self.powers[n - 1], generator))  # E_{n-1} . E_1
+            self._u[(n - 1, 1)] = self._uinv[(n - 1, 1)] = np.eye(self.powers[n].dim, dtype=complex)
 
     def power(self, n: int) -> Correspondence:
         if not 0 <= n <= self.levels:
@@ -93,8 +90,8 @@ class ProductSystem:
         return self.powers[n]
 
     def tensor(self, s: int, t: int) -> FactorMap:
-        """Factor map onto the realized tensor ``E_s . E_t``.  The realized
-        module is held until :meth:`coherence_report` checks ``u(s,t)``."""
+        """Factor map onto the realized tensor ``E_s . E_t``, formed within
+        the budget; the realized module is not formed (:meth:`_module`)."""
         key = (s, t)
         if key not in self._tensors:
             es, et = self.power(s), self.power(t)
@@ -104,8 +101,14 @@ class ProductSystem:
                     f"tensor E_{s}.E_{t} needs dimension {needed} > budget {self.budget}",
                     required=needed,
                 )
-            self._unchecked[key], self._tensors[key] = internal_tensor(es, et)
+            self._tensors[key] = _tensor_factor(es, et)
         return self._tensors[key]
+
+    def _module(self, s: int, t: int) -> ModulePresentation:
+        """The realized ``E_s . E_t``: the power ``E_{s+1}`` when ``t = 1 <= s``,
+        else placed anew, after :meth:`tensor` has checked the budget."""
+        self.tensor(s, t)
+        return self.powers[s + 1] if t == 1 and s else _tensor_module(self.power(s), self.power(t))
 
     def rebracket(self, r: int, s: int, t: int) -> np.ndarray:
         """Rebracketing unitary realize(E_r . E_{s+t}) -> realize(E_{r+s} . E_t).
@@ -138,20 +141,18 @@ class ProductSystem:
         return out
 
     def uinv(self, s: int, t: int) -> np.ndarray:
-        """Inverse E_{s+t} -> realize(E_s . E_t) of ``u(s,t)``: its adjoint."""
+        """Inverse E_{s+t} -> realize(E_s . E_t) of ``u(s,t)``: its adjoint on the placed module."""
         key = (s, t)
         if key not in self._uinv:
-            self._uinv[key] = map_adjoint(self.u(s, t), self._unchecked[key], self.power(s + t))
+            self._uinv[key] = map_adjoint(self.u(s, t), self._module(s, t), self.power(s + t))
         return self._uinv[key]
 
     # -- verification --------------------------------------------------------
 
     def coherence_report(self) -> VerificationReport:
-        """Verify every identification and the triple-product coherence, once:
-        later calls return the same report.  A pair module is dropped once its
-        ``identification[s,t]-*`` checks and ``uinv(s,t)`` are computed."""
-        if self._report is not None:
-            return self._report
+        """Verify every identification and the triple-product coherence.  Each
+        pair module is placed once, for its ``identification[s,t]-*`` checks,
+        whose adjoint becomes ``uinv(s,t)``, and is dropped after them."""
         rep = VerificationReport(
             "product system coherence",
             provenance={"levels": self.levels, "budget": self.budget},
@@ -159,10 +160,10 @@ class ProductSystem:
         tol = self.tol
         for s in range(self.levels + 1):
             for t in range(self.levels + 1 - s):
-                uinv = self.uinv(s, t)  # reads the pair module, which the checks then drop
-                check_map(rep, self.u(s, t), self._unchecked.pop((s, t)), self.power(s + t), tol,
-                          {p: f"identification[{s},{t}]-{p}" for p in ("gram", "unitary", "bilinear")},
-                          uinv)
+                self._uinv[(s, t)] = check_map(
+                    rep, self.u(s, t), self._module(s, t), self.power(s + t), tol,
+                    {p: f"identification[{s},{t}]-{p}" for p in ("gram", "unitary", "bilinear")},
+                    self._uinv.get((s, t)))
         # t = 1 holds by definition: u(r, s+1) is rebracket(r, s, 1) and u(r+s, 1) = I
         for r in range(1, self.levels - 2):
             for s in range(1, self.levels - r - 1):
@@ -170,7 +171,6 @@ class ProductSystem:
                     # both collapse realize(E_r . E_{s+t}) onto E_{r+s+t}
                     via_left = self.u(r + s, t) @ self.rebracket(r, s, t)
                     rep.add(f"coherence[{r},{s},{t}]", _dev(via_left, self.u(r, s + t)), tol)
-        self._report = rep
         return rep
 
 

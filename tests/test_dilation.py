@@ -276,14 +276,17 @@ def test_verify_supplement_gallery(pair):
 
 
 def test_each_tensor_and_associator_realized_once_per_run(monkeypatch):
-    """Within one verification no tensor is built twice from the same
-    operands, and no rebracketing realizes a bracketing: the pipeline and the
-    product system share their tensors.
+    """Within one verification no factor map is formed twice and no module
+    is placed twice from the same operands, and no rebracketing realizes a
+    bracketing: the pipeline and the product system share their factor maps.
 
-    At levels L a run realizes the (L+1)(L+2)/2 pair tensors ``E_s . E_t``
-    with ``s + t <= L`` (the powers among them), the L+1 stages
-    ``E+ . E_t``, and one ``(E+ . E_t) . E_m`` per restriction-chain check,
-    L(L+1)/2 of them: 15 + 5 + 10 = 30 at L = 4."""
+    At levels L a run forms the (L+1)(L+2)/2 pair factor maps of ``E_s . E_t``
+    with ``s + t <= L``, the L+1 stages ``E+ . E_t``, and one
+    ``(E+ . E_t) . E_m`` per restriction-chain check, L(L+1)/2 of them:
+    15 + 5 + 10 = 30 at L = 4.  It places the same 30 modules: the L-1 powers
+    on construction, every other pair module once, in the coherence sweep that
+    ``verify_main`` runs before any other reader of ``uinv``, and one module
+    with each stage and chain factor map."""
     import sys
 
     import corrkit.hilbmod as hilbmod
@@ -292,30 +295,30 @@ def test_each_tensor_and_associator_realized_once_per_run(monkeypatch):
     inst = parse_instance(str(SHIPPED / "weak-dilation-seed0.json"))
     eplus, endo = inst.make_endo()
     _, xi = inst.vector("xi")
-    real = hilbmod.internal_tensor
-    seen, held, repeats = set(), [], []
+    held, calls = [], {"_tensor_factor": [], "_tensor_module": []}
 
-    def tracked(e, f, *args, **kwargs):
-        held.append((e, f))  # keeps the operand ids unique during a run
-        if (id(e), id(f)) in seen:
-            repeats.append((e.dim, f.dim))
-        seen.add((id(e), id(f)))
-        return real(e, f, *args, **kwargs)
+    def tracked(name, real):
+        def call(e, f):
+            held.append((e, f))  # keeps the operand ids unique during a run
+            calls[name].append((id(e), id(f)))
+            return real(e, f)
+        return call
 
-    for name, mod in list(sys.modules.items()):
-        if name.startswith("corrkit") and mod is not None and vars(mod).get("internal_tensor") is real:
-            monkeypatch.setattr(mod, "internal_tensor", tracked)
+    for name in calls:
+        real = getattr(hilbmod, name)
+        for modname, mod in list(sys.modules.items()):
+            if modname.startswith("corrkit") and mod is not None and vars(mod).get(name) is real:
+                monkeypatch.setattr(mod, name, tracked(name, real))
     for run in (
         lambda: verify_main(DilationPipeline(eplus, endo, levels=4)),
         lambda: verify_supplement(DilationPipeline(eplus, endo, levels=4), xi),
     ):
-        seen.clear()
         held.clear()
+        for seen in calls.values():
+            seen.clear()
         assert run().status == "pass"
-        assert len(seen) > 20
-        # and none is skipped
-        assert len(held) == 30
-    assert repeats == []
+        for seen in calls.values():
+            assert len(seen) == len(set(seen)) == 30
 
 
 def test_endomorphism_validated_once_per_pipeline(monkeypatch):

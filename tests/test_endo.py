@@ -363,7 +363,8 @@ def test_action_unitary_identity_reduces_to_canonical():
 @pytest.mark.parametrize("t", [1, 2, 3])
 def test_action_unitary_on_collapse(t):
     inst = block_collapse_instance()
-    _, rep = u_unitary(inst.eplus, inst.endo, t)
+    et = associated_correspondence(inst.eplus, inst.endo, t)
+    _, rep = u_unitary(inst.eplus, inst.endo, t, et)
     assert rep.passed
     assert max_deviation(rep) < TOL
 
@@ -374,7 +375,7 @@ def test_action_unitary_requires_full_module():
     ops = adjointable_basis(eplus)
     endo = Endomorphism(eplus, ops, np.eye(len(ops)))
     with pytest.raises(PreconditionError):
-        u_unitary(eplus, endo, 1)
+        u_unitary(eplus, endo, 1, associated_correspondence(eplus, endo, 1))
 
 
 # ---------------------------------------------------------------------------

@@ -6,13 +6,14 @@ import pytest
 
 from corrkit.algebra import make_algebra
 from corrkit.errors import PreconditionError, ResourceBudgetError
-from corrkit.dilation import compare_unit_limits
+from corrkit.dilation import DilationPipeline, compare_unit_limits, verify_main
 from corrkit.endo import associated_correspondence
 from corrkit.gallery import (
     block_swap_correspondence,
     conjugated,
     doubled_swap_correspondence,
     endomorphism_gallery,
+    inner_two_block_instance,
     plane_correspondence,
     random_unitary,
     standard_module,
@@ -180,36 +181,6 @@ def test_inverse_identification_is_cached_beside_u():
     assert np.array_equal(ps.uinv(2, 1), np.eye(ps.power(3).dim))
 
 
-@pytest.mark.parametrize("gen", [plane_correspondence(), doubled_swap_correspondence()],
-                         ids=["plane", "doubled-swap"])
-def test_coherence_report_releases_checked_pair_modules(gen, monkeypatch):
-    """Once the sweep has checked ``u(s,t)``, the realized ``E_s . E_t`` is
-    released unless it is a power; the report is built once, so a second call
-    rebrackets nothing."""
-    import corrkit.prodsys as prodsys
-
-    real, realized = prodsys.internal_tensor, []
-
-    def recorded(e, f):
-        mod, fm = real(e, f)
-        realized.append(weakref.ref(mod))
-        return mod, fm
-
-    monkeypatch.setattr(prodsys, "internal_tensor", recorded)
-    levels = 4
-    ps = ProductSystem(gen, levels)
-    checks = [(c.name, c.deviation, c.passed) for c in ps.coherence_report().checks]
-    gc.collect()
-    assert len(realized) == (levels + 1) * (levels + 2) // 2
-    alive = [id(ref()) for ref in realized if ref() is not None]
-    assert sorted(alive) == sorted(id(ps.power(n)) for n in range(2, levels + 1))
-    rebrackets = []
-    monkeypatch.setattr(ProductSystem, "rebracket", lambda self, *rst: rebrackets.append(rst))
-    again = ps.coherence_report()
-    assert [(c.name, c.deviation, c.passed) for c in again.checks] == checks
-    assert rebrackets == []
-
-
 @pytest.mark.parametrize("seed", range(6))
 def test_coherence_on_seeded_generators(seed):
     ps = ProductSystem(small_generator(seed), 3)
@@ -248,6 +219,79 @@ def _conjugated_swap_units():
     basis = random_unitary(np.random.default_rng(8), 4)
     units = [basis.conj().T @ np.array(v, dtype=complex) for v in ([1, 1, 0, 0], [0, 0, 1, 1])]
     return conjugated(doubled_swap_correspondence(), basis), 4, units
+
+
+def _placed_modules(monkeypatch) -> list:
+    """Weak references to every module that ``_tensor_module`` places from now on."""
+    import corrkit.hilbmod as hilbmod
+    import corrkit.prodsys as prodsys
+
+    real, placed = hilbmod._tensor_module, []
+
+    def recorded(e, f):
+        placed.append(weakref.ref(mod := real(e, f)))
+        return mod
+
+    for module in (hilbmod, prodsys):
+        monkeypatch.setattr(module, "_tensor_module", recorded)
+    return placed
+
+
+def _assert_only_powers_alive(placed: list, ps: ProductSystem) -> None:
+    gc.collect()
+    alive = {id(ref()) for ref in placed if ref() is not None}
+    assert alive == {id(ps.power(n)) for n in range(2, ps.levels + 1)}
+
+
+@pytest.mark.parametrize("read", [
+    lambda ps, xi1, xi2: ps.coherence_report(),
+    lambda ps, xi1, xi2: check_unit(ps, xi1),
+    compare_unit_limits,
+], ids=["sweep", "check-unit", "compare-units"])
+@pytest.mark.parametrize("case", [_plane_units, _conjugated_swap_units], ids=["plane", "swap"])
+def test_only_powers_outlive_a_unit_route(case, read, monkeypatch):
+    """A pair module is placed where it is read, by ``uinv`` or by the
+    identification checks, and is not held: after the coherence sweep, the
+    unit checks (the route of ``dilate`` and ``spatial``) or the comparison of
+    two units, of the modules ``_tensor_module`` placed only the powers
+    ``E_2 .. E_L`` are alive."""
+    placed = _placed_modules(monkeypatch)
+    gen, _, units = case()
+    ps = ProductSystem(gen, 4)
+    read(ps, *units)
+    _assert_only_powers_alive(placed, ps)
+
+
+def test_only_powers_outlive_verify_main(monkeypatch):
+    placed = _placed_modules(monkeypatch)
+    inst = inner_two_block_instance()
+    pipe = DilationPipeline(inst.eplus, inst.endo, levels=4)
+    assert verify_main(pipe).status == "pass"
+    ps = pipe.ps()
+    del pipe  # with its stages and their modules
+    _assert_only_powers_alive(placed, ps)
+
+
+def test_budget_error_repeats_after_a_stopped_sweep(monkeypatch):
+    """A sweep stopped by the budget can be run again and stops the same way;
+    the budget is checked before the pair's factor map or module is formed,
+    and forming a factor map places no module."""
+    import corrkit.prodsys as prodsys
+
+    ps = ProductSystem(plane_correspondence(), 4)
+    ps.budget = 8
+    formed = []
+    for name in ("_tensor_factor", "_tensor_module"):
+        real = getattr(prodsys, name)
+        monkeypatch.setattr(prodsys, name,
+                            lambda e, f, real=real, name=name: formed.append((name, e, f)) or real(e, f))
+    for _ in range(2):
+        with pytest.raises(ResourceBudgetError, match=r"E_0\.E_4 needs dimension 16 > budget 8"):
+            ps.coherence_report()
+    assert not any(e is ps.power(0) and f is ps.power(4) for _, e, f in formed)
+    del formed[:]
+    ps.tensor(1, 2)
+    assert [name for name, _, _ in formed] == ["_tensor_factor"]
 
 
 @pytest.mark.parametrize("case", [_plane_units, _conjugated_swap_units], ids=["plane", "swap"])
