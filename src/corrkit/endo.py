@@ -40,23 +40,41 @@ from .hilbmod import (
     _lift,
     _range_basis,
     _trace_rank,
-    _unit_from_blocks,
     adjointable_basis,
     algebra_correspondence,
     amplify,
-    basis_coords,
     check_map,
     fullness_check,
     internal_tensor,
     map_adjoint,
+    matrix_rank_tol,
     null_space,
-    operator_rows,
     pull_gram,
     rank_one_stack,
-    rank_ones_span,
     tensor_vector,
 )
+from .prodsys import _unit_from_blocks
 from .report import VerificationReport, _worst
+
+
+def operator_rows(ops: list[AdjointableOperator], m: int) -> np.ndarray:
+    """The matrices of ``ops`` as the rows of a (q, m^2) array."""
+    return np.array([op.matrix.reshape(-1) for op in ops], dtype=complex).reshape(len(ops), m * m)
+
+
+def basis_coords(rows: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, float]:
+    """Coordinates of the rows of ``a`` in the rows of ``rows``, orthonormal in
+    ``tr(A* B)``: the inner products ``a @ rows^H``, with the residual."""
+    coeffs = a @ rows.conj().T
+    return coeffs, _dev(coeffs @ rows, a)
+
+
+def rank_ones_span(e: ModulePresentation, coords: np.ndarray, resid: float, tol: float) -> bool:
+    """Strictness from the (m^2, q) rank-one coordinates in an orthonormal
+    operator basis and their residual: the rank-ones lie in its span (residual
+    at most ``tol`` times the larger of 1 and the top Gram entry) and span it."""
+    scale = max(1.0, float(np.abs(e.gram).max(initial=0.0)))
+    return resid <= tol * scale and matrix_rank_tol(coords) == coords.shape[1]
 
 
 @dataclass
@@ -255,7 +273,7 @@ def associated_correspondence(
     right = proj @ _lift(eplus.right_action, section, (m, m), "right")
     left = proj @ _lift(eplus.right_action[alg.star_index].conj(), section, (m, m), "left")
     reduced = Correspondence(alg, right, gram, left)
-    return AssociatedCorrespondence(t, reduced, FactorMap(proj, section, (m, m)), warnings)
+    return AssociatedCorrespondence(t, reduced, FactorMap(proj, (m, m), lambda: section), warnings)
 
 
 def power_coherence(

@@ -15,10 +15,6 @@ is the algebraic tensor carrier with the balanced pre-inner product
 ``<x (x) y, x' (x) y'> = <y, L(<x, x'>) y'>``, quotiented by its length-zero
 vectors.
 
-Every realized module is whitened: its factor map ``proj`` has a section with
-``proj @ section = I`` and the realized scalar Gram is ``I``, so scale does
-not compound with depth.
-
 Factoring the Gram of the left module as ``<e_i, e_k> = sum_p u[p, i]* u[p, k]``
 (:attr:`ModulePresentation._gram_factor`) embeds the algebraic tensor
 isometrically in ``F^P`` by ``x_i (x) y_j -> (L(u[p, i]) y_j)_p``.  Each
@@ -40,6 +36,16 @@ realized structure is block diagonal on modules that satisfy the axioms:
 * left action: ``left(c) = (+)_b M~_b(c) (x) I_{r_b}``, because
   ``W L_E(c) = ((+)_b M~_b(c) (x) I_{n_b}) W``.
 
+Every realized module is whitened: its factor map ``proj`` has a section with
+``proj @ section = I`` and the realized scalar Gram is ``I``, so scale does
+not compound with depth.  A tensor's section is formed when read, from the
+frames, with no linear solve: for ``M = S_E (x) S_F``, the square ``W`` has
+``W S_E^{-1} W^H = n I`` and the corner maps have ``C_b[c] S_F^{-1} C_b'[c']^H
+= delta_bb' delta_cc' I``, so ``K M^{-1} K^H = D = (+)_b n n_b I`` and the
+section is ``M^{-1} K^H D^{-1}`` (:func:`_tensor_section`).  The realized
+scalar Gram ``(+)_{b,p} s_b``, ``s_b`` the scalar part of ``G~_b``, is
+inverted per corner.
+
 The corner maps behind ``K`` and the stacks ``R~_b``, ``G~_b`` are one cached
 frame on ``F`` (:attr:`Correspondence.corner_frame`), ``M~_b`` is cached on
 ``E`` (:attr:`Correspondence._left_blocks`).  Every rank is the trace of an
@@ -48,18 +54,15 @@ idempotent (:func:`_trace_rank`): ``P_b = tr R_E(e^b_00)`` and
 projection frame on which :func:`corrkit.endo.associated_correspondence`
 realizes ``E_t`` the same way.
 
-Every named module is built from one standard form, :func:`standard_module`:
-the carrier ``(+)_i C^{k_i} (x) C^{n_i}`` with the blockwise right action and
-Gram and, optionally, a multiplicity left action.  Over a block algebra every
-correspondence is a unitary change of basis of such a form, and the algebra
-over itself (:func:`algebra_correspondence`, ``E_0`` of every product system)
-is the one with identity multiplicities.
+Every named module is built from one standard form, :func:`standard_module`,
+of which every correspondence over a block algebra is a unitary change of basis.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -83,22 +86,14 @@ def _unitary_dev(v: np.ndarray, adj: np.ndarray) -> float:
 
 def matrix_rank_tol(m: np.ndarray) -> int:
     m = np.atleast_2d(np.asarray(m))
-    if m.size == 0:
-        return 0
-    s = np.linalg.svd(m, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.sum(s > RANK_RTOL * s[0]))
+    s = np.linalg.svd(m, compute_uv=False) if m.size else np.zeros(1)
+    return int(np.sum(s > RANK_RTOL * s[0])) if s[0] != 0.0 else 0
 
 
 def null_space(m: np.ndarray, *, scale: float = 0.0) -> np.ndarray:
-    """Orthonormal basis of the kernel, as columns.
-
-    Rank counts the singular values above ``RANK_RTOL`` times the larger of the
-    top singular value and ``scale``, the size of the operands the system
-    was built from.  A system that cancels to rounding noise then has a full
-    kernel instead of a noise-sized rank.
-    """
+    """Orthonormal basis of the kernel, as columns.  Rank counts the singular
+    values above ``RANK_RTOL`` times the larger of the top one and ``scale``, the
+    size of the operands, so a system that cancels to rounding has a full kernel."""
     m = np.atleast_2d(np.asarray(m, dtype=complex))
     # a tall system's thin vh is already square; a wide one needs the full vh
     _, s, vh = np.linalg.svd(m, full_matrices=m.shape[0] < m.shape[1])
@@ -142,31 +137,6 @@ def _range_basis(a: np.ndarray, p: np.ndarray) -> np.ndarray:
     rank of the idempotent ``p``: the first ``tr p`` left singular vectors of
     ``a``, with no singular-value cutoff."""
     return np.linalg.svd(a)[0][:, :_trace_rank(p)]
-
-
-def _unit_from_blocks(
-    basis: np.ndarray, grams: list[np.ndarray], projections: list[np.ndarray], tol: float
-) -> tuple[np.ndarray | None, int | None]:
-    """An element of length one built blockwise, or the block that rules it out.
-
-    ``basis`` spans a space (its last axis runs over the spanning elements)
-    whose inner product takes values in a center; the central projections
-    ``projections[j]`` split it into orthogonal blocks, on which the inner
-    product is the scalar Gram ``grams[j]`` of the basis times the block
-    unit.  With ``(lam_j, z_j)`` the top eigenpair of ``grams[j]``, the
-    element ``sum_j q_j (basis @ z_j) / sqrt(lam_j)`` has length one on every
-    block.  When some ``grams[j]`` vanishes, every element of the space has
-    length zero on block ``j``, so none has length one: then ``(None, j)``
-    is returned for the first such ``j``.
-    """
-    spectra = [np.linalg.eigh((g + g.conj().T) / 2.0) for g in grams]
-    scale = max((float(vals[-1]) for vals, _ in spectra), default=0.0)
-    out = 0.0
-    for j, ((vals, vecs), q) in enumerate(zip(spectra, projections)):
-        if vals[-1] <= tol * max(1.0, scale):
-            return None, j
-        out = out + q @ (basis @ vecs[:, -1]) / np.sqrt(vals[-1])
-    return out, None
 
 
 def _lift(a: np.ndarray, s: np.ndarray, dims: tuple[int, int], side: str) -> np.ndarray:
@@ -260,13 +230,14 @@ class ModulePresentation:
         make = lambda w: (vecs * w) @ vecs.conj().T
         return make(root), make(1.0 / root)
 
-    @property
-    def scalar_sqrt(self) -> np.ndarray:
-        return self._scalar_sqrts[0]
+    @cached_property
+    def _scalar_inv(self) -> np.ndarray:
+        """``S^{-1}``, per corner from the factors on a module :func:`_tensor_module` placed."""
+        placed = vars(self).get("_factors")
+        return _tensor_scalar_inv(*placed) if placed else self.scalar_isqrt @ self.scalar_isqrt
 
-    @property
-    def scalar_isqrt(self) -> np.ndarray:
-        return self._scalar_sqrts[1]
+    scalar_sqrt = property(lambda self: self._scalar_sqrts[0])
+    scalar_isqrt = property(lambda self: self._scalar_sqrts[1])
 
     # -- pointwise operations ----------------------------------------------
 
@@ -331,6 +302,13 @@ class Correspondence(ModulePresentation):
         return tuple(out)
 
     @cached_property
+    def _corner_scalar_invs(self) -> tuple[np.ndarray, ...]:
+        """Per algebra block, ``s_b^{-1}`` for ``s_b`` the scalar part of ``G~_b``."""
+        n = self.algebra.size
+        return tuple(np.linalg.inv(np.trace(s[-n * n:].reshape(n, n, *s.shape[1:])) / n)
+                     for _, s in self.corner_frame)
+
+    @cached_property
     def _left_blocks(self) -> tuple[np.ndarray, ...]:
         """Per algebra block ``b``, the left action on the Gram factor rows: the
         (d, P_b, P_b) stack ``M~_b`` with ``W L(c) = (+)_b (M~_b(c) (x) I_{n_b}) W``,
@@ -341,10 +319,7 @@ class Correspondence(ModulePresentation):
         since ``W^H W = n S``, so ``M~_b(c)`` is read from the ``a = 0`` rows and
         columns of ``W L(c) W^+``."""
         pinv = self.scalar_isqrt @ self.scalar_isqrt / self.algebra.size
-        return tuple(
-            w[:, :, 0] @ self.left_action @ (pinv @ w[:, :, 0].conj().T)
-            for w in self._gram_factor
-        )
+        return tuple(w[:, :, 0] @ self.left_action @ (pinv @ w[:, :, 0].conj().T) for w in self._gram_factor)
 
     def left_of(self, b: np.ndarray) -> np.ndarray:
         return np.einsum("c,cuv->uv", self.algebra.coords(b), self.left_action)
@@ -364,17 +339,20 @@ class FactorMap:
 
     ``section`` picks representatives: ``matrix @ section = I``, and the
     realized scalar Gram, the pre-Gram pulled back along ``section``, is ``I``.
+    It is formed by ``form_section`` when read, for a tensor from the frames:
+    ``K M^{-1} K^H = D`` makes ``M^{-1} K^H D^{-1}`` one (module docstring).
     """
 
     matrix: np.ndarray
-    section: np.ndarray
     source_dims: tuple[int, int]
+    form_section: Callable[[], np.ndarray]
+    section = property(lambda self: self.form_section())
 
 
 def map_adjoint(v: np.ndarray, dom: ModulePresentation, cod: ModulePresentation) -> np.ndarray:
-    """Adjoint of a map between presentations, via the scalarized Grams; a
-    stack of maps gives the stack of adjoints."""
-    return np.linalg.solve(dom.scalar_gram, np.swapaxes(v.conj(), -1, -2) @ cod.scalar_gram)
+    """Adjoint ``S_dom^{-1} v^H S_cod`` of a map between presentations, on the
+    scalarized Grams; a stack of maps gives the stack of adjoints."""
+    return dom._scalar_inv @ np.swapaxes(v.conj(), -1, -2) @ cod.scalar_gram
 
 
 def check_map(
@@ -481,7 +459,6 @@ def _products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a.reshape(p * k, l) @ b.transpose(1, 0, 2).reshape(l, q * w)).reshape(p, k, q, w)
 
 
-
 def _degeneracy(pres: ModulePresentation, tol: float) -> float:
     """``tol`` times the top eigenvalue of the scalar Gram (1 when none is
     positive, so an all-zero Gram fails) less the least one, clamped at 0:
@@ -501,14 +478,6 @@ def is_nondegenerate(pres: ModulePresentation, tol: float = DEFAULT_TOL) -> bool
 # internal tensor product
 # ---------------------------------------------------------------------------
 
-def _require_same_algebra(e: ModulePresentation, f: ModulePresentation) -> None:
-    if e.algebra.blocks != f.algebra.blocks:
-        raise IncompatibleOperandsError(
-            f"operands over different algebras: {list(e.algebra.blocks)} "
-            f"vs {list(f.algebra.blocks)}"
-        )
-
-
 def tensor_pre_gram(e: ModulePresentation, f: Correspondence) -> np.ndarray:
     """Balanced pre-inner product on the algebraic tensor carrier:
     ``pre[(i, j), (k, l)] = sum_q gram_F[j, q] L(<e_i, e_k>)[q, l]``."""
@@ -518,34 +487,52 @@ def tensor_pre_gram(e: ModulePresentation, f: Correspondence) -> np.ndarray:
     return pre.reshape(me * mf, me * mf, n, n)
 
 
-def _corner_factor(e: ModulePresentation, f: Correspondence) -> np.ndarray:
-    """``K`` with ``K^H K`` the scalarized pre-Gram of ``e (x) f``.
-
-    Row block ``p`` is ``Y_b^H S_F^{1/2} L(u[p, i])`` over the columns
-    ``(i, j)``, for the gram row ``u[p]`` of ``e`` in block ``b``: it has
-    ``r_b = rank L(e^b_00)`` rows (see :attr:`Correspondence.corner_frame`).
-    """
-    me, mf = e.dim, f.dim
+def _corner_factor(rows: list[np.ndarray], corners: list[np.ndarray]) -> np.ndarray:
+    """``sum_c w_b[p, i, c] C_b[c][alpha, j]`` on the rows ``(b, p, alpha)`` and
+    columns ``(i, j)``, for stacks ``w_b`` (P_b, m_E, n_b) and ``C_b`` (n_b, r_b, m_F).
+    On the Gram factor rows of ``e`` and the corner maps of ``f`` it is ``K``, with
+    ``K^H K`` the scalarized pre-Gram: row block ``p`` is ``Y_b^H S_F^{1/2} L(u[p, i])``."""
     parts = []
-    for w, (corner, _) in zip(e._gram_factor, f.corner_frame):
-        p, nb, r = len(w), w.shape[2], corner.shape[1]
+    for w, corner in zip(rows, corners):
+        (p, me, nb), (r, mf) = w.shape, corner.shape[1:]
         k = (w.reshape(p * me, nb) @ corner.reshape(nb, r * mf)).reshape(p, me, r, mf)
         parts.append(k.transpose(0, 2, 1, 3).reshape(p * r, me * mf))
-    return np.concatenate(parts)
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 def _tensor_factor(e: ModulePresentation, f: ModulePresentation) -> FactorMap:
-    """The factor map of ``e . f``: ``K`` with the section ``K^H (K K^H)^{-1}``."""
-    _require_same_algebra(e, f)
+    """The factor map of ``e . f``: ``K``, and :func:`_tensor_section` when read."""
+    if e.algebra.blocks != f.algebra.blocks:
+        raise IncompatibleOperandsError(
+            f"operands over different algebras: {list(e.algebra.blocks)} vs {list(f.algebra.blocks)}")
     if not f.is_correspondence:
         raise IncompatibleOperandsError("right tensor factor must be a correspondence")
-    k = _corner_factor(e, f)
-    return FactorMap(k, np.linalg.solve(k @ k.conj().T, k).conj().T, (e.dim, f.dim))
+    k = _corner_factor(e._gram_factor, [corner for corner, _ in f.corner_frame])
+    return FactorMap(k, (e.dim, f.dim), lambda: _tensor_section(e, f))
+
+
+def _tensor_section(e: ModulePresentation, f: Correspondence) -> np.ndarray:
+    """``M^{-1} K^H D^{-1}``: the transpose of the corner factor of the rows
+    ``S_E^{-1} conj(w_b) / (n n_b)`` and the maps ``conj(C_b) S_F^{-T}``."""
+    rows = [e._scalar_inv @ w.conj() / (e.algebra.size * w.shape[2]) for w in e._gram_factor]
+    return _corner_factor(rows, [c.conj() @ f._scalar_inv.T for c, _ in f.corner_frame]).T
+
+
+def _tensor_scalar_inv(e: ModulePresentation, f: Correspondence) -> np.ndarray:
+    """``S^{-1}`` of the realized ``e . f``, ``(+)_{b,p} s_b^{-1}`` on the rows of ``K``."""
+    pairs = list(zip(e._gram_factor, f._corner_scalar_invs))
+    out, at = np.zeros((sum(len(w) * len(inv) for w, inv in pairs),) * 2, dtype=complex), 0
+    for w, inv in pairs:
+        rows = np.arange(at, at + len(w) * len(inv)).reshape(len(w), len(inv))
+        out[rows[:, :, None], rows[:, None, :]] = inv
+        at += rows.size
+    return out
 
 
 def _tensor_module(e: ModulePresentation, f: Correspondence) -> ModulePresentation:
     """The realized ``e . f`` on the ``sum_b P_b r_b`` rows ``(b, p, alpha)`` of ``K``,
-    placed block diagonally from the factors' cached stacks; ``K`` is not formed."""
+    placed block diagonally from the factors' cached stacks; ``K`` is not formed.  It
+    keeps its factors, from which its scalar-Gram inverse is placed when read."""
     d, n = e.algebra.dim, e.algebra.size
     r = sum(len(w) * stack.shape[1] for w, (_, stack) in zip(e._gram_factor, f.corner_frame))
     right, gram = np.zeros((d, r, r), dtype=complex), np.zeros((r, r, n, n), dtype=complex)
@@ -559,16 +546,18 @@ def _tensor_module(e: ModulePresentation, f: Correspondence) -> ModulePresentati
         gram[rows[:, :, None], rows[:, None, :]] = stack[d:].reshape(n, n, rb, rb).transpose(2, 3, 0, 1)
         if left is not None:
             left[:, rows[:, None, :], rows[None, :, :]] = e._left_blocks[b][..., None]
-    if left is not None:
-        return Correspondence(e.algebra, right, gram, left)
-    return ModulePresentation(e.algebra, right, gram)
+    out = ModulePresentation(e.algebra, right, gram) if left is None else Correspondence(
+        e.algebra, right, gram, left)
+    out._factors = (e, f)
+    return out
 
 
 def internal_tensor(e: ModulePresentation, f: ModulePresentation) -> tuple[ModulePresentation, FactorMap]:
     """Internal tensor product of a module with a correspondence (a correspondence
-    when ``e`` is one): :func:`_tensor_module` with :func:`_tensor_factor`."""
+    when ``e`` is one): :func:`_tensor_module` with :func:`_tensor_factor`, whose
+    section is formed once here and held with the map, as the caller holds both."""
     fm = _tensor_factor(e, f)
-    return _tensor_module(e, f), fm
+    return _tensor_module(e, f), FactorMap(fm.matrix, fm.source_dims, lambda held=fm.section: held)
 
 
 # ---------------------------------------------------------------------------
@@ -621,12 +610,10 @@ def adjointable_basis(
 
 def rank_one(e: ModulePresentation, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """The (m, m) matrix of the operator ``z -> x <y, z>``."""
-    x = np.asarray(x, dtype=complex)
-    y = np.asarray(y, dtype=complex)
+    x, y = np.asarray(x, dtype=complex), np.asarray(y, dtype=complex)
     if x.shape != (e.dim,) or y.shape != (e.dim,):
         raise IncompatibleOperandsError(
-            f"vectors of shapes {x.shape}, {y.shape} on a carrier of dimension {e.dim}"
-        )
+            f"vectors of shapes {x.shape}, {y.shape} on a carrier of dimension {e.dim}")
     gy = np.tensordot(np.conj(y), e.gram_coords, axes=([0], [0]))  # [j, c]: <y, e_j>
     return np.tensordot(e.right_action @ x, gy, axes=([0], [1]))
 
@@ -635,26 +622,6 @@ def rank_one_stack(e: ModulePresentation) -> np.ndarray:
     """All basis rank-one operators ``e_i e_j*`` as an (m, m, m, m) stack:
     ``out[i, j] = rank_one(e, e_i, e_j)``."""
     return np.tensordot(e.gram_coords, e.right_action, axes=([2], [0])).transpose(3, 0, 2, 1)
-
-
-def operator_rows(ops: list[AdjointableOperator], m: int) -> np.ndarray:
-    """The matrices of ``ops`` as the rows of a (q, m^2) array."""
-    return np.array([op.matrix.reshape(-1) for op in ops], dtype=complex).reshape(len(ops), m * m)
-
-
-def basis_coords(rows: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, float]:
-    """Coordinates of the rows of ``a`` in the rows of ``rows``, orthonormal in
-    ``tr(A* B)``: the inner products ``a @ rows^H``, with the residual."""
-    coeffs = a @ rows.conj().T
-    return coeffs, _dev(coeffs @ rows, a)
-
-
-def rank_ones_span(e: ModulePresentation, coords: np.ndarray, resid: float, tol: float) -> bool:
-    """Strictness from the (m^2, q) rank-one coordinates in an orthonormal
-    operator basis and their residual: the rank-ones lie in its span (residual
-    at most ``tol`` times the larger of 1 and the top Gram entry) and span it."""
-    scale = max(1.0, float(np.abs(e.gram).max(initial=0.0)))
-    return resid <= tol * scale and matrix_rank_tol(coords) == coords.shape[1]
 
 
 def fullness_check(e: ModulePresentation) -> bool:

@@ -31,12 +31,11 @@ from .hilbmod import (
     _rebracket,
     _tensor_factor,
     _tensor_module,
+    _tensor_scalar_inv,
     _trace_rank,
-    _unit_from_blocks,
     algebra_correspondence,
     check_map,
     left_unitor,
-    map_adjoint,
     psd_defect,
     pull_gram,
     right_unitor,
@@ -50,10 +49,10 @@ DEFAULT_BUDGET = 4096
 class ProductSystem:
     """Truncated family of tensor powers with coherent identifications.
 
-    Powers are realized on construction, and each pair's factor map,
-    identification and inverse on first use; any other pair module is placed
-    where it is read (:meth:`_module`) and is not held.  Only
-    :meth:`coherence_report` runs the O(levels^3) sweep.
+    It holds the powers and, per pair, the corner factor ``K`` (:meth:`tensor`)
+    and ``u`` but the identities ``u(s, 1)``; a section, ``uinv`` and a pair
+    module not a power are formed where read (:meth:`_module`), not held.
+    Only :meth:`coherence_report` runs the O(levels^3) sweep.
     """
 
     def __init__(
@@ -78,11 +77,9 @@ class ProductSystem:
         self.powers: list[Correspondence] = [algebra_correspondence(self.algebra), generator]
         self._tensors: dict[tuple[int, int], FactorMap] = {}
         self._u: dict[tuple[int, int], np.ndarray] = {}
-        self._uinv: dict[tuple[int, int], np.ndarray] = {}
         for n in range(2, self.levels + 1):
             self.tensor(n - 1, 1)
             self.powers.append(_tensor_module(self.powers[n - 1], generator))  # E_{n-1} . E_1
-            self._u[(n - 1, 1)] = self._uinv[(n - 1, 1)] = np.eye(self.powers[n].dim, dtype=complex)
 
     def power(self, n: int) -> Correspondence:
         if not 0 <= n <= self.levels:
@@ -134,6 +131,8 @@ class ProductSystem:
             out = right_unitor(self.power(s), self.tensor(s, 0))
         elif s == 0:
             out = left_unitor(self.power(t), self.tensor(0, t))
+        elif t == 1:  # E_s . E_1 is the power E_{s+1}: the identity, formed where read
+            return np.eye(self.power(s + 1).dim, dtype=complex)
         else:
             # peel the last generator factor: E_{s+t-1} . E_1 is the power E_{s+t}
             out = self.rebracket(s, t - 1, 1)
@@ -141,18 +140,18 @@ class ProductSystem:
         return out
 
     def uinv(self, s: int, t: int) -> np.ndarray:
-        """Inverse E_{s+t} -> realize(E_s . E_t) of ``u(s,t)``: its adjoint on the placed module."""
-        key = (s, t)
-        if key not in self._uinv:
-            self._uinv[key] = map_adjoint(self.u(s, t), self._module(s, t), self.power(s + t))
-        return self._uinv[key]
+        """Inverse E_{s+t} -> realize(E_s . E_t) of ``u(s,t)``, its adjoint
+        ``S^{-1} u^H S`` on the scalar Grams, formed without placing the pair
+        module; the exact identity when ``t = 1 <= s``."""
+        u, es, et = self.u(s, t), self.power(s), self.power(t)
+        return u if t == 1 and s else _tensor_scalar_inv(es, et) @ u.conj().T @ self.power(s + t).scalar_gram
 
     # -- verification --------------------------------------------------------
 
     def coherence_report(self) -> VerificationReport:
         """Verify every identification and the triple-product coherence.  Each
         pair module is placed once, for its ``identification[s,t]-*`` checks,
-        whose adjoint becomes ``uinv(s,t)``, and is dropped after them."""
+        and is dropped after them."""
         rep = VerificationReport(
             "product system coherence",
             provenance={"levels": self.levels, "budget": self.budget},
@@ -160,10 +159,9 @@ class ProductSystem:
         tol = self.tol
         for s in range(self.levels + 1):
             for t in range(self.levels + 1 - s):
-                self._uinv[(s, t)] = check_map(
-                    rep, self.u(s, t), self._module(s, t), self.power(s + t), tol,
-                    {p: f"identification[{s},{t}]-{p}" for p in ("gram", "unitary", "bilinear")},
-                    self._uinv.get((s, t)))
+                check_map(rep, self.u(s, t), self._module(s, t), self.power(s + t), tol,
+                          {p: f"identification[{s},{t}]-{p}" for p in ("gram", "unitary", "bilinear")},
+                          self.uinv(s, t))
         # t = 1 holds by definition: u(r, s+1) is rebracket(r, s, 1) and u(r+s, 1) = I
         for r in range(1, self.levels - 2):
             for s in range(1, self.levels - r - 1):
@@ -230,6 +228,25 @@ def check_unit(ps: ProductSystem, xi1: np.ndarray) -> VerificationReport:
 # ---------------------------------------------------------------------------
 # central unital units
 # ---------------------------------------------------------------------------
+
+def _unit_from_blocks(
+    basis: np.ndarray, grams: list[np.ndarray], projections: list[np.ndarray], tol: float
+) -> tuple[np.ndarray | None, int | None]:
+    """An element of length one built blockwise, or the block that rules it out.
+    The span of ``basis`` (last axis) has inner products ``grams[j]`` times the
+    unit on the block of the central projection ``q_j = projections[j]``; with
+    ``(lam_j, z_j)`` the top eigenpair of ``grams[j]``, ``sum_j q_j (basis @ z_j)
+    / sqrt(lam_j)`` has length one, and none has when some ``grams[j]``
+    vanishes: ``(None, j)`` for the first such ``j``."""
+    spectra = [np.linalg.eigh((g + g.conj().T) / 2.0) for g in grams]
+    scale = max((float(vals[-1]) for vals, _ in spectra), default=0.0)
+    out = 0.0
+    for j, ((vals, vecs), q) in enumerate(zip(spectra, projections)):
+        if vals[-1] <= tol * max(1.0, scale):
+            return None, j
+        out = out + q @ (basis @ vecs[:, -1]) / np.sqrt(vals[-1])
+    return out, None
+
 
 @dataclass
 class CentralUnitSearch:

@@ -72,6 +72,25 @@ def seeded_correspondence(seed: int) -> Correspondence:
     return conjugated(pres, random_unitary(rng, pres.dim))
 
 
+def skew_correspondence(blocks: list[int], seed: int) -> Correspondence:
+    """A seeded correspondence over ``blocks`` in a skew, norm-bounded carrier
+    basis: a multiplicity matrix with no zero row (entries 0/1, or 1/2 over
+    one block), conjugated by ``I + X/2`` with ``||X|| = 1``, so the scalar
+    Gram is not scalar unless the carrier is a line, and the basis change has
+    condition number at most 3."""
+    rng = np.random.default_rng(3000 + seed)
+    alg = make_algebra(blocks)
+    mult = rng.integers(0, 2, size=(len(blocks),) * 2) + (len(blocks) == 1)
+    some = np.arange(len(blocks)), rng.integers(0, len(blocks), len(blocks))
+    mult[some] = np.maximum(mult[some], 1)
+    std = standard_module(alg, [int(row @ alg.blocks) for row in mult], mult.tolist())
+    x = rng.standard_normal((std.dim,) * 2) + 1j * rng.standard_normal((std.dim,) * 2)
+    skew = np.eye(std.dim) + 0.5 * x / np.linalg.norm(x, 2)
+    inv = np.linalg.inv(skew)
+    gram = np.einsum("ui,vj,uvab->ijab", skew.conj(), skew, std.gram)
+    return Correspondence(alg, inv @ std.right_action @ skew, gram, inv @ std.left_action @ skew)
+
+
 def small_generator(seed: int) -> Correspondence:
     """Seeded correspondences safe as level-4 product-system generators."""
     rng = np.random.default_rng(2000 + seed)

@@ -153,3 +153,24 @@ def test_outputs_that_are_not_reports_show_a_numbers_only_change(tmp_path, capsy
     out = capsys.readouterr().out.splitlines()
     assert out[0] == "w/00 (generate): numbers only, largest |difference| 1.0e-03"
     assert out[1] == "w/01 (generate): output differs"
+
+
+def test_outputs_that_differ_only_in_numbers_are_counted_apart(tmp_path, capsys):
+    """A ``basis`` output whose adjoint digits moved is not counted among the
+    commands that differ in exit code, verdict or checks: it has a summary
+    line of its own with the largest difference, and still sets the exit
+    status; an unchanged report beside it stays byte-identical."""
+    for side, adjoint in (("a", 0.5), ("b", 0.5 + 6.7e-16)):
+        root = _run_dir(tmp_path / side, {"w/00": [_check("a", 1e-12, 1e-9)]})
+        (root / "w/01.json").write_text(json.dumps({"ops": [{"matrix": [1.0], "adjoint": [adjoint]}]}))
+        records = json.loads((root / "commands.json").read_text())
+        records["w/01"] = {"command": "basis", "exit": 0, "check": None, "known_fault": False}
+        (root / "commands.json").write_text(json.dumps(records))
+    assert compare_reports.diff(tmp_path / "a", tmp_path / "b") == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out == [
+        "w/01 (basis): numbers only, largest |difference| 6.7e-16",
+        "2 commands: 0 differ in exit code, verdict, status, detail, check names or pass flags; "
+        "1 outputs byte-identical",
+        "1 outputs that are not reports differ only in numbers; largest |difference| over them 6.7e-16",
+    ]

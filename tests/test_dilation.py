@@ -285,8 +285,8 @@ def test_each_tensor_and_associator_realized_once_per_run(monkeypatch):
     ``(E+ . E_t) . E_m`` per restriction-chain check, L(L+1)/2 of them:
     15 + 5 + 10 = 30 at L = 4.  It places the same 30 modules: the L-1 powers
     on construction, every other pair module once, in the coherence sweep that
-    ``verify_main`` runs before any other reader of ``uinv``, and one module
-    with each stage and chain factor map."""
+    ``verify_main`` runs (``uinv`` places none), and one module with each
+    stage and chain factor map."""
     import sys
 
     import corrkit.hilbmod as hilbmod

@@ -20,11 +20,11 @@ from corrkit.hilbmod import (
     ModulePresentation,
     _corner_factor,
     _lift,
+    _tensor_factor,
     _unitary_dev,
     adjointable_basis,
     algebra_correspondence,
     amplify,
-    basis_coords,
     check_map,
     fullness_check,
     internal_tensor,
@@ -33,18 +33,17 @@ from corrkit.hilbmod import (
     left_unitor,
     map_adjoint,
     null_space,
-    operator_rows,
     psd_defect,
     pull_gram,
     rank_one,
     rank_one_stack,
-    rank_ones_span,
     right_unitor,
     tensor_lift,
     tensor_pre_gram,
     tensor_vector,
     validate_module,
 )
+from corrkit.endo import basis_coords, operator_rows, rank_ones_span
 from corrkit.prodsys import ProductSystem
 from corrkit.report import VerificationReport, _worst
 
@@ -59,6 +58,7 @@ from conftest import (
     oracle_scalarized,
     seeded_correspondence,
     seeded_module,
+    skew_correspondence,
     traced_peak,
     triple_copy,
 )
@@ -168,7 +168,7 @@ def test_tensor_with_a_zero_dimensional_factor():
     for e, g in ((zero, f), (f, zero)):
         tensor, fm = internal_tensor(e, g)
         assert tensor.dim == 0
-        _assert_whitened(fm.matrix, fm.section, ref_pre_tensor(e, g))
+        _assert_whitened(fm, e, g)
 
 
 def test_tensor_with_algebra_is_canonical():
@@ -500,18 +500,23 @@ def _assert_formulas_on_section(reduced, proj, section, pre):
         assert max_dev(reduced.left_action, ref_l) < KERNEL_ATOL
 
 
-def _assert_whitened(proj, section, pre):
-    """The realization contract against the eigh reference of the pre-tensor:
-    ``proj @ section = I``, ``section^H S section = I``, and ``section @ proj``
-    is the orthogonal projection onto the eigh range kept at ``TOL``."""
-    s = pre.scalar_gram
+def _assert_whitened(fm, e, f):
+    """The realization contract against the eigh reference of the pre-tensor
+    ``e (x) f``: ``proj @ section = I``, ``section^H S section = I``, and
+    ``section @ proj`` is the projection along the eigh kernel cut at ``TOL``
+    that is self-adjoint for ``M = S_E (x) S_F``, i.e. ``M section proj`` is
+    Hermitian (the orthogonal one when ``M`` is scalar)."""
+    proj, section, s = fm.matrix, fm.section, ref_pre_tensor(e, f).scalar_gram
     vals, vecs = np.linalg.eigh((s + s.conj().T) / 2.0)
-    kept = vecs[:, vals > TOL * vals.max(initial=0.0)]
-    r = kept.shape[1]
+    null = vecs[:, vals <= TOL * vals.max(initial=0.0)]
+    r = len(s) - null.shape[1]
     assert proj.shape == (r, len(s)) and section.shape == (len(s), r)
     assert max_dev(proj @ section, np.eye(r)) < 1e-10
     assert max_dev(section.conj().T @ s @ section, np.eye(r)) < 1e-10
-    assert max_dev(section @ proj, kept @ kept.conj().T) < 1e-10
+    assert max_dev(section @ proj @ null, 0) < 1e-10
+    m = np.kron(e.scalar_gram, f.scalar_gram)
+    msk = m @ section @ proj
+    assert max_dev(msk, msk.conj().T) < 1e-10 * max(1.0, np.abs(m).max(initial=0.0))
 
 
 @pytest.mark.parametrize("k", range(8))
@@ -523,7 +528,7 @@ def test_pre_gram_and_quotient_match_einsum(k):
     assert max_dev(tensor_pre_gram(e, f), pre.gram) < KERNEL_ATOL
     # internal_tensor realizes the reference pre-tensor without kron
     tensor, fm = internal_tensor(e, f)
-    _assert_whitened(fm.matrix, fm.section, pre)
+    _assert_whitened(fm, e, f)
     _assert_formulas_on_section(tensor, fm.matrix, fm.section, pre)
 
 
@@ -629,7 +634,7 @@ def _assert_eigh_range(e, f, monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(hilbmod, "tensor_pre_gram", refuse)
         tensor, fm = internal_tensor(e, f)
-    _assert_whitened(fm.matrix, fm.section, ref_pre_tensor(e, f))
+    _assert_whitened(fm, e, f)
     return tensor
 
 
@@ -912,7 +917,7 @@ def _assert_factor_of_pre_gram(e, f):
     """``K^H K`` is the scalarized pre-Gram, for the compressed and the
     uncompressed factor alike; the compressed one has no more rows."""
     s = oracle_scalarized(e.algebra, tensor_pre_gram(e, f))
-    k, ref = _corner_factor(e, f), ref_factor_rows(e, f)
+    k, ref = _tensor_factor(e, f).matrix, ref_factor_rows(e, f)
     assert k.shape[1] == e.dim * f.dim
     assert max_dev(k.conj().T @ k, s) < 1e-10
     assert max_dev(ref.conj().T @ ref, s) < 1e-10
@@ -1054,12 +1059,12 @@ def test_factor_rows_are_the_corner_svd_rows(k):
     pairs included."""
     e, f = frame_pairs()[k]
     tensor, fm = internal_tensor(e, f)
-    k_mat = _corner_factor(e, f)
+    k_mat = _corner_factor(e._gram_factor, [c for c, _ in f.corner_frame])
     assert np.array_equal(fm.matrix, k_mat)
     assert oracle_rank(k_mat, rtol=RANK_RTOL) == len(k_mat)
     rows = [len(w) * c.shape[1] for w, (c, _) in zip(e._gram_factor, f.corner_frame)]
     assert tensor.dim == sum(rows) == len(k_mat)
-    _assert_whitened(fm.matrix, fm.section, ref_pre_tensor(e, f))
+    _assert_whitened(fm, e, f)
 
 
 @pytest.mark.parametrize("k", range(len(frame_pairs())))
@@ -1075,18 +1080,43 @@ def test_corner_frame_matches_the_lifted_formulas(k):
 
 
 def test_internal_tensor_on_warmed_factors_takes_no_decomposition(monkeypatch):
-    """Once the operands' Gram factor and corner frame are cached, realizing
-    their tensor takes no SVD and no eigendecomposition: its one rank decision
-    was made by those caches."""
+    """Once the operands' Gram factor, corner frame and scalar-Gram inverse
+    are cached, realizing their tensor and forming its section take no SVD,
+    no eigendecomposition and no linear solve: its one rank decision was made
+    by those caches, and the section comes from the frames."""
     def refuse(*args, **kwargs):
-        raise AssertionError("decomposition taken")
+        raise AssertionError("decomposition or solve taken")
 
     for e, f in frame_pairs():
-        internal_tensor(e, f)
+        internal_tensor(e, f)[1].section
         with monkeypatch.context() as patch:
-            for name in ("svd", "eigh"):
+            for name in ("svd", "eigh", "solve"):
                 patch.setattr(np.linalg, name, refuse)
-            internal_tensor(e, f)
+            internal_tensor(e, f)[1].section
+
+
+@pytest.mark.parametrize("blocks", [[1], [2], [1, 1], [1, 2]], ids=lambda b: "-".join(map(str, b)))
+def test_frame_section_on_non_whitened_factors(blocks):
+    """The section formed from the frames, on seeded correspondences in a skew
+    carrier basis (``S_E``, ``S_F`` not scalar): ``K sigma = I`` and
+    ``sigma^H K^H K sigma = I``; ``K M^{-1} K^H = D = (+)_b n n_b I`` for
+    ``M = S_E (x) S_F``; ``M sigma K`` is Hermitian; and the placed tensor's
+    scalar-Gram inverse is the inverse of its scalar Gram."""
+    draws = [skew_correspondence(blocks, seed) for seed in (0, 1)]
+    n = draws[0].algebra.size
+    for e, f in [(draws[0], draws[0]), (draws[0], draws[1]), (draws[1], draws[0])]:
+        tensor, fm = internal_tensor(e, f)
+        k, sigma = fm.matrix, fm.section
+        m = np.kron(e.scalar_gram, f.scalar_gram)
+        d = np.concatenate([np.full(len(w) * corner.shape[1], float(n * nb)) for w, (corner, _), nb
+                            in zip(e._gram_factor, f.corner_frame, e.algebra.blocks)])
+        eye = np.eye(len(k))
+        assert max_dev(k @ sigma, eye) < 1e-12
+        assert max_dev(sigma.conj().T @ k.conj().T @ k @ sigma, eye) < 1e-12
+        assert max_dev(k @ np.linalg.solve(m, k.conj().T), np.diag(d)) < 1e-12 * n * n
+        msk = m @ sigma @ k
+        assert max_dev(msk, msk.conj().T) < 1e-12 * np.abs(m).max()
+        assert max_dev(tensor._scalar_inv, np.linalg.inv(tensor.scalar_gram)) < 1e-12
 
 
 def _block_diag(mats):
@@ -1120,7 +1150,7 @@ def test_frame_identities_on_shipped_correspondences(k):
     corner factor of ``F . F`` and ``W`` the Gram factor rows of ``F``."""
     f = shipped_correspondences()[k]
     d, n, m = f.algebra.dim, f.algebra.size, f.dim
-    k_mat = _corner_factor(f, f)
+    k_mat = _tensor_factor(f, f).matrix
     copies = [len(w) for w in f._gram_factor]
     actions = [a for _, a in f.corner_frame]
     pre = np.zeros((m * m, m * m, n, n), dtype=complex)

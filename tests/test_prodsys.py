@@ -48,6 +48,7 @@ from conftest import (
     oracle_scalarized,
     oracles,
     random_element,
+    skew_correspondence,
     small_generator,
     traced_peak,
     triple_copy,
@@ -171,14 +172,57 @@ def test_rebracket_matches_the_associator_route(gen, levels):
                 assert max_dev(got, _old_rebracket(ps, r, s, t)) < 1e-12, (r, s, t)
 
 
-def test_inverse_identification_is_cached_beside_u():
-    ps = ProductSystem(small_generator(3), 3)
+def test_product_system_holds_powers_factors_and_identifications():
+    """After the coherence sweep the product system holds the powers and, per
+    pair, the corner factor ``K`` and ``u(s,t)`` (but the identities
+    ``u(s,1)``): no section, no inverse identification and no pair module.  A
+    factor map forms its section from the two powers when read, and ``uinv``
+    is formed when read, the exact identity for ``t = 1 <= s``."""
+    levels = 3
+    ps = ProductSystem(small_generator(3), levels)
+    assert ps.coherence_report().passed
+    pairs = {(s, t) for s in range(levels + 1) for t in range(levels + 1 - s)}
+    assert set(vars(ps)) == {"algebra", "generator", "levels", "tol", "budget",
+                             "powers", "_tensors", "_u"}
+    assert set(ps._tensors) == pairs
+    # u(s, 1) for s >= 1 is the identity onto the power E_{s+1}, formed where read
+    assert set(ps._u) == {(s, t) for s, t in pairs if not (t == 1 and s)}
+    for (s, t), fm in ps._tensors.items():
+        assert set(vars(fm)) == {"matrix", "source_dims", "form_section"}
+        held = [cell.cell_contents for cell in fm.form_section.__closure__]
+        assert sorted(map(id, held)) == sorted(map(id, (ps.power(s), ps.power(t))))
+        assert fm.section is not fm.section
     uinv = ps.uinv(1, 2)
-    assert ps.uinv(1, 2) is uinv
+    assert uinv is not ps.uinv(1, 2)
     dim = internal_tensor(ps.power(1), ps.power(2))[0].dim
     assert max_dev(uinv @ ps.u(1, 2), np.eye(dim)) < TOL
-    # the powers' own identifications are exact identities both ways
-    assert np.array_equal(ps.uinv(2, 1), np.eye(ps.power(3).dim))
+    for s in range(1, levels):
+        assert np.array_equal(ps.u(s, 1), np.eye(ps.power(s + 1).dim))
+        assert np.array_equal(ps.uinv(s, 1), np.eye(ps.power(s + 1).dim))
+
+
+@pytest.mark.parametrize("blocks", [[1], [2], [1, 1], [1, 2]], ids=lambda b: "-".join(map(str, b)))
+def test_uinv_inverts_u_on_non_whitened_generators(blocks, monkeypatch):
+    """On seeded generators in a skew carrier basis, ``uinv(s,t) u(s,t) = I =
+    u(s,t) uinv(s,t)`` for every pair at levels 4, and ``uinv`` is formed with
+    no linear solve and without placing the pair module; the powers' placed
+    scalar-Gram inverses are the inverses of their scalar Grams."""
+    import corrkit.prodsys as prodsys
+
+    levels = 4
+    ps = ProductSystem(skew_correspondence(blocks, 0), levels)
+    placed = []
+    monkeypatch.setattr(prodsys, "_tensor_module", lambda e, f: placed.append((e, f)))
+    monkeypatch.setattr(np.linalg, "solve", lambda *args: pytest.fail("solve taken"))
+    for s in range(levels + 1):
+        for t in range(levels + 1 - s):
+            u, uinv = ps.u(s, t), ps.uinv(s, t)
+            assert max_dev(uinv @ u, np.eye(u.shape[1])) < 1e-12, (s, t)
+            assert max_dev(u @ uinv, np.eye(len(u))) < 1e-12, (s, t)
+    assert placed == []
+    for n in range(2, levels + 1):
+        en = ps.power(n)
+        assert max_dev(en._scalar_inv, np.linalg.inv(en.scalar_gram)) < 1e-12
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -186,29 +230,6 @@ def test_coherence_on_seeded_generators(seed):
     ps = ProductSystem(small_generator(seed), 3)
     rep = ps.coherence_report()
     assert rep.passed and max_deviation(rep) < TOL
-
-
-def test_one_adjoint_per_identification(monkeypatch):
-    """The coherence sweep adjoints each identification ``u(s,t)`` at most once:
-    its unitarity check takes ``uinv(s, t)``, which the rebracketings reuse."""
-    import corrkit.hilbmod as hilbmod
-    import corrkit.prodsys as prodsys
-
-    levels = 4
-    ps = ProductSystem(conjugated(doubled_swap_correspondence(),
-                                 random_unitary(np.random.default_rng(9), 4)), levels)
-    real, calls = hilbmod.map_adjoint, []
-
-    def counted(v, dom, cod):
-        calls.append(id(v))
-        return real(v, dom, cod)
-
-    for module in (hilbmod, prodsys):
-        monkeypatch.setattr(module, "map_adjoint", counted)
-    assert ps.coherence_report().passed
-    pairs = {id(ps.u(s, t)) for s in range(levels + 1) for t in range(levels + 1 - s)}
-    assert set(calls) <= pairs
-    assert len(calls) == len(set(calls)) > 0
 
 
 def _plane_units():
@@ -250,8 +271,8 @@ def _assert_only_powers_alive(placed: list, ps: ProductSystem) -> None:
 ], ids=["sweep", "check-unit", "compare-units"])
 @pytest.mark.parametrize("case", [_plane_units, _conjugated_swap_units], ids=["plane", "swap"])
 def test_only_powers_outlive_a_unit_route(case, read, monkeypatch):
-    """A pair module is placed where it is read, by ``uinv`` or by the
-    identification checks, and is not held: after the coherence sweep, the
+    """A pair module is placed where it is read, by the identification checks
+    (``uinv`` places none), and is not held: after the coherence sweep, the
     unit checks (the route of ``dilate`` and ``spatial``) or the comparison of
     two units, of the modules ``_tensor_module`` placed only the powers
     ``E_2 .. E_L`` are alive."""

@@ -21,7 +21,7 @@ ALLOWED = {
     ("hilbmod.py", "matrix_rank_tol", "RANK_RTOL"),
     ("hilbmod.py", "null_space", "RANK_RTOL"),
     ("hilbmod.py", "adjointable_basis", "RANK_RTOL"),  # the Gram-Schmidt threshold
-    ("hilbmod.py", "rank_ones_span", "matrix_rank_tol"),  # strictness-compacts-span
+    ("endo.py", "rank_ones_span", "matrix_rank_tol"),  # strictness-compacts-span
     ("endo.py", "find_intertwining_isometry", "null_space"),  # the intertwiner system
     ("dilation.py", "verify_main", "matrix_rank_tol"),  # amplification-injective[m]
     ("dilation.py", "primary_span_ranks", "matrix_rank_tol"),  # the primary span ranks

@@ -22,9 +22,11 @@ form; a detail that differs in anything else (a realized dimension, a rank, a
 word) is a difference.  For each output that differs only in such digits, it
 prints each run's largest deviation/tolerance ratio over the passing checks,
 so the headroom of a "digits only" change shows.  An output that is not a
-report (``generate``, ``basis``) and differs still counts as a difference;
-when its JSON structure and its non-numeric values agree, the line says
-"numbers only" with the largest absolute difference of a number.
+report (``generate``, ``basis``) and differs still counts toward the exit
+status: when its JSON structure and its non-numeric values agree, its line
+says "numbers only" with the largest absolute difference of a number, and it
+is counted on a line of its own, not among the commands that differ in exit
+code, verdict or checks; any other change of it is such a difference.
 It also lists every check family (a check name with each run of digits read
 as ``*``, e.g. ``coherence[*,*,*]``) whose deviation reads exactly 0.0 on
 every output of the second run but not of the first: a check that has come to
@@ -145,15 +147,13 @@ def _largest_gap(a, b) -> float | None:
     return None if None in gaps else max(gaps, default=0.0)
 
 
-def _output_diff(bytes_a: bytes, bytes_b: bytes) -> str:
-    """Why two differing outputs that are not both reports differ."""
-    if not (bytes_a and bytes_b):
-        return "output missing"
+def _output_gap(bytes_a: bytes, bytes_b: bytes) -> float | None:
+    """Largest |difference| between the numbers of two outputs that are not
+    both reports, or ``None`` when they differ in anything else."""
     try:
-        gap = _largest_gap(json.loads(bytes_a), json.loads(bytes_b))
+        return _largest_gap(json.loads(bytes_a), json.loads(bytes_b))
     except ValueError:
-        gap = None
-    return "output differs" if gap is None else f"numbers only, largest |difference| {gap:.1e}"
+        return None
 
 
 def _fold_zeros(largest: dict, doc) -> None:
@@ -179,7 +179,7 @@ def diff(first: Path, second: Path) -> int:
         with open(root / "commands.json", "r", encoding="utf-8") as fh:
             runs.append(json.load(fh))
     keys = sorted(set(runs[0]) | set(runs[1]))
-    identical, differing, digits = 0, [], []
+    identical, differing, digits, numbers = 0, [], [], []
     worst = [0.0, 0.0]
     largest = [{}, {}]
     for key in keys:
@@ -222,24 +222,33 @@ def diff(first: Path, second: Path) -> int:
                 digits.append(f"{key} ({a['command']}): {what} only; largest passing "
                               f"deviation/tolerance {ratios[0]:.1e} -> {ratios[1]:.1e}")
         elif bytes_a != bytes_b:
-            reasons.append(_output_diff(bytes_a, bytes_b))
+            gap = _output_gap(bytes_a, bytes_b) if bytes_a and bytes_b else None
+            if gap is None:
+                reasons.append("output differs" if bytes_a and bytes_b else "output missing")
+            elif reasons:
+                reasons.append(f"numbers only, largest |difference| {gap:.1e}")
+            else:
+                numbers.append((f"{key} ({a['command']}): numbers only, largest |difference| {gap:.1e}", gap))
         if reasons:
             differing.append(f"{key} ({a['command']}): " + "; ".join(reasons))
     zeroed = sorted(f for f, dev in largest[1].items() if dev == 0.0 and largest[0].get(f, 0.0) != 0.0)
-    for line in differing + digits:
+    for line in sorted(differing + digits + [line for line, _ in numbers]):
         print(line)
     if zeroed:
         print(f"{len(zeroed)} check families read exactly 0.0 on every output of the second "
               f"run only: {zeroed}")
     print(f"{len(keys)} commands: {len(differing)} differ in exit code, verdict, status, "
           f"detail, check names or pass flags; {identical} outputs byte-identical")
+    if numbers:
+        print(f"{len(numbers)} outputs that are not reports differ only in numbers; largest "
+              f"|difference| over them {max(gap for _, gap in numbers):.1e}")
     if digits:
         print(f"{len(digits)} outputs differ only in digits; largest passing deviation/tolerance "
               f"over them {worst[0]:.1e} -> {worst[1]:.1e}")
     for family in zeroed:
         print(f"{family}: largest |deviation| {largest[0][family]:.1e} in the first run, "
               "0.0 in the second")
-    return 1 if differing or zeroed else 0
+    return 1 if differing or zeroed or numbers else 0
 
 
 def main(argv=None) -> int:

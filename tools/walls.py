@@ -12,7 +12,9 @@ this checkout).  The probes run one at a time; for each, one line
 wall time of ``corrkit.cli.main`` and the probe process's own ``ru_maxrss``.
 The ladder instances come from this checkout's ``perfbench/workloads.ladder``
 (``default_rng(1)``); ``bc16`` is ``B(C^16)``: C^16 over C with the inner map
-of ``random_unitary(default_rng(16), 16)`` and xi = e_0.
+of ``random_unitary(default_rng(16), 16)`` and xi = e_0; ``plane9`` is the
+product system of ``plane_correspondence()`` (C^2 over C) at levels 9, with
+the units e1 and e2, through ``perfbench/workloads._powers_instance``.
 """
 from __future__ import annotations
 
@@ -36,6 +38,7 @@ PROBES = {
     "ladder7-verify-main-4": ("ladder7", "verify-main", 4),
     "bc16-verify-main": ("bc16", "verify-main", 4),
     "bc16-spatial": ("bc16", "spatial", 4),
+    "plane9": ("plane9", "derive-ps", 9),
 }
 
 
@@ -52,10 +55,15 @@ def build(tree: Path, instance: str, path: Path) -> None:
     _import_corrkit(tree)
     import numpy as np
 
-    if instance.startswith("ladder"):
+    if instance.startswith(("ladder", "plane")):
         import workloads
+        from corrkit.gallery import plane_correspondence
 
-        workloads.ladder(path, [int(instance[6:])], np.random.default_rng(1))
+        if instance.startswith("ladder"):
+            workloads.ladder(path, [int(instance[6:])], np.random.default_rng(1))
+        else:
+            units = {"e1": np.array([1.0, 0.0]), "e2": np.array([0.0, 1.0])}
+            workloads._powers_instance(path, plane_correspondence(), int(instance[5:]), units)
         return
     from corrkit.algebra import make_algebra
     from corrkit.endo import endomorphism_from_conjugation
