@@ -202,9 +202,11 @@ def left_limit(ps: ProductSystem, omega1: np.ndarray) -> TruncatedLimit:
 
 def stage_map(ps: ProductSystem, stages: list[ActionStage], t: int, m: int) -> np.ndarray:
     """The map ``E+ . E_{t+m} -> E+ . E_m`` given by ``(u_t . id)(id . u(t,m)^-1)``,
-    composed on the triple carrier between the stages ``t + m`` and ``m``."""
+    composed on the triple carrier between the stages ``t + m`` and ``m``; the
+    exact identity ``u(t, 1)^-1`` (``t >= 1``) is not multiplied."""
+    expand = ps.tensor(t, m).section
     return _rebracket(
-        stages[t + m].factor, ps.tensor(t, m).section @ ps.uinv(t, m),
+        stages[t + m].factor, expand if m == 1 <= t else expand @ ps.uinv(t, m),
         stages[t].u @ stages[t].factor.matrix, stages[m].factor, "right",
     )
 

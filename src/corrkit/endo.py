@@ -273,7 +273,7 @@ def associated_correspondence(
     right = proj @ _lift(eplus.right_action, section, (m, m), "right")
     left = proj @ _lift(eplus.right_action[alg.star_index].conj(), section, (m, m), "left")
     reduced = Correspondence(alg, right, gram, left)
-    return AssociatedCorrespondence(t, reduced, FactorMap(proj, (m, m), lambda: section), warnings)
+    return AssociatedCorrespondence(t, reduced, FactorMap(lambda: proj, (m, m), lambda: section), warnings)
 
 
 def power_coherence(

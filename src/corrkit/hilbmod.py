@@ -339,13 +339,16 @@ class FactorMap:
 
     ``section`` picks representatives: ``matrix @ section = I``, and the
     realized scalar Gram, the pre-Gram pulled back along ``section``, is ``I``.
-    It is formed by ``form_section`` when read, for a tensor from the frames:
-    ``K M^{-1} K^H = D`` makes ``M^{-1} K^H D^{-1}`` one (module docstring).
+    Both are formed when read, by ``form_matrix`` and ``form_section``; for a
+    tensor from the frames, ``K`` by :func:`_corner_factor` and its section by
+    ``K M^{-1} K^H = D``, which makes ``M^{-1} K^H D^{-1}`` one (module
+    docstring).  A map whose caller holds it holds its arrays in the closures.
     """
 
-    matrix: np.ndarray
+    form_matrix: Callable[[], np.ndarray]
     source_dims: tuple[int, int]
     form_section: Callable[[], np.ndarray]
+    matrix = property(lambda self: self.form_matrix())
     section = property(lambda self: self.form_section())
 
 
@@ -501,14 +504,15 @@ def _corner_factor(rows: list[np.ndarray], corners: list[np.ndarray]) -> np.ndar
 
 
 def _tensor_factor(e: ModulePresentation, f: ModulePresentation) -> FactorMap:
-    """The factor map of ``e . f``: ``K``, and :func:`_tensor_section` when read."""
+    """The factor map of ``e . f``: ``K`` and :func:`_tensor_section`, each formed
+    from the factors' cached frames when read."""
     if e.algebra.blocks != f.algebra.blocks:
         raise IncompatibleOperandsError(
             f"operands over different algebras: {list(e.algebra.blocks)} vs {list(f.algebra.blocks)}")
     if not f.is_correspondence:
         raise IncompatibleOperandsError("right tensor factor must be a correspondence")
-    k = _corner_factor(e._gram_factor, [corner for corner, _ in f.corner_frame])
-    return FactorMap(k, (e.dim, f.dim), lambda: _tensor_section(e, f))
+    return FactorMap(lambda: _corner_factor(e._gram_factor, [corner for corner, _ in f.corner_frame]),
+                     (e.dim, f.dim), lambda: _tensor_section(e, f))
 
 
 def _tensor_section(e: ModulePresentation, f: Correspondence) -> np.ndarray:
@@ -555,9 +559,11 @@ def _tensor_module(e: ModulePresentation, f: Correspondence) -> ModulePresentati
 def internal_tensor(e: ModulePresentation, f: ModulePresentation) -> tuple[ModulePresentation, FactorMap]:
     """Internal tensor product of a module with a correspondence (a correspondence
     when ``e`` is one): :func:`_tensor_module` with :func:`_tensor_factor`, whose
-    section is formed once here and held with the map, as the caller holds both."""
+    ``K`` and section are formed once here and held with the map, as the caller
+    holds both."""
     fm = _tensor_factor(e, f)
-    return _tensor_module(e, f), FactorMap(fm.matrix, fm.source_dims, lambda held=fm.section: held)
+    return _tensor_module(e, f), FactorMap(
+        lambda held=fm.matrix: held, fm.source_dims, lambda held=fm.section: held)
 
 
 # ---------------------------------------------------------------------------
@@ -573,9 +579,10 @@ def adjointable_basis(
     The commutant of ``R`` is the range of the conditional expectation
     ``E(X) = sum_j (1/n_j) sum_{a,b} R(e^j_ab) X R(e^j_ba)``, an idempotent
     (``R`` is a unital anti-homomorphism) whose trace is its rank.  Walking the
-    images ``E(E_uv)`` of the carrier matrix units in lex order of ``(u, v)``,
-    Gram-Schmidt keeps each image whose residual against those kept is above
-    ``RANK_RTOL`` times the largest image norm, until that rank is reached.
+    nonzero images ``E(E_uv)`` of the carrier matrix units in lex order of
+    ``(u, v)``, Gram-Schmidt keeps each image whose residual against those
+    kept is above ``RANK_RTOL`` times the largest image norm, until that rank
+    is reached.
     Each candidate's adjoint comes from the scalarized Gram, and the
     candidates whose algebra-valued adjoint relation verifies are kept.
     """
@@ -586,10 +593,13 @@ def adjointable_basis(
     images = np.einsum("c,cij,ckl->jkil", alg.haar_weights, r, r[alg.star_index], optimize=True)
     images = images.reshape(m * m, m * m)
     rank = int(round(float(np.trace(images).real)))
-    top = float(np.linalg.norm(images, axis=1).max(initial=0.0))
+    norms = np.linalg.norm(images, axis=1)
+    top = float(norms.max(initial=0.0))
     kept = np.zeros((rank, m * m), dtype=complex)
     k = 0
-    for v in images:
+    for v, norm in zip(images, norms):
+        if norm == 0.0:  # its residual is 0, so it is never kept
+            continue
         for _ in range(2):  # orthogonalized twice, the kept rows are orthonormal to rounding
             v = v - (kept[:k] @ v.conj()).conj() @ kept[:k]
         size = float(np.linalg.norm(v))

@@ -7,9 +7,11 @@ correspondence ``E_1``: ``E_0`` is the algebra over itself and
 ``s = 0`` or ``t = 0``, the identity for ``t = 1`` (by construction of the
 powers), and otherwise the rebracketing ``E_s . E_t -> E_{s+t-1} . E_1``,
 composed on the triple carrier from the pairs' factor maps: no three-fold
-bracketing is realized.  The coherence report verifies that every
-identification is a bilinear unitary and that the two ways of collapsing a
-triple product agree.
+bracketing is realized.  Of the pairs' factor maps only the ``K(n-1, 1)``
+that place the powers are held; every other pair's ``K`` and every section
+are formed from the two powers' cached frames where read.  The coherence
+report verifies that every identification is a bilinear unitary and that the
+two ways of collapsing a triple product agree.
 """
 from __future__ import annotations
 
@@ -49,10 +51,11 @@ DEFAULT_BUDGET = 4096
 class ProductSystem:
     """Truncated family of tensor powers with coherent identifications.
 
-    It holds the powers and, per pair, the corner factor ``K`` (:meth:`tensor`)
-    and ``u`` but the identities ``u(s, 1)``; a section, ``uinv`` and a pair
-    module not a power are formed where read (:meth:`_module`), not held.
-    Only :meth:`coherence_report` runs the O(levels^3) sweep.
+    It holds the powers, the corner factors ``K(n-1, 1)`` that place them
+    (:meth:`tensor`), and ``u`` but the identities ``u(s, 1)``; every other
+    pair's ``K``, a section, ``uinv`` and a pair module not a power are formed
+    where read (:meth:`_module`), not held.  Only :meth:`coherence_report`
+    runs the O(levels^3) sweep.
     """
 
     def __init__(
@@ -78,7 +81,8 @@ class ProductSystem:
         self._tensors: dict[tuple[int, int], FactorMap] = {}
         self._u: dict[tuple[int, int], np.ndarray] = {}
         for n in range(2, self.levels + 1):
-            self.tensor(n - 1, 1)
+            fm = self.tensor(n - 1, 1)
+            self._tensors[n - 1, 1] = FactorMap(lambda held=fm.matrix: held, fm.source_dims, fm.form_section)
             self.powers.append(_tensor_module(self.powers[n - 1], generator))  # E_{n-1} . E_1
 
     def power(self, n: int) -> Correspondence:
@@ -87,19 +91,20 @@ class ProductSystem:
         return self.powers[n]
 
     def tensor(self, s: int, t: int) -> FactorMap:
-        """Factor map onto the realized tensor ``E_s . E_t``, formed within
-        the budget; the realized module is not formed (:meth:`_module`)."""
-        key = (s, t)
-        if key not in self._tensors:
-            es, et = self.power(s), self.power(t)
-            needed = es.dim * et.dim
-            if needed > self.budget:
-                raise ResourceBudgetError(
-                    f"tensor E_{s}.E_{t} needs dimension {needed} > budget {self.budget}",
-                    required=needed,
-                )
-            self._tensors[key] = _tensor_factor(es, et)
-        return self._tensors[key]
+        """Factor map onto the realized tensor ``E_s . E_t``, within the budget:
+        the held map placing ``E_{s+1}`` when ``t = 1 <= s``, else one whose
+        ``K`` and section are formed from the powers when read; the realized
+        module is not formed (:meth:`_module`)."""
+        if (s, t) in self._tensors:
+            return self._tensors[s, t]
+        es, et = self.power(s), self.power(t)
+        needed = es.dim * et.dim
+        if needed > self.budget:
+            raise ResourceBudgetError(
+                f"tensor E_{s}.E_{t} needs dimension {needed} > budget {self.budget}",
+                required=needed,
+            )
+        return _tensor_factor(es, et)
 
     def _module(self, s: int, t: int) -> ModulePresentation:
         """The realized ``E_s . E_t``: the power ``E_{s+1}`` when ``t = 1 <= s``,
@@ -112,13 +117,15 @@ class ProductSystem:
 
         ``id . u(s,t)^-1`` expands the right factor on the triple carrier and
         ``u(r,s) . id`` contracts the left pair: only pair tensors are used.
+        The exact identities ``u(s, 1)`` (``s >= 1``) are not multiplied.
         """
         if not all(0 <= n <= self.levels for n in (r, s, t, r + s, s + t)):
             raise PreconditionError(f"rebracket({r},{s},{t}) outside truncation 0..{self.levels}")
-        return _rebracket(
-            self.tensor(r, s + t), self.tensor(s, t).section @ self.uinv(s, t),
-            self.u(r, s) @ self.tensor(r, s).matrix, self.tensor(r + s, t), "right",
-        )
+        src, expand = self.tensor(r, s + t), self.tensor(s, t).section
+        if not t == 1 <= s:
+            expand = expand @ self.uinv(s, t)
+        contract = self.tensor(r, s).matrix if s == 1 <= r else self.u(r, s) @ self.tensor(r, s).matrix
+        return _rebracket(src, expand, contract, self.tensor(r + s, t), "right")
 
     def u(self, s: int, t: int) -> np.ndarray:
         """Identification unitary realize(E_s . E_t) -> E_{s+t}."""

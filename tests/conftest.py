@@ -119,6 +119,29 @@ def triple_copy() -> Correspondence:
     return standard_module(make_algebra([1, 2]), [3, 6], multiplicities=[[3, 0], [0, 3]])
 
 
+def ladder_endomorphism(blocks: list[int]):
+    """``(E+, theta)`` of the benchmark's ladder: the algebra over itself with
+    the inner map ``a -> v a v*``, where ``v`` has blocks ``kron(U_n, I_n)``
+    drawn from ``default_rng(1)``."""
+    from corrkit.endo import endomorphism_from_conjugation
+
+    rng = np.random.default_rng(1)
+    eplus = standard_module(make_algebra(blocks), blocks)
+    v = np.zeros((eplus.dim, eplus.dim), dtype=complex)
+    at = 0
+    for n in blocks:
+        v[at:at + n * n, at:at + n * n] = np.kron(random_unitary(rng, n), np.eye(n))
+        at += n * n
+    return eplus, endomorphism_from_conjugation(eplus, v)
+
+
+def ladder_e1(blocks: list[int]) -> Correspondence:
+    """``E_1`` of the benchmark's ladder (:func:`ladder_endomorphism`)."""
+    from corrkit.endo import associated_correspondence
+
+    return associated_correspondence(*ladder_endomorphism(blocks), 1).corr
+
+
 # ---------------------------------------------------------------------------
 # oracles
 # ---------------------------------------------------------------------------

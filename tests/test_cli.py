@@ -25,6 +25,8 @@ from corrkit.gallery import (
 from corrkit.hilbmod import Correspondence, algebra_correspondence
 from corrkit.instance import Instance, emit_instance, generate_instance
 
+from conftest import ladder_endomorphism
+
 SHIPPED = Path(__file__).resolve().parent.parent / "instances"
 
 
@@ -374,23 +376,14 @@ def test_tol_flag_governs_parse_time_validation(tmp_path, capsys):
 
 
 def ladder_file(tmp_path, blocks) -> str:
-    """The benchmark's ladder instance: the algebra over itself with the
-    inner map ``a -> v a v*``, where ``v`` has blocks ``kron(U_n, I_n)`` drawn
-    from ``default_rng(1)``; xi is the identity."""
-    from corrkit.endo import endomorphism_from_conjugation
-    from corrkit.gallery import random_unitary, standard_module, unit_vector_of_identity
+    """The benchmark's ladder instance (:func:`conftest.ladder_endomorphism`);
+    xi is the identity."""
+    from corrkit.gallery import unit_vector_of_identity
 
-    rng = np.random.default_rng(1)
-    alg = make_algebra(blocks)
-    eplus = standard_module(alg, blocks)
-    v = np.zeros((eplus.dim, eplus.dim), dtype=complex)
-    at = 0
-    for n in blocks:
-        v[at:at + n * n, at:at + n * n] = np.kron(random_unitary(rng, n), np.eye(n))
-        at += n * n
-    inst = Instance(alg, {"E": eplus})
-    inst.endomorphism = ("E", endomorphism_from_conjugation(eplus, v).matrix)
-    inst.vectors["xi"] = ("E", unit_vector_of_identity(alg, blocks))
+    eplus, endo = ladder_endomorphism(blocks)
+    inst = Instance(eplus.algebra, {"E": eplus})
+    inst.endomorphism = ("E", endo.matrix)
+    inst.vectors["xi"] = ("E", unit_vector_of_identity(eplus.algebra, blocks))
     return write(tmp_path, f"ladder-{len(blocks)}.json", inst)
 
 

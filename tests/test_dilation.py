@@ -13,6 +13,7 @@ from corrkit.dilation import (
     primary_span_ranks,
     right_limit,
     spatiality_report,
+    stage_map,
     unit_pairing_check,
     verify_main,
     verify_supplement,
@@ -31,10 +32,10 @@ from corrkit.gallery import (
     standard_module,
     weak_dilation_gallery,
 )
-from corrkit.hilbmod import adjointable_basis, algebra_correspondence, internal_tensor
+from corrkit.hilbmod import _rebracket, adjointable_basis, algebra_correspondence, internal_tensor
 from corrkit.prodsys import ProductSystem, find_central_unital_unit
 
-from conftest import TOL, associator, max_dev, max_deviation
+from conftest import TOL, associator, ladder_endomorphism, max_dev, max_deviation
 
 SHIPPED = Path(__file__).resolve().parent.parent / "instances"
 
@@ -276,17 +277,19 @@ def test_verify_supplement_gallery(pair):
 
 
 def test_each_tensor_and_associator_realized_once_per_run(monkeypatch):
-    """Within one verification no factor map is formed twice and no module
-    is placed twice from the same operands, and no rebracketing realizes a
-    bracketing: the pipeline and the product system share their factor maps.
+    """Within one verification no module is placed twice from the same
+    operands, factor maps are formed on no other operands, and no
+    rebracketing realizes a bracketing: the pipeline and the product system
+    share their factor maps.
 
-    At levels L a run forms the (L+1)(L+2)/2 pair factor maps of ``E_s . E_t``
+    At levels L a run reads the (L+1)(L+2)/2 pair factor maps of ``E_s . E_t``
     with ``s + t <= L``, the L+1 stages ``E+ . E_t``, and one
     ``(E+ . E_t) . E_m`` per restriction-chain check, L(L+1)/2 of them:
-    15 + 5 + 10 = 30 at L = 4.  It places the same 30 modules: the L-1 powers
-    on construction, every other pair module once, in the coherence sweep that
-    ``verify_main`` runs (``uinv`` places none), and one module with each
-    stage and chain factor map."""
+    15 + 5 + 10 = 30 at L = 4.  The product system holds only the maps placing
+    its powers, so a pair's map is formed again where it is read.  It places
+    the same 30 modules: the L-1 powers on construction, every other pair
+    module once, in the coherence sweep that ``verify_main`` runs (``uinv``
+    places none), and one module with each stage and chain factor map."""
     import sys
 
     import corrkit.hilbmod as hilbmod
@@ -317,8 +320,8 @@ def test_each_tensor_and_associator_realized_once_per_run(monkeypatch):
         for seen in calls.values():
             seen.clear()
         assert run().status == "pass"
-        for seen in calls.values():
-            assert len(seen) == len(set(seen)) == 30
+        assert len(set(calls["_tensor_factor"])) == 30
+        assert len(calls["_tensor_module"]) == len(set(calls["_tensor_module"])) == 30
 
 
 def test_endomorphism_validated_once_per_pipeline(monkeypatch):
@@ -387,6 +390,20 @@ def test_action_unitaries_match_the_associator_recursion():
         lifted = tensor_lift(old[t - 1], a.left_factor, stages[1].factor, side="left")
         old[t] = stages[1].u @ lifted @ a.adjoint
         assert max_dev(stages[t].u, old[t]) < 1e-12, t
+
+
+def test_stage_map_skips_only_the_exact_identity():
+    """``stage_map(t, 1)`` takes the section of ``E_t . E_1`` alone, since
+    ``u(t, 1)^-1`` is the exact identity for ``t >= 1``: on the m = 9 ladder
+    every stage map is bitwise the composition with it."""
+    eplus, endo = ladder_endomorphism([3])
+    pipe = DilationPipeline(eplus, endo, levels=4)
+    ps, stages = pipe.ps(), pipe.stages()[0]
+    for t in range(ps.levels + 1):
+        for m in range(ps.levels + 1 - t):
+            full = _rebracket(stages[t + m].factor, ps.tensor(t, m).section @ ps.uinv(t, m),
+                              stages[t].u @ stages[t].factor.matrix, stages[m].factor, "right")
+            assert np.array_equal(stage_map(ps, stages, t, m), full), (t, m)
 
 
 def test_skewed_identification_fails_coherence_and_verify_main(monkeypatch, tmp_path):

@@ -301,7 +301,7 @@ def test_power_coherence_stops_at_a_dimension_mismatch():
     e1, e2 = (associated_correspondence(inst.eplus, inst.endo, t) for t in (1, 2))
     plane, m = plane_correspondence(), inst.eplus.dim
     assert plane.dim != e2.corr.dim
-    other = replace(e2, corr=plane, factor=replace(e2.factor, matrix=np.zeros((2, m * m))))
+    other = replace(e2, corr=plane, factor=replace(e2.factor, form_matrix=lambda: np.zeros((2, m * m))))
     _, rep = power_coherence(inst.endo, e1, e1, other)
     assert [c.name for c in rep.checks] == [
         "product-rule-isometric[1,1]", "product-rule-dimensions[1,1]",

@@ -56,6 +56,7 @@ from conftest import (
     oracle_pre_gram,
     oracle_rank,
     oracle_scalarized,
+    ladder_e1,
     seeded_correspondence,
     seeded_module,
     skew_correspondence,
@@ -808,6 +809,41 @@ def test_adjointable_basis_matches_the_loop_oracle(e):
     assert max_dev(basis @ basis.conj().T, kernel @ kernel.conj().T) < 1e-12
 
 
+def all_rows_basis(e):
+    """The rows Gram-Schmidt keeps in :func:`adjointable_basis` when it walks every
+    image row, zero rows included, as it did before skipping them; and how many
+    image rows are nonzero."""
+    from corrkit.hilbmod import RANK_RTOL
+
+    alg, m, r = e.algebra, e.dim, e.right_action
+    images = np.einsum("c,cij,ckl->jkil", alg.haar_weights, r, r[alg.star_index], optimize=True)
+    images = images.reshape(m * m, m * m)
+    rank = int(round(float(np.trace(images).real)))
+    norms = np.linalg.norm(images, axis=1)
+    kept, k = np.zeros((rank, m * m), dtype=complex), 0
+    for v in images:
+        for _ in range(2):
+            v = v - (kept[:k] @ v.conj()).conj() @ kept[:k]
+        size = float(np.linalg.norm(v))
+        if size > RANK_RTOL * float(norms.max(initial=0.0)):
+            kept[k] = v / size
+            k += 1
+            if k == rank:
+                break
+    return kept[:k], int(np.count_nonzero(norms))
+
+
+def test_adjointable_basis_skips_zero_images_bitwise():
+    """Skipping the zero images leaves every basis bitwise as the walk over all
+    rows kept it, on the shipped modules, the m = 9 ladder module and its
+    ``E_1``; the ladder module's expectation has 27 nonzero images of 81."""
+    ladder = standard_module(make_algebra([3]), [3])
+    for e in shipped_modules() + [ladder, ladder_e1([3])]:
+        ops = np.stack([op.matrix.reshape(-1) for op in adjointable_basis(e)])
+        assert np.array_equal(ops, all_rows_basis(e)[0])
+    assert all_rows_basis(ladder)[1] == 27
+
+
 def test_adjointable_basis_ignores_the_kernel_solver(monkeypatch):
     """Rotating every kernel ``null_space`` returns changes no basis entry: the
     basis is a function of the right action, not of the solver's choices."""
@@ -1002,22 +1038,6 @@ def ref_tensor_arrays(e, f, fm):
     right = proj_qk @ act[d:].reshape(d, mf * me, r)
     left = proj @ _lift(e.left_action, section, (me, mf), "left") if e.is_correspondence else None
     return right, gram.transpose(0, 3, 1, 2), left
-
-
-def ladder_e1(blocks):
-    """``E_1`` of the benchmark's ladder: the algebra over itself with the
-    inner map ``a -> v a v*``, ``v`` with blocks ``kron(U_n, I_n)``."""
-    from corrkit.endo import associated_correspondence, endomorphism_from_conjugation
-
-    rng = np.random.default_rng(1)
-    alg = make_algebra(blocks)
-    eplus = standard_module(alg, blocks)
-    v = np.zeros((eplus.dim, eplus.dim), dtype=complex)
-    at = 0
-    for n in blocks:
-        v[at:at + n * n, at:at + n * n] = np.kron(random_unitary(rng, n), np.eye(n))
-        at += n * n
-    return associated_correspondence(eplus, endomorphism_from_conjugation(eplus, v), 1).corr
 
 
 def _killed_block_pairs():

@@ -1,4 +1,5 @@
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -20,6 +21,7 @@ from corrkit.gallery import (
 )
 from corrkit.hilbmod import (
     Correspondence,
+    _rebracket,
     algebra_correspondence,
     check_map,
     internal_tensor,
@@ -41,6 +43,7 @@ from corrkit.report import VerificationReport
 from conftest import (
     TOL,
     associator,
+    ladder_e1,
     max_dev,
     max_deviation,
     oracle_pre_gram,
@@ -77,9 +80,9 @@ def test_tensor_dimensions_match_the_multiplicity_oracle(gen, levels):
     ps = ProductSystem(gen, levels)
     for total in range(levels + 1):
         for s in range(total + 1):
-            fm, peak = traced_peak(ps.tensor, s, total - s)
+            k, peak = traced_peak(lambda: ps.tensor(s, total - s).matrix)
             assert peak < 64 * 2**20, (s, total - s)
-            assert len(fm.matrix) == want[total], (s, total - s)
+            assert len(k) == want[total], (s, total - s)
 
 
 def test_powers_of_scalar_plane():
@@ -120,15 +123,17 @@ def test_budget_exceeded():
     assert err.value.required == 16
 
 
-def test_assoc_reuses_collapsed_bracketing_within_budget():
-    """The coherence sweep realizes the pair tensors ``E_s . E_t`` with
+def test_assoc_reuses_collapsed_bracketing_within_budget(monkeypatch):
+    """The coherence sweep reads the pair tensors ``E_s . E_t`` with
     ``s + t <= L`` and nothing else: every one of them is read by the
     identification checks anyway, so the sweep can raise no budget error
     that building the identifications would not."""
     levels = 4
+    read, tensor = set(), ProductSystem.tensor
+    monkeypatch.setattr(ProductSystem, "tensor", lambda ps, s, t: read.add((s, t)) or tensor(ps, s, t))
     ps = ProductSystem(plane_correspondence(), levels)
     assert ps.coherence_report().passed
-    assert set(ps._tensors) == {(s, t) for s in range(levels + 1) for t in range(levels + 1 - s)}
+    assert read == {(s, t) for s in range(levels + 1) for t in range(levels + 1 - s)}
     # the largest pair carrier, 4 x 4 = 16, is budget enough for the whole sweep
     ps = ProductSystem(plane_correspondence(), levels, budget=16)
     assert ps.coherence_report().passed
@@ -172,26 +177,51 @@ def test_rebracket_matches_the_associator_route(gen, levels):
                 assert max_dev(got, _old_rebracket(ps, r, s, t)) < 1e-12, (r, s, t)
 
 
+@pytest.mark.parametrize("gen, levels", [
+    (plane_correspondence(), 4), (doubled_swap_correspondence(), 3), (ladder_e1([3]), 4)],
+    ids=["plane", "doubled-swap", "m9-ladder"])
+def test_rebracket_skips_only_exact_identities(gen, levels):
+    """``rebracket`` takes the section alone for ``t = 1 <= s`` and ``K(r, 1)``
+    alone for ``s = 1 <= r``, where ``u(s, 1)`` and ``u(r, 1)`` are exact
+    identities: ``I @ X`` is exact, so every rebracketing is bitwise the
+    composition with them."""
+    ps = ProductSystem(gen, levels)
+    for r in range(levels + 1):
+        for s in range(levels + 1 - r):
+            for t in range(levels + 1 - r - s):
+                full = _rebracket(ps.tensor(r, s + t), ps.tensor(s, t).section @ ps.uinv(s, t),
+                                  ps.u(r, s) @ ps.tensor(r, s).matrix, ps.tensor(r + s, t), "right")
+                assert np.array_equal(ps.rebracket(r, s, t), full), (r, s, t)
+
+
 def test_product_system_holds_powers_factors_and_identifications():
-    """After the coherence sweep the product system holds the powers and, per
-    pair, the corner factor ``K`` and ``u(s,t)`` (but the identities
-    ``u(s,1)``): no section, no inverse identification and no pair module.  A
-    factor map forms its section from the two powers when read, and ``uinv``
-    is formed when read, the exact identity for ``t = 1 <= s``."""
+    """After the coherence sweep the product system holds the powers, the
+    corner factors ``K(n-1, 1)`` that place them, and ``u(s,t)`` (but the
+    identities ``u(s,1)``): no other pair's ``K``, no section, no inverse
+    identification and no pair module.  A factor map forms its section, and
+    one not held its ``K``, from the two powers when read, bitwise the same
+    array on every read; ``uinv`` is formed when read, the exact identity for
+    ``t = 1 <= s``."""
     levels = 3
     ps = ProductSystem(small_generator(3), levels)
     assert ps.coherence_report().passed
     pairs = {(s, t) for s in range(levels + 1) for t in range(levels + 1 - s)}
     assert set(vars(ps)) == {"algebra", "generator", "levels", "tol", "budget",
                              "powers", "_tensors", "_u"}
-    assert set(ps._tensors) == pairs
+    assert set(ps._tensors) == {(n - 1, 1) for n in range(2, levels + 1)}
     # u(s, 1) for s >= 1 is the identity onto the power E_{s+1}, formed where read
     assert set(ps._u) == {(s, t) for s, t in pairs if not (t == 1 and s)}
-    for (s, t), fm in ps._tensors.items():
-        assert set(vars(fm)) == {"matrix", "source_dims", "form_section"}
-        held = [cell.cell_contents for cell in fm.form_section.__closure__]
-        assert sorted(map(id, held)) == sorted(map(id, (ps.power(s), ps.power(t))))
+    closure = lambda fn: sorted(id(cell.cell_contents) for cell in fn.__closure__)
+    for s, t in pairs:
+        fm, powers = ps.tensor(s, t), sorted(map(id, (ps.power(s), ps.power(t))))
+        assert set(vars(fm)) == {"form_matrix", "source_dims", "form_section"}
+        assert closure(fm.form_section) == powers
         assert fm.section is not fm.section
+        if (s, t) in ps._tensors:
+            assert fm is ps.tensor(s, t) and fm.matrix is fm.matrix
+        else:
+            assert fm is not ps.tensor(s, t) and closure(fm.form_matrix) == powers
+            assert fm.matrix is not fm.matrix and np.array_equal(fm.matrix, ps.tensor(s, t).matrix)
     uinv = ps.uinv(1, 2)
     assert uinv is not ps.uinv(1, 2)
     dim = internal_tensor(ps.power(1), ps.power(2))[0].dim
@@ -199,6 +229,23 @@ def test_product_system_holds_powers_factors_and_identifications():
     for s in range(1, levels):
         assert np.array_equal(ps.u(s, 1), np.eye(ps.power(s + 1).dim))
         assert np.array_equal(ps.uinv(s, 1), np.eye(ps.power(s + 1).dim))
+
+
+def test_swept_plane_product_system_holds_under_1_85_mib():
+    """``E_1 = C^2`` over C at levels 6 after the coherence sweep: the powers,
+    the placing ``K(n-1, 1)`` and the identifications take about 1.7 MiB as
+    ``tracemalloc`` sees them; holding every pair's ``K`` took 2.2 MiB, of
+    which the ``(2^n, 2^n)`` factors of the pairs with ``s + t = n`` grow as 4^n."""
+    gen = plane_correspondence()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        ps = ProductSystem(gen, 6)
+        assert ps.coherence_report().passed
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held <= 1.85 * 2**20, held / 2**20
 
 
 @pytest.mark.parametrize("blocks", [[1], [2], [1, 1], [1, 2]], ids=lambda b: "-".join(map(str, b)))
@@ -230,6 +277,51 @@ def test_coherence_on_seeded_generators(seed):
     ps = ProductSystem(small_generator(seed), 3)
     rep = ps.coherence_report()
     assert rep.passed and max_deviation(rep) < TOL
+
+
+def _non_bilinear(u):
+    """``u`` followed by a seeded unitary of the whitened ``E_3``: still unitary
+    on its scalar Gram, but commuting with neither action of M_2."""
+    return random_unitary(np.random.default_rng(5), len(u)) @ u
+
+
+def _with_nan(u):
+    u = u.copy()
+    u[0, 0] = np.nan
+    return u
+
+
+@pytest.mark.parametrize("fault, family", [
+    (lambda u: u * (1 + 1e-6), "gram"), (_non_bilinear, "bilinear"), (_with_nan, "unitary")],
+    ids=["scaled", "non-bilinear", "nan"])
+def test_faulty_identification_fails_its_own_family(fault, family, monkeypatch, tmp_path):
+    """Fault witness for ``identification[s,t]-*``: ``u(1,2)`` of the shipped
+    M_2 generator, scaled by 1 + 1e-6, composed with a non-bilinear unitary,
+    or with a NaN entry when it is built, fails ``identification[1,2]-<family>``
+    and no check outside ``identification[1,2]-*``; ``derive-ps`` exits 1, and
+    no check whose deviation is NaN passes."""
+    import json
+    from pathlib import Path
+
+    from corrkit.cli import EXIT_FAIL, main
+
+    built = ProductSystem.u
+
+    def faulty(ps, s, t):
+        if (s, t) == (1, 2) and (1, 2) not in ps._u:
+            ps._u[1, 2] = fault(built(ps, 1, 2))
+        return built(ps, s, t)
+
+    monkeypatch.setattr(ProductSystem, "u", faulty)
+    path = Path(__file__).resolve().parent.parent / "instances" / "correspondence-seed1.json"
+    out = tmp_path / "out.json"
+    argv = ["derive-ps", str(path), "--levels", "3", "--report", "machine", "--out", str(out)]
+    assert main(argv) == EXIT_FAIL
+    checks = json.loads(out.read_text())["checks"]
+    failed = {c["name"] for c in checks if not c["passed"]}
+    assert f"identification[1,2]-{family}" in failed
+    assert all(name.startswith("identification[1,2]-") for name in failed), failed
+    assert not any(c["passed"] for c in checks if c["deviation"] == "nan")
 
 
 def _plane_units():

@@ -12,9 +12,10 @@ this checkout).  The probes run one at a time; for each, one line
 wall time of ``corrkit.cli.main`` and the probe process's own ``ru_maxrss``.
 The ladder instances come from this checkout's ``perfbench/workloads.ladder``
 (``default_rng(1)``); ``bc16`` is ``B(C^16)``: C^16 over C with the inner map
-of ``random_unitary(default_rng(16), 16)`` and xi = e_0; ``plane9`` is the
-product system of ``plane_correspondence()`` (C^2 over C) at levels 9, with
-the units e1 and e2, through ``perfbench/workloads._powers_instance``.
+of ``random_unitary(default_rng(16), 16)`` and xi = e_0; ``plane9`` and
+``plane10`` are the product system of ``plane_correspondence()`` (C^2 over C)
+at levels 9 and 10, with the units e1 and e2, through
+``perfbench/workloads._powers_instance``.
 """
 from __future__ import annotations
 
@@ -39,6 +40,7 @@ PROBES = {
     "bc16-verify-main": ("bc16", "verify-main", 4),
     "bc16-spatial": ("bc16", "spatial", 4),
     "plane9": ("plane9", "derive-ps", 9),
+    "plane10": ("plane10", "derive-ps", 10),
 }
 
 
