@@ -683,7 +683,7 @@ def compare_unit_limits(ps: ProductSystem, xi1: np.ndarray, xi2: np.ndarray) -> 
 
     e1 = ps.generator
     m = e1.dim
-    sq, isq = e1.scalar_sqrt, e1.scalar_isqrt
+    sq, isq = (e1._scalar(np.eye(m), p) for p in (0.5, -0.5))
     blocks = list(zip(e1.algebra.unit_slices, e1.algebra.blocks))
     # whitened, both actions are *-representations on the standard inner product
     left, right = (sq @ action @ isq for action in (e1.left_action, e1.right_action))

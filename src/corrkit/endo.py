@@ -32,6 +32,7 @@ from .errors import (
     PreconditionError,
 )
 from .hilbmod import (
+    RANK_RTOL,
     AdjointableOperator,
     Correspondence,
     FactorMap,
@@ -48,13 +49,24 @@ from .hilbmod import (
     internal_tensor,
     map_adjoint,
     matrix_rank_tol,
-    null_space,
     pull_gram,
     rank_one_stack,
     tensor_vector,
 )
 from .prodsys import _unit_from_blocks
 from .report import VerificationReport, _worst
+
+
+def null_space(m: np.ndarray, *, scale: float = 0.0) -> np.ndarray:
+    """Orthonormal basis of the kernel, as columns.  Rank counts the singular
+    values above ``RANK_RTOL`` times the larger of the top one and ``scale``, the
+    size of the operands, so a system that cancels to rounding has a full kernel."""
+    m = np.atleast_2d(np.asarray(m, dtype=complex))
+    # a tall system's thin vh is already square; a wide one needs the full vh
+    _, s, vh = np.linalg.svd(m, full_matrices=m.shape[0] < m.shape[1])
+    top = max(float(s[0]) if s.size else 0.0, scale)
+    rank = int(np.sum(s > RANK_RTOL * top)) if top > 0.0 else 0
+    return vh[rank:].conj().T
 
 
 def operator_rows(ops: list[AdjointableOperator], m: int) -> np.ndarray:
@@ -265,7 +277,7 @@ def associated_correspondence(
     frame = frame.transpose(0, 2, 1, 3).reshape(len(frame), m, m * m)
     # Q_p = theta^t(xi_p xi_p*) = sum_i conj(xi_p[i]) theta^t(xi_p e_i*)
     idem = np.einsum("pi,puij->puj", xi.conj(), frame.reshape(len(frame), m, m, m))
-    sq = eplus.scalar_sqrt
+    sq = eplus._scalar(np.eye(m), 0.5)
     proj = np.concatenate([_range_basis(sq @ q, q).conj().T @ sq @ rows
                            for q, rows in zip(idem, frame)])
     section = np.linalg.solve(proj @ proj.conj().T, proj).conj().T

@@ -42,9 +42,21 @@ not compound with depth.  A tensor's section is formed when read, from the
 frames, with no linear solve: for ``M = S_E (x) S_F``, the square ``W`` has
 ``W S_E^{-1} W^H = n I`` and the corner maps have ``C_b[c] S_F^{-1} C_b'[c']^H
 = delta_bb' delta_cc' I``, so ``K M^{-1} K^H = D = (+)_b n n_b I`` and the
-section is ``M^{-1} K^H D^{-1}`` (:func:`_tensor_section`).  The realized
-scalar Gram ``(+)_{b,p} s_b``, ``s_b`` the scalar part of ``G~_b``, is
-inverted per corner.
+section is ``M^{-1} K^H D^{-1}`` (:func:`_tensor_section`).
+
+Every module holds its scalar Gram as diagonal blocks ``(start, copies, s,
+s^{-1})`` (:attr:`ModulePresentation._scalar_blocks`), and ``S``, ``S^{-1}``
+and ``S^{+-1/2}`` are applied block by block.  A placed module (powers, pair
+modules, stage tensors ``E+ . E_t``) takes the right factor's corners: ``S =
+(+)_{b,p} s_b``, ``P_b`` copies of the scalar part ``s_b`` of ``G~_b``, with
+one ``inv`` per corner of the right factor (``s_b = I`` only up to rounding),
+cached there (:attr:`Correspondence._corner_scalars`), and roots formed per
+block when first read; it forms no dense ``S``, root or inverse.  An input
+module and an associated correspondence ``E_t`` keep one dense block and are
+the only modules that form dense roots, from one ``eigh`` of ``S``: in their
+corner frames and positivity defects, in
+:func:`corrkit.endo.associated_correspondence` and in
+:func:`corrkit.dilation.compare_unit_limits`.
 
 The corner maps behind ``K`` and the stacks ``R~_b``, ``G~_b`` are one cached
 frame on ``F`` (:attr:`Correspondence.corner_frame`), ``M~_b`` is cached on
@@ -90,18 +102,6 @@ def matrix_rank_tol(m: np.ndarray) -> int:
     return int(np.sum(s > RANK_RTOL * s[0])) if s[0] != 0.0 else 0
 
 
-def null_space(m: np.ndarray, *, scale: float = 0.0) -> np.ndarray:
-    """Orthonormal basis of the kernel, as columns.  Rank counts the singular
-    values above ``RANK_RTOL`` times the larger of the top one and ``scale``, the
-    size of the operands, so a system that cancels to rounding has a full kernel."""
-    m = np.atleast_2d(np.asarray(m, dtype=complex))
-    # a tall system's thin vh is already square; a wide one needs the full vh
-    _, s, vh = np.linalg.svd(m, full_matrices=m.shape[0] < m.shape[1])
-    top = max(float(s[0]) if s.size else 0.0, scale)
-    rank = int(np.sum(s > RANK_RTOL * top)) if top > 0.0 else 0
-    return vh[rank:].conj().T
-
-
 def pull_gram(v: np.ndarray, gram: np.ndarray) -> np.ndarray:
     """Gram transported along a carrier map: ``out[i, j] = <v e_i, v e_j>``.
 
@@ -137,6 +137,12 @@ def _range_basis(a: np.ndarray, p: np.ndarray) -> np.ndarray:
     rank of the idempotent ``p``: the first ``tr p`` left singular vectors of
     ``a``, with no singular-value cutoff."""
     return np.linalg.svd(a)[0][:, :_trace_rank(p)]
+
+
+def _roots(s):
+    """``[s^{1/2}, s^{-1/2}]`` of a positive definite ``s``, from one ``eigh``."""
+    vals, vecs = np.linalg.eigh(s)
+    return [(vecs * w) @ vecs.conj().T for w in (np.sqrt(vals), 1.0 / np.sqrt(vals))]
 
 
 def _lift(a: np.ndarray, s: np.ndarray, dims: tuple[int, int], side: str) -> np.ndarray:
@@ -218,26 +224,32 @@ class ModulePresentation:
             raise InvalidPresentationError("the Gram factor needs a nondegenerate presentation")
         return tuple(out)
 
-    @cached_property
+    @property
     def scalar_gram(self) -> np.ndarray:
-        """State applied to the Gram: an ordinary PSD matrix on the carrier."""
+        """State applied to the Gram: an ordinary PSD matrix on the carrier,
+        formed when read."""
         return np.trace(self.gram, axis1=2, axis2=3) / self.algebra.size
 
     @cached_property
-    def _scalar_sqrts(self) -> tuple[np.ndarray, np.ndarray]:
-        vals, vecs = np.linalg.eigh(self.scalar_gram)
-        root = np.sqrt(vals)
-        make = lambda w: (vecs * w) @ vecs.conj().T
-        return make(root), make(1.0 / root)
+    def _scalar_blocks(self) -> list:
+        """``S`` as diagonal blocks ``(start, copies, s, s^{-1})``, ``copies`` copies
+        of ``s`` from row ``start``: one dense block, inverted as ``isqrt @ isqrt``.
+        A module :func:`_tensor_module` places is given its right factor's corners
+        instead (:func:`_placed_blocks`)."""
+        s = self.scalar_gram
+        isqrt = _roots(s)[1]
+        return [(0, 1, s, isqrt @ isqrt)]
 
     @cached_property
-    def _scalar_inv(self) -> np.ndarray:
-        """``S^{-1}``, per corner from the factors on a module :func:`_tensor_module` placed."""
-        placed = vars(self).get("_factors")
-        return _tensor_scalar_inv(*placed) if placed else self.scalar_isqrt @ self.scalar_isqrt
+    def _root_blocks(self) -> list:
+        """``S^{1/2}`` as blocks ``(start, copies, s^{1/2}, s^{-1/2})``, formed per
+        block of :attr:`_scalar_blocks` when first read: on a placed module, the
+        roots of its corners, not of a dense ``S``."""
+        return [(at, copies, *_roots(s)) for at, copies, s, _ in self._scalar_blocks]
 
-    scalar_sqrt = property(lambda self: self._scalar_sqrts[0])
-    scalar_isqrt = property(lambda self: self._scalar_sqrts[1])
+    def _scalar(self, x, p):
+        """``S^p x`` for ``p`` in 1, -1, 1/2, -1/2 and a matrix or a stack ``x``."""
+        return _scalar_apply(self._scalar_blocks if abs(p) == 1 else self._root_blocks, x, p < 0)
 
     # -- pointwise operations ----------------------------------------------
 
@@ -253,7 +265,8 @@ class ModulePresentation:
     def positivity_defect(self, a: np.ndarray) -> float:
         """How far the operator ``a`` is from being positive in B^a(E): the
         :func:`psd_defect` of ``a`` whitened by the scalar Gram."""
-        return psd_defect(self.scalar_sqrt @ a @ self.scalar_isqrt)[0]
+        half = self._root_blocks
+        return psd_defect(_scalar_apply(half, _scalar_apply(half, a.conj().T, True).conj().T, False))[0]
 
 
 @dataclass
@@ -289,24 +302,26 @@ class Correspondence(ModulePresentation):
           order.  Since ``R`` commutes with ``L(e^b_00)``, ``S^{1/2} R(c) S^{-1/2}``
           keeps the range of ``Y_b``, so ``R~_b`` is the right action there.
         """
-        n = self.algebra.size
+        n, half = self.algebra.size, self._root_blocks
         out = []
         for sl, nb in zip(self.algebra.unit_slices, self.algebra.blocks):
             units = self.left_action[sl][:nb]  # L(e^b_{0c})
-            row0 = self.scalar_sqrt @ units
+            row0 = _scalar_apply(half, units, False)
             y = _range_basis(row0[0], units[0])
-            r, back = y.shape[1], self.scalar_isqrt @ y
-            right = (self.scalar_sqrt @ y).conj().T @ self.right_action @ back
+            r, back = y.shape[1], _scalar_apply(half, y, True)
+            right = _scalar_apply(half, y, False).conj().T @ self.right_action @ back
             gram = pull_gram(back, self.gram).transpose(2, 3, 0, 1).reshape(n * n, r, r)
             out.append((y.conj().T @ row0, np.concatenate([right, gram])))
         return tuple(out)
 
     @cached_property
-    def _corner_scalar_invs(self) -> tuple[np.ndarray, ...]:
-        """Per algebra block, ``s_b^{-1}`` for ``s_b`` the scalar part of ``G~_b``."""
+    def _corner_scalars(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """Per algebra block, the scalar part ``s_b`` of ``G~_b`` and its one ``inv``
+        (``s_b = I`` only up to rounding): the blocks of a module placed with this
+        right factor (:func:`_placed_blocks`)."""
         n = self.algebra.size
-        return tuple(np.linalg.inv(np.trace(s[-n * n:].reshape(n, n, *s.shape[1:])) / n)
-                     for _, s in self.corner_frame)
+        scalars = [stack[-n * n::n + 1].sum(0) / n for _, stack in self.corner_frame]  # the entries (x, x)
+        return tuple((s, np.linalg.inv(s)) for s in scalars)
 
     @cached_property
     def _left_blocks(self) -> tuple[np.ndarray, ...]:
@@ -318,8 +333,9 @@ class Correspondence(ModulePresentation):
         ``L(c)`` acts as a matrix on the first factor; ``W^+ = (n S)^+ W^H``
         since ``W^H W = n S``, so ``M~_b(c)`` is read from the ``a = 0`` rows and
         columns of ``W L(c) W^+``."""
-        pinv = self.scalar_isqrt @ self.scalar_isqrt / self.algebra.size
-        return tuple(w[:, :, 0] @ self.left_action @ (pinv @ w[:, :, 0].conj().T) for w in self._gram_factor)
+        n = self.algebra.size
+        return tuple(w[:, :, 0] @ self.left_action @ self._scalar(w[:, :, 0].conj().T / n, -1)
+                     for w in self._gram_factor)
 
     def left_of(self, b: np.ndarray) -> np.ndarray:
         return np.einsum("c,cuv->uv", self.algebra.coords(b), self.left_action)
@@ -355,7 +371,7 @@ class FactorMap:
 def map_adjoint(v: np.ndarray, dom: ModulePresentation, cod: ModulePresentation) -> np.ndarray:
     """Adjoint ``S_dom^{-1} v^H S_cod`` of a map between presentations, on the
     scalarized Grams; a stack of maps gives the stack of adjoints."""
-    return dom._scalar_inv @ np.swapaxes(v.conj(), -1, -2) @ cod.scalar_gram
+    return dom._scalar(np.swapaxes(cod._scalar(v, 1).conj(), -1, -2), -1)
 
 
 def check_map(
@@ -518,25 +534,40 @@ def _tensor_factor(e: ModulePresentation, f: ModulePresentation) -> FactorMap:
 def _tensor_section(e: ModulePresentation, f: Correspondence) -> np.ndarray:
     """``M^{-1} K^H D^{-1}``: the transpose of the corner factor of the rows
     ``S_E^{-1} conj(w_b) / (n n_b)`` and the maps ``conj(C_b) S_F^{-T}``."""
-    rows = [e._scalar_inv @ w.conj() / (e.algebra.size * w.shape[2]) for w in e._gram_factor]
-    return _corner_factor(rows, [c.conj() @ f._scalar_inv.T for c, _ in f.corner_frame]).T
+    rows = [e._scalar(w.conj(), -1) / (e.algebra.size * w.shape[2]) for w in e._gram_factor]
+    corners = [np.swapaxes(f._scalar(np.swapaxes(c.conj(), 1, 2), -1), 1, 2) for c, _ in f.corner_frame]
+    return _corner_factor(rows, corners).T
 
 
-def _tensor_scalar_inv(e: ModulePresentation, f: Correspondence) -> np.ndarray:
-    """``S^{-1}`` of the realized ``e . f``, ``(+)_{b,p} s_b^{-1}`` on the rows of ``K``."""
-    pairs = list(zip(e._gram_factor, f._corner_scalar_invs))
-    out, at = np.zeros((sum(len(w) * len(inv) for w, inv in pairs),) * 2, dtype=complex), 0
-    for w, inv in pairs:
-        rows = np.arange(at, at + len(w) * len(inv)).reshape(len(w), len(inv))
-        out[rows[:, :, None], rows[:, None, :]] = inv
-        at += rows.size
+def _placed_blocks(e: ModulePresentation, f: Correspondence) -> list:
+    """The scalar Gram of the realized ``e . f`` as :attr:`ModulePresentation._scalar_blocks`:
+    per algebra block, ``P_b`` copies of ``f``'s corner ``s_b`` and its inverse
+    (:attr:`Correspondence._corner_scalars`)."""
+    at, out = 0, []
+    for w, corner in zip(e._gram_factor, f._corner_scalars):
+        out.append((at, len(w), *corner))
+        at += len(w) * len(corner[0])
     return out
+
+
+def _scalar_apply(blocks, x, inverse):
+    """``S x``, or ``S^{-1} x`` when ``inverse``, for ``S`` given by its diagonal
+    blocks ``(start, copies, s, s^{-1})`` and ``x`` a matrix or a stack; a block's
+    rows are reshaped to its copies, not copied."""
+    if len(blocks) == 1 and blocks[0][1] == 1:
+        return blocks[0][2 + inverse] @ x
+    parts = []
+    for start, copies, *pair in blocks:
+        a = pair[inverse]
+        part = x[..., start:start + copies * len(a), :]
+        parts.append((a @ part.reshape(*part.shape[:-2], copies, len(a), part.shape[-1])).reshape(part.shape))
+    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-2)
 
 
 def _tensor_module(e: ModulePresentation, f: Correspondence) -> ModulePresentation:
     """The realized ``e . f`` on the ``sum_b P_b r_b`` rows ``(b, p, alpha)`` of ``K``,
-    placed block diagonally from the factors' cached stacks; ``K`` is not formed.  It
-    keeps its factors, from which its scalar-Gram inverse is placed when read."""
+    placed block diagonally from the factors' cached stacks; ``K`` is not formed.  Its
+    scalar Gram is the blocks of :func:`_placed_blocks`, not a dense ``S``."""
     d, n = e.algebra.dim, e.algebra.size
     r = sum(len(w) * stack.shape[1] for w, (_, stack) in zip(e._gram_factor, f.corner_frame))
     right, gram = np.zeros((d, r, r), dtype=complex), np.zeros((r, r, n, n), dtype=complex)
@@ -552,7 +583,7 @@ def _tensor_module(e: ModulePresentation, f: Correspondence) -> ModulePresentati
             left[:, rows[:, None, :], rows[None, :, :]] = e._left_blocks[b][..., None]
     out = ModulePresentation(e.algebra, right, gram) if left is None else Correspondence(
         e.algebra, right, gram, left)
-    out._factors = (e, f)
+    out._scalar_blocks = _placed_blocks(e, f)
     return out
 
 
@@ -674,12 +705,6 @@ def tensor_lift(
     if fm_cod.source_dims[shared] != fm_dom.source_dims[shared]:
         raise IncompatibleOperandsError("lifted map does not match the shared factor")
     return fm_cod.matrix @ _lift(v, fm_dom.section, fm_dom.source_dims, side)
-
-
-def left_unitor(f: Correspondence, fm: FactorMap) -> np.ndarray:
-    """Canonical map realize(B (.) F) -> F, ``b (x) y -> L(b) y``."""
-    c = f.left_action.transpose(1, 0, 2).reshape(f.dim, f.dim * len(f.left_action))
-    return c @ fm.section
 
 
 def right_unitor(e: ModulePresentation, fm: FactorMap) -> np.ndarray:

@@ -30,14 +30,14 @@ from .hilbmod import (
     FactorMap,
     ModulePresentation,
     _dev,
+    _placed_blocks,
     _rebracket,
+    _scalar_apply,
     _tensor_factor,
     _tensor_module,
-    _tensor_scalar_inv,
     _trace_rank,
     algebra_correspondence,
     check_map,
-    left_unitor,
     psd_defect,
     pull_gram,
     right_unitor,
@@ -48,14 +48,23 @@ from .report import VerificationReport
 DEFAULT_BUDGET = 4096
 
 
+def left_unitor(f: Correspondence, fm: FactorMap) -> np.ndarray:
+    """Canonical map realize(B (.) F) -> F, ``b (x) y -> L(b) y``: the
+    identification ``u(0, t)``."""
+    c = f.left_action.transpose(1, 0, 2).reshape(f.dim, f.dim * len(f.left_action))
+    return c @ fm.section
+
+
 class ProductSystem:
     """Truncated family of tensor powers with coherent identifications.
 
     It holds the powers, the corner factors ``K(n-1, 1)`` that place them
     (:meth:`tensor`), and ``u`` but the identities ``u(s, 1)``; every other
     pair's ``K``, a section, ``uinv`` and a pair module not a power are formed
-    where read (:meth:`_module`), not held.  Only :meth:`coherence_report`
-    runs the O(levels^3) sweep.
+    where read (:meth:`_module`), not held.  A power's scalar Gram is the
+    generator's corner blocks, applied per block: no power forms a dense
+    ``S``, root or inverse.  Only :meth:`coherence_report` runs the
+    O(levels^3) sweep.
     """
 
     def __init__(
@@ -148,10 +157,13 @@ class ProductSystem:
 
     def uinv(self, s: int, t: int) -> np.ndarray:
         """Inverse E_{s+t} -> realize(E_s . E_t) of ``u(s,t)``, its adjoint
-        ``S^{-1} u^H S`` on the scalar Grams, formed without placing the pair
-        module; the exact identity when ``t = 1 <= s``."""
+        ``S^{-1} u^H S`` on the scalar Grams, applied per block, the pair's
+        from ``E_t``'s corners without placing the pair module; the exact
+        identity when ``t = 1 <= s``."""
         u, es, et = self.u(s, t), self.power(s), self.power(t)
-        return u if t == 1 and s else _tensor_scalar_inv(es, et) @ u.conj().T @ self.power(s + t).scalar_gram
+        if t == 1 and s:
+            return u
+        return _scalar_apply(_placed_blocks(es, et), self.power(s + t)._scalar(u, 1).conj().T, True)
 
     # -- verification --------------------------------------------------------
 

@@ -30,9 +30,7 @@ from corrkit.hilbmod import (
     internal_tensor,
     is_nondegenerate,
     left_faithful_check,
-    left_unitor,
     map_adjoint,
-    null_space,
     psd_defect,
     pull_gram,
     rank_one,
@@ -43,8 +41,8 @@ from corrkit.hilbmod import (
     tensor_vector,
     validate_module,
 )
-from corrkit.endo import basis_coords, operator_rows, rank_ones_span
-from corrkit.prodsys import ProductSystem
+from corrkit.endo import basis_coords, null_space, operator_rows, rank_ones_span
+from corrkit.prodsys import ProductSystem, left_unitor
 from corrkit.report import VerificationReport, _worst
 
 from conftest import (
@@ -847,7 +845,7 @@ def test_adjointable_basis_skips_zero_images_bitwise():
 def test_adjointable_basis_ignores_the_kernel_solver(monkeypatch):
     """Rotating every kernel ``null_space`` returns changes no basis entry: the
     basis is a function of the right action, not of the solver's choices."""
-    import corrkit.hilbmod as hilbmod
+    import corrkit.endo as endo
 
     modules = shipped_modules()
     before = [np.stack([op.matrix for op in adjointable_basis(e)]) for e in modules]
@@ -857,7 +855,7 @@ def test_adjointable_basis_ignores_the_kernel_solver(monkeypatch):
         kernel = null_space(*args, **kwargs)
         return kernel @ random_unitary(rng, kernel.shape[1])
 
-    monkeypatch.setattr(hilbmod, "null_space", rotated)
+    monkeypatch.setattr(endo, "null_space", rotated)
     for e, ops in zip(modules, before):
         assert max_dev(np.stack([op.matrix for op in adjointable_basis(e)]), ops) < 1e-12
 
@@ -944,7 +942,7 @@ def ref_gram_rows(e):
 def ref_factor_rows(e, f):
     """The uncompressed factor: ``K[(p, g), (i, j)] = (S_F^{1/2} L(u[p, i]))[g, j]``,
     with ``P m_F`` rows."""
-    sqrt_left = f.scalar_sqrt @ f.left_action
+    sqrt_left = f._scalar(f.left_action, 0.5)
     k = np.tensordot(e.algebra.coords(ref_gram_rows(e)), sqrt_left, axes=([2], [0]))
     return k.transpose(0, 2, 1, 3).reshape(len(k) * f.dim, e.dim * f.dim)
 
@@ -1136,7 +1134,46 @@ def test_frame_section_on_non_whitened_factors(blocks):
         assert max_dev(k @ np.linalg.solve(m, k.conj().T), np.diag(d)) < 1e-12 * n * n
         msk = m @ sigma @ k
         assert max_dev(msk, msk.conj().T) < 1e-12 * np.abs(m).max()
-        assert max_dev(tensor._scalar_inv, np.linalg.inv(tensor.scalar_gram)) < 1e-12
+        assert max_dev(tensor._scalar(np.eye(tensor.dim), -1), np.linalg.inv(tensor.scalar_gram)) < 1e-12
+
+
+def _stage_generators():
+    """``(E, E+, E_t)``: the plane, the conjugated doubled swap (two corners), a
+    skew correspondence over ``[1, 2]`` and the m = 9 ladder's ``E_1``, each with
+    the operands of a stage tensor ``E+ . E_t`` (for the ladder, ``E+`` with its
+    associated ``E_2``; otherwise ``E`` with the power ``E_2``)."""
+    from corrkit.endo import associated_correspondence
+    from conftest import ladder_endomorphism
+
+    swap = conjugated(doubled_swap_correspondence(), random_unitary(np.random.default_rng(3), 4))
+    out = [(e, e, None) for e in (plane_correspondence(), swap, skew_correspondence([1, 2], 0))]
+    eplus, endo = ladder_endomorphism([3])
+    return out + [(ladder_e1([3]), eplus, associated_correspondence(eplus, endo, 2).corr)]
+
+
+@pytest.mark.parametrize("case", range(4), ids=["plane", "doubled-swap", "skew-1-2", "ladder-m9"])
+def test_scalar_blocks_match_the_dense_scalar_gram(case):
+    """``S``, ``S^{-1}`` and ``S^{+-1/2}`` applied per block of
+    ``_scalar_blocks``, left (``S^p x``) and right (``(S^p x^H)^H``) to a matrix
+    and to a stack, match the dense ``trace(gram) / n``, its inverse and its
+    roots, on an input, the power ``E_3``, the pair module ``E_2 . E_2`` and a
+    stage tensor ``E+ . E_t``."""
+    gen, eplus, et = _stage_generators()[case]
+    ps = ProductSystem(gen, 3)
+    stage = internal_tensor(eplus, ps.power(2) if et is None else et)[0]
+    rng = np.random.default_rng(case)
+    for mod in (gen, ps.power(3), ps._module(2, 2), stage):
+        dense = np.trace(mod.gram, axis1=2, axis2=3) / mod.algebra.size
+        vals, vecs = np.linalg.eigh(dense)
+        powers = {p: (vecs * vals ** p) @ vecs.conj().T for p in (0.5, -0.5)}
+        powers.update({1: dense, -1: np.linalg.inv(dense)})
+        x = rng.standard_normal((2, mod.dim, 3)) + 1j * rng.standard_normal((2, mod.dim, 3))
+        for p, want in powers.items():
+            scale = 1e-12 * max(1.0, float(np.abs(want).max()))
+            for arg in (x[0], x):
+                assert max_dev(mod._scalar(arg, p), want @ arg) < scale, (mod.dim, p)
+                right = np.swapaxes(mod._scalar(arg.conj(), p).conj(), -1, -2)  # y S^p, y = arg^T
+                assert max_dev(right, np.swapaxes(arg, -1, -2) @ want) < scale, (mod.dim, p)
 
 
 def _block_diag(mats):

@@ -1,17 +1,23 @@
 """Linear solves and inverses are taken only at the listed sites.
 
-A tensor's section and every adjoint come from the frames and the cached
-scalar-Gram inverses (``hilbmod`` module docstring), so the package solves a
+A tensor's section and every adjoint come from the frames and the
+scalar-Gram blocks (``hilbmod`` module docstring), so the package solves a
 linear system only where no frame is at hand: the realization of the
 associated correspondence, whose factor does not come from a Gram factor
 and corner maps.  The other inverses are the per-corner ``s_b^{-1}`` of a
-placed tensor and the inverse of the map an inner endomorphism conjugates
-by; a new call anywhere else fails this test.
+right factor (``Correspondence._corner_scalars``), one per corner, which
+every tensor placed with that factor reads as its scalar-Gram blocks, and
+the inverse of the map an inner endomorphism conjugates by; a new call
+anywhere else fails this test.
 """
 import ast
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from corrkit.gallery import doubled_swap_correspondence, plane_correspondence
+from corrkit.prodsys import ProductSystem
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "corrkit"
 MODULES = sorted(PACKAGE.glob("*.py"))
@@ -21,7 +27,7 @@ SOLVES = ("solve", "inv", "pinv", "lstsq", "tensorsolve", "tensorinv")
 ALLOWED = {
     ("endo.py", "associated_correspondence", "solve"),  # K^H (K K^H)^{-1} of the frame factor
     ("endo.py", "endomorphism_from_conjugation", "inv"),  # a -> v a v^{-1}
-    ("hilbmod.py", "_corner_scalar_invs", "inv"),  # s_b^{-1}, one per corner
+    ("hilbmod.py", "_corner_scalars", "inv"),  # s_b^{-1}, one per corner
 }
 
 
@@ -63,3 +69,18 @@ def test_new_solve_site_is_found():
         "        return inv(s)\n"
     )
     assert solve_sites(source) == {("adjoint", "solve"), ("back", "inv")}
+
+
+@pytest.mark.parametrize("make", [plane_correspondence, doubled_swap_correspondence])
+def test_one_inverse_per_corner_of_each_right_factor(make, monkeypatch):
+    """The coherence sweep, which places every pair module and reads every
+    ``uinv``, takes one ``inv`` per corner of each power read as a right
+    factor, not one per placed module or per read."""
+    calls = []
+    real = np.linalg.inv
+    monkeypatch.setattr(np.linalg, "inv", lambda a: calls.append(a.shape) or real(a))
+    ps = ProductSystem(make(), 4)
+    assert ps.coherence_report().passed
+    factors = [p for p in ps.powers if "_corner_scalars" in vars(p)]
+    assert len(factors) >= 3
+    assert len(calls) == sum(len(p.corner_frame) for p in factors)

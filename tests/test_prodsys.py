@@ -8,7 +8,7 @@ import pytest
 from corrkit.algebra import make_algebra
 from corrkit.errors import PreconditionError, ResourceBudgetError
 from corrkit.dilation import DilationPipeline, compare_unit_limits, verify_main
-from corrkit.endo import associated_correspondence
+from corrkit.endo import associated_correspondence, null_space
 from corrkit.gallery import (
     block_swap_correspondence,
     conjugated,
@@ -25,7 +25,6 @@ from corrkit.hilbmod import (
     algebra_correspondence,
     check_map,
     internal_tensor,
-    null_space,
     tensor_lift,
 )
 from corrkit.instance import PROFILES, generate_instance
@@ -269,7 +268,42 @@ def test_uinv_inverts_u_on_non_whitened_generators(blocks, monkeypatch):
     assert placed == []
     for n in range(2, levels + 1):
         en = ps.power(n)
-        assert max_dev(en._scalar_inv, np.linalg.inv(en.scalar_gram)) < 1e-12
+        assert max_dev(en._scalar(np.eye(en.dim), -1), np.linalg.inv(en.scalar_gram)) < 1e-12
+
+
+def _held_arrays(obj):
+    """The arrays held by ``obj`` through tuples, lists and dicts, not through
+    other modules."""
+    if isinstance(obj, np.ndarray):
+        return [obj]
+    items = obj.values() if isinstance(obj, dict) else obj if isinstance(obj, (tuple, list)) else ()
+    return [a for item in items for a in _held_arrays(item)]
+
+
+def test_powers_hold_no_dense_scalar_gram():
+    """After the coherence sweep and the unit checks of both units, no power
+    ``E_n`` (``n >= 2``) of the plane holds ``S``, a root or an inverse of its
+    scalar Gram: its blocks are its generator's corners ``s_b`` and their
+    inverses, shared, not copied, and beyond those the only 2-D arrays it
+    holds are the corners' roots, once read, and its own corners and their
+    inverses, cached once it is read as a right factor (on the plane ``r = m``, so these are (m, m), the identity
+    up to rounding)."""
+    gen = plane_correspondence()
+    ps = ProductSystem(gen, 6)
+    assert ps.coherence_report().passed
+    for xi in np.eye(2, dtype=complex):
+        assert check_unit(ps, xi).passed
+    generator = {id(a) for pair in gen._corner_scalars for a in pair}
+    for level in range(2, 7):
+        en = ps.power(level)
+        assert {id(a) for _, _, *pair in en._scalar_blocks for a in pair} == generator, level
+        own = [a for pair in vars(en).get("_corner_scalars", ()) for a in pair]
+        held = [a for a in _held_arrays(vars(en)) if a.ndim == 2]
+        roots = [a for _, _, *pair in vars(en).get("_root_blocks", ()) for a in pair]
+        assert all(a.shape == (2, 2) for a in roots), level  # the roots of the generator's corners
+        assert {id(a) for a in held} == generator | {id(a) for a in own + roots}, level
+        dense = [a for a in held if a.shape == (en.dim, en.dim)]
+        assert all(any(a is b for b in own) for a in dense), level
 
 
 @pytest.mark.parametrize("seed", range(6))

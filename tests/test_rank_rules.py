@@ -19,8 +19,8 @@ CUTOFFS = ("RANK_RTOL", "matrix_rank_tol", "null_space")
 ALLOWED = {
     ("hilbmod.py", "<module>", "RANK_RTOL"),  # the definition
     ("hilbmod.py", "matrix_rank_tol", "RANK_RTOL"),
-    ("hilbmod.py", "null_space", "RANK_RTOL"),
     ("hilbmod.py", "adjointable_basis", "RANK_RTOL"),  # the Gram-Schmidt threshold
+    ("endo.py", "null_space", "RANK_RTOL"),
     ("endo.py", "rank_ones_span", "matrix_rank_tol"),  # strictness-compacts-span
     ("endo.py", "find_intertwining_isometry", "null_space"),  # the intertwiner system
     ("dilation.py", "verify_main", "matrix_rank_tol"),  # amplification-injective[m]
