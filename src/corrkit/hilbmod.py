@@ -44,19 +44,18 @@ frames, with no linear solve: for ``M = S_E (x) S_F``, the square ``W`` has
 = delta_bb' delta_cc' I``, so ``K M^{-1} K^H = D = (+)_b n n_b I`` and the
 section is ``M^{-1} K^H D^{-1}`` (:func:`_tensor_section`).
 
-Every module holds its scalar Gram as diagonal blocks ``(start, copies, s,
-s^{-1})`` (:attr:`ModulePresentation._scalar_blocks`), and ``S``, ``S^{-1}``
-and ``S^{+-1/2}`` are applied block by block.  A placed module (powers, pair
-modules, stage tensors ``E+ . E_t``) takes the right factor's corners: ``S =
-(+)_{b,p} s_b``, ``P_b`` copies of the scalar part ``s_b`` of ``G~_b``, with
-one ``inv`` per corner of the right factor (``s_b = I`` only up to rounding),
-cached there (:attr:`Correspondence._corner_scalars`), and roots formed per
-block when first read; it forms no dense ``S``, root or inverse.  An input
-module and an associated correspondence ``E_t`` keep one dense block and are
-the only modules that form dense roots, from one ``eigh`` of ``S``: in their
-corner frames and positivity defects, in
-:func:`corrkit.endo.associated_correspondence` and in
-:func:`corrkit.dilation.compare_unit_limits`.
+Every module holds its scalar Gram as diagonal blocks ``(start, copies, [s,
+s^{-1}, s^{1/2}, s^{-1/2}])`` (:attr:`ModulePresentation._scalar_blocks`), and
+``S``, ``S^{-1}`` and ``S^{+-1/2}`` are applied block by block, from the left
+or the right (:func:`_scalar_apply`).  A placed module (powers, pair modules,
+stage tensors ``E+ . E_t``) takes the right factor's corners: ``S = (+)_{b,p}
+s_b``, ``P_b`` copies of the scalar part ``s_b`` of ``G~_b``, with one ``inv``
+per corner of the right factor (``s_b = I`` only up to rounding) and the
+corner's roots from one ``eigh`` when first read, cached there
+(:attr:`Correspondence._corner_scalars`) and shared by every module placed
+with it; it forms no dense ``S``, root or inverse.  An input module and an
+associated correspondence ``E_t`` keep one dense block, from one ``eigh`` of
+``S``, and are the only modules with dense roots.
 
 The corner maps behind ``K`` and the stacks ``R~_b``, ``G~_b`` are one cached
 frame on ``F`` (:attr:`Correspondence.corner_frame`), ``M~_b`` is cached on
@@ -140,9 +139,9 @@ def _range_basis(a: np.ndarray, p: np.ndarray) -> np.ndarray:
 
 
 def _roots(s):
-    """``[s^{1/2}, s^{-1/2}]`` of a positive definite ``s``, from one ``eigh``."""
+    """``(s^{1/2}, s^{-1/2})`` of a positive definite ``s``, from one ``eigh``."""
     vals, vecs = np.linalg.eigh(s)
-    return [(vecs * w) @ vecs.conj().T for w in (np.sqrt(vals), 1.0 / np.sqrt(vals))]
+    return tuple((vecs * w) @ vecs.conj().T for w in (np.sqrt(vals), 1.0 / np.sqrt(vals)))
 
 
 def _lift(a: np.ndarray, s: np.ndarray, dims: tuple[int, int], side: str) -> np.ndarray:
@@ -232,24 +231,19 @@ class ModulePresentation:
 
     @cached_property
     def _scalar_blocks(self) -> list:
-        """``S`` as diagonal blocks ``(start, copies, s, s^{-1})``, ``copies`` copies
-        of ``s`` from row ``start``: one dense block, inverted as ``isqrt @ isqrt``.
-        A module :func:`_tensor_module` places is given its right factor's corners
+        """``S`` as diagonal blocks ``(start, copies, [s, s^{-1}, s^{1/2}, s^{-1/2}])``,
+        ``copies`` copies of ``s`` from row ``start``: one dense block, its roots
+        from one ``eigh`` and its inverse ``isqrt @ isqrt``.  A module
+        :func:`_tensor_module` places is given its right factor's corners
         instead (:func:`_placed_blocks`)."""
         s = self.scalar_gram
-        isqrt = _roots(s)[1]
-        return [(0, 1, s, isqrt @ isqrt)]
+        sq, isq = _roots(s)
+        return [(0, 1, [s, isq @ isq, sq, isq])]
 
-    @cached_property
-    def _root_blocks(self) -> list:
-        """``S^{1/2}`` as blocks ``(start, copies, s^{1/2}, s^{-1/2})``, formed per
-        block of :attr:`_scalar_blocks` when first read: on a placed module, the
-        roots of its corners, not of a dense ``S``."""
-        return [(at, copies, *_roots(s)) for at, copies, s, _ in self._scalar_blocks]
-
-    def _scalar(self, x, p):
-        """``S^p x`` for ``p`` in 1, -1, 1/2, -1/2 and a matrix or a stack ``x``."""
-        return _scalar_apply(self._scalar_blocks if abs(p) == 1 else self._root_blocks, x, p < 0)
+    def _scalar(self, x, p, right=False):
+        """``S^p x``, or ``x S^p`` when ``right``, for ``p`` in 1, -1, 1/2, -1/2 and
+        a matrix or a stack ``x``."""
+        return _scalar_apply(self._scalar_blocks, x, p, right)
 
     # -- pointwise operations ----------------------------------------------
 
@@ -265,8 +259,7 @@ class ModulePresentation:
     def positivity_defect(self, a: np.ndarray) -> float:
         """How far the operator ``a`` is from being positive in B^a(E): the
         :func:`psd_defect` of ``a`` whitened by the scalar Gram."""
-        half = self._root_blocks
-        return psd_defect(_scalar_apply(half, _scalar_apply(half, a.conj().T, True).conj().T, False))[0]
+        return psd_defect(self._scalar(self._scalar(a, -0.5, right=True), 0.5))[0]
 
 
 @dataclass
@@ -302,26 +295,27 @@ class Correspondence(ModulePresentation):
           order.  Since ``R`` commutes with ``L(e^b_00)``, ``S^{1/2} R(c) S^{-1/2}``
           keeps the range of ``Y_b``, so ``R~_b`` is the right action there.
         """
-        n, half = self.algebra.size, self._root_blocks
+        n = self.algebra.size
         out = []
         for sl, nb in zip(self.algebra.unit_slices, self.algebra.blocks):
             units = self.left_action[sl][:nb]  # L(e^b_{0c})
-            row0 = _scalar_apply(half, units, False)
+            row0 = self._scalar(units, 0.5)
             y = _range_basis(row0[0], units[0])
-            r, back = y.shape[1], _scalar_apply(half, y, True)
-            right = _scalar_apply(half, y, False).conj().T @ self.right_action @ back
+            r, back = y.shape[1], self._scalar(y, -0.5)
+            right = self._scalar(y, 0.5).conj().T @ self.right_action @ back
             gram = pull_gram(back, self.gram).transpose(2, 3, 0, 1).reshape(n * n, r, r)
             out.append((y.conj().T @ row0, np.concatenate([right, gram])))
         return tuple(out)
 
     @cached_property
-    def _corner_scalars(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-        """Per algebra block, the scalar part ``s_b`` of ``G~_b`` and its one ``inv``
-        (``s_b = I`` only up to rounding): the blocks of a module placed with this
-        right factor (:func:`_placed_blocks`)."""
+    def _corner_scalars(self) -> tuple[list[np.ndarray], ...]:
+        """Per algebra block, ``[s_b, s_b^{-1}]`` for the scalar part ``s_b`` of
+        ``G~_b`` and its one ``inv`` (``s_b = I`` only up to rounding), to which
+        :func:`_scalar_apply` appends the roots when first read: the blocks of
+        every module placed with this right factor (:func:`_placed_blocks`)."""
         n = self.algebra.size
         scalars = [stack[-n * n::n + 1].sum(0) / n for _, stack in self.corner_frame]  # the entries (x, x)
-        return tuple((s, np.linalg.inv(s)) for s in scalars)
+        return tuple([s, np.linalg.inv(s)] for s in scalars)
 
     @cached_property
     def _left_blocks(self) -> tuple[np.ndarray, ...]:
@@ -371,7 +365,7 @@ class FactorMap:
 def map_adjoint(v: np.ndarray, dom: ModulePresentation, cod: ModulePresentation) -> np.ndarray:
     """Adjoint ``S_dom^{-1} v^H S_cod`` of a map between presentations, on the
     scalarized Grams; a stack of maps gives the stack of adjoints."""
-    return dom._scalar(np.swapaxes(cod._scalar(v, 1).conj(), -1, -2), -1)
+    return np.swapaxes(cod._scalar(dom._scalar(v, -1, right=True), 1).conj(), -1, -2)
 
 
 def check_map(
@@ -535,33 +529,45 @@ def _tensor_section(e: ModulePresentation, f: Correspondence) -> np.ndarray:
     """``M^{-1} K^H D^{-1}``: the transpose of the corner factor of the rows
     ``S_E^{-1} conj(w_b) / (n n_b)`` and the maps ``conj(C_b) S_F^{-T}``."""
     rows = [e._scalar(w.conj(), -1) / (e.algebra.size * w.shape[2]) for w in e._gram_factor]
-    corners = [np.swapaxes(f._scalar(np.swapaxes(c.conj(), 1, 2), -1), 1, 2) for c, _ in f.corner_frame]
-    return _corner_factor(rows, corners).T
+    return _corner_factor(rows, [f._scalar(c, -1, right=True).conj() for c, _ in f.corner_frame]).T
 
 
-def _placed_blocks(e: ModulePresentation, f: Correspondence) -> list:
+def _placed_blocks(e, f):
     """The scalar Gram of the realized ``e . f`` as :attr:`ModulePresentation._scalar_blocks`:
-    per algebra block, ``P_b`` copies of ``f``'s corner ``s_b`` and its inverse
-    (:attr:`Correspondence._corner_scalars`)."""
+    per algebra block, ``P_b`` copies of ``f``'s corner ``s_b``, the list of its
+    powers itself (:attr:`Correspondence._corner_scalars`), so every module placed
+    with ``f`` shares the corner's inverse and roots."""
     at, out = 0, []
     for w, corner in zip(e._gram_factor, f._corner_scalars):
-        out.append((at, len(w), *corner))
+        out.append((at, len(w), corner))
         at += len(w) * len(corner[0])
     return out
 
 
-def _scalar_apply(blocks, x, inverse):
-    """``S x``, or ``S^{-1} x`` when ``inverse``, for ``S`` given by its diagonal
-    blocks ``(start, copies, s, s^{-1})`` and ``x`` a matrix or a stack; a block's
-    rows are reshaped to its copies, not copied."""
-    if len(blocks) == 1 and blocks[0][1] == 1:
-        return blocks[0][2 + inverse] @ x
-    parts = []
-    for start, copies, *pair in blocks:
-        a = pair[inverse]
-        part = x[..., start:start + copies * len(a), :]
-        parts.append((a @ part.reshape(*part.shape[:-2], copies, len(a), part.shape[-1])).reshape(part.shape))
-    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-2)
+_POWERS = (1, -1, 0.5, -0.5)  # the order of a block's matrices
+
+
+def _scalar_apply(blocks, x, p, right=False):
+    """``S^p x``, or ``x S^p`` when ``right``, for ``S`` given by its diagonal blocks
+    ``(start, copies, [s, s^{-1}, s^{1/2}, s^{-1/2}])`` and ``x`` a matrix or a
+    stack; a corner's roots are appended to its list when first read.  From the
+    left, a block's rows of ``x`` are split into its copies as a view and
+    multiplied in one matmul; from the right, its columns are split into the
+    copies, stacked on the rows, and multiplied in one matrix product."""
+    k, parts = _POWERS.index(p), []
+    for start, copies, powers in blocks:
+        if len(powers) <= k:
+            powers += _roots(powers[0])
+        a = powers[k]
+        cut = slice(start, start + copies * len(a))
+        part = x[..., cut] if right else x[..., cut, :]
+        if copies == 1:
+            parts.append(part @ a if right else a @ part)
+        elif right:  # explicit sizes: a -1 is ambiguous when a corner is empty
+            parts.append((part.reshape(math.prod(part.shape[:-1]) * copies, len(a)) @ a).reshape(part.shape))
+        else:
+            parts.append((a @ part.reshape(*part.shape[:-2], copies, len(a), part.shape[-1])).reshape(part.shape))
+    return parts[0] if len(parts) == 1 else np.concatenate(parts, -1 if right else -2)
 
 
 def _tensor_module(e: ModulePresentation, f: Correspondence) -> ModulePresentation:

@@ -62,9 +62,10 @@ class ProductSystem:
     (:meth:`tensor`), and ``u`` but the identities ``u(s, 1)``; every other
     pair's ``K``, a section, ``uinv`` and a pair module not a power are formed
     where read (:meth:`_module`), not held.  A power's scalar Gram is the
-    generator's corner blocks, applied per block: no power forms a dense
-    ``S``, root or inverse.  Only :meth:`coherence_report` runs the
-    O(levels^3) sweep.
+    generator's corner blocks with their inverses and roots, shared and
+    applied per block: no power forms a dense ``S``, root or inverse; only
+    the generator, an input module, keeps a dense block.  Only
+    :meth:`coherence_report` runs the O(levels^3) sweep.
     """
 
     def __init__(
@@ -163,7 +164,7 @@ class ProductSystem:
         u, es, et = self.u(s, t), self.power(s), self.power(t)
         if t == 1 and s:
             return u
-        return _scalar_apply(_placed_blocks(es, et), self.power(s + t)._scalar(u, 1).conj().T, True)
+        return self.power(s + t)._scalar(_scalar_apply(_placed_blocks(es, et), u, -1, right=True), 1).conj().T
 
     # -- verification --------------------------------------------------------
 

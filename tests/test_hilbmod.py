@@ -843,21 +843,21 @@ def test_adjointable_basis_skips_zero_images_bitwise():
 
 
 def test_adjointable_basis_ignores_the_kernel_solver(monkeypatch):
-    """Rotating every kernel ``null_space`` returns changes no basis entry: the
-    basis is a function of the right action, not of the solver's choices."""
+    """The basis reads no kernel solver: with ``null_space`` and every SVD made
+    to raise, each shipped module's basis is bitwise the same, so it is a
+    function of the right action, not of a solver's choice of kernel basis."""
     import corrkit.endo as endo
 
-    modules = shipped_modules()
-    before = [np.stack([op.matrix for op in adjointable_basis(e)]) for e in modules]
-    rng = np.random.default_rng(17)
+    before = [np.stack([op.matrix for op in adjointable_basis(e)]) for e in shipped_modules()]
+    fresh = shipped_modules()  # parsed before the patch: reading an instance takes an SVD
 
-    def rotated(*args, **kwargs):
-        kernel = null_space(*args, **kwargs)
-        return kernel @ random_unitary(rng, kernel.shape[1])
+    def refuse(*args, **kwargs):
+        raise AssertionError("kernel solver read")
 
-    monkeypatch.setattr(endo, "null_space", rotated)
-    for e, ops in zip(modules, before):
-        assert max_dev(np.stack([op.matrix for op in adjointable_basis(e)]), ops) < 1e-12
+    monkeypatch.setattr(endo, "null_space", refuse)
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    for e, ops in zip(fresh, before):
+        assert np.array_equal(np.stack([op.matrix for op in adjointable_basis(e)]), ops)
 
 
 # ---------------------------------------------------------------------------
@@ -1154,10 +1154,10 @@ def _stage_generators():
 @pytest.mark.parametrize("case", range(4), ids=["plane", "doubled-swap", "skew-1-2", "ladder-m9"])
 def test_scalar_blocks_match_the_dense_scalar_gram(case):
     """``S``, ``S^{-1}`` and ``S^{+-1/2}`` applied per block of
-    ``_scalar_blocks``, left (``S^p x``) and right (``(S^p x^H)^H``) to a matrix
-    and to a stack, match the dense ``trace(gram) / n``, its inverse and its
-    roots, on an input, the power ``E_3``, the pair module ``E_2 . E_2`` and a
-    stage tensor ``E+ . E_t``."""
+    ``_scalar_blocks``, left (``S^p x``) and right (``y S^p``, on a transposed
+    view and on a contiguous copy) to a matrix and to a stack, match the dense
+    ``trace(gram) / n``, its inverse and its roots, on an input, the power
+    ``E_3``, the pair module ``E_2 . E_2`` and a stage tensor ``E+ . E_t``."""
     gen, eplus, et = _stage_generators()[case]
     ps = ProductSystem(gen, 3)
     stage = internal_tensor(eplus, ps.power(2) if et is None else et)[0]
@@ -1172,8 +1172,21 @@ def test_scalar_blocks_match_the_dense_scalar_gram(case):
             scale = 1e-12 * max(1.0, float(np.abs(want).max()))
             for arg in (x[0], x):
                 assert max_dev(mod._scalar(arg, p), want @ arg) < scale, (mod.dim, p)
-                right = np.swapaxes(mod._scalar(arg.conj(), p).conj(), -1, -2)  # y S^p, y = arg^T
-                assert max_dev(right, np.swapaxes(arg, -1, -2) @ want) < scale, (mod.dim, p)
+                y = np.swapaxes(arg, -1, -2)
+                for right in (y, y.copy()):
+                    assert max_dev(mod._scalar(right, p, right=True), y @ want) < scale, (mod.dim, p)
+
+
+def test_a_dense_block_takes_one_eigh(monkeypatch):
+    """An input module's ``S^{-1}`` and roots, read from both sides, come from
+    one ``eigh`` of its scalar Gram."""
+    e = ladder_e1([3])
+    calls, real = [], np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or real(a))
+    for p in (1, -1, 0.5, -0.5):
+        for right in (False, True):
+            e._scalar(np.eye(e.dim), p, right)
+    assert calls == [(e.dim, e.dim)]
 
 
 def _block_diag(mats):

@@ -283,27 +283,29 @@ def _held_arrays(obj):
 def test_powers_hold_no_dense_scalar_gram():
     """After the coherence sweep and the unit checks of both units, no power
     ``E_n`` (``n >= 2``) of the plane holds ``S``, a root or an inverse of its
-    scalar Gram: its blocks are its generator's corners ``s_b`` and their
-    inverses, shared, not copied, and beyond those the only 2-D arrays it
-    holds are the corners' roots, once read, and its own corners and their
-    inverses, cached once it is read as a right factor (on the plane ``r = m``, so these are (m, m), the identity
-    up to rounding)."""
+    scalar Gram: its blocks are its generator's corners ``s_b`` with their
+    inverses and roots, the generator's own lists, not copies, and beyond
+    those the only 2-D arrays it holds are its own corners and their
+    inverses, cached once it is read as a right factor, with no roots, as no
+    module placed with it reads one (on the plane ``r = m``, so these are
+    (m, m), the identity up to rounding)."""
     gen = plane_correspondence()
     ps = ProductSystem(gen, 6)
     assert ps.coherence_report().passed
     for xi in np.eye(2, dtype=complex):
         assert check_unit(ps, xi).passed
-    generator = {id(a) for pair in gen._corner_scalars for a in pair}
+    generator = {id(a) for corner in gen._corner_scalars for a in corner}
+    assert len(generator) == 4
     for level in range(2, 7):
         en = ps.power(level)
-        assert {id(a) for _, _, *pair in en._scalar_blocks for a in pair} == generator, level
-        own = [a for pair in vars(en).get("_corner_scalars", ()) for a in pair]
+        assert len(en._scalar_blocks) == len(gen._corner_scalars), level
+        assert all(c is g for (*_, c), g in zip(en._scalar_blocks, gen._corner_scalars)), level
+        own = {id(a) for corner in vars(en).get("_corner_scalars", ()) for a in corner}
+        assert len(own) in (0, 2), level
         held = [a for a in _held_arrays(vars(en)) if a.ndim == 2]
-        roots = [a for _, _, *pair in vars(en).get("_root_blocks", ()) for a in pair]
-        assert all(a.shape == (2, 2) for a in roots), level  # the roots of the generator's corners
-        assert {id(a) for a in held} == generator | {id(a) for a in own + roots}, level
+        assert {id(a) for a in held} == generator | own, level
         dense = [a for a in held if a.shape == (en.dim, en.dim)]
-        assert all(any(a is b for b in own) for a in dense), level
+        assert all(id(a) in own for a in dense), level
 
 
 @pytest.mark.parametrize("seed", range(6))
